@@ -36,8 +36,8 @@ from .groups import GeneratorSet, GroupTable
 from .kernels import base_walk_kernel, spectral_summary
 from .matrices import MatrixState, msample_stationary, mstep_batch, pair_alpha_beta
 from .pairops import split_pair
-from .seeding import replica_rng
-from .simplex import SimplexState, step_batch
+from .seeding import draw_pairs, replica_rng
+from .simplex import SimplexState, sample_stationary, step_batch
 
 __all__ = [
     "SUBSET_FAILED",
@@ -210,23 +210,17 @@ def _chain_coeffs(kind: str, vi: float, vj: float):
 
 
 def proportional_step(x, y, i: int, j: int, lam: float):
-    """Advance both states with the identical (i, j, lam) draw."""
+    """Advance both states with the identical (i, j, lam) draw: one lockstep
+    batch move on the stacked pair [x; y]."""
     if isinstance(x, SimplexState) and isinstance(y, SimplexState):
-        kind = "simplex"
-        xv, yv = x.x.copy(), y.x.copy()
-    elif isinstance(x, MatrixState) and isinstance(y, MatrixState):
-        kind = "matrix"
-        xv, yv = x.c.copy(), y.c.copy()
-    else:
-        raise InvariantViolation("state-kind", "states must both be simplex or both matrix")
-    for v in (xv, yv):
-        total, alpha, beta = _chain_coeffs(kind, v[i], v[j])
-        a, b = split_pair(total, alpha, beta, lam)
-        v[i] = float(a)
-        v[j] = float(b)
-    if kind == "simplex":
-        return SimplexState(xv), SimplexState(yv)
-    return MatrixState(xv), MatrixState(yv)
+        xy = np.stack([x.x, y.x])
+        step_batch(xy, i, j, np.full(2, lam))
+        return SimplexState(xy[0]), SimplexState(xy[1])
+    if isinstance(x, MatrixState) and isinstance(y, MatrixState):
+        xy = np.stack([x.c, y.c])
+        mstep_batch(xy, i, j, np.full(2, lam))
+        return MatrixState(xy[0]), MatrixState(xy[1])
+    raise InvariantViolation("state-kind", "states must both be simplex or both matrix")
 
 
 def _remainder_sample(lo: float, hi: float, q: float, rng: np.random.Generator) -> float:
@@ -449,8 +443,6 @@ def run_nonmarkovian_coupling(
         if group is None or gens is None:
             raise InvariantViolation("arguments", "simplex coupling needs group and gens")
         n = group.n
-        m = gens.m
-        gens_arr = np.asarray(gens.elements, dtype=np.int64)
     elif kind == "matrix":
         if n is None:
             raise InvariantViolation("arguments", "matrix coupling needs n")
@@ -473,27 +465,11 @@ def run_nonmarkovian_coupling(
     for b in range(B):
         rng = replica_rng(seed, b)
         rngs.append(rng)
-        if kind == "simplex":
-            e = rng.exponential(1.0, n)
-            Y[b] = e / e.sum()
-            g = rng.integers(0, n, T1)
-            r = gens_arr[rng.integers(0, m, T1)]
-            a1[b], b1[b] = g, group.mul[g, r]
-            lam1[b] = rng.random(T1)
-            g = rng.integers(0, n, T2)
-            r = gens_arr[rng.integers(0, m, T2)]
-            a2[b], b2[b] = g, group.mul[g, r]
-            lam2[b] = rng.random(T2)
-        else:
-            Y[b] = msample_stationary(n, rng).c
-            i1 = rng.integers(0, n, T1)
-            raw = rng.integers(0, n - 1, T1)
-            a1[b], b1[b] = i1, raw + (raw >= i1)
-            lam1[b] = rng.random(T1)
-            i2 = rng.integers(0, n, T2)
-            raw = rng.integers(0, n - 1, T2)
-            a2[b], b2[b] = i2, raw + (raw >= i2)
-            lam2[b] = rng.random(T2)
+        Y[b] = sample_stationary(n, rng).x if kind == "simplex" else msample_stationary(n, rng).c
+        a1[b], b1[b] = draw_pairs(rng, T1, n, group, gens)
+        lam1[b] = rng.random(T1)
+        a2[b], b2[b] = draw_pairs(rng, T2, n, group, gens)
+        lam2[b] = rng.random(T2)
 
     batch = step_batch if kind == "simplex" else mstep_batch
     rows_all = np.arange(B)
@@ -659,8 +635,6 @@ def connectedness_experiment(
         if group is None or gens is None:
             raise InvariantViolation("arguments", "cayley schedule needs group and gens")
         n = group.n
-        m = gens.m
-        gens_arr = np.asarray(gens.elements, dtype=np.int64)
     elif kind != "matrix":
         raise InvariantViolation("arguments", f"unknown chain kind {kind!r}")
     elif n is None:
@@ -671,15 +645,7 @@ def connectedness_experiment(
     taus = np.empty(replicas, dtype=np.int64)
     censored = 0
     for b in range(replicas):
-        rng = replica_rng(seed, b)
-        if kind == "simplex":
-            g = rng.integers(0, n, max_draws)
-            r = gens_arr[rng.integers(0, m, max_draws)]
-            left, right = g, np.asarray(group.mul[g, r])
-        else:
-            i = rng.integers(0, n, max_draws)
-            raw = rng.integers(0, n - 1, max_draws)
-            left, right = i, raw + (raw >= i)
+        left, right = draw_pairs(replica_rng(seed, b), max_draws, n, group, gens)
         uf = _UnionFind(n)
         components = n
         tau = max_draws + 1

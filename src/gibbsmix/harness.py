@@ -55,7 +55,7 @@ from .matrices import (
     msample_stationary_batch,
     mstep_batch,
 )
-from .seeding import replica_rng, replica_seed_words
+from .seeding import draw_pairs, replica_rng, replica_seed_words
 from .simplex import (
     check_s_recursion,
     lower_bound_experiment,
@@ -471,8 +471,6 @@ def _run_contract_simplex(config: ExperimentConfig):
     if not marks:
         raise ConfigError("T too small: no checkpoint is a multiple of ceil(8/gamma_hat)")
 
-    gens_arr = np.asarray(gens.elements, dtype=np.int64)
-    mul = group.mul
     B, T = replicas, total
     X = np.zeros((B, n))
     X[:, group.identity] = 1.0
@@ -480,15 +478,11 @@ def _run_contract_simplex(config: ExperimentConfig):
     a = np.empty((B, T), dtype=np.int64)
     b = np.empty((B, T), dtype=np.int64)
     lam = np.empty((B, T))
-    # per-replica draw order: stationary start, element array, generator
-    # array, lambda array
+    # per-replica draw order: stationary start, pair arrays, lambda array
     for r in range(B):
         rng = replica_rng(config.seed, r)
-        e = rng.exponential(1.0, n)
-        Y[r] = e / e.sum()
-        g = rng.integers(0, n, T)
-        s = gens_arr[rng.integers(0, gens.m, T)]
-        a[r], b[r] = g, mul[g, s]
+        Y[r] = sample_stationary(n, rng).x
+        a[r], b[r] = draw_pairs(rng, T, n, group, gens)
         lam[r] = rng.random(T)
 
     traj_rows = []
@@ -641,13 +635,13 @@ def _run_largeness(config: ExperimentConfig):
         raise ConfigError("largeness requires exactly one of 'group' or 'n'")
     if config.n is not None:
         kind, n = "matrix", config.n
+        group = gens = None
         k = _thr(config, "k", 1.0)
         threshold = float(n) ** (-5.5 - k)
         target = 1.0 - 2.0 * float(n) ** (-k)
     else:
         group, gens = resolve_group(config.group)
         kind, n = "simplex", group.n
-        gens_arr = np.asarray(gens.elements, dtype=np.int64)
         threshold = _thr(config, "d")
         target = None
     window = config.T if config.T is not None else n * n
@@ -662,15 +656,9 @@ def _run_largeness(config: ExperimentConfig):
         rng = replica_rng(config.seed, r)
         if kind == "matrix":
             states[r] = msample_stationary_batch(n, rng, 1)[0]
-            i = rng.integers(0, n, window)
-            raw = rng.integers(0, n - 1, window)
-            a[r], b[r] = i, raw + (raw >= i)
         else:
-            e = rng.exponential(1.0, n)
-            states[r] = e / e.sum()
-            g = rng.integers(0, n, window)
-            s = gens_arr[rng.integers(0, gens.m, window)]
-            a[r], b[r] = g, group.mul[g, s]
+            states[r] = sample_stationary(n, rng).x
+        a[r], b[r] = draw_pairs(rng, window, n, group, gens)
         lam[r] = rng.random(window)
 
     def margin(x: np.ndarray) -> np.ndarray:
@@ -750,7 +738,7 @@ def coupon_collector_experiment(n: int, c: float, replicas: int, seed: int) -> C
     update within T = floor(n (log n - c) / 2) steps, against the classical
     limit 1 - exp(-exp(c)).
 
-    Per-replica draw order: i array, then j array (ordered distinct pairs).
+    Per-replica draw order: the pair arrays of seeding.draw_pairs.
     """
     T = max(0, math.floor(0.5 * n * (math.log(n) - c)))
     misses = 0
@@ -759,9 +747,7 @@ def coupon_collector_experiment(n: int, c: float, replicas: int, seed: int) -> C
         if T == 0:
             misses += 1
             continue
-        i = rng.integers(0, n, T)
-        raw = rng.integers(0, n - 1, T)
-        j = raw + (raw >= i)
+        i, j = draw_pairs(rng, T, n)
         seen = np.zeros(n, dtype=bool)
         seen[i] = True
         seen[j] = True

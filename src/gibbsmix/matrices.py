@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
 from .pairops import split_pair
-from .seeding import replica_rng
+from .seeding import draw_pairs, replica_rng
 
 __all__ = [
     "MatrixState",
@@ -225,7 +225,7 @@ def mcontraction_experiment(
     E||X_{t+1} - Y_{t+1}||^2 / E||X_t - Y_t||^2 is estimated over replicas
     and compared against 1 - 2/(3n).
 
-    Per-replica draw order: X start, Y start, i array, j array, lam array.
+    Per-replica draw order: X start, Y start, pair arrays, lam array.
     """
     i_draw = np.empty((replicas, T), dtype=np.int64)
     j_draw = np.empty((replicas, T), dtype=np.int64)
@@ -236,9 +236,7 @@ def mcontraction_experiment(
         rng = replica_rng(seed, b)
         x[b] = msample_stationary(n, rng).c
         y[b] = msample_stationary(n, rng).c
-        i_draw[b] = rng.integers(0, n, T)
-        raw = rng.integers(0, n - 1, T)
-        j_draw[b] = raw + (raw >= i_draw[b])
+        i_draw[b], j_draw[b] = draw_pairs(rng, T, n)
         lam_draw[b] = rng.random(T)
 
     identical = int(np.sum(np.all(x == y, axis=1)))
@@ -281,7 +279,6 @@ class MonotoneReport:
     min_entry_matrix: float
     max_entry_matrix: float
     min_entry_simplex: float
-    violated: bool
 
 
 def monotone_couple_run(
@@ -310,9 +307,7 @@ def monotone_couple_run(
     done = 0
     while done < T:
         b = min(chunk, T - done)
-        i_arr = rng.integers(0, n, b)
-        raw = rng.integers(0, n - 1, b)
-        j_arr = raw + (raw >= i_arr)
+        i_arr, j_arr = draw_pairs(rng, b, n)
         lam_arr = rng.random(b)
         for k in range(b):
             i = int(i_arr[k])
@@ -363,5 +358,4 @@ def monotone_couple_run(
         min_entry_matrix=min_c,
         max_entry_matrix=max_c,
         min_entry_simplex=min_s,
-        violated=False,
     )

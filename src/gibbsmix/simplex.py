@@ -25,7 +25,7 @@ from .errors import DegenerateEigenvector, InvariantViolation
 from .groups import GeneratorSet, GroupTable
 from .kernels import TransitionKernel, edge_walk_kernel, spectral_summary
 from .pairops import split_pair
-from .seeding import replica_rng
+from .seeding import draw_pairs, replica_rng
 
 __all__ = [
     "SimplexState",
@@ -224,9 +224,8 @@ def check_s_recursion(
     coupling (D'[g] = lam * (D[g] + D[gr]) etc.), so the simulation runs on D
     directly.
     """
-    n, m = group.n, gens.m
+    n = group.n
     mul = group.mul
-    gens_arr = np.asarray(gens.elements, dtype=np.int64)
     d0 = x.x - y.x
     s0 = s_vector(x, y, group).s
     targets = s_recursion_targets(s0, group, gens)
@@ -240,10 +239,8 @@ def check_s_recursion(
     while done < samples:
         b = min(chunk, samples - done)
         rows = np.arange(b)
-        a = rng.integers(0, n, b)
-        r = gens_arr[rng.integers(0, m, b)]
+        a, partner = draw_pairs(rng, b, n, group, gens)
         lam = rng.random(b)
-        partner = mul[a, r]
         d = np.broadcast_to(d0, (b, n)).copy()
         total = d[rows, a] + d[rows, partner]
         d[rows, a] = lam * total
@@ -340,28 +337,25 @@ def lower_bound_experiment(
     P[<X_t, v> > d] with its stationary counterpart (the implied total
     variation lower bound).
     """
-    n, m = group.n, gens.m
+    n = group.n
     kernel = edge_walk_kernel(group, gens)
     v, mu = lower_bound_init(kernel)
     gamma = spectral_summary(kernel).gap
     inner0 = float(mu.x @ v)
     if d is None:
         d = inner0 / 2.0
-    gens_arr = np.asarray(gens.elements, dtype=np.int64)
 
-    # Per-replica streams; draw order per replica: g array, r array, lam
-    # array, then one stationary sample for the tail comparison.
-    g_draw = np.empty((replicas, T), dtype=np.int64)
-    r_draw = np.empty((replicas, T), dtype=np.int64)
+    # Per-replica streams; draw order per replica: pair arrays, lam array,
+    # then one stationary sample for the tail comparison.
+    a_draw = np.empty((replicas, T), dtype=np.int64)
+    b_draw = np.empty((replicas, T), dtype=np.int64)
     lam_draw = np.empty((replicas, T))
     stationary = np.empty((replicas, n))
     for b in range(replicas):
         rng = replica_rng(seed, b)
-        g_draw[b] = rng.integers(0, n, T)
-        r_draw[b] = gens_arr[rng.integers(0, m, T)]
+        a_draw[b], b_draw[b] = draw_pairs(rng, T, n, group, gens)
         lam_draw[b] = rng.random(T)
-        e = rng.exponential(1.0, n)
-        stationary[b] = e / e.sum()
+        stationary[b] = sample_stationary(n, rng).x
 
     checkpoints = list(range(0, T + 1, checkpoint_stride))
     x = np.broadcast_to(mu.x, (replicas, n)).copy()
@@ -390,9 +384,7 @@ def lower_bound_experiment(
 
     record(0)
     for t in range(T):
-        a = g_draw[:, t]
-        partner = group.mul[a, r_draw[:, t]]
-        step_batch(x, a, partner, lam_draw[:, t])
+        step_batch(x, a_draw[:, t], b_draw[:, t], lam_draw[:, t])
         if (t + 1) in checkpoints:
             record(t + 1)
 

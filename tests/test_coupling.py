@@ -20,8 +20,8 @@ from gibbsmix.coupling import (
 )
 from gibbsmix.errors import DegeneratePairMass, InvariantViolation
 from gibbsmix.groups import build_cyclic
-from gibbsmix.matrices import MatrixState, msample_stationary
-from gibbsmix.simplex import SimplexState, sample_stationary
+from gibbsmix.matrices import MatrixState, msample_stationary, mstep
+from gibbsmix.simplex import MoveDraw, SimplexState, sample_stationary, step
 
 
 def test_schedule_validation():
@@ -212,6 +212,24 @@ def test_proportional_step_dispatch(rng):
     assert np.array_equal(cx2.c, cy2.c)
     with pytest.raises(InvariantViolation):
         proportional_step(x, cx, 0, 1, 0.5)
+
+
+def test_proportional_step_matches_scalar_moves(rng):
+    # the stacked batch move equals one scalar step/mstep per chain, bit for bit
+    group, gens = build_cyclic(6, range(1, 6))
+    lams = np.concatenate([[0.0, 0.5, 1.0], rng.random(60)])
+    for lam in lams:
+        x, y = sample_stationary(6, rng), sample_stationary(6, rng)
+        g, r = int(rng.integers(0, 6)), int(rng.choice(gens.elements))
+        x2, y2 = proportional_step(x, y, g, int(group.mul[g, r]), float(lam))
+        draw = MoveDraw(g=g, r=r, lam=float(lam))
+        assert np.array_equal(x2.x, step(x, draw, group).x)
+        assert np.array_equal(y2.x, step(y, draw, group).x)
+        cx, cy = msample_stationary(6, rng), msample_stationary(6, rng)
+        i, j = rng.choice(6, 2, replace=False).tolist()
+        cx2, cy2 = proportional_step(cx, cy, i, j, float(lam))
+        assert np.array_equal(cx2.c, mstep(cx, i, j, float(lam)).c)
+        assert np.array_equal(cy2.c, mstep(cy, i, j, float(lam)).c)
 
 
 def test_proportional_matrix_pair_second_moment(rng):

@@ -357,7 +357,9 @@ def test_cli_config_file_with_subcommand(tmp_path):
     assert cli_main(["gap", "--config", str(path), "--out", str(tmp_path / "r2")]) == 1
 
 
-def test_cli_error_paths(tmp_path, capsys):
+def test_cli_error_paths(tmp_path, capsys, monkeypatch):
+    # a failing run still writes its manifest under the default output path
+    monkeypatch.chdir(tmp_path)
     assert cli_main(["connect"]) == 1  # needs group or n
     assert cli_main(["connect", "--n", "8", "--threshold", "epsilon"]) == 1
     assert cli_main(["gap", "--group", "klein:4"]) == 1
