@@ -34,8 +34,8 @@ import numpy as np
 from .errors import DegeneratePairMass, InvariantViolation
 from .groups import GeneratorSet, GroupTable
 from .kernels import base_walk_kernel, spectral_summary
-from .matrices import MatrixState, msample_stationary, mstep_batch, pair_alpha_beta
-from .pairops import split_pair
+from .matrices import MatrixState, msample_stationary, mstep_batch
+from .pairops import split_pair_float, stacked_draws
 from .seeding import draw_pairs, replica_rng
 from .simplex import SimplexState, sample_stationary, step_batch
 
@@ -148,19 +148,22 @@ class PartitionProcess:
 
     def partition_at(self, t: int) -> list:
         """Blocks of P_t (components of the suffix edges {s >= t}), each a
-        sorted tuple, sorted by smallest member."""
-        uf = _UnionFind(self.n)
-        lo = max(0, t - self.schedule.t0)
-        for i, j in self.schedule.entries[lo:]:
-            uf.union(int(i), int(j))
-        groups = {}
-        for k in range(self.n):
-            groups.setdefault(uf.find(k), []).append(k)
-        return sorted(tuple(v) for v in groups.values())
+        sorted tuple, sorted by smallest member: the singletons with every
+        merge at a time >= t applied."""
+        blocks = {k: (k,) for k in range(self.n)}
+        for rec in self.merges:
+            if rec.t < t:
+                break
+            # s1 and s2 are blocks of P_{rec.t + 1}, keyed by their minima
+            del blocks[rec.s1[0]], blocks[rec.s2[0]]
+            merged = tuple(sorted(rec.s1 + rec.s2))
+            blocks[merged[0]] = merged
+        return sorted(blocks.values())
 
 
 def build_partition_process(sched: UpdateSchedule, n: int) -> PartitionProcess:
-    """Backward union-find over the schedule, recording every merge."""
+    """Backward union-find over the schedule, recording every merge; the scan
+    stops once a single block remains, since no merge can follow."""
     if len(sched) == 0:
         raise InvariantViolation("schedule-empty", "schedule must be nonempty")
     uf = _UnionFind(n)
@@ -189,6 +192,8 @@ def build_partition_process(sched: UpdateSchedule, n: int) -> PartitionProcess:
         members[root] = block_a + block_b if root == ri else block_b + block_a
         del members[other]
         components -= 1
+        if components == 1:
+            break
     connected = components == 1
     tau = float(sched.end - merges[-1].t) if connected else math.inf
     return PartitionProcess(
@@ -201,12 +206,12 @@ def build_partition_process(sched: UpdateSchedule, n: int) -> PartitionProcess:
 
 
 def _chain_coeffs(kind: str, vi: float, vj: float):
-    """(total, alpha, beta) of the affine pair move for one chain."""
+    """(total, alpha, beta) of the affine pair move for one chain, on Python
+    floats; the matrix case is pair_alpha_beta's operations in its order."""
+    total = vi + vj
     if kind == "simplex":
-        total = vi + vj
         return total, total, 0.0
-    total, alpha, beta = pair_alpha_beta(vi, vj)
-    return float(total), float(alpha), float(beta)
+    return total, min(total, 4.0 - total), max(0.0, total - 2.0)
 
 
 def proportional_step(x, y, i: int, j: int, lam: float):
@@ -306,10 +311,8 @@ def subset_couple_arrays(
     else:
         lam_y = other_lam
 
-    nxi, nxj = split_pair(sx, ax, bx, lam_x)
-    nyi, nyj = split_pair(sy, ay, by, lam_y)
-    x[i], x[j] = float(nxi), float(nxj)
-    y[i], y[j] = float(nyi), float(nyj)
+    x[i], x[j] = split_pair_float(sx, ax, bx, lam_x)
+    y[i], y[j] = split_pair_float(sy, ay, by, lam_y)
 
     if succeeded:
         wx = float(x[subset].sum())
@@ -318,7 +321,7 @@ def subset_couple_arrays(
             raise InvariantViolation(
                 "subset-w-equality", f"|w(X,S) - w(Y,S)| = {abs(wx - wy):.3e}"
             )
-    return succeeded, float(lam_x), float(lam_y)
+    return succeeded, lam_x, lam_y
 
 
 def _subset_step_state(kind, x, y, subset, i, j, rng, lam_first):
@@ -453,11 +456,15 @@ def run_nonmarkovian_coupling(
 
     B = replicas
     start = default_start(kind, n, 0 if group is None else group.identity) if x0 is None else np.asarray(x0, dtype=float)
-    X = np.broadcast_to(start, (B, n)).copy()
-    Y = np.empty((B, n))
-    a1 = np.empty((B, T1), dtype=np.int64)
-    b1 = np.empty((B, T1), dtype=np.int64)
-    lam1 = np.empty((B, T1))
+    # X and Y are the two halves of one C-contiguous batch, so a draw shared
+    # by both chains moves them in one kernel call
+    XY = np.empty((2 * B, n))
+    X, Y = XY[:B], XY[B:]
+    X[:] = start
+    # phase-1 draws are time-major: each step reads one contiguous row
+    a1 = np.empty((T1, B), dtype=np.int64)
+    b1 = np.empty((T1, B), dtype=np.int64)
+    lam1 = np.empty((T1, B))
     a2 = np.empty((B, T2), dtype=np.int64)
     b2 = np.empty((B, T2), dtype=np.int64)
     lam2 = np.empty((B, T2))
@@ -466,16 +473,14 @@ def run_nonmarkovian_coupling(
         rng = replica_rng(seed, b)
         rngs.append(rng)
         Y[b] = sample_stationary(n, rng).x if kind == "simplex" else msample_stationary(n, rng).c
-        a1[b], b1[b] = draw_pairs(rng, T1, n, group, gens)
-        lam1[b] = rng.random(T1)
+        a1[:, b], b1[:, b] = draw_pairs(rng, T1, n, group, gens)
+        lam1[:, b] = rng.random(T1)
         a2[b], b2[b] = draw_pairs(rng, T2, n, group, gens)
         lam2[b] = rng.random(T2)
 
     batch = step_batch if kind == "simplex" else mstep_batch
-    rows_all = np.arange(B)
     for t in range(T1):
-        batch(X, a1[:, t], b1[:, t], lam1[:, t], rows_all)
-        batch(Y, a1[:, t], b1[:, t], lam1[:, t], rows_all)
+        batch(XY, *stacked_draws(a1[t], b1[t], lam1[t]))
 
     processes = []
     marks = {}
@@ -532,9 +537,9 @@ def run_nonmarkovian_coupling(
                 subset_fail[b] = T1 + t
         rest = active & ~handled
         if rest.any():
-            rows = np.nonzero(rest)[0]
-            batch(X, a2[rows, t], b2[rows, t], lam2[rows, t], rows)
-            batch(Y, a2[rows, t], b2[rows, t], lam2[rows, t], rows)
+            rows = np.flatnonzero(rest)
+            batch(XY, *stacked_draws(a2[rows, t], b2[rows, t], lam2[rows, t]),
+                  np.concatenate((rows, rows + B)))
         if keep_trace:
             tr_x[:, t + 1] = X
             tr_y[:, t + 1] = Y

@@ -55,6 +55,7 @@ from .matrices import (
     msample_stationary_batch,
     mstep_batch,
 )
+from .pairops import stacked_draws
 from .seeding import draw_pairs, replica_rng, replica_seed_words
 from .simplex import (
     check_s_recursion,
@@ -472,26 +473,26 @@ def _run_contract_simplex(config: ExperimentConfig):
         raise ConfigError("T too small: no checkpoint is a multiple of ceil(8/gamma_hat)")
 
     B, T = replicas, total
-    X = np.zeros((B, n))
+    # X and Y are the halves of one stacked batch; draws are time-major
+    XY = np.zeros((2 * B, n))
+    X, Y = XY[:B], XY[B:]
     X[:, group.identity] = 1.0
-    Y = np.empty((B, n))
-    a = np.empty((B, T), dtype=np.int64)
-    b = np.empty((B, T), dtype=np.int64)
-    lam = np.empty((B, T))
+    a = np.empty((T, B), dtype=np.int64)
+    b = np.empty((T, B), dtype=np.int64)
+    lam = np.empty((T, B))
     # per-replica draw order: stationary start, pair arrays, lambda array
     for r in range(B):
         rng = replica_rng(config.seed, r)
         Y[r] = sample_stationary(n, rng).x
-        a[r], b[r] = draw_pairs(rng, T, n, group, gens)
-        lam[r] = rng.random(T)
+        a[:, r], b[:, r] = draw_pairs(rng, T, n, group, gens)
+        lam[:, r] = rng.random(T)
 
     traj_rows = []
     mean_rows = []
     ok = True
     markset = set(marks)
     for t in range(1, T + 1):
-        step_batch(X, a[:, t - 1], b[:, t - 1], lam[:, t - 1])
-        step_batch(Y, a[:, t - 1], b[:, t - 1], lam[:, t - 1])
+        step_batch(XY, *stacked_draws(a[t - 1], b[t - 1], lam[t - 1]))
         if t in markset:
             sq = ((X - Y) ** 2).sum(axis=1)
             for r in range(B):

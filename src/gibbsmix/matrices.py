@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
-from .pairops import split_pair
+from .pairops import flat_pair_index, split_pair, stacked_draws
 from .seeding import draw_pairs, replica_rng
 
 __all__ = [
@@ -117,14 +117,14 @@ def mstep(state: MatrixState, i: int, j: int, lam: float) -> MatrixState:
 
 def mstep_batch(c: np.ndarray, i: np.ndarray, j: np.ndarray, lam: np.ndarray,
                 rows: np.ndarray | None = None) -> None:
-    """In-place lockstep move on a (B, n) batch; row rows[k] (default: every
-    row) updates pair (i[k], j[k])."""
-    if rows is None:
-        rows = np.arange(c.shape[0])
-    s, alpha, beta = pair_alpha_beta(c[rows, i], c[rows, j])
+    """In-place lockstep move on a C-contiguous (B, n) batch; row rows[k]
+    (default: every row) updates pair (i[k], j[k]). Flat-index gathers and
+    scatters on c.reshape(-1)."""
+    flat, ii, jj = flat_pair_index(c, i, j, rows)
+    s, alpha, beta = pair_alpha_beta(flat[ii], flat[jj])
     ni, nj = split_pair(s, alpha, beta, lam)
-    c[rows, i] = ni
-    c[rows, j] = nj
+    flat[ii] = ni
+    flat[jj] = nj
 
 
 def msample_stationary(
@@ -227,17 +227,18 @@ def mcontraction_experiment(
 
     Per-replica draw order: X start, Y start, pair arrays, lam array.
     """
-    i_draw = np.empty((replicas, T), dtype=np.int64)
-    j_draw = np.empty((replicas, T), dtype=np.int64)
-    lam_draw = np.empty((replicas, T))
-    x = np.empty((replicas, n))
-    y = np.empty((replicas, n))
+    # time-major draws; x and y are the halves of one stacked batch
+    i_draw = np.empty((T, replicas), dtype=np.int64)
+    j_draw = np.empty((T, replicas), dtype=np.int64)
+    lam_draw = np.empty((T, replicas))
+    xy = np.empty((2 * replicas, n))
+    x, y = xy[:replicas], xy[replicas:]
     for b in range(replicas):
         rng = replica_rng(seed, b)
         x[b] = msample_stationary(n, rng).c
         y[b] = msample_stationary(n, rng).c
-        i_draw[b], j_draw[b] = draw_pairs(rng, T, n)
-        lam_draw[b] = rng.random(T)
+        i_draw[:, b], j_draw[:, b] = draw_pairs(rng, T, n)
+        lam_draw[:, b] = rng.random(T)
 
     identical = int(np.sum(np.all(x == y, axis=1)))
     bound = 1.0 - 2.0 / (3.0 * n)
@@ -246,8 +247,7 @@ def mcontraction_experiment(
     for t in range(T):
         if t in mark:
             before = ((x - y) ** 2).sum(axis=1)
-        mstep_batch(x, i_draw[:, t], j_draw[:, t], lam_draw[:, t])
-        mstep_batch(y, i_draw[:, t], j_draw[:, t], lam_draw[:, t])
+        mstep_batch(xy, *stacked_draws(i_draw[t], j_draw[t], lam_draw[t]))
         if t in mark:
             after = ((x - y) ** 2).sum(axis=1)
             mb, ma = float(before.mean()), float(after.mean())

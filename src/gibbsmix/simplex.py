@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateEigenvector, InvariantViolation
 from .groups import GeneratorSet, GroupTable
 from .kernels import TransitionKernel, edge_walk_kernel, spectral_summary
-from .pairops import split_pair
+from .pairops import flat_pair_index, split_pair
 from .seeding import draw_pairs, replica_rng
 
 __all__ = [
@@ -120,16 +120,14 @@ def step(state: SimplexState, draw: MoveDraw, group: GroupTable) -> SimplexState
 
 def step_batch(x: np.ndarray, a: np.ndarray, b: np.ndarray, lam: np.ndarray,
                rows: np.ndarray | None = None) -> None:
-    """In-place lockstep move on a (B, n) batch; row rows[k] (default: every
-    row) updates pair (a[k], b[k])."""
-    if rows is None:
-        rows = np.arange(x.shape[0])
-    xa = x[rows, a]
-    xb = x[rows, b]
-    total = xa + xb
+    """In-place lockstep move on a C-contiguous (B, n) batch; row rows[k]
+    (default: every row) updates pair (a[k], b[k]). Flat-index gathers and
+    scatters on x.reshape(-1)."""
+    flat, ia, ib = flat_pair_index(x, a, b, rows)
+    total = flat[ia] + flat[ib]
     na, nb = split_pair(total, total, 0.0, lam)
-    x[rows, a] = na
-    x[rows, b] = nb
+    flat[ia] = na
+    flat[ib] = nb
 
 
 def sample_stationary(n: int, rng: np.random.Generator) -> SimplexState:

@@ -20,7 +20,8 @@ from gibbsmix.coupling import (
 )
 from gibbsmix.errors import DegeneratePairMass, InvariantViolation
 from gibbsmix.groups import build_cyclic
-from gibbsmix.matrices import MatrixState, msample_stationary, mstep
+from gibbsmix.matrices import MatrixState, msample_stationary, mstep, pair_alpha_beta
+from gibbsmix.pairops import split_pair
 from gibbsmix.simplex import MoveDraw, SimplexState, sample_stationary, step
 
 
@@ -61,6 +62,25 @@ def test_partition_single_pair():
     assert proc.merges[0].s1 == (0,) and proc.merges[0].s2 == (1,)
 
 
+def _suffix_components(entries, t0, n, t):
+    """Brute-force P_t: connected components of the suffix edges {s >= t},
+    by min-label propagation until nothing changes."""
+    label = list(range(n))
+    edges = entries[max(0, t - t0):].tolist()
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            low = min(label[a], label[b])
+            if label[a] != low or label[b] != low:
+                label[a] = label[b] = low
+                changed = True
+    blocks = {}
+    for k in range(n):
+        blocks.setdefault(label[k], []).append(k)
+    return sorted(tuple(v) for v in blocks.values())
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_partition_invariants_random_schedules(data):
@@ -74,8 +94,9 @@ def test_partition_invariants_random_schedules(data):
     proc = build_partition_process(UpdateSchedule(entries=entries, t0=5), n)
 
     previous = None
-    for t in range(5, 5 + length + 1):
+    for t in range(3, 5 + length + 2):
         part = proc.partition_at(t)
+        assert part == _suffix_components(entries, 5, n, t)
         flat = sorted(x for block in part for x in block)
         assert flat == list(range(n))
         if previous is not None:
@@ -186,6 +207,62 @@ def test_subset_matrix_mixed_signs_draw_side():
     assert ok2
     assert lam_y2 == 0.625
     assert lam_x2 != 0.625
+
+
+def _assert_subset_writes_split_pair(kind, xv, yv, subset, i, j, rng, lam_first):
+    # the scalar subset step must write exactly what the vectorized
+    # split_pair gives at the lambdas it returns, and touch nothing else
+    x0, y0 = xv.copy(), yv.copy()
+    _, lam_x, lam_y = subset_couple_arrays(kind, xv, yv, subset, i, j, rng, lam_first)
+    if lam_first is not None:
+        assert lam_first in (lam_x, lam_y)
+    for before, after, lam in ((x0, xv, lam_x), (y0, yv, lam_y)):
+        if kind == "simplex":
+            total = before[i] + before[j]
+            want_i, want_j = split_pair(total, total, 0.0, lam)
+        else:
+            want_i, want_j = split_pair(*pair_alpha_beta(before[i], before[j]), lam)
+        assert after[i] == want_i and after[j] == want_j
+        assert after[i] + after[j] == before[i] + before[j]
+        rest = np.ones(before.size, dtype=bool)
+        rest[[i, j]] = False
+        assert np.array_equal(after[rest], before[rest])
+    return lam_x, lam_y
+
+
+@pytest.mark.parametrize("kind", ["simplex", "matrix"])
+def test_subset_scalar_arithmetic_matches_split_pair(kind, rng):
+    n = 7
+    sample = sample_stationary if kind == "simplex" else msample_stationary
+    for k in range(400):
+        xv = (sample(n, rng).x if kind == "simplex" else sample(n, rng).c).copy()
+        yv = (sample(n, rng).x if kind == "simplex" else sample(n, rng).c).copy()
+        i, j = rng.choice(n, 2, replace=False)
+        others = [v for v in range(n) if v not in (i, j)]
+        subset = np.sort(np.append(rng.choice(others, rng.integers(0, n - 1), replace=False), i))
+        lam_first = (0.0, 0.5, 1.0, None)[k % 4]
+        _assert_subset_writes_split_pair(kind, xv, yv, subset, int(i), int(j), rng, lam_first)
+
+
+@pytest.mark.parametrize("lam_first", [0.0, 0.5, 1.0, 0.3])
+def test_subset_scalar_arithmetic_matrix_edge_cases(lam_first, rng):
+    # dyadic entries, so the alpha ties below are exact
+    # pair totals of exactly 2.0 on both sides: alpha tie, beta = 0, y first
+    xv = np.array([1.0, 1.0, 1.25, 0.75, 1.0, 1.0])
+    yv = np.array([0.5, 1.5, 1.0, 1.0, 1.125, 0.875])
+    _, lam_y = _assert_subset_writes_split_pair(
+        "matrix", xv, yv, np.array([0, 2]), 0, 1, rng, lam_first)
+    assert lam_y == lam_first
+    # alpha tie with pair totals 2.25 (x) and 1.75 (y): the x side draws first
+    xv = np.array([1.25, 1.0, 0.75, 1.0, 1.0, 1.0])
+    yv = np.array([0.75, 1.0, 1.25, 1.0, 1.0, 1.0])
+    lam_x, _ = _assert_subset_writes_split_pair(
+        "matrix", xv.copy(), yv.copy(), np.array([0]), 0, 1, rng, lam_first)
+    assert lam_x == lam_first
+    # mirrored: the y side has the total above 2 and draws first
+    _, lam_y = _assert_subset_writes_split_pair(
+        "matrix", yv, xv, np.array([0]), 0, 1, rng, lam_first)
+    assert lam_y == lam_first
 
 
 def test_subset_marginal_uniformity_quick(rng):

@@ -20,6 +20,7 @@ from gibbsmix.matrices import (
     pair_alpha_beta,
     pair_gap,
 )
+from gibbsmix.pairops import stacked_draws
 from gibbsmix.seeding import draw_pairs
 from gibbsmix.simplex import step_batch
 
@@ -195,3 +196,45 @@ def test_batch_step_matches_scalar(rng):
         expected[k] = mstep(MatrixState(c[k]), int(i[k]), int(j[k]), float(lam[k])).c
     mstep_batch(c, i, j, lam)
     assert np.array_equal(c, expected)
+
+
+@pytest.mark.parametrize("with_rows", [False, True])
+def test_stacked_batch_matches_two_calls(rng, with_rows):
+    # one call on [X; Y] with doubled draws moves each half exactly as its
+    # own call does; lam 0, 1/2 and 1 are among the moved rows
+    n, B = 7, 40
+    x = msample_stationary_batch(n, rng, B)
+    y = msample_stationary_batch(n, rng, B)
+    i, j = draw_pairs(rng, B, n)
+    lam = rng.random(B)
+    lam[:3] = [0.0, 0.5, 1.0]
+    rows = np.arange(B)
+    if with_rows:
+        rows = np.concatenate(([0, 1, 2], np.sort(rng.choice(rows[3:], 20, replace=False))))
+    draws = (i[rows], j[rows], lam[rows])
+    rows_arg = (rows,) if with_rows else ()
+    xy = np.concatenate((x, y))
+    mstep_batch(xy, *stacked_draws(*draws), *(np.concatenate((r, r + B)) for r in rows_arg))
+    before = x.copy()
+    mstep_batch(x, *draws, *rows_arg)
+    mstep_batch(y, *draws, *rows_arg)
+    assert np.array_equal(xy, np.concatenate((x, y)))
+    # a rows call equals a plain call on those rows; the other rows stay
+    sub = before[rows]
+    mstep_batch(sub, *draws)
+    assert np.array_equal(x[rows], sub)
+    still = np.setdiff1d(np.arange(B), rows)
+    assert np.array_equal(x[still], before[still])
+    # the pair sum is conserved exactly
+    k = np.arange(rows.size)
+    assert np.array_equal(sub[k, draws[0]] + sub[k, draws[1]],
+                          before[rows, draws[0]] + before[rows, draws[1]])
+
+
+def test_mstep_batch_rejects_non_contiguous_batch():
+    c = np.ones((8, 6))[:, ::2]
+    with pytest.raises(InvariantViolation):
+        mstep_batch(c, np.zeros(8, dtype=np.int64), np.ones(8, dtype=np.int64), np.full(8, 0.5))
+    with pytest.raises(InvariantViolation):
+        mstep_batch(np.asfortranarray(np.ones((4, 3))), np.array([0]), np.array([1]),
+                    np.array([0.5]), np.array([2]))

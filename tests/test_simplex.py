@@ -7,6 +7,8 @@ from scipy import stats
 from gibbsmix.errors import InvariantViolation
 from gibbsmix.groups import build_cyclic
 from gibbsmix.kernels import edge_walk_kernel
+from gibbsmix.pairops import stacked_draws
+from gibbsmix.seeding import draw_pairs
 from gibbsmix.simplex import (
     MoveDraw,
     SimplexState,
@@ -85,6 +87,49 @@ def test_batch_step_matches_scalar(z6, rng):
         expected[k] = out.x
     step_batch(x, a, b, lam)
     assert np.array_equal(x, expected)
+
+
+@pytest.mark.parametrize("with_rows", [False, True])
+def test_stacked_batch_matches_two_calls(z6, rng, with_rows):
+    # one call on [X; Y] with doubled draws moves each half exactly as its
+    # own call does; lam 0, 1/2 and 1 are among the moved rows
+    group, gens = z6
+    n, B = group.n, 40
+    x = sample_stationary_batch(n, rng, B)
+    y = sample_stationary_batch(n, rng, B)
+    a, b = draw_pairs(rng, B, n, group, gens)
+    lam = rng.random(B)
+    lam[:3] = [0.0, 0.5, 1.0]
+    rows = np.arange(B)
+    if with_rows:
+        rows = np.concatenate(([0, 1, 2], np.sort(rng.choice(rows[3:], 20, replace=False))))
+    draws = (a[rows], b[rows], lam[rows])
+    rows_arg = (rows,) if with_rows else ()
+    xy = np.concatenate((x, y))
+    step_batch(xy, *stacked_draws(*draws), *(np.concatenate((r, r + B)) for r in rows_arg))
+    before = x.copy()
+    step_batch(x, *draws, *rows_arg)
+    step_batch(y, *draws, *rows_arg)
+    assert np.array_equal(xy, np.concatenate((x, y)))
+    # a rows call equals a plain call on those rows; the other rows stay
+    sub = before[rows]
+    step_batch(sub, *draws)
+    assert np.array_equal(x[rows], sub)
+    still = np.setdiff1d(np.arange(B), rows)
+    assert np.array_equal(x[still], before[still])
+    # the pair sum is conserved exactly
+    k = np.arange(rows.size)
+    assert np.array_equal(sub[k, draws[0]] + sub[k, draws[1]],
+                          before[rows, draws[0]] + before[rows, draws[1]])
+
+
+def test_step_batch_rejects_non_contiguous_batch():
+    x = np.full((8, 6), 1.0 / 6)[:, ::2]
+    with pytest.raises(InvariantViolation):
+        step_batch(x, np.zeros(8, dtype=np.int64), np.ones(8, dtype=np.int64), np.full(8, 0.5))
+    with pytest.raises(InvariantViolation):
+        step_batch(np.asfortranarray(np.ones((4, 3))), np.array([0]), np.array([1]),
+                   np.array([0.5]), np.array([2]))
 
 
 def test_s_vector_hand_example():
