@@ -25,7 +25,8 @@ def replica_seed_words(seed: int, replicas: int) -> list:
     ]
 
 
-def draw_pairs(rng: np.random.Generator, T: int, n: int, group=None, gens=None):
+def draw_pairs(rng: np.random.Generator, T: int, n: int, group=None, gens=None,
+               head=None):
     """T uniform update pairs (a, b) with a != b, as two length-T arrays.
 
     Given a group and its generator set (the simplex chain), a is a uniform
@@ -34,11 +35,19 @@ def draw_pairs(rng: np.random.Generator, T: int, n: int, group=None, gens=None):
     Otherwise (the matrix chain on n rows), a is a uniform row i and b a
     uniform row other than i; the i array is drawn first, then the offset
     array. This call order is part of the frozen per-replica draw order.
+
+    With ``head=h`` (0 <= h <= T) only the first h pairs are returned: the
+    first array is still drawn at length T, the second at length h, and the
+    h pairs equal the first h of the full draw. The generator then ends in a
+    different state than after the full draw, so ``head`` is only for a
+    stream from which nothing is drawn after the pair arrays.
     """
+    if head is None:
+        head = T
     if group is not None:
-        g = rng.integers(0, n, T)
-        r = np.asarray(gens.elements, dtype=np.int64)[rng.integers(0, gens.m, T)]
+        g = rng.integers(0, n, T)[:head]
+        r = np.asarray(gens.elements, dtype=np.int64)[rng.integers(0, gens.m, head)]
         return g, group.mul[g, r]
-    i = rng.integers(0, n, T)
-    raw = rng.integers(0, n - 1, T)
+    i = rng.integers(0, n, T)[:head]
+    raw = rng.integers(0, n - 1, head)
     return i, raw + (raw >= i)

@@ -1,7 +1,19 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
+
+# the suite writes nothing into the source tree: no example database, and
+# Hypothesis' other caches (it keeps one even without a database) go to a
+# temporary directory removed at exit
+settings.register_profile("gibbsmix", database=None)
+settings.load_profile("gibbsmix")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="gibbsmix-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats
 
 from gibbsmix.coupling import (
     CouplingOutcome,
+    _connection_times,
     UpdateSchedule,
     build_partition_process,
     closeness_check,
@@ -22,6 +24,7 @@ from gibbsmix.errors import DegeneratePairMass, InvariantViolation
 from gibbsmix.groups import build_cyclic
 from gibbsmix.matrices import MatrixState, msample_stationary, mstep, pair_alpha_beta
 from gibbsmix.pairops import split_pair
+from gibbsmix.seeding import draw_pairs, replica_rng
 from gibbsmix.simplex import MoveDraw, SimplexState, sample_stationary, step
 
 
@@ -176,15 +179,18 @@ def test_subset_degenerate_pair_mass():
 
 
 def test_subset_matrix_mixed_signs_draw_side():
-    # pair totals straddle 2 with equal margins (an exact coefficient tie):
-    # the side whose gap 2 - c[i] - c[j] is negative draws first and
-    # consumes lam_first, the other lambda is solved for
+    # pair totals 2.25 and 1.75 straddle 2 with equal dyadic margins (an
+    # exact coefficient tie): the side whose gap 2 - c[i] - c[j] is negative
+    # draws first and consumes lam_first, the other lambda is solved for
     xv = np.ones(6)
-    xv[0] += 0.01
-    xv[2] -= 0.01
+    xv[0] += 0.25
+    xv[2] -= 0.25
     yv = np.ones(6)
-    yv[0] -= 0.01
-    yv[2] += 0.01
+    yv[0] -= 0.25
+    yv[2] += 0.25
+    sx, ax, _ = pair_alpha_beta(xv[0], xv[1])
+    sy, ay, _ = pair_alpha_beta(yv[0], yv[1])
+    assert ax == ay and sx == 2.25 and sy == 1.75
     ok, lam_x, lam_y = subset_couple_arrays(
         "matrix", xv, yv, np.array([0]), 0, 1, np.random.default_rng(0),
         lam_first=0.625,
@@ -195,11 +201,12 @@ def test_subset_matrix_mixed_signs_draw_side():
     assert np.isclose(xv.sum(), 6.0) and np.isclose(yv.sum(), 6.0)
     # mirrored margins: the y side now has the negative gap and draws first
     xv2 = np.ones(6)
-    xv2[0] -= 0.01
-    xv2[2] += 0.01
+    xv2[0] -= 0.25
+    xv2[2] += 0.25
     yv2 = np.ones(6)
-    yv2[0] += 0.01
-    yv2[2] -= 0.01
+    yv2[0] += 0.25
+    yv2[2] -= 0.25
+    assert pair_alpha_beta(xv2[0], xv2[1])[1] == pair_alpha_beta(yv2[0], yv2[1])[1]
     ok2, lam_x2, lam_y2 = subset_couple_arrays(
         "matrix", xv2, yv2, np.array([0]), 0, 1, np.random.default_rng(0),
         lam_first=0.625,
@@ -419,3 +426,137 @@ def test_connectedness_thresholds():
     )
     assert cayley.bound == pytest.approx(2.0 / 6.0)
     assert cayley.tail_frequency <= cayley.bound
+
+
+def _scan_connection_time(left, right, n):
+    # forward scan with its own union-find: (1 + index of the last merging
+    # edge, or 0 without one; whether the edges connect all n coordinates)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    tau, components = 0, n
+    for k, (a, b) in enumerate(zip(left, right)):
+        ra, rb = find(int(a)), find(int(b))
+        if ra != rb:
+            parent[ra] = rb
+            tau, components = k + 1, components - 1
+            if components == 1:
+                break
+    return tau, components == 1
+
+
+def _assert_kernel_matches_scan(left, right, n):
+    tau, connected = _connection_times(left, right, n)
+    want = [_scan_connection_time(a, b, n) for a, b in zip(left, right)]
+    assert tau.tolist() == [t for t, _ in want]
+    assert connected.tolist() == [c for _, c in want]
+    return connected
+
+
+def test_connection_kernel_every_short_schedule_n3():
+    pairs = np.array([(a, b) for a in range(3) for b in range(3) if a != b])
+    for length in range(1, 6):
+        seqs = pairs[np.stack(np.unravel_index(np.arange(6 ** length), (6,) * length), 1)]
+        connected = _assert_kernel_matches_scan(seqs[..., 0], seqs[..., 1], 3)
+    # disconnected: all five draws on one of the 3 edges, in either direction
+    assert len(connected) == 6 ** 5 and connected.sum() == 6 ** 5 - 3 * 2 ** 5
+    empty = np.zeros((3, 0), dtype=np.int64)
+    assert _connection_times(empty, empty, 3)[0].tolist() == [0, 0, 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    rows=st.integers(1, 9),
+    scale=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_connection_kernel_matches_scan_random_schedules(n, rows, scale, seed):
+    # lengths from 0 to 3 n log n: below and above connection
+    rng = np.random.default_rng(seed)
+    length = int(scale * n * max(math.log(n), 1.0))
+    left = rng.integers(0, n, (rows, length))
+    right = (left + rng.integers(1, n, (rows, length))) % n
+    _assert_kernel_matches_scan(left, right, n)
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 3, 5, 6, 9])
+@pytest.mark.parametrize("max_draws", [None, 4, 12])
+def test_connectedness_matches_scan_of_full_schedules(replicas, max_draws):
+    # replica counts off the kernel's tile, prefixes that do and do not
+    # connect, and censoring, against a scan of each full pair draw
+    group, gens = build_cyclic(6, [1, 5])
+    for kwargs in ({"n": 5}, {"group": group, "gens": gens}):
+        kind = "matrix" if "n" in kwargs else "simplex"
+        report = connectedness_experiment(
+            kind, replicas=replicas, seed=replicas, max_draws=max_draws, **kwargs
+        )
+        n = report.n
+        full = max_draws or int(math.ceil(8.0 * n * math.log(n))) + 32
+        want = []
+        for b in range(replicas):
+            left, right = draw_pairs(
+                replica_rng(replicas, b), full, n, kwargs.get("group"), kwargs.get("gens")
+            )
+            tau, connected = _scan_connection_time(left, right, n)
+            want.append(tau if connected else full + 1)
+        assert report.taus.tolist() == want
+        assert report.censored == sum(t > full for t in want)
+
+
+def _sha(report):
+    return report.censored, hashlib.sha256(report.taus.tobytes()).hexdigest()
+
+
+_PINNED_CONNECT = {
+    # censored count and sha256 of taus.tobytes(), from the per-edge
+    # union-find scan the batched kernel replaced
+    "matrix-n2": (
+        dict(n=2, replicas=7, seed=0),
+        (0, "e06f05efa38d3061a75c1efdfc403efaaf9be30844e398071a026d4c96081e31"),
+    ),
+    "matrix-n3": (
+        dict(n=3, replicas=4000, seed=5),
+        (0, "3b8e8688dd0ab244f8ffdca618854766bd2ce954f82347025fc83838da0f3a2a"),
+    ),
+    "matrix-n3-max3": (
+        dict(n=3, replicas=200, seed=2, max_draws=3),
+        (26, "865ea8b52c1848d5f357822e485bea66d0df5859609745eabe3c73deec466c1e"),
+    ),
+    "matrix-n40-max60": (
+        dict(n=40, replicas=9, seed=0, max_draws=60),
+        (7, "1798fd2b344305027384e74611b017a5dce9ab70d0aa9df9f7764dac33d9ce92"),
+    ),
+    "matrix-n64-r1": (
+        dict(n=64, replicas=1, seed=0),
+        (0, "d7f85ce92696608bc16221decdb30e13b25166f6c810d1fd093b0bb64fc4451d"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_CONNECT))
+def test_connectedness_pinned_matrix_outputs(case):
+    kwargs, pinned = _PINNED_CONNECT[case]
+    assert _sha(connectedness_experiment("matrix", **kwargs)) == pinned
+
+
+def test_connectedness_pinned_cayley_outputs():
+    group, gens = build_cyclic(6, [1, 5])
+    report = connectedness_experiment(
+        "simplex", group=group, gens=gens, replicas=200, seed=3, max_draws=5
+    )
+    assert _sha(report) == (
+        187, "9cec4790d10a0c31c620d31f8a54dad4ae2e430e76d5997a312a9a50ace1e8da"
+    )
+    group, gens = build_cyclic(256, [1, 255])
+    report = connectedness_experiment("simplex", group=group, gens=gens, replicas=200, seed=3)
+    assert _sha(report) == (
+        0, "c995a45f128fb7866bce5c8fcd54589c361fb2014ea7bc20d458805181336d89"
+    )
+    # these replicas do not connect within the n log n prefix and are redrawn
+    assert int(np.sum(report.taus > math.ceil(256 * math.log(256)))) == 42

@@ -42,3 +42,14 @@ def test_cayley_pair_law_is_the_documented_call_sequence(built):
     assert np.array_equal(b, group.mul[g, r])
     assert rng.bit_generator.state == ref.bit_generator.state
     assert np.all(a != b)
+
+
+@pytest.mark.parametrize("head", [0, 1, 7, T - 1, T])
+def test_head_is_the_prefix_of_the_full_draw(head):
+    group, gens = build_cyclic(8, [1, 7])
+    for args in ((17,), (8, group, gens)):
+        rng, ref = _twins(head)
+        a, b = draw_pairs(rng, T, *args, head=head)
+        full_a, full_b = draw_pairs(ref, T, *args)
+        assert len(a) == len(b) == head
+        assert np.array_equal(a, full_a[:head]) and np.array_equal(b, full_b[:head])
