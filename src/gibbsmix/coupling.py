@@ -26,6 +26,7 @@ which a single block forms.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +36,7 @@ from .errors import DegeneratePairMass, InvariantViolation
 from .groups import GeneratorSet, GroupTable
 from .kernels import base_walk_kernel, spectral_summary
 from .matrices import MatrixState, msample_stationary, mstep_batch
-from .pairops import split_pair_float, stacked_draws
+from .pairops import pair_levels, split_pair_float, stacked_draws
 from .seeding import draw_pairs, replica_rng
 from .simplex import SimplexState, sample_stationary, step_batch
 
@@ -99,12 +100,19 @@ class UpdateSchedule:
 
 @dataclass
 class MergeRecord:
-    """At time t the blocks s1 and s2 of P_{t+1} merge into one block of P_t;
-    |s1| <= |s2|, ties broken so s1 contains the smallest coordinate."""
+    """At time t the blocks s1 and s2 of P_{t+1} (sorted tuples) merge into
+    one block of P_t; |s1| <= |s2|, ties broken so s1 contains the smallest
+    coordinate."""
 
     t: int
     s1: tuple
     s2: tuple
+
+
+def _has(block: tuple, k: int) -> bool:
+    """Membership of k in a sorted block, by bisection."""
+    at = bisect_left(block, k)
+    return at < len(block) and block[at] == k
 
 
 class _UnionFind:
@@ -425,7 +433,11 @@ def run_nonmarkovian_coupling(
     outcomes, never raised.
 
     Per replica: Y starts stationary, X at ``x0`` (default: default_start).
-    Phase 1 applies T1 proportional steps. The phase-2 coordinates are then
+    Phase 1 applies T1 proportional steps. Nothing is observed until it
+    ends, so its moves are applied in dependency levels (``pair_levels``),
+    one kernel call on the stacked [X; Y] batch per level; each move reads
+    the values it would read in a per-step loop, so the result is that
+    loop's, bit for bit. The phase-2 coordinates are then
     drawn up front (never the lambdas), the partition process of their suffix
     graph is built, and the T2 phase-2 steps are replayed with a subset
     coupling at each marked time — the updated coordinate lying in the
@@ -461,10 +473,9 @@ def run_nonmarkovian_coupling(
     XY = np.empty((2 * B, n))
     X, Y = XY[:B], XY[B:]
     X[:] = start
-    # phase-1 draws are time-major: each step reads one contiguous row
-    a1 = np.empty((T1, B), dtype=np.int64)
-    b1 = np.empty((T1, B), dtype=np.int64)
-    lam1 = np.empty((T1, B))
+    a1 = np.empty((B, T1), dtype=np.int64)
+    b1 = np.empty((B, T1), dtype=np.int64)
+    lam1 = np.empty((B, T1))
     a2 = np.empty((B, T2), dtype=np.int64)
     b2 = np.empty((B, T2), dtype=np.int64)
     lam2 = np.empty((B, T2))
@@ -473,14 +484,14 @@ def run_nonmarkovian_coupling(
         rng = replica_rng(seed, b)
         rngs.append(rng)
         Y[b] = sample_stationary(n, rng).x if kind == "simplex" else msample_stationary(n, rng).c
-        a1[:, b], b1[:, b] = draw_pairs(rng, T1, n, group, gens)
-        lam1[:, b] = rng.random(T1)
+        a1[b], b1[b] = draw_pairs(rng, T1, n, group, gens)
+        lam1[b] = rng.random(T1)
         a2[b], b2[b] = draw_pairs(rng, T2, n, group, gens)
         lam2[b] = rng.random(T2)
 
     batch = step_batch if kind == "simplex" else mstep_batch
-    for t in range(T1):
-        batch(XY, *stacked_draws(a1[t], b1[t], lam1[t]))
+    for rows, a, b, lam in pair_levels(a1, b1, lam1, n):
+        batch(XY, *stacked_draws(a, b, lam), np.concatenate((rows, rows + B)))
 
     processes = []
     marks = {}
@@ -511,11 +522,9 @@ def run_nonmarkovian_coupling(
             if not active[b]:
                 continue
             pa, pb = int(a2[b, t]), int(b2[b, t])
-            s1set = set(rec.s1)
-            s2set = set(rec.s2)
-            if pa in s1set and pb in s2set:
+            if _has(rec.s1, pa) and _has(rec.s2, pb):
                 i, j = pa, pb
-            elif pb in s1set and pa in s2set:
+            elif _has(rec.s1, pb) and _has(rec.s2, pa):
                 i, j = pb, pa
             else:
                 raise InvariantViolation(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
-from .pairops import flat_pair_index, split_pair, stacked_draws
+from .pairops import flat_pair_index, pair_levels, split_pair, stacked_draws
 from .seeding import draw_pairs, replica_rng
 
 __all__ = [
@@ -227,44 +227,50 @@ def mcontraction_experiment(
 
     Per-replica draw order: X start, Y start, pair arrays, lam array.
     """
-    # time-major draws; x and y are the halves of one stacked batch
-    i_draw = np.empty((T, replicas), dtype=np.int64)
-    j_draw = np.empty((T, replicas), dtype=np.int64)
-    lam_draw = np.empty((T, replicas))
+    # x and y are the halves of one stacked batch
+    i_draw = np.empty((replicas, T), dtype=np.int64)
+    j_draw = np.empty((replicas, T), dtype=np.int64)
+    lam_draw = np.empty((replicas, T))
     xy = np.empty((2 * replicas, n))
     x, y = xy[:replicas], xy[replicas:]
     for b in range(replicas):
         rng = replica_rng(seed, b)
         x[b] = msample_stationary(n, rng).c
         y[b] = msample_stationary(n, rng).c
-        i_draw[:, b], j_draw[:, b] = draw_pairs(rng, T, n)
-        lam_draw[:, b] = rng.random(T)
+        i_draw[b], j_draw[b] = draw_pairs(rng, T, n)
+        lam_draw[b] = rng.random(T)
+
+    def advance(t0: int, t1: int) -> None:
+        span = slice(t0, t1)
+        for rows, i, j, lam in pair_levels(i_draw[:, span], j_draw[:, span], lam_draw[:, span], n):
+            mstep_batch(xy, *stacked_draws(i, j, lam), np.concatenate((rows, rows + replicas)))
 
     identical = int(np.sum(np.all(x == y, axis=1)))
     bound = 1.0 - 2.0 / (3.0 * n)
-    mark = sorted(set(np.linspace(0, T - 1, checkpoints, dtype=int).tolist()))
+    mark = sorted(set(np.linspace(0, T - 1, checkpoints, dtype=int).tolist())) if T else []
     points = []
-    for t in range(T):
-        if t in mark:
-            before = ((x - y) ** 2).sum(axis=1)
-        mstep_batch(xy, *stacked_draws(i_draw[t], j_draw[t], lam_draw[t]))
-        if t in mark:
-            after = ((x - y) ** 2).sum(axis=1)
-            mb, ma = float(before.mean()), float(after.mean())
-            ratio = ma / mb
-            # delta method on the ratio of correlated means
-            cov = np.cov(after, before)
-            var = (
-                cov[0, 0] / mb**2
-                + cov[1, 1] * ma**2 / mb**4
-                - 2.0 * cov[0, 1] * ma / mb**3
-            ) / replicas
-            se = math.sqrt(max(var, 0.0))
-            points.append(
-                MContractionPoint(
-                    t=t, mean_sq_before=mb, mean_sq_after=ma, ratio=ratio, se=se, bound=bound
-                )
+    done = 0
+    for t in mark:
+        advance(done, t)
+        before = ((x - y) ** 2).sum(axis=1)
+        advance(t, t + 1)
+        done = t + 1
+        after = ((x - y) ** 2).sum(axis=1)
+        mb, ma = float(before.mean()), float(after.mean())
+        ratio = ma / mb
+        # delta method on the ratio of correlated means
+        cov = np.cov(after, before)
+        var = (
+            cov[0, 0] / mb**2
+            + cov[1, 1] * ma**2 / mb**4
+            - 2.0 * cov[0, 1] * ma / mb**3
+        ) / replicas
+        se = math.sqrt(max(var, 0.0))
+        points.append(
+            MContractionPoint(
+                t=t, mean_sq_before=mb, mean_sq_after=ma, ratio=ratio, se=se, bound=bound
             )
+        )
     ok = all(p.ratio <= p.bound + 4.0 * p.se for p in points)
     return MContractionReport(
         n=n, replicas=replicas, points=points, identical_start_replicas=identical, ok=ok

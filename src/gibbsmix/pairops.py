@@ -17,7 +17,10 @@ share also stays within [0, s] and the update remains monotone in lam.
 in the same order on Python floats, so both give identical IEEE results.
 ``flat_pair_index`` is the indexing shared by the batch move kernels, and
 ``stacked_draws`` doubles the draws of two chains that share them, so that a
-stacked [X; Y] batch moves in one kernel call.
+stacked [X; Y] batch moves in one kernel call. ``pair_levels`` groups the
+moves of a (B, T) block of draws into dependency levels, so that a stretch of
+steps with nothing observed in between takes one kernel call per level
+instead of one per step.
 """
 
 from __future__ import annotations
@@ -26,7 +29,16 @@ import numpy as np
 
 from .errors import InvariantViolation
 
-__all__ = ["flat_pair_index", "split_pair", "split_pair_float", "stacked_draws"]
+__all__ = [
+    "flat_pair_index", "pair_levels", "split_pair", "split_pair_float", "stacked_draws",
+]
+
+# steps per level tile: each tile is levelled on its own, so its levels fit
+# int16, and the tiles of one scan are levelled side by side in one pass
+_LEVEL_TILE = 512
+# lane entries (coordinates plus steps of each tile-replica lane) one scan
+# may hold; a single tile is always allowed
+_LEVEL_BUDGET = 1 << 21
 
 
 def split_pair(total, alpha, beta, lam):
@@ -74,3 +86,67 @@ def stacked_draws(*draws: np.ndarray) -> tuple:
     """Each per-replica draw array repeated, for the two halves of a stacked
     [X; Y] batch whose chains share every draw."""
     return tuple(np.concatenate((v, v)) for v in draws)
+
+
+def _move_levels(a, b, n: int, width: int) -> np.ndarray:
+    """Level of each move of (B, W) draws, restarting every ``width`` steps:
+    1 + the larger of the levels of the row's earlier moves on its two
+    coordinates within the tile. Returns (width, B, K) int16, [s, r, k] the
+    level of step k*width + s of row r, for the K = ceil(W / width) tiles.
+
+    Each (row, tile) pair is one lane, and all lanes run side by side in one
+    pass of ``width`` steps; the padding after the last tile moves (0, 0).
+    """
+    B, W = a.shape
+    K = -(-W // width)
+    lanes = B * K
+
+    def lane_major(v):
+        padded = np.zeros((B, K * width), dtype=np.min_scalar_type(n - 1))
+        padded[:, :W] = v
+        return np.ascontiguousarray(padded.reshape(lanes, width).T)
+
+    at, bt = lane_major(a), lane_major(b)
+    last = np.zeros(lanes * n, dtype=np.int16)
+    base = np.arange(0, lanes * n, n)
+    out = np.empty((width, lanes), dtype=np.int16)
+    for s in range(width):
+        ia = base + at[s]
+        ib = base + bt[s]
+        lev = np.maximum(last[ia], last[ib], out=out[s])
+        lev += 1
+        last[ia] = lev
+        last[ib] = lev
+    return out.reshape(width, B, K)
+
+
+def pair_levels(a, b, lam, n: int):
+    """Yield (rows, a, b, lam) once per dependency level of the (B, T) draws,
+    in order; row r moves pair (a[r, t], b[r, t]) with lam[r, t] at step t.
+
+    The steps run in tiles of _LEVEL_TILE. Within a tile a move's level is
+    1 + the larger of the levels of that row's earlier moves on its two
+    coordinates, so one level never touches a (row, coordinate) twice and
+    each (row, coordinate) sees its moves in time order: applying the levels
+    one kernel call each reads and writes exactly what a per-step loop does.
+    Tiles are levelled in scans under _LEVEL_BUDGET lane entries.
+    """
+    B, T = a.shape
+    width = min(_LEVEL_TILE, T)
+    if B == 0 or width == 0:
+        return
+    per_scan = max(1, _LEVEL_BUDGET // (B * (n + width)))
+    for t0 in range(0, T, per_scan * width):
+        t1 = min(T, t0 + per_scan * width)
+        levels = _move_levels(a[:, t0:t1], b[:, t0:t1], n, width)
+        for k, s0 in enumerate(range(t0, t1, width)):
+            s1 = min(t1, s0 + width)
+            # entry r * (s1 - s0) + s is step s0 + s of row r; int16 keys
+            # sort by radix
+            lev = levels[:s1 - s0, :, k].T.ravel()
+            order = np.argsort(lev, kind="stable")
+            rows = order // (s1 - s0)
+            ra, rb, rl = (np.take(v[:, s0:s1], order) for v in (a, b, lam))
+            ends = np.cumsum(np.bincount(lev))
+            for lo, hi in zip(ends[:-1], ends[1:]):
+                yield rows[lo:hi], ra[lo:hi], rb[lo:hi], rl[lo:hi]

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateEigenvector, InvariantViolation
 from .groups import GeneratorSet, GroupTable
 from .kernels import TransitionKernel, edge_walk_kernel, spectral_summary
-from .pairops import flat_pair_index, split_pair
+from .pairops import flat_pair_index, pair_levels, split_pair
 from .seeding import draw_pairs, replica_rng
 
 __all__ = [
@@ -381,10 +381,11 @@ def lower_bound_experiment(
         )
 
     record(0)
-    for t in range(T):
-        step_batch(x, a_draw[:, t], b_draw[:, t], lam_draw[:, t])
-        if (t + 1) in checkpoints:
-            record(t + 1)
+    # the steps after the last checkpoint are drawn but never observed
+    for t0, t in zip(checkpoints, checkpoints[1:]):
+        for rows, a, b, lam in pair_levels(a_draw[:, t0:t], b_draw[:, t0:t], lam_draw[:, t0:t], n):
+            step_batch(x, a, b, lam, rows)
+        record(t)
 
     ts = np.array([p.t for p in points], dtype=float)
     logs = np.log(np.array([p.mean_inner for p in points]))

@@ -21,7 +21,7 @@ from gibbsmix.coupling import (
     subset_step_simplex,
 )
 from gibbsmix.errors import DegeneratePairMass, InvariantViolation
-from gibbsmix.groups import build_cyclic
+from gibbsmix.groups import build_cyclic, build_hypercube
 from gibbsmix.matrices import MatrixState, msample_stationary, mstep, pair_alpha_beta
 from gibbsmix.pairops import split_pair
 from gibbsmix.seeding import draw_pairs, replica_rng
@@ -390,6 +390,81 @@ def test_nonmarkovian_deterministic():
     ]
     records = [[o.to_record() for o in r.outcomes] for r in runs]
     assert records[0] == records[1]
+
+
+_PHASE1_CHAINS = {
+    "matrix:3": ("matrix", 3, None),
+    "matrix:5": ("matrix", 5, None),
+    "matrix:17": ("matrix", 17, None),
+    "cyclic:6": ("simplex", 6, lambda: build_cyclic(6, [1, 5])),
+    "hypercube:1": ("simplex", 2, lambda: build_hypercube(1)),
+    "hypercube:3": ("simplex", 8, lambda: build_hypercube(3)),
+}
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+@pytest.mark.parametrize("T1", [0, 1, 511, 512, 513])
+@pytest.mark.parametrize("chain", sorted(_PHASE1_CHAINS))
+def test_phase1_matches_a_per_step_loop(chain, T1, replicas):
+    # the levelled phase 1 leaves X and Y where one scalar move per step
+    # does, on draws rebuilt from each replica's stream in the documented
+    # order: stationary Y, the phase-1 pair arrays, the phase-1 lambdas
+    kind, n, build = _PHASE1_CHAINS[chain]
+    group, gens = build() if build else (None, None)
+    result = run_nonmarkovian_coupling(
+        kind, group=group, gens=gens, n=n, T1=T1, T2=1, replicas=replicas,
+        seed=17, keep_trace=True,
+    )
+    for b, trace in enumerate(result.traces):
+        rng = replica_rng(17, b)
+        if kind == "matrix":
+            y = msample_stationary(n, rng)
+            x = MatrixState(np.concatenate((np.full(n // 2, 2.0), [1.0] * (n % 2),
+                                            np.zeros(n // 2))))
+            i = rng.integers(0, n, T1)
+            raw = rng.integers(0, n - 1, T1)
+            lam = rng.random(T1)
+            for t in range(T1):
+                j = int(raw[t] + (raw[t] >= i[t]))
+                x = mstep(x, int(i[t]), j, float(lam[t]))
+                y = mstep(y, int(i[t]), j, float(lam[t]))
+            got_x, got_y = x.c, y.c
+        else:
+            y = sample_stationary(n, rng)
+            x = SimplexState(np.eye(n)[group.identity])
+            g = rng.integers(0, n, T1)
+            r = np.asarray(gens.elements)[rng.integers(0, gens.m, T1)]
+            lam = rng.random(T1)
+            for t in range(T1):
+                draw = MoveDraw(g=int(g[t]), r=int(r[t]), lam=float(lam[t]))
+                x = step(x, draw, group)
+                y = step(y, draw, group)
+            got_x, got_y = x.x, y.x
+        assert np.array_equal(trace.xs[0], got_x)
+        assert np.array_equal(trace.ys[0], got_y)
+
+
+@pytest.mark.parametrize("drop", ["s1", "s2"])
+def test_marked_edge_must_cross_the_merging_blocks(monkeypatch, drop):
+    # a merge record whose blocks miss one end of the marked edge stops the
+    # replay; the neighbours of the missing end stay in the block, so the
+    # membership test cannot pass on a near match
+    import gibbsmix.coupling as coupling
+
+    real = coupling.build_partition_process
+
+    def corrupted(sched, n):
+        proc = real(sched, n)
+        rec = proc.merges[0]
+        ends = set(sched.entries[rec.t - sched.t0].tolist())
+        block = getattr(rec, drop)
+        setattr(rec, drop, tuple(k for k in block if k not in ends))
+        return proc
+
+    monkeypatch.setattr(coupling, "build_partition_process", corrupted)
+    with pytest.raises(InvariantViolation) as err:
+        run_nonmarkovian_coupling("matrix", n=6, T1=3, T2=40, replicas=2, seed=4)
+    assert err.value.axiom == "marked-edge-crossing"
 
 
 def test_closeness_bound_holds_with_large_initial_gap():
