@@ -115,33 +115,6 @@ def _has(block: tuple, k: int) -> bool:
     return at < len(block) and block[at] == k
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        root = a
-        while p[root] != root:
-            root = p[root]
-        while p[a] != root:
-            p[a], a = root, p[a]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 @dataclass(eq=False)
 class PartitionProcess:
     n: int
@@ -170,39 +143,32 @@ class PartitionProcess:
 
 
 def build_partition_process(sched: UpdateSchedule, n: int) -> PartitionProcess:
-    """Backward union-find over the schedule, recording every merge; the scan
-    stops once a single block remains, since no merge can follow."""
+    """Backward scan over the schedule on block labels, recording every
+    merge: owner[k] is the label of k's block and blocks[label] its sorted
+    members. A merge relabels the members of S1, the block with the smaller
+    (size, first member); the scan stops after n - 1 merges, since no merge
+    can follow."""
     if len(sched) == 0:
         raise InvariantViolation("schedule-empty", "schedule must be nonempty")
-    uf = _UnionFind(n)
-    members = {k: [k] for k in range(n)}
+    owner = list(range(n))
+    blocks = [(k,) for k in range(n)]
     merges = []
-    components = n
-    for idx in range(len(sched) - 1, -1, -1):
-        i = int(sched.entries[idx, 0])
-        j = int(sched.entries[idx, 1])
-        ri, rj = uf.find(i), uf.find(j)
-        if ri == rj:
+    entries = sched.entries.tolist()
+    for idx in range(len(entries) - 1, -1, -1):
+        i, j = entries[idx]
+        if owner[i] == owner[j]:
             continue
-        block_a, block_b = members[ri], members[rj]
-        if len(block_a) != len(block_b):
-            s1, s2 = (block_a, block_b) if len(block_a) < len(block_b) else (block_b, block_a)
-        elif min(block_a) < min(block_b):
-            s1, s2 = block_a, block_b
-        else:
-            s1, s2 = block_b, block_a
-        merges.append(
-            MergeRecord(t=sched.t0 + idx, s1=tuple(sorted(s1)), s2=tuple(sorted(s2)))
-        )
-        uf.union(i, j)
-        root = uf.find(i)
-        other = rj if root == ri else ri
-        members[root] = block_a + block_b if root == ri else block_b + block_a
-        del members[other]
-        components -= 1
-        if components == 1:
+        s1, s2 = blocks[owner[i]], blocks[owner[j]]
+        if (len(s2), s2[0]) < (len(s1), s1[0]):
+            s1, s2 = s2, s1
+        merges.append(MergeRecord(t=sched.t0 + idx, s1=s1, s2=s2))
+        label = owner[s2[0]]
+        for k in s1:
+            owner[k] = label
+        blocks[label] = tuple(sorted(s1 + s2))
+        if len(merges) == n - 1:
             break
-    connected = components == 1
+    connected = len(merges) == n - 1
     tau = float(sched.end - merges[-1].t) if connected else math.inf
     return PartitionProcess(
         n=n, schedule=sched, merges=merges, tau=tau, connected=connected
@@ -433,16 +399,19 @@ def run_nonmarkovian_coupling(
     outcomes, never raised.
 
     Per replica: Y starts stationary, X at ``x0`` (default: default_start).
-    Phase 1 applies T1 proportional steps. Nothing is observed until it
-    ends, so its moves are applied in dependency levels (``pair_levels``),
-    one kernel call on the stacked [X; Y] batch per level; each move reads
-    the values it would read in a per-step loop, so the result is that
-    loop's, bit for bit. The phase-2 coordinates are then
-    drawn up front (never the lambdas), the partition process of their suffix
-    graph is built, and the T2 phase-2 steps are replayed with a subset
-    coupling at each marked time — the updated coordinate lying in the
-    smaller merged block S1 takes the role i — and proportional coupling
-    elsewhere.
+    Phase 1 applies T1 proportional steps. Every draw of a replica's
+    (T1 + T2)-step schedule is made up front, the partition process of the
+    suffix graph of its phase-2 coordinates is built, and the T2 phase-2
+    steps are replayed with a subset coupling at each marked time — the
+    updated coordinate lying in the smaller merged block S1 takes the role
+    i — and proportional coupling elsewhere.
+
+    Nothing is observed during phase 1 or before the earliest marked time
+    over the replicas (without ``keep_trace``), so those moves are applied
+    in dependency levels (``pair_levels``), one kernel call on the stacked
+    [X; Y] batch per level; each move reads the values it would read in a
+    per-step loop, so the result is that loop's, bit for bit. From the
+    earliest marked time on, the replay steps one time at a time.
 
     Per-replica draw order: stationary start; phase-1 element/pair array,
     generator/partner array, lambda array; phase-2 coordinate arrays; phase-2
@@ -473,35 +442,44 @@ def run_nonmarkovian_coupling(
     XY = np.empty((2 * B, n))
     X, Y = XY[:B], XY[B:]
     X[:] = start
-    a1 = np.empty((B, T1), dtype=np.int64)
-    b1 = np.empty((B, T1), dtype=np.int64)
-    lam1 = np.empty((B, T1))
-    a2 = np.empty((B, T2), dtype=np.int64)
-    b2 = np.empty((B, T2), dtype=np.int64)
-    lam2 = np.empty((B, T2))
+    # one schedule per replica, phase 1 on [0, T1) and phase 2 on [T1, T);
+    # narrow coordinates keep the peak down while the levelling scratch of
+    # phase 2's head is held beside the merge records
+    T = T1 + T2
+    left = np.empty((B, T), dtype=np.min_scalar_type(n - 1))
+    right = np.empty_like(left)
+    lam = np.empty((B, T))
     rngs = []
     for b in range(B):
         rng = replica_rng(seed, b)
         rngs.append(rng)
         Y[b] = sample_stationary(n, rng).x if kind == "simplex" else msample_stationary(n, rng).c
-        a1[b], b1[b] = draw_pairs(rng, T1, n, group, gens)
-        lam1[b] = rng.random(T1)
-        a2[b], b2[b] = draw_pairs(rng, T2, n, group, gens)
-        lam2[b] = rng.random(T2)
+        left[b, :T1], right[b, :T1] = draw_pairs(rng, T1, n, group, gens)
+        lam[b, :T1] = rng.random(T1)
+        left[b, T1:], right[b, T1:] = draw_pairs(rng, T2, n, group, gens)
+        lam[b, T1:] = rng.random(T2)
 
     batch = step_batch if kind == "simplex" else mstep_batch
-    for rows, a, b, lam in pair_levels(a1, b1, lam1, n):
-        batch(XY, *stacked_draws(a, b, lam), np.concatenate((rows, rows + B)))
 
+    def advance(t0: int, t1: int) -> None:
+        span = slice(t0, t1)
+        for rows, a, b, lams in pair_levels(left[:, span], right[:, span], lam[:, span], n):
+            batch(XY, *stacked_draws(a, b, lams), np.concatenate((rows, rows + B)))
+
+    advance(0, T1)
     processes = []
     marks = {}
     for b in range(B):
         proc = build_partition_process(
-            UpdateSchedule(entries=np.stack([a2[b], b2[b]], axis=1), t0=T1), n
+            UpdateSchedule(entries=np.stack([left[b, T1:], right[b, T1:]], axis=1), t0=T1), n
         )
         processes.append(proc)
         for rec in proc.merges:
-            marks.setdefault(rec.t - T1, []).append((b, rec))
+            marks.setdefault(rec.t, []).append((b, rec))
+    # nothing is observed before the earliest marked time (merges are kept
+    # in descending t); a trace observes every phase-2 time
+    head = T1 if keep_trace else min(proc.merges[-1].t for proc in processes)
+    advance(T1, head)
 
     if keep_trace:
         tr_x = np.empty((B, T2 + 1, n))
@@ -515,13 +493,13 @@ def run_nonmarkovian_coupling(
     subset_fail = np.full(B, -1, dtype=np.int64)
     largeness_fail = np.full(B, -1, dtype=np.int64)
     active = np.ones(B, dtype=bool)
-    for t in range(T2):
+    for t in range(head, T):
         handled = np.zeros(B, dtype=bool)
         for b, rec in marks.get(t, ()):
             handled[b] = True
             if not active[b]:
                 continue
-            pa, pb = int(a2[b, t]), int(b2[b, t])
+            pa, pb = int(left[b, t]), int(right[b, t])
             if _has(rec.s1, pa) and _has(rec.s2, pb):
                 i, j = pa, pb
             elif _has(rec.s1, pb) and _has(rec.s2, pa):
@@ -529,29 +507,29 @@ def run_nonmarkovian_coupling(
             else:
                 raise InvariantViolation(
                     "marked-edge-crossing",
-                    f"edge ({pa}, {pb}) does not cross the merging blocks at t = {T1 + t}",
+                    f"edge ({pa}, {pb}) does not cross the merging blocks at t = {t}",
                 )
             subset = np.asarray(rec.s1, dtype=np.int64)
             try:
                 ok, _, _ = subset_couple_arrays(
-                    kind, X[b], Y[b], subset, i, j, rngs[b], lam_first=lam2[b, t]
+                    kind, X[b], Y[b], subset, i, j, rngs[b], lam_first=lam[b, t]
                 )
             except DegeneratePairMass:
-                largeness_fail[b] = T1 + t
+                largeness_fail[b] = t
                 active[b] = False
                 continue
-            subset_times[b].append(T1 + t)
+            subset_times[b].append(t)
             subset_success[b].append(ok)
             if not ok and subset_fail[b] < 0:
-                subset_fail[b] = T1 + t
+                subset_fail[b] = t
         rest = active & ~handled
         if rest.any():
             rows = np.flatnonzero(rest)
-            batch(XY, *stacked_draws(a2[rows, t], b2[rows, t], lam2[rows, t]),
+            batch(XY, *stacked_draws(left[rows, t], right[rows, t], lam[rows, t]),
                   np.concatenate((rows, rows + B)))
         if keep_trace:
-            tr_x[:, t + 1] = X
-            tr_y[:, t + 1] = Y
+            tr_x[:, t + 1 - T1] = X
+            tr_y[:, t + 1 - T1] = Y
 
     gaps = np.abs(X - Y).max(axis=1)
     outcomes = []

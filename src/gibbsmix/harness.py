@@ -7,7 +7,8 @@ runs leave a detectable partial marker. All randomness flows through
 per-replica streams derived as SeedSequence([seed, replica]); identical
 config + seed reproduces identical artifact bytes.
 
-Exit codes: 0 success, 1 configuration error, 2 invariant/assertion failure.
+Exit codes: 0 success, 1 configuration error, 2 invariant/assertion failure
+or any other exception.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 import json
 import math
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -277,6 +279,8 @@ def default_horizons(kind: str, n: int, gamma_hat: Optional[float] = None):
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -712,7 +716,8 @@ def _run_lowerbound_simplex(config: ExperimentConfig):
         "slope_rel_error": report.slope_rel_error,
         "stationary_second_moment": report.stationary_second_moment,
         "stationary_bound": report.stationary_bound,
-        "ok": report.slope_rel_error <= 0.05
+        "ok": report.slope_rel_error is not None
+        and report.slope_rel_error <= 0.05
         and report.stationary_second_moment <= report.stationary_bound,
     }
     table = Table(
@@ -990,7 +995,8 @@ def run(config: ExperimentConfig, out_dir=None, fmt: Optional[str] = None) -> in
     Writes <out>/manifest.json with status "running" before any result file,
     then the artifacts, then the final manifest with status "complete" (or
     "failed" with the error and exit code 1 for configuration problems, 2
-    for violated invariants)."""
+    for violated invariants and any other exception, MemoryError included,
+    whose traceback goes to stderr)."""
     try:
         output = config.output or {}
         directory = Path(out_dir or output.get("path") or f"gibbsmix-results/{config.experiment}")
@@ -1028,21 +1034,22 @@ def run(config: ExperimentConfig, out_dir=None, fmt: Optional[str] = None) -> in
         manifest.status = "complete"
         manifest.wall_clock_seconds = time.time() - started
         manifest.write(manifest_path)
-    except (ConfigError, GroupError) as exc:
+    except Exception as exc:
+        if isinstance(exc, (ConfigError, GroupError)):
+            code, what = 1, "config error"
+        elif isinstance(exc, (AssertionFailure, InvariantViolation, KernelError,
+                              DominationViolated, RejectionBudgetExceeded)):
+            code, what = 2, "invariant failure"
+        else:
+            # a defect, or a resource the run ran out of (MemoryError)
+            code, what = 2, "unexpected failure"
+            traceback.print_exc()
         manifest.status = "failed"
         manifest.error = f"{type(exc).__name__}: {exc}"
         manifest.wall_clock_seconds = time.time() - started
         manifest.write(manifest_path)
-        print(f"config error: {exc}")
-        return 1
-    except (AssertionFailure, InvariantViolation, KernelError,
-            DominationViolated, RejectionBudgetExceeded) as exc:
-        manifest.status = "failed"
-        manifest.error = f"{type(exc).__name__}: {exc}"
-        manifest.wall_clock_seconds = time.time() - started
-        manifest.write(manifest_path)
-        print(f"invariant failure: {exc}")
-        return 2
+        print(f"{what}: {exc}")
+        return code
     for key, value in summary.items():
         print(f"{config.experiment}: {key} = {value}")
     return 0

@@ -87,24 +87,23 @@ class ComparisonReport:
     ok: bool
 
 
-def base_walk_kernel(group: GroupTable, gens: GeneratorSet) -> TransitionKernel:
-    n, m = group.n, gens.m
+def _walk_kernel(group: GroupTable, gens: GeneratorSet, mass: float) -> TransitionKernel:
+    """From z, each z*s (s in R) receives ``mass``; z holds the rest."""
+    n = group.n
     p = np.zeros((n, n))
     rows = np.arange(n)
     for r in gens.elements:
-        np.add.at(p, (rows, group.mul[rows, r]), 2.0 / (n * m))
+        np.add.at(p, (rows, group.mul[rows, r]), mass)
     p[rows, rows] += 1.0 - p.sum(axis=1)
     return TransitionKernel(n=n, p=p, pi=np.full(n, 1.0 / n))
+
+
+def base_walk_kernel(group: GroupTable, gens: GeneratorSet) -> TransitionKernel:
+    return _walk_kernel(group, gens, 2.0 / (group.n * gens.m))
 
 
 def edge_walk_kernel(group: GroupTable, gens: GeneratorSet) -> TransitionKernel:
-    n, m = group.n, gens.m
-    p = np.zeros((n, n))
-    rows = np.arange(n)
-    for r in gens.elements:
-        np.add.at(p, (rows, group.mul[rows, r]), 1.0 / (n * m))
-    p[rows, rows] += 1.0 - p.sum(axis=1)
-    return TransitionKernel(n=n, p=p, pi=np.full(n, 1.0 / n))
+    return _walk_kernel(group, gens, 1.0 / (group.n * gens.m))
 
 
 def comparison_kernel(group: GroupTable, gens: GeneratorSet) -> TransitionKernel:

@@ -197,8 +197,8 @@ class MContractionPoint:
     t: int
     mean_sq_before: float
     mean_sq_after: float
-    ratio: float
-    se: float                    # delta-method standard error of the ratio
+    ratio: float | None          # None where mean_sq_before == 0
+    se: float | None             # delta-method standard error of the ratio
     bound: float                 # 1 - 2/(3n)
 
 
@@ -208,7 +208,7 @@ class MContractionReport:
     replicas: int
     points: list
     identical_start_replicas: int
-    ok: bool                     # every ratio <= bound + 4 se
+    ok: bool                     # every defined ratio <= bound + 4 se
 
 
 def mcontraction_experiment(
@@ -223,7 +223,9 @@ def mcontraction_experiment(
     Both chains start at independent stationary samples and share every
     (i, j, lam) draw. At each checkpoint time t the ratio
     E||X_{t+1} - Y_{t+1}||^2 / E||X_t - Y_t||^2 is estimated over replicas
-    and compared against 1 - 2/(3n).
+    and compared against 1 - 2/(3n). Where every replica's X and Y are equal
+    at t (mean_sq_before == 0) the ratio is undefined: the point has ratio
+    and se None, and ``ok`` is taken over the defined points.
 
     Per-replica draw order: X start, Y start, pair arrays, lam array.
     """
@@ -257,21 +259,23 @@ def mcontraction_experiment(
         done = t + 1
         after = ((x - y) ** 2).sum(axis=1)
         mb, ma = float(before.mean()), float(after.mean())
-        ratio = ma / mb
-        # delta method on the ratio of correlated means
-        cov = np.cov(after, before)
-        var = (
-            cov[0, 0] / mb**2
-            + cov[1, 1] * ma**2 / mb**4
-            - 2.0 * cov[0, 1] * ma / mb**3
-        ) / replicas
-        se = math.sqrt(max(var, 0.0))
+        ratio = se = None
+        if mb > 0.0:
+            ratio = ma / mb
+            # delta method on the ratio of correlated means
+            cov = np.cov(after, before)
+            var = (
+                cov[0, 0] / mb**2
+                + cov[1, 1] * ma**2 / mb**4
+                - 2.0 * cov[0, 1] * ma / mb**3
+            ) / replicas
+            se = math.sqrt(max(var, 0.0))
         points.append(
             MContractionPoint(
                 t=t, mean_sq_before=mb, mean_sq_after=ma, ratio=ratio, se=se, bound=bound
             )
         )
-    ok = all(p.ratio <= p.bound + 4.0 * p.se for p in points)
+    ok = all(p.ratio <= p.bound + 4.0 * p.se for p in points if p.ratio is not None)
     return MContractionReport(
         n=n, replicas=replicas, points=points, identical_start_replicas=identical, ok=ok
     )

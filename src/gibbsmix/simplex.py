@@ -308,9 +308,9 @@ class LowerBoundReport:
     gamma: float
     inner0: float
     d: float
-    slope: float
+    slope: Optional[float]       # None when fewer than two means are positive
     slope_target: float          # log(1 - gamma)
-    slope_rel_error: float
+    slope_rel_error: Optional[float]
     stationary_second_moment: float
     stationary_bound: float      # 2 / n^2
     replicas: int
@@ -331,9 +331,10 @@ def lower_bound_experiment(
     Its expectation decays exactly like (1 - gamma)^t * <X_0, v> where gamma
     is the edge-walk gap, because the one-step conditional expectation of the
     chain is the edge-walk kernel. The report compares the Monte Carlo means
-    with that curve, fits the log-slope, and contrasts the tail frequency
-    P[<X_t, v> > d] with its stationary counterpart (the implied total
-    variation lower bound).
+    with that curve, fits the log-slope on the positive means (slope and its
+    relative error are None when fewer than two are), and contrasts the tail
+    frequency P[<X_t, v> > d] with its stationary counterpart (the implied
+    total variation lower bound).
     """
     n = group.n
     kernel = edge_walk_kernel(group, gens)
@@ -387,10 +388,15 @@ def lower_bound_experiment(
             step_batch(x, a, b, lam, rows)
         record(t)
 
-    ts = np.array([p.t for p in points], dtype=float)
-    logs = np.log(np.array([p.mean_inner for p in points]))
-    slope = float(np.polyfit(ts, logs, 1)[0])
+    # a Monte Carlo mean below its noise can be <= 0 and has no logarithm
+    fit = [p for p in points if p.mean_inner > 0.0]
     target = math.log(1.0 - gamma)
+    slope = rel_error = None
+    if len(fit) >= 2:
+        ts = np.array([p.t for p in fit], dtype=float)
+        logs = np.log(np.array([p.mean_inner for p in fit]))
+        slope = float(np.polyfit(ts, logs, 1)[0])
+        rel_error = abs(slope - target) / abs(target)
     return LowerBoundReport(
         points=points,
         gamma=gamma,
@@ -398,7 +404,7 @@ def lower_bound_experiment(
         d=float(d),
         slope=slope,
         slope_target=target,
-        slope_rel_error=abs(slope - target) / abs(target),
+        slope_rel_error=rel_error,
         stationary_second_moment=m2_stat,
         stationary_bound=2.0 / n**2,
         replicas=replicas,

@@ -21,7 +21,7 @@ from gibbsmix.coupling import (
     subset_step_simplex,
 )
 from gibbsmix.errors import DegeneratePairMass, InvariantViolation
-from gibbsmix.groups import build_cyclic, build_hypercube
+from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
 from gibbsmix.matrices import MatrixState, msample_stationary, mstep, pair_alpha_beta
 from gibbsmix.pairops import split_pair
 from gibbsmix.seeding import draw_pairs, replica_rng
@@ -442,6 +442,49 @@ def test_phase1_matches_a_per_step_loop(chain, T1, replicas):
             got_x, got_y = x.x, y.x
         assert np.array_equal(trace.xs[0], got_x)
         assert np.array_equal(trace.ys[0], got_y)
+
+
+_TRACE_CHAINS = {
+    "matrix:3": ("matrix", 3, None),
+    "matrix:8": ("matrix", 8, None),
+    "matrix:40": ("matrix", 40, None),
+    "cyclic:6-complete": ("simplex", 6, lambda: build_cyclic(6, range(1, 6))),
+    "hypercube:3": ("simplex", 8, lambda: build_hypercube(3)),
+    "dihedral:5": ("simplex", 10, lambda: build_dihedral(5)),
+}
+
+
+def _records_with_and_without_trace(chain, T1, T2, replicas, seed):
+    kind, n, build = _TRACE_CHAINS[chain]
+    group, gens = build() if build else (None, None)
+    return [
+        [o.to_record() for o in run_nonmarkovian_coupling(
+            kind, group=group, gens=gens, n=n, T1=T1, T2=T2, replicas=replicas,
+            seed=seed, keep_trace=keep,
+        ).outcomes]
+        for keep in (False, True)
+    ]
+
+
+@pytest.mark.parametrize("replicas", [1, 7])
+@pytest.mark.parametrize("T1", [0, 1, 513])
+@pytest.mark.parametrize("chain", sorted(_TRACE_CHAINS))
+def test_keep_trace_does_not_change_outcomes(chain, T1, replicas):
+    # keep_trace steps every phase-2 time, so it is the reference for the
+    # levelled stretch before the earliest marked time
+    n = _TRACE_CHAINS[chain][1]
+    T2 = math.ceil(4 * n * max(math.log(n), 1.0))
+    levelled, traced = _records_with_and_without_trace(chain, T1, T2, replicas, seed=3)
+    assert levelled == traced
+
+
+def test_keep_trace_does_not_change_a_largeness_abort():
+    # from the default start half the matrix entries are 2, so a marked
+    # step soon after T1 = 0 can meet a pair of total 4 and abort
+    levelled, traced = _records_with_and_without_trace("matrix:8", 0, 20, 7, seed=0)
+    assert levelled == traced
+    kinds = {o["failure_kind"] for o in levelled}
+    assert "LargenessViolated" in kinds and None in kinds
 
 
 @pytest.mark.parametrize("drop", ["s1", "s2"])

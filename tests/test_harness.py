@@ -261,6 +261,60 @@ def test_run_invariant_failure_exits_two(tmp_path, monkeypatch):
     assert "InvariantViolation" in manifest["error"]
 
 
+@pytest.mark.parametrize("experiment, error", [("gap", ValueError), ("connect", MemoryError)])
+def test_run_unexpected_exception_exits_two(tmp_path, monkeypatch, capsys, experiment, error):
+    def boom(config):
+        raise error("synthetic runner failure")
+
+    monkeypatch.setitem(harness._RUNNERS, experiment, boom)
+    cfg = ExperimentConfig.from_dict({"experiment": experiment, "n": 6})
+    out = tmp_path / "res"
+    assert run(cfg, out_dir=out) == 2
+    manifest = _read_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == f"{error.__name__}: synthetic runner failure"
+    assert "synthetic runner failure" in capsys.readouterr().err
+
+
+def test_contract_matrix_exact_coupling_writes_null_ratios(tmp_path, capsys):
+    # n=5 with one replica couples to the bit within the run: from then on
+    # mean_sq_before is 0 and the ratio is undefined
+    out = tmp_path / "res"
+    code = cli_main(["contract-matrix", "--n", "5", "--replicas", "1", "--T", "1100",
+                     "--seed", "4", "--out", str(out)])
+    assert code == 0
+    assert _read_manifest(out)["status"] == "complete"
+    header, *rows = [line.split(",") for line in (out / "points.csv").read_text().splitlines()]
+    cols = {name: k for k, name in enumerate(header)}
+    null = [row for row in rows if row[cols["ratio"]] == ""]
+    assert null
+    for row in rows:
+        undefined = float(row[cols["mean_sq_before"]]) == 0.0
+        assert (row[cols["ratio"]] == "") == undefined
+        assert (row[cols["se"]] == "") == undefined
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("T, slope_defined", [(1203, True), (3, False)])
+def test_lowerbound_simplex_manifest_is_strict_json(tmp_path, capsys, T, slope_defined):
+    # at T=1203 some checkpoint means fall to or below 0 and are left out of
+    # the fit; at T=3 only the t=0 checkpoint exists, so there is no slope
+    out = tmp_path / "res"
+    code = cli_main(["lowerbound-simplex", "--group", "cyclic:10", "--T", str(T),
+                     "--replicas", "50", "--seed", "5", "--out", str(out)])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    summary = manifest["summary"]
+    assert manifest["status"] == "complete"
+    assert (summary["slope"] is not None) == slope_defined
+    assert (summary["slope_rel_error"] is not None) == slope_defined
+    if not slope_defined:
+        assert summary["ok"] is False
+
+
 def test_run_writes_running_manifest_before_results(tmp_path, monkeypatch):
     seen = {}
 
