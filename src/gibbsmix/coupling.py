@@ -36,8 +36,8 @@ from .errors import DegeneratePairMass, InvariantViolation
 from .groups import GeneratorSet, GroupTable
 from .kernels import base_walk_kernel, spectral_summary
 from .matrices import MatrixState, msample_stationary, mstep_batch
-from .pairops import pair_levels, split_pair_float, stacked_draws
-from .seeding import draw_pairs, replica_rng
+from .pairops import advance, pair_coeffs, split_pair_float, stacked_draws
+from .seeding import draw_moves, draw_pairs, empty_moves, replica_rng
 from .simplex import SimplexState, sample_stationary, step_batch
 
 __all__ = [
@@ -179,15 +179,6 @@ def build_partition_process(sched: UpdateSchedule, n: int) -> PartitionProcess:
 # single coupled moves
 
 
-def _chain_coeffs(kind: str, vi: float, vj: float):
-    """(total, alpha, beta) of the affine pair move for one chain, on Python
-    floats; the matrix case is pair_alpha_beta's operations in its order."""
-    total = vi + vj
-    if kind == "simplex":
-        return total, total, 0.0
-    return total, min(total, 4.0 - total), max(0.0, total - 2.0)
-
-
 def proportional_step(x, y, i: int, j: int, lam: float):
     """Advance both states with the identical (i, j, lam) draw: one lockstep
     batch move on the stacked pair [x; y]."""
@@ -242,8 +233,8 @@ def subset_couple_arrays(
     """
     xi, xj = float(x[i]), float(x[j])
     yi, yj = float(y[i]), float(y[j])
-    sx, ax, bx = _chain_coeffs(kind, xi, xj)
-    sy, ay, by = _chain_coeffs(kind, yi, yj)
+    sx, ax, bx = pair_coeffs(kind, xi, xj)
+    sy, ay, by = pair_coeffs(kind, yi, yj)
     if ax <= _PAIR_MASS_FLOOR or ay <= _PAIR_MASS_FLOOR:
         raise DegeneratePairMass(f"pair mass {min(ax, ay):.3e} at pair ({i}, {j})")
 
@@ -408,7 +399,7 @@ def run_nonmarkovian_coupling(
 
     Nothing is observed during phase 1 or before the earliest marked time
     over the replicas (without ``keep_trace``), so those moves are applied
-    in dependency levels (``pair_levels``), one kernel call on the stacked
+    in dependency levels (``pairops.advance``), one kernel call on the stacked
     [X; Y] batch per level; each move reads the values it would read in a
     per-step loop, so the result is that loop's, bit for bit. From the
     earliest marked time on, the replay steps one time at a time.
@@ -442,44 +433,38 @@ def run_nonmarkovian_coupling(
     XY = np.empty((2 * B, n))
     X, Y = XY[:B], XY[B:]
     X[:] = start
-    # one schedule per replica, phase 1 on [0, T1) and phase 2 on [T1, T);
-    # narrow coordinates keep the peak down while the levelling scratch of
-    # phase 2's head is held beside the merge records
+    # one schedule per replica, phase 1 on [0, T1) and phase 2 on [T1, T)
     T = T1 + T2
-    left = np.empty((B, T), dtype=np.min_scalar_type(n - 1))
-    right = np.empty_like(left)
-    lam = np.empty((B, T))
+    left, right, lam = empty_moves(B, T, n)
     rngs = []
     for b in range(B):
         rng = replica_rng(seed, b)
         rngs.append(rng)
         Y[b] = sample_stationary(n, rng).x if kind == "simplex" else msample_stationary(n, rng).c
-        left[b, :T1], right[b, :T1] = draw_pairs(rng, T1, n, group, gens)
-        lam[b, :T1] = rng.random(T1)
-        left[b, T1:], right[b, T1:] = draw_pairs(rng, T2, n, group, gens)
-        lam[b, T1:] = rng.random(T2)
+        left[b, :T1], right[b, :T1], lam[b, :T1] = draw_moves(rng, T1, n, group, gens)
+        left[b, T1:], right[b, T1:], lam[b, T1:] = draw_moves(rng, T2, n, group, gens)
 
     batch = step_batch if kind == "simplex" else mstep_batch
-
-    def advance(t0: int, t1: int) -> None:
-        span = slice(t0, t1)
-        for rows, a, b, lams in pair_levels(left[:, span], right[:, span], lam[:, span], n):
-            batch(XY, *stacked_draws(a, b, lams), np.concatenate((rows, rows + B)))
-
-    advance(0, T1)
+    advance(batch, XY, left, right, lam, 0, T1)
+    # outcomes read only tau and connectedness, and the merges live on in
+    # ``marks``; a whole process (with its schedule) is kept for a trace only
+    tau = [math.inf] * B
+    connected = [False] * B
     processes = []
     marks = {}
     for b in range(B):
         proc = build_partition_process(
             UpdateSchedule(entries=np.stack([left[b, T1:], right[b, T1:]], axis=1), t0=T1), n
         )
-        processes.append(proc)
+        tau[b], connected[b] = proc.tau, proc.connected
+        if keep_trace:
+            processes.append(proc)
         for rec in proc.merges:
             marks.setdefault(rec.t, []).append((b, rec))
-    # nothing is observed before the earliest marked time (merges are kept
-    # in descending t); a trace observes every phase-2 time
-    head = T1 if keep_trace else min(proc.merges[-1].t for proc in processes)
-    advance(T1, head)
+    # nothing is observed before the earliest marked time; a trace observes
+    # every phase-2 time
+    head = T1 if keep_trace else min(marks)
+    advance(batch, XY, left, right, lam, T1, head)
 
     if keep_trace:
         tr_x = np.empty((B, T2 + 1, n))
@@ -534,17 +519,16 @@ def run_nonmarkovian_coupling(
     gaps = np.abs(X - Y).max(axis=1)
     outcomes = []
     for b in range(B):
-        connected = processes[b].connected
         has_largeness = largeness_fail[b] >= 0
         has_subset = subset_fail[b] >= 0
-        coupled = connected and not has_largeness and not has_subset
+        coupled = connected[b] and not has_largeness and not has_subset
         if coupled:
             failure_kind = None
             first_failure = None
         elif has_largeness:
             failure_kind = LARGENESS_VIOLATED
             first_failure = int(largeness_fail[b])
-        elif not connected:
+        elif not connected[b]:
             failure_kind = NOT_CONNECTED
             first_failure = int(subset_fail[b]) if has_subset else None
         else:
@@ -561,7 +545,7 @@ def run_nonmarkovian_coupling(
                 coupled=coupled,
                 failure_kind=failure_kind,
                 first_failure_time=first_failure,
-                tau_connect=int(processes[b].tau) if connected else None,
+                tau_connect=int(tau[b]) if connected[b] else None,
                 max_final_gap=gap,
             )
         )
@@ -655,8 +639,7 @@ def _tile_taus(rows, seed, n, group, gens, max_draws, length):
     connected = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), _CONNECT_TILE):
         tile = rows[start:start + _CONNECT_TILE]
-        left = np.empty((len(tile), length), dtype=np.int64)
-        right = np.empty((len(tile), length), dtype=np.int64)
+        left, right, _ = empty_moves(len(tile), length, n)
         for k, b in enumerate(tile):
             left[k], right[k] = draw_pairs(
                 replica_rng(seed, b), max_draws, n, group, gens, head=length

@@ -54,11 +54,12 @@ from .kernels import (
 from .matrices import (
     identity_residual_batch,
     mcontraction_experiment,
+    msample_stationary,
     msample_stationary_batch,
     mstep_batch,
 )
-from .pairops import pair_levels, stacked_draws
-from .seeding import draw_pairs, replica_rng, replica_seed_words
+from .pairops import advance, pair_levels
+from .seeding import draw_moves, draw_pairs, empty_moves, replica_rng, replica_seed_words
 from .simplex import (
     check_s_recursion,
     lower_bound_experiment,
@@ -481,29 +482,24 @@ def _run_contract_simplex(config: ExperimentConfig):
     XY = np.zeros((2 * B, n))
     X, Y = XY[:B], XY[B:]
     X[:, group.identity] = 1.0
-    a = np.empty((B, T), dtype=np.int64)
-    b = np.empty((B, T), dtype=np.int64)
-    lam = np.empty((B, T))
+    a, b, lam = empty_moves(B, T, n)
     # per-replica draw order: stationary start, pair arrays, lambda array
     for r in range(B):
         rng = replica_rng(config.seed, r)
         Y[r] = sample_stationary(n, rng).x
-        a[r], b[r] = draw_pairs(rng, T, n, group, gens)
-        lam[r] = rng.random(T)
+        a[r], b[r], lam[r] = draw_moves(rng, T, n, group, gens)
 
     traj_rows = []
     mean_rows = []
     ok = True
     # the steps after the last checkpoint are drawn but never observed
     for t0, t in zip([0] + marks, marks):
-        span = slice(t0, t)
-        for rows, pa, pb, pl in pair_levels(a[:, span], b[:, span], lam[:, span], n):
-            step_batch(XY, *stacked_draws(pa, pb, pl), np.concatenate((rows, rows + B)))
+        advance(step_batch, XY, a, b, lam, t0, t)
         sq = ((X - Y) ** 2).sum(axis=1)
         for r in range(B):
             traj_rows.append((t, r, "sq_l2_gap", float(sq[r])))
         mean = float(sq.mean())
-        se = float(sq.std(ddof=1) / math.sqrt(B))
+        se = float(sq.std(ddof=1) / math.sqrt(B)) if B > 1 else None
         bound = 4.0 * n * math.exp(-math.floor(t * gamma_hat / 8.0))
         mean_rows.append((t, mean, se, bound))
         ok = ok and mean <= bound
@@ -653,30 +649,25 @@ def _run_largeness(config: ExperimentConfig):
     window = config.T if config.T is not None else n * n
 
     B = replicas
-    a = np.empty((B, window), dtype=np.int64)
-    b = np.empty((B, window), dtype=np.int64)
-    lam = np.empty((B, window))
+    a, b, lam = empty_moves(B, window, n)
     states = np.empty((B, n))
     # per-replica draw order: stationary start, pair arrays, lambda array
     for r in range(B):
         rng = replica_rng(config.seed, r)
-        if kind == "matrix":
-            states[r] = msample_stationary_batch(n, rng, 1)[0]
-        else:
-            states[r] = sample_stationary(n, rng).x
-        a[r], b[r] = draw_pairs(rng, window, n, group, gens)
-        lam[r] = rng.random(window)
+        states[r] = msample_stationary(n, rng).c if kind == "matrix" else sample_stationary(n, rng).x
+        a[r], b[r], lam[r] = draw_moves(rng, window, n, group, gens)
 
-    def margin(x: np.ndarray) -> np.ndarray:
-        if kind == "matrix":
-            return np.minimum(x, 2.0 - x).min(axis=1)
-        return x.min(axis=1)
+    def margin(v: np.ndarray) -> np.ndarray:
+        return np.minimum(v, 2.0 - v) if kind == "matrix" else v
 
-    minima = margin(states)
+    # an entry's smallest margin over the window is the smallest of its
+    # start value's and of every value written to it, so the moves run in
+    # dependency levels and only the moved entries are read
+    minima = margin(states).min(axis=1)
     batch = mstep_batch if kind == "matrix" else step_batch
-    for t in range(window):
-        batch(states, a[:, t], b[:, t], lam[:, t])
-        minima = np.minimum(minima, margin(states))
+    for rows, pa, pb, pl in pair_levels(a, b, lam, n):
+        batch(states, pa, pb, pl, rows)
+        np.minimum.at(minima, rows, np.minimum(margin(states[rows, pa]), margin(states[rows, pb])))
     rows = [(r, float(minima[r])) for r in range(B)]
     frequency = float(np.mean(minima >= threshold)) if threshold is not None else None
     summary = {

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
-from .pairops import flat_pair_index, pair_levels, split_pair, stacked_draws
-from .seeding import draw_pairs, replica_rng
+from .pairops import advance, flat_pair_index, pair_coeffs, split_pair, split_pair_float
+from .seeding import draw_moves, empty_moves, replica_rng
 
 __all__ = [
     "MatrixState",
@@ -198,7 +198,7 @@ class MContractionPoint:
     mean_sq_before: float
     mean_sq_after: float
     ratio: float | None          # None where mean_sq_before == 0
-    se: float | None             # delta-method standard error of the ratio
+    se: float | None             # delta-method se of the ratio; None with it or with one replica
     bound: float                 # 1 - 2/(3n)
 
 
@@ -208,7 +208,7 @@ class MContractionReport:
     replicas: int
     points: list
     identical_start_replicas: int
-    ok: bool                     # every defined ratio <= bound + 4 se
+    ok: bool | None              # ratio <= bound + 4 se wherever both exist; None if nowhere
 
 
 def mcontraction_experiment(
@@ -225,27 +225,20 @@ def mcontraction_experiment(
     E||X_{t+1} - Y_{t+1}||^2 / E||X_t - Y_t||^2 is estimated over replicas
     and compared against 1 - 2/(3n). Where every replica's X and Y are equal
     at t (mean_sq_before == 0) the ratio is undefined: the point has ratio
-    and se None, and ``ok`` is taken over the defined points.
+    and se None. With one replica the se is undefined and None. ``ok`` is
+    taken over the points with both, and is None when there are none.
 
     Per-replica draw order: X start, Y start, pair arrays, lam array.
     """
     # x and y are the halves of one stacked batch
-    i_draw = np.empty((replicas, T), dtype=np.int64)
-    j_draw = np.empty((replicas, T), dtype=np.int64)
-    lam_draw = np.empty((replicas, T))
+    i_draw, j_draw, lam_draw = empty_moves(replicas, T, n)
     xy = np.empty((2 * replicas, n))
     x, y = xy[:replicas], xy[replicas:]
     for b in range(replicas):
         rng = replica_rng(seed, b)
         x[b] = msample_stationary(n, rng).c
         y[b] = msample_stationary(n, rng).c
-        i_draw[b], j_draw[b] = draw_pairs(rng, T, n)
-        lam_draw[b] = rng.random(T)
-
-    def advance(t0: int, t1: int) -> None:
-        span = slice(t0, t1)
-        for rows, i, j, lam in pair_levels(i_draw[:, span], j_draw[:, span], lam_draw[:, span], n):
-            mstep_batch(xy, *stacked_draws(i, j, lam), np.concatenate((rows, rows + replicas)))
+        i_draw[b], j_draw[b], lam_draw[b] = draw_moves(rng, T, n)
 
     identical = int(np.sum(np.all(x == y, axis=1)))
     bound = 1.0 - 2.0 / (3.0 * n)
@@ -253,15 +246,16 @@ def mcontraction_experiment(
     points = []
     done = 0
     for t in mark:
-        advance(done, t)
+        advance(mstep_batch, xy, i_draw, j_draw, lam_draw, done, t)
         before = ((x - y) ** 2).sum(axis=1)
-        advance(t, t + 1)
+        advance(mstep_batch, xy, i_draw, j_draw, lam_draw, t, t + 1)
         done = t + 1
         after = ((x - y) ** 2).sum(axis=1)
         mb, ma = float(before.mean()), float(after.mean())
         ratio = se = None
         if mb > 0.0:
             ratio = ma / mb
+        if mb > 0.0 and replicas > 1:
             # delta method on the ratio of correlated means
             cov = np.cov(after, before)
             var = (
@@ -275,7 +269,8 @@ def mcontraction_experiment(
                 t=t, mean_sq_before=mb, mean_sq_after=ma, ratio=ratio, se=se, bound=bound
             )
         )
-    ok = all(p.ratio <= p.bound + 4.0 * p.se for p in points if p.ratio is not None)
+    judged = [p.ratio <= p.bound + 4.0 * p.se for p in points if p.se is not None]
+    ok = all(judged) if judged else None
     return MContractionReport(
         n=n, replicas=replicas, points=points, identical_start_replicas=identical, ok=ok
     )
@@ -317,26 +312,11 @@ def monotone_couple_run(
     done = 0
     while done < T:
         b = min(chunk, T - done)
-        i_arr, j_arr = draw_pairs(rng, b, n)
-        lam_arr = rng.random(b)
-        for k in range(b):
-            i = int(i_arr[k])
-            j = int(j_arr[k])
-            lam = float(lam_arr[k])
-            tot = c[i] + c[j]
-            alpha = tot if tot <= 2.0 else 4.0 - tot
-            beta = 0.0 if tot <= 2.0 else tot - 2.0
+        i_arr, j_arr, lam_arr = draw_moves(rng, b, n)
+        for k, (i, j, lam) in enumerate(zip(i_arr.tolist(), j_arr.tolist(), lam_arr.tolist())):
+            ci, cj = split_pair_float(*pair_coeffs("matrix", c[i], c[j]), lam)
             stot = s[i] + s[j]
-            if lam >= 0.5:
-                ci = lam * alpha + beta
-                cj = tot - ci
-                si = lam * stot
-                sj = stot - si
-            else:
-                cj = (1.0 - lam) * alpha + beta
-                ci = tot - cj
-                sj = (1.0 - lam) * stot
-                si = stot - sj
+            si, sj = split_pair_float(stot, stot, 0.0, lam)
             c[i] = ci
             c[j] = cj
             s[i] = si

@@ -13,14 +13,15 @@ side) and obtain the other by subtraction from s. The computed share lies in
 bit-identical to s after every move. Rounding is monotone, so the computed
 share also stays within [0, s] and the update remains monotone in lam.
 
-``split_pair_float`` is the scalar twin of ``split_pair``: the same operations
-in the same order on Python floats, so both give identical IEEE results.
-``flat_pair_index`` is the indexing shared by the batch move kernels, and
-``stacked_draws`` doubles the draws of two chains that share them, so that a
-stacked [X; Y] batch moves in one kernel call. ``pair_levels`` groups the
-moves of a (B, T) block of draws into dependency levels, so that a stretch of
-steps with nothing observed in between takes one kernel call per level
-instead of one per step.
+``split_pair_float`` is the scalar twin of ``split_pair``, and ``pair_coeffs``
+of ``matrices.pair_alpha_beta``: the same operations in the same order on
+Python floats, so both give identical IEEE results. ``flat_pair_index`` is
+the indexing shared by the batch move kernels, and ``stacked_draws`` doubles
+the draws of two chains that share them, so that a stacked [X; Y] batch moves
+in one kernel call. ``pair_levels`` groups the moves of a (B, T) block of
+draws into dependency levels, and ``advance`` applies a stretch of steps with
+nothing observed in between as one kernel call per level instead of one per
+step.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 from .errors import InvariantViolation
 
 __all__ = [
-    "flat_pair_index", "pair_levels", "split_pair", "split_pair_float", "stacked_draws",
+    "advance", "flat_pair_index", "pair_coeffs", "pair_levels", "split_pair",
+    "split_pair_float", "stacked_draws",
 ]
 
 # steps per level tile: each tile is levelled on its own, so its levels fit
@@ -66,6 +68,15 @@ def split_pair_float(total: float, alpha: float, beta: float, lam: float):
     share = (lam if hi else 1.0 - lam) * alpha + beta
     rest = total - share
     return (share, rest) if hi else (rest, share)
+
+
+def pair_coeffs(kind: str, vi: float, vj: float):
+    """(total, alpha, beta) of the affine pair move for one chain, on Python
+    floats; the matrix case is pair_alpha_beta's operations in its order."""
+    total = vi + vj
+    if kind == "simplex":
+        return total, total, 0.0
+    return total, min(total, 4.0 - total), max(0.0, total - 2.0)
 
 
 def flat_pair_index(batch: np.ndarray, a, b, rows=None):
@@ -150,3 +161,20 @@ def pair_levels(a, b, lam, n: int):
             ends = np.cumsum(np.bincount(lev))
             for lo, hi in zip(ends[:-1], ends[1:]):
                 yield rows[lo:hi], ra[lo:hi], rb[lo:hi], rl[lo:hi]
+
+
+def advance(kernel, batch: np.ndarray, a, b, lam, t0: int, t1: int) -> None:
+    """Apply steps [t0, t1) of the (B, T) draws (a, b, lam) to ``batch`` in
+    place, one ``kernel(batch, a, b, lam, rows)`` call per dependency level.
+
+    A batch of B rows is one chain per replica. A batch of 2B rows is the
+    stacked [X; Y] pair of two chains that share every draw, and both halves
+    move in the same call. The kernel is passed in rather than imported, so
+    a caller's own binding of ``step_batch``/``mstep_batch`` is the one run.
+    """
+    B = a.shape[0]
+    span = slice(t0, t1)
+    for rows, *move in pair_levels(a[:, span], b[:, span], lam[:, span], batch.shape[1]):
+        if batch.shape[0] == 2 * B:
+            move, rows = stacked_draws(*move), np.concatenate((rows, rows + B))
+        kernel(batch, *move, rows)

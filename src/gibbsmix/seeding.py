@@ -3,14 +3,16 @@
 Every experiment derives one independent stream per replica as
 Generator(SeedSequence([base_seed, replica_index])). Distinct replicas never
 share a stream, and a (seed, replica) pair always reproduces the same draws.
-Every sampler draws its update pairs through ``draw_pairs``, the one pair law.
+Every sampler draws its update pairs through ``draw_pairs``, the one pair law,
+and every lockstep experiment its moves through ``draw_moves``, the one move
+law: the pair arrays, then the lambda array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["draw_pairs", "replica_rng", "replica_seed_words"]
+__all__ = ["draw_moves", "draw_pairs", "empty_moves", "replica_rng", "replica_seed_words"]
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
@@ -51,3 +53,18 @@ def draw_pairs(rng: np.random.Generator, T: int, n: int, group=None, gens=None,
     i = rng.integers(0, n, T)[:head]
     raw = rng.integers(0, n - 1, head)
     return i, raw + (raw >= i)
+
+
+def draw_moves(rng: np.random.Generator, T: int, n: int, group=None, gens=None):
+    """T moves (a, b, lam): the pair arrays of ``draw_pairs``, then the
+    length-T lambda array ``rng.random(T)``."""
+    a, b = draw_pairs(rng, T, n, group, gens)
+    return a, b, rng.random(T)
+
+
+def empty_moves(B: int, T: int, n: int):
+    """Uninitialised (B, T) store (a, b, lam) for B replicas' moves, the
+    coordinates in the narrowest unsigned dtype that holds n - 1 (one byte
+    per coordinate up to n = 256)."""
+    a = np.empty((B, T), dtype=np.min_scalar_type(n - 1))
+    return a, np.empty_like(a), np.empty((B, T))

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import DegenerateEigenvector, InvariantViolation
 from .groups import GeneratorSet, GroupTable
 from .kernels import TransitionKernel, edge_walk_kernel, spectral_summary
-from .pairops import flat_pair_index, pair_levels, split_pair
-from .seeding import draw_pairs, replica_rng
+from .pairops import advance, flat_pair_index, split_pair
+from .seeding import draw_moves, empty_moves, replica_rng
 
 __all__ = [
     "SimplexState",
@@ -237,8 +237,7 @@ def check_s_recursion(
     while done < samples:
         b = min(chunk, samples - done)
         rows = np.arange(b)
-        a, partner = draw_pairs(rng, b, n, group, gens)
-        lam = rng.random(b)
+        a, partner, lam = draw_moves(rng, b, n, group, gens)
         d = np.broadcast_to(d0, (b, n)).copy()
         total = d[rows, a] + d[rows, partner]
         d[rows, a] = lam * total
@@ -295,7 +294,7 @@ def lower_bound_init(kernel: TransitionKernel):
 class LowerBoundPoint:
     t: int
     mean_inner: float
-    se: float
+    se: Optional[float]          # None with one replica
     exact: float                 # (1 - gamma)^t * <X_0, v>
     tail_empirical: float        # fraction of replicas with <X_t, v> > d
     tail_stationary: float       # same event under the uniform stationary law
@@ -309,7 +308,7 @@ class LowerBoundReport:
     inner0: float
     d: float
     slope: Optional[float]       # None when fewer than two means are positive
-    slope_target: float          # log(1 - gamma)
+    slope_target: Optional[float]  # log(1 - gamma); None when gamma = 1
     slope_rel_error: Optional[float]
     stationary_second_moment: float
     stationary_bound: float      # 2 / n^2
@@ -334,7 +333,9 @@ def lower_bound_experiment(
     with that curve, fits the log-slope on the positive means (slope and its
     relative error are None when fewer than two are), and contrasts the tail
     frequency P[<X_t, v> > d] with its stationary counterpart (the implied
-    total variation lower bound).
+    total variation lower bound). A gap of 1 (the 2-element group) decays in
+    one step and has no log-slope: the target, slope and relative error are
+    then None. With one replica each point's se is None.
     """
     n = group.n
     kernel = edge_walk_kernel(group, gens)
@@ -346,14 +347,11 @@ def lower_bound_experiment(
 
     # Per-replica streams; draw order per replica: pair arrays, lam array,
     # then one stationary sample for the tail comparison.
-    a_draw = np.empty((replicas, T), dtype=np.int64)
-    b_draw = np.empty((replicas, T), dtype=np.int64)
-    lam_draw = np.empty((replicas, T))
+    a_draw, b_draw, lam_draw = empty_moves(replicas, T, n)
     stationary = np.empty((replicas, n))
     for b in range(replicas):
         rng = replica_rng(seed, b)
-        a_draw[b], b_draw[b] = draw_pairs(rng, T, n, group, gens)
-        lam_draw[b] = rng.random(T)
+        a_draw[b], b_draw[b], lam_draw[b] = draw_moves(rng, T, n, group, gens)
         stationary[b] = sample_stationary(n, rng).x
 
     checkpoints = list(range(0, T + 1, checkpoint_stride))
@@ -367,7 +365,7 @@ def lower_bound_experiment(
     def record(t: int) -> None:
         inner = x @ v
         mean = float(inner.mean())
-        se = float(inner.std(ddof=1) / math.sqrt(replicas))
+        se = float(inner.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else None
         tail = float(np.mean(inner > d))
         points.append(
             LowerBoundPoint(
@@ -384,15 +382,14 @@ def lower_bound_experiment(
     record(0)
     # the steps after the last checkpoint are drawn but never observed
     for t0, t in zip(checkpoints, checkpoints[1:]):
-        for rows, a, b, lam in pair_levels(a_draw[:, t0:t], b_draw[:, t0:t], lam_draw[:, t0:t], n):
-            step_batch(x, a, b, lam, rows)
+        advance(step_batch, x, a_draw, b_draw, lam_draw, t0, t)
         record(t)
 
     # a Monte Carlo mean below its noise can be <= 0 and has no logarithm
     fit = [p for p in points if p.mean_inner > 0.0]
-    target = math.log(1.0 - gamma)
+    target = math.log(1.0 - gamma) if gamma < 1.0 else None
     slope = rel_error = None
-    if len(fit) >= 2:
+    if len(fit) >= 2 and target is not None:
         ts = np.array([p.t for p in fit], dtype=float)
         logs = np.log(np.array([p.mean_inner for p in fit]))
         slope = float(np.polyfit(ts, logs, 1)[0])

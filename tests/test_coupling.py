@@ -22,8 +22,8 @@ from gibbsmix.coupling import (
 )
 from gibbsmix.errors import DegeneratePairMass, InvariantViolation
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
-from gibbsmix.matrices import MatrixState, msample_stationary, mstep, pair_alpha_beta
-from gibbsmix.pairops import split_pair
+from gibbsmix.matrices import MatrixState, msample_stationary, mstep, mstep_batch, pair_alpha_beta
+from gibbsmix.pairops import split_pair, stacked_draws
 from gibbsmix.seeding import draw_pairs, replica_rng
 from gibbsmix.simplex import MoveDraw, SimplexState, sample_stationary, step
 
@@ -326,13 +326,13 @@ def test_proportional_matrix_pair_second_moment(rng):
     assert delta > 0 and eps > 0
     trials = 200_000
     lams = rng.random(trials)
-    acc = 0.0
-    for lam in lams:
-        x2, y2 = proportional_step(x, y, 0, 1, float(lam))
-        diff0 = x2.c[0] - y2.c[0]
-        diff1 = x2.c[1] - y2.c[1]
-        acc += 2.0 * (diff0 * diff0 + diff1 * diff1)
-    mean = acc / trials
+    # one stacked batch move: row k of each half takes lams[k]
+    # (test_proportional_step_matches_scalar_moves pins it to proportional_step)
+    xy = np.repeat(np.stack([x.c, y.c]), trials, axis=0)
+    pair = np.zeros(trials, dtype=np.int64)
+    mstep_batch(xy, *stacked_draws(pair, pair + 1, lams))
+    diff = xy[:trials, :2] - xy[trials:, :2]
+    mean = float((2.0 * (diff**2).sum(axis=1)).mean())
     target = (4.0 / 3.0) * (delta - eps) ** 2
     assert mean == pytest.approx(target, rel=0.02)
 

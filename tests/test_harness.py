@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import gibbsmix.errors as errors
 import gibbsmix.harness as harness
 from gibbsmix.cli import main as cli_main
 from gibbsmix.cli import parse_group_shorthand
@@ -21,6 +23,9 @@ from gibbsmix.harness import (
     resolve_group,
     run,
 )
+from gibbsmix.matrices import msample_stationary, mstep_batch
+from gibbsmix.seeding import draw_moves, replica_rng
+from gibbsmix.simplex import sample_stationary, step_batch
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +296,8 @@ def test_contract_matrix_exact_coupling_writes_null_ratios(tmp_path, capsys):
     for row in rows:
         undefined = float(row[cols["mean_sq_before"]]) == 0.0
         assert (row[cols["ratio"]] == "") == undefined
-        assert (row[cols["se"]] == "") == undefined
+        # one replica has no standard error at any checkpoint
+        assert row[cols["se"]] == ""
 
 
 def _reject_constant(name):
@@ -313,6 +319,110 @@ def test_lowerbound_simplex_manifest_is_strict_json(tmp_path, capsys, T, slope_d
     assert (summary["slope_rel_error"] is not None) == slope_defined
     if not slope_defined:
         assert summary["ok"] is False
+
+
+def test_lowerbound_simplex_unit_gap_has_no_slope(tmp_path, capsys):
+    # the 2-element group's edge walk has gap exactly 1, so log(1 - gamma)
+    # is undefined
+    out = tmp_path / "res"
+    code = cli_main(["lowerbound-simplex", "--group", "hypercube:1", "--replicas", "20",
+                     "--out", str(out)])
+    assert code == 0
+    summary = _read_manifest(out)["summary"]
+    assert summary["gamma"] == 1.0
+    assert summary["slope_target"] is None
+    assert summary["slope"] is None and summary["slope_rel_error"] is None
+    assert summary["ok"] is False
+
+
+@pytest.mark.parametrize("fields", [
+    {"n": 5, "T": 1300},
+    {"group": {"family": "dihedral", "k": 3}, "T": 600, "thresholds": {"d": 0.01}},
+])
+def test_largeness_minima_are_the_per_step_loop(tmp_path, fields):
+    # reference: one kernel call per step and a margin pass over every entry
+    B = 6
+    data = {"experiment": "largeness", "replicas": B, "seed": 3, **fields}
+    assert run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 0
+    got = [float(line.split(",")[1])
+           for line in (tmp_path / "minima.csv").read_text().splitlines()[1:]]
+    group = gens = None
+    if "n" in fields:
+        n, kernel = fields["n"], mstep_batch
+        margin = lambda x: np.minimum(x, 2.0 - x).min(axis=1)  # noqa: E731
+    else:
+        group, gens = resolve_group(fields["group"])
+        n, kernel = group.n, step_batch
+        margin = lambda x: x.min(axis=1)  # noqa: E731
+    states = np.empty((B, n))
+    moves = []
+    for r in range(B):
+        rng = replica_rng(3, r)
+        states[r] = msample_stationary(n, rng).c if group is None else sample_stationary(n, rng).x
+        moves.append(draw_moves(rng, fields["T"], n, group, gens))
+    a, b, lam = (np.stack(v) for v in zip(*moves))
+    minima = margin(states)
+    for t in range(fields["T"]):
+        kernel(states, a[:, t], b[:, t], lam[:, t])
+        minima = np.minimum(minima, margin(states))
+    assert got == minima.tolist()
+
+
+_EDGE_GROUPS = {
+    "cyclic3": {"family": "cyclic", "n": 3},
+    "hypercube1": {"family": "hypercube", "k": 1},
+    "dihedral3": {"family": "dihedral", "k": 3},
+}
+# the horizon field each experiment reads; the others run at their defaults
+_EDGE_TIME = {
+    "contract-simplex": "T", "contract-matrix": "T", "largeness": "T",
+    "lowerbound-simplex": "T", "couple-simplex": "T1", "couple-matrix": "T1",
+}
+_GROUP_ONLY = ("gap", "compare", "s-recursion", "contract-simplex", "couple-simplex",
+               "lowerbound-simplex")
+_N_ONLY = ("contract-matrix", "identity-matrix", "couple-matrix", "lowerbound-matrix")
+
+
+def _edge_cases():
+    for experiment in EXPERIMENTS:
+        if experiment == "oracle":
+            for suite in harness.ORACLE_SUITES:
+                yield f"oracle-{suite}", {"experiment": experiment, "suite": suite}
+            continue
+        sizes = []
+        if experiment not in _N_ONLY:
+            sizes += [(name, {"group": spec}) for name, spec in _EDGE_GROUPS.items()]
+        if experiment not in _GROUP_ONLY:
+            sizes += [(f"n{n}", {"n": n}) for n in (3, 4)]
+        field = _EDGE_TIME.get(experiment)
+        for (size, fields), t in itertools.product(sizes, (None, 0, 1) if field else (None,)):
+            data = {"experiment": experiment, "replicas": 1, "seed": 1, **fields}
+            if t is not None:
+                data[field] = t
+            yield f"{experiment}-{size}-{field}{t}" if t is not None else f"{experiment}-{size}", data
+
+
+@pytest.mark.parametrize("data", [d for _, d in _edge_cases()], ids=[i for i, _ in _edge_cases()])
+def test_every_experiment_at_edge_sizes_leaves_strict_artifacts(tmp_path, capsys, data):
+    # one replica, the smallest groups (hypercube:1 has 2 elements) and
+    # matrices, horizons of 0 and 1: every run ends with a documented exit
+    # code and a final status, and no artifact or manifest holds a NaN
+    out = tmp_path / "res"
+    code = run(ExperimentConfig.from_dict(data), out_dir=out)
+    assert code in (0, 1, 2)
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    assert manifest["status"] == ("complete" if code == 0 else "failed")
+    if code:
+        # a failure is one of the package's own errors, not a stray exception
+        assert isinstance(getattr(errors, manifest["error"].split(":")[0], None), type)
+    for name in manifest["artifacts"]:
+        text = (out / name).read_text()
+        if name.endswith(".jsonl"):
+            for line in text.splitlines():
+                json.loads(line, parse_constant=_reject_constant)
+        else:
+            fields = {f for line in text.splitlines() for f in line.split(",")}
+            assert not fields & {"nan", "inf", "-inf"}, name
 
 
 def test_run_writes_running_manifest_before_results(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """The dependency-level scheduler: levels cover every move once, never touch
 a (row, coordinate) twice, keep each (row, coordinate) in time order, and
-applying them level by level gives the per-step loop's bytes."""
+applying them level by level gives the per-step loop's bytes, on one chain
+per replica and on the stacked [X; Y] pair alike."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from gibbsmix import pairops
 from gibbsmix.groups import build_cyclic
 from gibbsmix.matrices import mstep_batch
-from gibbsmix.pairops import pair_levels
-from gibbsmix.seeding import draw_pairs
+from gibbsmix.pairops import advance, pair_levels
+from gibbsmix.seeding import draw_moves, draw_pairs, empty_moves
 from gibbsmix.simplex import step_batch
 
 
@@ -107,3 +108,24 @@ def test_levels_of_strided_views():
     for t0, t1 in [(0, 1), (1, 600), (600, 600), (600, 1300)]:
         _by_level(mstep_batch, got, a[:, t0:t1], b[:, t0:t1], lam[:, t0:t1], n)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kernel", [step_batch, mstep_batch], ids=["simplex", "matrix"])
+def test_advance_is_the_per_step_loop_on_single_and_stacked_batches(kernel):
+    rng = np.random.default_rng(11)
+    n, B, T = 9, 5, 700
+    group, gens = build_cyclic(n, range(1, n)) if kernel is step_batch else (None, None)
+    moves = empty_moves(B, T, n)
+    for r in range(B):
+        moves[0][r], moves[1][r], moves[2][r] = draw_moves(rng, T, n, group, gens)
+    assert moves[0].dtype == np.uint8
+    x0 = rng.dirichlet(np.ones(n), 2 * B)
+    want = x0.copy()
+    _per_step(kernel, want[:B], *moves)
+    _per_step(kernel, want[B:], *moves)
+    single, stacked = x0[:B].copy(), x0.copy()
+    for t0, t1 in [(0, 0), (0, 1), (1, 513), (513, T)]:
+        advance(kernel, single, *moves, t0, t1)
+        advance(kernel, stacked, *moves, t0, t1)
+    assert np.array_equal(single, want[:B])
+    assert np.array_equal(stacked, want)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
-from gibbsmix.seeding import draw_pairs
+from gibbsmix.seeding import draw_moves, draw_pairs, empty_moves
 
 T = 600
 
@@ -53,3 +53,22 @@ def test_head_is_the_prefix_of_the_full_draw(head):
         full_a, full_b = draw_pairs(ref, T, *args)
         assert len(a) == len(b) == head
         assert np.array_equal(a, full_a[:head]) and np.array_equal(b, full_b[:head])
+
+
+@pytest.mark.parametrize("cayley", [False, True])
+def test_move_law_is_the_pair_arrays_then_the_lambda_array(cayley):
+    group, gens = build_cyclic(8, [1, 7])
+    args = (8, group, gens) if cayley else (8,)
+    rng, ref = _twins(int(cayley))
+    a, b, lam = draw_moves(rng, T, *args)
+    want_a, want_b = draw_pairs(ref, T, *args)
+    assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+    assert np.array_equal(lam, ref.random(T))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n, dtype", [(3, np.uint8), (256, np.uint8), (257, np.uint16), (4096, np.uint16)])
+def test_move_store_has_narrow_coordinates(n, dtype):
+    a, b, lam = empty_moves(5, 7, n)
+    assert a.shape == b.shape == lam.shape == (5, 7)
+    assert a.dtype == b.dtype == dtype and lam.dtype == np.float64
