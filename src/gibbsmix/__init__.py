@@ -51,7 +51,6 @@ from .kernels import (
     verify_comparison,
 )
 from .simplex import (
-    MoveDraw,
     SimplexState,
     SVector,
     check_s_recursion,
@@ -59,17 +58,15 @@ from .simplex import (
     lower_bound_init,
     s_vector,
     sample_stationary,
-    step,
+    step_batch,
 )
 from .matrices import (
     MatrixState,
-    PairGap,
     contraction_identity_check,
     mcontraction_experiment,
     monotone_couple_run,
     msample_stationary,
-    mstep,
-    pair_gap,
+    mstep_batch,
 )
 from .coupling import (
     CouplingOutcome,
@@ -78,10 +75,8 @@ from .coupling import (
     build_partition_process,
     closeness_check,
     connectedness_experiment,
-    proportional_step,
     run_nonmarkovian_coupling,
-    subset_step_matrix,
-    subset_step_simplex,
+    subset_couple_arrays,
 )
 from .seeding import replica_rng
 from .harness import (

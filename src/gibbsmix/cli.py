@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--suite", choices=ORACLE_SUITES, help="oracle suite name")
         sp.add_argument(
             "--threshold", action="append", default=[], metavar="KEY=VALUE",
-            help="named constant (epsilon, C, a, b, f, k, d, c); repeatable",
+            help="named constant (epsilon, C, k, d, c); repeatable",
         )
     return parser
 

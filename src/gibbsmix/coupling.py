@@ -35,10 +35,10 @@ import numpy as np
 from .errors import DegeneratePairMass, InvariantViolation
 from .groups import GeneratorSet, GroupTable
 from .kernels import base_walk_kernel, spectral_summary
-from .matrices import MatrixState, msample_stationary, mstep_batch
+from .matrices import msample_stationary, mstep_batch
 from .pairops import advance, pair_coeffs, split_pair_float, stacked_draws
 from .seeding import draw_moves, draw_pairs, empty_moves, replica_rng
-from .simplex import SimplexState, sample_stationary, step_batch
+from .simplex import sample_stationary, step_batch
 
 __all__ = [
     "SUBSET_FAILED",
@@ -53,10 +53,7 @@ __all__ = [
     "ConnectReport",
     "ClosenessReport",
     "build_partition_process",
-    "proportional_step",
     "subset_couple_arrays",
-    "subset_step_simplex",
-    "subset_step_matrix",
     "run_nonmarkovian_coupling",
     "connectedness_experiment",
     "closeness_check",
@@ -176,21 +173,7 @@ def build_partition_process(sched: UpdateSchedule, n: int) -> PartitionProcess:
 
 
 # ---------------------------------------------------------------------------
-# single coupled moves
-
-
-def proportional_step(x, y, i: int, j: int, lam: float):
-    """Advance both states with the identical (i, j, lam) draw: one lockstep
-    batch move on the stacked pair [x; y]."""
-    if isinstance(x, SimplexState) and isinstance(y, SimplexState):
-        xy = np.stack([x.x, y.x])
-        step_batch(xy, i, j, np.full(2, lam))
-        return SimplexState(xy[0]), SimplexState(xy[1])
-    if isinstance(x, MatrixState) and isinstance(y, MatrixState):
-        xy = np.stack([x.c, y.c])
-        mstep_batch(xy, i, j, np.full(2, lam))
-        return MatrixState(xy[0]), MatrixState(xy[1])
-    raise InvariantViolation("state-kind", "states must both be simplex or both matrix")
+# the subset-coupled move
 
 
 def _remainder_sample(lo: float, hi: float, q: float, rng: np.random.Generator) -> float:
@@ -287,33 +270,6 @@ def subset_couple_arrays(
                 "subset-w-equality", f"|w(X,S) - w(Y,S)| = {abs(wx - wy):.3e}"
             )
     return succeeded, lam_x, lam_y
-
-
-def _subset_step_state(kind, x, y, subset, i, j, rng, lam_first):
-    subset = np.asarray(sorted(set(int(s) for s in subset)), dtype=np.int64)
-    i, j = int(i), int(j)
-    if i not in subset:
-        raise InvariantViolation("subset-roles", "i must belong to the subset")
-    if j in subset:
-        raise InvariantViolation("subset-roles", "j must lie outside the subset")
-    xv = (x.x if kind == "simplex" else x.c).copy()
-    yv = (y.x if kind == "simplex" else y.c).copy()
-    succeeded, _, _ = subset_couple_arrays(kind, xv, yv, subset, i, j, rng, lam_first)
-    if kind == "simplex":
-        return SimplexState(xv), SimplexState(yv), succeeded
-    return MatrixState(xv), MatrixState(yv), succeeded
-
-
-def subset_step_simplex(x: SimplexState, y: SimplexState, subset, i: int, j: int,
-                        rng: np.random.Generator, lam_first: Optional[float] = None):
-    """Subset-coupled simplex move; see subset_couple_arrays."""
-    return _subset_step_state("simplex", x, y, subset, i, j, rng, lam_first)
-
-
-def subset_step_matrix(x: MatrixState, y: MatrixState, subset, i: int, j: int,
-                       rng: np.random.Generator, lam_first: Optional[float] = None):
-    """Subset-coupled matrix move; see subset_couple_arrays."""
-    return _subset_step_state("matrix", x, y, subset, i, j, rng, lam_first)
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,11 @@ from .seeding import draw_moves, empty_moves, replica_rng
 
 __all__ = [
     "MatrixState",
-    "PairGap",
     "IdentityReport",
     "MContractionPoint",
     "MContractionReport",
     "MonotoneReport",
-    "mstep",
     "mstep_batch",
-    "pair_gap",
     "msample_stationary",
     "msample_stationary_batch",
     "contraction_identity_check",
@@ -45,6 +42,8 @@ __all__ = [
 ]
 
 _REJECTION_BUDGET = 10**6
+# mcontraction_experiment measures the one-step ratio at this many times
+_CHECKPOINTS = 10
 
 
 @dataclass(eq=False)
@@ -69,24 +68,6 @@ class MatrixState:
     def n(self) -> int:
         return self.c.size
 
-    def second_column(self) -> np.ndarray:
-        return 2.0 - self.c
-
-
-@dataclass
-class PairGap:
-    """delta = 2 - c[i] - c[j] for a chosen pair; always in [-2, 2]."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not -2.0 <= self.delta <= 2.0:
-            raise InvariantViolation("pair-gap-range", f"delta = {self.delta!r}")
-
-
-def pair_gap(state: MatrixState, i: int, j: int) -> PairGap:
-    return PairGap(delta=float(2.0 - state.c[i] - state.c[j]))
-
 
 def pair_alpha_beta(ci, cj):
     """Affine move coefficients for a pair with values (ci, cj).
@@ -99,20 +80,6 @@ def pair_alpha_beta(ci, cj):
     alpha = np.minimum(s, 4.0 - s)
     beta = np.maximum(0.0, s - 2.0)
     return s, alpha, beta
-
-
-def mstep(state: MatrixState, i: int, j: int, lam: float) -> MatrixState:
-    """Apply one move; only c[i], c[j] change and their sum is exact."""
-    if i == j:
-        raise InvariantViolation("pair-distinct", "i and j must differ")
-    if not 0.0 <= lam <= 1.0:
-        raise InvariantViolation("lambda-range", f"lam = {lam!r}")
-    c = state.c.copy()
-    s, alpha, beta = pair_alpha_beta(c[i], c[j])
-    ni, nj = split_pair(s, alpha, beta, lam)
-    c[i] = ni
-    c[j] = nj
-    return MatrixState(c)
 
 
 def mstep_batch(c: np.ndarray, i: np.ndarray, j: np.ndarray, lam: np.ndarray,
@@ -216,12 +183,12 @@ def mcontraction_experiment(
     T: int,
     replicas: int,
     seed: int,
-    checkpoints: int = 10,
 ) -> MContractionReport:
     """Per-step L2 contraction of a proportionally coupled pair of chains.
 
     Both chains start at independent stationary samples and share every
-    (i, j, lam) draw. At each checkpoint time t the ratio
+    (i, j, lam) draw. At each of up to ten checkpoint times t, evenly spaced
+    over [0, T - 1], the ratio
     E||X_{t+1} - Y_{t+1}||^2 / E||X_t - Y_t||^2 is estimated over replicas
     and compared against 1 - 2/(3n). Where every replica's X and Y are equal
     at t (mean_sq_before == 0) the ratio is undefined: the point has ratio
@@ -242,7 +209,7 @@ def mcontraction_experiment(
 
     identical = int(np.sum(np.all(x == y, axis=1)))
     bound = 1.0 - 2.0 / (3.0 * n)
-    mark = sorted(set(np.linspace(0, T - 1, checkpoints, dtype=int).tolist())) if T else []
+    mark = sorted(set(np.linspace(0, T - 1, _CHECKPOINTS, dtype=int).tolist())) if T else []
     points = []
     done = 0
     for t in mark:

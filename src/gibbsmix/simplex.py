@@ -29,12 +29,10 @@ from .seeding import draw_moves, empty_moves, replica_rng
 
 __all__ = [
     "SimplexState",
-    "MoveDraw",
     "SVector",
     "SRecursionReport",
     "LowerBoundPoint",
     "LowerBoundReport",
-    "step",
     "step_batch",
     "sample_stationary",
     "sample_stationary_batch",
@@ -47,6 +45,8 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-12
+# lower_bound_experiment records <X_t, v> at every this many steps
+_CHECKPOINT_STRIDE = 4
 
 
 @dataclass(eq=False)
@@ -70,19 +70,6 @@ class SimplexState:
         return self.x.size
 
 
-@dataclass
-class MoveDraw:
-    """One update draw: element g, generator r (element index), lam in [0, 1]."""
-
-    g: int
-    r: int
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise InvariantViolation("lambda-range", f"lam = {self.lam!r}")
-
-
 @dataclass(eq=False)
 class SVector:
     """Cross-correlation vector of a coupled pair: s[h] = sum_g D[g] * D[g*h]
@@ -102,20 +89,6 @@ class SVector:
             )
         if abs(float(self.s.sum())) > 1e-10:
             raise InvariantViolation("s-zero-sum", f"sum = {self.s.sum():.3e}")
-
-
-def step(state: SimplexState, draw: MoveDraw, group: GroupTable) -> SimplexState:
-    """Apply one move; only the pair (g, g*r) changes and its sum is exact."""
-    a = int(draw.g)
-    b = int(group.mul[a, draw.r])
-    if a == b:
-        raise InvariantViolation("pair-distinct", "generator fixed the element (r = id?)")
-    x = state.x.copy()
-    total = x[a] + x[b]
-    na, nb = split_pair(total, total, 0.0, draw.lam)
-    x[a] = na
-    x[b] = nb
-    return SimplexState(x)
 
 
 def step_batch(x: np.ndarray, a: np.ndarray, b: np.ndarray, lam: np.ndarray,
@@ -198,9 +171,10 @@ def s_recursion_targets(s: np.ndarray, group: GroupTable, gens: GeneratorSet) ->
 class SRecursionReport:
     targets: np.ndarray
     estimates: np.ndarray
-    se: np.ndarray
+    se: Optional[np.ndarray]                  # None with one sample
+    deviation_se: Optional[np.ndarray]        # |estimate - target| in se units; None with se
     max_abs_deviation: float
-    max_deviation_se: float       # worst entry, in standard-error units
+    max_deviation_se: Optional[float]         # worst entry of deviation_se; None with it
     mean_lambda: float
     mean_lambda_sq: float
     samples: int
@@ -217,6 +191,10 @@ def check_s_recursion(
 ) -> SRecursionReport:
     """Monte Carlo estimate of E[S'] after one proportionally coupled move,
     against the closed-form targets.
+
+    Each entry's deviation is also given in units of its standard error (0
+    where the deviation is 0 or the se is). A standard error needs two
+    samples: with one, se, deviation_se and max_deviation_se are None.
 
     The difference vector D = x - y evolves autonomously under proportional
     coupling (D'[g] = lam * (D[g] + D[gr]) etc.), so the simulation runs on D
@@ -250,17 +228,19 @@ def check_s_recursion(
         done += b
 
     est = acc / samples
-    var = np.maximum(acc_sq / samples - est**2, 0.0)
-    se = np.sqrt(var / samples)
     dev = np.abs(est - targets)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    se = units = None
+    if samples > 1:
+        var = np.maximum(acc_sq / samples - est**2, 0.0)
+        se = np.sqrt(var / samples)
         units = np.where(dev == 0.0, 0.0, dev / np.where(se > 0.0, se, np.inf))
     return SRecursionReport(
         targets=targets,
         estimates=est,
         se=se,
+        deviation_se=units,
         max_abs_deviation=float(dev.max()),
-        max_deviation_se=float(units.max()),
+        max_deviation_se=None if units is None else float(units.max()),
         mean_lambda=lam_acc / samples,
         mean_lambda_sq=lam_sq_acc / samples,
         samples=samples,
@@ -322,7 +302,6 @@ def lower_bound_experiment(
     d: Optional[float] = None,
     replicas: int = 10_000,
     seed: int = 0,
-    checkpoint_stride: int = 4,
 ) -> LowerBoundReport:
     """Track the eigenvector statistic <X_t, v> of the chain started at the
     worst initial point mu.
@@ -354,7 +333,7 @@ def lower_bound_experiment(
         a_draw[b], b_draw[b], lam_draw[b] = draw_moves(rng, T, n, group, gens)
         stationary[b] = sample_stationary(n, rng).x
 
-    checkpoints = list(range(0, T + 1, checkpoint_stride))
+    checkpoints = list(range(0, T + 1, _CHECKPOINT_STRIDE))
     x = np.broadcast_to(mu.x, (replicas, n)).copy()
     stat_inner = stationary @ v
     tail_stat = float(np.mean(stat_inner > d))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -14,18 +15,15 @@ from gibbsmix.coupling import (
     build_partition_process,
     closeness_check,
     connectedness_experiment,
-    proportional_step,
     run_nonmarkovian_coupling,
     subset_couple_arrays,
-    subset_step_matrix,
-    subset_step_simplex,
 )
 from gibbsmix.errors import DegeneratePairMass, InvariantViolation
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
-from gibbsmix.matrices import MatrixState, msample_stationary, mstep, mstep_batch, pair_alpha_beta
+from gibbsmix.matrices import MatrixState, msample_stationary, mstep_batch, pair_alpha_beta
 from gibbsmix.pairops import split_pair, stacked_draws
 from gibbsmix.seeding import draw_pairs, replica_rng
-from gibbsmix.simplex import MoveDraw, SimplexState, sample_stationary, step
+from gibbsmix.simplex import sample_stationary, sample_stationary_batch, step_batch
 
 
 def test_schedule_validation():
@@ -130,52 +128,44 @@ def test_partition_invariants_random_schedules(data):
 
 
 def test_subset_worked_example():
-    x = SimplexState(np.array([0.2, 0.3, 0.5]))
-    y = SimplexState(np.array([0.25, 0.35, 0.4]))
-    x2, y2, ok = subset_step_simplex(x, y, [0], 0, 1, np.random.default_rng(0),
-                                     lam_first=0.5)
+    x = np.array([0.2, 0.3, 0.5])
+    y = np.array([0.25, 0.35, 0.4])
+    ok, _, _ = subset_couple_arrays("simplex", x, y, np.array([0]), 0, 1,
+                                    np.random.default_rng(0), lam_first=0.5)
     assert ok
     # lam_y = 0.5 gives lam_x = (0.6 * 0.5) / 0.5 = 0.6; both block weights 0.3
-    assert x2.x[0] == pytest.approx(0.3, abs=1e-15)
-    assert y2.x[0] == pytest.approx(0.3, abs=1e-15)
-    assert x2.x[2] == 0.5 and y2.x[2] == 0.4
-
-
-def test_subset_roles_validated():
-    x = SimplexState(np.array([0.2, 0.3, 0.5]))
-    rng = np.random.default_rng(0)
-    with pytest.raises(InvariantViolation):
-        subset_step_simplex(x, x, [0], 1, 2, rng)
-    with pytest.raises(InvariantViolation):
-        subset_step_simplex(x, x, [0, 1], 0, 1, rng)
+    assert x[0] == pytest.approx(0.3, abs=1e-15)
+    assert y[0] == pytest.approx(0.3, abs=1e-15)
+    assert x[2] == 0.5 and y[2] == 0.4
 
 
 def test_subset_failure_branch():
     # the y side has pair mass 0.9 vs 0.1, so lam_first = 0.5 maps to 4.5,
     # far outside [0, 1]: the step fails and the x lambda comes from the
     # remainder density
-    x = SimplexState(np.array([0.05, 0.05, 0.9]))
-    y = SimplexState(np.array([0.45, 0.45, 0.1]))
-    x2, y2, ok = subset_step_simplex(x, y, [0], 0, 1, np.random.default_rng(3),
-                                     lam_first=0.5)
+    x = np.array([0.05, 0.05, 0.9])
+    y = np.array([0.45, 0.45, 0.1])
+    ok, _, _ = subset_couple_arrays("simplex", x, y, np.array([0]), 0, 1,
+                                    np.random.default_rng(3), lam_first=0.5)
     assert not ok
-    assert x2.x.sum() == pytest.approx(1.0, abs=1e-12)
-    assert 0.0 <= x2.x[0] <= 0.1
+    assert x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 <= x[0] <= 0.1
 
 
 def test_subset_identical_states_always_succeed(rng):
     for _ in range(50):
-        x = sample_stationary(5, rng)
-        x2, y2, ok = subset_step_simplex(x, x, [0, 2], 0, 1, rng)
+        x = sample_stationary(5, rng).x
+        y = x.copy()
+        ok, _, _ = subset_couple_arrays("simplex", x, y, np.array([0, 2]), 0, 1, rng)
         assert ok
-        assert np.array_equal(x2.x, y2.x)
+        assert np.array_equal(x, y)
 
 
 def test_subset_degenerate_pair_mass():
-    x = SimplexState(np.array([0.0, 0.0, 1.0]))
-    y = SimplexState(np.array([0.3, 0.3, 0.4]))
+    x = np.array([0.0, 0.0, 1.0])
+    y = np.array([0.3, 0.3, 0.4])
     with pytest.raises(DegeneratePairMass):
-        subset_step_simplex(x, y, [0], 0, 1, np.random.default_rng(0))
+        subset_couple_arrays("simplex", x, y, np.array([0]), 0, 1, np.random.default_rng(0))
 
 
 def test_subset_matrix_mixed_signs_draw_side():
@@ -287,33 +277,34 @@ def test_subset_marginal_uniformity_quick(rng):
     assert stats.kstest(lam_ys, "uniform").pvalue > 1e-3
 
 
-def test_proportional_step_dispatch(rng):
-    x = sample_stationary(4, rng)
-    x2, y2 = proportional_step(x, x, 0, 1, 0.3)
-    assert np.array_equal(x2.x, y2.x)
-    cx = msample_stationary(4, rng)
-    cx2, cy2 = proportional_step(cx, cx, 2, 3, 0.8)
-    assert np.array_equal(cx2.c, cy2.c)
-    with pytest.raises(InvariantViolation):
-        proportional_step(x, cx, 0, 1, 0.5)
+def _split_row(kind, row, i, j, lam):
+    """The pair split on one row's own two values, written into the row."""
+    if kind == "simplex":
+        total = row[i] + row[j]
+        coeffs = (total, total, 0.0)
+    else:
+        coeffs = pair_alpha_beta(row[i], row[j])
+    row[i], row[j] = split_pair(*coeffs, lam)
 
 
 def test_proportional_step_matches_scalar_moves(rng):
-    # the stacked batch move equals one scalar step/mstep per chain, bit for bit
+    # a stacked [x; y] batch move with shared draws equals the pair split on
+    # each chain's own two values, bit for bit
     group, gens = build_cyclic(6, range(1, 6))
-    lams = np.concatenate([[0.0, 0.5, 1.0], rng.random(60)])
-    for lam in lams:
-        x, y = sample_stationary(6, rng), sample_stationary(6, rng)
-        g, r = int(rng.integers(0, 6)), int(rng.choice(gens.elements))
-        x2, y2 = proportional_step(x, y, g, int(group.mul[g, r]), float(lam))
-        draw = MoveDraw(g=g, r=r, lam=float(lam))
-        assert np.array_equal(x2.x, step(x, draw, group).x)
-        assert np.array_equal(y2.x, step(y, draw, group).x)
-        cx, cy = msample_stationary(6, rng), msample_stationary(6, rng)
-        i, j = rng.choice(6, 2, replace=False).tolist()
-        cx2, cy2 = proportional_step(cx, cy, i, j, float(lam))
-        assert np.array_equal(cx2.c, mstep(cx, i, j, float(lam)).c)
-        assert np.array_equal(cy2.c, mstep(cy, i, j, float(lam)).c)
+    for lam, kind in itertools.product([0.0, 0.5, 1.0, *rng.random(60)], ("simplex", "matrix")):
+        if kind == "simplex":
+            xy = sample_stationary_batch(6, rng, 2)
+            i = int(rng.integers(0, 6))
+            j = int(group.mul[i, rng.choice(gens.elements)])
+        else:
+            xy = np.stack([msample_stationary(6, rng).c for _ in range(2)])
+            i, j = rng.choice(6, 2, replace=False).tolist()
+        expected = xy.copy()
+        for row in expected:
+            _split_row(kind, row, i, j, lam)
+        batch = step_batch if kind == "simplex" else mstep_batch
+        batch(xy, *stacked_draws(np.array([i]), np.array([j]), np.array([lam])))
+        assert np.array_equal(xy, expected)
 
 
 def test_proportional_matrix_pair_second_moment(rng):
@@ -327,7 +318,6 @@ def test_proportional_matrix_pair_second_moment(rng):
     trials = 200_000
     lams = rng.random(trials)
     # one stacked batch move: row k of each half takes lams[k]
-    # (test_proportional_step_matches_scalar_moves pins it to proportional_step)
     xy = np.repeat(np.stack([x.c, y.c]), trials, axis=0)
     pair = np.zeros(trials, dtype=np.int64)
     mstep_batch(xy, *stacked_draws(pair, pair + 1, lams))
@@ -406,7 +396,7 @@ _PHASE1_CHAINS = {
 @pytest.mark.parametrize("T1", [0, 1, 511, 512, 513])
 @pytest.mark.parametrize("chain", sorted(_PHASE1_CHAINS))
 def test_phase1_matches_a_per_step_loop(chain, T1, replicas):
-    # the levelled phase 1 leaves X and Y where one scalar move per step
+    # the levelled phase 1 leaves X and Y where one kernel call per step
     # does, on draws rebuilt from each replica's stream in the documented
     # order: stationary Y, the phase-1 pair arrays, the phase-1 lambdas
     kind, n, build = _PHASE1_CHAINS[chain]
@@ -418,30 +408,25 @@ def test_phase1_matches_a_per_step_loop(chain, T1, replicas):
     for b, trace in enumerate(result.traces):
         rng = replica_rng(17, b)
         if kind == "matrix":
-            y = msample_stationary(n, rng)
-            x = MatrixState(np.concatenate((np.full(n // 2, 2.0), [1.0] * (n % 2),
-                                            np.zeros(n // 2))))
-            i = rng.integers(0, n, T1)
+            y = msample_stationary(n, rng).c
+            x = np.concatenate((np.full(n // 2, 2.0), [1.0] * (n % 2), np.zeros(n // 2)))
+            a = rng.integers(0, n, T1)
             raw = rng.integers(0, n - 1, T1)
-            lam = rng.random(T1)
-            for t in range(T1):
-                j = int(raw[t] + (raw[t] >= i[t]))
-                x = mstep(x, int(i[t]), j, float(lam[t]))
-                y = mstep(y, int(i[t]), j, float(lam[t]))
-            got_x, got_y = x.c, y.c
+            pair_b = raw + (raw >= a)
+            batch = mstep_batch
         else:
-            y = sample_stationary(n, rng)
-            x = SimplexState(np.eye(n)[group.identity])
-            g = rng.integers(0, n, T1)
+            y = sample_stationary(n, rng).x
+            x = np.eye(n)[group.identity]
+            a = rng.integers(0, n, T1)
             r = np.asarray(gens.elements)[rng.integers(0, gens.m, T1)]
-            lam = rng.random(T1)
-            for t in range(T1):
-                draw = MoveDraw(g=int(g[t]), r=int(r[t]), lam=float(lam[t]))
-                x = step(x, draw, group)
-                y = step(y, draw, group)
-            got_x, got_y = x.x, y.x
-        assert np.array_equal(trace.xs[0], got_x)
-        assert np.array_equal(trace.ys[0], got_y)
+            pair_b = group.mul[a, r]
+            batch = step_batch
+        lam = rng.random(T1)
+        xy = np.stack([x, y])
+        for t in range(T1):
+            batch(xy, *stacked_draws(a[t:t + 1], pair_b[t:t + 1], lam[t:t + 1]))
+        assert np.array_equal(trace.xs[0], xy[0])
+        assert np.array_equal(trace.ys[0], xy[1])
 
 
 _TRACE_CHAINS = {

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -58,6 +57,10 @@ def test_config_minimal_round_trip():
         {"experiment": "oracle", "suite": "tarot"},
         {"no_experiment": True},
         [1, 2, 3],
+        # a, b and f were accepted once, but no experiment reads them
+        {"experiment": "gap", "thresholds": {"a": 3.0}},
+        {"experiment": "gap", "thresholds": {"b": 3.0}},
+        {"experiment": "gap", "thresholds": {"f": 3.0}},
     ],
 )
 def test_config_rejects_bad_inputs(data):
@@ -281,6 +284,43 @@ def test_run_unexpected_exception_exits_two(tmp_path, monkeypatch, capsys, exper
     assert "synthetic runner failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, fields", [
+    ("couple-matrix", {"n": 5}),
+    ("couple-simplex", {"group": {"family": "cyclic", "n": 5}}),
+])
+def test_couple_needs_a_phase_two_step(tmp_path, capsys, experiment, fields):
+    # T2 = 0 leaves no schedule to build a partition process from
+    for T2, code in ((0, 1), (1, 0)):
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": experiment, "T1": 3, "T2": T2, "replicas": 2, **fields})
+        out = tmp_path / str(T2)
+        assert run(cfg, out_dir=out) == code
+        manifest = _read_manifest(out)
+        assert manifest["status"] == ("failed" if code else "complete")
+        if code:
+            assert manifest["error"].startswith("ConfigError: ")
+    capsys.readouterr()
+
+
+def test_s_recursion_with_one_sample_has_no_standard_error(tmp_path, capsys):
+    # one sample has no spread: se and deviation_se are null in the table,
+    # and the summary neither scores nor judges the deviation
+    out = tmp_path / "res"
+    assert cli_main(["s-recursion", "--group", "cyclic:3", "--replicas", "1",
+                     "--out", str(out)]) == 0
+    summary = _read_manifest(out)["summary"]
+    assert summary["max_deviation_se"] is None and summary["ok"] is None
+    assert summary["max_abs_deviation"] > 0.0
+    header, *rows = [line.split(",") for line in (out / "srecursion.csv").read_text().splitlines()]
+    assert header[-2:] == ["se", "deviation_se"]
+    assert len(rows) == 3 and all(row[-2:] == ["", ""] for row in rows)
+    # two samples have both
+    assert cli_main(["s-recursion", "--group", "cyclic:3", "--replicas", "2",
+                     "--out", str(tmp_path / "two")]) == 0
+    assert _read_manifest(tmp_path / "two")["summary"]["ok"] is not None
+    capsys.readouterr()
+
+
 def test_contract_matrix_exact_coupling_writes_null_ratios(tmp_path, capsys):
     # n=5 with one replica couples to the bit within the run: from then on
     # mean_sq_before is 0 and the ratio is undefined
@@ -373,10 +413,12 @@ _EDGE_GROUPS = {
     "hypercube1": {"family": "hypercube", "k": 1},
     "dihedral3": {"family": "dihedral", "k": 3},
 }
-# the horizon field each experiment reads; the others run at their defaults
+# the horizon fields each experiment reads, set one at a time; the others
+# run at their defaults
 _EDGE_TIME = {
-    "contract-simplex": "T", "contract-matrix": "T", "largeness": "T",
-    "lowerbound-simplex": "T", "couple-simplex": "T1", "couple-matrix": "T1",
+    "contract-simplex": ("T",), "contract-matrix": ("T",), "largeness": ("T",),
+    "lowerbound-simplex": ("T",), "couple-simplex": ("T1", "T2"),
+    "couple-matrix": ("T1", "T2"),
 }
 _GROUP_ONLY = ("gap", "compare", "s-recursion", "contract-simplex", "couple-simplex",
                "lowerbound-simplex")
@@ -394,12 +436,12 @@ def _edge_cases():
             sizes += [(name, {"group": spec}) for name, spec in _EDGE_GROUPS.items()]
         if experiment not in _GROUP_ONLY:
             sizes += [(f"n{n}", {"n": n}) for n in (3, 4)]
-        field = _EDGE_TIME.get(experiment)
-        for (size, fields), t in itertools.product(sizes, (None, 0, 1) if field else (None,)):
+        horizons = [(field, t) for field in _EDGE_TIME.get(experiment, ()) for t in (0, 1)]
+        for size, fields in sizes:
             data = {"experiment": experiment, "replicas": 1, "seed": 1, **fields}
-            if t is not None:
-                data[field] = t
-            yield f"{experiment}-{size}-{field}{t}" if t is not None else f"{experiment}-{size}", data
+            yield f"{experiment}-{size}", data
+            for field, t in horizons:
+                yield f"{experiment}-{size}-{field}{t}", {**data, field: t}
 
 
 @pytest.mark.parametrize("data", [d for _, d in _edge_cases()], ids=[i for i, _ in _edge_cases()])
@@ -526,6 +568,7 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli_main(["connect"]) == 1  # needs group or n
     assert cli_main(["connect", "--n", "8", "--threshold", "epsilon"]) == 1
+    assert cli_main(["gap", "--group", "cyclic:6", "--threshold", "a=3"]) == 1
     assert cli_main(["gap", "--group", "klein:4"]) == 1
     capsys.readouterr()
 

@@ -8,19 +8,16 @@ from gibbsmix.errors import InvariantViolation, RejectionBudgetExceeded
 from gibbsmix.harness import exact_marginal_cdf
 from gibbsmix.matrices import (
     MatrixState,
-    PairGap,
     contraction_identity_check,
     identity_residual_batch,
     mcontraction_experiment,
     monotone_couple_run,
     msample_stationary,
     msample_stationary_batch,
-    mstep,
     mstep_batch,
     pair_alpha_beta,
-    pair_gap,
 )
-from gibbsmix.pairops import stacked_draws
+from gibbsmix.pairops import split_pair, stacked_draws
 from gibbsmix.seeding import draw_pairs
 from gibbsmix.simplex import step_batch
 
@@ -32,30 +29,29 @@ def _state(values):
     return MatrixState(np.asarray(values, dtype=float))
 
 
+def _move(values, i, j, lam):
+    """One move as a (1, n) batch; returns the moved row."""
+    c = np.array([values], dtype=float)
+    mstep_batch(c, [i], [j], [lam])
+    return c[0]
+
+
 def test_mstep_hand_values_above_two():
     # pair total 3.4 > 2 forces both entries >= 1.4
-    state = _state([1.8, 1.6, 1.0, 0.2, 0.4])
-    out = mstep(state, 0, 1, 0.25)
-    assert out.c[0] == pytest.approx(0.25 * 0.6 + 1.4, abs=1e-14)
-    assert out.c[1] == pytest.approx(0.75 * 0.6 + 1.4, abs=1e-14)
-    assert out.c[0] + out.c[1] == state.c[0] + state.c[1]
-    assert out.c[2:].tolist() == [1.0, 0.2, 0.4]
+    c = [1.8, 1.6, 1.0, 0.2, 0.4]
+    out = _move(c, 0, 1, 0.25)
+    assert out[0] == pytest.approx(0.25 * 0.6 + 1.4, abs=1e-14)
+    assert out[1] == pytest.approx(0.75 * 0.6 + 1.4, abs=1e-14)
+    assert out[0] + out[1] == c[0] + c[1]
+    assert out[2:].tolist() == [1.0, 0.2, 0.4]
 
 
 def test_mstep_hand_values_below_two():
-    state = _state([0.3, 0.9, 1.8, 1.0, 1.0])
-    out = mstep(state, 0, 1, 0.25)
-    assert out.c[0] == pytest.approx(0.25 * 1.2, abs=1e-14)
-    assert out.c[1] == pytest.approx(0.75 * 1.2, abs=1e-14)
-    assert out.c[0] + out.c[1] == state.c[0] + state.c[1]
-
-
-def test_mstep_validation():
-    state = _state([1.0, 1.0, 1.0])
-    with pytest.raises(InvariantViolation):
-        mstep(state, 1, 1, 0.5)
-    with pytest.raises(InvariantViolation):
-        mstep(state, 0, 1, 1.5)
+    c = [0.3, 0.9, 1.8, 1.0, 1.0]
+    out = _move(c, 0, 1, 0.25)
+    assert out[0] == pytest.approx(0.25 * 1.2, abs=1e-14)
+    assert out[1] == pytest.approx(0.75 * 1.2, abs=1e-14)
+    assert out[0] + out[1] == c[0] + c[1]
 
 
 def test_state_validation():
@@ -63,15 +59,6 @@ def test_state_validation():
         _state([2.2, 0.4, 0.4])
     with pytest.raises(InvariantViolation):
         _state([1.0, 1.0, 0.5])
-
-
-def test_pair_gap_fields():
-    state = _state([1.8, 1.6, 1.0, 0.2, 0.4])
-    gap = pair_gap(state, 0, 1)
-    # delta = 2 - c[i] - c[j]
-    assert gap.delta == pytest.approx(-1.4, abs=1e-14)
-    assert -2.0 <= gap.delta <= 2.0
-    assert isinstance(gap, PairGap)
 
 
 def test_pair_alpha_beta_cases():
@@ -86,10 +73,9 @@ def test_pair_alpha_beta_cases():
 def test_mstep_pair_box_and_conservation(ci, cj, lam):
     rest = 4.0 - ci - cj
     filler = min(rest, 2.0)
-    state = MatrixState(np.array([ci, cj, filler, rest - filler]))
-    out = mstep(state, 0, 1, lam)
-    assert out.c[0] + out.c[1] == state.c[0] + state.c[1]
-    assert 0.0 <= out.c[0] <= 2.0 and 0.0 <= out.c[1] <= 2.0
+    out = _move([ci, cj, filler, rest - filler], 0, 1, lam)
+    assert out[0] + out[1] == ci + cj
+    assert 0.0 <= out[0] <= 2.0 and 0.0 <= out[1] <= 2.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,11 +84,11 @@ def test_mstep_monotone_in_lambda(ci, cj, lam1, lam2):
     lam1, lam2 = min(lam1, lam2), max(lam1, lam2)
     rest = 4.0 - ci - cj
     filler = min(rest, 2.0)
-    state = MatrixState(np.array([ci, cj, filler, rest - filler]))
-    low = mstep(state, 0, 1, lam1)
-    high = mstep(state, 0, 1, lam2)
-    assert low.c[0] <= high.c[0]
-    assert low.c[1] >= high.c[1]
+    c = [ci, cj, filler, rest - filler]
+    low = _move(c, 0, 1, lam1)
+    high = _move(c, 0, 1, lam2)
+    assert low[0] <= high[0]
+    assert low[1] >= high[1]
 
 
 def test_stationary_sampler_exact_for_small_n(rng):
@@ -191,9 +177,11 @@ def test_batch_step_matches_scalar(rng):
     raw = rng.integers(0, n - 1, 50)
     j = raw + (raw >= i)
     lam = rng.random(50)
+    # each row against the pair split on that row's two values
     expected = c.copy()
     for k in range(50):
-        expected[k] = mstep(MatrixState(c[k]), int(i[k]), int(j[k]), float(lam[k])).c
+        coeffs = pair_alpha_beta(c[k, i[k]], c[k, j[k]])
+        expected[k, i[k]], expected[k, j[k]] = split_pair(*coeffs, lam[k])
     mstep_batch(c, i, j, lam)
     assert np.array_equal(c, expected)
 

@@ -1,12 +1,16 @@
-"""The dependency-level scheduler: levels cover every move once, never touch
-a (row, coordinate) twice, keep each (row, coordinate) in time order, and
-applying them level by level gives the per-step loop's bytes, on one chain
-per replica and on the stacked [X; Y] pair alike."""
+"""The batch move kernels and the dependency-level scheduler.
+
+One kernel call conserves each moved pair's sum exactly and leaves every
+other entry alone. Levels cover every move once, never touch a (row,
+coordinate) twice, keep each (row, coordinate) in time order, and applying
+them level by level gives the per-step loop's bytes, on one chain per
+replica and on the stacked [X; Y] pair alike."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gibbsmix import pairops
 from gibbsmix.groups import build_cyclic
@@ -36,6 +40,31 @@ def _per_step(kernel, x, a, b, lam):
 def _by_level(kernel, x, a, b, lam, n):
     for rows, pa, pb, pl in pair_levels(a, b, lam, n):
         kernel(x, pa, pb, pl, rows)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9])
+@pytest.mark.parametrize("kernel, top", [(step_batch, 1.0), (mstep_batch, 2.0)],
+                         ids=["simplex", "matrix"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), with_rows=st.booleans())
+def test_batch_kernels_conserve_each_moved_pair_sum_exactly(kernel, top, n, data, with_rows):
+    B = data.draw(st.integers(1, 6), label="B")
+    x = data.draw(arrays(np.float64, (B, n), elements=st.floats(0.0, top)), label="x")
+    rows = np.arange(B)
+    if with_rows:
+        rows = np.array(data.draw(
+            st.lists(st.integers(0, B - 1), min_size=1, max_size=B, unique=True), label="rows"))
+    k = rows.size
+    a = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k), label="a"))
+    step = np.array(data.draw(st.lists(st.integers(1, n - 1), min_size=k, max_size=k), label="step"))
+    b = (a + step) % n
+    lam = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k), label="lam"))
+    before = x.copy()
+    kernel(x, a, b, lam, *((rows,) if with_rows else ()))
+    assert np.array_equal(x[rows, a] + x[rows, b], before[rows, a] + before[rows, b])
+    moved = np.zeros((B, n), dtype=bool)
+    moved[rows, a] = moved[rows, b] = True
+    assert np.array_equal(x[~moved], before[~moved])
 
 
 @pytest.mark.parametrize("tile", [1, 3, 7, 512])

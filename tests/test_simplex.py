@@ -7,10 +7,9 @@ from scipy import stats
 from gibbsmix.errors import InvariantViolation
 from gibbsmix.groups import build_cyclic
 from gibbsmix.kernels import edge_walk_kernel
-from gibbsmix.pairops import stacked_draws
+from gibbsmix.pairops import split_pair, stacked_draws
 from gibbsmix.seeding import draw_pairs
 from gibbsmix.simplex import (
-    MoveDraw,
     SimplexState,
     SVector,
     check_s_recursion,
@@ -20,7 +19,6 @@ from gibbsmix.simplex import (
     s_vector,
     sample_stationary,
     sample_stationary_batch,
-    step,
     step_batch,
 )
 
@@ -28,19 +26,13 @@ unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
 def test_step_moves_pair_mass(z4):
+    # one move is a (1, n) batch: g = 0, r = 1 moves the pair (0, 0*1)
     group, _ = z4
-    state = SimplexState(np.array([0.2, 0.3, 0.4, 0.1]))
-    out = step(state, MoveDraw(g=0, r=1, lam=0.5), group)
-    assert out.x[0] == pytest.approx(0.25, abs=0)
-    assert out.x[1] == pytest.approx(0.25, abs=0)
-    assert out.x[2] == 0.4 and out.x[3] == 0.1
-
-
-def test_step_rejects_identity_generator(z4):
-    group, _ = z4
-    state = SimplexState(np.array([0.25, 0.25, 0.25, 0.25]))
-    with pytest.raises(InvariantViolation):
-        step(state, MoveDraw(g=1, r=0, lam=0.5), group)
+    x = np.array([0.2, 0.3, 0.4, 0.1])
+    step_batch(x[None], [0], [group.mul[0, 1]], [0.5])
+    assert x[0] == pytest.approx(0.25, abs=0)
+    assert x[1] == pytest.approx(0.25, abs=0)
+    assert x[2] == 0.4 and x[3] == 0.1
 
 
 def test_state_validation():
@@ -67,10 +59,10 @@ def test_step_conserves_pair_total_exactly(lam, a, b):
     rest = 1.0
     x = np.array([a, b, 0.0, 0.0])
     x = x / x.sum() * rest
-    state = SimplexState(x)
-    out = step(state, MoveDraw(g=0, r=1, lam=lam), group)
-    assert out.x[0] + out.x[1] == x[0] + x[1]
-    assert out.x.min() >= 0.0
+    out = x[None].copy()
+    step_batch(out, [0], [group.mul[0, 1]], [lam])
+    assert out[0, 0] + out[0, 1] == x[0] + x[1]
+    assert out.min() >= 0.0
 
 
 def test_batch_step_matches_scalar(z6, rng):
@@ -81,10 +73,11 @@ def test_batch_step_matches_scalar(z6, rng):
     r = np.asarray(gens.elements)[rng.integers(0, gens.m, 64)]
     b = np.asarray(group.mul[a, r])
     lam = rng.random(64)
+    # each row against the pair split on that row's two values
     expected = x.copy()
     for k in range(64):
-        out = step(SimplexState(x[k]), MoveDraw(int(a[k]), int(r[k]), float(lam[k])), group)
-        expected[k] = out.x
+        total = x[k, a[k]] + x[k, b[k]]
+        expected[k, a[k]], expected[k, b[k]] = split_pair(total, total, 0.0, lam[k])
     step_batch(x, a, b, lam)
     assert np.array_equal(x, expected)
 
