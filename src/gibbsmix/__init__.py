@@ -46,7 +46,6 @@ from .kernels import (
     cycle_gap,
     dirichlet_form,
     edge_walk_kernel,
-    kernel_to_csv,
     spectral_summary,
     verify_comparison,
 )
@@ -54,6 +53,7 @@ from .simplex import (
     SimplexState,
     SVector,
     check_s_recursion,
+    contraction_experiment,
     lower_bound_experiment,
     lower_bound_init,
     s_vector,
@@ -63,6 +63,7 @@ from .simplex import (
 from .matrices import (
     MatrixState,
     contraction_identity_check,
+    coupon_collector_experiment,
     mcontraction_experiment,
     monotone_couple_run,
     msample_stationary,
@@ -75,6 +76,7 @@ from .coupling import (
     build_partition_process,
     closeness_check,
     connectedness_experiment,
+    largeness_experiment,
     run_nonmarkovian_coupling,
     subset_couple_arrays,
 )
@@ -82,7 +84,6 @@ from .seeding import replica_rng
 from .harness import (
     ExperimentConfig,
     RunManifest,
-    coupon_collector_experiment,
     default_horizons,
     oracle,
     run,

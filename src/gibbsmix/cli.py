@@ -15,7 +15,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .errors import ConfigError
-from .harness import EXPERIMENTS, ORACLE_SUITES, ExperimentConfig, run
+from .harness import _RUNNERS, ORACLE_SUITES, ExperimentConfig, run
 
 _GROUP_HELP = (
     "group shorthand: cyclic:<n>[:pm1|complete|g1,g2,...], hypercube:<k>, "
@@ -58,28 +58,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_EXPERIMENT_HELP = {
-    "gap": "spectrum and gap of the pair-walk kernels on a Cayley graph",
-    "compare": "detailed balance and Dirichlet-form comparison of the rescaled kernel",
-    "s-recursion": "Monte Carlo check of the one-step autocorrelation-vector recursion",
-    "contract-simplex": "L2 contraction of proportionally coupled simplex chains",
-    "contract-matrix": "per-step L2 contraction ratio of coupled matrix chains",
-    "identity-matrix": "exact pairwise-gap identity on random matrix states",
-    "couple-simplex": "two-phase non-Markovian coupling on a Cayley simplex chain",
-    "couple-matrix": "two-phase non-Markovian coupling on the matrix chain",
-    "connect": "connection-time tails of random update schedules",
-    "largeness": "boundary margins of stationary trajectories over a window",
-    "lowerbound-simplex": "eigenvector-statistic decay and TV lower bound",
-    "lowerbound-matrix": "coupon-collector miss probability lower bound",
-    "oracle": "exact brute-force oracle suites for test fixtures",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gibbsmix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="EXPERIMENT")
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=_EXPERIMENT_HELP[name])
+    # each subcommand's help is its runner's one-line docstring
+    for name, runner in _RUNNERS.items():
+        sp = sub.add_parser(name, help=runner.__doc__)
         sp.add_argument("--config", help="path to a strict JSON config")
         sp.add_argument("--seed", type=int, help="base seed (64-bit)")
         sp.add_argument("--out", help="output directory")
@@ -109,20 +93,12 @@ def _build_config(args) -> ExperimentConfig:
     else:
         config = ExperimentConfig(experiment=args.experiment)
     updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.replicas is not None:
-        updates["replicas"] = args.replicas
-    if args.group is not None:
-        updates["group"] = parse_group_shorthand(args.group)
-    if args.n is not None:
-        updates["n"] = args.n
-    for name in ("T", "T1", "T2"):
+    for name in ("seed", "replicas", "n", "T", "T1", "T2", "suite"):
         value = getattr(args, name)
         if value is not None:
             updates[name] = value
-    if args.suite is not None:
-        updates["suite"] = args.suite
+    if args.group is not None:
+        updates["group"] = parse_group_shorthand(args.group)
     if args.threshold:
         thresholds = dict(config.thresholds)
         for item in args.threshold:

@@ -21,6 +21,10 @@ grows, P_T is all singletons, and each marked time merges exactly two blocks
 (S1 the smaller, ties broken toward the block containing the smallest
 coordinate). tau is the backward distance T - t* to the first time t* at
 which a single block forms.
+
+The module also runs the experiments behind the coupling's lemmas, for both
+chains: the connection-time tails of random schedules and the boundary
+margins ("largeness") that keep subset couplings non-degenerate.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import DegeneratePairMass, InvariantViolation
 from .groups import GeneratorSet, GroupTable
 from .kernels import base_walk_kernel, spectral_summary
 from .matrices import msample_stationary, mstep_batch
-from .pairops import advance, pair_coeffs, split_pair_float, stacked_draws
+from .pairops import advance, pair_coeffs, pair_levels, split_pair_float, stacked_draws
 from .seeding import draw_moves, draw_pairs, empty_moves, replica_rng
 from .simplex import sample_stationary, step_batch
 
@@ -51,11 +55,13 @@ __all__ = [
     "CouplingTrace",
     "CouplingRunResult",
     "ConnectReport",
+    "LargenessReport",
     "ClosenessReport",
     "build_partition_process",
     "subset_couple_arrays",
     "run_nonmarkovian_coupling",
     "connectedness_experiment",
+    "largeness_experiment",
     "closeness_check",
     "default_start",
 ]
@@ -119,10 +125,6 @@ class PartitionProcess:
     merges: list                  # MergeRecord, descending t
     tau: float                    # T - (first single-block time), or inf
     connected: bool
-
-    @property
-    def marked_times(self) -> list:
-        return [rec.t for rec in self.merges]
 
     def partition_at(self, t: int) -> list:
         """Blocks of P_t (components of the suffix edges {s >= t}), each a
@@ -276,6 +278,18 @@ def subset_couple_arrays(
 # the two-phase non-Markovian coupling
 
 
+def _chain_size(kind: str, group, gens, n) -> int:
+    """n of the chain an experiment names: the simplex chain on a group and
+    its generators, or the matrix chain on n rows."""
+    if kind == "simplex" and group is not None and gens is not None:
+        return group.n
+    if kind == "matrix" and n is not None:
+        return n
+    raise InvariantViolation(
+        "arguments", f"chain kind {kind!r} needs group and gens (simplex) or n (matrix)"
+    )
+
+
 @dataclass
 class CouplingOutcome:
     replica: int
@@ -284,16 +298,6 @@ class CouplingOutcome:
     first_failure_time: Optional[int]
     tau_connect: Optional[int]
     max_final_gap: float
-
-    def to_record(self) -> dict:
-        return {
-            "replica": self.replica,
-            "coupled": self.coupled,
-            "failure_kind": self.failure_kind,
-            "first_failure_time": self.first_failure_time,
-            "tau_connect": self.tau_connect,
-            "max_final_gap": self.max_final_gap,
-        }
 
 
 @dataclass(eq=False)
@@ -370,15 +374,7 @@ def run_nonmarkovian_coupling(
     was aborted by a degenerate pair mass), then NotConnected, then
     SubsetFailed.
     """
-    if kind == "simplex":
-        if group is None or gens is None:
-            raise InvariantViolation("arguments", "simplex coupling needs group and gens")
-        n = group.n
-    elif kind == "matrix":
-        if n is None:
-            raise InvariantViolation("arguments", "matrix coupling needs n")
-    else:
-        raise InvariantViolation("arguments", f"unknown chain kind {kind!r}")
+    n = _chain_size(kind, group, gens, n)
     if T2 < 1:
         raise InvariantViolation("arguments", "T2 must be >= 1")
 
@@ -528,7 +524,7 @@ def run_nonmarkovian_coupling(
 
 
 # ---------------------------------------------------------------------------
-# connectivity and closeness
+# connectivity, largeness and closeness
 
 
 # replicas per kernel call: small tiles keep the edge arrays in cache and the
@@ -646,14 +642,7 @@ def connectedness_experiment(
     (1/2 + 2 eps) n log n with bound 2 n^-eps; Cayley schedules use
     8 (C + 3) log n / gamma_hat with bound 2 n^-C.
     """
-    if kind == "simplex":
-        if group is None or gens is None:
-            raise InvariantViolation("arguments", "cayley schedule needs group and gens")
-        n = group.n
-    elif kind != "matrix":
-        raise InvariantViolation("arguments", f"unknown chain kind {kind!r}")
-    elif n is None:
-        raise InvariantViolation("arguments", "matrix schedule needs n")
+    n = _chain_size(kind, group, gens, n)
     if max_draws is None:
         max_draws = int(math.ceil(8.0 * n * max(math.log(n), 1.0))) + 32
 
@@ -683,6 +672,62 @@ def connectedness_experiment(
         bound=bound,
         tail_frequency=tail,
     )
+
+
+@dataclass
+class LargenessReport:
+    minima: np.ndarray           # per replica: smallest boundary margin over the window
+    threshold: Optional[float]
+    target: Optional[float]      # promised frequency of minima >= threshold
+
+
+def largeness_experiment(
+    kind: str,
+    *,
+    group: Optional[GroupTable] = None,
+    gens: Optional[GeneratorSet] = None,
+    n: Optional[int] = None,
+    window: int,
+    replicas: int = 1000,
+    seed: int = 0,
+    k: float = 1.0,
+    d: Optional[float] = None,
+) -> LargenessReport:
+    """Smallest boundary margin of each stationary trajectory over a window
+    of steps: the entries themselves on the simplex, the distance to the
+    nearer box wall, min(c, 2 - c), on the matrix chain.
+
+    The matrix threshold is n^(-5.5 - k) with target frequency 1 - 2 n^-k;
+    the simplex threshold is d, with no target. An entry's smallest margin
+    over the window is the smallest of its start value's and of every value
+    written to it, so the moves run in dependency levels and only the moved
+    entries are read.
+
+    Per-replica draw order: stationary start, pair arrays, lambda array.
+    """
+    n = _chain_size(kind, group, gens, n)
+    if kind == "matrix":
+        threshold = float(n) ** (-5.5 - k)
+        target = 1.0 - 2.0 * float(n) ** (-k)
+    else:
+        threshold, target = d, None
+
+    a, b, lam = empty_moves(replicas, window, n)
+    states = np.empty((replicas, n))
+    for r in range(replicas):
+        rng = replica_rng(seed, r)
+        states[r] = msample_stationary(n, rng).c if kind == "matrix" else sample_stationary(n, rng).x
+        a[r], b[r], lam[r] = draw_moves(rng, window, n, group, gens)
+
+    def margin(v: np.ndarray) -> np.ndarray:
+        return np.minimum(v, 2.0 - v) if kind == "matrix" else v
+
+    minima = margin(states).min(axis=1)
+    batch = mstep_batch if kind == "matrix" else step_batch
+    for rows, pa, pb, pl in pair_levels(a, b, lam, n):
+        batch(states, pa, pb, pl, rows)
+        np.minimum.at(minima, rows, np.minimum(margin(states[rows, pa]), margin(states[rows, pb])))
+    return LargenessReport(minima=minima, threshold=threshold, target=target)
 
 
 @dataclass

@@ -1,7 +1,8 @@
-"""Configuration-driven experiment runner.
+"""Configuration-driven experiment runner: config -> experiment call -> tables.
 
 A single strict JSON document drives every experiment; unknown fields are
-errors. Each run writes a manifest (status "running") before any results, the
+errors. The simulations live beside their chains; a runner only calls one.
+Each run writes a manifest (status "running") before any results, the
 artifacts, and then the final manifest (status "complete"), so interrupted
 runs leave a detectable partial marker. All randomness flows through
 per-replica streams derived as SeedSequence([seed, replica]); identical
@@ -18,7 +19,8 @@ import json
 import math
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, astuple, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -35,15 +37,13 @@ from .errors import (
     KernelError,
     RejectionBudgetExceeded,
 )
-from .coupling import connectedness_experiment, run_nonmarkovian_coupling
-from .groups import (
-    GeneratorSet,
-    GroupTable,
-    build_cyclic,
-    build_dihedral,
-    build_hypercube,
-    load_group,
+from .coupling import (
+    CouplingOutcome,
+    connectedness_experiment,
+    largeness_experiment,
+    run_nonmarkovian_coupling,
 )
+from .groups import build_cyclic, build_dihedral, build_hypercube, load_group
 from .kernels import (
     base_walk_kernel,
     comparison_kernel,
@@ -52,19 +52,20 @@ from .kernels import (
     verify_comparison,
 )
 from .matrices import (
+    MContractionPoint,
+    coupon_collector_experiment,
     identity_residual_batch,
     mcontraction_experiment,
-    msample_stationary,
     msample_stationary_batch,
-    mstep_batch,
 )
-from .pairops import advance, pair_levels
-from .seeding import draw_moves, draw_pairs, empty_moves, replica_rng, replica_seed_words
+from .seeding import replica_rng, replica_seed_words
 from .simplex import (
+    ContractionPoint,
+    LowerBoundPoint,
     check_s_recursion,
+    contraction_experiment,
     lower_bound_experiment,
     sample_stationary,
-    step_batch,
 )
 
 __all__ = [
@@ -75,30 +76,12 @@ __all__ = [
     "RunManifest",
     "resolve_group",
     "default_horizons",
-    "coupon_collector_experiment",
-    "CouponReport",
     "irwin_hall_cdf",
     "exact_acceptance_rate",
     "exact_marginal_cdf",
     "oracle",
     "run",
 ]
-
-EXPERIMENTS = (
-    "gap",
-    "compare",
-    "s-recursion",
-    "contract-simplex",
-    "contract-matrix",
-    "identity-matrix",
-    "couple-simplex",
-    "couple-matrix",
-    "connect",
-    "largeness",
-    "lowerbound-simplex",
-    "lowerbound-matrix",
-    "oracle",
-)
 
 THRESHOLD_KEYS = frozenset({"epsilon", "C", "k", "d", "c"})
 
@@ -109,7 +92,8 @@ ORACLE_SUITES = (
     "marginal-density",
 )
 
-_GROUP_FAMILIES = {"cyclic", "hypercube", "dihedral", "file"}
+# each group family and the field that sizes it
+_GROUP_FAMILIES = {"cyclic": "n", "hypercube": "k", "dihedral": "k", "file": "path"}
 _GROUP_KEYS = {"family", "n", "k", "gens", "path"}
 _OUTPUT_KEYS = {"path", "format"}
 _FORMATS = {"csv", "jsonl"}
@@ -120,6 +104,12 @@ _SEED_LIMIT = 2**64
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def _reject_unknown(what: str, given, allowed) -> None:
+    unknown = set(given) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
 def _require_int(value, name: str, minimum: Optional[int] = None) -> int:
@@ -162,20 +152,14 @@ class ExperimentConfig:
             _require_int(self.replicas, "replicas", 1)
         if not isinstance(self.thresholds, dict):
             raise ConfigError("thresholds must be an object")
-        unknown = set(self.thresholds) - THRESHOLD_KEYS
-        if unknown:
-            raise ConfigError(
-                f"unknown threshold names {sorted(unknown)}; allowed: {sorted(THRESHOLD_KEYS)}"
-            )
+        _reject_unknown("threshold names", self.thresholds, THRESHOLD_KEYS)
         for key, value in self.thresholds.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"threshold {key} must be a number, got {value!r}")
         if self.group is not None:
             if not isinstance(self.group, dict):
                 raise ConfigError("group must be an object")
-            unknown = set(self.group) - _GROUP_KEYS
-            if unknown:
-                raise ConfigError(f"unknown group fields {sorted(unknown)}")
+            _reject_unknown("group fields", self.group, _GROUP_KEYS)
             family = self.group.get("family")
             if family not in _GROUP_FAMILIES:
                 raise ConfigError(
@@ -184,9 +168,7 @@ class ExperimentConfig:
         if self.output is not None:
             if not isinstance(self.output, dict):
                 raise ConfigError("output must be an object")
-            unknown = set(self.output) - _OUTPUT_KEYS
-            if unknown:
-                raise ConfigError(f"unknown output fields {sorted(unknown)}")
+            _reject_unknown("output fields", self.output, _OUTPUT_KEYS)
             fmt = self.output.get("format")
             if fmt is not None and fmt not in _FORMATS:
                 raise ConfigError(f"output.format must be csv or jsonl, got {fmt!r}")
@@ -199,10 +181,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields {sorted(unknown)}")
+        _reject_unknown("config fields", data, cls.__dataclass_fields__)
         if "experiment" not in data:
             raise ConfigError("config requires an 'experiment' field")
         return cls(**data)
@@ -227,10 +206,12 @@ def resolve_group(spec: Optional[dict]):
     """Build (GroupTable, GeneratorSet) from a config group object."""
     if spec is None:
         raise ConfigError("this experiment requires a 'group' object")
-    family = spec["family"]
+    family = spec.get("family")
+    if family not in _GROUP_FAMILIES:
+        raise ConfigError(f"group.family must be one of {sorted(_GROUP_FAMILIES)}, got {family!r}")
+    if _GROUP_FAMILIES[family] not in spec:
+        raise ConfigError(f"{family} group requires {_GROUP_FAMILIES[family]!r}")
     if family == "cyclic":
-        if "n" not in spec:
-            raise ConfigError("cyclic group requires 'n'")
         n = _require_int(spec["n"], "group.n", 3)
         gens = spec.get("gens", "pm1")
         if gens == "pm1":
@@ -241,15 +222,9 @@ def resolve_group(spec: Optional[dict]):
             raise ConfigError("group.gens must be a list of integers, 'pm1', or 'complete'")
         return build_cyclic(n, gens)
     if family == "hypercube":
-        if "k" not in spec:
-            raise ConfigError("hypercube group requires 'k'")
         return build_hypercube(_require_int(spec["k"], "group.k", 1))
     if family == "dihedral":
-        if "k" not in spec:
-            raise ConfigError("dihedral group requires 'k'")
         return build_dihedral(_require_int(spec["k"], "group.k", 3))
-    if "path" not in spec:
-        raise ConfigError("file group requires 'path'")
     return load_group(spec["path"])
 
 
@@ -319,6 +294,13 @@ class Table:
     rows: list
     fmt_override: Optional[str] = None
 
+    @classmethod
+    def of(cls, name: str, record_type, records, fmt_override: Optional[str] = None) -> "Table":
+        """Table of dataclass records: one column per field of record_type,
+        so a table without records still has its header."""
+        header = [f.name for f in fields(record_type)]
+        return cls(name, header, [astuple(r) for r in records], fmt_override)
+
     def write(self, directory: Path, fmt: str) -> Path:
         if self.fmt_override is not None:
             fmt = self.fmt_override
@@ -365,12 +347,33 @@ _MANIFEST_SEED_CAP = 20_000
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (each returns (summary, tables, uses_replica_streams))
+# experiment runners (each returns (summary, tables, uses_replica_streams);
+# the docstring is the CLI help)
 
 
 def _thr(config: ExperimentConfig, key: str, default=None):
     value = config.thresholds.get(key, default)
     return None if value is None else float(value)
+
+
+def _n(config: ExperimentConfig) -> int:
+    if config.n is None:
+        raise ConfigError(f"{config.experiment} requires 'n'")
+    return config.n
+
+
+def _chain(config: ExperimentConfig, kind: Optional[str] = None):
+    """(kind, n, chain arguments) of the config's chain: the simplex chain
+    on its group or the matrix chain on n. Without a kind the config must
+    name exactly one of the two."""
+    if kind is None:
+        if (config.group is None) == (config.n is None):
+            raise ConfigError(f"{config.experiment} requires exactly one of 'group' or 'n'")
+        kind = "matrix" if config.n is not None else "simplex"
+    if kind == "matrix":
+        return kind, _n(config), {"n": config.n}
+    group, gens = resolve_group(config.group)
+    return kind, group.n, {"group": group, "gens": gens}
 
 
 def _eig_table(name: str, summary_kernel) -> Table:
@@ -388,6 +391,7 @@ def _kernel_table(name: str, kernel) -> Table:
 
 
 def _run_gap(config: ExperimentConfig):
+    """spectrum and gap of the pair-walk kernels on a Cayley graph"""
     group, gens = resolve_group(config.group)
     base = base_walk_kernel(group, gens)
     edge = edge_walk_kernel(group, gens)
@@ -413,6 +417,7 @@ def _db_residual(kernel) -> float:
 
 
 def _run_compare(config: ExperimentConfig):
+    """detailed balance and Dirichlet-form comparison of the rescaled kernel"""
     group, gens = resolve_group(config.group)
     trials = config.replicas or 1000
     comp = comparison_kernel(group, gens)
@@ -436,6 +441,7 @@ def _run_compare(config: ExperimentConfig):
 
 
 def _run_s_recursion(config: ExperimentConfig):
+    """Monte Carlo check of the one-step autocorrelation-vector recursion"""
     group, gens = resolve_group(config.group)
     samples = config.replicas or 10**6
     rng = replica_rng(config.seed, 0)
@@ -462,68 +468,35 @@ def _run_s_recursion(config: ExperimentConfig):
 
 
 def _run_contract_simplex(config: ExperimentConfig):
+    """L2 contraction of proportionally coupled simplex chains"""
     group, gens = resolve_group(config.group)
-    n = group.n
     replicas = config.replicas or 1000
-    gamma_hat = spectral_summary(base_walk_kernel(group, gens)).gap
-    stride = math.ceil(8.0 / gamma_hat)
-    checkpoints = 10
-    total = config.T if config.T is not None else stride * checkpoints
-    marks = sorted({t for t in range(stride, total + 1, stride)})
-    if not marks:
-        raise ConfigError("T too small: no checkpoint is a multiple of ceil(8/gamma_hat)")
-
-    B, T = replicas, total
-    # X and Y are the halves of one stacked batch
-    XY = np.zeros((2 * B, n))
-    X, Y = XY[:B], XY[B:]
-    X[:, group.identity] = 1.0
-    a, b, lam = empty_moves(B, T, n)
-    # per-replica draw order: stationary start, pair arrays, lambda array
-    for r in range(B):
-        rng = replica_rng(config.seed, r)
-        Y[r] = sample_stationary(n, rng).x
-        a[r], b[r], lam[r] = draw_moves(rng, T, n, group, gens)
-
-    traj_rows = []
-    mean_rows = []
-    ok = True
-    # the steps after the last checkpoint are drawn but never observed
-    for t0, t in zip([0] + marks, marks):
-        advance(step_batch, XY, a, b, lam, t0, t)
-        sq = ((X - Y) ** 2).sum(axis=1)
-        for r in range(B):
-            traj_rows.append((t, r, "sq_l2_gap", float(sq[r])))
-        mean = float(sq.mean())
-        se = float(sq.std(ddof=1) / math.sqrt(B)) if B > 1 else None
-        bound = 4.0 * n * math.exp(-math.floor(t * gamma_hat / 8.0))
-        mean_rows.append((t, mean, se, bound))
-        ok = ok and mean <= bound
+    report = contraction_experiment(group, gens, config.T, replicas, config.seed)
+    trajectory = [
+        (p.t, r, "sq_l2_gap", float(v))
+        for p, sq in zip(report.points, report.sq_gaps)
+        for r, v in enumerate(sq)
+    ]
     summary = {
-        "n": n,
-        "replicas": B,
-        "gamma_hat": gamma_hat,
-        "checkpoints": marks,
-        "ok": ok,
+        "n": group.n,
+        "replicas": replicas,
+        "gamma_hat": report.gamma_hat,
+        "checkpoints": [p.t for p in report.points],
+        "ok": all(p.mean_sq_l2_gap <= p.bound for p in report.points),
     }
     tables = [
-        Table("trajectory", ["t", "replica", "statistic_name", "value"], traj_rows),
-        Table("means", ["t", "mean_sq_l2_gap", "se", "bound"], mean_rows),
+        Table("trajectory", ["t", "replica", "statistic_name", "value"], trajectory),
+        Table.of("means", ContractionPoint, report.points),
     ]
     return summary, tables, True
 
 
 def _run_contract_matrix(config: ExperimentConfig):
-    if config.n is None:
-        raise ConfigError("contract-matrix requires 'n'")
-    n = config.n
+    """per-step L2 contraction ratio of coupled matrix chains"""
+    n = _n(config)
     replicas = config.replicas or 1000
     T = config.T if config.T is not None else 10 * n
     report = mcontraction_experiment(n, T, replicas, config.seed)
-    rows = [
-        (p.t, p.mean_sq_before, p.mean_sq_after, p.ratio, p.se, p.bound)
-        for p in report.points
-    ]
     summary = {
         "n": n,
         "replicas": replicas,
@@ -531,13 +504,12 @@ def _run_contract_matrix(config: ExperimentConfig):
         "identical_start_replicas": report.identical_start_replicas,
         "ok": report.ok,
     }
-    return summary, [Table("points", ["t", "mean_sq_before", "mean_sq_after", "ratio", "se", "bound"], rows)], True
+    return summary, [Table.of("points", MContractionPoint, report.points)], True
 
 
 def _run_identity_matrix(config: ExperimentConfig):
-    if config.n is None:
-        raise ConfigError("identity-matrix requires 'n'")
-    n = config.n
+    """exact pairwise-gap identity on random matrix states"""
+    n = _n(config)
     pairs = config.replicas or 10**4
     rng = replica_rng(config.seed, 0)
     cx = msample_stationary_batch(n, rng, pairs)
@@ -556,32 +528,19 @@ def _run_identity_matrix(config: ExperimentConfig):
 
 def _run_couple(config: ExperimentConfig, kind: str):
     replicas = config.replicas or 1000
-    if kind == "simplex":
-        group, gens = resolve_group(config.group)
-        n = group.n
-        gamma_hat = spectral_summary(base_walk_kernel(group, gens)).gap
-        t1_default, t2_default = default_horizons("simplex", n, gamma_hat)
-        kwargs = {"group": group, "gens": gens}
-    else:
-        if config.n is None:
-            raise ConfigError("couple-matrix requires 'n'")
-        n = config.n
-        t1_default, t2_default = default_horizons("matrix", n)
-        kwargs = {"n": n}
+    _, n, chain = _chain(config, kind)
+    gamma_hat = spectral_summary(base_walk_kernel(**chain)).gap if kind == "simplex" else None
+    t1_default, t2_default = default_horizons(kind, n, gamma_hat)
     T1 = config.T1 if config.T1 is not None else t1_default
     T2 = config.T2 if config.T2 is not None else t2_default
     if T2 < 1:
         raise ConfigError(f"{config.experiment} needs T2 >= 1, got {T2}")
-    result = run_nonmarkovian_coupling(
-        kind, T1=T1, T2=T2, replicas=replicas, seed=config.seed, **kwargs
-    )
-    records = [o.to_record() for o in result.outcomes]
-    coupled = [o for o in result.outcomes if o.coupled]
-    failures = {}
-    for o in result.outcomes:
-        if o.failure_kind:
-            failures[o.failure_kind] = failures.get(o.failure_kind, 0) + 1
-    taus = [o.tau_connect for o in result.outcomes if o.tau_connect is not None]
+    outcomes = run_nonmarkovian_coupling(
+        kind, T1=T1, T2=T2, replicas=replicas, seed=config.seed, **chain
+    ).outcomes
+    coupled = [o for o in outcomes if o.coupled]
+    failures = dict(Counter(o.failure_kind for o in outcomes if o.failure_kind))
+    taus = [o.tau_connect for o in outcomes if o.tau_connect is not None]
     summary = {
         "n": n,
         "T1": T1,
@@ -592,27 +551,27 @@ def _run_couple(config: ExperimentConfig, kind: str):
         "max_coupled_gap": max((o.max_final_gap for o in coupled), default=None),
         "mean_tau_connect": (sum(taus) / len(taus)) if taus else None,
     }
-    header = ["replica", "coupled", "failure_kind", "first_failure_time",
-              "tau_connect", "max_final_gap"]
-    rows = [tuple(rec[k] for k in header) for rec in records]
-    return summary, [Table("outcomes", header, rows, fmt_override="jsonl")], True
+    return summary, [Table.of("outcomes", CouplingOutcome, outcomes, fmt_override="jsonl")], True
+
+
+def _run_couple_simplex(config: ExperimentConfig):
+    """two-phase non-Markovian coupling on a Cayley simplex chain"""
+    return _run_couple(config, "simplex")
+
+
+def _run_couple_matrix(config: ExperimentConfig):
+    """two-phase non-Markovian coupling on the matrix chain"""
+    return _run_couple(config, "matrix")
 
 
 def _run_connect(config: ExperimentConfig):
+    """connection-time tails of random update schedules"""
     replicas = config.replicas or 1000
-    if (config.group is None) == (config.n is None):
-        raise ConfigError("connect requires exactly one of 'group' or 'n'")
-    if config.group is not None:
-        group, gens = resolve_group(config.group)
-        report = connectedness_experiment(
-            "simplex", group=group, gens=gens, replicas=replicas,
-            seed=config.seed, C=_thr(config, "C"),
-        )
-    else:
-        report = connectedness_experiment(
-            "matrix", n=config.n, replicas=replicas, seed=config.seed,
-            epsilon=_thr(config, "epsilon"),
-        )
+    kind, _, chain = _chain(config)
+    report = connectedness_experiment(
+        kind, **chain, replicas=replicas, seed=config.seed,
+        epsilon=_thr(config, "epsilon"), C=_thr(config, "C"),
+    )
     rows = [(idx, int(report.taus[idx])) for idx in range(replicas)]
     summary = {
         "kind": report.kind,
@@ -630,49 +589,22 @@ def _run_connect(config: ExperimentConfig):
 
 
 def _run_largeness(config: ExperimentConfig):
+    """boundary margins of stationary trajectories over a window"""
     replicas = config.replicas or 1000
-    if (config.group is None) == (config.n is None):
-        raise ConfigError("largeness requires exactly one of 'group' or 'n'")
-    if config.n is not None:
-        kind, n = "matrix", config.n
-        group = gens = None
-        k = _thr(config, "k", 1.0)
-        threshold = float(n) ** (-5.5 - k)
-        target = 1.0 - 2.0 * float(n) ** (-k)
-    else:
-        group, gens = resolve_group(config.group)
-        kind, n = "simplex", group.n
-        threshold = _thr(config, "d")
-        target = None
+    kind, n, chain = _chain(config)
     window = config.T if config.T is not None else n * n
-
-    B = replicas
-    a, b, lam = empty_moves(B, window, n)
-    states = np.empty((B, n))
-    # per-replica draw order: stationary start, pair arrays, lambda array
-    for r in range(B):
-        rng = replica_rng(config.seed, r)
-        states[r] = msample_stationary(n, rng).c if kind == "matrix" else sample_stationary(n, rng).x
-        a[r], b[r], lam[r] = draw_moves(rng, window, n, group, gens)
-
-    def margin(v: np.ndarray) -> np.ndarray:
-        return np.minimum(v, 2.0 - v) if kind == "matrix" else v
-
-    # an entry's smallest margin over the window is the smallest of its
-    # start value's and of every value written to it, so the moves run in
-    # dependency levels and only the moved entries are read
-    minima = margin(states).min(axis=1)
-    batch = mstep_batch if kind == "matrix" else step_batch
-    for rows, pa, pb, pl in pair_levels(a, b, lam, n):
-        batch(states, pa, pb, pl, rows)
-        np.minimum.at(minima, rows, np.minimum(margin(states[rows, pa]), margin(states[rows, pb])))
-    rows = [(r, float(minima[r])) for r in range(B)]
+    report = largeness_experiment(
+        kind, **chain, window=window, replicas=replicas, seed=config.seed,
+        k=_thr(config, "k", 1.0), d=_thr(config, "d"),
+    )
+    minima, threshold, target = report.minima, report.threshold, report.target
+    rows = [(r, float(minima[r])) for r in range(replicas)]
     frequency = float(np.mean(minima >= threshold)) if threshold is not None else None
     summary = {
         "kind": kind,
         "n": n,
         "window": window,
-        "replicas": B,
+        "replicas": replicas,
         "threshold": threshold,
         "frequency_above_threshold": frequency,
         "target_frequency": target,
@@ -683,6 +615,7 @@ def _run_largeness(config: ExperimentConfig):
 
 
 def _run_lowerbound_simplex(config: ExperimentConfig):
+    """eigenvector-statistic decay and TV lower bound"""
     group, gens = resolve_group(config.group)
     replicas = config.replicas or 10**4
     gamma = spectral_summary(edge_walk_kernel(group, gens)).gap
@@ -690,11 +623,6 @@ def _run_lowerbound_simplex(config: ExperimentConfig):
     report = lower_bound_experiment(
         group, gens, T, d=_thr(config, "d"), replicas=replicas, seed=config.seed
     )
-    rows = [
-        (p.t, p.mean_inner, p.se, p.exact, p.tail_empirical, p.tail_stationary,
-         p.tv_lower_bound)
-        for p in report.points
-    ]
     summary = {
         "n": group.n,
         "replicas": replicas,
@@ -709,64 +637,20 @@ def _run_lowerbound_simplex(config: ExperimentConfig):
         and report.slope_rel_error <= 0.05
         and report.stationary_second_moment <= report.stationary_bound,
     }
-    table = Table(
-        "points",
-        ["t", "mean_inner", "se", "exact", "tail_empirical", "tail_stationary",
-         "tv_lower_bound"],
-        rows,
-    )
-    return summary, [table], True
-
-
-@dataclass
-class CouponReport:
-    n: int
-    c: float
-    T: int
-    replicas: int
-    miss_frequency: float
-    target: float                # 1 - exp(-exp(c))
-    abs_error: float
-
-
-def coupon_collector_experiment(n: int, c: float, replicas: int, seed: int) -> CouponReport:
-    """Fraction of runs in which some coordinate is never touched by a pair
-    update within T = floor(n (log n - c) / 2) steps, against the classical
-    limit 1 - exp(-exp(c)).
-
-    Per-replica draw order: the pair arrays of seeding.draw_pairs.
-    """
-    T = max(0, math.floor(0.5 * n * (math.log(n) - c)))
-    misses = 0
-    for b in range(replicas):
-        rng = replica_rng(seed, b)
-        if T == 0:
-            misses += 1
-            continue
-        i, j = draw_pairs(rng, T, n)
-        seen = np.zeros(n, dtype=bool)
-        seen[i] = True
-        seen[j] = True
-        misses += not seen.all()
-    target = 1.0 - math.exp(-math.exp(c))
-    freq = misses / replicas
-    return CouponReport(
-        n=n, c=float(c), T=T, replicas=replicas, miss_frequency=freq,
-        target=target, abs_error=abs(freq - target),
-    )
+    return summary, [Table.of("points", LowerBoundPoint, report.points)], True
 
 
 def _run_lowerbound_matrix(config: ExperimentConfig):
-    if config.n is None:
-        raise ConfigError("lowerbound-matrix requires 'n'")
+    """coupon-collector miss probability lower bound"""
+    n = _n(config)
     replicas = config.replicas or 10**4
     c = _thr(config, "c", 0.0)
-    report = coupon_collector_experiment(config.n, c, replicas, config.seed)
+    report = coupon_collector_experiment(n, c, replicas, config.seed)
     summary = {
-        "n": report.n,
-        "c": report.c,
+        "n": n,
+        "c": c,
         "T": report.T,
-        "replicas": report.replicas,
+        "replicas": replicas,
         "miss_frequency": report.miss_frequency,
         "target": report.target,
         "abs_error": report.abs_error,
@@ -811,8 +695,7 @@ def exact_marginal_cdf(n: int, x: float) -> float:
         return 1.0
     k = n - 1
     top = irwin_hall_cdf(k, n / 2.0) - irwin_hall_cdf(k, (n - x) / 2.0)
-    bottom = irwin_hall_cdf(k, n / 2.0) - irwin_hall_cdf(k, (n - 2) / 2.0)
-    return top / bottom
+    return top / exact_acceptance_rate(n)
 
 
 def _oracle_kernel_enumeration() -> dict:
@@ -951,6 +834,7 @@ def oracle(suite: str) -> dict:
 
 
 def _run_oracle(config: ExperimentConfig):
+    """exact brute-force oracle suites for test fixtures"""
     if config.suite is None:
         raise ConfigError("oracle requires a 'suite' field")
     values = oracle(config.suite)
@@ -968,14 +852,15 @@ _RUNNERS = {
     "contract-simplex": _run_contract_simplex,
     "contract-matrix": _run_contract_matrix,
     "identity-matrix": _run_identity_matrix,
-    "couple-simplex": lambda cfg: _run_couple(cfg, "simplex"),
-    "couple-matrix": lambda cfg: _run_couple(cfg, "matrix"),
+    "couple-simplex": _run_couple_simplex,
+    "couple-matrix": _run_couple_matrix,
     "connect": _run_connect,
     "largeness": _run_largeness,
     "lowerbound-simplex": _run_lowerbound_simplex,
     "lowerbound-matrix": _run_lowerbound_matrix,
     "oracle": _run_oracle,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config: ExperimentConfig, out_dir=None, fmt: Optional[str] = None) -> int:

@@ -44,7 +44,6 @@ __all__ = [
     "dirichlet_form",
     "dirichlet_form_matrix",
     "verify_comparison",
-    "kernel_to_csv",
     "cycle_gap",
     "complete_set_gap",
 ]
@@ -232,11 +231,6 @@ def verify_comparison(
             raise ComparisonViolated(f"measure ratio {max_measure:.6f} > 2")
         raise ComparisonViolated(f"gap {gap:.6e} < gap_hat/8 = {gap_hat / 8:.6e}")
     return report
-
-
-def kernel_to_csv(kernel: TransitionKernel, path: str) -> None:
-    """Row-major CSV with 17 significant digits."""
-    np.savetxt(path, kernel.p, delimiter=",", fmt="%.17g")
 
 
 def cycle_gap(n: int) -> float:

@@ -11,7 +11,9 @@ the box [0, 2]^2. Writing s = c[i] + c[j] and delta = 2 - s, the update is
 which matches the two sign-case displays (delta >= 0: c'[i] = lam * (2 -
 delta); delta < 0: c'[i] = 2 lam - (1 - lam) delta) and is affine and
 increasing in lam in both. The uniform distribution on the polytope is
-stationary.
+stationary. The module also holds the matrix chain's experiments: the
+contraction identity, the per-step L2 contraction and the coupon-collector
+lower bound.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
 from .pairops import advance, flat_pair_index, pair_coeffs, split_pair, split_pair_float
-from .seeding import draw_moves, empty_moves, replica_rng
+from .seeding import draw_moves, draw_pairs, empty_moves, replica_rng
 
 __all__ = [
     "MatrixState",
@@ -31,6 +33,7 @@ __all__ = [
     "MContractionPoint",
     "MContractionReport",
     "MonotoneReport",
+    "CouponReport",
     "mstep_batch",
     "msample_stationary",
     "msample_stationary_batch",
@@ -38,6 +41,7 @@ __all__ = [
     "identity_residual_batch",
     "mcontraction_experiment",
     "monotone_couple_run",
+    "coupon_collector_experiment",
     "pair_alpha_beta",
 ]
 
@@ -171,8 +175,6 @@ class MContractionPoint:
 
 @dataclass
 class MContractionReport:
-    n: int
-    replicas: int
     points: list
     identical_start_replicas: int
     ok: bool | None              # ratio <= bound + 4 se wherever both exist; None if nowhere
@@ -238,9 +240,7 @@ def mcontraction_experiment(
         )
     judged = [p.ratio <= p.bound + 4.0 * p.se for p in points if p.se is not None]
     ok = all(judged) if judged else None
-    return MContractionReport(
-        n=n, replicas=replicas, points=points, identical_start_replicas=identical, ok=ok
-    )
+    return MContractionReport(points=points, identical_start_replicas=identical, ok=ok)
 
 
 @dataclass
@@ -316,3 +316,35 @@ def monotone_couple_run(
         max_entry_matrix=max_c,
         min_entry_simplex=min_s,
     )
+
+
+@dataclass
+class CouponReport:
+    T: int
+    miss_frequency: float
+    target: float                # 1 - exp(-exp(c))
+    abs_error: float
+
+
+def coupon_collector_experiment(n: int, c: float, replicas: int, seed: int) -> CouponReport:
+    """Fraction of runs in which some coordinate is never touched by a pair
+    update within T = floor(n (log n - c) / 2) steps, against the classical
+    limit 1 - exp(-exp(c)).
+
+    Per-replica draw order: the pair arrays of seeding.draw_pairs.
+    """
+    T = max(0, math.floor(0.5 * n * (math.log(n) - c)))
+    misses = 0
+    for b in range(replicas):
+        rng = replica_rng(seed, b)
+        if T == 0:
+            misses += 1
+            continue
+        i, j = draw_pairs(rng, T, n)
+        seen = np.zeros(n, dtype=bool)
+        seen[i] = True
+        seen[j] = True
+        misses += not seen.all()
+    target = 1.0 - math.exp(-math.exp(c))
+    freq = misses / replicas
+    return CouponReport(T=T, miss_frequency=freq, target=target, abs_error=abs(freq - target))

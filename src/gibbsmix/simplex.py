@@ -9,8 +9,9 @@ to 1. A move picks a group element g, a generator r, and lam uniform on
 The uniform distribution on the simplex is stationary. This module also
 provides the stationary sampler, the cross-correlation diagnostic for a pair
 of coupled chains (the S vector), a Monte Carlo check of its exact one-step
-recursion, and the eigenvector-statistic lower-bound experiment driven by the
-edge-walk kernel.
+recursion, the L2 contraction experiment of the proportional coupling, and
+the eigenvector-statistic lower-bound experiment driven by the edge-walk
+kernel.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateEigenvector, InvariantViolation
+from .errors import ConfigError, DegenerateEigenvector, InvariantViolation
 from .groups import GeneratorSet, GroupTable
-from .kernels import TransitionKernel, edge_walk_kernel, spectral_summary
+from .kernels import TransitionKernel, base_walk_kernel, edge_walk_kernel, spectral_summary
 from .pairops import advance, flat_pair_index, split_pair
 from .seeding import draw_moves, empty_moves, replica_rng
 
@@ -31,6 +32,8 @@ __all__ = [
     "SimplexState",
     "SVector",
     "SRecursionReport",
+    "ContractionPoint",
+    "ContractionReport",
     "LowerBoundPoint",
     "LowerBoundReport",
     "step_batch",
@@ -39,6 +42,7 @@ __all__ = [
     "s_vector",
     "s_recursion_targets",
     "check_s_recursion",
+    "contraction_experiment",
     "lower_bound_init",
     "lower_bound_experiment",
     "replica_rng",
@@ -192,8 +196,10 @@ def check_s_recursion(
     """Monte Carlo estimate of E[S'] after one proportionally coupled move,
     against the closed-form targets.
 
-    Each entry's deviation is also given in units of its standard error (0
-    where the deviation is 0 or the se is). A standard error needs two
+    Each entry's deviation is also given in units of its standard error: 0
+    where the se is 0 or the deviation lies within 8 (m + 1) eps s[id], a
+    bound on the rounding of the closed-form target (at most 4m + 2 terms
+    whose magnitudes sum to at most 2 s[id]). A standard error needs two
     samples: with one, se, deviation_se and max_deviation_se are None.
 
     The difference vector D = x - y evolves autonomously under proportional
@@ -214,12 +220,9 @@ def check_s_recursion(
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
-        rows = np.arange(b)
         a, partner, lam = draw_moves(rng, b, n, group, gens)
         d = np.broadcast_to(d0, (b, n)).copy()
-        total = d[rows, a] + d[rows, partner]
-        d[rows, a] = lam * total
-        d[rows, partner] = (1.0 - lam) * total
+        step_batch(d, a, partner, lam)
         sprime = np.einsum("bg,bgh->bh", d, d[:, mul])
         acc += sprime.sum(axis=0)
         acc_sq += (sprime**2).sum(axis=0)
@@ -229,11 +232,12 @@ def check_s_recursion(
 
     est = acc / samples
     dev = np.abs(est - targets)
+    rounding = 8.0 * (gens.m + 1) * np.finfo(float).eps * s0[group.identity]
     se = units = None
     if samples > 1:
         var = np.maximum(acc_sq / samples - est**2, 0.0)
         se = np.sqrt(var / samples)
-        units = np.where(dev == 0.0, 0.0, dev / np.where(se > 0.0, se, np.inf))
+        units = np.where(dev <= rounding, 0.0, dev / np.where(se > 0.0, se, np.inf))
     return SRecursionReport(
         targets=targets,
         estimates=est,
@@ -245,6 +249,69 @@ def check_s_recursion(
         mean_lambda_sq=lam_sq_acc / samples,
         samples=samples,
     )
+
+
+@dataclass
+class ContractionPoint:
+    t: int
+    mean_sq_l2_gap: float
+    se: Optional[float]          # None with one replica
+    bound: float                 # 4 n exp(-floor(t gamma_hat / 8))
+
+
+@dataclass
+class ContractionReport:
+    gamma_hat: float             # base-walk gap
+    points: list
+    sq_gaps: np.ndarray          # (checkpoints, replicas): ||X_t - Y_t||^2
+
+
+def contraction_experiment(
+    group: GroupTable,
+    gens: GeneratorSet,
+    T: Optional[int],
+    replicas: int,
+    seed: int,
+) -> ContractionReport:
+    """L2 contraction of a proportionally coupled pair: X starts at the
+    point mass on the identity, Y stationary, and both share every draw.
+
+    At every positive multiple t <= T of ceil(8 / gamma_hat) (T defaults to
+    ten of them) the mean of ||X_t - Y_t||^2 over the replicas is set against
+    4 n exp(-floor(t gamma_hat / 8)); a T below the first multiple is a
+    ConfigError. With one replica each point's se is None.
+
+    Per-replica draw order: Y start, pair arrays, lambda array.
+    """
+    n = group.n
+    gamma_hat = spectral_summary(base_walk_kernel(group, gens)).gap
+    stride = math.ceil(8.0 / gamma_hat)
+    T = 10 * stride if T is None else T
+    marks = list(range(stride, T + 1, stride))
+    if not marks:
+        raise ConfigError("T too small: no checkpoint is a multiple of ceil(8/gamma_hat)")
+
+    # X and Y are the halves of one stacked batch
+    XY = np.zeros((2 * replicas, n))
+    X, Y = XY[:replicas], XY[replicas:]
+    X[:, group.identity] = 1.0
+    a, b, lam = empty_moves(replicas, T, n)
+    for r in range(replicas):
+        rng = replica_rng(seed, r)
+        Y[r] = sample_stationary(n, rng).x
+        a[r], b[r], lam[r] = draw_moves(rng, T, n, group, gens)
+
+    points = []
+    sq_gaps = np.empty((len(marks), replicas))
+    # the steps after the last checkpoint are drawn but never observed
+    for k, (t0, t) in enumerate(zip([0] + marks, marks)):
+        advance(step_batch, XY, a, b, lam, t0, t)
+        sq = ((X - Y) ** 2).sum(axis=1)
+        sq_gaps[k] = sq
+        se = float(sq.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else None
+        bound = 4.0 * n * math.exp(-math.floor(t * gamma_hat / 8.0))
+        points.append(ContractionPoint(t=t, mean_sq_l2_gap=float(sq.mean()), se=se, bound=bound))
+    return ContractionReport(gamma_hat=gamma_hat, points=points, sq_gaps=sq_gaps)
 
 
 def lower_bound_init(kernel: TransitionKernel):
@@ -292,7 +359,6 @@ class LowerBoundReport:
     slope_rel_error: Optional[float]
     stationary_second_moment: float
     stationary_bound: float      # 2 / n^2
-    replicas: int
 
 
 def lower_bound_experiment(
@@ -383,5 +449,4 @@ def lower_bound_experiment(
         slope_rel_error=rel_error,
         stationary_second_moment=m2_stat,
         stationary_bound=2.0 / n**2,
-        replicas=replicas,
     )

@@ -15,12 +15,7 @@ from gibbsmix.coupling import (
     subset_couple_arrays,
 )
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
-from gibbsmix.harness import (
-    ExperimentConfig,
-    coupon_collector_experiment,
-    default_horizons,
-    run,
-)
+from gibbsmix.harness import ExperimentConfig, default_horizons, run
 from gibbsmix.kernels import (
     base_walk_kernel,
     comparison_kernel,
@@ -29,6 +24,7 @@ from gibbsmix.kernels import (
     verify_comparison,
 )
 from gibbsmix.matrices import (
+    coupon_collector_experiment,
     identity_residual_batch,
     mcontraction_experiment,
     monotone_couple_run,

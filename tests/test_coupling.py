@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -378,7 +379,7 @@ def test_nonmarkovian_deterministic():
         )
         for _ in range(2)
     ]
-    records = [[o.to_record() for o in r.outcomes] for r in runs]
+    records = [[asdict(o) for o in r.outcomes] for r in runs]
     assert records[0] == records[1]
 
 
@@ -443,7 +444,7 @@ def _records_with_and_without_trace(chain, T1, T2, replicas, seed):
     kind, n, build = _TRACE_CHAINS[chain]
     group, gens = build() if build else (None, None)
     return [
-        [o.to_record() for o in run_nonmarkovian_coupling(
+        [asdict(o) for o in run_nonmarkovian_coupling(
             kind, group=group, gens=gens, n=n, T1=T1, T2=T2, replicas=replicas,
             seed=seed, keep_trace=keep,
         ).outcomes]

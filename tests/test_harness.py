@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from fractions import Fraction
@@ -7,13 +8,12 @@ import pytest
 
 import gibbsmix.errors as errors
 import gibbsmix.harness as harness
+from gibbsmix.cli import build_parser, parse_group_shorthand
 from gibbsmix.cli import main as cli_main
-from gibbsmix.cli import parse_group_shorthand
 from gibbsmix.errors import ConfigError, InvariantViolation
 from gibbsmix.harness import (
     EXPERIMENTS,
     ExperimentConfig,
-    coupon_collector_experiment,
     default_horizons,
     exact_acceptance_rate,
     exact_marginal_cdf,
@@ -22,7 +22,7 @@ from gibbsmix.harness import (
     resolve_group,
     run,
 )
-from gibbsmix.matrices import msample_stationary, mstep_batch
+from gibbsmix.matrices import coupon_collector_experiment, msample_stationary, mstep_batch
 from gibbsmix.seeding import draw_moves, replica_rng
 from gibbsmix.simplex import sample_stationary, step_batch
 
@@ -321,6 +321,37 @@ def test_s_recursion_with_one_sample_has_no_standard_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_s_recursion_counts_target_rounding_as_no_deviation(tmp_path, capsys):
+    # on the 2-element group one move sends D to 0, so both exact targets are
+    # 0; the closed form rounds element 0's to 5.55e-17 and the estimates are
+    # about 1e-33 with se about 1e-35, all within the rounding bound
+    out = tmp_path / "res"
+    assert cli_main(["s-recursion", "--group", "hypercube:1", "--replicas", "1000",
+                     "--seed", "0", "--out", str(out)]) == 0
+    summary = _read_manifest(out)["summary"]
+    assert summary["max_deviation_se"] == 0.0 and summary["ok"] is True
+    capsys.readouterr()
+
+
+def test_contract_simplex_horizon_before_the_first_checkpoint_exits_one(tmp_path, capsys):
+    # cyclic:5 checkpoints every ceil(8 / gamma_hat) = 29 steps
+    out = tmp_path / "res"
+    assert cli_main(["contract-simplex", "--group", "cyclic:5", "--T", "1",
+                     "--out", str(out)]) == 1
+    assert _read_manifest(out)["error"].startswith("ConfigError: T too small")
+    capsys.readouterr()
+
+
+def test_record_table_without_records_keeps_its_header(tmp_path, capsys):
+    # T = 0 leaves contract-matrix no checkpoint, so points.csv has no row;
+    # its header comes from the record type
+    out = tmp_path / "res"
+    assert cli_main(["contract-matrix", "--n", "5", "--T", "0", "--replicas", "3",
+                     "--out", str(out)]) == 0
+    assert (out / "points.csv").read_text() == "t,mean_sq_before,mean_sq_after,ratio,se,bound\n"
+    capsys.readouterr()
+
+
 def test_contract_matrix_exact_coupling_writes_null_ratios(tmp_path, capsys):
     # n=5 with one replica couples to the bit within the run: from then on
     # mean_sq_before is 0 and the ratio is undefined
@@ -510,6 +541,15 @@ def test_experiment_list_matches_dispatch():
     assert set(EXPERIMENTS) == set(harness._RUNNERS)
 
 
+def test_harness_binds_no_simulation_layer():
+    # the harness turns a config into a call and the call's result into
+    # tables; move kernels, levelled advances and draw laws stay with the
+    # chains
+    layer = ("advance", "pair_levels", "draw_moves", "draw_pairs", "empty_moves",
+             "step_batch", "mstep_batch", "msample_stationary")
+    assert [name for name in layer if hasattr(harness, name)] == []
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -530,6 +570,14 @@ def test_parse_group_shorthand_cases():
     for bad in ("cyclic", "cyclic:x", "cyclic:6:1,q", "quaternion:8", "hypercube:2:3"):
         with pytest.raises(ConfigError):
             parse_group_shorthand(bad)
+
+
+def test_every_subcommand_has_help():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert list(helps) == list(EXPERIMENTS)
+    assert all(text and text.strip() for text in helps.values()), helps
 
 
 def test_cli_runs_gap_experiment(tmp_path, capsys):

@@ -15,7 +15,6 @@ from gibbsmix.kernels import (
     cycle_gap,
     dirichlet_form,
     edge_walk_kernel,
-    kernel_to_csv,
     spectral_summary,
     verify_comparison,
 )
@@ -113,15 +112,6 @@ def test_spectral_summary_requires_reversibility():
     kernel = TransitionKernel(n=3, p=p, pi=np.full(3, 1.0 / 3.0))
     with pytest.raises(NotReversible):
         spectral_summary(kernel)
-
-
-def test_kernel_csv_roundtrip(tmp_path, z4):
-    group, gens = z4
-    kernel = base_walk_kernel(group, gens)
-    path = tmp_path / "kernel.csv"
-    kernel_to_csv(kernel, str(path))
-    back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(back, kernel.p)
 
 
 @settings(max_examples=20, deadline=None)
