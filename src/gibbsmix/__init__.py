@@ -72,7 +72,6 @@ from .matrices import (
 from .coupling import (
     CouplingOutcome,
     PartitionProcess,
-    UpdateSchedule,
     build_partition_process,
     closeness_check,
     connectedness_experiment,

@@ -30,7 +30,6 @@ margins ("largeness") that keep subset couplings non-degenerate.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,7 +47,6 @@ __all__ = [
     "SUBSET_FAILED",
     "NOT_CONNECTED",
     "LARGENESS_VIOLATED",
-    "UpdateSchedule",
     "MergeRecord",
     "PartitionProcess",
     "CouplingOutcome",
@@ -79,49 +77,22 @@ _PAIR_MASS_FLOOR = 1e-300
 # schedules and partition processes
 
 
-@dataclass(eq=False)
-class UpdateSchedule:
-    """Pre-drawn update coordinates for times t0, t0+1, ..., t0+len-1."""
-
-    entries: np.ndarray          # (T, 2) coordinate pairs
-    t0: int = 0
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.int64)
-        if self.entries.ndim != 2 or self.entries.shape[1] != 2:
-            raise InvariantViolation("schedule-shape", f"shape {self.entries.shape}")
-        if np.any(self.entries[:, 0] == self.entries[:, 1]):
-            raise InvariantViolation("schedule-pair-distinct", "an entry has i == j")
-
-    def __len__(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def end(self) -> int:
-        return self.t0 + len(self)
-
-
 @dataclass
 class MergeRecord:
     """At time t the blocks s1 and s2 of P_{t+1} (sorted tuples) merge into
     one block of P_t; |s1| <= |s2|, ties broken so s1 contains the smallest
-    coordinate."""
+    coordinate. (i, j) is the edge updated at t, with i in s1 and j in s2."""
 
     t: int
     s1: tuple
     s2: tuple
-
-
-def _has(block: tuple, k: int) -> bool:
-    """Membership of k in a sorted block, by bisection."""
-    at = bisect_left(block, k)
-    return at < len(block) and block[at] == k
+    i: int
+    j: int
 
 
 @dataclass(eq=False)
 class PartitionProcess:
     n: int
-    schedule: UpdateSchedule
     merges: list                  # MergeRecord, descending t
     tau: float                    # T - (first single-block time), or inf
     connected: bool
@@ -141,26 +112,27 @@ class PartitionProcess:
         return sorted(blocks.values())
 
 
-def build_partition_process(sched: UpdateSchedule, n: int) -> PartitionProcess:
-    """Backward scan over the schedule on block labels, recording every
-    merge: owner[k] is the label of k's block and blocks[label] its sorted
+def build_partition_process(left, right, n: int, t0: int = 0) -> PartitionProcess:
+    """Backward scan over the schedule whose edge at time t0 + s is
+    (left[s], right[s]), two 1-D integer arrays with left != right, on block
+    labels: owner[k] is the label of k's block and blocks[label] its sorted
     members. A merge relabels the members of S1, the block with the smaller
-    (size, first member); the scan stops after n - 1 merges, since no merge
-    can follow."""
-    if len(sched) == 0:
+    (size, first member), and records the edge oriented from S1 to S2; the
+    scan stops after n - 1 merges, since no merge can follow."""
+    if len(left) == 0:
         raise InvariantViolation("schedule-empty", "schedule must be nonempty")
     owner = list(range(n))
     blocks = [(k,) for k in range(n)]
     merges = []
-    entries = sched.entries.tolist()
-    for idx in range(len(entries) - 1, -1, -1):
-        i, j = entries[idx]
+    lefts, rights = left.tolist(), right.tolist()
+    for idx in range(len(lefts) - 1, -1, -1):
+        i, j = lefts[idx], rights[idx]
         if owner[i] == owner[j]:
             continue
         s1, s2 = blocks[owner[i]], blocks[owner[j]]
         if (len(s2), s2[0]) < (len(s1), s1[0]):
-            s1, s2 = s2, s1
-        merges.append(MergeRecord(t=sched.t0 + idx, s1=s1, s2=s2))
+            s1, s2, i, j = s2, s1, j, i
+        merges.append(MergeRecord(t=t0 + idx, s1=s1, s2=s2, i=i, j=j))
         label = owner[s2[0]]
         for k in s1:
             owner[k] = label
@@ -168,10 +140,8 @@ def build_partition_process(sched: UpdateSchedule, n: int) -> PartitionProcess:
         if len(merges) == n - 1:
             break
     connected = len(merges) == n - 1
-    tau = float(sched.end - merges[-1].t) if connected else math.inf
-    return PartitionProcess(
-        n=n, schedule=sched, merges=merges, tau=tau, connected=connected
-    )
+    tau = float(t0 + len(lefts) - merges[-1].t) if connected else math.inf
+    return PartitionProcess(n=n, merges=merges, tau=tau, connected=connected)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +272,12 @@ class CouplingOutcome:
 
 @dataclass(eq=False)
 class CouplingTrace:
-    kind: str
     t0: int                      # start of phase 2
     xs: np.ndarray               # (T2 + 1, n) states entering each replay time
     ys: np.ndarray
     partition: PartitionProcess
-    subset_times: list
     subset_success: list
     first_failure_time: Optional[int]
-    initial_l1: float
 
 
 @dataclass
@@ -355,7 +322,8 @@ def run_nonmarkovian_coupling(
     suffix graph of its phase-2 coordinates is built, and the T2 phase-2
     steps are replayed with a subset coupling at each marked time — the
     updated coordinate lying in the smaller merged block S1 takes the role
-    i — and proportional coupling elsewhere.
+    i, as the scan recorded it (``MergeRecord.i``) — and proportional
+    coupling elsewhere.
 
     Nothing is observed during phase 1 or before the earliest marked time
     over the replicas (without ``keep_trace``), so those moves are applied
@@ -399,15 +367,13 @@ def run_nonmarkovian_coupling(
     batch = step_batch if kind == "simplex" else mstep_batch
     advance(batch, XY, left, right, lam, 0, T1)
     # outcomes read only tau and connectedness, and the merges live on in
-    # ``marks``; a whole process (with its schedule) is kept for a trace only
+    # ``marks``; a whole process is kept for a trace only
     tau = [math.inf] * B
     connected = [False] * B
     processes = []
     marks = {}
     for b in range(B):
-        proc = build_partition_process(
-            UpdateSchedule(entries=np.stack([left[b, T1:], right[b, T1:]], axis=1), t0=T1), n
-        )
+        proc = build_partition_process(left[b, T1:], right[b, T1:], n, T1)
         tau[b], connected[b] = proc.tau, proc.connected
         if keep_trace:
             processes.append(proc)
@@ -423,8 +389,6 @@ def run_nonmarkovian_coupling(
         tr_y = np.empty((B, T2 + 1, n))
         tr_x[:, 0] = X
         tr_y[:, 0] = Y
-        initial_l1 = np.abs(X - Y).sum(axis=1)
-    subset_times = [[] for _ in range(B)]
     subset_success = [[] for _ in range(B)]
 
     subset_fail = np.full(B, -1, dtype=np.int64)
@@ -436,26 +400,15 @@ def run_nonmarkovian_coupling(
             handled[b] = True
             if not active[b]:
                 continue
-            pa, pb = int(left[b, t]), int(right[b, t])
-            if _has(rec.s1, pa) and _has(rec.s2, pb):
-                i, j = pa, pb
-            elif _has(rec.s1, pb) and _has(rec.s2, pa):
-                i, j = pb, pa
-            else:
-                raise InvariantViolation(
-                    "marked-edge-crossing",
-                    f"edge ({pa}, {pb}) does not cross the merging blocks at t = {t}",
-                )
             subset = np.asarray(rec.s1, dtype=np.int64)
             try:
                 ok, _, _ = subset_couple_arrays(
-                    kind, X[b], Y[b], subset, i, j, rngs[b], lam_first=lam[b, t]
+                    kind, X[b], Y[b], subset, rec.i, rec.j, rngs[b], lam_first=lam[b, t]
                 )
             except DegeneratePairMass:
                 largeness_fail[b] = t
                 active[b] = False
                 continue
-            subset_times[b].append(t)
             subset_success[b].append(ok)
             if not ok and subset_fail[b] < 0:
                 subset_fail[b] = t
@@ -506,17 +459,14 @@ def run_nonmarkovian_coupling(
     if keep_trace:
         traces = [
             CouplingTrace(
-                kind=kind,
                 t0=T1,
                 xs=tr_x[b],
                 ys=tr_y[b],
                 partition=processes[b],
-                subset_times=subset_times[b],
                 subset_success=subset_success[b],
                 first_failure_time=(
                     int(subset_fail[b]) if subset_fail[b] >= 0 else None
                 ),
-                initial_l1=float(initial_l1[b]),
             )
             for b in range(B)
         ]
@@ -742,6 +692,7 @@ def closeness_check(trace: CouplingTrace) -> ClosenessReport:
     """While the subset couplings have all succeeded, the blockwise L1
     distance over the current partition never exceeds the L1 distance at the
     start of phase 2 (within 1e-10)."""
+    initial_l1 = float(np.abs(trace.xs[0] - trace.ys[0]).sum())
     limit = trace.xs.shape[0] - 1
     if trace.first_failure_time is not None:
         limit = trace.first_failure_time - trace.t0
@@ -752,8 +703,8 @@ def closeness_check(trace: CouplingTrace) -> ClosenessReport:
         total = sum(abs(float(diff[list(block)].sum())) for block in blocks)
         worst = max(worst, total)
     return ClosenessReport(
-        initial_l1=trace.initial_l1,
+        initial_l1=initial_l1,
         max_blockwise_l1=worst,
         steps_checked=limit + 1,
-        ok=worst <= trace.initial_l1 + 1e-10,
+        ok=worst <= initial_l1 + 1e-10,
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import time
 import traceback
 from collections import Counter
@@ -85,16 +86,9 @@ __all__ = [
 
 THRESHOLD_KEYS = frozenset({"epsilon", "C", "k", "d", "c"})
 
-ORACLE_SUITES = (
-    "kernel-enumeration",
-    "acceptance-rate",
-    "schedule-enumeration",
-    "marginal-density",
-)
-
 # each group family and the field that sizes it
 _GROUP_FAMILIES = {"cyclic": "n", "hypercube": "k", "dihedral": "k", "file": "path"}
-_GROUP_KEYS = {"family", "n", "k", "gens", "path"}
+_GROUP_KEYS = {"family", "gens", *_GROUP_FAMILIES.values()}
 _OUTPUT_KEYS = {"path", "format"}
 _FORMATS = {"csv", "jsonl"}
 
@@ -156,6 +150,9 @@ class ExperimentConfig:
         for key, value in self.thresholds.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"threshold {key} must be a number, got {value!r}")
+            # false for NaN, for +-inf and for an int beyond the float range
+            if not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"threshold {key} must be finite, got {value!r}")
         if self.group is not None:
             if not isinstance(self.group, dict):
                 raise ConfigError("group must be an object")
@@ -194,7 +191,7 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
@@ -807,6 +804,7 @@ _ORACLE_RUNNERS = {
     "schedule-enumeration": _oracle_schedule_enumeration,
     "marginal-density": _oracle_marginal_density,
 }
+ORACLE_SUITES = tuple(_ORACLE_RUNNERS)
 
 
 def oracle(suite: str) -> dict:

@@ -12,7 +12,6 @@ from scipy import stats
 from gibbsmix.coupling import (
     CouplingOutcome,
     _connection_times,
-    UpdateSchedule,
     build_partition_process,
     closeness_check,
     connectedness_experiment,
@@ -23,32 +22,38 @@ from gibbsmix.errors import DegeneratePairMass, InvariantViolation
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
 from gibbsmix.matrices import MatrixState, msample_stationary, mstep_batch, pair_alpha_beta
 from gibbsmix.pairops import split_pair, stacked_draws
-from gibbsmix.seeding import draw_pairs, replica_rng
+from gibbsmix.seeding import draw_pairs, empty_moves, replica_rng
 from gibbsmix.simplex import sample_stationary, sample_stationary_batch, step_batch
 
 
-def test_schedule_validation():
-    with pytest.raises(InvariantViolation):
-        UpdateSchedule(entries=np.array([[0, 0]]), t0=0)
-    with pytest.raises(InvariantViolation):
-        UpdateSchedule(entries=np.array([0, 1]), t0=0)
+def _process(entries, n, t0=0):
+    """The partition process of a schedule given as (i, j) rows."""
+    entries = np.asarray(entries)
+    return build_partition_process(entries[:, 0], entries[:, 1], n, t0)
+
+
+def test_partition_process_needs_a_schedule():
+    with pytest.raises(InvariantViolation) as err:
+        build_partition_process(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)
+    assert err.value.axiom == "schedule-empty"
 
 
 def test_partition_process_forced_example():
-    sched = UpdateSchedule(entries=np.array([[0, 1], [1, 2]]), t0=0)
-    proc = build_partition_process(sched, 3)
+    proc = _process([[0, 1], [1, 2]], 3)
     assert proc.connected and proc.tau == 2
     assert [rec.t for rec in proc.merges] == [1, 0]
     assert proc.merges[0].s1 == (1,) and proc.merges[0].s2 == (2,)
     assert proc.merges[1].s1 == (0,) and proc.merges[1].s2 == (1, 2)
+    # each merge's marked edge, from s1 to s2
+    assert (proc.merges[0].i, proc.merges[0].j) == (1, 2)
+    assert (proc.merges[1].i, proc.merges[1].j) == (0, 1)
     assert proc.partition_at(0) == [(0, 1, 2)]
     assert proc.partition_at(1) == [(0,), (1, 2)]
     assert proc.partition_at(2) == [(0,), (1,), (2,)]
 
 
 def test_partition_untouched_coordinate_never_connects():
-    sched = UpdateSchedule(entries=np.array([[0, 1], [1, 3], [0, 3]]), t0=10)
-    proc = build_partition_process(sched, 5)
+    proc = _process([[0, 1], [1, 3], [0, 3]], 5, t0=10)
     assert not proc.connected
     assert proc.tau == math.inf
     for t in range(10, 14):
@@ -57,11 +62,12 @@ def test_partition_untouched_coordinate_never_connects():
 
 
 def test_partition_single_pair():
-    sched = UpdateSchedule(entries=np.array([[1, 0]]), t0=0)
-    proc = build_partition_process(sched, 2)
+    proc = _process([[1, 0]], 2)
     assert proc.connected and proc.tau == 1
     assert len(proc.merges) == 1
     assert proc.merges[0].s1 == (0,) and proc.merges[0].s2 == (1,)
+    # drawn as (1, 0), recorded from s1 to s2
+    assert (proc.merges[0].i, proc.merges[0].j) == (0, 1)
 
 
 def _suffix_components(entries, t0, n, t):
@@ -93,7 +99,14 @@ def test_partition_invariants_random_schedules(data):
     i = rng.integers(0, n, length)
     raw = rng.integers(0, n - 1, length)
     entries = np.stack([i, raw + (raw >= i)], axis=1)
-    proc = build_partition_process(UpdateSchedule(entries=entries, t0=5), n)
+    proc = build_partition_process(entries[:, 0], entries[:, 1], n, 5)
+    # the scan reads the narrow rows of a draw store as it reads int64 ones
+    left, right, _ = empty_moves(1, length, n)
+    left[0], right[0] = entries[:, 0], entries[:, 1]
+    assert left.dtype == np.uint8
+    narrow = build_partition_process(left[0], right[0], n, 5)
+    assert narrow.merges == proc.merges
+    assert narrow.tau == proc.tau and narrow.connected == proc.connected
 
     previous = None
     for t in range(3, 5 + length + 2):
@@ -120,11 +133,14 @@ def test_partition_invariants_random_schedules(data):
         assert merged in proc.partition_at(rec.t)
         assert rec.s1 in proc.partition_at(rec.t + 1)
         assert rec.s2 in proc.partition_at(rec.t + 1)
+        # the marked edge is the schedule's edge at t and crosses from s1 to s2
+        assert {rec.i, rec.j} == set(entries[rec.t - 5].tolist())
+        assert rec.i in rec.s1 and rec.j in rec.s2
     if proc.connected:
         t_star = proc.merges[-1].t
-        assert proc.tau == proc.schedule.end - t_star
+        assert proc.tau == 5 + length - t_star
         assert len(proc.partition_at(t_star)) == 1
-        if t_star + 1 <= proc.schedule.end:
+        if t_star + 1 <= 5 + length:
             assert len(proc.partition_at(t_star + 1)) > 1
 
 
@@ -471,29 +487,6 @@ def test_keep_trace_does_not_change_a_largeness_abort():
     assert levelled == traced
     kinds = {o["failure_kind"] for o in levelled}
     assert "LargenessViolated" in kinds and None in kinds
-
-
-@pytest.mark.parametrize("drop", ["s1", "s2"])
-def test_marked_edge_must_cross_the_merging_blocks(monkeypatch, drop):
-    # a merge record whose blocks miss one end of the marked edge stops the
-    # replay; the neighbours of the missing end stay in the block, so the
-    # membership test cannot pass on a near match
-    import gibbsmix.coupling as coupling
-
-    real = coupling.build_partition_process
-
-    def corrupted(sched, n):
-        proc = real(sched, n)
-        rec = proc.merges[0]
-        ends = set(sched.entries[rec.t - sched.t0].tolist())
-        block = getattr(rec, drop)
-        setattr(rec, drop, tuple(k for k in block if k not in ends))
-        return proc
-
-    monkeypatch.setattr(coupling, "build_partition_process", corrupted)
-    with pytest.raises(InvariantViolation) as err:
-        run_nonmarkovian_coupling("matrix", n=6, T1=3, T2=40, replicas=2, seed=4)
-    assert err.value.axiom == "marked-edge-crossing"
 
 
 def test_closeness_bound_holds_with_large_initial_gap():

@@ -61,6 +61,12 @@ def test_config_minimal_round_trip():
         {"experiment": "gap", "thresholds": {"a": 3.0}},
         {"experiment": "gap", "thresholds": {"b": 3.0}},
         {"experiment": "gap", "thresholds": {"f": 3.0}},
+        # json.loads reads NaN, Infinity and 1e400 as non-finite floats, and a
+        # long integer literal as an int beyond the float range
+        {"experiment": "connect", "n": 8, "thresholds": {"epsilon": math.nan}},
+        {"experiment": "largeness", "n": 8, "thresholds": {"k": math.inf}},
+        {"experiment": "lowerbound-matrix", "n": 20, "thresholds": {"c": -math.inf}},
+        {"experiment": "lowerbound-matrix", "n": 20, "thresholds": {"c": 10**400}},
     ],
 )
 def test_config_rejects_bad_inputs(data):
@@ -75,9 +81,10 @@ def test_config_from_json_file(tmp_path):
     assert cfg.experiment == "connect" and cfg.n == 8
 
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_json_file(bad)
+    for text in ("{not json", '{"experiment": "connect", "n": ' + "1" * 5000 + "}"):
+        bad.write_text(text)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json_file(bad)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json_file(tmp_path / "missing.json")
 
@@ -541,6 +548,13 @@ def test_experiment_list_matches_dispatch():
     assert set(EXPERIMENTS) == set(harness._RUNNERS)
 
 
+def test_name_lists_keep_their_order():
+    assert harness.ORACLE_SUITES == (
+        "kernel-enumeration", "acceptance-rate", "schedule-enumeration", "marginal-density",
+    )
+    assert harness._GROUP_KEYS == {"family", "n", "k", "gens", "path"}
+
+
 def test_harness_binds_no_simulation_layer():
     # the harness turns a config into a call and the call's result into
     # tables; move kernels, levelled advances and draw laws stay with the
@@ -619,6 +633,11 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     assert cli_main(["gap", "--group", "cyclic:6", "--threshold", "a=3"]) == 1
     assert cli_main(["gap", "--group", "klein:4"]) == 1
     capsys.readouterr()
+    # float() reads nan and inf; both are config errors that name the key
+    assert cli_main(["connect", "--n", "8", "--threshold", "epsilon=nan"]) == 1
+    assert cli_main(["lowerbound-matrix", "--n", "20", "--threshold", "c=inf"]) == 1
+    err = capsys.readouterr().err
+    assert "threshold epsilon must be finite" in err and "threshold c must be finite" in err
 
 
 def test_cli_oracle_prints_frozen_constants(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbsmix.errors import NonStochasticRow, NotReversible
-from gibbsmix.groups import build_cyclic
+from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
 from gibbsmix.kernels import (
     TransitionKernel,
     base_walk_kernel,
@@ -18,6 +18,7 @@ from gibbsmix.kernels import (
     spectral_summary,
     verify_comparison,
 )
+from gibbsmix.simplex import sample_stationary, s_recursion_targets, s_vector
 
 
 def test_base_walk_row_cyclic4(z4):
@@ -124,3 +125,31 @@ def test_comparison_inequalities_on_cycles(n):
     report = verify_comparison(group, gens, trials=50, seed=n)
     assert report.ok
     assert report.gap >= report.gap_hat / 8.0 - 1e-10
+
+
+_RECURSION_GROUPS = {
+    "cyclic:7-pm1": lambda: build_cyclic(7, [1, 6]),
+    "cyclic:6-complete": lambda: build_cyclic(6, range(1, 6)),
+    "cyclic:12-units": lambda: build_cyclic(12, [1, 5, 7, 11]),
+    "hypercube:1": lambda: build_hypercube(1),
+    "hypercube:3": lambda: build_hypercube(3),
+    "dihedral:3": lambda: build_dihedral(3),
+    "dihedral:5": lambda: build_dihedral(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECURSION_GROUPS))
+def test_comparison_kernel_is_the_s_recursion_kernel(name):
+    # with c = 2 at the identity and 1 elsewhere, the S recursion's one-step
+    # map is s -> c * (P (s / c)) for the comparison kernel P, on the
+    # inversion-symmetric vectors that s_vector returns
+    group, gens = _RECURSION_GROUPS[name]()
+    p = comparison_kernel(group, gens).p
+    c = np.ones(group.n)
+    c[group.identity] = 2.0
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        s = s_vector(sample_stationary(group.n, rng), sample_stationary(group.n, rng), group).s
+        assert np.abs(s[group.inv] - s).max() <= 1e-15 * s[group.identity]
+        expected = s_recursion_targets(s, group, gens)
+        assert np.abs(c * (p @ (s / c)) - expected).max() <= 1e-14 * s[group.identity]
