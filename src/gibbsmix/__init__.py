@@ -31,7 +31,6 @@ from .groups import (
     build_cyclic,
     build_dihedral,
     build_hypercube,
-    cayley_edges,
     load_group,
     verify_generator_set,
     verify_group_axioms,
@@ -58,12 +57,13 @@ from .simplex import (
     lower_bound_init,
     s_vector,
     sample_stationary,
+    simplex_chain,
     step_batch,
 )
 from .matrices import (
     MatrixState,
-    contraction_identity_check,
     coupon_collector_experiment,
+    matrix_chain,
     mcontraction_experiment,
     monotone_couple_run,
     msample_stationary,
@@ -79,11 +79,11 @@ from .coupling import (
     run_nonmarkovian_coupling,
     subset_couple_arrays,
 )
+from .pairops import Chain
 from .seeding import replica_rng
 from .harness import (
     ExperimentConfig,
     RunManifest,
-    default_horizons,
     oracle,
     run,
 )

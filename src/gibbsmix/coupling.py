@@ -31,17 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegeneratePairMass, InvariantViolation
-from .groups import GeneratorSet, GroupTable
-from .kernels import base_walk_kernel, spectral_summary
-from .matrices import msample_stationary, mstep_batch
-from .pairops import advance, pair_coeffs, pair_levels, split_pair_float, stacked_draws
+from .pairops import Chain, advance, pair_levels, split_pair_float, stacked_draws
 from .seeding import draw_moves, draw_pairs, empty_moves, replica_rng
-from .simplex import sample_stationary, step_batch
 
 __all__ = [
     "SUBSET_FAILED",
@@ -61,7 +57,6 @@ __all__ = [
     "connectedness_experiment",
     "largeness_experiment",
     "closeness_check",
-    "default_start",
 ]
 
 SUBSET_FAILED = "SubsetFailed"
@@ -165,7 +160,7 @@ def _remainder_sample(lo: float, hi: float, q: float, rng: np.random.Generator) 
 
 
 def subset_couple_arrays(
-    kind: str,
+    coeffs: Callable,
     x: np.ndarray,
     y: np.ndarray,
     subset: np.ndarray,
@@ -175,7 +170,8 @@ def subset_couple_arrays(
     lam_first: Optional[float] = None,
 ):
     """One subset-coupled update of the pair (i, j), in place; i lies in the
-    block ``subset``, j outside it.
+    block ``subset``, j outside it. ``coeffs(vi, vj)`` is the chain's
+    (total, alpha, beta) of a pair move (``Chain.coeffs``).
 
     The chain whose pair move has the larger lambda coefficient draws its
     lambda uniformly first (``lam_first`` if supplied); the other lambda is
@@ -188,8 +184,8 @@ def subset_couple_arrays(
     """
     xi, xj = float(x[i]), float(x[j])
     yi, yj = float(y[i]), float(y[j])
-    sx, ax, bx = pair_coeffs(kind, xi, xj)
-    sy, ay, by = pair_coeffs(kind, yi, yj)
+    sx, ax, bx = coeffs(xi, xj)
+    sy, ay, by = coeffs(yi, yj)
     if ax <= _PAIR_MASS_FLOOR or ay <= _PAIR_MASS_FLOOR:
         raise DegeneratePairMass(f"pair mass {min(ax, ay):.3e} at pair ({i}, {j})")
 
@@ -200,9 +196,10 @@ def subset_couple_arrays(
         first = "y"
     elif ax > ay:
         first = "x"
-    elif kind == "matrix" and sx > 2.0 and sy < 2.0:
-        # pair-gap tie with delta_x < 0 < delta_y (delta = 2 - pair total):
-        # the x side draws first
+    elif sx > 2.0 and sy < 2.0:
+        # matrix pair-gap tie with delta_x < 0 < delta_y (delta = 2 - pair
+        # total): the x side draws first. A simplex tie has sx == sy, since
+        # alpha is the pair total there
         first = "x"
     else:
         first = "y"
@@ -248,18 +245,6 @@ def subset_couple_arrays(
 # the two-phase non-Markovian coupling
 
 
-def _chain_size(kind: str, group, gens, n) -> int:
-    """n of the chain an experiment names: the simplex chain on a group and
-    its generators, or the matrix chain on n rows."""
-    if kind == "simplex" and group is not None and gens is not None:
-        return group.n
-    if kind == "matrix" and n is not None:
-        return n
-    raise InvariantViolation(
-        "arguments", f"chain kind {kind!r} needs group and gens (simplex) or n (matrix)"
-    )
-
-
 @dataclass
 class CouplingOutcome:
     replica: int
@@ -286,26 +271,9 @@ class CouplingRunResult:
     traces: Optional[list] = None
 
 
-def default_start(kind: str, n: int, identity: int = 0) -> np.ndarray:
-    """Worst-case deterministic start: simplex mass concentrated at the
-    identity; matrix first column pushed to the boundary corner."""
-    if kind == "simplex":
-        x = np.zeros(n)
-        x[identity] = 1.0
-        return x
-    c = np.zeros(n)
-    c[: n // 2] = 2.0
-    if n % 2:
-        c[n // 2] = 1.0
-    return c
-
-
 def run_nonmarkovian_coupling(
-    kind: str,
+    chain: Chain,
     *,
-    group: Optional[GroupTable] = None,
-    gens: Optional[GeneratorSet] = None,
-    n: Optional[int] = None,
     T1: int,
     T2: int,
     replicas: int,
@@ -316,7 +284,7 @@ def run_nonmarkovian_coupling(
     """Two-phase coupling for every replica; failures are recorded in the
     outcomes, never raised.
 
-    Per replica: Y starts stationary, X at ``x0`` (default: default_start).
+    Per replica: Y starts stationary, X at ``x0`` (default: ``chain.start``).
     Phase 1 applies T1 proportional steps. Every draw of a replica's
     (T1 + T2)-step schedule is made up front, the partition process of the
     suffix graph of its phase-2 coordinates is built, and the T2 phase-2
@@ -342,12 +310,11 @@ def run_nonmarkovian_coupling(
     was aborted by a degenerate pair mass), then NotConnected, then
     SubsetFailed.
     """
-    n = _chain_size(kind, group, gens, n)
     if T2 < 1:
         raise InvariantViolation("arguments", "T2 must be >= 1")
 
-    B = replicas
-    start = default_start(kind, n, 0 if group is None else group.identity) if x0 is None else np.asarray(x0, dtype=float)
+    n, B = chain.n, replicas
+    start = chain.start if x0 is None else np.asarray(x0, dtype=float)
     # X and Y are the two halves of one C-contiguous batch, so a draw shared
     # by both chains moves them in one kernel call
     XY = np.empty((2 * B, n))
@@ -360,11 +327,11 @@ def run_nonmarkovian_coupling(
     for b in range(B):
         rng = replica_rng(seed, b)
         rngs.append(rng)
-        Y[b] = sample_stationary(n, rng).x if kind == "simplex" else msample_stationary(n, rng).c
-        left[b, :T1], right[b, :T1], lam[b, :T1] = draw_moves(rng, T1, n, group, gens)
-        left[b, T1:], right[b, T1:], lam[b, T1:] = draw_moves(rng, T2, n, group, gens)
+        Y[b] = chain.stationary(rng)
+        left[b, :T1], right[b, :T1], lam[b, :T1] = draw_moves(rng, T1, n, chain.group, chain.gens)
+        left[b, T1:], right[b, T1:], lam[b, T1:] = draw_moves(rng, T2, n, chain.group, chain.gens)
 
-    batch = step_batch if kind == "simplex" else mstep_batch
+    batch = chain.kernel
     advance(batch, XY, left, right, lam, 0, T1)
     # outcomes read only tau and connectedness, and the merges live on in
     # ``marks``; a whole process is kept for a trace only
@@ -403,7 +370,7 @@ def run_nonmarkovian_coupling(
             subset = np.asarray(rec.s1, dtype=np.int64)
             try:
                 ok, _, _ = subset_couple_arrays(
-                    kind, X[b], Y[b], subset, rec.i, rec.j, rngs[b], lam_first=lam[b, t]
+                    chain.coeffs, X[b], Y[b], subset, rec.i, rec.j, rngs[b], lam_first=lam[b, t]
                 )
             except DegeneratePairMass:
                 largeness_fail[b] = t
@@ -533,7 +500,7 @@ def _connection_times(left, right, n: int):
     return tau, merges == n - 1
 
 
-def _tile_taus(rows, seed, n, group, gens, max_draws, length):
+def _tile_taus(rows, seed, chain, max_draws, length):
     """(tau, connected) of the given replicas, each read on the first
     ``length`` pairs of its max_draws-long schedule, in tiles of
     _CONNECT_TILE replicas; tau is max_draws + 1 where not connected."""
@@ -541,12 +508,12 @@ def _tile_taus(rows, seed, n, group, gens, max_draws, length):
     connected = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), _CONNECT_TILE):
         tile = rows[start:start + _CONNECT_TILE]
-        left, right, _ = empty_moves(len(tile), length, n)
+        left, right, _ = empty_moves(len(tile), length, chain.n)
         for k, b in enumerate(tile):
             left[k], right[k] = draw_pairs(
-                replica_rng(seed, b), max_draws, n, group, gens, head=length
+                replica_rng(seed, b), max_draws, chain.n, chain.group, chain.gens, head=length
             )
-        tau, ok = _connection_times(left, right, n)
+        tau, ok = _connection_times(left, right, chain.n)
         taus[start:start + len(tile)] = np.where(ok, tau, max_draws + 1)
         connected[start:start + len(tile)] = ok
     return taus, connected
@@ -564,11 +531,8 @@ class ConnectReport:
 
 
 def connectedness_experiment(
-    kind: str,
+    chain: Chain,
     *,
-    group: Optional[GroupTable] = None,
-    gens: Optional[GeneratorSet] = None,
-    n: Optional[int] = None,
     replicas: int = 1000,
     seed: int = 0,
     epsilon: Optional[float] = None,
@@ -588,33 +552,24 @@ def connectedness_experiment(
     pair array is drawn (nothing follows the pair arrays in its stream); a
     replica whose prefix does not connect is drawn again, from a fresh
     replica_rng(seed, b), at full max_draws. The report compares the
-    empirical tail against the relevant threshold: matrices use
-    (1/2 + 2 eps) n log n with bound 2 n^-eps; Cayley schedules use
-    8 (C + 3) log n / gamma_hat with bound 2 n^-C.
+    empirical tail against the chain's threshold (``chain.connect_tail``):
+    the matrix chain reads epsilon and the simplex chain C.
     """
-    n = _chain_size(kind, group, gens, n)
+    n = chain.n
     if max_draws is None:
         max_draws = int(math.ceil(8.0 * n * max(math.log(n), 1.0))) + 32
 
     prefix = min(max_draws, math.ceil(n * max(math.log(n), 1.0)))
-    taus, connected = _tile_taus(range(replicas), seed, n, group, gens, max_draws, prefix)
+    taus, connected = _tile_taus(range(replicas), seed, chain, max_draws, prefix)
     if prefix < max_draws:
         rows = np.flatnonzero(~connected)
-        taus[rows] = _tile_taus(rows, seed, n, group, gens, max_draws, max_draws)[0]
+        taus[rows] = _tile_taus(rows, seed, chain, max_draws, max_draws)[0]
     censored = int(np.sum(taus > max_draws))
 
-    threshold = bound = tail = None
-    if kind == "matrix" and epsilon is not None:
-        threshold = (0.5 + 2.0 * epsilon) * n * math.log(n)
-        bound = 2.0 * n ** (-epsilon)
-    elif kind == "simplex" and C is not None:
-        gamma_hat = spectral_summary(base_walk_kernel(group, gens)).gap
-        threshold = 8.0 * (C + 3.0) * math.log(n) / gamma_hat
-        bound = 2.0 * n ** (-C)
-    if threshold is not None:
-        tail = float(np.mean(taus > threshold))
+    threshold, bound = chain.connect_tail(epsilon, C)
+    tail = None if threshold is None else float(np.mean(taus > threshold))
     return ConnectReport(
-        kind=kind,
+        kind=chain.kind,
         n=n,
         taus=taus,
         censored=censored,
@@ -632,11 +587,8 @@ class LargenessReport:
 
 
 def largeness_experiment(
-    kind: str,
+    chain: Chain,
     *,
-    group: Optional[GroupTable] = None,
-    gens: Optional[GeneratorSet] = None,
-    n: Optional[int] = None,
     window: int,
     replicas: int = 1000,
     seed: int = 0,
@@ -645,37 +597,29 @@ def largeness_experiment(
 ) -> LargenessReport:
     """Smallest boundary margin of each stationary trajectory over a window
     of steps: the entries themselves on the simplex, the distance to the
-    nearer box wall, min(c, 2 - c), on the matrix chain.
+    nearer box wall, min(c, 2 - c), on the matrix chain (``chain.margin``).
 
-    The matrix threshold is n^(-5.5 - k) with target frequency 1 - 2 n^-k;
-    the simplex threshold is d, with no target. An entry's smallest margin
-    over the window is the smallest of its start value's and of every value
-    written to it, so the moves run in dependency levels and only the moved
-    entries are read.
+    The threshold and its target frequency are the chain's
+    (``chain.largeness``): the matrix chain reads k and the simplex chain d.
+    An entry's smallest margin over the window is the smallest of its start
+    value's and of every value written to it, so the moves run in dependency
+    levels and only the moved entries are read.
 
     Per-replica draw order: stationary start, pair arrays, lambda array.
     """
-    n = _chain_size(kind, group, gens, n)
-    if kind == "matrix":
-        threshold = float(n) ** (-5.5 - k)
-        target = 1.0 - 2.0 * float(n) ** (-k)
-    else:
-        threshold, target = d, None
+    n, margin = chain.n, chain.margin
+    threshold, target = chain.largeness(k, d)
 
     a, b, lam = empty_moves(replicas, window, n)
     states = np.empty((replicas, n))
     for r in range(replicas):
         rng = replica_rng(seed, r)
-        states[r] = msample_stationary(n, rng).c if kind == "matrix" else sample_stationary(n, rng).x
-        a[r], b[r], lam[r] = draw_moves(rng, window, n, group, gens)
-
-    def margin(v: np.ndarray) -> np.ndarray:
-        return np.minimum(v, 2.0 - v) if kind == "matrix" else v
+        states[r] = chain.stationary(rng)
+        a[r], b[r], lam[r] = draw_moves(rng, window, n, chain.group, chain.gens)
 
     minima = margin(states).min(axis=1)
-    batch = mstep_batch if kind == "matrix" else step_batch
     for rows, pa, pb, pl in pair_levels(a, b, lam, n):
-        batch(states, pa, pb, pl, rows)
+        chain.kernel(states, pa, pb, pl, rows)
         np.minimum.at(minima, rows, np.minimum(margin(states[rows, pa]), margin(states[rows, pb])))
     return LargenessReport(minima=minima, threshold=threshold, target=target)
 

@@ -11,7 +11,7 @@ desk-scale, and a dense int32 table at the cap is ~64 MB.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "build_hypercube",
     "build_dihedral",
     "load_group",
-    "cayley_edges",
     "SIZE_CAP",
 ]
 
@@ -243,14 +242,3 @@ def load_group(path: str) -> Tuple[GroupTable, GeneratorSet]:
     g = GroupTable(n=n, mul=mul, inv=inv, identity=e)
     gs = verify_generator_set(g, gens)
     return g, gs
-
-
-def cayley_edges(g: GroupTable, gens: GeneratorSet) -> List[Tuple[int, int]]:
-    """Undirected edge list {a, a*r} of the (right) Cayley graph, deduplicated."""
-    edges = set()
-    for a in range(g.n):
-        for r in gens.elements:
-            b = int(g.mul[a, r])
-            if a != b:
-                edges.add((min(a, b), max(a, b)))
-    return sorted(edges)

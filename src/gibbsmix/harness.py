@@ -56,9 +56,11 @@ from .matrices import (
     MContractionPoint,
     coupon_collector_experiment,
     identity_residual_batch,
+    matrix_chain,
     mcontraction_experiment,
     msample_stationary_batch,
 )
+from .pairops import Chain
 from .seeding import replica_rng, replica_seed_words
 from .simplex import (
     ContractionPoint,
@@ -67,6 +69,7 @@ from .simplex import (
     contraction_experiment,
     lower_bound_experiment,
     sample_stationary,
+    simplex_chain,
 )
 
 __all__ = [
@@ -76,7 +79,6 @@ __all__ = [
     "ExperimentConfig",
     "RunManifest",
     "resolve_group",
-    "default_horizons",
     "irwin_hall_cdf",
     "exact_acceptance_rate",
     "exact_marginal_cdf",
@@ -84,7 +86,14 @@ __all__ = [
     "run",
 ]
 
-THRESHOLD_KEYS = frozenset({"epsilon", "C", "k", "d", "c"})
+# the thresholds each experiment reads; the others read none
+_THRESHOLDS = {
+    "connect": ("epsilon", "C"),
+    "largeness": ("k", "d"),
+    "lowerbound-simplex": ("d",),
+    "lowerbound-matrix": ("c",),
+}
+THRESHOLD_KEYS = frozenset(key for keys in _THRESHOLDS.values() for key in keys)
 
 # each group family and the field that sizes it
 _GROUP_FAMILIES = {"cyclic": "n", "hypercube": "k", "dihedral": "k", "file": "path"}
@@ -146,7 +155,8 @@ class ExperimentConfig:
             _require_int(self.replicas, "replicas", 1)
         if not isinstance(self.thresholds, dict):
             raise ConfigError("thresholds must be an object")
-        _reject_unknown("threshold names", self.thresholds, THRESHOLD_KEYS)
+        _reject_unknown(f"threshold names for {self.experiment}", self.thresholds,
+                        _THRESHOLDS.get(self.experiment, ()))
         for key, value in self.thresholds.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"threshold {key} must be a number, got {value!r}")
@@ -223,28 +233,6 @@ def resolve_group(spec: Optional[dict]):
     if family == "dihedral":
         return build_dihedral(_require_int(spec["k"], "group.k", 3))
     return load_group(spec["path"])
-
-
-def default_horizons(kind: str, n: int, gamma_hat: Optional[float] = None):
-    """Recipe (T1, T2) used by the couple-* experiments when not overridden.
-
-    Cayley chains: T1 = ceil((8 / gamma_hat) (log(4n) + 62)) and
-    T2 = ceil(48 log n / gamma_hat) — the phase-1 horizon drives the L2 gap
-    below the subset-coupling tolerance, and T2 connects the schedule with
-    probability 1 - O(n^-3). Matrix chains do the same with the n log n
-    scaling: T1 = ceil(1.5 n (log(8n) + 60)), T2 = ceil(4.5 n log n).
-    """
-    if kind == "simplex":
-        if gamma_hat is None or gamma_hat <= 0:
-            raise ConfigError("simplex horizons need a positive gamma_hat")
-        t1 = math.ceil((8.0 / gamma_hat) * (math.log(4 * n) + 62.0))
-        t2 = math.ceil(8.0 * 6.0 * math.log(n) / gamma_hat)
-        return t1, t2
-    if kind == "matrix":
-        t1 = math.ceil(1.5 * n * (math.log(8 * n) + 60.0))
-        t2 = math.ceil(4.5 * n * math.log(n))
-        return t1, t2
-    raise ConfigError(f"unknown chain kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +341,28 @@ def _thr(config: ExperimentConfig, key: str, default=None):
     return None if value is None else float(value)
 
 
+# a config names the field of the chain it runs on, 'n' (matrix) or 'group'
+# (simplex), and never the other chain's field
 def _n(config: ExperimentConfig) -> int:
+    if config.group is not None:
+        raise ConfigError(f"{config.experiment} on n takes no 'group'")
     if config.n is None:
         raise ConfigError(f"{config.experiment} requires 'n'")
     return config.n
 
 
-def _chain(config: ExperimentConfig, kind: Optional[str] = None):
-    """(kind, n, chain arguments) of the config's chain: the simplex chain
-    on its group or the matrix chain on n. Without a kind the config must
-    name exactly one of the two."""
-    if kind is None:
-        if (config.group is None) == (config.n is None):
-            raise ConfigError(f"{config.experiment} requires exactly one of 'group' or 'n'")
-        kind = "matrix" if config.n is not None else "simplex"
-    if kind == "matrix":
-        return kind, _n(config), {"n": config.n}
-    group, gens = resolve_group(config.group)
-    return kind, group.n, {"group": group, "gens": gens}
+def _group(config: ExperimentConfig):
+    if config.n is not None:
+        raise ConfigError(f"{config.experiment} on a group takes no 'n'")
+    return resolve_group(config.group)
+
+
+def _chain(config: ExperimentConfig) -> Chain:
+    """The chain a config that may name either one runs on: the matrix chain
+    on n or the simplex chain on its group."""
+    if (config.group is None) == (config.n is None):
+        raise ConfigError(f"{config.experiment} requires exactly one of 'group' or 'n'")
+    return matrix_chain(_n(config)) if config.n is not None else simplex_chain(*_group(config))
 
 
 def _eig_table(name: str, summary_kernel) -> Table:
@@ -389,7 +381,7 @@ def _kernel_table(name: str, kernel) -> Table:
 
 def _run_gap(config: ExperimentConfig):
     """spectrum and gap of the pair-walk kernels on a Cayley graph"""
-    group, gens = resolve_group(config.group)
+    group, gens = _group(config)
     base = base_walk_kernel(group, gens)
     edge = edge_walk_kernel(group, gens)
     sum_base = spectral_summary(base)
@@ -415,7 +407,7 @@ def _db_residual(kernel) -> float:
 
 def _run_compare(config: ExperimentConfig):
     """detailed balance and Dirichlet-form comparison of the rescaled kernel"""
-    group, gens = resolve_group(config.group)
+    group, gens = _group(config)
     trials = config.replicas or 1000
     comp = comparison_kernel(group, gens)
     report = verify_comparison(group, gens, trials=trials, seed=config.seed)
@@ -439,7 +431,7 @@ def _run_compare(config: ExperimentConfig):
 
 def _run_s_recursion(config: ExperimentConfig):
     """Monte Carlo check of the one-step autocorrelation-vector recursion"""
-    group, gens = resolve_group(config.group)
+    group, gens = _group(config)
     samples = config.replicas or 10**6
     rng = replica_rng(config.seed, 0)
     x = sample_stationary(group.n, rng)
@@ -466,7 +458,7 @@ def _run_s_recursion(config: ExperimentConfig):
 
 def _run_contract_simplex(config: ExperimentConfig):
     """L2 contraction of proportionally coupled simplex chains"""
-    group, gens = resolve_group(config.group)
+    group, gens = _group(config)
     replicas = config.replicas or 1000
     report = contraction_experiment(group, gens, config.T, replicas, config.seed)
     trajectory = [
@@ -523,23 +515,21 @@ def _run_identity_matrix(config: ExperimentConfig):
     return summary, tables, False
 
 
-def _run_couple(config: ExperimentConfig, kind: str):
+def _run_couple(config: ExperimentConfig, chain: Chain):
     replicas = config.replicas or 1000
-    _, n, chain = _chain(config, kind)
-    gamma_hat = spectral_summary(base_walk_kernel(**chain)).gap if kind == "simplex" else None
-    t1_default, t2_default = default_horizons(kind, n, gamma_hat)
+    t1_default, t2_default = chain.horizons()
     T1 = config.T1 if config.T1 is not None else t1_default
     T2 = config.T2 if config.T2 is not None else t2_default
     if T2 < 1:
         raise ConfigError(f"{config.experiment} needs T2 >= 1, got {T2}")
     outcomes = run_nonmarkovian_coupling(
-        kind, T1=T1, T2=T2, replicas=replicas, seed=config.seed, **chain
+        chain, T1=T1, T2=T2, replicas=replicas, seed=config.seed
     ).outcomes
     coupled = [o for o in outcomes if o.coupled]
     failures = dict(Counter(o.failure_kind for o in outcomes if o.failure_kind))
     taus = [o.tau_connect for o in outcomes if o.tau_connect is not None]
     summary = {
-        "n": n,
+        "n": chain.n,
         "T1": T1,
         "T2": T2,
         "replicas": replicas,
@@ -553,20 +543,19 @@ def _run_couple(config: ExperimentConfig, kind: str):
 
 def _run_couple_simplex(config: ExperimentConfig):
     """two-phase non-Markovian coupling on a Cayley simplex chain"""
-    return _run_couple(config, "simplex")
+    return _run_couple(config, simplex_chain(*_group(config)))
 
 
 def _run_couple_matrix(config: ExperimentConfig):
     """two-phase non-Markovian coupling on the matrix chain"""
-    return _run_couple(config, "matrix")
+    return _run_couple(config, matrix_chain(_n(config)))
 
 
 def _run_connect(config: ExperimentConfig):
     """connection-time tails of random update schedules"""
     replicas = config.replicas or 1000
-    kind, _, chain = _chain(config)
     report = connectedness_experiment(
-        kind, **chain, replicas=replicas, seed=config.seed,
+        _chain(config), replicas=replicas, seed=config.seed,
         epsilon=_thr(config, "epsilon"), C=_thr(config, "C"),
     )
     rows = [(idx, int(report.taus[idx])) for idx in range(replicas)]
@@ -588,18 +577,18 @@ def _run_connect(config: ExperimentConfig):
 def _run_largeness(config: ExperimentConfig):
     """boundary margins of stationary trajectories over a window"""
     replicas = config.replicas or 1000
-    kind, n, chain = _chain(config)
-    window = config.T if config.T is not None else n * n
+    chain = _chain(config)
+    window = config.T if config.T is not None else chain.n * chain.n
     report = largeness_experiment(
-        kind, **chain, window=window, replicas=replicas, seed=config.seed,
+        chain, window=window, replicas=replicas, seed=config.seed,
         k=_thr(config, "k", 1.0), d=_thr(config, "d"),
     )
     minima, threshold, target = report.minima, report.threshold, report.target
     rows = [(r, float(minima[r])) for r in range(replicas)]
     frequency = float(np.mean(minima >= threshold)) if threshold is not None else None
     summary = {
-        "kind": kind,
-        "n": n,
+        "kind": chain.kind,
+        "n": chain.n,
         "window": window,
         "replicas": replicas,
         "threshold": threshold,
@@ -613,7 +602,7 @@ def _run_largeness(config: ExperimentConfig):
 
 def _run_lowerbound_simplex(config: ExperimentConfig):
     """eigenvector-statistic decay and TV lower bound"""
-    group, gens = resolve_group(config.group)
+    group, gens = _group(config)
     replicas = config.replicas or 10**4
     gamma = spectral_summary(edge_walk_kernel(group, gens)).gap
     T = config.T if config.T is not None else max(8, math.ceil(1.5 / gamma))

@@ -11,9 +11,9 @@ the box [0, 2]^2. Writing s = c[i] + c[j] and delta = 2 - s, the update is
 which matches the two sign-case displays (delta >= 0: c'[i] = lam * (2 -
 delta); delta < 0: c'[i] = 2 lam - (1 - lam) delta) and is affine and
 increasing in lam in both. The uniform distribution on the polytope is
-stationary. The module also holds the matrix chain's experiments: the
-contraction identity, the per-step L2 contraction and the coupon-collector
-lower bound.
+stationary. The module also holds the chain's record for the coupling
+experiments (``matrix_chain``) and its own experiments: the contraction
+identity, the per-step L2 contraction and the coupon-collector lower bound.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
-from .pairops import advance, flat_pair_index, pair_coeffs, split_pair, split_pair_float
+from .pairops import Chain, advance, flat_pair_index, split_pair, split_pair_float
 from .seeding import draw_moves, draw_pairs, empty_moves, replica_rng
 
 __all__ = [
     "MatrixState",
-    "IdentityReport",
     "MContractionPoint",
     "MContractionReport",
     "MonotoneReport",
@@ -37,12 +36,13 @@ __all__ = [
     "mstep_batch",
     "msample_stationary",
     "msample_stationary_batch",
-    "contraction_identity_check",
+    "matrix_chain",
     "identity_residual_batch",
     "mcontraction_experiment",
     "monotone_couple_run",
     "coupon_collector_experiment",
     "pair_alpha_beta",
+    "pair_alpha_beta_float",
 ]
 
 _REJECTION_BUDGET = 10**6
@@ -84,6 +84,13 @@ def pair_alpha_beta(ci, cj):
     alpha = np.minimum(s, 4.0 - s)
     beta = np.maximum(0.0, s - 2.0)
     return s, alpha, beta
+
+
+def pair_alpha_beta_float(ci: float, cj: float):
+    """``pair_alpha_beta`` for one pair on Python floats, with the same
+    operations in the same order."""
+    s = ci + cj
+    return s, min(s, 4.0 - s), max(0.0, s - 2.0)
 
 
 def mstep_batch(c: np.ndarray, i: np.ndarray, j: np.ndarray, lam: np.ndarray,
@@ -129,27 +136,36 @@ def msample_stationary_batch(
     return out
 
 
-@dataclass
-class IdentityReport:
-    lhs: float                   # sum over ordered pairs of (delta - eps)^2
-    rhs: float                   # (n - 2) * both-columns squared difference
-    abs_difference: float
+def matrix_chain(n: int) -> Chain:
+    """The chain on n rows as a ``Chain``: its first column starts pushed to
+    the boundary corner, and its margin is min(c, 2 - c).
 
+    Recipes: the simplex horizons with the n log n scaling,
+    T1 = ceil(1.5 n (log(8n) + 60)) and T2 = ceil(4.5 n log n); the
+    connection tail has threshold (1/2 + 2 eps) n log n and bound 2 n^-eps;
+    largeness has threshold n^(-5.5 - k) and target 1 - 2 n^-k.
+    """
+    start = np.zeros(n)
+    start[: n // 2] = 2.0
+    if n % 2:
+        start[n // 2] = 1.0
+    start.setflags(write=False)
 
-def contraction_identity_check(x: MatrixState, y: MatrixState) -> IdentityReport:
-    """Brute-force both sides of the pair-gap difference identity."""
-    n = x.n
-    lhs = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            delta = 2.0 - x.c[i] - x.c[j]
-            eps = 2.0 - y.c[i] - y.c[j]
-            lhs += (delta - eps) ** 2
-    diff = x.c - y.c
-    rhs = (n - 2) * 2.0 * float(diff @ diff)
-    return IdentityReport(lhs=lhs, rhs=rhs, abs_difference=abs(lhs - rhs))
+    def connect_tail(epsilon, C):
+        if epsilon is None:
+            return None, None
+        return (0.5 + 2.0 * epsilon) * n * math.log(n), 2.0 * n ** (-epsilon)
+
+    return Chain(
+        kind="matrix", n=n, kernel=mstep_batch,
+        stationary=lambda rng: msample_stationary(n, rng).c, start=start,
+        group=None, gens=None, margin=lambda v: np.minimum(v, 2.0 - v),
+        coeffs=pair_alpha_beta_float,
+        horizons=lambda: (math.ceil(1.5 * n * (math.log(8 * n) + 60.0)),
+                          math.ceil(4.5 * n * math.log(n))),
+        connect_tail=connect_tail,
+        largeness=lambda k, d: (float(n) ** (-5.5 - k), 1.0 - 2.0 * float(n) ** (-k)),
+    )
 
 
 def identity_residual_batch(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
@@ -281,7 +297,7 @@ def monotone_couple_run(
         b = min(chunk, T - done)
         i_arr, j_arr, lam_arr = draw_moves(rng, b, n)
         for k, (i, j, lam) in enumerate(zip(i_arr.tolist(), j_arr.tolist(), lam_arr.tolist())):
-            ci, cj = split_pair_float(*pair_coeffs("matrix", c[i], c[j]), lam)
+            ci, cj = split_pair_float(*pair_alpha_beta_float(c[i], c[j]), lam)
             stot = s[i] + s[j]
             si, sj = split_pair_float(stot, stot, 0.0, lam)
             c[i] = ci

@@ -13,25 +13,28 @@ side) and obtain the other by subtraction from s. The computed share lies in
 bit-identical to s after every move. Rounding is monotone, so the computed
 share also stays within [0, s] and the update remains monotone in lam.
 
-``split_pair_float`` is the scalar twin of ``split_pair``, and ``pair_coeffs``
-of ``matrices.pair_alpha_beta``: the same operations in the same order on
-Python floats, so both give identical IEEE results. ``flat_pair_index`` is
-the indexing shared by the batch move kernels, and ``stacked_draws`` doubles
-the draws of two chains that share them, so that a stacked [X; Y] batch moves
-in one kernel call. ``pair_levels`` groups the moves of a (B, T) block of
-draws into dependency levels, and ``advance`` applies a stretch of steps with
-nothing observed in between as one kernel call per level instead of one per
-step.
+``split_pair_float`` is the scalar twin of ``split_pair``: the same
+operations in the same order on Python floats, so both give identical IEEE
+results. ``Chain`` is the record of one of the two samplers that the code
+running on either chain reads. ``flat_pair_index`` is the indexing shared by
+the batch move kernels, and ``stacked_draws`` doubles the draws of two chains
+that share them, so that a stacked [X; Y] batch moves in one kernel call.
+``pair_levels`` groups the moves of a (B, T) block of draws into dependency
+levels, and ``advance`` applies a stretch of steps with nothing observed in
+between as one kernel call per level instead of one per step.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvariantViolation
 
 __all__ = [
-    "advance", "flat_pair_index", "pair_coeffs", "pair_levels", "split_pair",
+    "Chain", "advance", "flat_pair_index", "pair_levels", "split_pair",
     "split_pair_float", "stacked_draws",
 ]
 
@@ -41,6 +44,31 @@ _LEVEL_TILE = 512
 # lane entries (coordinates plus steps of each tile-replica lane) one scan
 # may hold; a single tile is always allowed
 _LEVEL_BUDGET = 1 << 21
+
+
+@dataclass(frozen=True, eq=False)
+class Chain:
+    """One of the two samplers, as the code that runs on either reads it.
+
+    ``simplex.simplex_chain`` and ``matrices.matrix_chain`` build it; they
+    are the only code that tells the chains apart, and ``kind`` is a label
+    written to outputs only. The recipes are functions, so a value that
+    costs an eigendecomposition (the simplex chain's base-walk gap) is
+    computed only when a recipe that needs it is called.
+    """
+
+    kind: str
+    n: int
+    kernel: Callable              # kernel(batch, a, b, lam, rows): the batch move
+    stationary: Callable          # stationary(rng): one stationary row drawn from rng
+    start: np.ndarray             # the worst-case deterministic start (read-only)
+    group: Optional[object]       # the draw arguments of seeding.draw_moves,
+    gens: Optional[object]        # None on the matrix chain
+    margin: Callable              # margin(v): distance of v's entries to the boundary
+    coeffs: Callable              # coeffs(vi, vj): (total, alpha, beta) on Python floats
+    horizons: Callable            # horizons(): the coupling's default (T1, T2)
+    connect_tail: Callable        # connect_tail(epsilon, C): (threshold, bound) or (None, None)
+    largeness: Callable           # largeness(k, d): (threshold, target frequency or None)
 
 
 def split_pair(total, alpha, beta, lam):
@@ -68,15 +96,6 @@ def split_pair_float(total: float, alpha: float, beta: float, lam: float):
     share = (lam if hi else 1.0 - lam) * alpha + beta
     rest = total - share
     return (share, rest) if hi else (rest, share)
-
-
-def pair_coeffs(kind: str, vi: float, vj: float):
-    """(total, alpha, beta) of the affine pair move for one chain, on Python
-    floats; the matrix case is pair_alpha_beta's operations in its order."""
-    total = vi + vj
-    if kind == "simplex":
-        return total, total, 0.0
-    return total, min(total, 4.0 - total), max(0.0, total - 2.0)
 
 
 def flat_pair_index(batch: np.ndarray, a, b, rows=None):

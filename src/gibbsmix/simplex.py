@@ -7,7 +7,8 @@ to 1. A move picks a group element g, a generator r, and lam uniform on
     X'[g] = lam * (X[g] + X[g*r]),    X'[g*r] = (1 - lam) * (X[g] + X[g*r]).
 
 The uniform distribution on the simplex is stationary. This module also
-provides the stationary sampler, the cross-correlation diagnostic for a pair
+provides the chain's record for the coupling experiments (``simplex_chain``),
+the stationary sampler, the cross-correlation diagnostic for a pair
 of coupled chains (the S vector), a Monte Carlo check of its exact one-step
 recursion, the L2 contraction experiment of the proportional coupling, and
 the eigenvector-statistic lower-bound experiment driven by the edge-walk
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateEigenvector, InvariantViolation
 from .groups import GeneratorSet, GroupTable
 from .kernels import TransitionKernel, base_walk_kernel, edge_walk_kernel, spectral_summary
-from .pairops import advance, flat_pair_index, split_pair
+from .pairops import Chain, advance, flat_pair_index, split_pair
 from .seeding import draw_moves, empty_moves, replica_rng
 
 __all__ = [
@@ -38,14 +39,14 @@ __all__ = [
     "LowerBoundReport",
     "step_batch",
     "sample_stationary",
-    "sample_stationary_batch",
+    "base_gap",
+    "simplex_chain",
     "s_vector",
     "s_recursion_targets",
     "check_s_recursion",
     "contraction_experiment",
     "lower_bound_init",
     "lower_bound_experiment",
-    "replica_rng",
 ]
 
 _SUM_TOL = 1e-12
@@ -113,9 +114,49 @@ def sample_stationary(n: int, rng: np.random.Generator) -> SimplexState:
     return SimplexState(e / e.sum())
 
 
-def sample_stationary_batch(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    e = rng.exponential(1.0, (size, n))
-    return e / e.sum(axis=1, keepdims=True)
+def base_gap(group: GroupTable, gens: GeneratorSet) -> float:
+    """gamma_hat: the spectral gap of the base pair walk."""
+    return spectral_summary(base_walk_kernel(group, gens)).gap
+
+
+def _pair_coeffs(xi: float, xj: float):
+    """(total, alpha, beta) of a pair move on Python floats."""
+    total = xi + xj
+    return total, total, 0.0
+
+
+def simplex_chain(group: GroupTable, gens: GeneratorSet) -> Chain:
+    """The chain on the Cayley graph of (group, gens) as a ``Chain``: it
+    starts at the point mass on the identity, and its margin is the entries.
+
+    Recipes, with gamma_hat = ``base_gap``: T1 = ceil((8 / gamma_hat)
+    (log(4n) + 62)) drives the L2 gap below the subset-coupling tolerance
+    and T2 = ceil(48 log n / gamma_hat) connects the schedule with
+    probability 1 - O(n^-3); the connection tail has threshold
+    8 (C + 3) log n / gamma_hat and bound 2 n^-C; largeness has threshold d
+    and no target.
+    """
+    n = group.n
+    start = np.zeros(n)
+    start[group.identity] = 1.0
+    start.setflags(write=False)
+
+    def horizons():
+        gamma_hat = base_gap(group, gens)
+        return (math.ceil((8.0 / gamma_hat) * (math.log(4 * n) + 62.0)),
+                math.ceil(8.0 * 6.0 * math.log(n) / gamma_hat))
+
+    def connect_tail(epsilon, C):
+        if C is None:
+            return None, None
+        return 8.0 * (C + 3.0) * math.log(n) / base_gap(group, gens), 2.0 * n ** (-C)
+
+    return Chain(
+        kind="simplex", n=n, kernel=step_batch,
+        stationary=lambda rng: sample_stationary(n, rng).x, start=start,
+        group=group, gens=gens, margin=lambda v: v, coeffs=_pair_coeffs,
+        horizons=horizons, connect_tail=connect_tail, largeness=lambda k, d: (d, None),
+    )
 
 
 def s_vector(x: SimplexState, y: SimplexState, group: GroupTable) -> SVector:
@@ -284,7 +325,7 @@ def contraction_experiment(
     Per-replica draw order: Y start, pair arrays, lambda array.
     """
     n = group.n
-    gamma_hat = spectral_summary(base_walk_kernel(group, gens)).gap
+    gamma_hat = base_gap(group, gens)
     stride = math.ceil(8.0 / gamma_hat)
     T = 10 * stride if T is None else T
     marks = list(range(stride, T + 1, stride))

@@ -15,7 +15,7 @@ from gibbsmix.coupling import (
     subset_couple_arrays,
 )
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
-from gibbsmix.harness import ExperimentConfig, default_horizons, run
+from gibbsmix.harness import ExperimentConfig, run
 from gibbsmix.kernels import (
     base_walk_kernel,
     comparison_kernel,
@@ -26,11 +26,17 @@ from gibbsmix.kernels import (
 from gibbsmix.matrices import (
     coupon_collector_experiment,
     identity_residual_batch,
+    matrix_chain,
     mcontraction_experiment,
     monotone_couple_run,
     msample_stationary_batch,
 )
-from gibbsmix.simplex import check_s_recursion, lower_bound_experiment, sample_stationary
+from gibbsmix.simplex import (
+    check_s_recursion,
+    lower_bound_experiment,
+    sample_stationary,
+    simplex_chain,
+)
 
 
 def _group_suite():
@@ -154,13 +160,14 @@ def test_07_subset_coupling_uniform_marginals_and_failure_rates():
 
     perms = rng.permuted(np.tile(np.arange(n), (invocations, 1)), axis=1)
     sizes = rng.integers(1, n, invocations)
+    simplex_coeffs = simplex_chain(*build_cyclic(n, [1, n - 1])).coeffs
     lam_x = np.empty(invocations)
     lam_y = np.empty(invocations)
     failures = 0
     for r in range(invocations):
         k = sizes[r]
         ok, lx, ly = subset_couple_arrays(
-            "simplex", states[r], partners[r], perms[r, :k],
+            simplex_coeffs, states[r], partners[r], perms[r, :k],
             int(perms[r, 0]), int(perms[r, k]), rng,
         )
         lam_x[r], lam_y[r] = lx, ly
@@ -202,13 +209,14 @@ def test_07_subset_coupling_uniform_marginals_and_failure_rates():
     all_y = np.vstack([cy, mixed_y])
     assert np.abs(all_x - all_y).max() <= gap_a
 
+    matrix_coeffs = matrix_chain(n).coeffs
     lam_x = np.empty(invocations)
     lam_y = np.empty(invocations)
     failures = 0
     for r in range(invocations):
         k = sizes_m[r]
         ok, lx, ly = subset_couple_arrays(
-            "matrix", all_x[r], all_y[r], perms_m[r, :k],
+            matrix_coeffs, all_x[r], all_y[r], perms_m[r, :k],
             int(perms_m[r, 0]), int(perms_m[r, k]), rng,
         )
         lam_x[r], lam_y[r] = lx, ly
@@ -225,21 +233,18 @@ def test_07_subset_coupling_uniform_marginals_and_failure_rates():
 def test_08_end_to_end_coupling_frequency_and_final_gap():
     t0 = time.monotonic()
     group, gens = build_cyclic(16, list(range(1, 16)))
-    gamma_hat = spectral_summary(base_walk_kernel(group, gens)).gap
-    t1, t2 = default_horizons("simplex", 16, gamma_hat=gamma_hat)
+    chain = simplex_chain(group, gens)
+    t1, t2 = chain.horizons()
     assert (t1, t2) == (3970, 999)
-    result = run_nonmarkovian_coupling(
-        "simplex", group=group, gens=gens, T1=t1, T2=t2, replicas=1000, seed=31
-    )
+    result = run_nonmarkovian_coupling(chain, T1=t1, T2=t2, replicas=1000, seed=31)
     coupled = sum(o.coupled for o in result.outcomes)
     assert coupled >= 990, f"simplex coupled {coupled}/1000"
     assert all(o.max_final_gap <= 1e-8 for o in result.outcomes if o.coupled)
 
-    t1, t2 = default_horizons("matrix", 16)
+    chain = matrix_chain(16)
+    t1, t2 = chain.horizons()
     assert (t1, t2) == (1557, 200)
-    result = run_nonmarkovian_coupling(
-        "matrix", n=16, T1=t1, T2=t2, replicas=1000, seed=32
-    )
+    result = run_nonmarkovian_coupling(chain, T1=t1, T2=t2, replicas=1000, seed=32)
     coupled = sum(o.coupled for o in result.outcomes)
     assert coupled >= 990, f"matrix coupled {coupled}/1000"
     assert all(o.max_final_gap <= 1e-8 for o in result.outcomes if o.coupled)
@@ -268,12 +273,12 @@ def test_10_lower_bound_slope_and_coupon_collector_tails():
 
 def test_11_connectedness_tail_bound_and_small_case_law():
     t0 = time.monotonic()
-    report = connectedness_experiment("matrix", n=64, replicas=1000, seed=6, epsilon=0.5)
+    report = connectedness_experiment(matrix_chain(64), replicas=1000, seed=6, epsilon=0.5)
     assert report.censored == 0
     assert report.tail_frequency <= report.bound, (
         f"tail {report.tail_frequency:.4f} > bound {report.bound:.4f}"
     )
-    small = connectedness_experiment("matrix", n=3, replicas=4000, seed=14)
+    small = connectedness_experiment(matrix_chain(3), replicas=4000, seed=14)
     exact_law = harness.oracle("schedule-enumeration")
     for length in range(1, 7):
         exact = exact_law[f"P[tau<={length}]"]

@@ -9,21 +9,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from gibbsmix import matrices, simplex
 from gibbsmix.coupling import (
     CouplingOutcome,
     _connection_times,
     build_partition_process,
     closeness_check,
     connectedness_experiment,
+    largeness_experiment,
     run_nonmarkovian_coupling,
     subset_couple_arrays,
 )
 from gibbsmix.errors import DegeneratePairMass, InvariantViolation
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
-from gibbsmix.matrices import MatrixState, msample_stationary, mstep_batch, pair_alpha_beta
+from gibbsmix.matrices import (
+    MatrixState,
+    matrix_chain,
+    msample_stationary,
+    mstep_batch,
+    pair_alpha_beta,
+)
 from gibbsmix.pairops import split_pair, stacked_draws
 from gibbsmix.seeding import draw_pairs, empty_moves, replica_rng
-from gibbsmix.simplex import sample_stationary, sample_stationary_batch, step_batch
+from gibbsmix.simplex import sample_stationary, simplex_chain, step_batch
+
+# each chain's float pair coefficients, which depend on neither n nor the group
+_COEFFS = {
+    "simplex": simplex_chain(*build_cyclic(3, [1, 2])).coeffs,
+    "matrix": matrix_chain(3).coeffs,
+}
 
 
 def _process(entries, n, t0=0):
@@ -147,7 +161,7 @@ def test_partition_invariants_random_schedules(data):
 def test_subset_worked_example():
     x = np.array([0.2, 0.3, 0.5])
     y = np.array([0.25, 0.35, 0.4])
-    ok, _, _ = subset_couple_arrays("simplex", x, y, np.array([0]), 0, 1,
+    ok, _, _ = subset_couple_arrays(_COEFFS["simplex"], x, y, np.array([0]), 0, 1,
                                     np.random.default_rng(0), lam_first=0.5)
     assert ok
     # lam_y = 0.5 gives lam_x = (0.6 * 0.5) / 0.5 = 0.6; both block weights 0.3
@@ -162,7 +176,7 @@ def test_subset_failure_branch():
     # remainder density
     x = np.array([0.05, 0.05, 0.9])
     y = np.array([0.45, 0.45, 0.1])
-    ok, _, _ = subset_couple_arrays("simplex", x, y, np.array([0]), 0, 1,
+    ok, _, _ = subset_couple_arrays(_COEFFS["simplex"], x, y, np.array([0]), 0, 1,
                                     np.random.default_rng(3), lam_first=0.5)
     assert not ok
     assert x.sum() == pytest.approx(1.0, abs=1e-12)
@@ -173,7 +187,7 @@ def test_subset_identical_states_always_succeed(rng):
     for _ in range(50):
         x = sample_stationary(5, rng).x
         y = x.copy()
-        ok, _, _ = subset_couple_arrays("simplex", x, y, np.array([0, 2]), 0, 1, rng)
+        ok, _, _ = subset_couple_arrays(_COEFFS["simplex"], x, y, np.array([0, 2]), 0, 1, rng)
         assert ok
         assert np.array_equal(x, y)
 
@@ -182,7 +196,8 @@ def test_subset_degenerate_pair_mass():
     x = np.array([0.0, 0.0, 1.0])
     y = np.array([0.3, 0.3, 0.4])
     with pytest.raises(DegeneratePairMass):
-        subset_couple_arrays("simplex", x, y, np.array([0]), 0, 1, np.random.default_rng(0))
+        subset_couple_arrays(_COEFFS["simplex"], x, y, np.array([0]), 0, 1,
+                             np.random.default_rng(0))
 
 
 def test_subset_matrix_mixed_signs_draw_side():
@@ -199,7 +214,7 @@ def test_subset_matrix_mixed_signs_draw_side():
     sy, ay, _ = pair_alpha_beta(yv[0], yv[1])
     assert ax == ay and sx == 2.25 and sy == 1.75
     ok, lam_x, lam_y = subset_couple_arrays(
-        "matrix", xv, yv, np.array([0]), 0, 1, np.random.default_rng(0),
+        _COEFFS["matrix"], xv, yv, np.array([0]), 0, 1, np.random.default_rng(0),
         lam_first=0.625,
     )
     assert ok
@@ -215,7 +230,7 @@ def test_subset_matrix_mixed_signs_draw_side():
     yv2[2] -= 0.25
     assert pair_alpha_beta(xv2[0], xv2[1])[1] == pair_alpha_beta(yv2[0], yv2[1])[1]
     ok2, lam_x2, lam_y2 = subset_couple_arrays(
-        "matrix", xv2, yv2, np.array([0]), 0, 1, np.random.default_rng(0),
+        _COEFFS["matrix"], xv2, yv2, np.array([0]), 0, 1, np.random.default_rng(0),
         lam_first=0.625,
     )
     assert ok2
@@ -227,7 +242,7 @@ def _assert_subset_writes_split_pair(kind, xv, yv, subset, i, j, rng, lam_first)
     # the scalar subset step must write exactly what the vectorized
     # split_pair gives at the lambdas it returns, and touch nothing else
     x0, y0 = xv.copy(), yv.copy()
-    _, lam_x, lam_y = subset_couple_arrays(kind, xv, yv, subset, i, j, rng, lam_first)
+    _, lam_x, lam_y = subset_couple_arrays(_COEFFS[kind], xv, yv, subset, i, j, rng, lam_first)
     if lam_first is not None:
         assert lam_first in (lam_x, lam_y)
     for before, after, lam in ((x0, xv, lam_x), (y0, yv, lam_y)):
@@ -286,7 +301,7 @@ def test_subset_marginal_uniformity_quick(rng):
         y = sample_stationary(5, rng)
         xv, yv = x.x.copy(), y.x.copy()
         _, lam_x, lam_y = subset_couple_arrays(
-            "simplex", xv, yv, np.array([0, 2]), 0, 1, rng
+            _COEFFS["simplex"], xv, yv, np.array([0, 2]), 0, 1, rng
         )
         lam_xs.append(lam_x)
         lam_ys.append(lam_y)
@@ -310,7 +325,7 @@ def test_proportional_step_matches_scalar_moves(rng):
     group, gens = build_cyclic(6, range(1, 6))
     for lam, kind in itertools.product([0.0, 0.5, 1.0, *rng.random(60)], ("simplex", "matrix")):
         if kind == "simplex":
-            xy = sample_stationary_batch(6, rng, 2)
+            xy = rng.dirichlet(np.ones(6), 2)
             i = int(rng.integers(0, 6))
             j = int(group.mul[i, rng.choice(gens.elements)])
         else:
@@ -356,7 +371,7 @@ def test_nonmarkovian_identical_starts_always_couple():
     group, gens = build_cyclic(5, [1, 4])
     x0 = np.full(5, 0.2)
     result = run_nonmarkovian_coupling(
-        "simplex", group=group, gens=gens, T1=5, T2=120, replicas=40, seed=9,
+        simplex_chain(group, gens), T1=5, T2=120, replicas=40, seed=9,
         x0=x0, keep_trace=True,
     )
     for outcome, trace in zip(result.outcomes, result.traces):
@@ -370,7 +385,7 @@ def test_nonmarkovian_identical_starts_always_couple():
 
 
 def test_nonmarkovian_short_schedule_not_connected():
-    result = run_nonmarkovian_coupling("matrix", n=8, T1=10, T2=4, replicas=25, seed=2)
+    result = run_nonmarkovian_coupling(matrix_chain(8), T1=10, T2=4, replicas=25, seed=2)
     counts = _outcome_counts(result.outcomes)
     assert counts == {"NotConnected": 25}
     for o in result.outcomes:
@@ -378,7 +393,7 @@ def test_nonmarkovian_short_schedule_not_connected():
 
 
 def test_nonmarkovian_records_subset_failures():
-    result = run_nonmarkovian_coupling("matrix", n=8, T1=2, T2=75, replicas=150, seed=21)
+    result = run_nonmarkovian_coupling(matrix_chain(8), T1=2, T2=75, replicas=150, seed=21)
     counts = _outcome_counts(result.outcomes)
     assert counts.get("SubsetFailed", 0) > 0
     for o in result.outcomes:
@@ -391,12 +406,40 @@ def test_nonmarkovian_deterministic():
     group, gens = build_cyclic(6, [1, 5])
     runs = [
         run_nonmarkovian_coupling(
-            "simplex", group=group, gens=gens, T1=50, T2=90, replicas=30, seed=13
+            simplex_chain(group, gens), T1=50, T2=90, replicas=30, seed=13
         )
         for _ in range(2)
     ]
     records = [[asdict(o) for o in r.outcomes] for r in runs]
     assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("module, name", [
+    (matrices, "mstep_batch"),
+    (matrices, "msample_stationary"),
+    (simplex, "step_batch"),
+    (simplex, "sample_stationary"),
+])
+def test_chain_calls_the_layer_bound_when_it_is_built(monkeypatch, module, name):
+    # a layer rebound in its module before the chain is built is the one the
+    # coupling runner and the largeness loop call, so wrappers that trace a
+    # run from outside the package see every call
+    original = getattr(module, name)
+    calls = []
+
+    def traced(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, traced)
+    if module is matrices:
+        chain = matrix_chain(8)
+    else:
+        chain = simplex_chain(*build_cyclic(6, [1, 5]))
+    run_nonmarkovian_coupling(chain, T1=4, T2=30, replicas=3, seed=0)
+    after_runner = len(calls)
+    largeness_experiment(chain, window=5, replicas=3, seed=0)
+    assert after_runner > 0 and len(calls) > after_runner
 
 
 _PHASE1_CHAINS = {
@@ -419,8 +462,8 @@ def test_phase1_matches_a_per_step_loop(chain, T1, replicas):
     kind, n, build = _PHASE1_CHAINS[chain]
     group, gens = build() if build else (None, None)
     result = run_nonmarkovian_coupling(
-        kind, group=group, gens=gens, n=n, T1=T1, T2=1, replicas=replicas,
-        seed=17, keep_trace=True,
+        simplex_chain(group, gens) if build else matrix_chain(n), T1=T1, T2=1,
+        replicas=replicas, seed=17, keep_trace=True,
     )
     for b, trace in enumerate(result.traces):
         rng = replica_rng(17, b)
@@ -457,12 +500,11 @@ _TRACE_CHAINS = {
 
 
 def _records_with_and_without_trace(chain, T1, T2, replicas, seed):
-    kind, n, build = _TRACE_CHAINS[chain]
-    group, gens = build() if build else (None, None)
+    _, n, build = _TRACE_CHAINS[chain]
+    built = simplex_chain(*build()) if build else matrix_chain(n)
     return [
         [asdict(o) for o in run_nonmarkovian_coupling(
-            kind, group=group, gens=gens, n=n, T1=T1, T2=T2, replicas=replicas,
-            seed=seed, keep_trace=keep,
+            built, T1=T1, T2=T2, replicas=replicas, seed=seed, keep_trace=keep,
         ).outcomes]
         for keep in (False, True)
     ]
@@ -491,7 +533,7 @@ def test_keep_trace_does_not_change_a_largeness_abort():
 
 def test_closeness_bound_holds_with_large_initial_gap():
     result = run_nonmarkovian_coupling(
-        "matrix", n=8, T1=2, T2=75, replicas=40, seed=21, keep_trace=True
+        matrix_chain(8), T1=2, T2=75, replicas=40, seed=21, keep_trace=True
     )
     checked = 0
     for trace in result.traces:
@@ -503,7 +545,7 @@ def test_closeness_bound_holds_with_large_initial_gap():
 
 
 def test_connectedness_small_case_exact_law():
-    report = connectedness_experiment("matrix", n=3, replicas=4000, seed=5)
+    report = connectedness_experiment(matrix_chain(3), replicas=4000, seed=5)
     assert report.censored == 0
     for length in (2, 3, 4, 6):
         emp = float(np.mean(report.taus <= length))
@@ -513,13 +555,13 @@ def test_connectedness_small_case_exact_law():
 
 
 def test_connectedness_thresholds():
-    report = connectedness_experiment("matrix", n=32, replicas=300, seed=9, epsilon=0.5)
+    report = connectedness_experiment(matrix_chain(32), replicas=300, seed=9, epsilon=0.5)
     assert report.threshold == pytest.approx((0.5 + 1.0) * 32 * math.log(32))
     assert report.bound == pytest.approx(2.0 * 32 ** -0.5)
     assert report.tail_frequency <= report.bound
     group, gens = build_cyclic(6, [1, 5])
     cayley = connectedness_experiment(
-        "simplex", group=group, gens=gens, replicas=200, seed=3, C=1.0
+        simplex_chain(group, gens), replicas=200, seed=3, C=1.0
     )
     assert cayley.bound == pytest.approx(2.0 / 6.0)
     assert cayley.tail_frequency <= cayley.bound
@@ -588,22 +630,25 @@ def test_connectedness_matches_scan_of_full_schedules(replicas, max_draws):
     # replica counts off the kernel's tile, prefixes that do and do not
     # connect, and censoring, against a scan of each full pair draw
     group, gens = build_cyclic(6, [1, 5])
-    for kwargs in ({"n": 5}, {"group": group, "gens": gens}):
-        kind = "matrix" if "n" in kwargs else "simplex"
+    for chain in (matrix_chain(5), simplex_chain(group, gens)):
         report = connectedness_experiment(
-            kind, replicas=replicas, seed=replicas, max_draws=max_draws, **kwargs
+            chain, replicas=replicas, seed=replicas, max_draws=max_draws
         )
         n = report.n
         full = max_draws or int(math.ceil(8.0 * n * math.log(n))) + 32
         want = []
         for b in range(replicas):
             left, right = draw_pairs(
-                replica_rng(replicas, b), full, n, kwargs.get("group"), kwargs.get("gens")
+                replica_rng(replicas, b), full, n, chain.group, chain.gens
             )
             tau, connected = _scan_connection_time(left, right, n)
             want.append(tau if connected else full + 1)
         assert report.taus.tolist() == want
         assert report.censored == sum(t > full for t in want)
+
+
+def _matrix_connect(n, **kwargs):
+    return connectedness_experiment(matrix_chain(n), **kwargs)
 
 
 def _sha(report):
@@ -639,19 +684,19 @@ _PINNED_CONNECT = {
 @pytest.mark.parametrize("case", sorted(_PINNED_CONNECT))
 def test_connectedness_pinned_matrix_outputs(case):
     kwargs, pinned = _PINNED_CONNECT[case]
-    assert _sha(connectedness_experiment("matrix", **kwargs)) == pinned
+    assert _sha(_matrix_connect(**kwargs)) == pinned
 
 
 def test_connectedness_pinned_cayley_outputs():
     group, gens = build_cyclic(6, [1, 5])
     report = connectedness_experiment(
-        "simplex", group=group, gens=gens, replicas=200, seed=3, max_draws=5
+        simplex_chain(group, gens), replicas=200, seed=3, max_draws=5
     )
     assert _sha(report) == (
         187, "9cec4790d10a0c31c620d31f8a54dad4ae2e430e76d5997a312a9a50ace1e8da"
     )
     group, gens = build_cyclic(256, [1, 255])
-    report = connectedness_experiment("simplex", group=group, gens=gens, replicas=200, seed=3)
+    report = connectedness_experiment(simplex_chain(group, gens), replicas=200, seed=3)
     assert _sha(report) == (
         0, "c995a45f128fb7866bce5c8fcd54589c361fb2014ea7bc20d458805181336d89"
     )

@@ -16,7 +16,6 @@ from gibbsmix.groups import (
     build_cyclic,
     build_dihedral,
     build_hypercube,
-    cayley_edges,
     load_group,
     verify_generator_set,
     verify_group_axioms,
@@ -107,12 +106,6 @@ def test_group_file_parse_error(tmp_path):
     path.write_text("3\n0 1 2\n1 2 0\n")
     with pytest.raises(ParseError):
         load_group(str(path))
-
-
-def test_cayley_edges_cycle(z4):
-    group, gens = z4
-    edges = {tuple(sorted(e)) for e in cayley_edges(group, gens)}
-    assert edges == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from gibbsmix.errors import ConfigError, InvariantViolation
 from gibbsmix.harness import (
     EXPERIMENTS,
     ExperimentConfig,
-    default_horizons,
     exact_acceptance_rate,
     exact_marginal_cdf,
     irwin_hall_cdf,
@@ -22,9 +23,15 @@ from gibbsmix.harness import (
     resolve_group,
     run,
 )
-from gibbsmix.matrices import coupon_collector_experiment, msample_stationary, mstep_batch
+from gibbsmix.groups import build_cyclic
+from gibbsmix.matrices import (
+    coupon_collector_experiment,
+    matrix_chain,
+    msample_stationary,
+    mstep_batch,
+)
 from gibbsmix.seeding import draw_moves, replica_rng
-from gibbsmix.simplex import sample_stationary, step_batch
+from gibbsmix.simplex import sample_stationary, simplex_chain, step_batch
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +74,16 @@ def test_config_minimal_round_trip():
         {"experiment": "largeness", "n": 8, "thresholds": {"k": math.inf}},
         {"experiment": "lowerbound-matrix", "n": 20, "thresholds": {"c": -math.inf}},
         {"experiment": "lowerbound-matrix", "n": 20, "thresholds": {"c": 10**400}},
+        # a threshold that the experiment does not read
+        {"experiment": "gap", "group": {"family": "cyclic", "n": 6},
+         "thresholds": {"epsilon": 1.0}},
+        {"experiment": "couple-matrix", "n": 5, "thresholds": {"k": 3.0}},
+        {"experiment": "connect", "n": 8, "thresholds": {"k": 1.0}},
+        {"experiment": "largeness", "n": 8, "thresholds": {"C": 1.0}},
+        {"experiment": "lowerbound-simplex", "group": {"family": "cyclic", "n": 6},
+         "thresholds": {"c": 0.0}},
+        {"experiment": "lowerbound-matrix", "n": 20, "thresholds": {"d": 0.1}},
+        {"experiment": "oracle", "suite": "acceptance-rate", "thresholds": {"d": 0.1}},
     ],
 )
 def test_config_rejects_bad_inputs(data):
@@ -126,12 +143,8 @@ def test_resolve_group_variants(tmp_path):
 
 def test_default_horizons_frozen_values():
     # complete generating set on 16 elements: gamma_hat = 2/15
-    assert default_horizons("simplex", 16, gamma_hat=2.0 / 15.0) == (3970, 999)
-    assert default_horizons("matrix", 16) == (1557, 200)
-    with pytest.raises(ConfigError):
-        default_horizons("simplex", 16)
-    with pytest.raises(ConfigError):
-        default_horizons("tensor", 16)
+    assert simplex_chain(*build_cyclic(16, range(1, 16))).horizons() == (3970, 999)
+    assert matrix_chain(16).horizons() == (1557, 200)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +566,34 @@ def test_name_lists_keep_their_order():
         "kernel-enumeration", "acceptance-rate", "schedule-enumeration", "marginal-density",
     )
     assert harness._GROUP_KEYS == {"family", "n", "k", "gens", "path"}
+    assert harness.THRESHOLD_KEYS == {"epsilon", "C", "k", "d", "c"}
+
+
+@pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "oracle"])
+def test_config_naming_the_other_chains_field_exits_one(tmp_path, capsys, experiment):
+    # 'n' names the matrix chain and 'group' the simplex chain; a config that
+    # names both is a config error, whichever chain the experiment runs on
+    out = tmp_path / "res"
+    args = [experiment, "--n", "8", "--group", "cyclic:6", "--replicas", "2", "--out", str(out)]
+    assert cli_main(args) == 1
+    assert _read_manifest(out)["error"].startswith("ConfigError: ")
+    capsys.readouterr()
+
+
+def test_no_code_compares_against_a_chain_label():
+    # which chain runs is decided once, by the factory that builds its
+    # record; "simplex" and "matrix" are labels written to outputs only
+    found = []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                for operand in (node.left, *node.comparators):
+                    found += [
+                        f"{path.name}:{node.lineno}"
+                        for sub in ast.walk(operand)
+                        if isinstance(sub, ast.Constant) and sub.value in ("simplex", "matrix")
+                    ]
+    assert found == []
 
 
 def test_harness_binds_no_simulation_layer():
@@ -632,6 +673,9 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     assert cli_main(["connect", "--n", "8", "--threshold", "epsilon"]) == 1
     assert cli_main(["gap", "--group", "cyclic:6", "--threshold", "a=3"]) == 1
     assert cli_main(["gap", "--group", "klein:4"]) == 1
+    # thresholds that the experiment does not read
+    assert cli_main(["gap", "--group", "cyclic:6", "--threshold", "epsilon=1"]) == 1
+    assert cli_main(["couple-matrix", "--n", "5", "--threshold", "k=3"]) == 1
     capsys.readouterr()
     # float() reads nan and inf; both are config errors that name the key
     assert cli_main(["connect", "--n", "8", "--threshold", "epsilon=nan"]) == 1

@@ -8,7 +8,6 @@ from gibbsmix.errors import InvariantViolation, RejectionBudgetExceeded
 from gibbsmix.harness import exact_marginal_cdf
 from gibbsmix.matrices import (
     MatrixState,
-    contraction_identity_check,
     identity_residual_batch,
     mcontraction_experiment,
     monotone_couple_run,
@@ -109,13 +108,44 @@ def test_stationary_sampler_budget():
         msample_stationary(2, np.random.default_rng(0))
 
 
+def _identity_sides(cx, cy):
+    """Both sides of the pair-gap difference identity by brute force: the
+    sum over ordered pairs i != j of (delta - eps)^2, with delta = 2 - x_i -
+    x_j and eps the same on y, and (n - 2) times the squared difference of
+    both columns, 2 |x - y|^2."""
+    n = len(cx)
+    lhs = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            delta = 2.0 - cx[i] - cx[j]
+            eps = 2.0 - cy[i] - cy[j]
+            lhs += (delta - eps) ** 2
+    diff = cx - cy
+    return lhs, (n - 2) * 2.0 * float(diff @ diff)
+
+
 def test_contraction_identity_hand_value():
     x = _state([1.1, 0.9, 1.0])
     y = _state([1.0, 1.0, 1.0])
-    report = contraction_identity_check(x, y)
-    assert report.lhs == pytest.approx(0.04, abs=1e-15)
-    assert report.rhs == pytest.approx(0.04, abs=1e-15)
-    assert report.abs_difference <= 1e-12
+    lhs, rhs = _identity_sides(x.c, y.c)
+    assert lhs == pytest.approx(0.04, abs=1e-15)
+    assert rhs == pytest.approx(0.04, abs=1e-15)
+    assert abs(lhs - rhs) <= 1e-12
+    assert identity_residual_batch(x.c[None], y.c[None])[0] <= 1e-12
+
+
+def test_identity_residual_batch_matches_the_brute_force_sides(rng):
+    # off the polytope the column sums differ and the identity fails by
+    # 2 (sum of x - y)^2, so the vectorized residual is checked where it is
+    # far from 0 as well as where it is 0
+    for n in (3, 4, 7):
+        off = rng.uniform(0.0, 2.0, (2, 50, n))
+        on = [msample_stationary_batch(n, rng, 50) for _ in range(2)]
+        for cx, cy in (off, on):
+            want = [abs(lhs - rhs) for lhs, rhs in map(_identity_sides, cx, cy)]
+            assert identity_residual_batch(cx, cy) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_identity_residuals_on_random_pairs(rng):
