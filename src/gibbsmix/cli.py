@@ -15,7 +15,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .errors import ConfigError
-from .harness import _RUNNERS, ORACLE_SUITES, ExperimentConfig, run
+from .harness import _READS, _RUNNERS, ORACLE_SUITES, ExperimentConfig, run
 
 _GROUP_HELP = (
     "group shorthand: cyclic:<n>[:pm1|complete|g1,g2,...], hypercube:<k>, "
@@ -58,6 +58,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _threshold_help(experiment: str) -> str:
+    reads = [f"{name.removeprefix('thresholds.')} on --{names.split()[0]}"
+             for names in _READS[experiment] for name in names.split()
+             if name.startswith("thresholds.")]
+    return f"lemma constant; {experiment} reads {' or '.join(reads) or 'none'}; repeatable"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gibbsmix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="EXPERIMENT")
@@ -77,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--suite", choices=ORACLE_SUITES, help="oracle suite name")
         sp.add_argument(
             "--threshold", action="append", default=[], metavar="KEY=VALUE",
-            help="named constant (epsilon, C, k, d, c); repeatable",
+            help=_threshold_help(name),
         )
     return parser
 

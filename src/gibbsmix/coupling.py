@@ -192,41 +192,21 @@ def subset_couple_arrays(
     others = subset[subset != i]
     c = (by - bx) + float(y[others].sum() - x[others].sum())
 
-    if ay > ax:
-        first = "y"
-    elif ax > ay:
-        first = "x"
-    elif sx > 2.0 and sy < 2.0:
-        # matrix pair-gap tie with delta_x < 0 < delta_y (delta = 2 - pair
-        # total): the x side draws first. A simplex tie has sx == sy, since
-        # alpha is the pair total there
-        first = "x"
-    else:
-        first = "y"
+    # a matrix pair-gap tie with delta_x < 0 < delta_y (delta = 2 - pair
+    # total) lets the x side draw first; a simplex tie has sx == sy, since
+    # alpha is the pair total there. The block weights match where
+    # ax lam_x = ay lam_y + c, so seen from the x side c changes sign
+    x_first = ax > ay or (not ay > ax and sx > 2.0 and sy < 2.0)
+    a1, a2, c = (ax, ay, -c) if x_first else (ay, ax, c)
 
     u = float(rng.random()) if lam_first is None else float(lam_first)
-    if first == "y":
-        lam_y = u
-        z = (ay * lam_y + c) / ax
-        lo_img, hi_img = c / ax, (ay + c) / ax
-        q = ax / ay
-    else:
-        lam_x = u
-        z = (ax * lam_x - c) / ay
-        lo_img, hi_img = -c / ay, (ax - c) / ay
-        q = ay / ax
-
+    z = (a1 * u + c) / a2
     succeeded = 0.0 <= z <= 1.0
-    if succeeded:
-        other_lam = z
-    else:
-        lo = min(max(lo_img, 0.0), 1.0)
-        hi = min(max(hi_img, 0.0), 1.0)
-        other_lam = _remainder_sample(lo, hi, q, rng)
-    if first == "y":
-        lam_x = other_lam
-    else:
-        lam_y = other_lam
+    if not succeeded:
+        lo = min(max(c / a2, 0.0), 1.0)
+        hi = min(max((a1 + c) / a2, 0.0), 1.0)
+        z = _remainder_sample(lo, hi, a2 / a1, rng)
+    lam_x, lam_y = (u, z) if x_first else (z, u)
 
     x[i], x[j] = split_pair_float(sx, ax, bx, lam_x)
     y[i], y[j] = split_pair_float(sy, ay, by, lam_y)
@@ -535,8 +515,7 @@ def connectedness_experiment(
     *,
     replicas: int = 1000,
     seed: int = 0,
-    epsilon: Optional[float] = None,
-    C: Optional[float] = None,
+    threshold: Optional[float] = None,
     max_draws: Optional[int] = None,
 ) -> ConnectReport:
     """Distribution of the connection time tau of a random update schedule.
@@ -552,8 +531,9 @@ def connectedness_experiment(
     pair array is drawn (nothing follows the pair arrays in its stream); a
     replica whose prefix does not connect is drawn again, from a fresh
     replica_rng(seed, b), at full max_draws. The report compares the
-    empirical tail against the chain's threshold (``chain.connect_tail``):
-    the matrix chain reads epsilon and the simplex chain C.
+    empirical tail against the chain's threshold (``chain.connect_tail``),
+    which reads ``threshold`` as epsilon on the matrix chain and as C on the
+    simplex chain.
     """
     n = chain.n
     if max_draws is None:
@@ -566,7 +546,7 @@ def connectedness_experiment(
         taus[rows] = _tile_taus(rows, seed, chain, max_draws, max_draws)[0]
     censored = int(np.sum(taus > max_draws))
 
-    threshold, bound = chain.connect_tail(epsilon, C)
+    threshold, bound = chain.connect_tail(threshold)
     tail = None if threshold is None else float(np.mean(taus > threshold))
     return ConnectReport(
         kind=chain.kind,
@@ -592,15 +572,15 @@ def largeness_experiment(
     window: int,
     replicas: int = 1000,
     seed: int = 0,
-    k: float = 1.0,
-    d: Optional[float] = None,
+    threshold: Optional[float] = None,
 ) -> LargenessReport:
     """Smallest boundary margin of each stationary trajectory over a window
     of steps: the entries themselves on the simplex, the distance to the
     nearer box wall, min(c, 2 - c), on the matrix chain (``chain.margin``).
 
     The threshold and its target frequency are the chain's
-    (``chain.largeness``): the matrix chain reads k and the simplex chain d.
+    (``chain.largeness``), which reads ``threshold`` as k on the matrix chain
+    and as d on the simplex chain.
     An entry's smallest margin over the window is the smallest of its start
     value's and of every value written to it, so the moves run in dependency
     levels and only the moved entries are read.
@@ -608,7 +588,7 @@ def largeness_experiment(
     Per-replica draw order: stationary start, pair arrays, lambda array.
     """
     n, margin = chain.n, chain.margin
-    threshold, target = chain.largeness(k, d)
+    threshold, target = chain.largeness(threshold)
 
     a, b, lam = empty_moves(replicas, window, n)
     states = np.empty((replicas, n))
@@ -628,7 +608,6 @@ def largeness_experiment(
 class ClosenessReport:
     initial_l1: float
     max_blockwise_l1: float      # max over checked steps of sum_S |w(X,S) - w(Y,S)|
-    steps_checked: int
     ok: bool
 
 
@@ -649,6 +628,5 @@ def closeness_check(trace: CouplingTrace) -> ClosenessReport:
     return ClosenessReport(
         initial_l1=initial_l1,
         max_blockwise_l1=worst,
-        steps_checked=limit + 1,
         ok=worst <= initial_l1 + 1e-10,
     )

@@ -54,9 +54,6 @@ class GroupTable:
         self.inv = np.asarray(self.inv, dtype=np.int32)
         verify_group_axioms(self)
 
-    def op(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
 
 @dataclass(eq=False)
 class GeneratorSet:

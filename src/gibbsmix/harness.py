@@ -1,7 +1,7 @@
 """Configuration-driven experiment runner: config -> experiment call -> tables.
 
-A single strict JSON document drives every experiment; unknown fields are
-errors. The simulations live beside their chains; a runner only calls one.
+A single strict JSON document drives every experiment; a field or threshold
+that the experiment does not read (``_READS``) is an error. The simulations live beside their chains; a runner only calls one.
 Each run writes a manifest (status "running") before any results, the
 artifacts, and then the final manifest (status "complete"), so interrupted
 runs leave a detectable partial marker. All randomness flows through
@@ -86,14 +86,29 @@ __all__ = [
     "run",
 ]
 
-# the thresholds each experiment reads; the others read none
-_THRESHOLDS = {
-    "connect": ("epsilon", "C"),
-    "largeness": ("k", "d"),
-    "lowerbound-simplex": ("d",),
-    "lowerbound-matrix": ("c",),
+# what each experiment reads besides seed and output: one list of names per
+# chain field it runs on, that field first ('n' the matrix chain, 'group' the
+# simplex chain; the oracle runs on neither), and at most one threshold
+_READS = {
+    "gap": ["group"],
+    "compare": ["group replicas"],
+    "s-recursion": ["group replicas"],
+    "contract-simplex": ["group T replicas"],
+    "contract-matrix": ["n T replicas"],
+    "identity-matrix": ["n replicas"],
+    "couple-simplex": ["group T1 T2 replicas"],
+    "couple-matrix": ["n T1 T2 replicas"],
+    "connect": ["n replicas thresholds.epsilon", "group replicas thresholds.C"],
+    "largeness": ["n T replicas thresholds.k", "group T replicas thresholds.d"],
+    "lowerbound-simplex": ["group T replicas thresholds.d"],
+    "lowerbound-matrix": ["n replicas thresholds.c"],
+    "oracle": ["suite"],
 }
-THRESHOLD_KEYS = frozenset(key for keys in _THRESHOLDS.values() for key in keys)
+_READ_FIELDS = ("group", "n", "T", "T1", "T2", "replicas", "suite")
+THRESHOLD_KEYS = frozenset(
+    name.removeprefix("thresholds.") for reads in _READS.values() for names in reads
+    for name in names.split() if name.startswith("thresholds.")
+)
 
 # each group family and the field that sizes it
 _GROUP_FAMILIES = {"cyclic": "n", "hypercube": "k", "dihedral": "k", "file": "path"}
@@ -155,8 +170,13 @@ class ExperimentConfig:
             _require_int(self.replicas, "replicas", 1)
         if not isinstance(self.thresholds, dict):
             raise ConfigError("thresholds must be an object")
-        _reject_unknown(f"threshold names for {self.experiment}", self.thresholds,
-                        _THRESHOLDS.get(self.experiment, ()))
+        given = {name for name in _READ_FIELDS if getattr(self, name) is not None}
+        given |= {f"thresholds.{key}" for key in self.thresholds}
+        reads = _READS[self.experiment]
+        if not any(given <= set(names.split()) for names in reads):
+            options = " or ".join("{" + names.replace(" ", ", ") + "}" for names in reads)
+            raise ConfigError(f"{self.experiment} reads {options} besides seed and output; "
+                              f"got {sorted(given)}")
         for key, value in self.thresholds.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"threshold {key} must be a number, got {value!r}")
@@ -336,33 +356,26 @@ _MANIFEST_SEED_CAP = 20_000
 # the docstring is the CLI help)
 
 
-def _thr(config: ExperimentConfig, key: str, default=None):
-    value = config.thresholds.get(key, default)
+def _threshold(config: ExperimentConfig, default=None):
+    """The config's threshold: the table lets a chain read at most one."""
+    value = next(iter(config.thresholds.values()), default)
     return None if value is None else float(value)
 
 
-# a config names the field of the chain it runs on, 'n' (matrix) or 'group'
-# (simplex), and never the other chain's field
 def _n(config: ExperimentConfig) -> int:
-    if config.group is not None:
-        raise ConfigError(f"{config.experiment} on n takes no 'group'")
     if config.n is None:
         raise ConfigError(f"{config.experiment} requires 'n'")
     return config.n
 
 
-def _group(config: ExperimentConfig):
-    if config.n is not None:
-        raise ConfigError(f"{config.experiment} on a group takes no 'n'")
-    return resolve_group(config.group)
-
-
 def _chain(config: ExperimentConfig) -> Chain:
     """The chain a config that may name either one runs on: the matrix chain
-    on n or the simplex chain on its group."""
-    if (config.group is None) == (config.n is None):
-        raise ConfigError(f"{config.experiment} requires exactly one of 'group' or 'n'")
-    return matrix_chain(_n(config)) if config.n is not None else simplex_chain(*_group(config))
+    on n or the simplex chain on its group (the table forbids both)."""
+    if config.n is not None:
+        return matrix_chain(config.n)
+    if config.group is None:
+        raise ConfigError(f"{config.experiment} requires 'n' or 'group'")
+    return simplex_chain(*resolve_group(config.group))
 
 
 def _eig_table(name: str, summary_kernel) -> Table:
@@ -381,7 +394,7 @@ def _kernel_table(name: str, kernel) -> Table:
 
 def _run_gap(config: ExperimentConfig):
     """spectrum and gap of the pair-walk kernels on a Cayley graph"""
-    group, gens = _group(config)
+    group, gens = resolve_group(config.group)
     base = base_walk_kernel(group, gens)
     edge = edge_walk_kernel(group, gens)
     sum_base = spectral_summary(base)
@@ -407,7 +420,7 @@ def _db_residual(kernel) -> float:
 
 def _run_compare(config: ExperimentConfig):
     """detailed balance and Dirichlet-form comparison of the rescaled kernel"""
-    group, gens = _group(config)
+    group, gens = resolve_group(config.group)
     trials = config.replicas or 1000
     comp = comparison_kernel(group, gens)
     report = verify_comparison(group, gens, trials=trials, seed=config.seed)
@@ -431,7 +444,7 @@ def _run_compare(config: ExperimentConfig):
 
 def _run_s_recursion(config: ExperimentConfig):
     """Monte Carlo check of the one-step autocorrelation-vector recursion"""
-    group, gens = _group(config)
+    group, gens = resolve_group(config.group)
     samples = config.replicas or 10**6
     rng = replica_rng(config.seed, 0)
     x = sample_stationary(group.n, rng)
@@ -458,7 +471,7 @@ def _run_s_recursion(config: ExperimentConfig):
 
 def _run_contract_simplex(config: ExperimentConfig):
     """L2 contraction of proportionally coupled simplex chains"""
-    group, gens = _group(config)
+    group, gens = resolve_group(config.group)
     replicas = config.replicas or 1000
     report = contraction_experiment(group, gens, config.T, replicas, config.seed)
     trajectory = [
@@ -543,7 +556,7 @@ def _run_couple(config: ExperimentConfig, chain: Chain):
 
 def _run_couple_simplex(config: ExperimentConfig):
     """two-phase non-Markovian coupling on a Cayley simplex chain"""
-    return _run_couple(config, simplex_chain(*_group(config)))
+    return _run_couple(config, simplex_chain(*resolve_group(config.group)))
 
 
 def _run_couple_matrix(config: ExperimentConfig):
@@ -555,8 +568,7 @@ def _run_connect(config: ExperimentConfig):
     """connection-time tails of random update schedules"""
     replicas = config.replicas or 1000
     report = connectedness_experiment(
-        _chain(config), replicas=replicas, seed=config.seed,
-        epsilon=_thr(config, "epsilon"), C=_thr(config, "C"),
+        _chain(config), replicas=replicas, seed=config.seed, threshold=_threshold(config)
     )
     rows = [(idx, int(report.taus[idx])) for idx in range(replicas)]
     summary = {
@@ -580,8 +592,7 @@ def _run_largeness(config: ExperimentConfig):
     chain = _chain(config)
     window = config.T if config.T is not None else chain.n * chain.n
     report = largeness_experiment(
-        chain, window=window, replicas=replicas, seed=config.seed,
-        k=_thr(config, "k", 1.0), d=_thr(config, "d"),
+        chain, window=window, replicas=replicas, seed=config.seed, threshold=_threshold(config)
     )
     minima, threshold, target = report.minima, report.threshold, report.target
     rows = [(r, float(minima[r])) for r in range(replicas)]
@@ -602,17 +613,15 @@ def _run_largeness(config: ExperimentConfig):
 
 def _run_lowerbound_simplex(config: ExperimentConfig):
     """eigenvector-statistic decay and TV lower bound"""
-    group, gens = _group(config)
+    group, gens = resolve_group(config.group)
     replicas = config.replicas or 10**4
-    gamma = spectral_summary(edge_walk_kernel(group, gens)).gap
-    T = config.T if config.T is not None else max(8, math.ceil(1.5 / gamma))
     report = lower_bound_experiment(
-        group, gens, T, d=_thr(config, "d"), replicas=replicas, seed=config.seed
+        group, gens, config.T, d=_threshold(config), replicas=replicas, seed=config.seed
     )
     summary = {
         "n": group.n,
         "replicas": replicas,
-        "T": T,
+        "T": report.T,
         "gamma": report.gamma,
         "slope": report.slope,
         "slope_target": report.slope_target,
@@ -630,7 +639,7 @@ def _run_lowerbound_matrix(config: ExperimentConfig):
     """coupon-collector miss probability lower bound"""
     n = _n(config)
     replicas = config.replicas or 10**4
-    c = _thr(config, "c", 0.0)
+    c = _threshold(config, 0.0)
     report = coupon_collector_experiment(n, c, replicas, config.seed)
     summary = {
         "n": n,

@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _ROW_TOL = 1e-12
+# spectral_summary requires detailed balance within this
+_REVERSIBILITY_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -157,12 +159,12 @@ def comparison_kernel(group: GroupTable, gens: GeneratorSet) -> TransitionKernel
     return TransitionKernel(n=n, p=p, pi=pi)
 
 
-def spectral_summary(kernel: TransitionKernel, reversibility_tol: float = 1e-12) -> SpectralSummary:
+def spectral_summary(kernel: TransitionKernel) -> SpectralSummary:
     """Eigenvalues via the symmetrization D^{1/2} P D^{-1/2}; requires
     detailed balance within tolerance."""
     flux = kernel.pi[:, None] * kernel.p
     resid = np.abs(flux - flux.T).max()
-    if resid > reversibility_tol:
+    if resid > _REVERSIBILITY_TOL:
         raise NotReversible(f"detailed balance residual {resid:.3e}")
     d = np.sqrt(kernel.pi)
     sym = (d[:, None] * kernel.p) / d[None, :]

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _REJECTION_BUDGET = 10**6
+# monotone_couple_run tolerates a domination gap down to minus this
+_DOMINATION_TOL = 1e-12
 # mcontraction_experiment measures the one-step ratio at this many times
 _CHECKPOINTS = 10
 
@@ -142,8 +144,9 @@ def matrix_chain(n: int) -> Chain:
 
     Recipes: the simplex horizons with the n log n scaling,
     T1 = ceil(1.5 n (log(8n) + 60)) and T2 = ceil(4.5 n log n); the
-    connection tail has threshold (1/2 + 2 eps) n log n and bound 2 n^-eps;
-    largeness has threshold n^(-5.5 - k) and target 1 - 2 n^-k.
+    connection tail reads eps, with threshold (1/2 + 2 eps) n log n and bound
+    2 n^-eps; largeness reads k (default 1), with threshold n^(-5.5 - k) and
+    target 1 - 2 n^-k.
     """
     start = np.zeros(n)
     start[: n // 2] = 2.0
@@ -151,10 +154,14 @@ def matrix_chain(n: int) -> Chain:
         start[n // 2] = 1.0
     start.setflags(write=False)
 
-    def connect_tail(epsilon, C):
+    def connect_tail(epsilon):
         if epsilon is None:
             return None, None
         return (0.5 + 2.0 * epsilon) * n * math.log(n), 2.0 * n ** (-epsilon)
+
+    def largeness(k):
+        k = 1.0 if k is None else k
+        return float(n) ** (-5.5 - k), 1.0 - 2.0 * float(n) ** (-k)
 
     return Chain(
         kind="matrix", n=n, kernel=mstep_batch,
@@ -163,8 +170,7 @@ def matrix_chain(n: int) -> Chain:
         coeffs=pair_alpha_beta_float,
         horizons=lambda: (math.ceil(1.5 * n * (math.log(8 * n) + 60.0)),
                           math.ceil(4.5 * n * math.log(n))),
-        connect_tail=connect_tail,
-        largeness=lambda k, d: (float(n) ** (-5.5 - k), 1.0 - 2.0 * float(n) ** (-k)),
+        connect_tail=connect_tail, largeness=largeness,
     )
 
 
@@ -273,7 +279,6 @@ def monotone_couple_run(
     n: int,
     T: int,
     seed: int,
-    tol: float = 1e-12,
     chunk: int = 100_000,
 ) -> MonotoneReport:
     """Shared-randomness coupling of the matrix chain with a simplex chain on
@@ -282,7 +287,7 @@ def monotone_couple_run(
 
     The simplex chain starts at s = c / n, so domination holds at t = 0; each
     shared (i, j, lam) move preserves it. Raises DominationViolated if the
-    gap ever drops below -tol. Also tracks entry extremes of both chains (the
+    gap ever drops below -1e-12. Also tracks entry extremes of both chains (the
     distance-from-boundary diagnostic).
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
@@ -310,7 +315,7 @@ def monotone_couple_run(
                 gap = gj
             if gap < min_gap:
                 min_gap = gap
-                if min_gap < -tol:
+                if min_gap < -_DOMINATION_TOL:
                     raise DominationViolated(
                         f"gap {min_gap:.3e} at step {done + k} (pair {i},{j})"
                     )

@@ -67,8 +67,8 @@ class Chain:
     margin: Callable              # margin(v): distance of v's entries to the boundary
     coeffs: Callable              # coeffs(vi, vj): (total, alpha, beta) on Python floats
     horizons: Callable            # horizons(): the coupling's default (T1, T2)
-    connect_tail: Callable        # connect_tail(epsilon, C): (threshold, bound) or (None, None)
-    largeness: Callable           # largeness(k, d): (threshold, target frequency or None)
+    connect_tail: Callable        # connect_tail(epsilon or C): (threshold, bound) or (None, None)
+    largeness: Callable           # largeness(k or d): (threshold, target frequency or None)
 
 
 def split_pair(total, alpha, beta, lam):

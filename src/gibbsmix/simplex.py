@@ -52,6 +52,9 @@ __all__ = [
 _SUM_TOL = 1e-12
 # lower_bound_experiment records <X_t, v> at every this many steps
 _CHECKPOINT_STRIDE = 4
+# check_s_recursion draws its moves in chunks of this many (part of its draw
+# order)
+_S_RECURSION_CHUNK = 50_000
 
 
 @dataclass(eq=False)
@@ -132,9 +135,9 @@ def simplex_chain(group: GroupTable, gens: GeneratorSet) -> Chain:
     Recipes, with gamma_hat = ``base_gap``: T1 = ceil((8 / gamma_hat)
     (log(4n) + 62)) drives the L2 gap below the subset-coupling tolerance
     and T2 = ceil(48 log n / gamma_hat) connects the schedule with
-    probability 1 - O(n^-3); the connection tail has threshold
-    8 (C + 3) log n / gamma_hat and bound 2 n^-C; largeness has threshold d
-    and no target.
+    probability 1 - O(n^-3); the connection tail reads C, with threshold
+    8 (C + 3) log n / gamma_hat and bound 2 n^-C; largeness reads d as its
+    threshold and has no target.
     """
     n = group.n
     start = np.zeros(n)
@@ -146,7 +149,7 @@ def simplex_chain(group: GroupTable, gens: GeneratorSet) -> Chain:
         return (math.ceil((8.0 / gamma_hat) * (math.log(4 * n) + 62.0)),
                 math.ceil(8.0 * 6.0 * math.log(n) / gamma_hat))
 
-    def connect_tail(epsilon, C):
+    def connect_tail(C):
         if C is None:
             return None, None
         return 8.0 * (C + 3.0) * math.log(n) / base_gap(group, gens), 2.0 * n ** (-C)
@@ -155,7 +158,7 @@ def simplex_chain(group: GroupTable, gens: GeneratorSet) -> Chain:
         kind="simplex", n=n, kernel=step_batch,
         stationary=lambda rng: sample_stationary(n, rng).x, start=start,
         group=group, gens=gens, margin=lambda v: v, coeffs=_pair_coeffs,
-        horizons=horizons, connect_tail=connect_tail, largeness=lambda k, d: (d, None),
+        horizons=horizons, connect_tail=connect_tail, largeness=lambda d: (d, None),
     )
 
 
@@ -221,7 +224,6 @@ class SRecursionReport:
     max_abs_deviation: float
     max_deviation_se: Optional[float]         # worst entry of deviation_se; None with it
     mean_lambda: float
-    mean_lambda_sq: float
     samples: int
 
 
@@ -232,7 +234,6 @@ def check_s_recursion(
     gens: GeneratorSet,
     samples: int = 10**6,
     seed: int = 0,
-    chunk: int = 50_000,
 ) -> SRecursionReport:
     """Monte Carlo estimate of E[S'] after one proportionally coupled move,
     against the closed-form targets.
@@ -257,10 +258,9 @@ def check_s_recursion(
     acc = np.zeros(n)
     acc_sq = np.zeros(n)
     lam_acc = 0.0
-    lam_sq_acc = 0.0
     done = 0
     while done < samples:
-        b = min(chunk, samples - done)
+        b = min(_S_RECURSION_CHUNK, samples - done)
         a, partner, lam = draw_moves(rng, b, n, group, gens)
         d = np.broadcast_to(d0, (b, n)).copy()
         step_batch(d, a, partner, lam)
@@ -268,7 +268,6 @@ def check_s_recursion(
         acc += sprime.sum(axis=0)
         acc_sq += (sprime**2).sum(axis=0)
         lam_acc += lam.sum()
-        lam_sq_acc += (lam**2).sum()
         done += b
 
     est = acc / samples
@@ -287,7 +286,6 @@ def check_s_recursion(
         max_abs_deviation=float(dev.max()),
         max_deviation_se=None if units is None else float(units.max()),
         mean_lambda=lam_acc / samples,
-        mean_lambda_sq=lam_sq_acc / samples,
         samples=samples,
     )
 
@@ -393,7 +391,7 @@ class LowerBoundPoint:
 class LowerBoundReport:
     points: list
     gamma: float
-    inner0: float
+    T: int
     d: float
     slope: Optional[float]       # None when fewer than two means are positive
     slope_target: Optional[float]  # log(1 - gamma); None when gamma = 1
@@ -405,7 +403,7 @@ class LowerBoundReport:
 def lower_bound_experiment(
     group: GroupTable,
     gens: GeneratorSet,
-    T: int,
+    T: Optional[int] = None,
     d: Optional[float] = None,
     replicas: int = 10_000,
     seed: int = 0,
@@ -421,12 +419,14 @@ def lower_bound_experiment(
     frequency P[<X_t, v> > d] with its stationary counterpart (the implied
     total variation lower bound). A gap of 1 (the 2-element group) decays in
     one step and has no log-slope: the target, slope and relative error are
-    then None. With one replica each point's se is None.
+    then None. With one replica each point's se is None. T defaults to
+    max(8, ceil(1.5 / gamma)).
     """
     n = group.n
     kernel = edge_walk_kernel(group, gens)
     v, mu = lower_bound_init(kernel)
     gamma = spectral_summary(kernel).gap
+    T = max(8, math.ceil(1.5 / gamma)) if T is None else T
     inner0 = float(mu.x @ v)
     if d is None:
         d = inner0 / 2.0
@@ -483,7 +483,7 @@ def lower_bound_experiment(
     return LowerBoundReport(
         points=points,
         gamma=gamma,
-        inner0=inner0,
+        T=T,
         d=float(d),
         slope=slope,
         slope_target=target,

@@ -273,7 +273,7 @@ def test_10_lower_bound_slope_and_coupon_collector_tails():
 
 def test_11_connectedness_tail_bound_and_small_case_law():
     t0 = time.monotonic()
-    report = connectedness_experiment(matrix_chain(64), replicas=1000, seed=6, epsilon=0.5)
+    report = connectedness_experiment(matrix_chain(64), replicas=1000, seed=6, threshold=0.5)
     assert report.censored == 0
     assert report.tail_frequency <= report.bound, (
         f"tail {report.tail_frequency:.4f} > bound {report.bound:.4f}"

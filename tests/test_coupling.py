@@ -555,13 +555,13 @@ def test_connectedness_small_case_exact_law():
 
 
 def test_connectedness_thresholds():
-    report = connectedness_experiment(matrix_chain(32), replicas=300, seed=9, epsilon=0.5)
+    report = connectedness_experiment(matrix_chain(32), replicas=300, seed=9, threshold=0.5)
     assert report.threshold == pytest.approx((0.5 + 1.0) * 32 * math.log(32))
     assert report.bound == pytest.approx(2.0 * 32 ** -0.5)
     assert report.tail_frequency <= report.bound
     group, gens = build_cyclic(6, [1, 5])
     cayley = connectedness_experiment(
-        simplex_chain(group, gens), replicas=200, seed=3, C=1.0
+        simplex_chain(group, gens), replicas=200, seed=3, threshold=1.0
     )
     assert cayley.bound == pytest.approx(2.0 / 6.0)
     assert cayley.tail_frequency <= cayley.bound

@@ -26,7 +26,7 @@ def test_cyclic_table_basics(z6):
     group, gens = z6
     assert group.n == 6
     assert group.identity == 0
-    assert group.op(2, 5) == 1
+    assert group.mul[2, 5] == 1
     assert group.inv[2] == 4
     assert gens.elements == (1, 5)
 
@@ -36,14 +36,14 @@ def test_hypercube_all_involutions(cube3):
     assert group.n == 8
     assert np.array_equal(group.inv, np.arange(8))
     for g in gens.elements:
-        assert group.op(g, g) == group.identity
+        assert group.mul[g, g] == group.identity
 
 
 def test_dihedral_nonabelian(dihedral3):
     group, _ = dihedral3
     assert group.n == 6
     products = [
-        (group.op(a, b), group.op(b, a))
+        (group.mul[a, b], group.mul[b, a])
         for a in range(group.n)
         for b in range(group.n)
     ]
@@ -117,4 +117,4 @@ def test_cyclic_axioms_and_inverse_laws(n, data):
     a = data.draw(st.integers(0, n - 1))
     b = data.draw(st.integers(0, n - 1))
     assert group.inv[group.inv[a]] == a
-    assert group.op(group.inv[b], group.inv[a]) == group.inv[group.op(a, b)]
+    assert group.mul[group.inv[b], group.inv[a]] == group.inv[group.mul[a, b]]

@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -84,6 +85,10 @@ def test_config_minimal_round_trip():
          "thresholds": {"c": 0.0}},
         {"experiment": "lowerbound-matrix", "n": 20, "thresholds": {"d": 0.1}},
         {"experiment": "oracle", "suite": "acceptance-rate", "thresholds": {"d": 0.1}},
+        # threshold names and config field names are separate namespaces
+        {"experiment": "gap", "thresholds": {"replicas": 1}},
+        # connect runs on one chain, not on both
+        {"experiment": "connect", "n": 8, "group": {"family": "cyclic", "n": 6}},
     ],
 )
 def test_config_rejects_bad_inputs(data):
@@ -104,6 +109,133 @@ def test_config_from_json_file(tmp_path):
             ExperimentConfig.from_json_file(bad)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json_file(tmp_path / "missing.json")
+
+
+# ---------------------------------------------------------------------------
+# what each experiment reads
+
+_CYCLIC6 = {"family": "cyclic", "n": 6}
+# the names each experiment reads besides seed and output, one set per chain
+# it runs on; kept here rather than read from the harness
+_EXPECTED_READS = {
+    "gap": [{"group"}],
+    "compare": [{"group", "replicas"}],
+    "s-recursion": [{"group", "replicas"}],
+    "contract-simplex": [{"group", "T", "replicas"}],
+    "contract-matrix": [{"n", "T", "replicas"}],
+    "identity-matrix": [{"n", "replicas"}],
+    "couple-simplex": [{"group", "T1", "T2", "replicas"}],
+    "couple-matrix": [{"n", "T1", "T2", "replicas"}],
+    "connect": [{"n", "replicas", "epsilon"}, {"group", "replicas", "C"}],
+    "largeness": [{"n", "T", "replicas", "k"}, {"group", "T", "replicas", "d"}],
+    "lowerbound-simplex": [{"group", "T", "replicas", "d"}],
+    "lowerbound-matrix": [{"n", "replicas", "c"}],
+    "oracle": [{"suite"}],
+}
+# a value for every config field and threshold a test adds to a config
+_FIELD_VALUES = {"group": _CYCLIC6, "n": 8, "T": 7, "T1": 3, "T2": 4, "replicas": 9,
+                 "suite": "acceptance-rate"}
+_THRESHOLD_VALUES = {"epsilon": 0.5, "C": 1.0, "k": 1.0, "d": 0.01, "c": 0.0}
+# a small config of each (experiment, chain), naming only what it reads
+_RUNNABLE = {
+    ("gap", "group"): {"group": _CYCLIC6},
+    ("compare", "group"): {"group": _CYCLIC6, "replicas": 10},
+    ("s-recursion", "group"): {"group": _CYCLIC6, "replicas": 10},
+    ("contract-simplex", "group"): {"group": _CYCLIC6, "replicas": 2},
+    ("contract-matrix", "n"): {"n": 5, "T": 10, "replicas": 2},
+    ("identity-matrix", "n"): {"n": 5, "replicas": 10},
+    ("couple-simplex", "group"): {"group": {"family": "cyclic", "n": 5}, "T1": 3, "T2": 40,
+                                  "replicas": 2},
+    ("couple-matrix", "n"): {"n": 5, "T1": 3, "T2": 40, "replicas": 2},
+    ("connect", "n"): {"n": 8, "replicas": 5},
+    ("connect", "group"): {"group": _CYCLIC6, "replicas": 5},
+    ("largeness", "n"): {"n": 5, "T": 20, "replicas": 2},
+    ("largeness", "group"): {"group": _CYCLIC6, "T": 20, "replicas": 2},
+    ("lowerbound-simplex", "group"): {"group": _CYCLIC6, "T": 10, "replicas": 10},
+    ("lowerbound-matrix", "n"): {"n": 20, "replicas": 10},
+    ("oracle", None): {"suite": "acceptance-rate"},
+}
+
+
+def _with_name(data: dict, name: str) -> dict:
+    """data with one more config field or threshold."""
+    if name in _THRESHOLD_VALUES:
+        thresholds = {**data.get("thresholds", {}), name: _THRESHOLD_VALUES[name]}
+        return {**data, "thresholds": thresholds}
+    return {**data, name: _FIELD_VALUES[name]}
+
+
+def _once_ignored():
+    """(experiment, chain, name) of every name that a config could once give
+    although the experiment does not read it: the sizes and the suite on
+    every experiment, n and group on the oracle, and on connect and
+    largeness the other chain's threshold."""
+    for experiment, variants in _EXPECTED_READS.items():
+        for reads in variants:
+            chain = next((c for c in ("n", "group") if c in reads), None)
+            accepted = {"T", "T1", "T2", "replicas", "suite"}
+            if experiment == "oracle":
+                accepted |= {"n", "group"}
+            accepted |= {t for other in variants for t in other if t in _THRESHOLD_VALUES}
+            for name in sorted(accepted - reads):
+                yield experiment, chain, name
+
+
+_ONCE_IGNORED = list(_once_ignored())
+
+
+def test_once_ignored_names_are_counted():
+    assert len(_ONCE_IGNORED) == 58
+    assert {(e, c) for e, c, _ in _ONCE_IGNORED} == set(_RUNNABLE)
+
+
+@pytest.mark.parametrize("experiment, chain, name", _ONCE_IGNORED,
+                         ids=[f"{e}-{c}-{n}" for e, c, n in _ONCE_IGNORED])
+def test_a_name_the_experiment_does_not_read_exits_one(tmp_path, capsys, experiment, chain,
+                                                       name):
+    # each of these once ran to exit 0 and was written to the manifest as if
+    # it had shaped the run; the config without it is accepted
+    runnable = {"experiment": experiment, **_RUNNABLE[experiment, chain]}
+    ExperimentConfig.from_dict(runnable)
+    data = _with_name(runnable, name)
+    with pytest.raises(ConfigError, match=f"{experiment} reads"):
+        ExperimentConfig.from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "res"
+    assert cli_main([experiment, "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "config error: " in capsys.readouterr().err
+
+
+def _readme_reads_table():
+    """(subcommand, names) of each row of the README's table of what each
+    subcommand reads."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | reads | defaults |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = line.split("|")[1:-1]
+        (experiment,) = re.findall(r"`([^`]+)`", cells[0])
+        rows.append((experiment, re.findall(r"`([^`]+)`", cells[1])))
+    return rows
+
+
+def test_readme_table_of_reads_matches_the_config_check():
+    rows = _readme_reads_table()
+    assert {experiment for experiment, _ in rows} == set(EXPERIMENTS)
+    names = set(_FIELD_VALUES) | {f"thresholds.{key}" for key in _THRESHOLD_VALUES}
+    for experiment, reads in rows:
+        assert set(reads) <= names, (experiment, reads)
+        data = {"experiment": experiment}
+        for name in reads:
+            data = _with_name(data, name.removeprefix("thresholds."))
+        ExperimentConfig.from_dict(data)
+        for other in sorted(names - set(reads)):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict(_with_name(data, other.removeprefix("thresholds.")))
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +421,17 @@ def test_run_invariant_failure_exits_two(tmp_path, monkeypatch):
     assert "InvariantViolation" in manifest["error"]
 
 
-@pytest.mark.parametrize("experiment, error", [("gap", ValueError), ("connect", MemoryError)])
-def test_run_unexpected_exception_exits_two(tmp_path, monkeypatch, capsys, experiment, error):
+@pytest.mark.parametrize("experiment, fields, error", [
+    ("gap", {"group": {"family": "cyclic", "n": 6}}, ValueError),
+    ("connect", {"n": 6}, MemoryError),
+], ids=["gap-ValueError", "connect-MemoryError"])
+def test_run_unexpected_exception_exits_two(tmp_path, monkeypatch, capsys, experiment, fields,
+                                            error):
     def boom(config):
         raise error("synthetic runner failure")
 
     monkeypatch.setitem(harness._RUNNERS, experiment, boom)
-    cfg = ExperimentConfig.from_dict({"experiment": experiment, "n": 6})
+    cfg = ExperimentConfig.from_dict({"experiment": experiment, **fields})
     out = tmp_path / "res"
     assert run(cfg, out_dir=out) == 2
     manifest = _read_manifest(out)
@@ -488,8 +624,10 @@ def _edge_cases():
         if experiment not in _GROUP_ONLY:
             sizes += [(f"n{n}", {"n": n}) for n in (3, 4)]
         horizons = [(field, t) for field in _EDGE_TIME.get(experiment, ()) for t in (0, 1)]
+        # gap reads no replica count
+        replicas = {} if experiment == "gap" else {"replicas": 1}
         for size, fields in sizes:
-            data = {"experiment": experiment, "replicas": 1, "seed": 1, **fields}
+            data = {"experiment": experiment, "seed": 1, **replicas, **fields}
             yield f"{experiment}-{size}", data
             for field, t in horizons:
                 yield f"{experiment}-{size}-{field}{t}", {**data, field: t}
@@ -572,12 +710,13 @@ def test_name_lists_keep_their_order():
 @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "oracle"])
 def test_config_naming_the_other_chains_field_exits_one(tmp_path, capsys, experiment):
     # 'n' names the matrix chain and 'group' the simplex chain; a config that
-    # names both is a config error, whichever chain the experiment runs on
+    # names both is a config error, whichever chain the experiment runs on,
+    # and is rejected before anything is written
     out = tmp_path / "res"
-    args = [experiment, "--n", "8", "--group", "cyclic:6", "--replicas", "2", "--out", str(out)]
+    args = [experiment, "--n", "8", "--group", "cyclic:6", "--out", str(out)]
     assert cli_main(args) == 1
-    assert _read_manifest(out)["error"].startswith("ConfigError: ")
-    capsys.readouterr()
+    assert not out.exists()
+    assert "config error: " in capsys.readouterr().err
 
 
 def test_no_code_compares_against_a_chain_label():
