@@ -77,7 +77,7 @@ from .coupling import (
     connectedness_experiment,
     largeness_experiment,
     run_nonmarkovian_coupling,
-    subset_couple_arrays,
+    subset_couple_batch,
 )
 from .pairops import Chain
 from .seeding import replica_rng

@@ -12,8 +12,10 @@ Three layers:
 * the two-phase non-Markovian coupling: phase 1 runs proportional steps;
   the phase-2 update coordinates are drawn up front, their suffix graph
   defines a backward partition process whose merge times are "marked", and
-  the replay applies subset couplings exactly at marked times. If every
-  subset coupling succeeds and the schedule connects, the chains meet.
+  the replay applies subset couplings exactly at marked times, one batched
+  step (``subset_couple_batch``) per marked time over the replicas marked
+  there. If every subset coupling succeeds and the schedule connects, the
+  chains meet.
 
 The partition process over a schedule on times [T1, T): P_t is the set of
 connected components of the edges {(i(s), j(s)) : s >= t}; it refines as t
@@ -35,8 +37,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegeneratePairMass, InvariantViolation
-from .pairops import Chain, advance, pair_levels, split_pair_float, stacked_draws
+from .errors import InvariantViolation
+from .pairops import Chain, advance, flat_pair_index, pair_levels, split_pair, stacked_draws
 from .seeding import draw_moves, draw_pairs, empty_moves, replica_rng
 
 __all__ = [
@@ -52,7 +54,7 @@ __all__ = [
     "LargenessReport",
     "ClosenessReport",
     "build_partition_process",
-    "subset_couple_arrays",
+    "subset_couple_batch",
     "run_nonmarkovian_coupling",
     "connectedness_experiment",
     "largeness_experiment",
@@ -159,66 +161,103 @@ def _remainder_sample(lo: float, hi: float, q: float, rng: np.random.Generator) 
     return hi + (u - mid)
 
 
-def subset_couple_arrays(
-    coeffs: Callable,
-    x: np.ndarray,
-    y: np.ndarray,
-    subset: np.ndarray,
-    i: int,
-    j: int,
-    rng: np.random.Generator,
-    lam_first: Optional[float] = None,
-):
-    """One subset-coupled update of the pair (i, j), in place; i lies in the
-    block ``subset``, j outside it. ``coeffs(vi, vj)`` is the chain's
-    (total, alpha, beta) of a pair move (``Chain.coeffs``).
+def _size_runs(size: np.ndarray):
+    """(r0, r1, k) for each maximal run of rows r0..r1-1 of equal block size k."""
+    starts = np.flatnonzero(np.diff(size, prepend=-1)).tolist()
+    return [(r0, r1, int(size[r0])) for r0, r1 in zip(starts, [*starts[1:], len(size)])]
 
-    The chain whose pair move has the larger lambda coefficient draws its
-    lambda uniformly first (``lam_first`` if supplied); the other lambda is
-    computed from the weight-matching relation. If the computed value leaves
-    [0, 1] the step fails and that lambda is drawn from the remainder
-    density instead, keeping both marginals exactly uniform.
 
-    Returns (succeeded, lam_x, lam_y). On success the block weights agree
-    within 1e-12 (asserted).
+def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i, j, s1, u, rngs):
+    """One subset-coupled update per row, in place: batch row rows[k] of X
+    and of Y updates the pair (i[k], j[k]), with i[k] in the block S1 of
+    that row and j[k] outside it. X and Y are C-contiguous (B, n) batches
+    and each row appears at most once. ``s1 = (members, start, size)``: the
+    S1 of row k is ``members[start[k]:start[k] + size[k]]``. ``coeffs(vi,
+    vj)`` is the chain's (total, alpha, beta) of a pair move on arrays
+    (``Chain.coeffs``), u[k] the lambda that row k draws first, and
+    ``rngs[rows[k]]`` the generator of its remainder draw.
+
+    Per row: the chain whose pair move has the larger lambda coefficient
+    takes u; the other lambda is computed from the weight-matching relation.
+    If the computed value leaves [0, 1] the step fails and that lambda is
+    drawn from the remainder density instead, keeping both marginals
+    exactly uniform. The remainder draws are made one failed row at a time,
+    in row order, before any write.
+
+    A row whose pair mass (alpha) is at most 1e-300 on either side is
+    degenerate: it is dropped before any further arithmetic and makes no
+    draw and no write. Block sums are taken over runs of rows with equal
+    |S1|, as C-contiguous (rows, |S1|) gathers summed along axis 1, which
+    gives each row the bits of a 1-D ``.sum()`` of its block; sort the rows
+    by |S1| to make each run one block size.
+
+    Returns (degenerate, ok, lam_x, lam_y), one entry per row; lam_x and
+    lam_y are NaN on degenerate rows. On each row that succeeded the block
+    weights w(X, S1) and w(Y, S1) agree within 1e-12 (checked).
     """
-    xi, xj = float(x[i]), float(x[j])
-    yi, yj = float(y[i]), float(y[j])
-    sx, ax, bx = coeffs(xi, xj)
-    sy, ay, by = coeffs(yi, yj)
-    if ax <= _PAIR_MASS_FLOOR or ay <= _PAIR_MASS_FLOOR:
-        raise DegeneratePairMass(f"pair mass {min(ax, ay):.3e} at pair ({i}, {j})")
+    members, start, size = s1
+    rows, i, u, start, size = (np.asarray(v) for v in (rows, i, u, start, size))
+    fx, ii, jj = flat_pair_index(X, i, j, rows)
+    fy = flat_pair_index(Y, i, j, rows)[0]
+    sx, ax, bx = coeffs(fx[ii], fx[jj])
+    sy, ay, by = coeffs(fy[ii], fy[jj])
+    degenerate = (ax <= _PAIR_MASS_FLOOR) | (ay <= _PAIR_MASS_FLOOR)
+    if degenerate.any():
+        live = np.flatnonzero(~degenerate)
+        rows, i, ii, jj, u, start, size, sx, ax, bx, sy, ay, by = (
+            v[live] for v in (rows, i, ii, jj, u, start, size, sx, ax, bx, sy, ay, by)
+        )
 
-    others = subset[subset != i]
-    c = (by - bx) + float(y[others].sum() - x[others].sum())
+    # the flat index of each run's blocks, and the sums over S1 less i
+    base = rows * X.shape[1]
+    blocks = []
+    c = np.zeros(len(rows))
+    for r0, r1, k in _size_runs(size):
+        block = members[start[r0:r1, None] + np.arange(k)]
+        full = base[r0:r1, None] + block
+        blocks.append((r0, r1, full))
+        if k > 1:
+            others = full[block != i[r0:r1, None]].reshape(r1 - r0, k - 1)
+            c[r0:r1] = fy[others].sum(axis=1) - fx[others].sum(axis=1)
+    c = (by - bx) + c
 
     # a matrix pair-gap tie with delta_x < 0 < delta_y (delta = 2 - pair
     # total) lets the x side draw first; a simplex tie has sx == sy, since
     # alpha is the pair total there. The block weights match where
     # ax lam_x = ay lam_y + c, so seen from the x side c changes sign
-    x_first = ax > ay or (not ay > ax and sx > 2.0 and sy < 2.0)
-    a1, a2, c = (ax, ay, -c) if x_first else (ay, ax, c)
+    x_first = (ax > ay) | (~(ay > ax) & (sx > 2.0) & (sy < 2.0))
+    a1 = np.where(x_first, ax, ay)
+    a2 = np.where(x_first, ay, ax)
+    c = np.where(x_first, -c, c)
 
-    u = float(rng.random()) if lam_first is None else float(lam_first)
     z = (a1 * u + c) / a2
-    succeeded = 0.0 <= z <= 1.0
-    if not succeeded:
-        lo = min(max(c / a2, 0.0), 1.0)
-        hi = min(max((a1 + c) / a2, 0.0), 1.0)
-        z = _remainder_sample(lo, hi, a2 / a1, rng)
-    lam_x, lam_y = (u, z) if x_first else (z, u)
+    ok = (0.0 <= z) & (z <= 1.0)
+    for r in np.flatnonzero(~ok).tolist():
+        cr, a1r, a2r = float(c[r]), float(a1[r]), float(a2[r])
+        lo = min(max(cr / a2r, 0.0), 1.0)
+        hi = min(max((a1r + cr) / a2r, 0.0), 1.0)
+        z[r] = _remainder_sample(lo, hi, a2r / a1r, rngs[rows[r]])
+    lam_x = np.where(x_first, u, z)
+    lam_y = np.where(x_first, z, u)
 
-    x[i], x[j] = split_pair_float(sx, ax, bx, lam_x)
-    y[i], y[j] = split_pair_float(sy, ay, by, lam_y)
+    fx[ii], fx[jj] = split_pair(sx, ax, bx, lam_x)
+    fy[ii], fy[jj] = split_pair(sy, ay, by, lam_y)
 
-    if succeeded:
-        wx = float(x[subset].sum())
-        wy = float(y[subset].sum())
-        if abs(wx - wy) > _W_TOL:
+    for r0, r1, full in blocks:
+        gap = np.abs(fx[full].sum(axis=1) - fy[full].sum(axis=1))
+        bad = ok[r0:r1] & (gap > _W_TOL)
+        if bad.any():
             raise InvariantViolation(
-                "subset-w-equality", f"|w(X,S) - w(Y,S)| = {abs(wx - wy):.3e}"
+                "subset-w-equality", f"|w(X,S) - w(Y,S)| = {gap[bad].max():.3e}"
             )
-    return succeeded, lam_x, lam_y
+
+    if not degenerate.any():
+        return degenerate, ok, lam_x, lam_y
+    out_ok = np.zeros(degenerate.size, dtype=bool)
+    out_x = np.full(degenerate.size, np.nan)
+    out_y = np.full(degenerate.size, np.nan)
+    out_ok[live], out_x[live], out_y[live] = ok, lam_x, lam_y
+    return degenerate, out_ok, out_x, out_y
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +317,21 @@ def run_nonmarkovian_coupling(
     in dependency levels (``pairops.advance``), one kernel call on the stacked
     [X; Y] batch per level; each move reads the values it would read in a
     per-step loop, so the result is that loop's, bit for bit. From the
-    earliest marked time on, the replay steps one time at a time.
+    earliest marked time on, the replay steps one time at a time: one
+    ``subset_couple_batch`` call over the live replicas marked at that time,
+    read from a mark table built once from every replica's merges, then one
+    kernel call on the stacked batch for the other live replicas.
 
-    Per-replica draw order: stationary start; phase-1 element/pair array,
-    generator/partner array, lambda array; phase-2 coordinate arrays; phase-2
-    lambda array; any subset-coupling remainder draws on demand. At a marked
-    time the phase-2 lambda of that step is consumed as the first-drawn
-    lambda of the subset coupling.
+    Per-replica draw order (unchanged by the batching, since each replica
+    draws only from its own generator): stationary start; phase-1
+    element/pair array, generator/partner array, lambda array; phase-2
+    coordinate arrays; phase-2 lambda array; any subset-coupling remainder
+    draws on demand, in time order. At a marked time the phase-2 lambda of
+    that step is consumed as the first-drawn lambda of the subset coupling.
 
     failure_kind priority when several apply: LargenessViolated (the replay
-    was aborted by a degenerate pair mass), then NotConnected, then
-    SubsetFailed.
+    of the replica stopped at a marked step with a degenerate pair mass),
+    then NotConnected, then SubsetFailed.
     """
     if T2 < 1:
         raise InvariantViolation("arguments", "T2 must be >= 1")
@@ -314,21 +357,34 @@ def run_nonmarkovian_coupling(
     batch = chain.kernel
     advance(batch, XY, left, right, lam, 0, T1)
     # outcomes read only tau and connectedness, and the merges live on in
-    # ``marks``; a whole process is kept for a trace only
+    # the mark table; a whole process is kept for a trace only
     tau = [math.inf] * B
     connected = [False] * B
     processes = []
-    marks = {}
+    table, members = [], []
     for b in range(B):
         proc = build_partition_process(left[b, T1:], right[b, T1:], n, T1)
         tau[b], connected[b] = proc.tau, proc.connected
         if keep_trace:
             processes.append(proc)
-        for rec in proc.merges:
-            marks.setdefault(rec.t, []).append((b, rec))
+        table += [(r.t, b, r.i, r.j, len(r.s1)) for r in proc.merges]
+        members += [k for r in proc.merges for k in r.s1]
+    # the mark table, one entry per merge: the S1 of entry k is
+    # members[mark_start[k]:mark_start[k] + mark_size[k]]. It is sorted by
+    # (t, |S1|), so each marked time is one span of the table and its blocks
+    # run in size order
+    mark_t, mark_b, mark_i, mark_j, mark_size = np.array(table, dtype=np.int64).T
+    members = np.array(members, dtype=np.int64)
+    mark_start = np.cumsum(mark_size) - mark_size
+    order = np.lexsort((mark_size, mark_t))
+    mark_t, mark_b, mark_i, mark_j, mark_size, mark_start = (
+        v[order] for v in (mark_t, mark_b, mark_i, mark_j, mark_size, mark_start)
+    )
+    times, firsts = np.unique(mark_t, return_index=True)
+    spans = dict(zip(times.tolist(), zip(firsts.tolist(), [*firsts[1:].tolist(), len(mark_t)])))
     # nothing is observed before the earliest marked time; a trace observes
     # every phase-2 time
-    head = T1 if keep_trace else min(marks)
+    head = T1 if keep_trace else int(times[0])
     advance(batch, XY, left, right, lam, T1, head)
 
     if keep_trace:
@@ -336,30 +392,32 @@ def run_nonmarkovian_coupling(
         tr_y = np.empty((B, T2 + 1, n))
         tr_x[:, 0] = X
         tr_y[:, 0] = Y
-    subset_success = [[] for _ in range(B)]
+        tried = np.zeros(len(mark_t), dtype=bool)
+        succeeded = np.zeros(len(mark_t), dtype=bool)
 
     subset_fail = np.full(B, -1, dtype=np.int64)
     largeness_fail = np.full(B, -1, dtype=np.int64)
     active = np.ones(B, dtype=bool)
     for t in range(head, T):
-        handled = np.zeros(B, dtype=bool)
-        for b, rec in marks.get(t, ()):
-            handled[b] = True
-            if not active[b]:
-                continue
-            subset = np.asarray(rec.s1, dtype=np.int64)
-            try:
-                ok, _, _ = subset_couple_arrays(
-                    chain.coeffs, X[b], Y[b], subset, rec.i, rec.j, rngs[b], lam_first=lam[b, t]
-                )
-            except DegeneratePairMass:
-                largeness_fail[b] = t
-                active[b] = False
-                continue
-            subset_success[b].append(ok)
-            if not ok and subset_fail[b] < 0:
-                subset_fail[b] = t
-        rest = active & ~handled
+        rest = active
+        if t in spans:
+            lo, hi = spans[t]
+            marked = mark_b[lo:hi]
+            rest = active.copy()
+            rest[marked] = False
+            sel = lo + np.flatnonzero(active[marked])
+            rows = mark_b[sel]
+            degenerate, ok, _, _ = subset_couple_batch(
+                chain.coeffs, X, Y, rows, mark_i[sel], mark_j[sel],
+                (members, mark_start[sel], mark_size[sel]), lam[rows, t], rngs,
+            )
+            largeness_fail[rows[degenerate]] = t
+            active[rows[degenerate]] = False
+            failed = rows[~ok & ~degenerate]
+            subset_fail[failed[subset_fail[failed] < 0]] = t
+            if keep_trace:
+                tried[sel] = ~degenerate
+                succeeded[sel] = ok
         if rest.any():
             rows = np.flatnonzero(rest)
             batch(XY, *stacked_draws(left[rows, t], right[rows, t], lam[rows, t]),
@@ -410,7 +468,7 @@ def run_nonmarkovian_coupling(
                 xs=tr_x[b],
                 ys=tr_y[b],
                 partition=processes[b],
-                subset_success=subset_success[b],
+                subset_success=succeeded[tried & (mark_b == b)].tolist(),
                 first_failure_time=(
                     int(subset_fail[b]) if subset_fail[b] >= 0 else None
                 ),

@@ -25,7 +25,7 @@ matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -86,6 +86,9 @@ class ComparisonReport:
     gap_hat: float                # base walk
     trials: int
     ok: bool
+    # the comparison kernel and its spectrum, for callers that tabulate them
+    kernel: TransitionKernel = field(repr=False, compare=False)
+    spectrum: SpectralSummary = field(repr=False, compare=False)
 
 
 def _walk_kernel(group: GroupTable, gens: GeneratorSet, mass: float) -> TransitionKernel:
@@ -211,7 +214,8 @@ def verify_comparison(
     ratios = num / den
     min_ratio = float(ratios.min())
     max_measure = float(max((comp.pi / base.pi).max(), (base.pi / comp.pi).max()))
-    gap = spectral_summary(comp).gap
+    spectrum = spectral_summary(comp)
+    gap = spectrum.gap
     gap_hat = spectral_summary(base).gap
     ok = (
         min_ratio >= 0.25 - 1e-10
@@ -225,6 +229,8 @@ def verify_comparison(
         gap_hat=gap_hat,
         trials=trials,
         ok=ok,
+        kernel=comp,
+        spectrum=spectrum,
     )
     if strict and not ok:
         if min_ratio < 0.25 - 1e-10:

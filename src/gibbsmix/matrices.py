@@ -167,7 +167,7 @@ def matrix_chain(n: int) -> Chain:
         kind="matrix", n=n, kernel=mstep_batch,
         stationary=lambda rng: msample_stationary(n, rng).c, start=start,
         group=None, gens=None, margin=lambda v: np.minimum(v, 2.0 - v),
-        coeffs=pair_alpha_beta_float,
+        coeffs=pair_alpha_beta,
         horizons=lambda: (math.ceil(1.5 * n * (math.log(8 * n) + 60.0)),
                           math.ceil(4.5 * n * math.log(n))),
         connect_tail=connect_tail, largeness=largeness,

@@ -65,7 +65,7 @@ class Chain:
     group: Optional[object]       # the draw arguments of seeding.draw_moves,
     gens: Optional[object]        # None on the matrix chain
     margin: Callable              # margin(v): distance of v's entries to the boundary
-    coeffs: Callable              # coeffs(vi, vj): (total, alpha, beta) on Python floats
+    coeffs: Callable              # coeffs(vi, vj): (total, alpha, beta) on arrays
     horizons: Callable            # horizons(): the coupling's default (T1, T2)
     connect_tail: Callable        # connect_tail(epsilon or C): (threshold, bound) or (None, None)
     largeness: Callable           # largeness(k or d): (threshold, target frequency or None)

@@ -122,10 +122,10 @@ def base_gap(group: GroupTable, gens: GeneratorSet) -> float:
     return spectral_summary(base_walk_kernel(group, gens)).gap
 
 
-def _pair_coeffs(xi: float, xj: float):
-    """(total, alpha, beta) of a pair move on Python floats."""
+def _pair_coeffs(xi, xj):
+    """(total, alpha, beta) of pair moves, on arrays."""
     total = xi + xj
-    return total, total, 0.0
+    return total, total, np.zeros_like(total)
 
 
 def simplex_chain(group: GroupTable, gens: GeneratorSet) -> Chain:

@@ -12,7 +12,7 @@ import gibbsmix.harness as harness
 from gibbsmix.coupling import (
     connectedness_experiment,
     run_nonmarkovian_coupling,
-    subset_couple_arrays,
+    subset_couple_batch,
 )
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
 from gibbsmix.harness import ExperimentConfig, run
@@ -137,6 +137,26 @@ def _centered_noise(rng, count, n, scale_max):
     return u * scale[:, None]
 
 
+def _subset_by_size(coeffs, X, Y, perms, sizes, rng):
+    """Row r of X and Y takes one subset-coupled update of the pair
+    (perms[r, 0], perms[r, k]) with S1 = perms[r, :k], k = sizes[r]: one
+    batched call per block size, each row's first lambda drawn up front and
+    every remainder draw on ``rng``. Returns (failures, lam_x, lam_y)."""
+    lam_x = np.empty(len(X))
+    lam_y = np.empty(len(X))
+    failures = 0
+    rngs = [rng] * len(X)
+    for k in range(1, X.shape[1]):
+        rows = np.flatnonzero(sizes == k)
+        s1 = (perms[rows, :k].ravel(), np.arange(len(rows)) * k, np.full(len(rows), k))
+        degenerate, ok, lam_x[rows], lam_y[rows] = subset_couple_batch(
+            coeffs, X, Y, rows, perms[rows, 0], perms[rows, k], s1, rng.random(len(rows)), rngs,
+        )
+        assert not degenerate.any()
+        failures += int(np.count_nonzero(~ok))
+    return failures, lam_x, lam_y
+
+
 def test_07_subset_coupling_uniform_marginals_and_failure_rates():
     t0 = time.monotonic()
     n, invocations = 16, 10**5
@@ -161,17 +181,7 @@ def test_07_subset_coupling_uniform_marginals_and_failure_rates():
     perms = rng.permuted(np.tile(np.arange(n), (invocations, 1)), axis=1)
     sizes = rng.integers(1, n, invocations)
     simplex_coeffs = simplex_chain(*build_cyclic(n, [1, n - 1])).coeffs
-    lam_x = np.empty(invocations)
-    lam_y = np.empty(invocations)
-    failures = 0
-    for r in range(invocations):
-        k = sizes[r]
-        ok, lx, ly = subset_couple_arrays(
-            simplex_coeffs, states[r], partners[r], perms[r, :k],
-            int(perms[r, 0]), int(perms[r, k]), rng,
-        )
-        lam_x[r], lam_y[r] = lx, ly
-        failures += not ok
+    failures, lam_x, lam_y = _subset_by_size(simplex_coeffs, states, partners, perms, sizes, rng)
     bound = 3.0 * n ** (b_exp + 1 - f_exp)
     slack = 4.0 * math.sqrt(bound * (1.0 - bound) / invocations)
     rate = failures / invocations
@@ -210,17 +220,7 @@ def test_07_subset_coupling_uniform_marginals_and_failure_rates():
     assert np.abs(all_x - all_y).max() <= gap_a
 
     matrix_coeffs = matrix_chain(n).coeffs
-    lam_x = np.empty(invocations)
-    lam_y = np.empty(invocations)
-    failures = 0
-    for r in range(invocations):
-        k = sizes_m[r]
-        ok, lx, ly = subset_couple_arrays(
-            matrix_coeffs, all_x[r], all_y[r], perms_m[r, :k],
-            int(perms_m[r, 0]), int(perms_m[r, k]), rng,
-        )
-        lam_x[r], lam_y[r] = lx, ly
-        failures += not ok
+    failures, lam_x, lam_y = _subset_by_size(matrix_coeffs, all_x, all_y, perms_m, sizes_m, rng)
     bound = 4.0 * n ** (b_exp + 2 - a_exp)
     slack = 4.0 * math.sqrt(bound * (1.0 - bound) / invocations)
     rate = failures / invocations

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 from dataclasses import asdict
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gibbsmix import matrices, simplex
+from gibbsmix import coupling, matrices, simplex
 from gibbsmix.coupling import (
     CouplingOutcome,
     _connection_times,
@@ -18,7 +19,8 @@ from gibbsmix.coupling import (
     connectedness_experiment,
     largeness_experiment,
     run_nonmarkovian_coupling,
-    subset_couple_arrays,
+    _remainder_sample,
+    subset_couple_batch,
 )
 from gibbsmix.errors import DegeneratePairMass, InvariantViolation
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
@@ -26,14 +28,16 @@ from gibbsmix.matrices import (
     MatrixState,
     matrix_chain,
     msample_stationary,
+    msample_stationary_batch,
     mstep_batch,
     pair_alpha_beta,
+    pair_alpha_beta_float,
 )
-from gibbsmix.pairops import split_pair, stacked_draws
+from gibbsmix.pairops import split_pair, split_pair_float, stacked_draws
 from gibbsmix.seeding import draw_pairs, empty_moves, replica_rng
 from gibbsmix.simplex import sample_stationary, simplex_chain, step_batch
 
-# each chain's float pair coefficients, which depend on neither n nor the group
+# each chain's pair coefficients, which depend on neither n nor the group
 _COEFFS = {
     "simplex": simplex_chain(*build_cyclic(3, [1, 2])).coeffs,
     "matrix": matrix_chain(3).coeffs,
@@ -158,11 +162,68 @@ def test_partition_invariants_random_schedules(data):
             assert len(proc.partition_at(t_star + 1)) > 1
 
 
+def _subset_oracle(kind, x, y, subset, i, j, rng, lam_first=None):
+    """One subset-coupled update of the pair (i, j) of x and y, in place, on
+    Python floats: the scalar step the batched one replaced, kept as its
+    reference. Returns (succeeded, lam_x, lam_y); raises DegeneratePairMass
+    where a pair mass is at most 1e-300."""
+    if kind == "simplex":
+        def coeffs(vi, vj):
+            return vi + vj, vi + vj, 0.0
+    else:
+        coeffs = pair_alpha_beta_float
+    xi, xj = float(x[i]), float(x[j])
+    yi, yj = float(y[i]), float(y[j])
+    sx, ax, bx = coeffs(xi, xj)
+    sy, ay, by = coeffs(yi, yj)
+    if ax <= 1e-300 or ay <= 1e-300:
+        raise DegeneratePairMass(f"pair mass {min(ax, ay):.3e} at pair ({i}, {j})")
+
+    others = subset[subset != i]
+    c = (by - bx) + float(y[others].sum() - x[others].sum())
+    x_first = ax > ay or (not ay > ax and sx > 2.0 and sy < 2.0)
+    a1, a2, c = (ax, ay, -c) if x_first else (ay, ax, c)
+
+    u = float(rng.random()) if lam_first is None else float(lam_first)
+    z = (a1 * u + c) / a2
+    succeeded = 0.0 <= z <= 1.0
+    if not succeeded:
+        lo = min(max(c / a2, 0.0), 1.0)
+        hi = min(max((a1 + c) / a2, 0.0), 1.0)
+        z = _remainder_sample(lo, hi, a2 / a1, rng)
+    lam_x, lam_y = (u, z) if x_first else (z, u)
+
+    x[i], x[j] = split_pair_float(sx, ax, bx, lam_x)
+    y[i], y[j] = split_pair_float(sy, ay, by, lam_y)
+    if succeeded:
+        assert abs(float(x[subset].sum()) - float(y[subset].sum())) <= 1e-12
+    return succeeded, lam_x, lam_y
+
+
+def _subset_rows(kind, X, Y, blocks, i, j, u, rng):
+    """The batched step on rows 0.. of X and Y, row k with the S1 block
+    blocks[k], all remainder draws on ``rng``."""
+    size = np.array([len(s) for s in blocks], dtype=np.int64)
+    members = np.concatenate([np.asarray(s, dtype=np.int64) for s in blocks])
+    rows = np.arange(len(blocks))
+    return subset_couple_batch(
+        _COEFFS[kind], X, Y, rows, np.asarray(i), np.asarray(j),
+        (members, np.cumsum(size) - size, size), np.asarray(u, dtype=float), [rng] * len(X),
+    )
+
+
+def _subset_one(kind, x, y, subset, i, j, rng, lam_first=None):
+    """The batched step on one row: x and y are updated in place. Returns
+    (degenerate, ok, lam_x, lam_y) as scalars."""
+    u = rng.random() if lam_first is None else lam_first
+    out = _subset_rows(kind, x[None], y[None], [subset], [i], [j], [u], rng)
+    return tuple(v[0] for v in out)
+
+
 def test_subset_worked_example():
     x = np.array([0.2, 0.3, 0.5])
     y = np.array([0.25, 0.35, 0.4])
-    ok, _, _ = subset_couple_arrays(_COEFFS["simplex"], x, y, np.array([0]), 0, 1,
-                                    np.random.default_rng(0), lam_first=0.5)
+    _, ok, _, _ = _subset_one("simplex", x, y, [0], 0, 1, np.random.default_rng(0), 0.5)
     assert ok
     # lam_y = 0.5 gives lam_x = (0.6 * 0.5) / 0.5 = 0.6; both block weights 0.3
     assert x[0] == pytest.approx(0.3, abs=1e-15)
@@ -176,28 +237,40 @@ def test_subset_failure_branch():
     # remainder density
     x = np.array([0.05, 0.05, 0.9])
     y = np.array([0.45, 0.45, 0.1])
-    ok, _, _ = subset_couple_arrays(_COEFFS["simplex"], x, y, np.array([0]), 0, 1,
-                                    np.random.default_rng(3), lam_first=0.5)
+    _, ok, _, _ = _subset_one("simplex", x, y, [0], 0, 1, np.random.default_rng(3), 0.5)
     assert not ok
     assert x.sum() == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= x[0] <= 0.1
 
 
 def test_subset_identical_states_always_succeed(rng):
-    for _ in range(50):
-        x = sample_stationary(5, rng).x
-        y = x.copy()
-        ok, _, _ = subset_couple_arrays(_COEFFS["simplex"], x, y, np.array([0, 2]), 0, 1, rng)
-        assert ok
-        assert np.array_equal(x, y)
+    X = rng.dirichlet(np.ones(5), 50)
+    Y = X.copy()
+    degenerate, ok, _, _ = _subset_rows(
+        "simplex", X, Y, [[0, 2]] * 50, [0] * 50, [1] * 50, rng.random(50), rng)
+    assert ok.all() and not degenerate.any()
+    assert np.array_equal(X, Y)
 
 
-def test_subset_degenerate_pair_mass():
-    x = np.array([0.0, 0.0, 1.0])
-    y = np.array([0.3, 0.3, 0.4])
+@pytest.mark.parametrize("kind", ["simplex", "matrix"])
+def test_subset_degenerate_rows_make_no_draw_and_no_write(kind):
+    # pair mass 0 on the x side of row 0 (total 0 on the simplex, 4 on the
+    # matrix chain); row 1 is an ordinary row
+    full = 0.0 if kind == "simplex" else 2.0
+    X = np.array([[full, full, 1.0, 0.5], [0.2, 0.3, 0.5, 0.6]])
+    Y = np.array([[0.3, 0.3, 0.4, 0.5], [0.25, 0.35, 0.4, 0.6]])
+    X0, Y0 = X.copy(), Y.copy()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    degenerate, ok, lam_x, lam_y = _subset_rows(
+        kind, X, Y, [[0], [0]], [0, 0], [1, 1], [0.5, 0.5], rng)
+    assert degenerate.tolist() == [True, False]
+    assert not ok[0] and np.isnan(lam_x[0]) and np.isnan(lam_y[0])
+    assert np.array_equal(X[0], X0[0]) and np.array_equal(Y[0], Y0[0])
+    assert not np.array_equal(X[1], X0[1])
+    assert rng.bit_generator.state == state
     with pytest.raises(DegeneratePairMass):
-        subset_couple_arrays(_COEFFS["simplex"], x, y, np.array([0]), 0, 1,
-                             np.random.default_rng(0))
+        _subset_oracle(kind, X0[0], Y0[0], np.array([0]), 0, 1, rng)
 
 
 def test_subset_matrix_mixed_signs_draw_side():
@@ -213,10 +286,8 @@ def test_subset_matrix_mixed_signs_draw_side():
     sx, ax, _ = pair_alpha_beta(xv[0], xv[1])
     sy, ay, _ = pair_alpha_beta(yv[0], yv[1])
     assert ax == ay and sx == 2.25 and sy == 1.75
-    ok, lam_x, lam_y = subset_couple_arrays(
-        _COEFFS["matrix"], xv, yv, np.array([0]), 0, 1, np.random.default_rng(0),
-        lam_first=0.625,
-    )
+    _, ok, lam_x, lam_y = _subset_one(
+        "matrix", xv, yv, [0], 0, 1, np.random.default_rng(0), 0.625)
     assert ok
     assert lam_x == 0.625
     assert lam_y != 0.625
@@ -229,20 +300,18 @@ def test_subset_matrix_mixed_signs_draw_side():
     yv2[0] += 0.25
     yv2[2] -= 0.25
     assert pair_alpha_beta(xv2[0], xv2[1])[1] == pair_alpha_beta(yv2[0], yv2[1])[1]
-    ok2, lam_x2, lam_y2 = subset_couple_arrays(
-        _COEFFS["matrix"], xv2, yv2, np.array([0]), 0, 1, np.random.default_rng(0),
-        lam_first=0.625,
-    )
+    _, ok2, lam_x2, lam_y2 = _subset_one(
+        "matrix", xv2, yv2, [0], 0, 1, np.random.default_rng(0), 0.625)
     assert ok2
     assert lam_y2 == 0.625
     assert lam_x2 != 0.625
 
 
 def _assert_subset_writes_split_pair(kind, xv, yv, subset, i, j, rng, lam_first):
-    # the scalar subset step must write exactly what the vectorized
-    # split_pair gives at the lambdas it returns, and touch nothing else
+    # the subset step must write exactly what the vectorized split_pair
+    # gives at the lambdas it returns, and touch nothing else
     x0, y0 = xv.copy(), yv.copy()
-    _, lam_x, lam_y = subset_couple_arrays(_COEFFS[kind], xv, yv, subset, i, j, rng, lam_first)
+    _, _, lam_x, lam_y = _subset_one(kind, xv, yv, subset, i, j, rng, lam_first)
     if lam_first is not None:
         assert lam_first in (lam_x, lam_y)
     for before, after, lam in ((x0, xv, lam_x), (y0, yv, lam_y)):
@@ -260,7 +329,7 @@ def _assert_subset_writes_split_pair(kind, xv, yv, subset, i, j, rng, lam_first)
 
 
 @pytest.mark.parametrize("kind", ["simplex", "matrix"])
-def test_subset_scalar_arithmetic_matches_split_pair(kind, rng):
+def test_subset_arithmetic_matches_split_pair(kind, rng):
     n = 7
     sample = sample_stationary if kind == "simplex" else msample_stationary
     for k in range(400):
@@ -274,39 +343,106 @@ def test_subset_scalar_arithmetic_matches_split_pair(kind, rng):
 
 
 @pytest.mark.parametrize("lam_first", [0.0, 0.5, 1.0, 0.3])
-def test_subset_scalar_arithmetic_matrix_edge_cases(lam_first, rng):
+def test_subset_arithmetic_matrix_edge_cases(lam_first, rng):
     # dyadic entries, so the alpha ties below are exact
     # pair totals of exactly 2.0 on both sides: alpha tie, beta = 0, y first
     xv = np.array([1.0, 1.0, 1.25, 0.75, 1.0, 1.0])
     yv = np.array([0.5, 1.5, 1.0, 1.0, 1.125, 0.875])
     _, lam_y = _assert_subset_writes_split_pair(
-        "matrix", xv, yv, np.array([0, 2]), 0, 1, rng, lam_first)
+        "matrix", xv, yv, [0, 2], 0, 1, rng, lam_first)
     assert lam_y == lam_first
     # alpha tie with pair totals 2.25 (x) and 1.75 (y): the x side draws first
     xv = np.array([1.25, 1.0, 0.75, 1.0, 1.0, 1.0])
     yv = np.array([0.75, 1.0, 1.25, 1.0, 1.0, 1.0])
     lam_x, _ = _assert_subset_writes_split_pair(
-        "matrix", xv.copy(), yv.copy(), np.array([0]), 0, 1, rng, lam_first)
+        "matrix", xv.copy(), yv.copy(), [0], 0, 1, rng, lam_first)
     assert lam_x == lam_first
     # mirrored: the y side has the total above 2 and draws first
     _, lam_y = _assert_subset_writes_split_pair(
-        "matrix", yv, xv, np.array([0]), 0, 1, rng, lam_first)
+        "matrix", yv, xv, [0], 0, 1, rng, lam_first)
     assert lam_y == lam_first
 
 
 def test_subset_marginal_uniformity_quick(rng):
-    lam_xs, lam_ys = [], []
-    for _ in range(4000):
-        x = sample_stationary(5, rng)
-        y = sample_stationary(5, rng)
-        xv, yv = x.x.copy(), y.x.copy()
-        _, lam_x, lam_y = subset_couple_arrays(
-            _COEFFS["simplex"], xv, yv, np.array([0, 2]), 0, 1, rng
+    X = rng.dirichlet(np.ones(5), 4000)
+    Y = rng.dirichlet(np.ones(5), 4000)
+    _, _, lam_x, lam_y = _subset_rows(
+        "simplex", X, Y, [[0, 2]] * 4000, [0] * 4000, [1] * 4000, rng.random(4000), rng)
+    assert stats.kstest(lam_x, "uniform").pvalue > 1e-3
+    assert stats.kstest(lam_y, "uniform").pvalue > 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["simplex", "matrix"]),
+    n=st.integers(3, 48),
+    m=st.integers(1, 24),
+    by_size=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_subset_batch_matches_the_scalar_oracle(kind, n, m, by_size, seed):
+    # row by row, bit for bit: the writes, the outcome, both lambdas and the
+    # remainder draws, all made on one shared generator so that their order
+    # shows. Rows are close pairs (which mostly succeed), independent pairs
+    # (which mostly fail) and degenerate pairs; |S1| runs up to n - 1 = 47,
+    # past numpy's pairwise-sum threshold of 8
+    rng = np.random.default_rng(seed)
+    B = m + 3
+    if kind == "simplex":
+        X = rng.dirichlet(np.ones(n), B)
+        Y = rng.dirichlet(np.ones(n), B)
+    else:
+        X = msample_stationary_batch(n, rng, B)
+        Y = msample_stationary_batch(n, rng, B)
+    rows = rng.choice(B, m, replace=False)
+    close = rng.random(m) < 0.5
+    Y[rows[close]] = X[rows[close]] + rng.uniform(-1e-9, 1e-9, (int(close.sum()), n))
+    blocks, i, j = [], [], []
+    for r in rows:
+        perm = rng.permutation(n)
+        k = int(rng.integers(1, n))
+        blocks.append(np.sort(perm[:k]))
+        i.append(int(perm[0]))
+        j.append(int(perm[k]))
+    degenerate = rng.random(m) < 0.15
+    full = 0.0 if kind == "simplex" else 2.0
+    for r, a, b, d in zip(rows, i, j, degenerate):
+        if d:
+            (X if rng.random() < 0.5 else Y)[r, [a, b]] = full
+    u = rng.random(m)
+    u[rng.random(m) < 0.1] = rng.choice([0.0, 0.5, 1.0])
+    if by_size:
+        order = np.argsort([len(s) for s in blocks], kind="stable")
+        rows, blocks, i, j, u = (
+            rows[order], [blocks[k] for k in order], np.asarray(i)[order],
+            np.asarray(j)[order], u[order],
         )
-        lam_xs.append(lam_x)
-        lam_ys.append(lam_y)
-    assert stats.kstest(lam_xs, "uniform").pvalue > 1e-3
-    assert stats.kstest(lam_ys, "uniform").pvalue > 1e-3
+        degenerate = degenerate[order]
+
+    want_x, want_y = X.copy(), Y.copy()
+    oracle_rng = np.random.default_rng(seed + 1)
+    want = []
+    for k, r in enumerate(rows):
+        try:
+            want.append(_subset_oracle(
+                kind, want_x[r], want_y[r], blocks[k], i[k], j[k], oracle_rng, u[k]))
+        except DegeneratePairMass:
+            want.append(None)
+
+    batch_rng = np.random.default_rng(seed + 1)
+    size = np.array([len(s) for s in blocks], dtype=np.int64)
+    got = subset_couple_batch(
+        _COEFFS[kind], X, Y, rows, np.asarray(i), np.asarray(j),
+        (np.concatenate(blocks), np.cumsum(size) - size, size), u, [batch_rng] * B,
+    )
+    assert np.array_equal(X, want_x) and np.array_equal(Y, want_y)
+    assert got[0].tolist() == [w is None for w in want]
+    for k, w in enumerate(want):
+        if w is None:
+            assert not got[1][k] and np.isnan(got[2][k]) and np.isnan(got[3][k])
+        else:
+            assert (bool(got[1][k]), float(got[2][k]), float(got[3][k])) == w
+    assert batch_rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def _split_row(kind, row, i, j, lam):
@@ -412,6 +548,32 @@ def test_nonmarkovian_deterministic():
     ]
     records = [[asdict(o) for o in r.outcomes] for r in runs]
     assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("keep_trace", [False, True])
+@pytest.mark.parametrize("build", [
+    lambda: matrix_chain(8), lambda: simplex_chain(*build_cyclic(6, range(1, 6))),
+], ids=["matrix:8", "cyclic:6-complete"])
+def test_runner_makes_one_subset_call_per_marked_time(monkeypatch, build, keep_trace):
+    # the runner reads the step through the module global, so this wrapper
+    # sees every call; each call takes every replica marked at its time once
+    chain = build()
+    kwargs = dict(T1=20, T2=60, replicas=12, seed=5)
+    traces = run_nonmarkovian_coupling(chain, keep_trace=True, **kwargs).traces
+    merges = [rec for trace in traces for rec in trace.partition.merges]
+    original = coupling.subset_couple_batch
+    calls = []
+
+    def counted(coeffs, X, Y, rows, *args):
+        calls.append(np.asarray(rows).tolist())
+        return original(coeffs, X, Y, rows, *args)
+
+    monkeypatch.setattr(coupling, "subset_couple_batch", counted)
+    result = run_nonmarkovian_coupling(chain, keep_trace=keep_trace, **kwargs)
+    assert not any(o.failure_kind == "LargenessViolated" for o in result.outcomes)
+    assert len(calls) == len({rec.t for rec in merges})
+    assert sum(len(rows) for rows in calls) == len(merges)
+    assert all(len(set(rows)) == len(rows) for rows in calls)
 
 
 @pytest.mark.parametrize("module, name", [
@@ -529,6 +691,42 @@ def test_keep_trace_does_not_change_a_largeness_abort():
     assert levelled == traced
     kinds = {o["failure_kind"] for o in levelled}
     assert "LargenessViolated" in kinds and None in kinds
+
+
+_PINNED_FAILURES = {
+    # sha256 of the outcome records as sorted-key JSON, and the failure
+    # kinds they hold, from the runner that made one scalar subset call per
+    # marked replica
+    "matrix-n16-subset": (
+        lambda: matrix_chain(16), dict(T1=0, T2=192, replicas=200, seed=0),
+        {None: 185, "SubsetFailed": 15},
+        "8515a914936736e74562a930d8564b563dc021e72ba6fe8220bb0f7850c20468",
+    ),
+    "cyclic8-complete-subset": (
+        lambda: simplex_chain(*build_cyclic(8, range(1, 8))),
+        dict(T1=0, T2=96, replicas=200, seed=0),
+        {None: 189, "SubsetFailed": 11},
+        "0b8fba288047a5b884259904b2dbb1a72704b5ffbf35e6f8c4b51d9bd07f9ed0",
+    ),
+    "matrix-n8-largeness": (
+        lambda: matrix_chain(8), dict(T1=0, T2=20, replicas=7, seed=0),
+        {None: 1, "SubsetFailed": 4, "LargenessViolated": 1, "NotConnected": 1},
+        "e45cba05da760e39a7fe55a8abfaeaa04ecd489da5b49bca1628980c9ff70612",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_FAILURES))
+def test_coupling_failure_paths_pinned(case):
+    # the golden and benchmark runs have no failed replica; these pin the
+    # subset-failure remainder draws and the largeness abort
+    build, kwargs, kinds, digest = _PINNED_FAILURES[case]
+    records = [asdict(o) for o in run_nonmarkovian_coupling(build(), **kwargs).outcomes]
+    counts = {}
+    for r in records:
+        counts[r["failure_kind"]] = counts.get(r["failure_kind"], 0) + 1
+    assert counts == kinds
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_closeness_bound_holds_with_large_initial_gap():

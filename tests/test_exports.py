@@ -34,3 +34,12 @@ def test_package_imports_resolve():
     for module, name in imported:
         assert hasattr(importlib.import_module(f"gibbsmix.{module}"), name), (module, name)
         assert hasattr(gibbsmix, name), name
+
+
+def test_the_scalar_subset_step_name_stays_retired():
+    # perfbench/child.py wraps a function named subset_couple_arrays where it
+    # exists and reads its result as one (succeeded, lam_x, lam_y) tuple; the
+    # batched step returns arrays, so it must not take that name
+    assert hasattr(gibbsmix, "subset_couple_batch")
+    for name in _MODULES:
+        assert not hasattr(importlib.import_module(f"gibbsmix.{name}"), "subset_couple_arrays")

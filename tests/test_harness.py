@@ -11,6 +11,7 @@ import pytest
 
 import gibbsmix.errors as errors
 import gibbsmix.harness as harness
+import gibbsmix.kernels as kernels
 from gibbsmix.cli import build_parser, parse_group_shorthand
 from gibbsmix.cli import main as cli_main
 from gibbsmix.errors import ConfigError, InvariantViolation
@@ -733,6 +734,28 @@ def test_no_code_compares_against_a_chain_label():
                         if isinstance(sub, ast.Constant) and sub.value in ("simplex", "matrix")
                     ]
     assert found == []
+
+
+def test_compare_builds_and_solves_its_kernel_once(monkeypatch, tmp_path):
+    # the comparison kernel and its spectrum come from verify_comparison's
+    # report; the runner builds and solves nothing of its own
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("comparison_kernel", "spectral_summary"):
+        wrapper = counted(name, getattr(kernels, name))
+        for module in (kernels, harness):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    data = {"experiment": "compare", "group": _CYCLIC6, "replicas": 10}
+    assert run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 0
+    # one comparison kernel; the spectra of it and of the base walk
+    assert sorted(calls) == ["comparison_kernel", "spectral_summary", "spectral_summary"]
 
 
 def test_harness_binds_no_simulation_layer():
