@@ -39,7 +39,10 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .pairops import Chain, advance, flat_pair_index, pair_levels, split_pair, stacked_draws
-from .seeding import draw_moves, draw_pairs, empty_moves, replica_rng
+from .seeding import (
+    LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_moves, empty_pairs,
+    move_bytes, replica_rng,
+)
 
 __all__ = [
     "SUBSET_FAILED",
@@ -304,13 +307,22 @@ def run_nonmarkovian_coupling(
     outcomes, never raised.
 
     Per replica: Y starts stationary, X at ``x0`` (default: ``chain.start``).
-    Phase 1 applies T1 proportional steps. Every draw of a replica's
-    (T1 + T2)-step schedule is made up front, the partition process of the
-    suffix graph of its phase-2 coordinates is built, and the T2 phase-2
-    steps are replayed with a subset coupling at each marked time — the
-    updated coordinate lying in the smaller merged block S1 takes the role
-    i, as the scan recorded it (``MergeRecord.i``) — and proportional
+    Phase 1 applies T1 proportional steps. Then the partition process of the
+    suffix graph of the replica's phase-2 coordinates is built, and the T2
+    phase-2 steps are replayed with a subset coupling at each marked time —
+    the updated coordinate lying in the smaller merged block S1 takes the
+    role i, as the scan recorded it (``MergeRecord.i``) — and proportional
     coupling elsewhere.
+
+    Where each draw is made: before phase 1, every replica's stationary Y and
+    its (B, T1) phase-1 pair arrays. The phase-1 lambdas are never stored
+    whole: phase 1 reads them one level tile at a time from a
+    ``seeding.LambdaStream``, which fills one reused (B, tile) buffer just
+    before the tile runs. After phase 1 the pair arrays are released and the
+    phase-2 pair and lambda arrays are drawn into a (B, T2) store, indexed
+    at t - T1. The memory these stores, and a trace, would take is checked
+    against the memory available before the first draw
+    (``seeding.check_draw_memory``).
 
     Nothing is observed during phase 1 or before the earliest marked time
     over the replicas (without ``keep_trace``), so those moves are applied
@@ -322,8 +334,9 @@ def run_nonmarkovian_coupling(
     read from a mark table built once from every replica's merges, then one
     kernel call on the stacked batch for the other live replicas.
 
-    Per-replica draw order (unchanged by the batching, since each replica
-    draws only from its own generator): stationary start; phase-1
+    Per-replica draw order (unchanged by the batching and the streaming,
+    since each replica draws only from its own generator, and consecutive
+    lambda tiles give the bits of one call): stationary start; phase-1
     element/pair array, generator/partner array, lambda array; phase-2
     coordinate arrays; phase-2 lambda array; any subset-coupling remainder
     draws on demand, in time order. At a marked time the phase-2 lambda of
@@ -337,25 +350,35 @@ def run_nonmarkovian_coupling(
         raise InvariantViolation("arguments", "T2 must be >= 1")
 
     n, B = chain.n, replicas
+    trace_bytes = 2 * B * (T2 + 1) * n * 8 if keep_trace else 0
+    check_draw_memory(
+        move_bytes(B, T1, n, lambdas=False) + move_bytes(B, T2, n) + trace_bytes,
+        f"the coupling of {B} replicas over T1 = {T1}, T2 = {T2} steps",
+    )
     start = chain.start if x0 is None else np.asarray(x0, dtype=float)
     # X and Y are the two halves of one C-contiguous batch, so a draw shared
     # by both chains moves them in one kernel call
     XY = np.empty((2 * B, n))
     X, Y = XY[:B], XY[B:]
     X[:] = start
-    # one schedule per replica, phase 1 on [0, T1) and phase 2 on [T1, T)
     T = T1 + T2
-    left, right, lam = empty_moves(B, T, n)
-    rngs = []
-    for b in range(B):
-        rng = replica_rng(seed, b)
-        rngs.append(rng)
+    rngs = [replica_rng(seed, b) for b in range(B)]
+    left, right = empty_pairs(B, T1, n)
+    for b, rng in enumerate(rngs):
         Y[b] = chain.stationary(rng)
-        left[b, :T1], right[b, :T1], lam[b, :T1] = draw_moves(rng, T1, n, chain.group, chain.gens)
-        left[b, T1:], right[b, T1:], lam[b, T1:] = draw_moves(rng, T2, n, chain.group, chain.gens)
+        left[b], right[b] = draw_pairs(rng, T1, n, chain.group, chain.gens)
 
     batch = chain.kernel
-    advance(batch, XY, left, right, lam, 0, T1)
+    lambdas = LambdaStream(rngs, T1)
+    advance(batch, XY, left, right, lambdas, 0, T1)
+    if lambdas.drawn != T1:
+        raise InvariantViolation("draw-order", f"phase 1 drew {lambdas.drawn} of {T1} lambdas")
+    # the phase-1 pairs go before phase 2 on [T1, T) is drawn, into a store
+    # indexed at t - T1
+    del left, right
+    left, right, lam = empty_moves(B, T2, n)
+    for b, rng in enumerate(rngs):
+        left[b], right[b], lam[b] = draw_moves(rng, T2, n, chain.group, chain.gens)
     # outcomes read only tau and connectedness, and the merges live on in
     # the mark table; a whole process is kept for a trace only
     tau = [math.inf] * B
@@ -363,7 +386,7 @@ def run_nonmarkovian_coupling(
     processes = []
     table, members = [], []
     for b in range(B):
-        proc = build_partition_process(left[b, T1:], right[b, T1:], n, T1)
+        proc = build_partition_process(left[b], right[b], n, T1)
         tau[b], connected[b] = proc.tau, proc.connected
         if keep_trace:
             processes.append(proc)
@@ -385,7 +408,7 @@ def run_nonmarkovian_coupling(
     # nothing is observed before the earliest marked time; a trace observes
     # every phase-2 time
     head = T1 if keep_trace else int(times[0])
-    advance(batch, XY, left, right, lam, T1, head)
+    advance(batch, XY, left, right, lam, 0, head - T1)
 
     if keep_trace:
         tr_x = np.empty((B, T2 + 1, n))
@@ -399,6 +422,7 @@ def run_nonmarkovian_coupling(
     largeness_fail = np.full(B, -1, dtype=np.int64)
     active = np.ones(B, dtype=bool)
     for t in range(head, T):
+        s = t - T1
         rest = active
         if t in spans:
             lo, hi = spans[t]
@@ -409,7 +433,7 @@ def run_nonmarkovian_coupling(
             rows = mark_b[sel]
             degenerate, ok, _, _ = subset_couple_batch(
                 chain.coeffs, X, Y, rows, mark_i[sel], mark_j[sel],
-                (members, mark_start[sel], mark_size[sel]), lam[rows, t], rngs,
+                (members, mark_start[sel], mark_size[sel]), lam[rows, s], rngs,
             )
             largeness_fail[rows[degenerate]] = t
             active[rows[degenerate]] = False
@@ -420,11 +444,11 @@ def run_nonmarkovian_coupling(
                 succeeded[sel] = ok
         if rest.any():
             rows = np.flatnonzero(rest)
-            batch(XY, *stacked_draws(left[rows, t], right[rows, t], lam[rows, t]),
+            batch(XY, *stacked_draws(left[rows, s], right[rows, s], lam[rows, s]),
                   np.concatenate((rows, rows + B)))
         if keep_trace:
-            tr_x[:, t + 1 - T1] = X
-            tr_y[:, t + 1 - T1] = Y
+            tr_x[:, s + 1] = X
+            tr_y[:, s + 1] = Y
 
     gaps = np.abs(X - Y).max(axis=1)
     outcomes = []
@@ -644,10 +668,14 @@ def largeness_experiment(
     levels and only the moved entries are read.
 
     Per-replica draw order: stationary start, pair arrays, lambda array.
+    The (B, window) draws are pre-drawn, so a window whose store would not
+    fit in the memory available is a ConfigError before the first draw.
     """
     n, margin = chain.n, chain.margin
     threshold, target = chain.largeness(threshold)
 
+    check_draw_memory(move_bytes(replicas, window, n),
+                      f"largeness over {replicas} replicas and a window of {window} steps")
     a, b, lam = empty_moves(replicas, window, n)
     states = np.empty((replicas, n))
     for r in range(replicas):

@@ -52,6 +52,19 @@ _DOMINATION_TOL = 1e-12
 _CHECKPOINTS = 10
 
 
+def _check_columns(c: np.ndarray) -> None:
+    """The polytope's invariants on the last axis of c, one row or a stack of
+    rows: entries in [0, 2] and each row's total n within 1e-9."""
+    if c.size == 0:
+        return
+    lo, hi = c.min(), c.max()
+    if lo < 0.0 or hi > 2.0:
+        raise InvariantViolation("entry-range", f"entries span [{lo:.3e}, {hi:.3e}]")
+    drift = float(np.max(np.abs(c.sum(axis=-1) - c.shape[-1])))
+    if drift > 1e-9:
+        raise InvariantViolation("column-sum", f"total deviates by {drift:.3e}")
+
+
 @dataclass(eq=False)
 class MatrixState:
     """First column of the matrix: entries in [0, 2], total n (within 1e-9)."""
@@ -62,13 +75,7 @@ class MatrixState:
         self.c = np.asarray(self.c, dtype=float)
         if self.c.ndim != 1 or self.c.size < 2:
             raise InvariantViolation("shape", "state must be a vector of length >= 2")
-        if self.c.min() < 0.0 or self.c.max() > 2.0:
-            raise InvariantViolation(
-                "entry-range", f"entries span [{self.c.min():.3e}, {self.c.max():.3e}]"
-            )
-        drift = abs(float(self.c.sum()) - self.c.size)
-        if drift > 1e-9:
-            raise InvariantViolation("column-sum", f"total deviates by {drift:.3e}")
+        _check_columns(self.c)
 
     @property
     def n(self) -> int:
@@ -118,23 +125,32 @@ def msample_stationary(
     preserving, so accepted draws are exactly uniform. Acceptance decays like
     1/sqrt(n).
     """
+    return MatrixState(_accepted(n, rng, budget))
+
+
+def _accepted(n: int, rng: np.random.Generator, budget: int) -> np.ndarray:
+    """The first accepted draw of ``msample_stationary``'s rejection loop,
+    unchecked."""
     if n < 3:
         raise InvariantViolation("size", "need n >= 3")
     for _ in range(budget):
         c = rng.uniform(0.0, 2.0, n)
         c[-1] = n - c[:-1].sum()
         if 0.0 <= c[-1] <= 2.0:
-            return MatrixState(c)
+            return c
     raise RejectionBudgetExceeded(f"no acceptance in {budget} attempts at n = {n}")
 
 
 def msample_stationary_batch(
     n: int, rng: np.random.Generator, size: int, budget: int = _REJECTION_BUDGET
 ) -> np.ndarray:
-    """Stack of ``size`` independent stationary samples from one stream."""
+    """Stack of ``size`` independent stationary samples from one stream: the
+    draws of ``size`` ``msample_stationary`` calls, with the state checks
+    made once over the stack rather than once per sample."""
     out = np.empty((size, n))
     for k in range(size):
-        out[k] = msample_stationary(n, rng, budget).c
+        out[k] = _accepted(n, rng, budget)
+    _check_columns(out)
     return out
 
 

@@ -21,7 +21,10 @@ the batch move kernels, and ``stacked_draws`` doubles the draws of two chains
 that share them, so that a stacked [X; Y] batch moves in one kernel call.
 ``pair_levels`` groups the moves of a (B, T) block of draws into dependency
 levels, and ``advance`` applies a stretch of steps with nothing observed in
-between as one kernel call per level instead of one per step.
+between as one kernel call per level instead of one per step. Both read the
+lambdas one level tile at a time, from a stored (B, T) array or from a tile
+source that draws each tile when it is reached (``seeding.LambdaStream``),
+so a long stretch need not hold its lambdas.
 """
 
 from __future__ import annotations
@@ -150,9 +153,22 @@ def _move_levels(a, b, n: int, width: int) -> np.ndarray:
     return out.reshape(width, B, K)
 
 
+def _lambda_tiles(lam) -> Callable:
+    """``lam`` as a tile source: a function (s0, s1) -> the (B, s1 - s0)
+    lambdas of steps [s0, s1). A stored (B, T) array is sliced; a function
+    is already one."""
+    return lam if callable(lam) else (lambda s0, s1: lam[:, s0:s1])
+
+
 def pair_levels(a, b, lam, n: int):
     """Yield (rows, a, b, lam) once per dependency level of the (B, T) draws,
     in order; row r moves pair (a[r, t], b[r, t]) with lam[r, t] at step t.
+
+    ``lam`` is the (B, T) lambda array, or a tile source lam(s0, s1) giving
+    the (B, s1 - s0) lambdas of steps [s0, s1). A source is called once per
+    tile, in time order, just before that tile's first level is yielded, and
+    the tiles cover [0, T); what it returns is copied before the next call,
+    so it may reuse one buffer.
 
     The steps run in tiles of _LEVEL_TILE. Within a tile a move's level is
     1 + the larger of the levels of that row's earlier moves on its two
@@ -165,6 +181,7 @@ def pair_levels(a, b, lam, n: int):
     width = min(_LEVEL_TILE, T)
     if B == 0 or width == 0:
         return
+    tile_lam = _lambda_tiles(lam)
     per_scan = max(1, _LEVEL_BUDGET // (B * (n + width)))
     for t0 in range(0, T, per_scan * width):
         t1 = min(T, t0 + per_scan * width)
@@ -176,7 +193,8 @@ def pair_levels(a, b, lam, n: int):
             lev = levels[:s1 - s0, :, k].T.ravel()
             order = np.argsort(lev, kind="stable")
             rows = order // (s1 - s0)
-            ra, rb, rl = (np.take(v[:, s0:s1], order) for v in (a, b, lam))
+            ra, rb = (np.take(v[:, s0:s1], order) for v in (a, b))
+            rl = np.take(tile_lam(s0, s1), order)
             ends = np.cumsum(np.bincount(lev))
             for lo, hi in zip(ends[:-1], ends[1:]):
                 yield rows[lo:hi], ra[lo:hi], rb[lo:hi], rl[lo:hi]
@@ -185,6 +203,8 @@ def pair_levels(a, b, lam, n: int):
 def advance(kernel, batch: np.ndarray, a, b, lam, t0: int, t1: int) -> None:
     """Apply steps [t0, t1) of the (B, T) draws (a, b, lam) to ``batch`` in
     place, one ``kernel(batch, a, b, lam, rows)`` call per dependency level.
+    ``lam`` is a stored array or a tile source as in ``pair_levels``, on the
+    same time axis as a and b; a source is asked for [t0, t1) in tiles.
 
     A batch of B rows is one chain per replica. A batch of 2B rows is the
     stacked [X; Y] pair of two chains that share every draw, and both halves
@@ -193,7 +213,12 @@ def advance(kernel, batch: np.ndarray, a, b, lam, t0: int, t1: int) -> None:
     """
     B = a.shape[0]
     span = slice(t0, t1)
-    for rows, *move in pair_levels(a[:, span], b[:, span], lam[:, span], batch.shape[1]):
+    tiles = _lambda_tiles(lam)
+
+    def span_lam(s0, s1):
+        return tiles(t0 + s0, t0 + s1)
+
+    for rows, *move in pair_levels(a[:, span], b[:, span], span_lam, batch.shape[1]):
         if batch.shape[0] == 2 * B:
             move, rows = stacked_draws(*move), np.concatenate((rows, rows + B))
         kernel(batch, *move, rows)

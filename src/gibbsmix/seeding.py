@@ -5,14 +5,24 @@ Generator(SeedSequence([base_seed, replica_index])). Distinct replicas never
 share a stream, and a (seed, replica) pair always reproduces the same draws.
 Every sampler draws its update pairs through ``draw_pairs``, the one pair law,
 and every lockstep experiment its moves through ``draw_moves``, the one move
-law: the pair arrays, then the lambda array.
+law: the pair arrays, then the lambda array. ``LambdaStream`` draws the
+lambda arrays of many replicas one level tile at a time, with the bits of
+one call per replica, and ``check_draw_memory`` refuses a pre-drawn store
+larger than the memory available.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-__all__ = ["draw_moves", "draw_pairs", "empty_moves", "replica_rng", "replica_seed_words"]
+from .errors import ConfigError, InvariantViolation
+
+__all__ = [
+    "LambdaStream", "available_memory", "check_draw_memory", "draw_moves", "draw_pairs",
+    "empty_moves", "empty_pairs", "move_bytes", "replica_rng", "replica_seed_words",
+]
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
@@ -62,9 +72,82 @@ def draw_moves(rng: np.random.Generator, T: int, n: int, group=None, gens=None):
     return a, b, rng.random(T)
 
 
-def empty_moves(B: int, T: int, n: int):
-    """Uninitialised (B, T) store (a, b, lam) for B replicas' moves, the
-    coordinates in the narrowest unsigned dtype that holds n - 1 (one byte
-    per coordinate up to n = 256)."""
+class LambdaStream:
+    """The length-T lambda arrays of ``draw_moves``, one per generator of
+    ``rngs``, as a tile source for ``pairops.pair_levels``: stream(s0, s1)
+    draws the lambdas of steps [s0, s1) of every replica, row b from
+    rngs[b], into one reused buffer, and returns that (B, s1 - s0) view.
+
+    Tiles must come in time order, from step 0 on; ``drawn`` is the number
+    of steps drawn so far. Consecutive ``random`` calls on a generator give
+    the bits of one call, so once ``drawn == T`` each replica's stream is
+    where ``rng.random(T)`` leaves it, and its lambdas were those bits.
+    """
+
+    def __init__(self, rngs, T: int):
+        self.rngs = rngs
+        self.T = T
+        self.drawn = 0
+        self._buf = np.empty((len(rngs), 0))
+        self._rows = []
+
+    def __call__(self, s0: int, s1: int) -> np.ndarray:
+        if s0 != self.drawn or not s0 <= s1 <= self.T:
+            raise InvariantViolation(
+                "draw-order", f"lambda tile [{s0}, {s1}) after {self.drawn} of {self.T} steps"
+            )
+        w = s1 - s0
+        if self._buf.shape[1] < w:
+            self._buf = np.empty((len(self.rngs), w))
+            self._rows = list(self._buf)
+        for rng, row in zip(self.rngs, self._rows):
+            rng.random(w, out=row[:w])
+        self.drawn = s1
+        return self._buf[:, :w]
+
+
+def empty_pairs(B: int, T: int, n: int):
+    """Uninitialised (B, T) pair arrays (a, b) for B replicas' moves, in the
+    narrowest unsigned dtype that holds n - 1 (one byte per coordinate up to
+    n = 256)."""
     a = np.empty((B, T), dtype=np.min_scalar_type(n - 1))
-    return a, np.empty_like(a), np.empty((B, T))
+    return a, np.empty_like(a)
+
+
+def empty_moves(B: int, T: int, n: int):
+    """Uninitialised (B, T) store (a, b, lam) for B replicas' moves: the
+    pair arrays of ``empty_pairs`` and a float64 lambda array."""
+    return (*empty_pairs(B, T, n), np.empty((B, T)))
+
+
+def move_bytes(B: int, T: int, n: int, lambdas: bool = True) -> int:
+    """Bytes of an ``empty_moves`` (B, T) store, or with ``lambdas=False``
+    of its two pair arrays only."""
+    return B * T * (2 * np.min_scalar_type(n - 1).itemsize + 8 * lambdas)
+
+
+def available_memory() -> Optional[int]:
+    """The kernel's estimate of the memory available to a new allocation
+    (MemAvailable in /proc/meminfo), in bytes; None where it is not
+    reported."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def check_draw_memory(nbytes: int, what: str) -> None:
+    """Raise ConfigError if ``what`` would pre-draw more than the available
+    memory: a store that large would be granted and then, as it fills, get
+    the process killed, with no failed manifest. Nothing is checked where
+    the available memory is not reported."""
+    available = available_memory()
+    if available is not None and nbytes > available:
+        raise ConfigError(
+            f"{what} would pre-draw {nbytes:,} bytes, more than the "
+            f"{available:,} bytes of memory available"
+        )

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gibbsmix import coupling, matrices, simplex
+from gibbsmix import coupling, matrices, pairops, seeding, simplex
 from gibbsmix.coupling import (
     CouplingOutcome,
     _connection_times,
@@ -22,7 +23,7 @@ from gibbsmix.coupling import (
     _remainder_sample,
     subset_couple_batch,
 )
-from gibbsmix.errors import DegeneratePairMass, InvariantViolation
+from gibbsmix.errors import ConfigError, DegeneratePairMass, InvariantViolation
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
 from gibbsmix.matrices import (
     MatrixState,
@@ -691,6 +692,41 @@ def test_keep_trace_does_not_change_a_largeness_abort():
     assert levelled == traced
     kinds = {o["failure_kind"] for o in levelled}
     assert "LargenessViolated" in kinds and None in kinds
+
+
+def test_runner_does_not_hold_the_phase1_lambdas(monkeypatch):
+    # phase 1 reads its lambdas one level tile at a time, so the runner's
+    # traced peak stays below the B * T1 * 8 bytes of a stored phase-1
+    # lambda array; a runner that stores it peaks at about 1.7 times that
+    # here. Levelling one tile per scan keeps the scan's own workspace
+    # (about 6 bytes per step and replica levelled at once) from hiding
+    # the store
+    monkeypatch.setattr(pairops, "_LEVEL_BUDGET", 1)
+    chain = matrix_chain(64)
+    B, T1 = 100, 8000
+    # a first run fills numpy's caches, which the traced run must not count
+    run_nonmarkovian_coupling(chain, T1=3, T2=30, replicas=2, seed=0)
+    tracemalloc.start()
+    try:
+        run_nonmarkovian_coupling(chain, T1=T1, T2=30, replicas=B, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < B * T1 * 8
+
+
+def test_keep_trace_counts_toward_the_memory_guard(monkeypatch):
+    # the pair arrays of both phases and the phase-2 lambdas, then the
+    # 2 B (T2 + 1) n floats of the trace
+    B, T1, T2, n = 3, 10, 20, 8
+    need = B * T1 * 2 + B * T2 * 10 + 2 * B * (T2 + 1) * n * 8
+    kwargs = dict(T1=T1, T2=T2, replicas=B, seed=1)
+    monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)
+    run_nonmarkovian_coupling(matrix_chain(n), **kwargs)
+    with pytest.raises(ConfigError, match=f"pre-draw {need:,} bytes"):
+        run_nonmarkovian_coupling(matrix_chain(n), keep_trace=True, **kwargs)
+    monkeypatch.setattr(seeding, "available_memory", lambda: need)
+    run_nonmarkovian_coupling(matrix_chain(n), keep_trace=True, **kwargs)
 
 
 _PINNED_FAILURES = {

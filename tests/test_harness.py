@@ -12,6 +12,7 @@ import pytest
 import gibbsmix.errors as errors
 import gibbsmix.harness as harness
 import gibbsmix.kernels as kernels
+import gibbsmix.seeding as seeding
 from gibbsmix.cli import build_parser, parse_group_shorthand
 from gibbsmix.cli import main as cli_main
 from gibbsmix.errors import ConfigError, InvariantViolation
@@ -407,6 +408,31 @@ def test_run_config_problem_exits_one(tmp_path):
     manifest = _read_manifest(out)
     assert manifest["status"] == "failed"
     assert "ConfigError" in manifest["error"]
+
+
+@pytest.mark.parametrize("data, need", [
+    # the phase-1 pair arrays (one byte per coordinate) and the phase-2
+    # pairs and lambdas (two bytes and a float64 per step)
+    ({"experiment": "couple-matrix", "n": 8, "T1": 10, "T2": 20}, 3 * 10 * 2 + 3 * 20 * 10),
+    ({"experiment": "couple-simplex", "group": {"family": "cyclic", "n": 6}, "T1": 0,
+      "T2": 40}, 3 * 40 * 10),
+    ({"experiment": "largeness", "n": 8, "T": 50}, 3 * 50 * 10),
+    ({"experiment": "largeness", "group": {"family": "cyclic", "n": 6}, "T": 70}, 3 * 70 * 10),
+], ids=["couple-matrix", "couple-simplex", "largeness-matrix", "largeness-simplex"])
+def test_a_store_larger_than_the_memory_available_exits_one(tmp_path, monkeypatch, data, need):
+    # the guard reads the estimate against a patched probe; nothing large
+    # is allocated
+    cfg = ExperimentConfig.from_dict({**data, "replicas": 3, "seed": 2})
+    monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)
+    out = tmp_path / "short"
+    assert run(cfg, out_dir=out) == 1
+    manifest = _read_manifest(out)
+    assert manifest["status"] == "failed" and manifest["replica_seeds"] == []
+    assert manifest["error"].startswith("ConfigError: ")
+    assert f"pre-draw {need:,} bytes" in manifest["error"]
+    assert f"the {need - 1:,} bytes of memory available" in manifest["error"]
+    monkeypatch.setattr(seeding, "available_memory", lambda: need)
+    assert run(cfg, out_dir=tmp_path / "enough") == 0
 
 
 def test_run_invariant_failure_exits_two(tmp_path, monkeypatch):

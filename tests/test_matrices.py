@@ -101,6 +101,40 @@ def test_stationary_sampler_exact_for_small_n(rng):
     assert result4.pvalue > 0.01
 
 
+@pytest.mark.parametrize("n", [3, 4, 11])
+def test_stationary_batch_is_the_scalar_samples_stacked(n):
+    # the batch checks its stack once, but draws what size scalar calls draw
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    batch = msample_stationary_batch(n, rng, 300)
+    want = np.stack([msample_stationary(n, ref).c for _ in range(300)])
+    assert np.array_equal(batch.view(np.uint64), want.view(np.uint64))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert msample_stationary_batch(n, rng, 0).shape == (0, n)
+
+
+class _ScriptedUniform:
+    """A generator stand-in whose uniform draws replay fixed rows."""
+
+    def __init__(self, rows):
+        self.rows = [np.array(r, dtype=float) for r in rows]
+
+    def uniform(self, lo, hi, size):
+        return self.rows.pop(0)
+
+
+def test_stationary_batch_raises_the_scalar_state_checks():
+    # an accepted draw with an entry outside [0, 2] (not reachable from a
+    # real generator) fails the batch's one check as it fails MatrixState
+    bad = [-0.5, 1.5, 1.0, 0.0]
+    with pytest.raises(InvariantViolation, match="entry-range") as scalar:
+        msample_stationary(4, _ScriptedUniform([bad]))
+    with pytest.raises(InvariantViolation, match="entry-range") as batch:
+        msample_stationary_batch(4, _ScriptedUniform([[1.0] * 4, bad]), 2)
+    assert str(batch.value) == str(scalar.value)
+    with pytest.raises(InvariantViolation, match="column-sum"):
+        MatrixState(np.array([1.0, 1.0, 1.5]))
+
+
 def test_stationary_sampler_budget():
     with pytest.raises(RejectionBudgetExceeded):
         msample_stationary(50, np.random.default_rng(0), budget=1)
