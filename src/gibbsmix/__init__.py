@@ -43,7 +43,6 @@ from .kernels import (
     comparison_kernel,
     complete_set_gap,
     cycle_gap,
-    dirichlet_form,
     edge_walk_kernel,
     spectral_summary,
     verify_comparison,

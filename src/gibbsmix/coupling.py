@@ -397,6 +397,7 @@ def run_nonmarkovian_coupling(
     # (t, |S1|), so each marked time is one span of the table and its blocks
     # run in size order
     mark_t, mark_b, mark_i, mark_j, mark_size = np.array(table, dtype=np.int64).T
+    del table
     members = np.array(members, dtype=np.int64)
     mark_start = np.cumsum(mark_size) - mark_size
     order = np.lexsort((mark_size, mark_t))

@@ -67,10 +67,6 @@ class NotReversible(KernelError):
     """Detailed balance fails beyond tolerance."""
 
 
-class ComparisonViolated(KernelError):
-    """A Dirichlet-form or spectral-gap comparison inequality failed."""
-
-
 class DegenerateEigenvector(KernelError):
     """Second eigenvector has (numerically) no positive part to normalize."""
 

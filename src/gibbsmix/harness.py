@@ -47,6 +47,7 @@ from .coupling import (
 from .groups import build_cyclic, build_dihedral, build_hypercube, load_group
 from .kernels import (
     base_walk_kernel,
+    detailed_balance_residual,
     edge_walk_kernel,
     spectral_summary,
     verify_comparison,
@@ -412,11 +413,6 @@ def _run_gap(config: ExperimentConfig):
     return summary, tables, False
 
 
-def _db_residual(kernel) -> float:
-    flow = kernel.pi[:, None] * kernel.p
-    return float(np.abs(flow - flow.T).max())
-
-
 def _run_compare(config: ExperimentConfig):
     """detailed balance and Dirichlet-form comparison of the rescaled kernel"""
     group, gens = resolve_group(config.group)
@@ -426,7 +422,7 @@ def _run_compare(config: ExperimentConfig):
         "n": group.n,
         "m": gens.m,
         "trials": trials,
-        "db_residual": _db_residual(report.kernel),
+        "db_residual": detailed_balance_residual(report.kernel),
         "min_dirichlet_ratio": report.min_dirichlet_ratio,
         "max_measure_ratio": report.max_measure_ratio,
         "gap": report.gap,

@@ -25,7 +25,9 @@ import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
 from .pairops import Chain, advance, flat_pair_index, split_pair, split_pair_float
-from .seeding import draw_moves, draw_pairs, empty_moves, replica_rng
+from .seeding import (
+    check_draw_memory, draw_moves, draw_pairs, empty_moves, move_bytes, replica_rng,
+)
 
 __all__ = [
     "MatrixState",
@@ -45,7 +47,11 @@ __all__ = [
     "pair_alpha_beta_float",
 ]
 
+# msample_stationary gives up after this many rejected draws
 _REJECTION_BUDGET = 10**6
+# monotone_couple_run draws its moves in chunks of this many (part of its
+# draw order)
+_MONOTONE_CHUNK = 100_000
 # monotone_couple_run tolerates a domination gap down to minus this
 _DOMINATION_TOL = 1e-12
 # mcontraction_experiment measures the one-step ratio at this many times
@@ -114,9 +120,7 @@ def mstep_batch(c: np.ndarray, i: np.ndarray, j: np.ndarray, lam: np.ndarray,
     flat[jj] = nj
 
 
-def msample_stationary(
-    n: int, rng: np.random.Generator, budget: int = _REJECTION_BUDGET
-) -> MatrixState:
+def msample_stationary(n: int, rng: np.random.Generator) -> MatrixState:
     """Uniform sample from the polytope by rejection.
 
     Draw the first n-1 entries independently uniform on [0, 2]; the last
@@ -125,31 +129,29 @@ def msample_stationary(
     preserving, so accepted draws are exactly uniform. Acceptance decays like
     1/sqrt(n).
     """
-    return MatrixState(_accepted(n, rng, budget))
+    return MatrixState(_accepted(n, rng))
 
 
-def _accepted(n: int, rng: np.random.Generator, budget: int) -> np.ndarray:
+def _accepted(n: int, rng: np.random.Generator) -> np.ndarray:
     """The first accepted draw of ``msample_stationary``'s rejection loop,
     unchecked."""
     if n < 3:
         raise InvariantViolation("size", "need n >= 3")
-    for _ in range(budget):
+    for _ in range(_REJECTION_BUDGET):
         c = rng.uniform(0.0, 2.0, n)
         c[-1] = n - c[:-1].sum()
         if 0.0 <= c[-1] <= 2.0:
             return c
-    raise RejectionBudgetExceeded(f"no acceptance in {budget} attempts at n = {n}")
+    raise RejectionBudgetExceeded(f"no acceptance in {_REJECTION_BUDGET} attempts at n = {n}")
 
 
-def msample_stationary_batch(
-    n: int, rng: np.random.Generator, size: int, budget: int = _REJECTION_BUDGET
-) -> np.ndarray:
+def msample_stationary_batch(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Stack of ``size`` independent stationary samples from one stream: the
     draws of ``size`` ``msample_stationary`` calls, with the state checks
     made once over the stack rather than once per sample."""
     out = np.empty((size, n))
     for k in range(size):
-        out[k] = _accepted(n, rng, budget)
+        out[k] = _accepted(n, rng)
     _check_columns(out)
     return out
 
@@ -236,7 +238,11 @@ def mcontraction_experiment(
     taken over the points with both, and is None when there are none.
 
     Per-replica draw order: X start, Y start, pair arrays, lam array.
+    The (B, T) draws are pre-drawn, so a T whose store would not fit in the
+    memory available is a ConfigError before the first draw.
     """
+    check_draw_memory(move_bytes(replicas, T, n),
+                      f"contract-matrix over {replicas} replicas and {T} steps")
     # x and y are the halves of one stacked batch
     i_draw, j_draw, lam_draw = empty_moves(replicas, T, n)
     xy = np.empty((2 * replicas, n))
@@ -291,12 +297,7 @@ class MonotoneReport:
     min_entry_simplex: float
 
 
-def monotone_couple_run(
-    n: int,
-    T: int,
-    seed: int,
-    chunk: int = 100_000,
-) -> MonotoneReport:
+def monotone_couple_run(n: int, T: int, seed: int) -> MonotoneReport:
     """Shared-randomness coupling of the matrix chain with a simplex chain on
     the complete generating set; the matrix first column dominates the
     simplex entrywise.
@@ -315,7 +316,7 @@ def monotone_couple_run(
     min_s = min(s)
     done = 0
     while done < T:
-        b = min(chunk, T - done)
+        b = min(_MONOTONE_CHUNK, T - done)
         i_arr, j_arr, lam_arr = draw_moves(rng, b, n)
         for k, (i, j, lam) in enumerate(zip(i_arr.tolist(), j_arr.tolist(), lam_arr.tolist())):
             ci, cj = split_pair_float(*pair_alpha_beta_float(c[i], c[j]), lam)

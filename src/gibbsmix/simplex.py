@@ -9,8 +9,9 @@ to 1. A move picks a group element g, a generator r, and lam uniform on
 The uniform distribution on the simplex is stationary. This module also
 provides the chain's record for the coupling experiments (``simplex_chain``),
 the stationary sampler, the cross-correlation diagnostic for a pair
-of coupled chains (the S vector), a Monte Carlo check of its exact one-step
-recursion, the L2 contraction experiment of the proportional coupling, and
+of coupled chains (the S vector), its exact one-step targets (from the
+recursion's terms in ``kernels.s_recursion_terms``) and a Monte Carlo check
+of them, the L2 contraction experiment of the proportional coupling, and
 the eigenvector-statistic lower-bound experiment driven by the edge-walk
 kernel.
 """
@@ -19,15 +20,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateEigenvector, InvariantViolation
 from .groups import GeneratorSet, GroupTable
-from .kernels import TransitionKernel, base_walk_kernel, edge_walk_kernel, spectral_summary
+from .kernels import (
+    TransitionKernel, base_walk_kernel, edge_walk_kernel, s_recursion_terms, spectral_summary,
+    symmetrization,
+)
 from .pairops import Chain, advance, flat_pair_index, split_pair
-from .seeding import draw_moves, empty_moves, replica_rng
+from .seeding import check_draw_memory, draw_moves, empty_moves, move_bytes, replica_rng
 
 __all__ = [
     "SimplexState",
@@ -171,48 +177,14 @@ def s_vector(x: SimplexState, y: SimplexState, group: GroupTable) -> SVector:
 
 def s_recursion_targets(s: np.ndarray, group: GroupTable, gens: GeneratorSet) -> np.ndarray:
     """Exact conditional expectation of the next S vector under one
-    proportionally coupled move (g, r, lam all uniform).
-
-    Three cases: the identity entry, generator entries (with a separate
-    branch for involution generators, whose h*h term is absorbed into the
-    identity coefficient), and all remaining entries.
-    """
-    n, m = group.n, gens.m
-    mul, inv, e = group.mul, group.inv, group.identity
-    s = np.asarray(s, dtype=float)
-    gset = set(gens.elements)
-    out = np.empty(n)
-    for h in range(n):
-        if h == e:
-            out[h] = (1.0 - 2.0 / (3 * n)) * s[e] + (4.0 / (3 * m * n)) * sum(
-                s[r] for r in gens.elements
-            )
-            continue
-        hi = int(inv[h])
-        if h in gset:
-            acc = (1.0 - 2.0 / n + 2.0 / (3 * m * n)) * s[h] + (2.0 / (3 * m * n)) * s[e]
-            if hi != h:
-                acc += (2.0 / (m * n)) * s[mul[h, h]]
-                skip = (h, hi)
-            else:
-                skip = (h,)
-            for r in gens.elements:
-                if r in skip:
-                    continue
-                ri = int(inv[r])
-                acc += (1.0 / (2 * m * n)) * (
-                    s[mul[r, h]] + s[mul[r, hi]] + s[mul[ri, h]] + s[mul[ri, hi]]
-                )
-            out[h] = acc
-        else:
-            acc = (1.0 - 2.0 / n) * s[h]
-            for r in gens.elements:
-                ri = int(inv[r])
-                acc += (1.0 / (2 * m * n)) * (
-                    s[mul[r, h]] + s[mul[r, hi]] + s[mul[ri, h]] + s[mul[ri, hi]]
-                )
-            out[h] = acc
-    return out
+    proportionally coupled move (g, r, lam all uniform): the terms of
+    ``kernels.s_recursion_terms`` applied to s, each term's entries summed
+    left to right from its first."""
+    s = np.asarray(s, dtype=float).tolist()
+    return np.array([
+        reduce(add, [coef * reduce(add, [s[w] for w in ws]) for coef, ws in terms])
+        for terms in s_recursion_terms(group, gens)
+    ])
 
 
 @dataclass
@@ -320,7 +292,9 @@ def contraction_experiment(
     4 n exp(-floor(t gamma_hat / 8)); a T below the first multiple is a
     ConfigError. With one replica each point's se is None.
 
-    Per-replica draw order: Y start, pair arrays, lambda array.
+    Per-replica draw order: Y start, pair arrays, lambda array. The (B, T)
+    draws are pre-drawn, so a T whose store would not fit in the memory
+    available is a ConfigError before the first draw.
     """
     n = group.n
     gamma_hat = base_gap(group, gens)
@@ -329,6 +303,8 @@ def contraction_experiment(
     marks = list(range(stride, T + 1, stride))
     if not marks:
         raise ConfigError("T too small: no checkpoint is a multiple of ceil(8/gamma_hat)")
+    check_draw_memory(move_bytes(replicas, T, n),
+                      f"contract-simplex over {replicas} replicas and {T} steps")
 
     # X and Y are the halves of one stacked batch
     XY = np.zeros((2 * replicas, n))
@@ -361,9 +337,8 @@ def lower_bound_init(kernel: TransitionKernel):
     squared norm; mu is the normalized positive part of v, a simplex point
     concentrated where v is positive.
     """
-    d = np.sqrt(kernel.pi)
-    sym = (d[:, None] * kernel.p) / d[None, :]
-    vals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+    sym, d = symmetrization(kernel)
+    vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(vals)[::-1]
     v = vecs[:, order[1]] / d
     v = v / np.linalg.norm(v)
@@ -420,7 +395,9 @@ def lower_bound_experiment(
     total variation lower bound). A gap of 1 (the 2-element group) decays in
     one step and has no log-slope: the target, slope and relative error are
     then None. With one replica each point's se is None. T defaults to
-    max(8, ceil(1.5 / gamma)).
+    max(8, ceil(1.5 / gamma)). The (B, T) draws are pre-drawn, so a T whose
+    store would not fit in the memory available is a ConfigError before the
+    first draw.
     """
     n = group.n
     kernel = edge_walk_kernel(group, gens)
@@ -431,6 +408,8 @@ def lower_bound_experiment(
     if d is None:
         d = inner0 / 2.0
 
+    check_draw_memory(move_bytes(replicas, T, n),
+                      f"lowerbound-simplex over {replicas} replicas and {T} steps")
     # Per-replica streams; draw order per replica: pair arrays, lam array,
     # then one stationary sample for the tail comparison.
     a_draw, b_draw, lam_draw = empty_moves(replicas, T, n)

@@ -43,3 +43,38 @@ def test_the_scalar_subset_step_name_stays_retired():
     assert hasattr(gibbsmix, "subset_couple_batch")
     for name in _MODULES:
         assert not hasattr(importlib.import_module(f"gibbsmix.{name}"), "subset_couple_arrays")
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_leaf_exception_class_is_raised_or_caught():
+    # a leaf class in errors.py that no module raises or catches is dead
+    # surface; perfbench/child.py reads DegeneratePairMass off the exceptions
+    # it is handed, so what it imports from errors.py counts as used
+    package = Path(gibbsmix.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text())
+    classes = [node for node in errors.body if isinstance(node, ast.ClassDef)]
+    bases = set().union(*(_names(base) for node in classes for base in node.bases))
+    leaves = {node.name for node in classes} - bases
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name in ("errors.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used |= _names(node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used |= _names(node.type)
+    child = package.parents[1] / "perfbench" / "child.py"
+    used |= {
+        alias.name
+        for node in ast.walk(ast.parse(child.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "gibbsmix.errors"
+        for alias in node.names
+    }
+    assert len(leaves) > 10
+    assert sorted(leaves - used) == []

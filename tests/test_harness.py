@@ -418,7 +418,14 @@ def test_run_config_problem_exits_one(tmp_path):
       "T2": 40}, 3 * 40 * 10),
     ({"experiment": "largeness", "n": 8, "T": 50}, 3 * 50 * 10),
     ({"experiment": "largeness", "group": {"family": "cyclic", "n": 6}, "T": 70}, 3 * 70 * 10),
-], ids=["couple-matrix", "couple-simplex", "largeness-matrix", "largeness-simplex"])
+    # contract-simplex needs T >= ceil(8 / gamma_hat), 49 on cyclic:6
+    ({"experiment": "contract-simplex", "group": {"family": "cyclic", "n": 6}, "T": 49},
+     3 * 49 * 10),
+    ({"experiment": "contract-matrix", "n": 8, "T": 30}, 3 * 30 * 10),
+    ({"experiment": "lowerbound-simplex", "group": {"family": "cyclic", "n": 6}, "T": 60},
+     3 * 60 * 10),
+], ids=["couple-matrix", "couple-simplex", "largeness-matrix", "largeness-simplex",
+        "contract-simplex", "contract-matrix", "lowerbound-simplex"])
 def test_a_store_larger_than_the_memory_available_exits_one(tmp_path, monkeypatch, data, need):
     # the guard reads the estimate against a patched probe; nothing large
     # is allocated

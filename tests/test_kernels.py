@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from gibbsmix.kernels import (
     comparison_kernel,
     complete_set_gap,
     cycle_gap,
-    dirichlet_form,
+    dirichlet_form_matrix,
     edge_walk_kernel,
     spectral_summary,
     verify_comparison,
@@ -95,11 +96,12 @@ def test_verify_comparison_ok(z6_complete, cube3):
 def test_dirichlet_form_scaling(z6):
     group, gens = z6
     kernel = base_walk_kernel(group, gens)
+    a = dirichlet_form_matrix(kernel)
     phi = np.arange(group.n, dtype=float)
-    base = dirichlet_form(kernel, phi)
-    assert dirichlet_form(kernel, np.zeros(group.n)) == 0.0
-    assert dirichlet_form(kernel, 2.0 * phi) == pytest.approx(4.0 * base, rel=1e-12)
-    assert dirichlet_form(kernel, phi + 7.0) == pytest.approx(base, rel=1e-12)
+    base = phi @ a @ phi
+    assert np.zeros(group.n) @ a @ np.zeros(group.n) == 0.0
+    assert (2.0 * phi) @ a @ (2.0 * phi) == pytest.approx(4.0 * base, rel=1e-12)
+    assert (phi + 7.0) @ a @ (phi + 7.0) == pytest.approx(base, rel=1e-12)
 
 
 def test_nonstochastic_row_rejected():
@@ -153,3 +155,36 @@ def test_comparison_kernel_is_the_s_recursion_kernel(name):
         assert np.abs(s[group.inv] - s).max() <= 1e-15 * s[group.identity]
         expected = s_recursion_targets(s, group, gens)
         assert np.abs(c * (p @ (s / c)) - expected).max() <= 1e-14 * s[group.identity]
+
+
+# sha256 of comparison_kernel(...).p.tobytes() and of s_recursion_targets on
+# the first s of test_comparison_kernel_is_the_s_recursion_kernel, taken when
+# each function still wrote the recursion's cases out by hand
+_RECURSION_BITS = {
+    "cyclic:12-units": ("e293f24b20e17bb7210af712d5a650d111a42b6cebddbb38afa9e169cf913d78",
+                        "1ed2dcd1a41b440fcc88f1645a091afe16e1cc59554f876c5c2add76e618b934"),
+    "cyclic:6-complete": ("b51f4376a301814169320c7707b9b787129161bc8cf16289d465e0046e4377f4",
+                          "013615b7f945839736ac300367f3eb9b053d955ed98b1b1a19fb4b3a3353c30c"),
+    "cyclic:7-pm1": ("6624e0d2951eb9a9f62006f621468bc3ba16c8a53d47a9544bcc1340226d0248",
+                     "583cab3528e56bd00727e7c26889bcb568eb7a246268491a567c6027f1112453"),
+    "dihedral:3": ("349e071e582aa62345fde3b37805f4dc7e3c5f987e5469a32b28d62f4765d9e5",
+                   "22ae4f3ff43de524f57aa58a548c576620e243435c0e7f33e0dd0e1f00c764ab"),
+    "dihedral:5": ("ca12d6775904c65e298939b745318c1740bff90a839176ca529daea1391ed866",
+                   "81ea092411b6c373c3186014f39a490053bfcd8b33248f1b6a441a1bc8dabcd0"),
+    "hypercube:1": ("bca3bd6d6b8542b9a565f0e8f2baa3477e884062d953d0955cd457469e3d8248",
+                    "1b5b01044cd1e5452f73b08894c5be0ea2eed5811425646f72f0065a57714a69"),
+    "hypercube:3": ("638f3df114e4018b6df3debad20cbc79d608dfc5206e2c8b529849dc91c2991f",
+                    "cf8d8558fe1b72dd0f568180360c8b1e3a4a4537675860fbdddd3b13943ecb23"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECURSION_GROUPS))
+def test_s_recursion_bits_are_pinned(name):
+    group, gens = _RECURSION_GROUPS[name]()
+    rng = np.random.default_rng(11)
+    s = s_vector(sample_stationary(group.n, rng), sample_stationary(group.n, rng), group).s
+    digests = tuple(
+        hashlib.sha256(v.tobytes()).hexdigest()
+        for v in (comparison_kernel(group, gens).p, s_recursion_targets(s, group, gens))
+    )
+    assert digests == _RECURSION_BITS[name]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from gibbsmix import matrices
 from gibbsmix.errors import InvariantViolation, RejectionBudgetExceeded
 from gibbsmix.harness import exact_marginal_cdf
 from gibbsmix.matrices import (
@@ -135,9 +136,10 @@ def test_stationary_batch_raises_the_scalar_state_checks():
         MatrixState(np.array([1.0, 1.0, 1.5]))
 
 
-def test_stationary_sampler_budget():
+def test_stationary_sampler_budget(monkeypatch):
+    monkeypatch.setattr(matrices, "_REJECTION_BUDGET", 1)
     with pytest.raises(RejectionBudgetExceeded):
-        msample_stationary(50, np.random.default_rng(0), budget=1)
+        msample_stationary(50, np.random.default_rng(0))
     with pytest.raises(InvariantViolation):
         msample_stationary(2, np.random.default_rng(0))
 
@@ -206,11 +208,12 @@ def test_monotone_domination_quick():
 @pytest.mark.parametrize(
     "n, T, seed, chunk", [(10, 5000, 4, 1234), (3, 3000, 1, 700), (25, 4000, 8, 100_000)]
 )
-def test_monotone_run_matches_batch_kernel_replay(n, T, seed, chunk):
+def test_monotone_run_matches_batch_kernel_replay(monkeypatch, n, T, seed, chunk):
     # monotone_couple_run moves both chains in its own inline loop; replaying
     # its draws through the batch kernels on (1, n) arrays must reproduce
     # every tracked extreme exactly
-    report = monotone_couple_run(n, T, seed, chunk=chunk)
+    monkeypatch.setattr(matrices, "_MONOTONE_CHUNK", chunk)
+    report = monotone_couple_run(n, T, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     c = msample_stationary(n, rng).c[None, :].copy()
     s = c / n
