@@ -508,8 +508,9 @@ def run_nonmarkovian_coupling(
 
 
 # replicas per kernel call: small tiles keep the edge arrays in cache and the
-# peak memory flat (on connect-n512 tiles of 1, 2 and 8 ran slower than 4,
-# and 8 held 1.8 MB more)
+# peak memory flat (on connect-n512's prefixes tiles of 1, 2, 4, 8, 16 and 64
+# took 0.13, 0.10, 0.09, 0.08, 0.08 and 0.09 s in _connection_times; 8 and 16
+# saved about 7% of an in-process run, not checked on the benchmark)
 _CONNECT_TILE = 4
 
 
@@ -517,50 +518,68 @@ def _connection_times(left, right, n: int):
     """Connection time of each row of a batch of forward schedules.
 
     left, right: (B, L) coordinates in [0, n) with left != right. Returns
-    (tau, connected): tau[b] = 1 + the largest time index in the minimum
-    spanning forest of row b, each edge weighted by its index (0 for no
-    edge); connected[b] when that forest has n - 1 edges. The indices are
-    distinct, so the forest is the forward Kruskal scan's, and for a
+    (tau, connected): tau[b] = 1 + the index of the last edge of row b that
+    merges two components in a forward union-find scan, which stops at one
+    component (0 for no edge), and connected[b] when it gets there; for a
     connected row tau[b] is the first k + 1 at which edges 0..k connect.
 
-    Boruvka over the disjoint union of the rows, node b*n + i: each round
-    every component takes its lightest live edge (np.minimum.at on the edge
-    positions, which run in time order), a component hooks to the other end
-    of that edge, the smaller root staying put when two components take the
-    same edge, and pointer jumping flattens the hooks. Edges inside one
-    component are dropped.
+    With m the last first appearance of a coordinate in the row, no prefix
+    shorter than m + 1 holds every coordinate and edge m merges (one end is
+    new), so tau >= m + 1, with equality when edges 0..m connect: almost
+    always for a random schedule (the hitting-time theorem of Erdos-Renyi
+    and Bollobas-Thomason). The components of each prefix 0..m are labelled
+    by hook-and-jump over the disjoint union of the rows, node b*n + i: each
+    root hooks onto its smallest neighbouring root, pointer jumping flattens
+    the labels, and edges inside one component are dropped. A row left with
+    several components continues the scan from them, reading only its later
+    edges that join two of them, in time order.
     """
     B, L = left.shape
-    tau = np.zeros(B, dtype=np.int64)
-    merges = np.zeros(B, dtype=np.int64)
     offset = (np.arange(B, dtype=np.int32) * n)[:, None]
-    cu = (left.astype(np.int32) + offset).ravel()
-    cv = (right.astype(np.int32) + offset).ravel()
-    index = np.tile(np.arange(L, dtype=np.int32), B)
-    hook = np.arange(B * n, dtype=np.int32)
-    while cu.size:
-        best = np.full(B * n, cu.size, dtype=np.int32)
-        pos = np.arange(cu.size, dtype=np.int32)
-        np.minimum.at(best, cu, pos)
-        np.minimum.at(best, cv, pos)
-        roots = np.flatnonzero(best < cu.size).astype(np.int32)
-        edge = best[roots]
-        other = np.where(cu[edge] == roots, cv[edge], cu[edge])
-        moves = (best[other] != edge) | (roots > other)
-        roots, other, edge = roots[moves], other[moves], edge[moves]
-        hook[roots] = other
-        rep = roots // n
-        np.maximum.at(tau, rep, index[edge] + 1)
-        merges += np.bincount(rep, minlength=B)
+    cu = left.astype(np.int32) + offset
+    cv = right.astype(np.int32) + offset
+    # first appearances as flat edge positions (np.minimum.at does not
+    # broadcast one row of L values over (B, L) indices correctly)
+    first = np.full(B * n, B * L, dtype=np.int32)
+    for ends in (cu, cv):
+        np.minimum.at(first, ends.ravel(), np.arange(B * L, dtype=np.int32))
+    first = first.reshape(B, n)
+    m = np.where(first < B * L, first, -1).max(axis=1) - np.arange(B) * L
+    head = np.arange(L) <= m[:, None]
+    hu, hv = cu[head], cv[head]
+    label = np.arange(B * n, dtype=np.int32)
+    while hu.size:
+        np.minimum.at(label, hu, hv)
+        np.minimum.at(label, hv, hu)
         while True:
-            jumped = hook[hook]
-            if np.array_equal(jumped, hook):
+            jumped = label[label]
+            if np.array_equal(jumped, label):
                 break
-            hook = jumped
-        cu, cv = hook[cu], hook[cv]
-        live = cu != cv
-        cu, cv, index = cu[live], cv[live], index[live]
-    return tau, merges == n - 1
+            label = jumped
+        hu = label[hu]
+        hv = label[hv]
+        live = hu != hv
+        hu, hv = hu[live], hv[live]
+    label = label.reshape(B, n) - offset
+    parts = np.count_nonzero(label == np.arange(n), axis=1)
+    tau = m + 1
+    for b in np.flatnonzero(parts > 1).tolist():
+        lu, lv = label[b][left[b]], label[b][right[b]]
+        ks = np.flatnonzero((lu != lv) & (np.arange(L) > m[b]))
+        parent = list(range(n))
+        count = int(parts[b])
+        for k, u, v in zip(ks.tolist(), lu[ks].tolist(), lv[ks].tolist()):
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                tau[b], count = k + 1, count - 1
+                if count == 1:
+                    break
+        parts[b] = count
+    return tau, parts == 1
 
 
 def _tile_taus(rows, seed, chain, max_draws, length):
@@ -571,7 +590,7 @@ def _tile_taus(rows, seed, chain, max_draws, length):
     connected = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), _CONNECT_TILE):
         tile = rows[start:start + _CONNECT_TILE]
-        left, right, _ = empty_moves(len(tile), length, chain.n)
+        left, right = empty_pairs(len(tile), length, chain.n)
         for k, b in enumerate(tile):
             left[k], right[k] = draw_pairs(
                 replica_rng(seed, b), max_draws, chain.n, chain.group, chain.gens, head=length
@@ -604,19 +623,19 @@ def connectedness_experiment(
     """Distribution of the connection time tau of a random update schedule.
 
     Schedule entries are i.i.d., so the backward suffix graph of length L has
-    the law of a forward prefix. With each edge of a replica's forward
-    schedule weighted by its time index, tau = 1 + the largest index in the
-    minimum spanning forest of the first max_draws edges, computed for tiles
-    of replicas at once (``_connection_times``); a replica that does not
-    connect within max_draws edges reports tau = max_draws + 1 and counts as
-    censored. Each replica is first read on the prefix of length
-    min(max_draws, ceil(n max(log n, 1))), and only that much of its second
-    pair array is drawn (nothing follows the pair arrays in its stream); a
-    replica whose prefix does not connect is drawn again, from a fresh
-    replica_rng(seed, b), at full max_draws. The report compares the
-    empirical tail against the chain's threshold (``chain.connect_tail``),
-    which reads ``threshold`` as epsilon on the matrix chain and as C on the
-    simplex chain.
+    the law of a forward prefix. tau is the length of the shortest prefix of
+    a replica's forward schedule that connects all n coordinates, computed
+    for tiles of replicas at once (``_connection_times``): at least the step
+    at which the last coordinate first appears, and almost always equal to
+    it; a replica that does not connect within max_draws edges reports
+    tau = max_draws + 1 and counts as censored. Each replica is first read
+    on the prefix of length min(max_draws, ceil(n max(log n, 1))), and only
+    that much of its second pair array is drawn (nothing follows the pair
+    arrays in its stream); a replica whose prefix does not connect is drawn
+    again, from a fresh replica_rng(seed, b), at full max_draws. The report
+    compares the empirical tail against the chain's threshold
+    (``chain.connect_tail``), which reads ``threshold`` as epsilon on the
+    matrix chain and as C on the simplex chain.
     """
     n = chain.n
     if max_draws is None:

@@ -858,6 +858,58 @@ def test_connection_kernel_matches_scan_random_schedules(n, rows, scale, seed):
     _assert_kernel_matches_scan(left, right, n)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_connection_kernel_matches_scan_sparse_schedules(data):
+    # sparse Cayley schedules: cycle edges g -> g +- 1 mod n, or 2-3 steps
+    # that need not generate Z_n. About half the rows have several
+    # components at the last first appearance m and finish on the scan of
+    # the later edges that join two components of the prefix 0..m
+    n = data.draw(st.integers(3, 40))
+    if data.draw(st.booleans()):
+        steps = [1, n - 1]
+    else:
+        steps = data.draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=3))
+    rows = data.draw(st.integers(1, 9))
+    length = int(data.draw(st.floats(0.0, 4.0)) * n * math.log(n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    left = rng.integers(0, n, (rows, length))
+    right = (left + rng.choice(steps, (rows, length))) % n
+    # coordinate n - 1 never appears: its edges become edges 0 -> 1
+    touches = (left[0] == n - 1) | (right[0] == n - 1)
+    left[0, touches], right[0, touches] = 0, 1
+    # the path 0 - 1 - ... - (n - 1) in order, then the schedule: n - 1
+    # first appears at m = n - 2, where the row connects
+    path = np.arange(n - 1)
+    left = np.vstack([left, np.concatenate([path, left[-1]])[:length]])
+    right = np.vstack([right, np.concatenate([path + 1, right[-1]])[:length]])
+    connected = _assert_kernel_matches_scan(left, right, n)
+    assert not connected[0]
+    if length >= n - 1:
+        assert connected[-1]
+        assert _connection_times(left[-1:], right[-1:], n)[0][0] == n - 1
+
+
+def test_connection_kernel_peak_memory():
+    # one tile of the connect-n512 prefix (L = 3,194 at n = 512): the
+    # kernel holds a few (B, L) int32 arrays at a time, never a temporary
+    # the size of the B * n nodes times L
+    n, B = 512, coupling._CONNECT_TILE
+    L = math.ceil(n * math.log(n))
+    left, right = seeding.empty_pairs(B, L, n)
+    for b in range(B):
+        left[b], right[b] = draw_pairs(replica_rng(1, b), L, n)
+    # a first call fills numpy's caches, which the traced call must not count
+    _connection_times(left, right, n)
+    tracemalloc.start()
+    try:
+        _connection_times(left, right, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * B * L * np.dtype(np.int32).itemsize
+
+
 @pytest.mark.parametrize("replicas", [1, 2, 3, 5, 6, 9])
 @pytest.mark.parametrize("max_draws", [None, 4, 12])
 def test_connectedness_matches_scan_of_full_schedules(replicas, max_draws):
