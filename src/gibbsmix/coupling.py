@@ -41,7 +41,7 @@ from .errors import InvariantViolation
 from .pairops import Chain, advance, flat_pair_index, pair_levels, split_pair, stacked_draws
 from .seeding import (
     LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_moves, empty_pairs,
-    move_bytes, replica_rng,
+    move_bytes, predraw, replica_rng,
 )
 
 __all__ = [
@@ -370,7 +370,8 @@ def run_nonmarkovian_coupling(
 
     batch = chain.kernel
     lambdas = LambdaStream(rngs, T1)
-    advance(batch, XY, left, right, lambdas, 0, T1)
+    for _ in advance(batch, XY, left, right, lambdas, [T1]):
+        pass
     if lambdas.drawn != T1:
         raise InvariantViolation("draw-order", f"phase 1 drew {lambdas.drawn} of {T1} lambdas")
     # the phase-1 pairs go before phase 2 on [T1, T) is drawn, into a store
@@ -409,7 +410,8 @@ def run_nonmarkovian_coupling(
     # nothing is observed before the earliest marked time; a trace observes
     # every phase-2 time
     head = T1 if keep_trace else int(times[0])
-    advance(batch, XY, left, right, lam, 0, head - T1)
+    for _ in advance(batch, XY, left, right, lam, [head - T1]):
+        pass
 
     if keep_trace:
         tr_x = np.empty((B, T2 + 1, n))
@@ -687,22 +689,11 @@ def largeness_experiment(
     value's and of every value written to it, so the moves run in dependency
     levels and only the moved entries are read.
 
-    Per-replica draw order: stationary start, pair arrays, lambda array.
-    The (B, window) draws are pre-drawn, so a window whose store would not
-    fit in the memory available is a ConfigError before the first draw.
+    Per-replica draw order (``seeding.predraw``): stationary start, then the moves.
     """
     n, margin = chain.n, chain.margin
     threshold, target = chain.largeness(threshold)
-
-    check_draw_memory(move_bytes(replicas, window, n),
-                      f"largeness over {replicas} replicas and a window of {window} steps")
-    a, b, lam = empty_moves(replicas, window, n)
-    states = np.empty((replicas, n))
-    for r in range(replicas):
-        rng = replica_rng(seed, r)
-        states[r] = chain.stationary(rng)
-        a[r], b[r], lam[r] = draw_moves(rng, window, n, chain.group, chain.gens)
-
+    (states,), (a, b, lam) = predraw(chain, replicas, window, seed, "largeness", before=1)
     minima = margin(states).min(axis=1)
     for rows, pa, pb, pl in pair_levels(a, b, lam, n):
         chain.kernel(states, pa, pb, pl, rows)

@@ -25,9 +25,7 @@ import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
 from .pairops import Chain, advance, flat_pair_index, split_pair, split_pair_float
-from .seeding import (
-    check_draw_memory, draw_moves, draw_pairs, empty_moves, move_bytes, replica_rng,
-)
+from .seeding import draw_moves, draw_pairs, predraw, replica_rng
 
 __all__ = [
     "MatrixState",
@@ -56,6 +54,9 @@ _MONOTONE_CHUNK = 100_000
 _DOMINATION_TOL = 1e-12
 # mcontraction_experiment measures the one-step ratio at this many times
 _CHECKPOINTS = 10
+# identity_residual_batch's (rows, n, n) temporaries take at most this many
+# bytes each
+_RESIDUAL_TILE_BYTES = 1 << 20
 
 
 def _check_columns(c: np.ndarray) -> None:
@@ -193,13 +194,18 @@ def matrix_chain(n: int) -> Chain:
 
 
 def identity_residual_batch(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Vectorized |lhs - rhs| over a (B, n) batch of state pairs."""
+    """Vectorized |lhs - rhs| over a (B, n) batch of state pairs, in row
+    tiles whose (rows, n, n) squares take at most _RESIDUAL_TILE_BYTES (one
+    row at least); each row's sums do not depend on the tiling."""
     d = cx - cy
-    pair = d[:, :, None] + d[:, None, :]
-    sq = pair**2
-    diag = np.einsum("bii->b", sq)
-    lhs = sq.sum(axis=(1, 2)) - diag
-    rhs = (cx.shape[1] - 2) * 2.0 * (d**2).sum(axis=1)
+    n = d.shape[1]
+    lhs = np.empty(d.shape[0])
+    step = max(1, _RESIDUAL_TILE_BYTES // (8 * n * n))
+    for lo in range(0, d.shape[0], step):
+        tile = d[lo:lo + step]
+        sq = (tile[:, :, None] + tile[:, None, :]) ** 2
+        lhs[lo:lo + step] = sq.sum(axis=(1, 2)) - np.einsum("bii->b", sq)
+    rhs = (n - 2) * 2.0 * (d**2).sum(axis=1)
     return np.abs(lhs - rhs)
 
 
@@ -237,32 +243,23 @@ def mcontraction_experiment(
     and se None. With one replica the se is undefined and None. ``ok`` is
     taken over the points with both, and is None when there are none.
 
-    Per-replica draw order: X start, Y start, pair arrays, lam array.
-    The (B, T) draws are pre-drawn, so a T whose store would not fit in the
-    memory available is a ConfigError before the first draw.
+    Per-replica draw order (``seeding.predraw``): X, Y starts, then the moves.
     """
-    check_draw_memory(move_bytes(replicas, T, n),
-                      f"contract-matrix over {replicas} replicas and {T} steps")
+    starts, moves = predraw(matrix_chain(n), replicas, T, seed, "contract-matrix", before=2)
     # x and y are the halves of one stacked batch
-    i_draw, j_draw, lam_draw = empty_moves(replicas, T, n)
-    xy = np.empty((2 * replicas, n))
+    xy = starts.reshape(2 * replicas, n)
     x, y = xy[:replicas], xy[replicas:]
-    for b in range(replicas):
-        rng = replica_rng(seed, b)
-        x[b] = msample_stationary(n, rng).c
-        y[b] = msample_stationary(n, rng).c
-        i_draw[b], j_draw[b], lam_draw[b] = draw_moves(rng, T, n)
 
     identical = int(np.sum(np.all(x == y, axis=1)))
     bound = 1.0 - 2.0 / (3.0 * n)
     mark = sorted(set(np.linspace(0, T - 1, _CHECKPOINTS, dtype=int).tolist())) if T else []
+    # each checkpoint t is observed at t and at t + 1
+    observed = advance(mstep_batch, xy, *moves, [u for t in mark for u in (t, t + 1)])
     points = []
-    done = 0
     for t in mark:
-        advance(mstep_batch, xy, i_draw, j_draw, lam_draw, done, t)
+        next(observed)
         before = ((x - y) ** 2).sum(axis=1)
-        advance(mstep_batch, xy, i_draw, j_draw, lam_draw, t, t + 1)
-        done = t + 1
+        next(observed)
         after = ((x - y) ** 2).sum(axis=1)
         mb, ma = float(before.mean()), float(after.mean())
         ratio = se = None

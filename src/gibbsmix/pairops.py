@@ -20,11 +20,11 @@ running on either chain reads. ``flat_pair_index`` is the indexing shared by
 the batch move kernels, and ``stacked_draws`` doubles the draws of two chains
 that share them, so that a stacked [X; Y] batch moves in one kernel call.
 ``pair_levels`` groups the moves of a (B, T) block of draws into dependency
-levels, and ``advance`` applies a stretch of steps with nothing observed in
-between as one kernel call per level instead of one per step. Both read the
-lambdas one level tile at a time, from a stored (B, T) array or from a tile
-source that draws each tile when it is reached (``seeding.LambdaStream``),
-so a long stretch need not hold its lambdas.
+levels, and ``advance`` applies the draws up to each of a caller's marks in
+turn, one kernel call per level instead of one per step, and hands back
+control at every mark. Both read the lambdas one level tile at a time, from
+a stored (B, T) array or from a tile source that draws each tile when it is
+reached (``seeding.LambdaStream``), so a long stretch need not hold them.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 # steps per level tile: each tile is levelled on its own, so its levels fit
-# int16, and the tiles of one scan are levelled side by side in one pass
+# 16 bits, and the tiles of one scan are levelled side by side in one pass
 _LEVEL_TILE = 512
 # lane entries (coordinates plus steps of each tile-replica lane) one scan
 # may hold; a single tile is always allowed
@@ -121,28 +121,25 @@ def stacked_draws(*draws: np.ndarray) -> tuple:
     return tuple(np.concatenate((v, v)) for v in draws)
 
 
-def _move_levels(a, b, n: int, width: int) -> np.ndarray:
-    """Level of each move of (B, W) draws, restarting every ``width`` steps:
-    1 + the larger of the levels of the row's earlier moves on its two
-    coordinates within the tile. Returns (width, B, K) int16, [s, r, k] the
-    level of step k*width + s of row r, for the K = ceil(W / width) tiles.
-
-    Each (row, tile) pair is one lane, and all lanes run side by side in one
-    pass of ``width`` steps; the padding after the last tile moves (0, 0).
+def _move_levels(a, b, n: int, tiles) -> np.ndarray:
+    """Level of each move of the (B, T) draws in the K step ranges
+    [s0, s1) of ``tiles``, restarting at each: (width, K, B) levels for the
+    widest tile's width, [s, k, r] that of step s0 + s of row r in tile k.
+    Each (tile, row) pair is one lane, and all lanes run side by side in one
+    pass of ``width`` steps; the padding after a tile's last step moves
+    (0, 0).
     """
-    B, W = a.shape
-    K = -(-W // width)
-    lanes = B * K
-
-    def lane_major(v):
-        padded = np.zeros((B, K * width), dtype=np.min_scalar_type(n - 1))
-        padded[:, :W] = v
-        return np.ascontiguousarray(padded.reshape(lanes, width).T)
-
-    at, bt = lane_major(a), lane_major(b)
-    last = np.zeros(lanes * n, dtype=np.int16)
+    B, K = a.shape[0], len(tiles)
+    width = max(s1 - s0 for s0, s1 in tiles)
+    lanes = K * B
+    at, bt = np.zeros((2, width, lanes), dtype=np.min_scalar_type(n - 1))
+    for k, (s0, s1) in enumerate(tiles):
+        at[:s1 - s0, k * B:(k + 1) * B] = a[:, s0:s1].T
+        bt[:s1 - s0, k * B:(k + 1) * B] = b[:, s0:s1].T
+    # a level is at most the tile's width
+    last = np.zeros(lanes * n, dtype=np.min_scalar_type(width))
     base = np.arange(0, lanes * n, n)
-    out = np.empty((width, lanes), dtype=np.int16)
+    out = np.empty((width, lanes), dtype=last.dtype)
     for s in range(width):
         ia = base + at[s]
         ib = base + bt[s]
@@ -150,14 +147,39 @@ def _move_levels(a, b, n: int, width: int) -> np.ndarray:
         lev += 1
         last[ia] = lev
         last[ib] = lev
-    return out.reshape(width, B, K)
+    return out.reshape(width, K, B)
 
 
-def _lambda_tiles(lam) -> Callable:
-    """``lam`` as a tile source: a function (s0, s1) -> the (B, s1 - s0)
-    lambdas of steps [s0, s1). A stored (B, T) array is sliced; a function
-    is already one."""
-    return lam if callable(lam) else (lambda s0, s1: lam[:, s0:s1])
+def _tile_levels(a, b, lam, n: int, marks):
+    """Yield (s1, levels) for each tile [s0, s1) of the (B, T) draws, in time
+    order, ``levels`` listing the tile's (rows, a, b, lam) one per level. The
+    tiles cut each window [previous mark, mark) of the ascending ``marks``
+    into at most _LEVEL_TILE steps; ``lam`` is read as in ``pair_levels``.
+    """
+    B = a.shape[0]
+    tile_lam = lam if callable(lam) else (lambda s0, s1: lam[:, s0:s1])
+    scans, width = [], 0
+    for m0, m in zip([0, *marks], marks):
+        for s0 in range(m0, m, _LEVEL_TILE):
+            s1 = min(m, s0 + _LEVEL_TILE)
+            width = max(width, s1 - s0)
+            if not scans or (len(scans[-1]) + 1) * B * (n + width) > _LEVEL_BUDGET:
+                scans.append([])
+                width = s1 - s0
+            scans[-1].append((s0, s1))
+    for scan in scans:
+        levels = _move_levels(a, b, n, scan)
+        for k, (s0, s1) in enumerate(scan):
+            # entry r * (s1 - s0) + s is step s0 + s of row r; 8- and 16-bit
+            # keys sort by radix
+            lev = levels[:s1 - s0, k].T.ravel()
+            order = np.argsort(lev, kind="stable")
+            rows = order // (s1 - s0)
+            ra, rb = (np.take(v[:, s0:s1], order) for v in (a, b))
+            rl = np.take(tile_lam(s0, s1), order)
+            ends = np.cumsum(np.bincount(lev))
+            yield s1, [(rows[lo:hi], ra[lo:hi], rb[lo:hi], rl[lo:hi])
+                       for lo, hi in zip(ends[:-1], ends[1:])]
 
 
 def pair_levels(a, b, lam, n: int):
@@ -177,34 +199,18 @@ def pair_levels(a, b, lam, n: int):
     one kernel call each reads and writes exactly what a per-step loop does.
     Tiles are levelled in scans under _LEVEL_BUDGET lane entries.
     """
-    B, T = a.shape
-    width = min(_LEVEL_TILE, T)
-    if B == 0 or width == 0:
-        return
-    tile_lam = _lambda_tiles(lam)
-    per_scan = max(1, _LEVEL_BUDGET // (B * (n + width)))
-    for t0 in range(0, T, per_scan * width):
-        t1 = min(T, t0 + per_scan * width)
-        levels = _move_levels(a[:, t0:t1], b[:, t0:t1], n, width)
-        for k, s0 in enumerate(range(t0, t1, width)):
-            s1 = min(t1, s0 + width)
-            # entry r * (s1 - s0) + s is step s0 + s of row r; int16 keys
-            # sort by radix
-            lev = levels[:s1 - s0, :, k].T.ravel()
-            order = np.argsort(lev, kind="stable")
-            rows = order // (s1 - s0)
-            ra, rb = (np.take(v[:, s0:s1], order) for v in (a, b))
-            rl = np.take(tile_lam(s0, s1), order)
-            ends = np.cumsum(np.bincount(lev))
-            for lo, hi in zip(ends[:-1], ends[1:]):
-                yield rows[lo:hi], ra[lo:hi], rb[lo:hi], rl[lo:hi]
+    for _, levels in _tile_levels(a, b, lam, n, [a.shape[1]]):
+        yield from levels
 
 
-def advance(kernel, batch: np.ndarray, a, b, lam, t0: int, t1: int) -> None:
-    """Apply steps [t0, t1) of the (B, T) draws (a, b, lam) to ``batch`` in
-    place, one ``kernel(batch, a, b, lam, rows)`` call per dependency level.
-    ``lam`` is a stored array or a tile source as in ``pair_levels``, on the
-    same time axis as a and b; a source is asked for [t0, t1) in tiles.
+def advance(kernel, batch: np.ndarray, a, b, lam, marks):
+    """Apply the (B, T) draws (a, b, lam) to ``batch`` in place up to each
+    mark of the ascending sequence ``marks`` (0 <= mark <= T) in turn,
+    yielding the mark once steps [0, mark) are applied; a caller that
+    observes nothing passes one mark. ``lam`` is a stored array or a tile
+    source as in ``pair_levels``. The steps run one ``kernel(batch, a, b,
+    lam, rows)`` call per dependency level, in level tiles that restart at
+    every mark, so at each mark the batch is what a per-step loop leaves.
 
     A batch of B rows is one chain per replica. A batch of 2B rows is the
     stacked [X; Y] pair of two chains that share every draw, and both halves
@@ -212,13 +218,15 @@ def advance(kernel, batch: np.ndarray, a, b, lam, t0: int, t1: int) -> None:
     a caller's own binding of ``step_batch``/``mstep_batch`` is the one run.
     """
     B = a.shape[0]
-    span = slice(t0, t1)
-    tiles = _lambda_tiles(lam)
-
-    def span_lam(s0, s1):
-        return tiles(t0 + s0, t0 + s1)
-
-    for rows, *move in pair_levels(a[:, span], b[:, span], span_lam, batch.shape[1]):
-        if batch.shape[0] == 2 * B:
-            move, rows = stacked_draws(*move), np.concatenate((rows, rows + B))
-        kernel(batch, *move, rows)
+    tiles = _tile_levels(a, b, lam, batch.shape[1], marks)
+    done = 0
+    for mark in marks:
+        while done < mark:
+            done, levels = next(tiles)
+            for rows, *move in levels:
+                if batch.shape[0] == 2 * B:
+                    move, rows = stacked_draws(*move), np.concatenate((rows, rows + B))
+                kernel(batch, *move, rows)
+            # the tile's arrays go before the next tile's are built
+            del levels
+        yield mark

@@ -5,10 +5,10 @@ Generator(SeedSequence([base_seed, replica_index])). Distinct replicas never
 share a stream, and a (seed, replica) pair always reproduces the same draws.
 Every sampler draws its update pairs through ``draw_pairs``, the one pair law,
 and every lockstep experiment its moves through ``draw_moves``, the one move
-law: the pair arrays, then the lambda array. ``LambdaStream`` draws the
-lambda arrays of many replicas one level tile at a time, with the bits of
-one call per replica, and ``check_draw_memory`` refuses a pre-drawn store
-larger than the memory available.
+law: the pair arrays, then the lambda array. ``predraw`` makes a lockstep
+experiment's draws into a (B, T) store, once ``check_draw_memory`` has found
+room for it. ``LambdaStream`` draws the lambda arrays of many replicas one
+level tile at a time, with the bits of one call per replica.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import ConfigError, InvariantViolation
 
 __all__ = [
     "LambdaStream", "available_memory", "check_draw_memory", "draw_moves", "draw_pairs",
-    "empty_moves", "empty_pairs", "move_bytes", "replica_rng", "replica_seed_words",
+    "empty_moves", "empty_pairs", "move_bytes", "predraw", "replica_rng", "replica_seed_words",
 ]
 
 
@@ -70,6 +70,28 @@ def draw_moves(rng: np.random.Generator, T: int, n: int, group=None, gens=None):
     length-T lambda array ``rng.random(T)``."""
     a, b = draw_pairs(rng, T, n, group, gens)
     return a, b, rng.random(T)
+
+
+def predraw(chain, B: int, T: int, seed: int, what: str, before: int = 0, after: int = 0):
+    """The draws of a lockstep experiment ``what`` over B replicas and T
+    steps of ``chain``: replica r draws ``before`` stationary rows, its T
+    moves (``draw_moves``), then ``after`` stationary rows, from
+    ``replica_rng(seed, r)``. Returns (rows, (a, b, lam)), rows[k, r] the
+    k-th stationary row of replica r and (a, b, lam) the (B, T) store, whose
+    bytes ``check_draw_memory`` compares with the memory available first.
+    """
+    n = chain.n
+    check_draw_memory(move_bytes(B, T, n), f"{what} over {B} replicas and {T} steps")
+    rows = np.empty((before + after, B, n))
+    a, b, lam = empty_moves(B, T, n)
+    for r in range(B):
+        rng = replica_rng(seed, r)
+        for k in range(before):
+            rows[k, r] = chain.stationary(rng)
+        a[r], b[r], lam[r] = draw_moves(rng, T, n, chain.group, chain.gens)
+        for k in range(before, before + after):
+            rows[k, r] = chain.stationary(rng)
+    return rows, (a, b, lam)
 
 
 class LambdaStream:

@@ -33,7 +33,7 @@ from .kernels import (
     symmetrization,
 )
 from .pairops import Chain, advance, flat_pair_index, split_pair
-from .seeding import check_draw_memory, draw_moves, empty_moves, move_bytes, replica_rng
+from .seeding import draw_moves, predraw
 
 __all__ = [
     "SimplexState",
@@ -292,9 +292,7 @@ def contraction_experiment(
     4 n exp(-floor(t gamma_hat / 8)); a T below the first multiple is a
     ConfigError. With one replica each point's se is None.
 
-    Per-replica draw order: Y start, pair arrays, lambda array. The (B, T)
-    draws are pre-drawn, so a T whose store would not fit in the memory
-    available is a ConfigError before the first draw.
+    Per-replica draw order (``seeding.predraw``): Y start, then the moves.
     """
     n = group.n
     gamma_hat = base_gap(group, gens)
@@ -303,24 +301,16 @@ def contraction_experiment(
     marks = list(range(stride, T + 1, stride))
     if not marks:
         raise ConfigError("T too small: no checkpoint is a multiple of ceil(8/gamma_hat)")
-    check_draw_memory(move_bytes(replicas, T, n),
-                      f"contract-simplex over {replicas} replicas and {T} steps")
-
+    chain = simplex_chain(group, gens)
+    (Y,), moves = predraw(chain, replicas, T, seed, "contract-simplex", before=1)
     # X and Y are the halves of one stacked batch
-    XY = np.zeros((2 * replicas, n))
+    XY = np.concatenate((np.broadcast_to(chain.start, Y.shape), Y))
     X, Y = XY[:replicas], XY[replicas:]
-    X[:, group.identity] = 1.0
-    a, b, lam = empty_moves(replicas, T, n)
-    for r in range(replicas):
-        rng = replica_rng(seed, r)
-        Y[r] = sample_stationary(n, rng).x
-        a[r], b[r], lam[r] = draw_moves(rng, T, n, group, gens)
 
     points = []
     sq_gaps = np.empty((len(marks), replicas))
     # the steps after the last checkpoint are drawn but never observed
-    for k, (t0, t) in enumerate(zip([0] + marks, marks)):
-        advance(step_batch, XY, a, b, lam, t0, t)
+    for k, t in enumerate(advance(step_batch, XY, *moves, marks)):
         sq = ((X - Y) ** 2).sum(axis=1)
         sq_gaps[k] = sq
         se = float(sq.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else None
@@ -395,9 +385,9 @@ def lower_bound_experiment(
     total variation lower bound). A gap of 1 (the 2-element group) decays in
     one step and has no log-slope: the target, slope and relative error are
     then None. With one replica each point's se is None. T defaults to
-    max(8, ceil(1.5 / gamma)). The (B, T) draws are pre-drawn, so a T whose
-    store would not fit in the memory available is a ConfigError before the
-    first draw.
+    max(8, ceil(1.5 / gamma)).
+
+    Per-replica draw order (``seeding.predraw``): moves, then a stationary row.
     """
     n = group.n
     kernel = edge_walk_kernel(group, gens)
@@ -408,18 +398,8 @@ def lower_bound_experiment(
     if d is None:
         d = inner0 / 2.0
 
-    check_draw_memory(move_bytes(replicas, T, n),
-                      f"lowerbound-simplex over {replicas} replicas and {T} steps")
-    # Per-replica streams; draw order per replica: pair arrays, lam array,
-    # then one stationary sample for the tail comparison.
-    a_draw, b_draw, lam_draw = empty_moves(replicas, T, n)
-    stationary = np.empty((replicas, n))
-    for b in range(replicas):
-        rng = replica_rng(seed, b)
-        a_draw[b], b_draw[b], lam_draw[b] = draw_moves(rng, T, n, group, gens)
-        stationary[b] = sample_stationary(n, rng).x
-
-    checkpoints = list(range(0, T + 1, _CHECKPOINT_STRIDE))
+    (stationary,), moves = predraw(simplex_chain(group, gens), replicas, T, seed,
+                                   "lowerbound-simplex", after=1)
     x = np.broadcast_to(mu.x, (replicas, n)).copy()
     stat_inner = stationary @ v
     tail_stat = float(np.mean(stat_inner > d))
@@ -444,10 +424,8 @@ def lower_bound_experiment(
             )
         )
 
-    record(0)
     # the steps after the last checkpoint are drawn but never observed
-    for t0, t in zip(checkpoints, checkpoints[1:]):
-        advance(step_batch, x, a_draw, b_draw, lam_draw, t0, t)
+    for t in advance(step_batch, x, *moves, range(0, T + 1, _CHECKPOINT_STRIDE)):
         record(t)
 
     # a Monte Carlo mean below its noise can be <= 0 and has no logarithm

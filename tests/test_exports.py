@@ -78,3 +78,25 @@ def test_every_leaf_exception_class_is_raised_or_caught():
     }
     assert len(leaves) > 10
     assert sorted(leaves - used) == []
+
+
+def test_only_the_predraw_and_the_runner_fill_a_draw_store():
+    # a (B, T) move store is allocated and guarded in one place per path:
+    # seeding.predraw for the lockstep experiments and the coupled runner
+    # for its phase-2 store, so a new copy of the pre-draw that skips the
+    # memory guard fails here
+    package = Path(gibbsmix.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for func in functions:
+            called = {
+                call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                for call in ast.walk(func) if isinstance(call, ast.Call)
+                and isinstance(call.func, (ast.Name, ast.Attribute))
+            }
+            if called & {"empty_moves", "check_draw_memory"}:
+                callers.add((path.stem, func.name))
+    assert callers == {("seeding", "predraw"), ("coupling", "run_nonmarkovian_coupling")}

@@ -796,7 +796,7 @@ def test_harness_binds_no_simulation_layer():
     # tables; move kernels, levelled advances and draw laws stay with the
     # chains
     layer = ("advance", "pair_levels", "draw_moves", "draw_pairs", "empty_moves",
-             "step_batch", "mstep_batch", "msample_stationary")
+             "predraw", "step_batch", "mstep_batch", "msample_stationary")
     assert [name for name in layer if hasattr(harness, name)] == []
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,33 @@ def test_identity_residual_batch_matches_the_brute_force_sides(rng):
         for cx, cy in (off, on):
             want = [abs(lhs - rhs) for lhs, rhs in map(_identity_sides, cx, cy)]
             assert identity_residual_batch(cx, cy) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_identity_residual_tiles_keep_the_bits_and_bound_the_peak(rng, monkeypatch):
+    # the whole-batch form is the reference: each row's sums must not
+    # depend on how many rows share a tile
+    def whole(cx, cy):
+        d = cx - cy
+        sq = (d[:, :, None] + d[:, None, :]) ** 2
+        lhs = sq.sum(axis=(1, 2)) - np.einsum("bii->b", sq)
+        return np.abs(lhs - (cx.shape[1] - 2) * 2.0 * (d**2).sum(axis=1))
+
+    for n, B in ((3, 40), (10, 33), (32, 20), (100, 7)):
+        cx, cy = rng.uniform(0.0, 2.0, (2, B, n))
+        want = whole(cx, cy)
+        for budget in (1, 8 * n * n * 3, 1 << 20):
+            monkeypatch.setattr(matrices, "_RESIDUAL_TILE_BYTES", budget)
+            assert np.array_equal(identity_residual_batch(cx, cy), want)
+    monkeypatch.undo()
+    # whole, n = 64 and 2000 pairs would hold two 65.5 MB (B, n, n) squares
+    cx, cy = rng.uniform(0.0, 2.0, (2, 2000, 64))
+    tracemalloc.start()
+    try:
+        identity_residual_batch(cx, cy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cx.nbytes + 3 * matrices._RESIDUAL_TILE_BYTES
 
 
 def test_identity_residuals_on_random_pairs(rng):

@@ -8,7 +8,7 @@ replica and on the stacked [X; Y] pair alike."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +16,7 @@ from gibbsmix import pairops
 from gibbsmix.groups import build_cyclic
 from gibbsmix.matrices import mstep_batch
 from gibbsmix.pairops import advance, pair_levels
-from gibbsmix.seeding import draw_moves, draw_pairs, empty_moves
+from gibbsmix.seeding import LambdaStream, draw_moves, draw_pairs, empty_moves
 from gibbsmix.simplex import step_batch
 
 
@@ -67,17 +67,42 @@ def test_batch_kernels_conserve_each_moved_pair_sum_exactly(kernel, top, n, data
     assert np.array_equal(x[~moved], before[~moved])
 
 
+def _marks(data, T):
+    # ascending marks in [0, T]: uneven, repeated or empty windows, and
+    # often a mark at 0 or at T
+    inner = data.draw(st.lists(st.integers(0, T), max_size=6), label="marks")
+    ends = data.draw(st.sampled_from([[], [0], [T], [0, T], [T, T]]), label="ends")
+    return sorted(inner + ends)
+
+
+def _observed(kernel, x, a, b, lam, marks):
+    """The batch at each mark of ``advance``, as copies."""
+    return [x.copy() for _ in advance(kernel, x, a, b, lam, marks)]
+
+
+def _per_step_at(kernel, x, a, b, lam, marks):
+    """The per-step loop's batch at each mark."""
+    seen, done = [], 0
+    for mark in marks:
+        _per_step(kernel, x, a[:, done:mark], b[:, done:mark], lam[:, done:mark])
+        done = mark
+        seen.append(x.copy())
+    return seen
+
+
 @pytest.mark.parametrize("tile", [1, 3, 7, 512])
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(2, 40),
     B=st.integers(1, 9),
     tiles=st.floats(0.0, 3.0),
-    budget=st.sampled_from([1, 1 << 21]),
+    budget=st.sampled_from([1, 200, 1 << 21]),
     seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
-def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed):
+def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed, data):
     T = int(tiles * tile) + (tiles > 0)
+    marks = _marks(data, T)
     rng = np.random.default_rng(seed)
     a, b, lam = _draws(rng, B, T, n)
     with pytest.MonkeyPatch.context() as mp:
@@ -115,6 +140,12 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed):
         _per_step(mstep_batch, want, a, b, lam)
         _by_level(mstep_batch, got, a, b, lam, n)
         assert np.array_equal(got, want)
+        # windows between marks, with tiles restarting at each mark and
+        # many small windows in one scan
+        want = _per_step_at(mstep_batch, x0.copy(), a, b, lam, marks)
+        got = _observed(mstep_batch, x0.copy(), a, b, lam, marks)
+        assert len(got) == len(marks)
+        assert all(map(np.array_equal, got, want))
 
         if n >= 3:
             group, gens = build_cyclic(n, range(1, n))
@@ -124,6 +155,9 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed):
             _per_step(step_batch, want, a, b, lam)
             _by_level(step_batch, got, a, b, lam, n)
             assert np.array_equal(got, want)
+            want = _per_step_at(step_batch, x0.copy(), a, b, lam, marks)
+            got = _observed(step_batch, x0.copy(), a, b, lam, marks)
+            assert all(map(np.array_equal, got, want))
 
 
 def test_levels_of_strided_views():
@@ -140,21 +174,38 @@ def test_levels_of_strided_views():
 
 
 @pytest.mark.parametrize("kernel", [step_batch, mstep_batch], ids=["simplex", "matrix"])
-def test_advance_is_the_per_step_loop_on_single_and_stacked_batches(kernel):
-    rng = np.random.default_rng(11)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), budget=st.sampled_from([1, 3000, 1 << 21]))
+@example(data=None, budget=1 << 21)
+def test_advance_is_the_per_step_loop_on_single_and_stacked_batches(kernel, data, budget):
+    # T = 700 spans two 512-step tiles; a budget of 3000 lane entries levels
+    # several short windows in one scan, but a 512-step tile alone
     n, B, T = 9, 5, 700
+    marks = [0, 1, 513, T] if data is None else _marks(data, T)
     group, gens = build_cyclic(n, range(1, n)) if kernel is step_batch else (None, None)
+    rngs = [np.random.default_rng([11, r]) for r in range(B)]
     moves = empty_moves(B, T, n)
-    for r in range(B):
+    for r, rng in enumerate(rngs):
         moves[0][r], moves[1][r], moves[2][r] = draw_moves(rng, T, n, group, gens)
     assert moves[0].dtype == np.uint8
-    x0 = rng.dirichlet(np.ones(n), 2 * B)
-    want = x0.copy()
-    _per_step(kernel, want[:B], *moves)
-    _per_step(kernel, want[B:], *moves)
-    single, stacked = x0[:B].copy(), x0.copy()
-    for t0, t1 in [(0, 0), (0, 1), (1, 513), (513, T)]:
-        advance(kernel, single, *moves, t0, t1)
-        advance(kernel, stacked, *moves, t0, t1)
-    assert np.array_equal(single, want[:B])
-    assert np.array_equal(stacked, want)
+    x0 = np.random.default_rng(12).dirichlet(np.ones(n), 2 * B)
+    want_single = _per_step_at(kernel, x0[:B].copy(), *moves, marks)
+    want_stacked = [np.concatenate(halves) for halves in zip(
+        want_single, _per_step_at(kernel, x0[B:].copy(), *moves, marks))]
+
+    def stream():
+        # each replica's generator where draw_moves drew its lambdas
+        twins = [np.random.default_rng([11, r]) for r in range(B)]
+        for rng in twins:
+            draw_pairs(rng, T, n, group, gens)
+        return LambdaStream(twins, T)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairops, "_LEVEL_BUDGET", budget)
+        for x, want in ((x0[:B], want_single), (x0, want_stacked)):
+            for lam in (moves[2], stream()):
+                got = _observed(kernel, x.copy(), *moves[:2], lam, marks)
+                assert len(got) == len(marks)
+                assert all(map(np.array_equal, got, want))
+                if isinstance(lam, LambdaStream):
+                    assert lam.drawn == (marks[-1] if marks else 0)
