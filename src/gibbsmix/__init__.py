@@ -72,7 +72,6 @@ from .coupling import (
     CouplingOutcome,
     PartitionProcess,
     build_partition_process,
-    closeness_check,
     connectedness_experiment,
     largeness_experiment,
     run_nonmarkovian_coupling,

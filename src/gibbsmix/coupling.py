@@ -51,17 +51,13 @@ __all__ = [
     "MergeRecord",
     "PartitionProcess",
     "CouplingOutcome",
-    "CouplingTrace",
-    "CouplingRunResult",
     "ConnectReport",
     "LargenessReport",
-    "ClosenessReport",
     "build_partition_process",
     "subset_couple_batch",
     "run_nonmarkovian_coupling",
     "connectedness_experiment",
     "largeness_experiment",
-    "closeness_check",
 ]
 
 SUBSET_FAILED = "SubsetFailed"
@@ -92,24 +88,9 @@ class MergeRecord:
 
 @dataclass(eq=False)
 class PartitionProcess:
-    n: int
     merges: list                  # MergeRecord, descending t
     tau: float                    # T - (first single-block time), or inf
     connected: bool
-
-    def partition_at(self, t: int) -> list:
-        """Blocks of P_t (components of the suffix edges {s >= t}), each a
-        sorted tuple, sorted by smallest member: the singletons with every
-        merge at a time >= t applied."""
-        blocks = {k: (k,) for k in range(self.n)}
-        for rec in self.merges:
-            if rec.t < t:
-                break
-            # s1 and s2 are blocks of P_{rec.t + 1}, keyed by their minima
-            del blocks[rec.s1[0]], blocks[rec.s2[0]]
-            merged = tuple(sorted(rec.s1 + rec.s2))
-            blocks[merged[0]] = merged
-        return sorted(blocks.values())
 
 
 def build_partition_process(left, right, n: int, t0: int = 0) -> PartitionProcess:
@@ -141,7 +122,7 @@ def build_partition_process(left, right, n: int, t0: int = 0) -> PartitionProces
             break
     connected = len(merges) == n - 1
     tau = float(t0 + len(lefts) - merges[-1].t) if connected else math.inf
-    return PartitionProcess(n=n, merges=merges, tau=tau, connected=connected)
+    return PartitionProcess(merges=merges, tau=tau, connected=connected)
 
 
 # ---------------------------------------------------------------------------
@@ -277,36 +258,13 @@ class CouplingOutcome:
     max_final_gap: float
 
 
-@dataclass(eq=False)
-class CouplingTrace:
-    t0: int                      # start of phase 2
-    xs: np.ndarray               # (T2 + 1, n) states entering each replay time
-    ys: np.ndarray
-    partition: PartitionProcess
-    subset_success: list
-    first_failure_time: Optional[int]
-
-
-@dataclass
-class CouplingRunResult:
-    outcomes: list
-    traces: Optional[list] = None
-
-
 def run_nonmarkovian_coupling(
-    chain: Chain,
-    *,
-    T1: int,
-    T2: int,
-    replicas: int,
-    seed: int,
-    x0: Optional[np.ndarray] = None,
-    keep_trace: bool = False,
-) -> CouplingRunResult:
-    """Two-phase coupling for every replica; failures are recorded in the
-    outcomes, never raised.
+    chain: Chain, *, T1: int, T2: int, replicas: int, seed: int
+) -> list[CouplingOutcome]:
+    """Two-phase coupling for every replica: one ``CouplingOutcome`` per
+    replica, in replica order; failures are recorded there, never raised.
 
-    Per replica: Y starts stationary, X at ``x0`` (default: ``chain.start``).
+    Per replica: Y starts stationary, X at ``chain.start``.
     Phase 1 applies T1 proportional steps. Then the partition process of the
     suffix graph of the replica's phase-2 coordinates is built, and the T2
     phase-2 steps are replayed with a subset coupling at each marked time —
@@ -320,19 +278,19 @@ def run_nonmarkovian_coupling(
     ``seeding.LambdaStream``, which fills one reused (B, tile) buffer just
     before the tile runs. After phase 1 the pair arrays are released and the
     phase-2 pair and lambda arrays are drawn into a (B, T2) store, indexed
-    at t - T1. The memory these stores, and a trace, would take is checked
-    against the memory available before the first draw
-    (``seeding.check_draw_memory``).
+    at t - T1. The memory these stores would take is checked against the
+    memory available before the first draw (``seeding.check_draw_memory``).
 
     Nothing is observed during phase 1 or before the earliest marked time
-    over the replicas (without ``keep_trace``), so those moves are applied
-    in dependency levels (``pairops.advance``), one kernel call on the stacked
-    [X; Y] batch per level; each move reads the values it would read in a
-    per-step loop, so the result is that loop's, bit for bit. From the
-    earliest marked time on, the replay steps one time at a time: one
-    ``subset_couple_batch`` call over the live replicas marked at that time,
-    read from a mark table built once from every replica's merges, then one
-    kernel call on the stacked batch for the other live replicas.
+    over the replicas, so those moves are applied in dependency levels
+    (``pairops.advance``), one kernel call on the stacked [X; Y] batch per
+    level; each move reads the values it would read in a per-step loop, so
+    the result is that loop's, bit for bit. From the earliest marked time
+    on, every time takes one path: one ``subset_couple_batch`` call over the
+    live replicas marked at that time, read from a mark table built once
+    from every replica's merges, then one kernel call on the stacked batch
+    for the other live replicas. A replay that steps every phase-2 time of
+    one replica is the reference these outcomes match in the tests.
 
     Per-replica draw order (unchanged by the batching and the streaming,
     since each replica draws only from its own generator, and consecutive
@@ -350,17 +308,15 @@ def run_nonmarkovian_coupling(
         raise InvariantViolation("arguments", "T2 must be >= 1")
 
     n, B = chain.n, replicas
-    trace_bytes = 2 * B * (T2 + 1) * n * 8 if keep_trace else 0
     check_draw_memory(
-        move_bytes(B, T1, n, lambdas=False) + move_bytes(B, T2, n) + trace_bytes,
+        move_bytes(B, T1, n, lambdas=False) + move_bytes(B, T2, n),
         f"the coupling of {B} replicas over T1 = {T1}, T2 = {T2} steps",
     )
-    start = chain.start if x0 is None else np.asarray(x0, dtype=float)
     # X and Y are the two halves of one C-contiguous batch, so a draw shared
     # by both chains moves them in one kernel call
     XY = np.empty((2 * B, n))
     X, Y = XY[:B], XY[B:]
-    X[:] = start
+    X[:] = chain.start
     T = T1 + T2
     rngs = [replica_rng(seed, b) for b in range(B)]
     left, right = empty_pairs(B, T1, n)
@@ -381,16 +337,13 @@ def run_nonmarkovian_coupling(
     for b, rng in enumerate(rngs):
         left[b], right[b], lam[b] = draw_moves(rng, T2, n, chain.group, chain.gens)
     # outcomes read only tau and connectedness, and the merges live on in
-    # the mark table; a whole process is kept for a trace only
+    # the mark table
     tau = [math.inf] * B
     connected = [False] * B
-    processes = []
     table, members = [], []
     for b in range(B):
         proc = build_partition_process(left[b], right[b], n, T1)
         tau[b], connected[b] = proc.tau, proc.connected
-        if keep_trace:
-            processes.append(proc)
         table += [(r.t, b, r.i, r.j, len(r.s1)) for r in proc.merges]
         members += [k for r in proc.merges for k in r.s1]
     # the mark table, one entry per merge: the S1 of entry k is
@@ -407,19 +360,10 @@ def run_nonmarkovian_coupling(
     )
     times, firsts = np.unique(mark_t, return_index=True)
     spans = dict(zip(times.tolist(), zip(firsts.tolist(), [*firsts[1:].tolist(), len(mark_t)])))
-    # nothing is observed before the earliest marked time; a trace observes
-    # every phase-2 time
-    head = T1 if keep_trace else int(times[0])
+    # nothing is observed before the earliest marked time
+    head = int(times[0])
     for _ in advance(batch, XY, left, right, lam, [head - T1]):
         pass
-
-    if keep_trace:
-        tr_x = np.empty((B, T2 + 1, n))
-        tr_y = np.empty((B, T2 + 1, n))
-        tr_x[:, 0] = X
-        tr_y[:, 0] = Y
-        tried = np.zeros(len(mark_t), dtype=bool)
-        succeeded = np.zeros(len(mark_t), dtype=bool)
 
     subset_fail = np.full(B, -1, dtype=np.int64)
     largeness_fail = np.full(B, -1, dtype=np.int64)
@@ -442,16 +386,10 @@ def run_nonmarkovian_coupling(
             active[rows[degenerate]] = False
             failed = rows[~ok & ~degenerate]
             subset_fail[failed[subset_fail[failed] < 0]] = t
-            if keep_trace:
-                tried[sel] = ~degenerate
-                succeeded[sel] = ok
         if rest.any():
             rows = np.flatnonzero(rest)
             batch(XY, *stacked_draws(left[rows, s], right[rows, s], lam[rows, s]),
                   np.concatenate((rows, rows + B)))
-        if keep_trace:
-            tr_x[:, s + 1] = X
-            tr_y[:, s + 1] = Y
 
     gaps = np.abs(X - Y).max(axis=1)
     outcomes = []
@@ -486,27 +424,11 @@ def run_nonmarkovian_coupling(
                 max_final_gap=gap,
             )
         )
-
-    traces = None
-    if keep_trace:
-        traces = [
-            CouplingTrace(
-                t0=T1,
-                xs=tr_x[b],
-                ys=tr_y[b],
-                partition=processes[b],
-                subset_success=succeeded[tried & (mark_b == b)].tolist(),
-                first_failure_time=(
-                    int(subset_fail[b]) if subset_fail[b] >= 0 else None
-                ),
-            )
-            for b in range(B)
-        ]
-    return CouplingRunResult(outcomes=outcomes, traces=traces)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
-# connectivity, largeness and closeness
+# connectivity and largeness
 
 
 # replicas per kernel call: small tiles keep the edge arrays in cache and the
@@ -699,31 +621,3 @@ def largeness_experiment(
         chain.kernel(states, pa, pb, pl, rows)
         np.minimum.at(minima, rows, np.minimum(margin(states[rows, pa]), margin(states[rows, pb])))
     return LargenessReport(minima=minima, threshold=threshold, target=target)
-
-
-@dataclass
-class ClosenessReport:
-    initial_l1: float
-    max_blockwise_l1: float      # max over checked steps of sum_S |w(X,S) - w(Y,S)|
-    ok: bool
-
-
-def closeness_check(trace: CouplingTrace) -> ClosenessReport:
-    """While the subset couplings have all succeeded, the blockwise L1
-    distance over the current partition never exceeds the L1 distance at the
-    start of phase 2 (within 1e-10)."""
-    initial_l1 = float(np.abs(trace.xs[0] - trace.ys[0]).sum())
-    limit = trace.xs.shape[0] - 1
-    if trace.first_failure_time is not None:
-        limit = trace.first_failure_time - trace.t0
-    worst = 0.0
-    for t_rel in range(limit + 1):
-        blocks = trace.partition.partition_at(trace.t0 + t_rel)
-        diff = trace.xs[t_rel] - trace.ys[t_rel]
-        total = sum(abs(float(diff[list(block)].sum())) for block in blocks)
-        worst = max(worst, total)
-    return ClosenessReport(
-        initial_l1=initial_l1,
-        max_blockwise_l1=worst,
-        ok=worst <= initial_l1 + 1e-10,
-    )

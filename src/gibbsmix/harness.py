@@ -531,7 +531,7 @@ def _run_couple(config: ExperimentConfig, chain: Chain):
         raise ConfigError(f"{config.experiment} needs T2 >= 1, got {T2}")
     outcomes = run_nonmarkovian_coupling(
         chain, T1=T1, T2=T2, replicas=replicas, seed=config.seed
-    ).outcomes
+    )
     coupled = [o for o in outcomes if o.coupled]
     failures = dict(Counter(o.failure_kind for o in outcomes if o.failure_kind))
     taus = [o.tau_connect for o in outcomes if o.tau_connect is not None]

@@ -236,18 +236,18 @@ def test_08_end_to_end_coupling_frequency_and_final_gap():
     chain = simplex_chain(group, gens)
     t1, t2 = chain.horizons()
     assert (t1, t2) == (3970, 999)
-    result = run_nonmarkovian_coupling(chain, T1=t1, T2=t2, replicas=1000, seed=31)
-    coupled = sum(o.coupled for o in result.outcomes)
+    outcomes = run_nonmarkovian_coupling(chain, T1=t1, T2=t2, replicas=1000, seed=31)
+    coupled = sum(o.coupled for o in outcomes)
     assert coupled >= 990, f"simplex coupled {coupled}/1000"
-    assert all(o.max_final_gap <= 1e-8 for o in result.outcomes if o.coupled)
+    assert all(o.max_final_gap <= 1e-8 for o in outcomes if o.coupled)
 
     chain = matrix_chain(16)
     t1, t2 = chain.horizons()
     assert (t1, t2) == (1557, 200)
-    result = run_nonmarkovian_coupling(chain, T1=t1, T2=t2, replicas=1000, seed=32)
-    coupled = sum(o.coupled for o in result.outcomes)
+    outcomes = run_nonmarkovian_coupling(chain, T1=t1, T2=t2, replicas=1000, seed=32)
+    coupled = sum(o.coupled for o in outcomes)
     assert coupled >= 990, f"matrix coupled {coupled}/1000"
-    assert all(o.max_final_gap <= 1e-8 for o in result.outcomes if o.coupled)
+    assert all(o.max_final_gap <= 1e-8 for o in outcomes if o.coupled)
     assert time.monotonic() - t0 < 300.0
 
 

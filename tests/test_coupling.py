@@ -3,7 +3,8 @@ import itertools
 import json
 import math
 import tracemalloc
-from dataclasses import asdict
+from collections import namedtuple
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from gibbsmix.coupling import (
     CouplingOutcome,
     _connection_times,
     build_partition_process,
-    closeness_check,
     connectedness_experiment,
     largeness_experiment,
     run_nonmarkovian_coupling,
@@ -35,7 +35,7 @@ from gibbsmix.matrices import (
     pair_alpha_beta_float,
 )
 from gibbsmix.pairops import split_pair, split_pair_float, stacked_draws
-from gibbsmix.seeding import draw_pairs, empty_moves, replica_rng
+from gibbsmix.seeding import draw_moves, draw_pairs, empty_moves, replica_rng
 from gibbsmix.simplex import sample_stationary, simplex_chain, step_batch
 
 # each chain's pair coefficients, which depend on neither n nor the group
@@ -49,44 +49,6 @@ def _process(entries, n, t0=0):
     """The partition process of a schedule given as (i, j) rows."""
     entries = np.asarray(entries)
     return build_partition_process(entries[:, 0], entries[:, 1], n, t0)
-
-
-def test_partition_process_needs_a_schedule():
-    with pytest.raises(InvariantViolation) as err:
-        build_partition_process(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)
-    assert err.value.axiom == "schedule-empty"
-
-
-def test_partition_process_forced_example():
-    proc = _process([[0, 1], [1, 2]], 3)
-    assert proc.connected and proc.tau == 2
-    assert [rec.t for rec in proc.merges] == [1, 0]
-    assert proc.merges[0].s1 == (1,) and proc.merges[0].s2 == (2,)
-    assert proc.merges[1].s1 == (0,) and proc.merges[1].s2 == (1, 2)
-    # each merge's marked edge, from s1 to s2
-    assert (proc.merges[0].i, proc.merges[0].j) == (1, 2)
-    assert (proc.merges[1].i, proc.merges[1].j) == (0, 1)
-    assert proc.partition_at(0) == [(0, 1, 2)]
-    assert proc.partition_at(1) == [(0,), (1, 2)]
-    assert proc.partition_at(2) == [(0,), (1,), (2,)]
-
-
-def test_partition_untouched_coordinate_never_connects():
-    proc = _process([[0, 1], [1, 3], [0, 3]], 5, t0=10)
-    assert not proc.connected
-    assert proc.tau == math.inf
-    for t in range(10, 14):
-        assert (2,) in proc.partition_at(t)
-        assert (4,) in proc.partition_at(t)
-
-
-def test_partition_single_pair():
-    proc = _process([[1, 0]], 2)
-    assert proc.connected and proc.tau == 1
-    assert len(proc.merges) == 1
-    assert proc.merges[0].s1 == (0,) and proc.merges[0].s2 == (1,)
-    # drawn as (1, 0), recorded from s1 to s2
-    assert (proc.merges[0].i, proc.merges[0].j) == (0, 1)
 
 
 def _suffix_components(entries, t0, n, t):
@@ -108,6 +70,48 @@ def _suffix_components(entries, t0, n, t):
     return sorted(tuple(v) for v in blocks.values())
 
 
+def test_partition_process_needs_a_schedule():
+    with pytest.raises(InvariantViolation) as err:
+        build_partition_process(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)
+    assert err.value.axiom == "schedule-empty"
+
+
+def test_partition_process_forced_example():
+    entries = np.array([[0, 1], [1, 2]])
+    proc = _process(entries, 3)
+    assert proc.connected and proc.tau == 2
+    assert [rec.t for rec in proc.merges] == [1, 0]
+    assert proc.merges[0].s1 == (1,) and proc.merges[0].s2 == (2,)
+    assert proc.merges[1].s1 == (0,) and proc.merges[1].s2 == (1, 2)
+    # each merge's marked edge, from s1 to s2
+    assert (proc.merges[0].i, proc.merges[0].j) == (1, 2)
+    assert (proc.merges[1].i, proc.merges[1].j) == (0, 1)
+    assert _suffix_components(entries, 0, 3, 0) == [(0, 1, 2)]
+    assert _suffix_components(entries, 0, 3, 1) == [(0,), (1, 2)]
+    assert _suffix_components(entries, 0, 3, 2) == [(0,), (1,), (2,)]
+
+
+def test_partition_untouched_coordinate_never_connects():
+    entries = np.array([[0, 1], [1, 3], [0, 3]])
+    proc = _process(entries, 5, t0=10)
+    assert not proc.connected
+    assert proc.tau == math.inf
+    # 0, 1 and 3 join in two merges; 2 and 4 stay apart
+    assert len(proc.merges) == 2
+    for t in range(10, 14):
+        assert (2,) in _suffix_components(entries, 10, 5, t)
+        assert (4,) in _suffix_components(entries, 10, 5, t)
+
+
+def test_partition_single_pair():
+    proc = _process([[1, 0]], 2)
+    assert proc.connected and proc.tau == 1
+    assert len(proc.merges) == 1
+    assert proc.merges[0].s1 == (0,) and proc.merges[0].s2 == (1,)
+    # drawn as (1, 0), recorded from s1 to s2
+    assert (proc.merges[0].i, proc.merges[0].j) == (0, 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_partition_invariants_random_schedules(data):
@@ -127,10 +131,19 @@ def test_partition_invariants_random_schedules(data):
     assert narrow.merges == proc.merges
     assert narrow.tau == proc.tau and narrow.connected == proc.connected
 
+    merge_times = [rec.t for rec in proc.merges]
+    assert merge_times == sorted(merge_times, reverse=True)
+    assert len(set(merge_times)) == len(merge_times)
+
+    def partition_at(t):
+        return _suffix_components(entries, 5, n, t)
+
+    # the merges are exactly the times at which the component count drops,
+    # by one each, down to the count at the start of the schedule
+    assert len(proc.merges) == n - len(partition_at(5))
     previous = None
     for t in range(3, 5 + length + 2):
-        part = proc.partition_at(t)
-        assert part == _suffix_components(entries, 5, n, t)
+        part = partition_at(t)
         flat = sorted(x for block in part for x in block)
         assert flat == list(range(n))
         if previous is not None:
@@ -138,29 +151,27 @@ def test_partition_invariants_random_schedules(data):
             # inside an earlier one
             for block in part:
                 assert any(set(block) <= set(b) for b in previous)
+            assert len(part) == len(previous) + ((t - 1) in merge_times)
         previous = part
 
-    merge_times = [rec.t for rec in proc.merges]
-    assert merge_times == sorted(merge_times, reverse=True)
-    assert len(set(merge_times)) == len(merge_times)
     for rec in proc.merges:
         assert len(rec.s1) <= len(rec.s2)
         if len(rec.s1) == len(rec.s2):
             assert min(rec.s1) < min(rec.s2)
         assert not (set(rec.s1) & set(rec.s2))
         merged = tuple(sorted(set(rec.s1) | set(rec.s2)))
-        assert merged in proc.partition_at(rec.t)
-        assert rec.s1 in proc.partition_at(rec.t + 1)
-        assert rec.s2 in proc.partition_at(rec.t + 1)
+        assert merged in partition_at(rec.t)
+        assert rec.s1 in partition_at(rec.t + 1)
+        assert rec.s2 in partition_at(rec.t + 1)
         # the marked edge is the schedule's edge at t and crosses from s1 to s2
         assert {rec.i, rec.j} == set(entries[rec.t - 5].tolist())
         assert rec.i in rec.s1 and rec.j in rec.s2
     if proc.connected:
         t_star = proc.merges[-1].t
         assert proc.tau == 5 + length - t_star
-        assert len(proc.partition_at(t_star)) == 1
+        assert len(partition_at(t_star)) == 1
         if t_star + 1 <= 5 + length:
-            assert len(proc.partition_at(t_star + 1)) > 1
+            assert len(partition_at(t_star + 1)) > 1
 
 
 def _subset_oracle(kind, x, y, subset, i, j, rng, lam_first=None):
@@ -504,36 +515,104 @@ def _outcome_counts(outcomes):
     return counts
 
 
+_Replay = namedtuple("_Replay", "states successes edges")
+
+
+def _stepped_replay(chain, T1, T2, replicas, seed):
+    """The two-phase coupling one replica and one step at a time, the
+    reference for the runner's levelled and batched phases. Each replica
+    draws from its own generator in the documented order: the stationary Y,
+    T1 moves, T2 moves. Every step is one kernel call on the stacked (2, n)
+    pair, except at a merge of the replica's partition process, where the
+    scalar subset step takes that step's lambda first; a degenerate pair
+    mass there records LargenessViolated and stops the replica.
+
+    Returns (outcomes, replays); replays[b].states[s] is the (2, n) pair
+    entering time T1 + s, up to the end or the stop, ``successes`` the
+    subset steps' outcomes in time order and ``edges`` the (T2, 2) phase-2
+    schedule."""
+    n = chain.n
+    outcomes, replays = [], []
+    for b in range(replicas):
+        rng = replica_rng(seed, b)
+        xy = np.stack([chain.start, chain.stationary(rng)])
+        left, right, lam = draw_moves(rng, T1, n, chain.group, chain.gens)
+        for t in range(T1):
+            chain.kernel(xy, *stacked_draws(left[t:t + 1], right[t:t + 1], lam[t:t + 1]))
+        left, right, lam = draw_moves(rng, T2, n, chain.group, chain.gens)
+        proc = build_partition_process(left, right, n, T1)
+        marks = {rec.t: rec for rec in proc.merges}
+        states, successes = [xy.copy()], []
+        subset_fail = largeness_fail = None
+        for t in range(T1, T1 + T2):
+            s = t - T1
+            if t in marks:
+                rec = marks[t]
+                try:
+                    ok = _subset_oracle(
+                        chain.kind, xy[0], xy[1], np.array(rec.s1), rec.i, rec.j, rng, lam[s])[0]
+                except DegeneratePairMass:
+                    largeness_fail = t
+                    break
+                successes.append(ok)
+                if not ok and subset_fail is None:
+                    subset_fail = t
+            else:
+                chain.kernel(xy, *stacked_draws(left[s:s + 1], right[s:s + 1], lam[s:s + 1]))
+            states.append(xy.copy())
+
+        coupled = proc.connected and largeness_fail is None and subset_fail is None
+        if coupled:
+            kind, first = None, None
+        elif largeness_fail is not None:
+            kind, first = "LargenessViolated", largeness_fail
+        else:
+            kind = "NotConnected" if not proc.connected else "SubsetFailed"
+            first = subset_fail
+        outcomes.append(CouplingOutcome(
+            replica=b, coupled=coupled, failure_kind=kind, first_failure_time=first,
+            tau_connect=int(proc.tau) if proc.connected else None,
+            max_final_gap=float(np.abs(xy[0] - xy[1]).max()),
+        ))
+        replays.append(_Replay(states, successes, np.stack([left, right], axis=1)))
+    return outcomes, replays
+
+
+def _runner_and_replay(chain, T1, T2, replicas, seed):
+    """The outcome records of the runner and of the stepped replay."""
+    outcomes = run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=replicas, seed=seed)
+    replayed = _stepped_replay(chain, T1, T2, replicas, seed)[0]
+    return [asdict(o) for o in outcomes], [asdict(o) for o in replayed]
+
+
 def test_nonmarkovian_identical_starts_always_couple():
     group, gens = build_cyclic(5, [1, 4])
-    x0 = np.full(5, 0.2)
-    result = run_nonmarkovian_coupling(
-        simplex_chain(group, gens), T1=5, T2=120, replicas=40, seed=9,
-        x0=x0, keep_trace=True,
-    )
-    for outcome, trace in zip(result.outcomes, result.traces):
+    chain = replace(simplex_chain(group, gens), start=np.full(5, 0.2))
+    outcomes = run_nonmarkovian_coupling(chain, T1=5, T2=120, replicas=40, seed=9)
+    _, replays = _stepped_replay(chain, 5, 120, 40, 9)
+    for outcome, replay in zip(outcomes, replays):
         assert isinstance(outcome, CouplingOutcome)
         if outcome.coupled:
             assert outcome.max_final_gap <= 1e-8
         if outcome.failure_kind != "NotConnected":
-            assert all(trace.subset_success)
-    connected = [o for o in result.outcomes if o.failure_kind != "NotConnected"]
+            assert all(replay.successes)
+    connected = [o for o in outcomes if o.failure_kind != "NotConnected"]
     assert all(o.coupled for o in connected)
 
 
 def test_nonmarkovian_short_schedule_not_connected():
-    result = run_nonmarkovian_coupling(matrix_chain(8), T1=10, T2=4, replicas=25, seed=2)
-    counts = _outcome_counts(result.outcomes)
+    outcomes = run_nonmarkovian_coupling(matrix_chain(8), T1=10, T2=4, replicas=25, seed=2)
+    counts = _outcome_counts(outcomes)
     assert counts == {"NotConnected": 25}
-    for o in result.outcomes:
+    for o in outcomes:
         assert o.tau_connect is None and not o.coupled
 
 
 def test_nonmarkovian_records_subset_failures():
-    result = run_nonmarkovian_coupling(matrix_chain(8), T1=2, T2=75, replicas=150, seed=21)
-    counts = _outcome_counts(result.outcomes)
+    outcomes = run_nonmarkovian_coupling(matrix_chain(8), T1=2, T2=75, replicas=150, seed=21)
+    counts = _outcome_counts(outcomes)
     assert counts.get("SubsetFailed", 0) > 0
-    for o in result.outcomes:
+    for o in outcomes:
         if o.failure_kind == "SubsetFailed":
             assert o.first_failure_time is not None
             assert 2 <= o.first_failure_time < 2 + 75
@@ -547,31 +626,34 @@ def test_nonmarkovian_deterministic():
         )
         for _ in range(2)
     ]
-    records = [[asdict(o) for o in r.outcomes] for r in runs]
+    records = [[asdict(o) for o in outcomes] for outcomes in runs]
     assert records[0] == records[1]
 
 
-@pytest.mark.parametrize("keep_trace", [False, True])
 @pytest.mark.parametrize("build", [
     lambda: matrix_chain(8), lambda: simplex_chain(*build_cyclic(6, range(1, 6))),
 ], ids=["matrix:8", "cyclic:6-complete"])
-def test_runner_makes_one_subset_call_per_marked_time(monkeypatch, build, keep_trace):
-    # the runner reads the step through the module global, so this wrapper
-    # sees every call; each call takes every replica marked at its time once
+def test_runner_makes_one_subset_call_per_marked_time(monkeypatch, build):
+    # the runner reads the scan and the step through the module globals, so
+    # these wrappers see every call; each subset call takes every replica
+    # marked at its time once
     chain = build()
-    kwargs = dict(T1=20, T2=60, replicas=12, seed=5)
-    traces = run_nonmarkovian_coupling(chain, keep_trace=True, **kwargs).traces
-    merges = [rec for trace in traces for rec in trace.partition.merges]
-    original = coupling.subset_couple_batch
-    calls = []
+    build_process, subset = coupling.build_partition_process, coupling.subset_couple_batch
+    merges, calls = [], []
+
+    def built(*args):
+        proc = build_process(*args)
+        merges.extend(proc.merges)
+        return proc
 
     def counted(coeffs, X, Y, rows, *args):
         calls.append(np.asarray(rows).tolist())
-        return original(coeffs, X, Y, rows, *args)
+        return subset(coeffs, X, Y, rows, *args)
 
+    monkeypatch.setattr(coupling, "build_partition_process", built)
     monkeypatch.setattr(coupling, "subset_couple_batch", counted)
-    result = run_nonmarkovian_coupling(chain, keep_trace=keep_trace, **kwargs)
-    assert not any(o.failure_kind == "LargenessViolated" for o in result.outcomes)
+    outcomes = run_nonmarkovian_coupling(chain, T1=20, T2=60, replicas=12, seed=5)
+    assert not any(o.failure_kind == "LargenessViolated" for o in outcomes)
     assert len(calls) == len({rec.t for rec in merges})
     assert sum(len(rows) for rows in calls) == len(merges)
     assert all(len(set(rows)) == len(rows) for rows in calls)
@@ -618,17 +700,28 @@ _PHASE1_CHAINS = {
 @pytest.mark.parametrize("replicas", [1, 3])
 @pytest.mark.parametrize("T1", [0, 1, 511, 512, 513])
 @pytest.mark.parametrize("chain", sorted(_PHASE1_CHAINS))
-def test_phase1_matches_a_per_step_loop(chain, T1, replicas):
+def test_phase1_matches_a_per_step_loop(monkeypatch, chain, T1, replicas):
     # the levelled phase 1 leaves X and Y where one kernel call per step
     # does, on draws rebuilt from each replica's stream in the documented
-    # order: stationary Y, the phase-1 pair arrays, the phase-1 lambdas
+    # order: stationary Y, the phase-1 pair arrays, the phase-1 lambdas.
+    # The runner's first observation is the stacked [X; Y] batch at the
+    # end of phase 1
     kind, n, build = _PHASE1_CHAINS[chain]
     group, gens = build() if build else (None, None)
-    result = run_nonmarkovian_coupling(
+    original, observed = coupling.advance, []
+
+    def spy(kernel, batch, *args):
+        for mark in original(kernel, batch, *args):
+            observed.append(batch.copy())
+            yield mark
+
+    monkeypatch.setattr(coupling, "advance", spy)
+    run_nonmarkovian_coupling(
         simplex_chain(group, gens) if build else matrix_chain(n), T1=T1, T2=1,
-        replicas=replicas, seed=17, keep_trace=True,
+        replicas=replicas, seed=17,
     )
-    for b, trace in enumerate(result.traces):
+    after_phase1 = observed[0]
+    for b in range(replicas):
         rng = replica_rng(17, b)
         if kind == "matrix":
             y = msample_stationary(n, rng).c
@@ -648,49 +741,39 @@ def test_phase1_matches_a_per_step_loop(chain, T1, replicas):
         xy = np.stack([x, y])
         for t in range(T1):
             batch(xy, *stacked_draws(a[t:t + 1], pair_b[t:t + 1], lam[t:t + 1]))
-        assert np.array_equal(trace.xs[0], xy[0])
-        assert np.array_equal(trace.ys[0], xy[1])
+        assert np.array_equal(after_phase1[b], xy[0])
+        assert np.array_equal(after_phase1[replicas + b], xy[1])
 
 
 _TRACE_CHAINS = {
-    "matrix:3": ("matrix", 3, None),
-    "matrix:8": ("matrix", 8, None),
-    "matrix:40": ("matrix", 40, None),
-    "cyclic:6-complete": ("simplex", 6, lambda: build_cyclic(6, range(1, 6))),
-    "hypercube:3": ("simplex", 8, lambda: build_hypercube(3)),
-    "dihedral:5": ("simplex", 10, lambda: build_dihedral(5)),
+    "matrix:3": lambda: matrix_chain(3),
+    "matrix:8": lambda: matrix_chain(8),
+    "matrix:40": lambda: matrix_chain(40),
+    "cyclic:6-complete": lambda: simplex_chain(*build_cyclic(6, range(1, 6))),
+    "hypercube:3": lambda: simplex_chain(*build_hypercube(3)),
+    "dihedral:5": lambda: simplex_chain(*build_dihedral(5)),
 }
-
-
-def _records_with_and_without_trace(chain, T1, T2, replicas, seed):
-    _, n, build = _TRACE_CHAINS[chain]
-    built = simplex_chain(*build()) if build else matrix_chain(n)
-    return [
-        [asdict(o) for o in run_nonmarkovian_coupling(
-            built, T1=T1, T2=T2, replicas=replicas, seed=seed, keep_trace=keep,
-        ).outcomes]
-        for keep in (False, True)
-    ]
 
 
 @pytest.mark.parametrize("replicas", [1, 7])
 @pytest.mark.parametrize("T1", [0, 1, 513])
 @pytest.mark.parametrize("chain", sorted(_TRACE_CHAINS))
-def test_keep_trace_does_not_change_outcomes(chain, T1, replicas):
-    # keep_trace steps every phase-2 time, so it is the reference for the
-    # levelled stretch before the earliest marked time
-    n = _TRACE_CHAINS[chain][1]
-    T2 = math.ceil(4 * n * max(math.log(n), 1.0))
-    levelled, traced = _records_with_and_without_trace(chain, T1, T2, replicas, seed=3)
-    assert levelled == traced
+def test_runner_matches_the_stepped_replay(chain, T1, replicas):
+    # the replay steps every time, so it is the reference for the levelled
+    # phase 1, the levelled stretch before the earliest marked time and the
+    # batched subset steps after it
+    built = _TRACE_CHAINS[chain]()
+    T2 = math.ceil(4 * built.n * max(math.log(built.n), 1.0))
+    runner, replay = _runner_and_replay(built, T1, T2, replicas, seed=3)
+    assert runner == replay
 
 
-def test_keep_trace_does_not_change_a_largeness_abort():
+def test_runner_matches_the_replay_through_a_largeness_abort():
     # from the default start half the matrix entries are 2, so a marked
     # step soon after T1 = 0 can meet a pair of total 4 and abort
-    levelled, traced = _records_with_and_without_trace("matrix:8", 0, 20, 7, seed=0)
-    assert levelled == traced
-    kinds = {o["failure_kind"] for o in levelled}
+    runner, replay = _runner_and_replay(matrix_chain(8), 0, 20, 7, seed=0)
+    assert runner == replay
+    kinds = {o["failure_kind"] for o in runner}
     assert "LargenessViolated" in kinds and None in kinds
 
 
@@ -715,18 +798,17 @@ def test_runner_does_not_hold_the_phase1_lambdas(monkeypatch):
     assert peak < B * T1 * 8
 
 
-def test_keep_trace_counts_toward_the_memory_guard(monkeypatch):
-    # the pair arrays of both phases and the phase-2 lambdas, then the
-    # 2 B (T2 + 1) n floats of the trace
+def test_runner_memory_estimate_is_its_two_stores(monkeypatch):
+    # the phase-1 pair arrays (one byte per coordinate at n = 8), then the
+    # phase-2 pair arrays and their float64 lambdas
     B, T1, T2, n = 3, 10, 20, 8
-    need = B * T1 * 2 + B * T2 * 10 + 2 * B * (T2 + 1) * n * 8
+    need = B * T1 * 2 + B * T2 * 10
     kwargs = dict(T1=T1, T2=T2, replicas=B, seed=1)
     monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)
-    run_nonmarkovian_coupling(matrix_chain(n), **kwargs)
     with pytest.raises(ConfigError, match=f"pre-draw {need:,} bytes"):
-        run_nonmarkovian_coupling(matrix_chain(n), keep_trace=True, **kwargs)
+        run_nonmarkovian_coupling(matrix_chain(n), **kwargs)
     monkeypatch.setattr(seeding, "available_memory", lambda: need)
-    run_nonmarkovian_coupling(matrix_chain(n), keep_trace=True, **kwargs)
+    run_nonmarkovian_coupling(matrix_chain(n), **kwargs)
 
 
 _PINNED_FAILURES = {
@@ -757,7 +839,7 @@ def test_coupling_failure_paths_pinned(case):
     # the golden and benchmark runs have no failed replica; these pin the
     # subset-failure remainder draws and the largeness abort
     build, kwargs, kinds, digest = _PINNED_FAILURES[case]
-    records = [asdict(o) for o in run_nonmarkovian_coupling(build(), **kwargs).outcomes]
+    records = [asdict(o) for o in run_nonmarkovian_coupling(build(), **kwargs)]
     counts = {}
     for r in records:
         counts[r["failure_kind"]] = counts.get(r["failure_kind"], 0) + 1
@@ -765,15 +847,30 @@ def test_coupling_failure_paths_pinned(case):
     assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("case", sorted(_PINNED_FAILURES))
+def test_runner_matches_the_stepped_replay_on_the_pinned_failures(case):
+    build, kwargs, _, _ = _PINNED_FAILURES[case]
+    runner, replay = _runner_and_replay(
+        build(), kwargs["T1"], kwargs["T2"], kwargs["replicas"], kwargs["seed"])
+    assert runner == replay
+
+
 def test_closeness_bound_holds_with_large_initial_gap():
-    result = run_nonmarkovian_coupling(
-        matrix_chain(8), T1=2, T2=75, replicas=40, seed=21, keep_trace=True
-    )
+    # the closeness lemma on the replay's states: while the subset couplings
+    # have all succeeded, the blockwise L1 distance over P_t never exceeds
+    # the L1 distance at the start of phase 2
+    T1, n = 2, 8
+    outcomes, replays = _stepped_replay(matrix_chain(n), T1, 75, 40, 21)
     checked = 0
-    for trace in result.traces:
-        report = closeness_check(trace)
-        assert report.ok
-        assert report.max_blockwise_l1 <= report.initial_l1 + 1e-10
+    for outcome, replay in zip(outcomes, replays):
+        states = replay.states
+        if outcome.first_failure_time is not None:
+            states = states[:outcome.first_failure_time - T1 + 1]
+        initial_l1 = float(np.abs(states[0][0] - states[0][1]).sum())
+        for s, (x, y) in enumerate(states):
+            blocks = _suffix_components(replay.edges, T1, n, T1 + s)
+            blockwise = sum(abs(float((x - y)[list(block)].sum())) for block in blocks)
+            assert blockwise <= initial_l1 + 1e-10
         checked += 1
     assert checked == 40
 

@@ -4,6 +4,7 @@ export behind fails here rather than at a user's import."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -43,6 +44,17 @@ def test_the_scalar_subset_step_name_stays_retired():
     assert hasattr(gibbsmix, "subset_couple_batch")
     for name in _MODULES:
         assert not hasattr(importlib.import_module(f"gibbsmix.{name}"), "subset_couple_arrays")
+
+
+def test_the_coupled_runner_has_one_path_and_no_trace():
+    # the stepped trace of phase 2 lives in tests/test_coupling.py as the
+    # replay the runner is compared with, not as a runner option
+    from gibbsmix import coupling
+
+    params = inspect.signature(coupling.run_nonmarkovian_coupling).parameters
+    assert list(params) == ["chain", "T1", "T2", "replicas", "seed"]
+    retired = {"CouplingTrace", "CouplingRunResult", "ClosenessReport", "closeness_check"}
+    assert sorted(name for name in retired if hasattr(coupling, name)) == []
 
 
 def _names(node):
