@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .pairops import Chain, advance, flat_pair_index, pair_levels, split_pair, stacked_draws
+from .pairops import Chain, advance, flat_view, pair_levels, split_pair, stacked_draws
 from .seeding import (
     LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_moves, empty_pairs,
     move_bytes, predraw, replica_rng,
@@ -73,17 +73,15 @@ _PAIR_MASS_FLOOR = 1e-300
 # schedules and partition processes
 
 
-@dataclass
-class MergeRecord:
-    """At time t the blocks s1 and s2 of P_{t+1} (sorted tuples) merge into
-    one block of P_t; |s1| <= |s2|, ties broken so s1 contains the smallest
-    coordinate. (i, j) is the edge updated at t, with i in s1 and j in s2."""
+class MergeRecord(NamedTuple):
+    """At time t the blocks S1 and S2 of P_{t+1} merge into one block of P_t,
+    S1 the smaller by (size, smallest member), its members s1 in ascending
+    order. (i, j) is the edge updated at t, with i in S1 and j in S2."""
 
     t: int
-    s1: tuple
-    s2: tuple
     i: int
     j: int
+    s1: list
 
 
 @dataclass(eq=False)
@@ -96,32 +94,35 @@ class PartitionProcess:
 def build_partition_process(left, right, n: int, t0: int = 0) -> PartitionProcess:
     """Backward scan over the schedule whose edge at time t0 + s is
     (left[s], right[s]), two 1-D integer arrays with left != right, on block
-    labels: owner[k] is the label of k's block and blocks[label] its sorted
-    members. A merge relabels the members of S1, the block with the smaller
-    (size, first member), and records the edge oriented from S1 to S2; the
-    scan stops after n - 1 merges, since no merge can follow."""
+    labels: owner[k] is the label of k's block, blocks[label] its members in
+    no order and first[label] the smallest. A merge sorts S1, the block with
+    the smaller (size, first), in place, records its list (its label dies) and
+    the edge from S1 to S2, and moves S1 into S2; n - 1 merges end the scan."""
     if len(left) == 0:
         raise InvariantViolation("schedule-empty", "schedule must be nonempty")
     owner = list(range(n))
-    blocks = [(k,) for k in range(n)]
+    blocks = [[k] for k in range(n)]
+    first = list(range(n))
     merges = []
-    lefts, rights = left.tolist(), right.tolist()
-    for idx in range(len(lefts) - 1, -1, -1):
-        i, j = lefts[idx], rights[idx]
-        if owner[i] == owner[j]:
+    times = range(t0 + len(left) - 1, t0 - 1, -1)
+    for t, i, j in zip(times, reversed(memoryview(left)), reversed(memoryview(right))):
+        a, b = owner[i], owner[j]
+        if a == b:
             continue
-        s1, s2 = blocks[owner[i]], blocks[owner[j]]
-        if (len(s2), s2[0]) < (len(s1), s1[0]):
-            s1, s2, i, j = s2, s1, j, i
-        merges.append(MergeRecord(t=t0 + idx, s1=s1, s2=s2, i=i, j=j))
-        label = owner[s2[0]]
+        if (len(blocks[b]), first[b]) < (len(blocks[a]), first[a]):
+            a, b, i, j = b, a, j, i
+        s1 = blocks[a]
+        s1.sort()
+        merges.append(MergeRecord(t, i, j, s1))
         for k in s1:
-            owner[k] = label
-        blocks[label] = tuple(sorted(s1 + s2))
+            owner[k] = b
+        blocks[b] += s1
+        if first[a] < first[b]:
+            first[b] = first[a]
         if len(merges) == n - 1:
             break
     connected = len(merges) == n - 1
-    tau = float(t0 + len(lefts) - merges[-1].t) if connected else math.inf
+    tau = float(t0 + len(left) - merges[-1].t) if connected else math.inf
     return PartitionProcess(merges=merges, tau=tau, connected=connected)
 
 
@@ -181,19 +182,19 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     """
     members, start, size = s1
     rows, i, u, start, size = (np.asarray(v) for v in (rows, i, u, start, size))
-    fx, ii, jj = flat_pair_index(X, i, j, rows)
-    fy = flat_pair_index(Y, i, j, rows)[0]
+    fx, fy = flat_view(X), flat_view(Y)
+    base = rows * X.shape[1]
+    ii, jj = base + i, base + j
     sx, ax, bx = coeffs(fx[ii], fx[jj])
     sy, ay, by = coeffs(fy[ii], fy[jj])
     degenerate = (ax <= _PAIR_MASS_FLOOR) | (ay <= _PAIR_MASS_FLOOR)
     if degenerate.any():
         live = np.flatnonzero(~degenerate)
-        rows, i, ii, jj, u, start, size, sx, ax, bx, sy, ay, by = (
-            v[live] for v in (rows, i, ii, jj, u, start, size, sx, ax, bx, sy, ay, by)
+        rows, base, i, ii, jj, u, start, size, sx, ax, bx, sy, ay, by = (
+            v[live] for v in (rows, base, i, ii, jj, u, start, size, sx, ax, bx, sy, ay, by)
         )
 
     # the flat index of each run's blocks, and the sums over S1 less i
-    base = rows * X.shape[1]
     blocks = []
     c = np.zeros(len(rows))
     for r0, r1, k in _size_runs(size):
@@ -238,8 +239,7 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     if not degenerate.any():
         return degenerate, ok, lam_x, lam_y
     out_ok = np.zeros(degenerate.size, dtype=bool)
-    out_x = np.full(degenerate.size, np.nan)
-    out_y = np.full(degenerate.size, np.nan)
+    out_x, out_y = np.full((2, degenerate.size), np.nan)
     out_ok[live], out_x[live], out_y[live] = ok, lam_x, lam_y
     return degenerate, out_ok, out_x, out_y
 
@@ -336,22 +336,24 @@ def run_nonmarkovian_coupling(
     left, right, lam = empty_moves(B, T2, n)
     for b, rng in enumerate(rngs):
         left[b], right[b], lam[b] = draw_moves(rng, T2, n, chain.group, chain.gens)
-    # outcomes read only tau and connectedness, and the merges live on in
-    # the mark table
-    tau = [math.inf] * B
-    connected = [False] * B
-    table, members = [], []
+    # outcomes read only tau and connectedness; each merge's fields and its
+    # replica go straight into the columns of the mark table
+    tau, connected = [math.inf] * B, [False] * B
+    columns, members = [[] for _ in range(5)], []
     for b in range(B):
         proc = build_partition_process(left[b], right[b], n, T1)
         tau[b], connected[b] = proc.tau, proc.connected
-        table += [(r.t, b, r.i, r.j, len(r.s1)) for r in proc.merges]
-        members += [k for r in proc.merges for k in r.s1]
+        ts, i, j, s1 = zip(*proc.merges)
+        for column, values in zip(columns, (ts, [b] * len(ts), i, j, map(len, s1))):
+            column += values
+        for block in s1:
+            members += block
     # the mark table, one entry per merge: the S1 of entry k is
     # members[mark_start[k]:mark_start[k] + mark_size[k]]. It is sorted by
     # (t, |S1|), so each marked time is one span of the table and its blocks
     # run in size order
-    mark_t, mark_b, mark_i, mark_j, mark_size = np.array(table, dtype=np.int64).T
-    del table
+    mark_t, mark_b, mark_i, mark_j, mark_size = np.array(columns, dtype=np.int64)
+    del columns
     members = np.array(members, dtype=np.int64)
     mark_start = np.cumsum(mark_size) - mark_size
     order = np.lexsort((mark_size, mark_t))
@@ -365,8 +367,7 @@ def run_nonmarkovian_coupling(
     for _ in advance(batch, XY, left, right, lam, [head - T1]):
         pass
 
-    subset_fail = np.full(B, -1, dtype=np.int64)
-    largeness_fail = np.full(B, -1, dtype=np.int64)
+    subset_fail, largeness_fail = np.full((2, B), -1, dtype=np.int64)
     active = np.ones(B, dtype=bool)
     for t in range(head, T):
         s = t - T1
@@ -398,17 +399,14 @@ def run_nonmarkovian_coupling(
         has_subset = subset_fail[b] >= 0
         coupled = connected[b] and not has_largeness and not has_subset
         if coupled:
-            failure_kind = None
-            first_failure = None
+            failure_kind, first_failure = None, None
         elif has_largeness:
-            failure_kind = LARGENESS_VIOLATED
-            first_failure = int(largeness_fail[b])
+            failure_kind, first_failure = LARGENESS_VIOLATED, int(largeness_fail[b])
         elif not connected[b]:
             failure_kind = NOT_CONNECTED
             first_failure = int(subset_fail[b]) if has_subset else None
         else:
-            failure_kind = SUBSET_FAILED
-            first_failure = int(subset_fail[b])
+            failure_kind, first_failure = SUBSET_FAILED, int(subset_fail[b])
         gap = float(gaps[b])
         if coupled and gap > _FINAL_GAP_TOL:
             raise InvariantViolation(

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import InvariantViolation
 
 __all__ = [
-    "Chain", "advance", "flat_pair_index", "pair_levels", "split_pair",
+    "Chain", "advance", "flat_pair_index", "flat_view", "pair_levels", "split_pair",
     "split_pair_float", "stacked_draws",
 ]
 
@@ -101,18 +101,20 @@ def split_pair_float(total: float, alpha: float, beta: float, lam: float):
     return (share, rest) if hi else (rest, share)
 
 
-def flat_pair_index(batch: np.ndarray, a, b, rows=None):
-    """(flat view of ``batch``, flat index of (rows[k], a[k]), of (rows[k],
-    b[k])) for a (B, n) batch; rows defaults to every row.
-
-    The batch must be C-contiguous: only then is ``reshape(-1)`` a view, and
-    writes through the flat index land in the batch itself.
-    """
+def flat_view(batch: np.ndarray) -> np.ndarray:
+    """``batch.reshape(-1)`` of a C-contiguous batch: only then is it a view,
+    and writes through a flat index land in the batch itself."""
     if not batch.flags.c_contiguous:
         raise InvariantViolation("batch-layout", "the batch must be C-contiguous")
+    return batch.reshape(-1)
+
+
+def flat_pair_index(batch: np.ndarray, a, b, rows=None):
+    """(``flat_view(batch)``, flat index of (rows[k], a[k]), of (rows[k],
+    b[k])) for a (B, n) batch; rows defaults to every row."""
     n = batch.shape[1]
     base = np.arange(0, batch.shape[0] * n, n) if rows is None else np.asarray(rows) * n
-    return batch.reshape(-1), base + a, base + b
+    return flat_view(batch), base + a, base + b
 
 
 def stacked_draws(*draws: np.ndarray) -> tuple:

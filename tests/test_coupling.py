@@ -70,6 +70,80 @@ def _suffix_components(entries, t0, n, t):
     return sorted(tuple(v) for v in blocks.values())
 
 
+def _s2(entries, t0, n, rec):
+    """The S2 of a merge record: the block of P_{t+1} that holds j."""
+    return next(b for b in _suffix_components(entries, t0, n, rec.t + 1) if rec.j in b)
+
+
+def _reference_partition(left, right, n, t0):
+    """The partition scan kept with sorted tuples: every block's members
+    stay sorted under its label, and a merge builds the merged block's
+    sorted tuple. It is the reference for ``build_partition_process``.
+    Returns the merges as (t, i, j, s1) in descending t, s1 a sorted list,
+    then tau and connectedness."""
+    owner = list(range(n))
+    blocks = [(k,) for k in range(n)]
+    merges = []
+    lefts, rights = left.tolist(), right.tolist()
+    for idx in range(len(lefts) - 1, -1, -1):
+        i, j = lefts[idx], rights[idx]
+        if owner[i] == owner[j]:
+            continue
+        s1, s2 = blocks[owner[i]], blocks[owner[j]]
+        if (len(s2), s2[0]) < (len(s1), s1[0]):
+            s1, s2, i, j = s2, s1, j, i
+        merges.append((t0 + idx, i, j, list(s1)))
+        label = owner[s2[0]]
+        for k in s1:
+            owner[k] = label
+        blocks[label] = tuple(sorted(s1 + s2))
+        if len(merges) == n - 1:
+            break
+    connected = len(merges) == n - 1
+    tau = float(t0 + len(lefts) - merges[-1][0]) if connected else math.inf
+    return merges, tau, connected
+
+
+def _matches_reference(left, right, n, t0, proc):
+    """Whether a scan's records, tau and connectedness equal the reference's."""
+    records = [tuple(rec) for rec in proc.merges]
+    return (records, proc.tau, proc.connected) == _reference_partition(left, right, n, t0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_partition_scan_matches_the_sorted_tuple_reference(data):
+    n = data.draw(st.integers(2, 128))
+    length = data.draw(st.integers(1, math.ceil(3 * n * math.log(n))))
+    dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.int64]))
+    t0 = data.draw(st.integers(0, 50))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    i = rng.integers(0, n, length)
+    raw = rng.integers(0, n - 1, length)
+    left, right = i.astype(dtype), (raw + (raw >= i)).astype(dtype)
+    proc = build_partition_process(left, right, n, t0)
+    assert _matches_reference(left, right, n, t0, proc)
+
+
+def test_partition_scan_matches_the_reference_on_the_benchmark_rows(monkeypatch):
+    # every phase-2 row that the coupling of the n = 128 matrix chain scans
+    # at seed 1, 125 replicas, in the draw store's own dtype
+    build_process, scans = coupling.build_partition_process, []
+
+    def kept(left, right, n, t0):
+        proc = build_process(left, right, n, t0)
+        scans.append((left.copy(), right.copy(), n, t0, proc))
+        return proc
+
+    chain = matrix_chain(128)
+    T1, T2 = chain.horizons()
+    monkeypatch.setattr(coupling, "build_partition_process", kept)
+    run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=125, seed=1)
+    assert len(scans) == 125 and scans[0][0].dtype == np.uint8
+    assert all(_matches_reference(*scan) for scan in scans)
+    assert sum(len(scan[-1].merges) for scan in scans) == 15875
+
+
 def test_partition_process_needs_a_schedule():
     with pytest.raises(InvariantViolation) as err:
         build_partition_process(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)
@@ -81,9 +155,9 @@ def test_partition_process_forced_example():
     proc = _process(entries, 3)
     assert proc.connected and proc.tau == 2
     assert [rec.t for rec in proc.merges] == [1, 0]
-    assert proc.merges[0].s1 == (1,) and proc.merges[0].s2 == (2,)
-    assert proc.merges[1].s1 == (0,) and proc.merges[1].s2 == (1, 2)
-    # each merge's marked edge, from s1 to s2
+    assert [rec.s1 for rec in proc.merges] == [[1], [0]]
+    assert [_s2(entries, 0, 3, rec) for rec in proc.merges] == [(2,), (1, 2)]
+    # each merge's marked edge, from S1 to S2
     assert (proc.merges[0].i, proc.merges[0].j) == (1, 2)
     assert (proc.merges[1].i, proc.merges[1].j) == (0, 1)
     assert _suffix_components(entries, 0, 3, 0) == [(0, 1, 2)]
@@ -107,8 +181,8 @@ def test_partition_single_pair():
     proc = _process([[1, 0]], 2)
     assert proc.connected and proc.tau == 1
     assert len(proc.merges) == 1
-    assert proc.merges[0].s1 == (0,) and proc.merges[0].s2 == (1,)
-    # drawn as (1, 0), recorded from s1 to s2
+    assert proc.merges[0].s1 == [0] and _s2(np.array([[1, 0]]), 0, 2, proc.merges[0]) == (1,)
+    # drawn as (1, 0), recorded from S1 to S2
     assert (proc.merges[0].i, proc.merges[0].j) == (0, 1)
 
 
@@ -155,17 +229,17 @@ def test_partition_invariants_random_schedules(data):
         previous = part
 
     for rec in proc.merges:
-        assert len(rec.s1) <= len(rec.s2)
-        if len(rec.s1) == len(rec.s2):
-            assert min(rec.s1) < min(rec.s2)
-        assert not (set(rec.s1) & set(rec.s2))
-        merged = tuple(sorted(set(rec.s1) | set(rec.s2)))
+        s1, s2 = tuple(rec.s1), _s2(entries, 5, n, rec)
+        assert len(s1) <= len(s2)
+        if len(s1) == len(s2):
+            assert min(s1) < min(s2)
+        assert not (set(s1) & set(s2))
+        merged = tuple(sorted(set(s1) | set(s2)))
         assert merged in partition_at(rec.t)
-        assert rec.s1 in partition_at(rec.t + 1)
-        assert rec.s2 in partition_at(rec.t + 1)
-        # the marked edge is the schedule's edge at t and crosses from s1 to s2
+        assert s1 in partition_at(rec.t + 1)
+        # the marked edge is the schedule's edge at t and crosses from S1 to S2
         assert {rec.i, rec.j} == set(entries[rec.t - 5].tolist())
-        assert rec.i in rec.s1 and rec.j in rec.s2
+        assert rec.i in s1
     if proc.connected:
         t_star = proc.merges[-1].t
         assert proc.tau == 5 + length - t_star
@@ -262,6 +336,16 @@ def test_subset_identical_states_always_succeed(rng):
         "simplex", X, Y, [[0, 2]] * 50, [0] * 50, [1] * 50, rng.random(50), rng)
     assert ok.all() and not degenerate.any()
     assert np.array_equal(X, Y)
+
+
+def test_subset_batches_must_be_c_contiguous(rng):
+    # the step writes through flat views, which only a C-contiguous batch has
+    X = rng.dirichlet(np.ones(5), 4)
+    strided = np.asfortranarray(X)
+    for pair in ((X.copy(), strided), (strided, X.copy())):
+        with pytest.raises(InvariantViolation) as err:
+            _subset_rows("simplex", *pair, [[0]] * 4, [0] * 4, [1] * 4, rng.random(4), rng)
+        assert err.value.axiom == "batch-layout"
 
 
 @pytest.mark.parametrize("kind", ["simplex", "matrix"])
@@ -636,14 +720,17 @@ def test_nonmarkovian_deterministic():
 def test_runner_makes_one_subset_call_per_marked_time(monkeypatch, build):
     # the runner reads the scan and the step through the module globals, so
     # these wrappers see every call; each subset call takes every replica
-    # marked at its time once
+    # marked at its time once. perfbench's partition metrics wrap the scan
+    # the same way, so the runner must scan each replica once and each scan
+    # must return its merges: n less the component count at T1
     chain = build()
     build_process, subset = coupling.build_partition_process, coupling.subset_couple_batch
-    merges, calls = [], []
+    merges, calls, scans = [], [], []
 
     def built(*args):
         proc = build_process(*args)
         merges.extend(proc.merges)
+        scans.append((args, len(proc.merges)))
         return proc
 
     def counted(coeffs, X, Y, rows, *args):
@@ -654,6 +741,10 @@ def test_runner_makes_one_subset_call_per_marked_time(monkeypatch, build):
     monkeypatch.setattr(coupling, "subset_couple_batch", counted)
     outcomes = run_nonmarkovian_coupling(chain, T1=20, T2=60, replicas=12, seed=5)
     assert not any(o.failure_kind == "LargenessViolated" for o in outcomes)
+    assert len(scans) == 12
+    for (left, right, n, t0), count in scans:
+        assert (n, t0) == (chain.n, 20)
+        assert count == n - len(_suffix_components(np.stack([left, right], axis=1), 20, n, 20))
     assert len(calls) == len({rec.t for rec in merges})
     assert sum(len(rows) for rows in calls) == len(merges)
     assert all(len(set(rows)) == len(rows) for rows in calls)
