@@ -431,9 +431,10 @@ def run_nonmarkovian_coupling(
 
 # replicas per kernel call: small tiles keep the edge arrays in cache and the
 # peak memory flat (on connect-n512's prefixes tiles of 1, 2, 4, 8, 16 and 64
-# took 0.13, 0.10, 0.09, 0.08, 0.08 and 0.09 s in _connection_times; 8 and 16
-# saved about 7% of an in-process run, not checked on the benchmark)
-_CONNECT_TILE = 4
+# took 0.13, 0.10, 0.09, 0.08, 0.08 and 0.09 s in _connection_times; in
+# three alternating 20 s perfbench runs, connect-n512's run_s was
+# 0.265-0.280 s at 8 against 0.276-0.295 s at 4, peak RSS 39.1 MB at both)
+_CONNECT_TILE = 8
 
 
 def _connection_times(left, right, n: int):
@@ -552,9 +553,11 @@ def connectedness_experiment(
     it; a replica that does not connect within max_draws edges reports
     tau = max_draws + 1 and counts as censored. Each replica is first read
     on the prefix of length min(max_draws, ceil(n max(log n, 1))), and only
-    that much of its second pair array is drawn (nothing follows the pair
-    arrays in its stream); a replica whose prefix does not connect is drawn
-    again, from a fresh replica_rng(seed, b), at full max_draws. The report
+    that much of its pair arrays is drawn (``draw_pairs(head=...)``: nothing
+    follows the pair arrays in its stream; for n a power of two the rest of
+    the first array is skipped, otherwise drawn and dropped); a replica
+    whose prefix does not connect is drawn again, from a fresh
+    replica_rng(seed, b), at full max_draws. The report
     compares the empirical tail against the chain's threshold
     (``chain.connect_tail``), which reads ``threshold`` as epsilon on the
     matrix chain and as C on the simplex chain.

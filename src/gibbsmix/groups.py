@@ -10,7 +10,7 @@ desk-scale, and a dense int32 table at the cap is ~64 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
 from .pairops import Chain, advance, flat_pair_index, split_pair, split_pair_float
-from .seeding import draw_moves, draw_pairs, predraw, replica_rng
+from .seeding import can_skip, draw_moves, draw_pairs, predraw, replica_rng, skip_draws
 
 __all__ = [
     "MatrixState",
@@ -47,6 +47,13 @@ __all__ = [
 
 # msample_stationary gives up after this many rejected draws
 _REJECTION_BUDGET = 10**6
+# the rejection sampler's blocks of attempts take at most this many bytes
+# (one attempt at least); it draws one attempt at a time where its first
+# block would hold fewer than _MIN_BLOCK (single samples below n = 64: there
+# a block's fixed cost, a dozen numpy calls and the move back, outweighs the
+# per-attempt calls it saves)
+_REJECTION_BLOCK_BYTES = 1 << 20
+_MIN_BLOCK = 8
 # monotone_couple_run draws its moves in chunks of this many (part of its
 # draw order)
 _MONOTONE_CHUNK = 100_000
@@ -130,14 +137,13 @@ def msample_stationary(n: int, rng: np.random.Generator) -> MatrixState:
     preserving, so accepted draws are exactly uniform. Acceptance decays like
     1/sqrt(n).
     """
-    return MatrixState(_accepted(n, rng))
+    return MatrixState(_accepted(n, rng, 1)[0])
 
 
-def _accepted(n: int, rng: np.random.Generator) -> np.ndarray:
-    """The first accepted draw of ``msample_stationary``'s rejection loop,
+def _first_accepted(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The rejection loop of ``msample_stationary``, one attempt
+    ``rng.uniform(0, 2, n)`` after another: the first accepted draw,
     unchecked."""
-    if n < 3:
-        raise InvariantViolation("size", "need n >= 3")
     for _ in range(_REJECTION_BUDGET):
         c = rng.uniform(0.0, 2.0, n)
         c[-1] = n - c[:-1].sum()
@@ -146,13 +152,59 @@ def _accepted(n: int, rng: np.random.Generator) -> np.ndarray:
     raise RejectionBudgetExceeded(f"no acceptance in {_REJECTION_BUDGET} attempts at n = {n}")
 
 
+def _accepted(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The first ``size`` accepted draws of the rejection loop
+    (``_first_accepted`` called ``size`` times), unchecked, as a (size, n)
+    stack.
+
+    The attempts are drawn in blocks, K at once as ``uniform(0, 2, (K, n))``
+    (the same doubles in the same order): K is about sqrt(n) attempts per
+    sample still wanted (acceptance is about 1.4 / sqrt(n)), at most
+    _REJECTION_BLOCK_BYTES, and never past the budget. The attempts after
+    the last one kept are moved back over (``seeding.skip_draws``, n
+    doubles each), so the stream ends where the loop leaves it, whatever K
+    is. Where the first block would hold fewer than _MIN_BLOCK attempts, or
+    the generator cannot be moved back, the loop runs one attempt at a time.
+    Raises RejectionBudgetExceeded when one sample's run of rejected
+    attempts reaches _REJECTION_BUDGET, with the stream past those attempts.
+    """
+    if n < 3:
+        raise InvariantViolation("size", "need n >= 3")
+    out = np.empty((size, n))
+    root = math.sqrt(n)
+    if size * root < _MIN_BLOCK or not can_skip(rng):
+        for i in range(size):
+            out[i] = _first_accepted(n, rng)
+        return out
+    cap = max(1, _REJECTION_BLOCK_BYTES // (8 * n))
+    done = run = 0
+    while done < size:
+        want = size - done
+        k = min(cap, _REJECTION_BUDGET - run, math.ceil(want * root))
+        block = rng.uniform(0.0, 2.0, (k, n))
+        forced = block[:, -1]
+        np.subtract(n, block[:, :-1].sum(axis=1), out=forced)
+        hits = ((forced >= 0.0) & (forced <= 2.0)).nonzero()[0][:want]
+        out[done:done + len(hits)] = block[hits]
+        done += len(hits)
+        # the last attempt kept, counted in this block (-1 - run: none)
+        last = int(hits[-1]) if len(hits) else -1 - run
+        used = last + 1 if len(hits) == want else k
+        run = used - 1 - last
+        if used < k:
+            skip_draws(rng, -(k - used) * n)
+        if run == _REJECTION_BUDGET:
+            raise RejectionBudgetExceeded(
+                f"no acceptance in {_REJECTION_BUDGET} attempts at n = {n}"
+            )
+    return out
+
+
 def msample_stationary_batch(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Stack of ``size`` independent stationary samples from one stream: the
-    draws of ``size`` ``msample_stationary`` calls, with the state checks
-    made once over the stack rather than once per sample."""
-    out = np.empty((size, n))
-    for k in range(size):
-        out[k] = _accepted(n, rng)
+    draws of ``size`` ``msample_stationary`` calls (``_accepted``), with the
+    state checks made once over the stack rather than once per sample."""
+    out = _accepted(n, rng, size)
     _check_columns(out)
     return out
 

@@ -8,7 +8,9 @@ and every lockstep experiment its moves through ``draw_moves``, the one move
 law: the pair arrays, then the lambda array. ``predraw`` makes a lockstep
 experiment's draws into a (B, T) store, once ``check_draw_memory`` has found
 room for it. ``LambdaStream`` draws the lambda arrays of many replicas one
-level tile at a time, with the bits of one call per replica.
+level tile at a time, with the bits of one call per replica. ``skip_draws``
+moves a PCG64 stream past draws that are never read, without generating
+them; it is the one place that touches a generator's bit generator.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .errors import ConfigError, InvariantViolation
 
 __all__ = [
     "LambdaStream", "available_memory", "check_draw_memory", "draw_moves", "draw_pairs",
-    "empty_moves", "empty_pairs", "move_bytes", "predraw", "replica_rng", "replica_seed_words",
+    "can_skip", "empty_moves", "empty_pairs", "move_bytes", "predraw", "replica_rng",
+    "replica_seed_words", "skip_draws",
 ]
 
 
@@ -37,6 +40,44 @@ def replica_seed_words(seed: int, replicas: int) -> list:
     ]
 
 
+def can_skip(rng) -> bool:
+    """Whether ``skip_draws`` can move ``rng``: a Generator on PCG64."""
+    return isinstance(getattr(rng, "bit_generator", None), np.random.PCG64)
+
+
+def skip_draws(rng: np.random.Generator, count: int, bits: int = 64) -> None:
+    """Move ``rng``'s PCG64 stream past ``count`` draws without generating
+    them, as if they had been drawn: 64-bit outputs (one per double of
+    ``random`` or ``uniform``; a negative count moves the stream back), or
+    with ``bits=32`` 32-bit outputs (one per value of ``integers`` below a
+    power-of-two bound; count >= 0).
+
+    PCG64 keeps the upper half of a 64-bit output for the next 32-bit draw
+    (``has_uint32``, ``uinteger``), and ``advance`` clears it, so it is put
+    back as the draws would leave it. 64-bit draws do not touch it. 32-bit
+    draws use a kept half first, then take one 64-bit output per two; the
+    last of those is drawn here, and its upper half is left kept if their
+    number is odd, used (but still ``uinteger``) if even.
+    """
+    if not count:
+        return
+    bg = rng.bit_generator
+    state = bg.state
+    has, half = state["has_uint32"], state["uinteger"]
+    if bits == 64:
+        bg.advance(count % 2**128)
+    else:
+        if has:
+            count, has = count - 1, 0
+        bg.advance(max(count - 1, 0) // 2)
+        if count:
+            half, has = int(bg.random_raw()) >> 32, count % 2
+    if has or half:
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = has, half
+        bg.state = state
+
+
 def draw_pairs(rng: np.random.Generator, T: int, n: int, group=None, gens=None,
                head=None):
     """T uniform update pairs (a, b) with a != b, as two length-T arrays.
@@ -49,20 +90,28 @@ def draw_pairs(rng: np.random.Generator, T: int, n: int, group=None, gens=None,
     array. This call order is part of the frozen per-replica draw order.
 
     With ``head=h`` (0 <= h <= T) only the first h pairs are returned: the
-    first array is still drawn at length T, the second at length h, and the
-    h pairs equal the first h of the full draw. The generator then ends in a
-    different state than after the full draw, so ``head`` is only for a
-    stream from which nothing is drawn after the pair arrays.
+    stream passes all T values of the first array, the second is drawn at
+    length h, and the h pairs equal the first h of the full draw. For n a
+    power of two, ``integers(0, n)`` takes exactly one 32-bit output per
+    value (no rejections: 2**32 mod n is 0), so the T - h unread values are
+    skipped (``skip_draws``) instead of drawn; for any other n, or a
+    generator ``skip_draws`` cannot move, the first array is drawn at
+    length T. The generator then ends in a different state than after the
+    full draw, so ``head`` is only for a stream from which nothing is drawn
+    after the pair arrays.
     """
     if head is None:
         head = T
+    if head < T and n > 1 and n & (n - 1) == 0 and can_skip(rng):
+        a = rng.integers(0, n, head)
+        skip_draws(rng, T - head, bits=32)
+    else:
+        a = rng.integers(0, n, T)[:head]
     if group is not None:
-        g = rng.integers(0, n, T)[:head]
         r = np.asarray(gens.elements, dtype=np.int64)[rng.integers(0, gens.m, head)]
-        return g, group.mul[g, r]
-    i = rng.integers(0, n, T)[:head]
+        return a, group.mul[a, r]
     raw = rng.integers(0, n - 1, head)
-    return i, raw + (raw >= i)
+    return a, raw + (raw >= a)
 
 
 def draw_moves(rng: np.random.Generator, T: int, n: int, group=None, gens=None):

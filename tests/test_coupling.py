@@ -1102,9 +1102,11 @@ def test_connection_kernel_peak_memory():
 @pytest.mark.parametrize("max_draws", [None, 4, 12])
 def test_connectedness_matches_scan_of_full_schedules(replicas, max_draws):
     # replica counts off the kernel's tile, prefixes that do and do not
-    # connect, and censoring, against a scan of each full pair draw
-    group, gens = build_cyclic(6, [1, 5])
-    for chain in (matrix_chain(5), simplex_chain(group, gens)):
+    # connect, and censoring, against a scan of each full pair draw; n = 8
+    # and 16 skip the unread first-array values, n = 5 and 6 draw them
+    chains = [matrix_chain(5), matrix_chain(16)]
+    chains += [simplex_chain(*build_cyclic(k, [1, k - 1])) for k in (6, 8)]
+    for chain in chains:
         report = connectedness_experiment(
             chain, replicas=replicas, seed=replicas, max_draws=max_draws
         )

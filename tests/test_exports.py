@@ -112,3 +112,17 @@ def test_only_the_predraw_and_the_runner_fill_a_draw_store():
             if called & {"empty_moves", "check_draw_memory"}:
                 callers.add((path.stem, func.name))
     assert callers == {("seeding", "predraw"), ("coupling", "run_nonmarkovian_coupling")}
+
+
+def test_only_seeding_touches_a_bit_generator():
+    # stream arithmetic (jumping a PCG64 stream over draws, its kept 32-bit
+    # half) lives in seeding.skip_draws; a module that reads or moves a
+    # generator's bit generator itself fails here
+    package = Path(gibbsmix.__file__).parent
+    touching = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "bit_generator"
+                    or isinstance(node, ast.Constant) and node.value == "bit_generator"):
+                touching.add(path.stem)
+    assert touching == {"seeding"}

@@ -115,6 +115,61 @@ def test_stationary_batch_is_the_scalar_samples_stacked(n):
     assert msample_stationary_batch(n, rng, 0).shape == (0, n)
 
 
+def _attempt_loop(n, rng, size, budget=10**6):
+    """The rejection loop one attempt at a time: the reference the block
+    sampler must draw the same bits as, and leave the stream where it does."""
+    out = np.empty((size, n))
+    for k in range(size):
+        for _ in range(budget):
+            c = rng.uniform(0.0, 2.0, n)
+            c[-1] = n - c[:-1].sum()
+            if 0.0 <= c[-1] <= 2.0:
+                out[k] = c
+                break
+        else:
+            raise RejectionBudgetExceeded(f"sample {k}")
+    return out
+
+
+@pytest.mark.parametrize("block_bytes, min_block", [(1, 8), (8 * 512 * 2, 2), (1 << 20, 8)],
+                         ids=["one-row-blocks", "small-blocks", "default"])
+@pytest.mark.parametrize("n", [3, 4, 10, 32, 128, 512])
+def test_block_sampler_draws_the_attempt_loop(monkeypatch, n, block_bytes, min_block):
+    # blocks of attempts, with the unkept ones moved back over, give the
+    # loop's samples bit for bit and leave the stream (with a kept 32-bit
+    # half) where the loop leaves it, whatever the block size (two attempts
+    # at n = 512 in the small blocks); single samples below n = 64 take the
+    # loop itself
+    monkeypatch.setattr(matrices, "_REJECTION_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(matrices, "_MIN_BLOCK", min_block)
+    rng, ref = np.random.default_rng([n, 1]), np.random.default_rng([n, 1])
+    for g in (rng, ref):
+        g.integers(0, 2**32, 1, dtype=np.uint32)
+    for size in (1, 0, 7, 40):
+        got = msample_stationary_batch(n, rng, size)
+        want = _attempt_loop(n, ref, size)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(msample_stationary(n, rng).c, _attempt_loop(n, ref, 1)[0])
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_rejection_budget_counts_one_samples_run(monkeypatch):
+    # the budget bounds the rejected attempts since the last acceptance, not
+    # the attempts of a whole batch, and blocks never reach past it; the
+    # sampler stops where the loop stops
+    monkeypatch.setattr(matrices, "_REJECTION_BUDGET", 6)
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    # 20 samples at n = 3 take more than 6 attempts, but no 6 rejections in a row
+    got = msample_stationary_batch(3, rng, 20)
+    assert np.array_equal(got, _attempt_loop(3, ref, 20, budget=6))
+    with pytest.raises(RejectionBudgetExceeded, match="no acceptance in 6 attempts at n = 50"):
+        msample_stationary_batch(50, rng, 500)
+    with pytest.raises(RejectionBudgetExceeded):
+        _attempt_loop(50, ref, 500, budget=6)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class _ScriptedUniform:
     """A generator stand-in whose uniform draws replay fixed rows."""
 

@@ -5,7 +5,8 @@ from gibbsmix import seeding
 from gibbsmix.errors import ConfigError, InvariantViolation
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
 from gibbsmix.seeding import (
-    LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_moves, move_bytes,
+    LambdaStream, can_skip, check_draw_memory, draw_moves, draw_pairs, empty_moves, move_bytes,
+    skip_draws,
 )
 
 T = 600
@@ -57,6 +58,96 @@ def test_head_is_the_prefix_of_the_full_draw(head):
         full_a, full_b = draw_pairs(ref, T, *args)
         assert len(a) == len(b) == head
         assert np.array_equal(a, full_a[:head]) and np.array_equal(b, full_b[:head])
+
+
+def _keep_a_half(*rngs):
+    # three 32-bit draws leave the upper half of a second 64-bit output kept
+    for rng in rngs:
+        rng.integers(0, 2**32, 3, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["fresh", "kept-half"])
+@pytest.mark.parametrize("n", [2, 3, 8, 17, 500, 512])
+def test_head_passes_the_whole_first_array(n, kept):
+    # with a power-of-two n the unread values of the first array are
+    # skipped, otherwise drawn; either way the pairs are the full draw's
+    # prefix, and the stream (64-bit state, kept half) and its next draws
+    # are where drawing the first array at length T and the second at
+    # length head leaves them
+    group, gens = build_hypercube(1) if n == 2 else build_cyclic(n, [1, n - 1])
+    for args, second in (((n,), n - 1), ((n, group, gens), gens.m)):
+        for head in (0, 1, 7, 300, T - 1, T):
+            rng, full, ref = (np.random.default_rng([n, head]) for _ in range(3))
+            if kept:
+                _keep_a_half(rng, full, ref)
+            a, b = draw_pairs(rng, T, *args, head=head)
+            full_a, full_b = draw_pairs(full, T, *args)
+            assert np.array_equal(a, full_a[:head]) and np.array_equal(b, full_b[:head])
+            ref.integers(0, n, T)
+            ref.integers(0, second, head)
+            got, want = rng.bit_generator.state, ref.bit_generator.state
+            assert got["state"] == want["state"]
+            assert got["has_uint32"] == want["has_uint32"]
+            if want["has_uint32"]:
+                assert got["uinteger"] == want["uinteger"]
+            assert np.array_equal(rng.integers(0, 1000, 5), ref.integers(0, 1000, 5))
+            assert rng.random() == ref.random()
+
+
+def test_head_draws_the_first_array_where_integers_rejects():
+    # below n = 3 * 2**30 numpy's sampler rejects a quarter of its 32-bit
+    # outputs (2**32 mod n = 2**30), so the unread values cannot be skipped
+    # by count; for n = 500 it rejects one output in 14.5 million, so a
+    # skip there would pass almost every test, and only a bound this
+    # uneven shows it
+    n = 3 * 2**30
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    a, b = draw_pairs(rng, T, n, head=9)
+    assert np.array_equal(a, ref.integers(0, n, T)[:9])
+    ref.integers(0, n - 1, 9)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("T", [0, 1, 2, 7, 600])
+@pytest.mark.parametrize("k", [1, 3, 9, 16, 31])
+def test_power_of_two_integers_take_one_32_bit_output_per_value(k, T):
+    # the skip in draw_pairs rests on numpy's bounded sampler: below a
+    # power-of-two bound 2**k, integers takes one 32-bit output per value
+    # (Lemire's rejection threshold 2**32 mod 2**k is 0), two per 64-bit
+    # PCG64 output, the low half first and the high half kept
+    rng = np.random.Generator(np.random.PCG64(k))
+    words = np.random.PCG64(k)
+    rng.integers(0, 2**k, T)
+    words.advance(-(-T // 2))
+    assert rng.bit_generator.state["state"] == words.state["state"]
+    assert rng.bit_generator.state["has_uint32"] == T % 2
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["fresh", "kept-half"])
+@pytest.mark.parametrize("count", [-7, -1, 0, 1, 2, 601])
+def test_skip_of_doubles_moves_both_ways_and_keeps_the_half(count, kept):
+    # the rejection sampler moves back over attempts it drew and does not
+    # keep; doubles take one 64-bit output each and leave a kept half alone
+    rng, ref = np.random.default_rng(count + 10), np.random.default_rng(count + 10)
+    if kept:
+        _keep_a_half(rng, ref)
+    rng.random(7)
+    skip_draws(rng, count)
+    ref.random(7 + count)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(rng.integers(0, 2**32, 3, dtype=np.uint32),
+                          ref.integers(0, 2**32, 3, dtype=np.uint32))
+
+
+def test_only_a_pcg64_generator_can_skip():
+    assert can_skip(np.random.default_rng(0))
+    assert not can_skip(np.random.Generator(np.random.MT19937(0)))
+    assert not can_skip(object())
+    # a generator that cannot skip takes the full draw
+    rng, ref = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
+    a, _ = draw_pairs(rng, T, 8, head=5)
+    assert np.array_equal(a, ref.integers(0, 8, T)[:5])
 
 
 @pytest.mark.parametrize("cayley", [False, True])
