@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
 from .pairops import Chain, advance, flat_pair_index, split_pair, split_pair_float
-from .seeding import can_skip, draw_moves, draw_pairs, predraw, replica_rng, skip_draws
+from .seeding import draw_moves, draw_pairs, predraw, replica_rng, skip_draws
 
 __all__ = [
     "MatrixState",
@@ -48,12 +48,8 @@ __all__ = [
 # msample_stationary gives up after this many rejected draws
 _REJECTION_BUDGET = 10**6
 # the rejection sampler's blocks of attempts take at most this many bytes
-# (one attempt at least); it draws one attempt at a time where its first
-# block would hold fewer than _MIN_BLOCK (single samples below n = 64: there
-# a block's fixed cost, a dozen numpy calls and the move back, outweighs the
-# per-attempt calls it saves)
+# (one attempt at least)
 _REJECTION_BLOCK_BYTES = 1 << 20
-_MIN_BLOCK = 8
 # monotone_couple_run draws its moves in chunks of this many (part of its
 # draw order)
 _MONOTONE_CHUNK = 100_000
@@ -140,22 +136,11 @@ def msample_stationary(n: int, rng: np.random.Generator) -> MatrixState:
     return MatrixState(_accepted(n, rng, 1)[0])
 
 
-def _first_accepted(n: int, rng: np.random.Generator) -> np.ndarray:
-    """The rejection loop of ``msample_stationary``, one attempt
-    ``rng.uniform(0, 2, n)`` after another: the first accepted draw,
-    unchecked."""
-    for _ in range(_REJECTION_BUDGET):
-        c = rng.uniform(0.0, 2.0, n)
-        c[-1] = n - c[:-1].sum()
-        if 0.0 <= c[-1] <= 2.0:
-            return c
-    raise RejectionBudgetExceeded(f"no acceptance in {_REJECTION_BUDGET} attempts at n = {n}")
-
-
 def _accepted(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """The first ``size`` accepted draws of the rejection loop
-    (``_first_accepted`` called ``size`` times), unchecked, as a (size, n)
-    stack.
+    """The first ``size`` accepted draws of the rejection loop, which draws
+    one attempt ``uniform(0, 2, n)`` after another and accepts it when its
+    last entry, reset to n minus the others' sum, lies in [0, 2]; unchecked,
+    as a (size, n) stack.
 
     The attempts are drawn in blocks, K at once as ``uniform(0, 2, (K, n))``
     (the same doubles in the same order): K is about sqrt(n) attempts per
@@ -163,19 +148,13 @@ def _accepted(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     _REJECTION_BLOCK_BYTES, and never past the budget. The attempts after
     the last one kept are moved back over (``seeding.skip_draws``, n
     doubles each), so the stream ends where the loop leaves it, whatever K
-    is. Where the first block would hold fewer than _MIN_BLOCK attempts, or
-    the generator cannot be moved back, the loop runs one attempt at a time.
-    Raises RejectionBudgetExceeded when one sample's run of rejected
+    is. Raises RejectionBudgetExceeded when one sample's run of rejected
     attempts reaches _REJECTION_BUDGET, with the stream past those attempts.
     """
     if n < 3:
         raise InvariantViolation("size", "need n >= 3")
     out = np.empty((size, n))
     root = math.sqrt(n)
-    if size * root < _MIN_BLOCK or not can_skip(rng):
-        for i in range(size):
-            out[i] = _first_accepted(n, rng)
-        return out
     cap = max(1, _REJECTION_BLOCK_BYTES // (8 * n))
     done = run = 0
     while done < size:

@@ -23,8 +23,8 @@ from .errors import ConfigError, InvariantViolation
 
 __all__ = [
     "LambdaStream", "available_memory", "check_draw_memory", "draw_moves", "draw_pairs",
-    "can_skip", "empty_moves", "empty_pairs", "move_bytes", "predraw", "replica_rng",
-    "replica_seed_words", "skip_draws",
+    "empty_moves", "empty_pairs", "move_bytes", "predraw", "replica_rng", "replica_seed_words",
+    "skip_draws",
 ]
 
 
@@ -38,11 +38,6 @@ def replica_seed_words(seed: int, replicas: int) -> list:
         int(np.random.SeedSequence([int(seed), b]).generate_state(1, np.uint64)[0])
         for b in range(replicas)
     ]
-
-
-def can_skip(rng) -> bool:
-    """Whether ``skip_draws`` can move ``rng``: a Generator on PCG64."""
-    return isinstance(getattr(rng, "bit_generator", None), np.random.PCG64)
 
 
 def skip_draws(rng: np.random.Generator, count: int, bits: int = 64) -> None:
@@ -94,15 +89,14 @@ def draw_pairs(rng: np.random.Generator, T: int, n: int, group=None, gens=None,
     length h, and the h pairs equal the first h of the full draw. For n a
     power of two, ``integers(0, n)`` takes exactly one 32-bit output per
     value (no rejections: 2**32 mod n is 0), so the T - h unread values are
-    skipped (``skip_draws``) instead of drawn; for any other n, or a
-    generator ``skip_draws`` cannot move, the first array is drawn at
-    length T. The generator then ends in a different state than after the
+    skipped (``skip_draws``) instead of drawn; for any other n the first
+    array is drawn at length T. The generator then ends in a different state than after the
     full draw, so ``head`` is only for a stream from which nothing is drawn
     after the pair arrays.
     """
     if head is None:
         head = T
-    if head < T and n > 1 and n & (n - 1) == 0 and can_skip(rng):
+    if head < T and n > 1 and n & (n - 1) == 0:
         a = rng.integers(0, n, head)
         skip_draws(rng, T - head, bits=32)
     else:

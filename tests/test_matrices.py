@@ -131,17 +131,15 @@ def _attempt_loop(n, rng, size, budget=10**6):
     return out
 
 
-@pytest.mark.parametrize("block_bytes, min_block", [(1, 8), (8 * 512 * 2, 2), (1 << 20, 8)],
+@pytest.mark.parametrize("block_bytes", [1, 8 * 512 * 2, 1 << 20],
                          ids=["one-row-blocks", "small-blocks", "default"])
 @pytest.mark.parametrize("n", [3, 4, 10, 32, 128, 512])
-def test_block_sampler_draws_the_attempt_loop(monkeypatch, n, block_bytes, min_block):
+def test_block_sampler_draws_the_attempt_loop(monkeypatch, n, block_bytes):
     # blocks of attempts, with the unkept ones moved back over, give the
     # loop's samples bit for bit and leave the stream (with a kept 32-bit
     # half) where the loop leaves it, whatever the block size (two attempts
-    # at n = 512 in the small blocks); single samples below n = 64 take the
-    # loop itself
+    # at n = 512 in the small blocks), single samples included
     monkeypatch.setattr(matrices, "_REJECTION_BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(matrices, "_MIN_BLOCK", min_block)
     rng, ref = np.random.default_rng([n, 1]), np.random.default_rng([n, 1])
     for g in (rng, ref):
         g.integers(0, 2**32, 1, dtype=np.uint32)
@@ -171,13 +169,20 @@ def test_rejection_budget_counts_one_samples_run(monkeypatch):
 
 
 class _ScriptedUniform:
-    """A generator stand-in whose uniform draws replay fixed rows."""
+    """A generator stand-in whose uniform draws replay fixed rows: a (k, n)
+    block of attempts starts with the rows not yet replayed, and its other
+    rows, like the moves of the stream, come from a real generator."""
 
     def __init__(self, rows):
         self.rows = [np.array(r, dtype=float) for r in rows]
+        self._rng = np.random.default_rng(0)
+        self.bit_generator = self._rng.bit_generator
 
     def uniform(self, lo, hi, size):
-        return self.rows.pop(0)
+        block = self._rng.uniform(lo, hi, size)
+        head, self.rows = self.rows[:len(block)], self.rows[len(block):]
+        block[:len(head)] = head
+        return block
 
 
 def test_stationary_batch_raises_the_scalar_state_checks():

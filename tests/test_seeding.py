@@ -5,8 +5,7 @@ from gibbsmix import seeding
 from gibbsmix.errors import ConfigError, InvariantViolation
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
 from gibbsmix.seeding import (
-    LambdaStream, can_skip, check_draw_memory, draw_moves, draw_pairs, empty_moves, move_bytes,
-    skip_draws,
+    LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_moves, move_bytes, skip_draws,
 )
 
 T = 600
@@ -138,16 +137,6 @@ def test_skip_of_doubles_moves_both_ways_and_keeps_the_half(count, kept):
     assert rng.bit_generator.state == ref.bit_generator.state
     assert np.array_equal(rng.integers(0, 2**32, 3, dtype=np.uint32),
                           ref.integers(0, 2**32, 3, dtype=np.uint32))
-
-
-def test_only_a_pcg64_generator_can_skip():
-    assert can_skip(np.random.default_rng(0))
-    assert not can_skip(np.random.Generator(np.random.MT19937(0)))
-    assert not can_skip(object())
-    # a generator that cannot skip takes the full draw
-    rng, ref = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
-    a, _ = draw_pairs(rng, T, 8, head=5)
-    assert np.array_equal(a, ref.integers(0, 8, T)[:5])
 
 
 @pytest.mark.parametrize("cayley", [False, True])
