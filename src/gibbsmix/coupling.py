@@ -431,9 +431,10 @@ def run_nonmarkovian_coupling(
 
 # replicas per kernel call: small tiles keep the edge arrays in cache and the
 # peak memory flat (on connect-n512's prefixes tiles of 1, 2, 4, 8, 16 and 64
-# took 0.13, 0.10, 0.09, 0.08, 0.08 and 0.09 s in _connection_times; in
-# three alternating 20 s perfbench runs, connect-n512's run_s was
-# 0.265-0.280 s at 8 against 0.276-0.295 s at 4, peak RSS 39.1 MB at both)
+# took 0.13, 0.10, 0.09, 0.08, 0.08 and 0.09 s in _connection_times; over
+# ten alternating pairs of 55 s perfbench runs, connect-n512's median run_s
+# was 0.269 s at 8 against 0.281 s at 4, 8 faster in all ten, peak RSS
+# 39.1 MB at both)
 _CONNECT_TILE = 8
 
 
