@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvariantViolation
-from .pairops import Chain, advance, flat_view, pair_levels, split_pair, stacked_draws
+from .pairops import Chain, advance, flat_view, orient, pair_levels, put_pair, stacked_moves
 from .seeding import (
     LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_moves, empty_pairs,
     move_bytes, predraw, replica_rng,
@@ -181,7 +181,7 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     weights w(X, S1) and w(Y, S1) agree within 1e-12 (checked).
     """
     members, start, size = s1
-    rows, i, u, start, size = (np.asarray(v) for v in (rows, i, u, start, size))
+    rows, i, j, u, start, size = (np.asarray(v) for v in (rows, i, j, u, start, size))
     fx, fy = flat_view(X), flat_view(Y)
     base = rows * X.shape[1]
     ii, jj = base + i, base + j
@@ -190,8 +190,8 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     degenerate = (ax <= _PAIR_MASS_FLOOR) | (ay <= _PAIR_MASS_FLOOR)
     if degenerate.any():
         live = np.flatnonzero(~degenerate)
-        rows, base, i, ii, jj, u, start, size, sx, ax, bx, sy, ay, by = (
-            v[live] for v in (rows, base, i, ii, jj, u, start, size, sx, ax, bx, sy, ay, by)
+        rows, base, i, j, ii, jj, u, start, size, sx, ax, bx, sy, ay, by = (
+            v[live] for v in (rows, base, i, j, ii, jj, u, start, size, sx, ax, bx, sy, ay, by)
         )
 
     # the flat index of each run's blocks, and the sums over S1 less i
@@ -225,8 +225,8 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     lam_x = np.where(x_first, u, z)
     lam_y = np.where(x_first, z, u)
 
-    fx[ii], fx[jj] = split_pair(sx, ax, bx, lam_x)
-    fy[ii], fy[jj] = split_pair(sy, ay, by, lam_y)
+    put_pair(fx, *orient(base, i, j, lam_x), sx, ax, bx)
+    put_pair(fy, *orient(base, i, j, lam_y), sy, ay, by)
 
     for r0, r1, full in blocks:
         gap = np.abs(fx[full].sum(axis=1) - fy[full].sum(axis=1))
@@ -321,7 +321,7 @@ def run_nonmarkovian_coupling(
     rngs = [replica_rng(seed, b) for b in range(B)]
     left, right = empty_pairs(B, T1, n)
     for b, rng in enumerate(rngs):
-        Y[b] = chain.stationary(rng)
+        Y[b] = chain.stationary(rng, 1)[0]
         left[b], right[b] = draw_pairs(rng, T1, n, chain.group, chain.gens)
 
     batch = chain.kernel
@@ -367,6 +367,7 @@ def run_nonmarkovian_coupling(
     for _ in advance(batch, XY, left, right, lam, [head - T1]):
         pass
 
+    flat = flat_view(XY)
     subset_fail, largeness_fail = np.full((2, B), -1, dtype=np.int64)
     active = np.ones(B, dtype=bool)
     for t in range(head, T):
@@ -389,8 +390,8 @@ def run_nonmarkovian_coupling(
             subset_fail[failed[subset_fail[failed] < 0]] = t
         if rest.any():
             rows = np.flatnonzero(rest)
-            batch(XY, *stacked_draws(left[rows, s], right[rows, s], lam[rows, s]),
-                  np.concatenate((rows, rows + B)))
+            batch(flat, *stacked_moves(B * n, *orient(rows * n, left[rows, s], right[rows, s],
+                                                      lam[rows, s])))
 
     gaps = np.abs(X - Y).max(axis=1)
     outcomes = []
@@ -619,7 +620,8 @@ def largeness_experiment(
     threshold, target = chain.largeness(threshold)
     (states,), (a, b, lam) = predraw(chain, replicas, window, seed, "largeness", before=1)
     minima = margin(states).min(axis=1)
-    for rows, pa, pb, pl in pair_levels(a, b, lam, n):
-        chain.kernel(states, pa, pb, pl, rows)
-        np.minimum.at(minima, rows, np.minimum(margin(states[rows, pa]), margin(states[rows, pb])))
+    flat = flat_view(states)
+    for p, q, pl in pair_levels(a, b, lam, n):
+        chain.kernel(flat, p, q, pl)
+        np.minimum.at(minima, p // n, np.minimum(margin(flat[p]), margin(flat[q])))
     return LargenessReport(minima=minima, threshold=threshold, target=target)

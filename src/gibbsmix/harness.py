@@ -61,7 +61,7 @@ from .matrices import (
     msample_stationary_batch,
 )
 from .pairops import Chain
-from .seeding import replica_rng, replica_seed_words
+from .seeding import check_draw_memory, replica_rng, replica_seed_words
 from .simplex import (
     ContractionPoint,
     LowerBoundPoint,
@@ -507,6 +507,8 @@ def _run_identity_matrix(config: ExperimentConfig):
     """exact pairwise-gap identity on random matrix states"""
     n = _n(config)
     pairs = config.replicas or 10**4
+    # the two (pairs, n) stacks of stationary rows
+    check_draw_memory(2 * pairs * n * 8, f"identity-matrix over {pairs} pairs at n = {n}")
     rng = replica_rng(config.seed, 0)
     cx = msample_stationary_batch(n, rng, pairs)
     cy = msample_stationary_batch(n, rng, pairs)
@@ -860,7 +862,9 @@ def run(config: ExperimentConfig, out_dir=None, fmt: Optional[str] = None) -> in
     then the artifacts, then the final manifest with status "complete" (or
     "failed" with the error and exit code 1 for configuration problems, 2
     for violated invariants and any other exception, MemoryError included,
-    whose traceback goes to stderr)."""
+    whose traceback goes to stderr). A failure's one-line message goes to
+    stderr, like the command line's own config errors; the summary lines of
+    a completed run go to stdout."""
     try:
         output = config.output or {}
         directory = Path(out_dir or output.get("path") or f"gibbsmix-results/{config.experiment}")
@@ -869,7 +873,7 @@ def run(config: ExperimentConfig, out_dir=None, fmt: Optional[str] = None) -> in
             raise ConfigError(f"unknown output format {fmt!r}")
         directory.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}")
+        print(f"config error: {exc}", file=sys.stderr)
         return 1
     started = time.time()
     replicas = config.replicas
@@ -912,7 +916,7 @@ def run(config: ExperimentConfig, out_dir=None, fmt: Optional[str] = None) -> in
         manifest.error = f"{type(exc).__name__}: {exc}"
         manifest.wall_clock_seconds = time.time() - started
         manifest.write(manifest_path)
-        print(f"{what}: {exc}")
+        print(f"{what}: {exc}", file=sys.stderr)
         return code
     for key, value in summary.items():
         print(f"{config.experiment}: {key} = {value}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
-from .pairops import Chain, advance, flat_pair_index, split_pair, split_pair_float
+from .pairops import Chain, advance, put_pair, split_pair_float
 from .seeding import draw_moves, draw_pairs, predraw, replica_rng, skip_draws
 
 __all__ = [
@@ -112,16 +112,12 @@ def pair_alpha_beta_float(ci: float, cj: float):
     return s, min(s, 4.0 - s), max(0.0, s - 2.0)
 
 
-def mstep_batch(c: np.ndarray, i: np.ndarray, j: np.ndarray, lam: np.ndarray,
-                rows: np.ndarray | None = None) -> None:
-    """In-place lockstep move on a C-contiguous (B, n) batch; row rows[k]
-    (default: every row) updates pair (i[k], j[k]). Flat-index gathers and
-    scatters on c.reshape(-1)."""
-    flat, ii, jj = flat_pair_index(c, i, j, rows)
-    s, alpha, beta = pair_alpha_beta(flat[ii], flat[jj])
-    ni, nj = split_pair(s, alpha, beta, lam)
-    flat[ii] = ni
-    flat[jj] = nj
+def mstep_batch(flat: np.ndarray, p: np.ndarray, q: np.ndarray, lam: np.ndarray) -> None:
+    """In-place lockstep move on the flat view of a C-contiguous (B, n)
+    batch: each oriented move (``pairops.orient``) sets flat[p[k]] to
+    lam[k] alpha + beta and flat[q[k]] to the rest of the pair total."""
+    s, alpha, beta = pair_alpha_beta(flat[p], flat[q])
+    put_pair(flat, p, q, lam, s, alpha, beta)
 
 
 def msample_stationary(n: int, rng: np.random.Generator) -> MatrixState:
@@ -215,7 +211,7 @@ def matrix_chain(n: int) -> Chain:
 
     return Chain(
         kind="matrix", n=n, kernel=mstep_batch,
-        stationary=lambda rng: msample_stationary(n, rng).c, start=start,
+        stationary=lambda rng, size: msample_stationary_batch(n, rng, size), start=start,
         group=None, gens=None, margin=lambda v: np.minimum(v, 2.0 - v),
         coeffs=pair_alpha_beta,
         horizons=lambda: (math.ceil(1.5 * n * (math.log(8 * n) + 60.0)),

@@ -7,24 +7,34 @@ two coordinates as
 
 with alpha + 2*beta = s (simplex moves: alpha = s, beta = 0). Evaluating both
 formulas independently lets the float pair sum drift by an ulp per move. We
-instead evaluate whichever share is the larger one (lam >= 1/2 picks the i
-side) and obtain the other by subtraction from s. The computed share lies in
-[s/2, s], so by Sterbenz's lemma the subtraction is exact and the pair sum is
-bit-identical to s after every move. Rounding is monotone, so the computed
-share also stays within [0, s] and the update remains monotone in lam.
+instead evaluate whichever share is the larger one and obtain the other by
+subtraction from s. The computed share lies between s/2 and s (also for the
+negative totals of a difference vector), so by Sterbenz's lemma the
+subtraction is exact and the pair sum is bit-identical to s after every
+move. Rounding is monotone, so the computed share also stays between 0 and s
+and the update remains monotone in lam.
 
-``split_pair_float`` is the scalar twin of ``split_pair``: the same
-operations in the same order on Python floats, so both give identical IEEE
-results. ``Chain`` is the record of one of the two samplers that the code
-running on either chain reads. ``flat_pair_index`` is the indexing shared by
-the batch move kernels, and ``stacked_draws`` doubles the draws of two chains
-that share them, so that a stacked [X; Y] batch moves in one kernel call.
-``pair_levels`` groups the moves of a (B, T) block of draws into dependency
-levels, and ``advance`` applies the draws up to each of a caller's marks in
-turn, one kernel call per level instead of one per step, and hands back
-control at every mark. Both read the lambdas one level tile at a time, from
-a stored (B, T) array or from a tile source that draws each tile when it is
-reached (``seeding.LambdaStream``), so a long stretch need not hold them.
+Every move is oriented once, before any kernel sees it (``orient``): for
+lam < 1/2 the move (i, j, lam) is the move (j, i, 1 - lam), so each move
+becomes flat batch indices (p, q) and lam' = max(lam, 1 - lam) >= 1/2, and
+p takes lam' alpha + beta. alpha, beta and the pair total are symmetric in
+the two coordinates, so the oriented move writes the bits of the unoriented
+one. The batch kernels ``step_batch``/``mstep_batch`` take oriented moves,
+``kernel(flat, p, q, lam')``, and end in ``put_pair``, the one pair-move
+arithmetic; ``split_pair_float`` repeats its operations in the same order on
+Python floats. ``pair_moves`` orients arbitrary moves on a (B, n) batch, and
+``stacked_moves`` repeats oriented moves on the second half of a stacked
+[X; Y] batch, so that two chains that share draws move in one kernel call.
+
+``Chain`` is the record of one of the two samplers that the code running on
+either chain reads. ``pair_levels`` groups the moves of a (B, T) block of
+draws into dependency levels, and ``advance`` applies the draws up to each
+of a caller's marks in turn, one kernel call per level instead of one per
+step, and hands back control at every mark. Both orient a level tile's moves
+once, when the tile is levelled, and read the lambdas one tile at a time,
+from a stored (B, T) array or from a tile source that draws each tile when
+it is reached (``seeding.LambdaStream``), so a long stretch need not hold
+them.
 """
 
 from __future__ import annotations
@@ -37,8 +47,8 @@ import numpy as np
 from .errors import InvariantViolation
 
 __all__ = [
-    "Chain", "advance", "flat_pair_index", "flat_view", "pair_levels", "split_pair",
-    "split_pair_float", "stacked_draws",
+    "Chain", "advance", "flat_view", "orient", "pair_levels", "pair_moves", "put_pair",
+    "split_pair_float", "stacked_moves",
 ]
 
 # steps per level tile: each tile is levelled on its own, so its levels fit
@@ -62,8 +72,8 @@ class Chain:
 
     kind: str
     n: int
-    kernel: Callable              # kernel(batch, a, b, lam, rows): the batch move
-    stationary: Callable          # stationary(rng): one stationary row drawn from rng
+    kernel: Callable              # kernel(flat, p, q, lam'): the oriented batch move
+    stationary: Callable          # stationary(rng, size): (size, n) stationary rows from rng
     start: np.ndarray             # the worst-case deterministic start (read-only)
     group: Optional[object]       # the draw arguments of seeding.draw_moves,
     gens: Optional[object]        # None on the matrix chain
@@ -74,31 +84,13 @@ class Chain:
     largeness: Callable           # largeness(k or d): (threshold, target frequency or None)
 
 
-def split_pair(total, alpha, beta, lam):
-    """Split ``total`` into (lam*alpha + beta, (1-lam)*alpha + beta).
-
-    Vectorized over numpy arrays (scalars come back as 0-d arrays). The two
-    returned shares sum to ``total`` exactly, entrywise.
-    """
-    total = np.asarray(total, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    hi = lam >= 0.5
-    share = np.where(hi, lam, 1.0 - lam) * alpha + beta
-    rest = total - share
-    a = np.where(hi, share, rest)
-    b = np.where(hi, rest, share)
-    return a, b
-
-
 def split_pair_float(total: float, alpha: float, beta: float, lam: float):
-    """``split_pair`` for one move on Python floats, without numpy's per-call
-    overhead."""
-    hi = lam >= 0.5
-    share = (lam if hi else 1.0 - lam) * alpha + beta
+    """One move on Python floats, without numpy's per-call overhead: the
+    operations of ``orient`` and ``put_pair`` in the same order, so both give
+    identical IEEE results. Returns (new_i, new_j)."""
+    share = max(lam, 1.0 - lam) * alpha + beta
     rest = total - share
-    return (share, rest) if hi else (rest, share)
+    return (share, rest) if lam >= 0.5 else (rest, share)
 
 
 def flat_view(batch: np.ndarray) -> np.ndarray:
@@ -109,18 +101,46 @@ def flat_view(batch: np.ndarray) -> np.ndarray:
     return batch.reshape(-1)
 
 
-def flat_pair_index(batch: np.ndarray, a, b, rows=None):
-    """(``flat_view(batch)``, flat index of (rows[k], a[k]), of (rows[k],
-    b[k])) for a (B, n) batch; rows defaults to every row."""
+def orient(base, a, b, lam):
+    """The moves (a[k], b[k], lam[k]) of the batch rows whose flat indices
+    start at base[k], oriented: (p, q, lam') with lam' = max(lam, 1 - lam)
+    >= 1/2 and p the flat index of the side that takes lam' alpha + beta,
+    that is a where lam >= 1/2 and b elsewhere; q is the other side.
+
+    a and b are integer arrays of one dtype, swapped by xor where lam < 1/2.
+    Nothing passed in is written to.
+    """
+    swap = (a ^ b) * (lam < 0.5)
+    lam_p = 1.0 - lam
+    np.maximum(lam, lam_p, out=lam_p)
+    return base + (a ^ swap), base + (b ^ swap), lam_p
+
+
+def pair_moves(batch: np.ndarray, a, b, lam, rows=None):
+    """(``flat_view(batch)``, p, q, lam'): the arguments of one kernel call
+    that moves pair (a[k], b[k]) of row rows[k] (default: every row) of a
+    C-contiguous (B, n) batch with lam[k], oriented by ``orient``."""
     n = batch.shape[1]
-    base = np.arange(0, batch.shape[0] * n, n) if rows is None else np.asarray(rows) * n
-    return flat_view(batch), base + a, base + b
+    base = np.arange(0, batch.size, n) if rows is None else np.asarray(rows) * n
+    return (flat_view(batch), *orient(base, np.asarray(a), np.asarray(b),
+                                      np.asarray(lam, dtype=float)))
 
 
-def stacked_draws(*draws: np.ndarray) -> tuple:
-    """Each per-replica draw array repeated, for the two halves of a stacked
-    [X; Y] batch whose chains share every draw."""
-    return tuple(np.concatenate((v, v)) for v in draws)
+def put_pair(flat, p, q, lam, total, alpha, beta) -> None:
+    """The oriented move, in place: flat[p] = lam alpha + beta and flat[q]
+    = total - flat[p], for lam >= 1/2 (``orient``) and the pair's (total,
+    alpha, beta) read before the move."""
+    share = lam * alpha
+    share += beta
+    flat[p] = share
+    flat[q] = total - share
+
+
+def stacked_moves(half: int, p, q, lam) -> tuple:
+    """Oriented moves (p, q, lam') on the first half of a stacked [X; Y]
+    batch, repeated on its second half, which starts at flat index
+    ``half``: one kernel call moves both chains that share these draws."""
+    return np.concatenate((p, p + half)), np.concatenate((q, q + half)), np.concatenate((lam, lam))
 
 
 def _move_levels(a, b, n: int, tiles) -> np.ndarray:
@@ -154,9 +174,10 @@ def _move_levels(a, b, n: int, tiles) -> np.ndarray:
 
 def _tile_levels(a, b, lam, n: int, marks):
     """Yield (s1, levels) for each tile [s0, s1) of the (B, T) draws, in time
-    order, ``levels`` listing the tile's (rows, a, b, lam) one per level. The
-    tiles cut each window [previous mark, mark) of the ascending ``marks``
-    into at most _LEVEL_TILE steps; ``lam`` is read as in ``pair_levels``.
+    order, ``levels`` listing the tile's oriented moves (p, q, lam') on a
+    (B, n) batch (``orient``) one per level. The tiles cut each window
+    [previous mark, mark) of the ascending ``marks`` into at most
+    _LEVEL_TILE steps; ``lam`` is read as in ``pair_levels``.
     """
     B = a.shape[0]
     tile_lam = lam if callable(lam) else (lambda s0, s1: lam[:, s0:s1])
@@ -172,21 +193,33 @@ def _tile_levels(a, b, lam, n: int, marks):
     for scan in scans:
         levels = _move_levels(a, b, n, scan)
         for k, (s0, s1) in enumerate(scan):
-            # entry r * (s1 - s0) + s is step s0 + s of row r; 8- and 16-bit
-            # keys sort by radix
-            lev = levels[:s1 - s0, k].T.ravel()
-            order = np.argsort(lev, kind="stable")
-            rows = order // (s1 - s0)
-            ra, rb = (np.take(v[:, s0:s1], order) for v in (a, b))
-            rl = np.take(tile_lam(s0, s1), order)
-            ends = np.cumsum(np.bincount(lev))
-            yield s1, [(rows[lo:hi], ra[lo:hi], rb[lo:hi], rl[lo:hi])
-                       for lo, hi in zip(ends[:-1], ends[1:])]
+            # the tile's arrays are held only by the yielded list, so they go
+            # before the next tile's are built
+            yield s1, _oriented_levels(levels[:s1 - s0, k], a[:, s0:s1], b[:, s0:s1],
+                                       tile_lam(s0, s1), n)
+
+
+def _oriented_levels(lev, a, b, lam, n: int) -> list:
+    """The oriented moves (p, q, lam') of a tile's (B, w) draws one per
+    level, given the (w, B) levels of its steps."""
+    w = a.shape[1]
+    # entry r * w + s is step s of row r; 8- and 16-bit keys sort by radix
+    lev = lev.T.ravel()
+    order = np.argsort(lev, kind="stable")
+    a, b, lam = (np.take(v, order) for v in (a, b, lam))
+    # the rows' flat offsets, in place of the order
+    order //= w
+    order *= n
+    p, q, lam = orient(order, a, b, lam)
+    ends = np.cumsum(np.bincount(lev))
+    return [(p[lo:hi], q[lo:hi], lam[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
 def pair_levels(a, b, lam, n: int):
-    """Yield (rows, a, b, lam) once per dependency level of the (B, T) draws,
-    in order; row r moves pair (a[r, t], b[r, t]) with lam[r, t] at step t.
+    """Yield the oriented moves (p, q, lam') of a (B, n) batch (``orient``)
+    once per dependency level of the (B, T) draws, in order; row r moves
+    pair (a[r, t], b[r, t]) with lam[r, t] at step t, and p // n is the row
+    of a move.
 
     ``lam`` is the (B, T) lambda array, or a tile source lam(s0, s1) giving
     the (B, s1 - s0) lambdas of steps [s0, s1). A source is called once per
@@ -199,7 +232,8 @@ def pair_levels(a, b, lam, n: int):
     coordinates, so one level never touches a (row, coordinate) twice and
     each (row, coordinate) sees its moves in time order: applying the levels
     one kernel call each reads and writes exactly what a per-step loop does.
-    Tiles are levelled in scans under _LEVEL_BUDGET lane entries.
+    Tiles are levelled in scans under _LEVEL_BUDGET lane entries, and each
+    tile's moves are oriented once, before its first level.
     """
     for _, levels in _tile_levels(a, b, lam, n, [a.shape[1]]):
         yield from levels
@@ -210,25 +244,28 @@ def advance(kernel, batch: np.ndarray, a, b, lam, marks):
     mark of the ascending sequence ``marks`` (0 <= mark <= T) in turn,
     yielding the mark once steps [0, mark) are applied; a caller that
     observes nothing passes one mark. ``lam`` is a stored array or a tile
-    source as in ``pair_levels``. The steps run one ``kernel(batch, a, b,
-    lam, rows)`` call per dependency level, in level tiles that restart at
-    every mark, so at each mark the batch is what a per-step loop leaves.
+    source as in ``pair_levels``. The steps run one ``kernel(flat, p, q,
+    lam')`` call per dependency level, on ``flat_view(batch)``, in level
+    tiles that restart at every mark, so at each mark the batch is what a
+    per-step loop leaves.
 
     A batch of B rows is one chain per replica. A batch of 2B rows is the
     stacked [X; Y] pair of two chains that share every draw, and both halves
-    move in the same call. The kernel is passed in rather than imported, so
-    a caller's own binding of ``step_batch``/``mstep_batch`` is the one run.
+    move in the same call (``stacked_moves``). The kernel is passed in
+    rather than imported, so a caller's own binding of
+    ``step_batch``/``mstep_batch`` is the one run.
     """
-    B = a.shape[0]
-    tiles = _tile_levels(a, b, lam, batch.shape[1], marks)
+    B, n = a.shape[0], batch.shape[1]
+    flat = flat_view(batch)
+    half = B * n if batch.shape[0] == 2 * B else 0
+    tiles = _tile_levels(a, b, lam, n, marks)
     done = 0
     for mark in marks:
         while done < mark:
             done, levels = next(tiles)
-            for rows, *move in levels:
-                if batch.shape[0] == 2 * B:
-                    move, rows = stacked_draws(*move), np.concatenate((rows, rows + B))
-                kernel(batch, *move, rows)
-            # the tile's arrays go before the next tile's are built
-            del levels
+            for move in levels:
+                kernel(flat, *(stacked_moves(half, *move) if half else move))
+            # the tile's arrays go before the next tile's are built (a tile
+            # has at least one level)
+            del levels, move
         yield mark

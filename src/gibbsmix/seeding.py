@@ -119,7 +119,8 @@ def predraw(chain, B: int, T: int, seed: int, what: str, before: int = 0, after:
     """The draws of a lockstep experiment ``what`` over B replicas and T
     steps of ``chain``: replica r draws ``before`` stationary rows, its T
     moves (``draw_moves``), then ``after`` stationary rows, from
-    ``replica_rng(seed, r)``. Returns (rows, (a, b, lam)), rows[k, r] the
+    ``replica_rng(seed, r)``; each group of rows is one ``chain.stationary``
+    call, which leaves the stream of as many single draws. Returns (rows, (a, b, lam)), rows[k, r] the
     k-th stationary row of replica r and (a, b, lam) the (B, T) store, whose
     bytes ``check_draw_memory`` compares with the memory available first.
     """
@@ -129,11 +130,9 @@ def predraw(chain, B: int, T: int, seed: int, what: str, before: int = 0, after:
     a, b, lam = empty_moves(B, T, n)
     for r in range(B):
         rng = replica_rng(seed, r)
-        for k in range(before):
-            rows[k, r] = chain.stationary(rng)
+        rows[:before, r] = chain.stationary(rng, before)
         a[r], b[r], lam[r] = draw_moves(rng, T, n, chain.group, chain.gens)
-        for k in range(before, before + after):
-            rows[k, r] = chain.stationary(rng)
+        rows[before:, r] = chain.stationary(rng, after)
     return rows, (a, b, lam)
 
 

@@ -32,7 +32,7 @@ from .kernels import (
     TransitionKernel, base_walk_kernel, edge_walk_kernel, s_recursion_terms, spectral_summary,
     symmetrization,
 )
-from .pairops import Chain, advance, flat_pair_index, split_pair
+from .pairops import Chain, advance, pair_moves, put_pair
 from .seeding import draw_moves, predraw
 
 __all__ = [
@@ -105,16 +105,13 @@ class SVector:
             raise InvariantViolation("s-zero-sum", f"sum = {self.s.sum():.3e}")
 
 
-def step_batch(x: np.ndarray, a: np.ndarray, b: np.ndarray, lam: np.ndarray,
-               rows: np.ndarray | None = None) -> None:
-    """In-place lockstep move on a C-contiguous (B, n) batch; row rows[k]
-    (default: every row) updates pair (a[k], b[k]). Flat-index gathers and
-    scatters on x.reshape(-1)."""
-    flat, ia, ib = flat_pair_index(x, a, b, rows)
-    total = flat[ia] + flat[ib]
-    na, nb = split_pair(total, total, 0.0, lam)
-    flat[ia] = na
-    flat[ib] = nb
+def step_batch(flat: np.ndarray, p: np.ndarray, q: np.ndarray, lam: np.ndarray) -> None:
+    """In-place lockstep move on the flat view of a C-contiguous (B, n)
+    batch: each oriented move (``pairops.orient``) sets flat[p[k]] to
+    lam[k] times the pair total and flat[q[k]] to the rest. The share is
+    lam total + 0.0, which turns a -0.0 share of a zero total into +0.0."""
+    total = flat[p] + flat[q]
+    put_pair(flat, p, q, lam, total, total, 0.0)
 
 
 def sample_stationary(n: int, rng: np.random.Generator) -> SimplexState:
@@ -150,6 +147,12 @@ def simplex_chain(group: GroupTable, gens: GeneratorSet) -> Chain:
     start[group.identity] = 1.0
     start.setflags(write=False)
 
+    def stationary(rng, size):
+        rows = np.empty((size, n))
+        for row in rows:
+            row[:] = sample_stationary(n, rng).x
+        return rows
+
     def horizons():
         gamma_hat = base_gap(group, gens)
         return (math.ceil((8.0 / gamma_hat) * (math.log(4 * n) + 62.0)),
@@ -162,7 +165,7 @@ def simplex_chain(group: GroupTable, gens: GeneratorSet) -> Chain:
 
     return Chain(
         kind="simplex", n=n, kernel=step_batch,
-        stationary=lambda rng: sample_stationary(n, rng).x, start=start,
+        stationary=stationary, start=start,
         group=group, gens=gens, margin=lambda v: v, coeffs=_pair_coeffs,
         horizons=horizons, connect_tail=connect_tail, largeness=lambda d: (d, None),
     )
@@ -235,7 +238,7 @@ def check_s_recursion(
         b = min(_S_RECURSION_CHUNK, samples - done)
         a, partner, lam = draw_moves(rng, b, n, group, gens)
         d = np.broadcast_to(d0, (b, n)).copy()
-        step_batch(d, a, partner, lam)
+        step_batch(*pair_moves(d, a, partner, lam))
         sprime = np.einsum("bg,bgh->bh", d, d[:, mul])
         acc += sprime.sum(axis=0)
         acc_sq += (sprime**2).sum(axis=0)

@@ -1,0 +1,21 @@
+"""The unoriented pair split: the reference that the oriented moves
+(``pairops.orient`` then the kernels' ``pairops.put_pair``) reproduce bit
+for bit."""
+
+import numpy as np
+
+
+def split_pair(total, alpha, beta, lam):
+    """Split ``total`` into (lam*alpha + beta, (1-lam)*alpha + beta): the
+    larger share is computed, the other is the rest of the total. Vectorized
+    over numpy arrays (scalars come back as 0-d arrays)."""
+    total = np.asarray(total, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    hi = lam >= 0.5
+    share = np.where(hi, lam, 1.0 - lam) * alpha + beta
+    rest = total - share
+    a = np.where(hi, share, rest)
+    b = np.where(hi, rest, share)
+    return a, b

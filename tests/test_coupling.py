@@ -34,9 +34,10 @@ from gibbsmix.matrices import (
     pair_alpha_beta,
     pair_alpha_beta_float,
 )
-from gibbsmix.pairops import split_pair, split_pair_float, stacked_draws
+from gibbsmix.pairops import pair_moves, split_pair_float
 from gibbsmix.seeding import draw_moves, draw_pairs, empty_moves, replica_rng
 from gibbsmix.simplex import sample_stationary, simplex_chain, step_batch
+from pair_oracle import split_pair
 
 # each chain's pair coefficients, which depend on neither n nor the group
 _COEFFS = {
@@ -567,7 +568,7 @@ def test_proportional_step_matches_scalar_moves(rng):
         for row in expected:
             _split_row(kind, row, i, j, lam)
         batch = step_batch if kind == "simplex" else mstep_batch
-        batch(xy, *stacked_draws(np.array([i]), np.array([j]), np.array([lam])))
+        batch(*pair_moves(xy, [i, i], [j, j], [lam, lam]))
         assert np.array_equal(xy, expected)
 
 
@@ -584,7 +585,7 @@ def test_proportional_matrix_pair_second_moment(rng):
     # one stacked batch move: row k of each half takes lams[k]
     xy = np.repeat(np.stack([x.c, y.c]), trials, axis=0)
     pair = np.zeros(trials, dtype=np.int64)
-    mstep_batch(xy, *stacked_draws(pair, pair + 1, lams))
+    mstep_batch(*pair_moves(xy, *(np.tile(v, 2) for v in (pair, pair + 1, lams))))
     diff = xy[:trials, :2] - xy[trials:, :2]
     mean = float((2.0 * (diff**2).sum(axis=1)).mean())
     target = (4.0 / 3.0) * (delta - eps) ** 2
@@ -619,10 +620,10 @@ def _stepped_replay(chain, T1, T2, replicas, seed):
     outcomes, replays = [], []
     for b in range(replicas):
         rng = replica_rng(seed, b)
-        xy = np.stack([chain.start, chain.stationary(rng)])
+        xy = np.stack([chain.start, chain.stationary(rng, 1)[0]])
         left, right, lam = draw_moves(rng, T1, n, chain.group, chain.gens)
         for t in range(T1):
-            chain.kernel(xy, *stacked_draws(left[t:t + 1], right[t:t + 1], lam[t:t + 1]))
+            chain.kernel(*pair_moves(xy, left[[t, t]], right[[t, t]], lam[[t, t]]))
         left, right, lam = draw_moves(rng, T2, n, chain.group, chain.gens)
         proc = build_partition_process(left, right, n, T1)
         marks = {rec.t: rec for rec in proc.merges}
@@ -642,7 +643,7 @@ def _stepped_replay(chain, T1, T2, replicas, seed):
                 if not ok and subset_fail is None:
                     subset_fail = t
             else:
-                chain.kernel(xy, *stacked_draws(left[s:s + 1], right[s:s + 1], lam[s:s + 1]))
+                chain.kernel(*pair_moves(xy, left[[s, s]], right[[s, s]], lam[[s, s]]))
             states.append(xy.copy())
 
         coupled = proc.connected and largeness_fail is None and subset_fail is None
@@ -752,7 +753,7 @@ def test_runner_makes_one_subset_call_per_marked_time(monkeypatch, build):
 
 @pytest.mark.parametrize("module, name", [
     (matrices, "mstep_batch"),
-    (matrices, "msample_stationary"),
+    (matrices, "msample_stationary_batch"),
     (simplex, "step_batch"),
     (simplex, "sample_stationary"),
 ])
@@ -831,7 +832,7 @@ def test_phase1_matches_a_per_step_loop(monkeypatch, chain, T1, replicas):
         lam = rng.random(T1)
         xy = np.stack([x, y])
         for t in range(T1):
-            batch(xy, *stacked_draws(a[t:t + 1], pair_b[t:t + 1], lam[t:t + 1]))
+            batch(*pair_moves(xy, a[[t, t]], pair_b[[t, t]], lam[[t, t]]))
         assert np.array_equal(after_phase1[b], xy[0])
         assert np.array_equal(after_phase1[replicas + b], xy[1])
 

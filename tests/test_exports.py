@@ -96,7 +96,8 @@ def test_only_the_predraw_and_the_runner_fill_a_draw_store():
     # a (B, T) move store is allocated and guarded in one place per path:
     # seeding.predraw for the lockstep experiments and the coupled runner
     # for its phase-2 store, so a new copy of the pre-draw that skips the
-    # memory guard fails here
+    # memory guard fails here. identity-matrix guards its two stacks of
+    # stationary rows, and allocates no move store
     package = Path(gibbsmix.__file__).parent
     callers = set()
     for path in sorted(package.glob("*.py")):
@@ -111,7 +112,8 @@ def test_only_the_predraw_and_the_runner_fill_a_draw_store():
             }
             if called & {"empty_moves", "check_draw_memory"}:
                 callers.add((path.stem, func.name))
-    assert callers == {("seeding", "predraw"), ("coupling", "run_nonmarkovian_coupling")}
+    assert callers == {("seeding", "predraw"), ("coupling", "run_nonmarkovian_coupling"),
+                       ("harness", "_run_identity_matrix")}
 
 
 def test_only_seeding_touches_a_bit_generator():

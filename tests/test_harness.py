@@ -33,6 +33,7 @@ from gibbsmix.matrices import (
     msample_stationary,
     mstep_batch,
 )
+from gibbsmix.pairops import pair_moves
 from gibbsmix.seeding import draw_moves, replica_rng
 from gibbsmix.simplex import sample_stationary, simplex_chain, step_batch
 
@@ -424,8 +425,10 @@ def test_run_config_problem_exits_one(tmp_path):
     ({"experiment": "contract-matrix", "n": 8, "T": 30}, 3 * 30 * 10),
     ({"experiment": "lowerbound-simplex", "group": {"family": "cyclic", "n": 6}, "T": 60},
      3 * 60 * 10),
+    # identity-matrix holds two (pairs, n) float64 stacks of stationary rows
+    ({"experiment": "identity-matrix", "n": 8}, 2 * 3 * 8 * 8),
 ], ids=["couple-matrix", "couple-simplex", "largeness-matrix", "largeness-simplex",
-        "contract-simplex", "contract-matrix", "lowerbound-simplex"])
+        "contract-simplex", "contract-matrix", "lowerbound-simplex", "identity-matrix"])
 def test_a_store_larger_than_the_memory_available_exits_one(tmp_path, monkeypatch, data, need):
     # the guard reads the estimate against a patched probe; nothing large
     # is allocated
@@ -472,6 +475,27 @@ def test_run_unexpected_exception_exits_two(tmp_path, monkeypatch, capsys, exper
     assert manifest["status"] == "failed"
     assert manifest["error"] == f"{error.__name__}: synthetic runner failure"
     assert "synthetic runner failure" in capsys.readouterr().err
+
+
+def test_failure_lines_go_to_stderr(tmp_path, monkeypatch, capsys):
+    # every failure's one-line message goes to stderr, as the command
+    # line's own config errors do; stdout stays empty
+    assert cli_main(["gap", "--group", "cyclic:2", "--out", str(tmp_path / "gap")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ")
+    cfg = ExperimentConfig.from_dict({"experiment": "connect", "n": 6, "replicas": 2})
+    assert run(cfg, out_dir=tmp_path / "fmt", fmt="xml") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "config error: unknown output format 'xml'\n"
+    for error, code, what in ((InvariantViolation("synthetic", "broken"), 2, "invariant failure"),
+                              (KeyError("synthetic"), 2, "unexpected failure")):
+        def boom(config, error=error):
+            raise error
+
+        monkeypatch.setitem(harness._RUNNERS, "connect", boom)
+        assert run(cfg, out_dir=tmp_path / what) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == f"{what}: {error}"
 
 
 @pytest.mark.parametrize("experiment, fields", [
@@ -624,7 +648,7 @@ def test_largeness_minima_are_the_per_step_loop(tmp_path, fields):
     a, b, lam = (np.stack(v) for v in zip(*moves))
     minima = margin(states)
     for t in range(fields["T"]):
-        kernel(states, a[:, t], b[:, t], lam[:, t])
+        kernel(*pair_moves(states, a[:, t], b[:, t], lam[:, t]))
         minima = np.minimum(minima, margin(states))
     assert got == minima.tolist()
 

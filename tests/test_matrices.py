@@ -19,9 +19,10 @@ from gibbsmix.matrices import (
     mstep_batch,
     pair_alpha_beta,
 )
-from gibbsmix.pairops import split_pair, stacked_draws
+from gibbsmix.pairops import flat_view, pair_moves, stacked_moves
 from gibbsmix.seeding import draw_pairs
 from gibbsmix.simplex import step_batch
+from pair_oracle import split_pair
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 entry = st.floats(0.0, 2.0, allow_nan=False)
@@ -34,7 +35,7 @@ def _state(values):
 def _move(values, i, j, lam):
     """One move as a (1, n) batch; returns the moved row."""
     c = np.array([values], dtype=float)
-    mstep_batch(c, [i], [j], [lam])
+    mstep_batch(*pair_moves(c, [i], [j], [lam]))
     return c[0]
 
 
@@ -313,8 +314,8 @@ def test_monotone_run_matches_batch_kernel_replay(monkeypatch, n, T, seed, chunk
         i, j = draw_pairs(rng, b, n)
         lam = rng.random(b)
         for k in range(b):
-            mstep_batch(c, i[k : k + 1], j[k : k + 1], lam[k : k + 1])
-            step_batch(s, i[k : k + 1], j[k : k + 1], lam[k : k + 1])
+            mstep_batch(*pair_moves(c, i[k : k + 1], j[k : k + 1], lam[k : k + 1]))
+            step_batch(*pair_moves(s, i[k : k + 1], j[k : k + 1], lam[k : k + 1]))
             gaps.append((c - s).min())
             mins_c.append(c.min())
             maxs_c.append(c.max())
@@ -338,7 +339,7 @@ def test_batch_step_matches_scalar(rng):
     for k in range(50):
         coeffs = pair_alpha_beta(c[k, i[k]], c[k, j[k]])
         expected[k, i[k]], expected[k, j[k]] = split_pair(*coeffs, lam[k])
-    mstep_batch(c, i, j, lam)
+    mstep_batch(*pair_moves(c, i, j, lam))
     assert np.array_equal(c, expected)
 
 
@@ -358,14 +359,15 @@ def test_stacked_batch_matches_two_calls(rng, with_rows):
     draws = (i[rows], j[rows], lam[rows])
     rows_arg = (rows,) if with_rows else ()
     xy = np.concatenate((x, y))
-    mstep_batch(xy, *stacked_draws(*draws), *(np.concatenate((r, r + B)) for r in rows_arg))
+    _, *moves = pair_moves(x, *draws, *rows_arg)
+    mstep_batch(flat_view(xy), *stacked_moves(B * n, *moves))
     before = x.copy()
-    mstep_batch(x, *draws, *rows_arg)
-    mstep_batch(y, *draws, *rows_arg)
+    mstep_batch(*pair_moves(x, *draws, *rows_arg))
+    mstep_batch(*pair_moves(y, *draws, *rows_arg))
     assert np.array_equal(xy, np.concatenate((x, y)))
     # a rows call equals a plain call on those rows; the other rows stay
     sub = before[rows]
-    mstep_batch(sub, *draws)
+    mstep_batch(*pair_moves(sub, *draws))
     assert np.array_equal(x[rows], sub)
     still = np.setdiff1d(np.arange(B), rows)
     assert np.array_equal(x[still], before[still])
@@ -378,7 +380,8 @@ def test_stacked_batch_matches_two_calls(rng, with_rows):
 def test_mstep_batch_rejects_non_contiguous_batch():
     c = np.ones((8, 6))[:, ::2]
     with pytest.raises(InvariantViolation):
-        mstep_batch(c, np.zeros(8, dtype=np.int64), np.ones(8, dtype=np.int64), np.full(8, 0.5))
+        mstep_batch(*pair_moves(c, np.zeros(8, dtype=np.int64), np.ones(8, dtype=np.int64),
+                                np.full(8, 0.5)))
     with pytest.raises(InvariantViolation):
-        mstep_batch(np.asfortranarray(np.ones((4, 3))), np.array([0]), np.array([1]),
-                    np.array([0.5]), np.array([2]))
+        mstep_batch(*pair_moves(np.asfortranarray(np.ones((4, 3))), np.array([0]),
+                                np.array([1]), np.array([0.5]), np.array([2])))

@@ -1,10 +1,16 @@
-"""The batch move kernels and the dependency-level scheduler.
+"""The batch move kernels, the orientation of moves and the dependency-level
+scheduler.
 
-One kernel call conserves each moved pair's sum exactly and leaves every
-other entry alone. Levels cover every move once, never touch a (row,
-coordinate) twice, keep each (row, coordinate) in time order, and applying
-them level by level gives the per-step loop's bytes, on one chain per
-replica and on the stacked [X; Y] pair alike."""
+An oriented move writes the bits of the unoriented pair split. One kernel
+call conserves each moved pair's sum exactly and leaves every other entry
+alone. Levels cover every move once, never touch a (row, coordinate) twice,
+keep each (row, coordinate) in time order, and applying them level by level
+gives the per-step loop's bytes, on one chain per replica and on the stacked
+[X; Y] pair alike."""
+
+import ast
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +18,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gibbsmix import pairops
+import gibbsmix
+from gibbsmix import matrices, pairops
+from gibbsmix.coupling import run_nonmarkovian_coupling
 from gibbsmix.groups import build_cyclic
-from gibbsmix.matrices import mstep_batch
-from gibbsmix.pairops import advance, pair_levels
+from gibbsmix.matrices import matrix_chain, mstep_batch, pair_alpha_beta
+from gibbsmix.pairops import advance, flat_view, pair_levels, pair_moves, split_pair_float
 from gibbsmix.seeding import LambdaStream, draw_moves, draw_pairs, empty_moves
 from gibbsmix.simplex import step_batch
+from pair_oracle import split_pair
 
 
 def _draws(rng, B, T, n, group=None, gens=None):
@@ -34,12 +43,65 @@ def _draws(rng, B, T, n, group=None, gens=None):
 
 def _per_step(kernel, x, a, b, lam):
     for t in range(a.shape[1]):
-        kernel(x, a[:, t], b[:, t], lam[:, t])
+        kernel(*pair_moves(x, a[:, t], b[:, t], lam[:, t]))
 
 
 def _by_level(kernel, x, a, b, lam, n):
-    for rows, pa, pb, pl in pair_levels(a, b, lam, n):
-        kernel(x, pa, pb, pl, rows)
+    for move in pair_levels(a, b, lam, n):
+        kernel(flat_view(x), *move)
+
+
+# lambdas at and next to the orientation's switch, and at the ends
+_EDGE_LAMS = [0.0, float(np.nextafter(0.5, 0.0)), 0.5, float(np.nextafter(0.5, 1.0)), 1.0]
+
+
+@pytest.mark.parametrize("kind", ["simplex", "matrix"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_oriented_moves_write_the_unoriented_split(kind, data):
+    # orient + kernel against the where-based split on each row's own two
+    # values, compared as bits: signed zeros count. Simplex entries take
+    # both signs, as the difference vectors of s-recursion do
+    n = 5
+    B = data.draw(st.integers(1, 6), label="B")
+    lo, hi = (-1.0, 1.0) if kind == "simplex" else (0.0, 2.0)
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(lo, hi))
+    x = data.draw(arrays(np.float64, (B, n), elements=values), label="x")
+    rows = np.array(data.draw(
+        st.lists(st.integers(0, B - 1), min_size=1, max_size=B, unique=True), label="rows"))
+    k = rows.size
+    a = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k), label="a"))
+    step = np.array(data.draw(st.lists(st.integers(1, n - 1), min_size=k, max_size=k), label="step"))
+    b = (a + step) % n
+    lams = st.one_of(st.sampled_from(_EDGE_LAMS), st.floats(0.0, 1.0))
+    lam = np.array(data.draw(st.lists(lams, min_size=k, max_size=k), label="lam"))
+    want = x.copy()
+    for r, i, j, u in zip(rows, a, b, lam):
+        vi, vj = x[r, i], x[r, j]
+        if kind == "simplex":
+            coeffs = (vi + vj, vi + vj, 0.0)
+        else:
+            coeffs = tuple(float(v) for v in pair_alpha_beta(vi, vj))
+        want[r, i], want[r, j] = split_pair(*coeffs, u)
+        # the scalar twin writes the same bits
+        got = np.array(split_pair_float(*map(float, coeffs), float(u)))
+        assert got.tobytes() == np.array([want[r, i], want[r, j]]).tobytes()
+    before = lam.copy()
+    (step_batch if kind == "simplex" else mstep_batch)(*pair_moves(x, a, b, lam, rows))
+    assert x.tobytes() == want.tobytes()
+    # the caller's lambdas are read, never oriented in place
+    assert lam.tobytes() == before.tobytes()
+
+
+def test_orient_swaps_the_sides_below_one_half():
+    base = np.array([0, 10, 20, 30, 40])
+    a = np.array([1, 2, 3, 4, 5], dtype=np.uint8)
+    b = np.array([6, 7, 8, 9, 0], dtype=np.uint8)
+    lam = np.array(_EDGE_LAMS)
+    p, q, lam_p = pairops.orient(base, a, b, lam)
+    assert p.tolist() == [6, 17, 23, 34, 45] and q.tolist() == [1, 12, 28, 39, 40]
+    assert lam_p.tolist() == [1.0, 0.5, 0.5, float(np.nextafter(0.5, 1.0)), 1.0]
+    assert lam.tolist() == _EDGE_LAMS
 
 
 @pytest.mark.parametrize("n", [3, 4, 9])
@@ -60,7 +122,7 @@ def test_batch_kernels_conserve_each_moved_pair_sum_exactly(kernel, top, n, data
     b = (a + step) % n
     lam = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k), label="lam"))
     before = x.copy()
-    kernel(x, a, b, lam, *((rows,) if with_rows else ()))
+    kernel(*pair_moves(x, a, b, lam, *((rows,) if with_rows else ())))
     assert np.array_equal(x[rows, a] + x[rows, b], before[rows, a] + before[rows, b])
     moved = np.zeros((B, n), dtype=bool)
     moved[rows, a] = moved[rows, b] = True
@@ -108,22 +170,20 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pairops, "_LEVEL_TILE", tile)
         mp.setattr(pairops, "_LEVEL_BUDGET", budget)
-        # the lambda slot carries each move's id r*T + t, so the yields name
-        # the moves they hold
-        ids = np.arange(B * T, dtype=float).reshape(B, T)
-        levels = [
-            (rows, pa, pb, pl.astype(np.int64))
-            for rows, pa, pb, pl in pair_levels(a, b, ids, n)
-        ]
+        # the lambda slot carries each move's id r*T + t, plus one, so the
+        # yields name the moves they hold; a lambda of 1 or more is never
+        # swapped by the orientation
+        ids = np.arange(1, B * T + 1, dtype=float).reshape(B, T)
+        levels = [(p, q, pl.astype(np.int64) - 1) for p, q, pl in pair_levels(a, b, ids, n)]
         seen = np.zeros(B * T, dtype=np.int64)
         last = np.full((B, n), -1)
-        for rows, pa, pb, move in levels:
+        for p, q, move in levels:
             r, t = np.divmod(move, T)
-            assert np.array_equal(rows, r)
-            assert np.array_equal(pa, a[r, t]) and np.array_equal(pb, b[r, t])
+            pa, pb = a[r, t], b[r, t]
+            assert np.array_equal(p, r * n + pa) and np.array_equal(q, r * n + pb)
             seen[move] += 1
             # one touch per (row, coordinate) within a level
-            touched = np.concatenate((r * n + pa, r * n + pb))
+            touched = np.concatenate((p, q))
             assert np.unique(touched).size == touched.size
             # each (row, coordinate) sees its moves in time order
             assert np.all(last[r, pa] < t) and np.all(last[r, pb] < t)
@@ -133,7 +193,7 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed, data):
         if n == 2:
             # every move touches both coordinates: one move per level per row
             assert len(levels) == T
-            assert all(np.unique(rows).size == rows.size for rows, *_ in levels)
+            assert all(np.unique(p // n).size == p.size for p, *_ in levels)
 
         x0 = rng.uniform(0.0, 2.0, (B, n))
         want, got = x0.copy(), x0.copy()
@@ -209,3 +269,56 @@ def test_advance_is_the_per_step_loop_on_single_and_stacked_batches(kernel, data
                 assert all(map(np.array_equal, got, want))
                 if isinstance(lam, LambdaStream):
                     assert lam.drawn == (marks[-1] if marks else 0)
+
+
+def test_the_traced_kernel_sees_the_parents_calls_and_moves(monkeypatch):
+    # perfbench wraps matrices.mstep_batch by name in every gibbsmix module
+    # that holds it and counts len(args[3]) as the rows moved; the levelled
+    # runner must still make each call through that name with the per-row
+    # lambdas as its fourth argument. The counts are those of the
+    # unoriented kernel on couple-matrix at n = 128, 125 replicas, seed 1
+    original, counts = matrices.mstep_batch, [0, 0]
+
+    def wrapper(*args, **kwargs):
+        counts[0] += 1
+        counts[1] += len(args[3])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gibbsmix" and getattr(module, "mstep_batch", None) is original:
+            monkeypatch.setattr(module, "mstep_batch", wrapper)
+    chain = matrix_chain(128)
+    T1, T2 = chain.horizons()
+    run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=125, seed=1)
+    assert counts == [1703, 3_879_750]
+
+
+def _orienting(node):
+    """Whether an expression compares a plain value with 1/2, or takes a max,
+    min or where over a ``1 - x``: the orientation of a move."""
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        half = any(isinstance(v, ast.Constant) and v.value == 0.5 for v in sides)
+        plain = any(isinstance(v, (ast.Name, ast.Subscript, ast.Attribute)) for v in sides)
+        return half and plain
+    if isinstance(node, ast.Call):
+        func = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+        return func in {"max", "min", "maximum", "minimum", "where"} and any(
+            isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Sub)
+            and isinstance(arg.left, ast.Constant) and arg.left.value == 1
+            for arg in node.args)
+    return False
+
+
+def test_only_pairops_orients_a_move():
+    # every move is oriented by pairops.orient (and its scalar twin
+    # split_pair_float); a kernel or caller that picks the larger share
+    # itself fails here
+    package = Path(gibbsmix.__file__).parent
+    found = {
+        (path.stem, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _orienting(node)
+    }
+    assert {stem for stem, _ in found} == {"pairops"}

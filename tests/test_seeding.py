@@ -226,3 +226,35 @@ def test_draw_memory_guard_compares_the_estimate_with_the_probe(monkeypatch):
 def test_available_memory_is_a_byte_count_or_none():
     available = seeding.available_memory()
     assert available is None or (isinstance(available, int) and available > 0)
+
+
+@pytest.mark.parametrize("which", ["matrix:3", "matrix:40", "cyclic:6"])
+def test_predraw_draws_stationary_rows_as_single_draws(which):
+    # each group of a replica's stationary rows is one chain.stationary call;
+    # it gives the rows of that many single samples in turn, and the moves
+    # and the rows after them follow in the stream as they would then
+    from gibbsmix.matrices import matrix_chain, msample_stationary
+    from gibbsmix.simplex import sample_stationary, simplex_chain
+
+    kind, n = which.split(":")
+    n = int(n)
+    if kind == "matrix":
+        chain, single = matrix_chain(n), lambda rng: msample_stationary(n, rng).c
+    else:
+        chain = simplex_chain(*build_cyclic(n, [1, n - 1]))
+        single = lambda rng: sample_stationary(n, rng).x  # noqa: E731
+    B, steps = 3, 25
+    rows, moves = seeding.predraw(chain, B, steps, 9, "a test", before=2, after=3)
+    assert rows.shape == (5, B, n)
+    for r in range(B):
+        rng = seeding.replica_rng(9, r)
+        want = [single(rng) for _ in range(2)]
+        drawn = draw_moves(rng, steps, n, chain.group, chain.gens)
+        want += [single(rng) for _ in range(3)]
+        assert rows[:, r].tobytes() == np.stack(want).tobytes()
+        for got, ref in zip(moves, drawn):
+            assert np.array_equal(got[r], ref)
+    rng, ref = _twins(4)
+    assert chain.stationary(rng, 0).shape == (0, n)
+    assert chain.stationary(rng, 4).tobytes() == np.stack([single(ref) for _ in range(4)]).tobytes()
+    assert rng.random() == ref.random()

@@ -7,7 +7,7 @@ from scipy import stats
 from gibbsmix.errors import InvariantViolation
 from gibbsmix.groups import build_cyclic
 from gibbsmix.kernels import edge_walk_kernel
-from gibbsmix.pairops import split_pair, stacked_draws
+from gibbsmix.pairops import flat_view, pair_moves, stacked_moves
 from gibbsmix.seeding import draw_pairs
 from gibbsmix.simplex import (
     SimplexState,
@@ -20,6 +20,7 @@ from gibbsmix.simplex import (
     sample_stationary,
     step_batch,
 )
+from pair_oracle import split_pair
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -28,7 +29,7 @@ def test_step_moves_pair_mass(z4):
     # one move is a (1, n) batch: g = 0, r = 1 moves the pair (0, 0*1)
     group, _ = z4
     x = np.array([0.2, 0.3, 0.4, 0.1])
-    step_batch(x[None], [0], [group.mul[0, 1]], [0.5])
+    step_batch(*pair_moves(x[None], [0], [group.mul[0, 1]], [0.5]))
     assert x[0] == pytest.approx(0.25, abs=0)
     assert x[1] == pytest.approx(0.25, abs=0)
     assert x[2] == 0.4 and x[3] == 0.1
@@ -59,7 +60,7 @@ def test_step_conserves_pair_total_exactly(lam, a, b):
     x = np.array([a, b, 0.0, 0.0])
     x = x / x.sum() * rest
     out = x[None].copy()
-    step_batch(out, [0], [group.mul[0, 1]], [lam])
+    step_batch(*pair_moves(out, [0], [group.mul[0, 1]], [lam]))
     assert out[0, 0] + out[0, 1] == x[0] + x[1]
     assert out.min() >= 0.0
 
@@ -77,7 +78,7 @@ def test_batch_step_matches_scalar(z6, rng):
     for k in range(64):
         total = x[k, a[k]] + x[k, b[k]]
         expected[k, a[k]], expected[k, b[k]] = split_pair(total, total, 0.0, lam[k])
-    step_batch(x, a, b, lam)
+    step_batch(*pair_moves(x, a, b, lam))
     assert np.array_equal(x, expected)
 
 
@@ -98,14 +99,15 @@ def test_stacked_batch_matches_two_calls(z6, rng, with_rows):
     draws = (a[rows], b[rows], lam[rows])
     rows_arg = (rows,) if with_rows else ()
     xy = np.concatenate((x, y))
-    step_batch(xy, *stacked_draws(*draws), *(np.concatenate((r, r + B)) for r in rows_arg))
+    _, *moves = pair_moves(x, *draws, *rows_arg)
+    step_batch(flat_view(xy), *stacked_moves(B * n, *moves))
     before = x.copy()
-    step_batch(x, *draws, *rows_arg)
-    step_batch(y, *draws, *rows_arg)
+    step_batch(*pair_moves(x, *draws, *rows_arg))
+    step_batch(*pair_moves(y, *draws, *rows_arg))
     assert np.array_equal(xy, np.concatenate((x, y)))
     # a rows call equals a plain call on those rows; the other rows stay
     sub = before[rows]
-    step_batch(sub, *draws)
+    step_batch(*pair_moves(sub, *draws))
     assert np.array_equal(x[rows], sub)
     still = np.setdiff1d(np.arange(B), rows)
     assert np.array_equal(x[still], before[still])
@@ -118,10 +120,11 @@ def test_stacked_batch_matches_two_calls(z6, rng, with_rows):
 def test_step_batch_rejects_non_contiguous_batch():
     x = np.full((8, 6), 1.0 / 6)[:, ::2]
     with pytest.raises(InvariantViolation):
-        step_batch(x, np.zeros(8, dtype=np.int64), np.ones(8, dtype=np.int64), np.full(8, 0.5))
+        step_batch(*pair_moves(x, np.zeros(8, dtype=np.int64), np.ones(8, dtype=np.int64),
+                               np.full(8, 0.5)))
     with pytest.raises(InvariantViolation):
-        step_batch(np.asfortranarray(np.ones((4, 3))), np.array([0]), np.array([1]),
-                   np.array([0.5]), np.array([2]))
+        step_batch(*pair_moves(np.asfortranarray(np.ones((4, 3))), np.array([0]),
+                               np.array([1]), np.array([0.5]), np.array([2])))
 
 
 def test_s_vector_hand_example():
