@@ -12,10 +12,11 @@ Three layers:
 * the two-phase non-Markovian coupling: phase 1 runs proportional steps;
   the phase-2 update coordinates are drawn up front, their suffix graph
   defines a backward partition process whose merge times are "marked", and
-  the replay applies subset couplings exactly at marked times, one batched
-  step (``subset_couple_batch``) per marked time over the replicas marked
-  there. If every subset coupling succeeds and the schedule connects, the
-  chains meet.
+  the replay applies subset couplings exactly at marked times. Phase 2 runs
+  in dependency levels with each replica's marked steps as barriers
+  (``pairops.barrier_levels``), one batched step (``subset_couple_batch``)
+  per level over the replicas marked at it. If every subset coupling
+  succeeds and the schedule connects, the chains meet.
 
 The partition process over a schedule on times [T1, T): P_t is the set of
 connected components of the edges {(i(s), j(s)) : s >= t}; it refines as t
@@ -38,7 +39,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvariantViolation
-from .pairops import Chain, advance, flat_view, orient, pair_levels, put_pair, stacked_moves
+from .pairops import (
+    Chain, advance, barrier_levels, flat_view, orient, pair_levels, put_pair, stacked_moves,
+)
 from .seeding import (
     LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_moves, empty_pairs,
     move_bytes, predraw, replica_rng,
@@ -174,7 +177,9 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     draw and no write. Block sums are taken over runs of rows with equal
     |S1|, as C-contiguous (rows, |S1|) gathers summed along axis 1, which
     gives each row the bits of a 1-D ``.sum()`` of its block; sort the rows
-    by |S1| to make each run one block size.
+    by |S1| to make each run one block size. Rows are independent, so one
+    call may hold steps of different times: the coupled runner passes the
+    marks of one dependency level, one per replica.
 
     Returns (degenerate, ok, lam_x, lam_y), one entry per row; lam_x and
     lam_y are NaN on degenerate rows. On each row that succeeded the block
@@ -281,24 +286,30 @@ def run_nonmarkovian_coupling(
     at t - T1. The memory these stores would take is checked against the
     memory available before the first draw (``seeding.check_draw_memory``).
 
-    Nothing is observed during phase 1 or before the earliest marked time
-    over the replicas, so those moves are applied in dependency levels
-    (``pairops.advance``), one kernel call on the stacked [X; Y] batch per
-    level; each move reads the values it would read in a per-step loop, so
-    the result is that loop's, bit for bit. From the earliest marked time
-    on, every time takes one path: one ``subset_couple_batch`` call over the
-    live replicas marked at that time, read from a mark table built once
-    from every replica's merges, then one kernel call on the stacked batch
-    for the other live replicas. A replay that steps every phase-2 time of
-    one replica is the reference these outcomes match in the tests.
+    Nothing is observed during phase 1, so its moves are applied in
+    dependency levels (``pairops.advance``), one kernel call on the stacked
+    [X; Y] batch per level; each move reads the values it would read in a
+    per-step loop, so the result is that loop's, bit for bit. Phase 2 is
+    levelled the same way, in the same tiles, with each replica's marked
+    steps as barriers (``pairops.barrier_levels``): a marked step comes
+    after all of its replica's earlier steps and before all of its later
+    ones, alone at its level in its replica. Each level makes at most one
+    kernel call on the stacked batch for its proportional moves and one
+    ``subset_couple_batch`` call for its marked steps, sorted by |S1|, read
+    from a mark table built once from every replica's merges. A replica
+    whose subset step meets a degenerate pair mass stops there: all of its
+    later steps sit at later levels, and from then on its rows are dropped.
+    A replay that steps every phase-2 time of one replica is the reference
+    these outcomes match in the tests.
 
-    Per-replica draw order (unchanged by the batching and the streaming,
-    since each replica draws only from its own generator, and consecutive
-    lambda tiles give the bits of one call): stationary start; phase-1
-    element/pair array, generator/partner array, lambda array; phase-2
-    coordinate arrays; phase-2 lambda array; any subset-coupling remainder
-    draws on demand, in time order. At a marked time the phase-2 lambda of
-    that step is consumed as the first-drawn lambda of the subset coupling.
+    Per-replica draw order (unchanged by the batching, the levelling and
+    the streaming, since each replica draws only from its own generator,
+    its marked steps run at rising levels, and consecutive lambda tiles give
+    the bits of one call): stationary start; phase-1 element/pair array,
+    generator/partner array, lambda array; phase-2 coordinate arrays;
+    phase-2 lambda array; any subset-coupling remainder draws on demand, in
+    time order. At a marked time the phase-2 lambda of that step is
+    consumed as the first-drawn lambda of the subset coupling.
 
     failure_kind priority when several apply: LargenessViolated (the replay
     of the replica stopped at a marked step with a degenerate pair mass),
@@ -317,7 +328,6 @@ def run_nonmarkovian_coupling(
     XY = np.empty((2 * B, n))
     X, Y = XY[:B], XY[B:]
     X[:] = chain.start
-    T = T1 + T2
     rngs = [replica_rng(seed, b) for b in range(B)]
     left, right = empty_pairs(B, T1, n)
     for b, rng in enumerate(rngs):
@@ -330,8 +340,8 @@ def run_nonmarkovian_coupling(
         pass
     if lambdas.drawn != T1:
         raise InvariantViolation("draw-order", f"phase 1 drew {lambdas.drawn} of {T1} lambdas")
-    # the phase-1 pairs go before phase 2 on [T1, T) is drawn, into a store
-    # indexed at t - T1
+    # the phase-1 pairs go before phase 2 on [T1, T1 + T2) is drawn, into a
+    # store indexed at t - T1
     del left, right
     left, right, lam = empty_moves(B, T2, n)
     for b, rng in enumerate(rngs):
@@ -348,50 +358,60 @@ def run_nonmarkovian_coupling(
             column += values
         for block in s1:
             members += block
-    # the mark table, one entry per merge: the S1 of entry k is
-    # members[mark_start[k]:mark_start[k] + mark_size[k]]. It is sorted by
-    # (t, |S1|), so each marked time is one span of the table and its blocks
-    # run in size order
-    mark_t, mark_b, mark_i, mark_j, mark_size = np.array(columns, dtype=np.int64)
+    # the mark table, one entry per merge, at step s = t - T1 of its
+    # replica: the S1 of entry k is members[mark_start[k]:mark_start[k] +
+    # mark_size[k]]. It is sorted by s, so each level tile's marks are one
+    # span of it, and the marked steps are the barriers of the levelling
+    mark_s, mark_b, mark_i, mark_j, mark_size = np.array(columns, dtype=np.int64)
     del columns
+    mark_s -= T1
     members = np.array(members, dtype=np.int64)
     mark_start = np.cumsum(mark_size) - mark_size
-    order = np.lexsort((mark_size, mark_t))
-    mark_t, mark_b, mark_i, mark_j, mark_size, mark_start = (
-        v[order] for v in (mark_t, mark_b, mark_i, mark_j, mark_size, mark_start)
+    order = np.argsort(mark_s, kind="stable")
+    mark_s, mark_b, mark_i, mark_j, mark_size, mark_start = (
+        v[order] for v in (mark_s, mark_b, mark_i, mark_j, mark_size, mark_start)
     )
-    times, firsts = np.unique(mark_t, return_index=True)
-    spans = dict(zip(times.tolist(), zip(firsts.tolist(), [*firsts[1:].tolist(), len(mark_t)])))
-    # nothing is observed before the earliest marked time
-    head = int(times[0])
-    for _ in advance(batch, XY, left, right, lam, [head - T1]):
-        pass
+    barriers = np.zeros((B, T2), dtype=bool)
+    barriers[mark_b, mark_s] = True
 
     flat = flat_view(XY)
     subset_fail, largeness_fail = np.full((2, B), -1, dtype=np.int64)
-    active = np.ones(B, dtype=bool)
-    for t in range(head, T):
-        s = t - T1
-        rest = active
-        if t in spans:
-            lo, hi = spans[t]
-            marked = mark_b[lo:hi]
-            rest = active.copy()
-            rest[marked] = False
-            sel = lo + np.flatnonzero(active[marked])
-            rows = mark_b[sel]
+    # a replica stops at its first degenerate pair mass, where its
+    # largeness_fail is set; all of its later steps are at later levels, so
+    # from then on its rows are dropped
+    stopped = False
+    hi = 0
+    for s0, lev, levels in barrier_levels(left, right, lam, n, barriers):
+        lo, hi = hi, int(np.searchsorted(mark_s, s0 + len(lev)))
+        # the tile's marks sorted by (level, |S1|), so each level's marks are
+        # one span and their blocks run in size order
+        level = lev[mark_s[lo:hi] - s0, mark_b[lo:hi]]
+        order = lo + np.lexsort((mark_size[lo:hi], level))
+        ends = np.cumsum(np.bincount(level, minlength=len(levels) + 1)).tolist()
+        for (p, q, pl), m0, m1 in zip(levels, ends, ends[1:]):
+            if stopped:
+                live = largeness_fail[p // n] < 0
+                p, q, pl = p[live], q[live], pl[live]
+            if len(p):
+                batch(flat, *stacked_moves(B * n, p, q, pl))
+            sel = order[m0:m1]
+            if stopped:
+                sel = sel[largeness_fail[mark_b[sel]] < 0]
+            if not len(sel):
+                continue
+            rows, s = mark_b[sel], mark_s[sel]
             degenerate, ok, _, _ = subset_couple_batch(
                 chain.coeffs, X, Y, rows, mark_i[sel], mark_j[sel],
                 (members, mark_start[sel], mark_size[sel]), lam[rows, s], rngs,
             )
-            largeness_fail[rows[degenerate]] = t
-            active[rows[degenerate]] = False
-            failed = rows[~ok & ~degenerate]
-            subset_fail[failed[subset_fail[failed] < 0]] = t
-        if rest.any():
-            rows = np.flatnonzero(rest)
-            batch(flat, *stacked_moves(B * n, *orient(rows * n, left[rows, s], right[rows, s],
-                                                      lam[rows, s])))
+            if degenerate.any():
+                largeness_fail[rows[degenerate]] = T1 + s[degenerate]
+                stopped = True
+            failed = ~ok & ~degenerate & (subset_fail[rows] < 0)
+            subset_fail[rows[failed]] = T1 + s[failed]
+        # the tile's arrays go before the next tile's are built (a tile has
+        # at least one level)
+        del levels, p, q, pl
 
     gaps = np.abs(X - Y).max(axis=1)
     outcomes = []

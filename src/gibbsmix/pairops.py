@@ -30,11 +30,14 @@ Python floats. ``pair_moves`` orients arbitrary moves on a (B, n) batch, and
 either chain reads. ``pair_levels`` groups the moves of a (B, T) block of
 draws into dependency levels, and ``advance`` applies the draws up to each
 of a caller's marks in turn, one kernel call per level instead of one per
-step, and hands back control at every mark. Both orient a level tile's moves
-once, when the tile is levelled, and read the lambdas one tile at a time,
-from a stored (B, T) array or from a tile source that draws each tile when
-it is reached (``seeding.LambdaStream``), so a long stretch need not hold
-them.
+step, and hands back control at every mark. ``barrier_levels`` levels
+draws in which some steps are barriers that the caller applies itself (the
+coupled runner's subset-coupled steps): a barrier is its row's only step at
+its level, after all of the row's earlier steps and before all of its later
+ones. All three orient a level tile's moves once, when the tile is
+levelled, and read the lambdas one tile at a time, from a stored (B, T)
+array or from a tile source that draws each tile when it is reached
+(``seeding.LambdaStream``), so a long stretch need not hold them.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ import numpy as np
 from .errors import InvariantViolation
 
 __all__ = [
-    "Chain", "advance", "flat_view", "orient", "pair_levels", "pair_moves", "put_pair",
-    "split_pair_float", "stacked_moves",
+    "Chain", "advance", "barrier_levels", "flat_view", "orient", "pair_levels", "pair_moves",
+    "put_pair", "split_pair_float", "stacked_moves",
 ]
 
 # steps per level tile: each tile is levelled on its own, so its levels fit
@@ -57,6 +60,13 @@ _LEVEL_TILE = 512
 # lane entries (coordinates plus steps of each tile-replica lane) one scan
 # may hold; a single tile is always allowed
 _LEVEL_BUDGET = 1 << 21
+# bytes of the scan's table of each lane's last level per coordinate, which
+# it gathers from and scatters into at every step; past about 1 MB each
+# lane-step costs more (lowerbound-simplex at cyclic:64 +-1 with 2,000
+# replicas, 8 four-step tiles per scan in place of 15: 5.50 s against
+# 5.80 s in-process on a 2-core VM, faster in 5 of 5 alternating runs). A
+# single tile is always allowed
+_LANE_TABLE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,39 +153,68 @@ def stacked_moves(half: int, p, q, lam) -> tuple:
     return np.concatenate((p, p + half)), np.concatenate((q, q + half)), np.concatenate((lam, lam))
 
 
-def _move_levels(a, b, n: int, tiles) -> np.ndarray:
+def _move_levels(a, b, n: int, tiles, barriers=None) -> np.ndarray:
     """Level of each move of the (B, T) draws in the K step ranges
     [s0, s1) of ``tiles``, restarting at each: (width, K, B) levels for the
     widest tile's width, [s, k, r] that of step s0 + s of row r in tile k.
     Each (tile, row) pair is one lane, and all lanes run side by side in one
     pass of ``width`` steps; the padding after a tile's last step moves
     (0, 0).
+
+    ``barriers`` is None or a (B, T) bool array of barrier steps. A
+    barrier's level is 1 + the highest level given so far in its lane (the
+    lane's top), and every later step of the lane gets a higher level (the
+    lane's floor), so a barrier is its lane's only step at its level.
     """
     B, K = a.shape[0], len(tiles)
     width = max(s1 - s0 for s0, s1 in tiles)
     lanes = K * B
     at, bt = np.zeros((2, width, lanes), dtype=np.min_scalar_type(n - 1))
+    flag = None if barriers is None else np.zeros((width, lanes), dtype=bool)
     for k, (s0, s1) in enumerate(tiles):
         at[:s1 - s0, k * B:(k + 1) * B] = a[:, s0:s1].T
         bt[:s1 - s0, k * B:(k + 1) * B] = b[:, s0:s1].T
+        if flag is not None:
+            flag[:s1 - s0, k * B:(k + 1) * B] = barriers[:, s0:s1].T
     # a level is at most the tile's width
     last = np.zeros(lanes * n, dtype=np.min_scalar_type(width))
     base = np.arange(0, lanes * n, n)
     out = np.empty((width, lanes), dtype=last.dtype)
+    if flag is not None:
+        floor, top = np.zeros((2, lanes), dtype=last.dtype)
+        # the barrier lanes of step s are held[cuts[s]:cuts[s + 1]]: a few
+        # lanes each, cheaper to index than to mask
+        steps, held = np.nonzero(flag)
+        cuts = np.searchsorted(steps, np.arange(width + 1)).tolist()
+        del flag, steps
     for s in range(width):
         ia = base + at[s]
         ib = base + bt[s]
         lev = np.maximum(last[ia], last[ib], out=out[s])
-        lev += 1
+        if barriers is not None:
+            np.maximum(lev, floor, out=lev)
+            lev += 1
+            if cuts[s] < cuts[s + 1]:
+                lanes_s = held[cuts[s]:cuts[s + 1]]
+                level = top[lanes_s]
+                level += 1
+                lev[lanes_s] = level
+                floor[lanes_s] = level
+            np.maximum(top, lev, out=top)
+        else:
+            lev += 1
         last[ia] = lev
         last[ib] = lev
     return out.reshape(width, K, B)
 
 
-def _tile_levels(a, b, lam, n: int, marks):
-    """Yield (s1, levels) for each tile [s0, s1) of the (B, T) draws, in time
-    order, ``levels`` listing the tile's oriented moves (p, q, lam') on a
-    (B, n) batch (``orient``) one per level. The tiles cut each window
+def _tile_levels(a, b, lam, n: int, marks, barriers=None):
+    """Yield (s0, lev, levels) for each tile [s0, s0 + w) of the (B, T)
+    draws, in time order: ``lev`` the (w, B) levels of its steps
+    (``_move_levels``, with ``barriers``) and ``levels`` its oriented moves
+    (p, q, lam') on a (B, n) batch (``orient``), one entry per level from 1
+    to the tile's highest. A barrier step is in no entry, so a level that
+    holds only barriers has empty arrays. The tiles cut each window
     [previous mark, mark) of the ascending ``marks`` into at most
     _LEVEL_TILE steps; ``lam`` is read as in ``pair_levels``.
     """
@@ -186,32 +225,42 @@ def _tile_levels(a, b, lam, n: int, marks):
         for s0 in range(m0, m, _LEVEL_TILE):
             s1 = min(m, s0 + _LEVEL_TILE)
             width = max(width, s1 - s0)
-            if not scans or (len(scans[-1]) + 1) * B * (n + width) > _LEVEL_BUDGET:
+            lanes = (len(scans[-1]) + 1) * B if scans else 0
+            if (not scans or lanes * (n + width) > _LEVEL_BUDGET
+                    or lanes * n * np.min_scalar_type(width).itemsize > _LANE_TABLE_BYTES):
                 scans.append([])
                 width = s1 - s0
             scans[-1].append((s0, s1))
     for scan in scans:
-        levels = _move_levels(a, b, n, scan)
+        levels = _move_levels(a, b, n, scan, barriers)
         for k, (s0, s1) in enumerate(scan):
+            lev = levels[:s1 - s0, k]
             # the tile's arrays are held only by the yielded list, so they go
             # before the next tile's are built
-            yield s1, _oriented_levels(levels[:s1 - s0, k], a[:, s0:s1], b[:, s0:s1],
-                                       tile_lam(s0, s1), n)
+            yield s0, lev, _oriented_levels(
+                lev, a[:, s0:s1], b[:, s0:s1], tile_lam(s0, s1), n,
+                None if barriers is None else barriers[:, s0:s1])
 
 
-def _oriented_levels(lev, a, b, lam, n: int) -> list:
+def _oriented_levels(lev, a, b, lam, n: int, barrier=None) -> list:
     """The oriented moves (p, q, lam') of a tile's (B, w) draws one per
-    level, given the (w, B) levels of its steps."""
+    level, given the (w, B) levels of its steps; the steps flagged in the
+    (B, w) ``barrier`` are left out."""
     w = a.shape[1]
-    # entry r * w + s is step s of row r; 8- and 16-bit keys sort by radix
-    lev = lev.T.ravel()
+    top = 0 if barrier is None else int(lev.max())
+    # entry r * w + s is step s of row r, in a copy the caller's levels do
+    # not see; 8- and 16-bit keys sort by radix
+    lev = lev.T.flatten()
+    if barrier is not None:
+        # key 0 sorts first and is no level, so the barriers are dropped
+        lev[barrier.ravel()] = 0
     order = np.argsort(lev, kind="stable")
     a, b, lam = (np.take(v, order) for v in (a, b, lam))
     # the rows' flat offsets, in place of the order
     order //= w
     order *= n
     p, q, lam = orient(order, a, b, lam)
-    ends = np.cumsum(np.bincount(lev))
+    ends = np.cumsum(np.bincount(lev, minlength=top + 1))
     return [(p[lo:hi], q[lo:hi], lam[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
@@ -232,11 +281,34 @@ def pair_levels(a, b, lam, n: int):
     coordinates, so one level never touches a (row, coordinate) twice and
     each (row, coordinate) sees its moves in time order: applying the levels
     one kernel call each reads and writes exactly what a per-step loop does.
-    Tiles are levelled in scans under _LEVEL_BUDGET lane entries, and each
-    tile's moves are oriented once, before its first level.
+    Tiles are levelled in scans under _LEVEL_BUDGET lane entries and
+    _LANE_TABLE_BYTES of lane table, and each tile's moves are oriented
+    once, before its first level.
     """
-    for _, levels in _tile_levels(a, b, lam, n, [a.shape[1]]):
+    for _, _, levels in _tile_levels(a, b, lam, n, [a.shape[1]]):
         yield from levels
+
+
+def barrier_levels(a, b, lam, n: int, barriers):
+    """A generator of (s0, lev, levels) for each level tile of the (B, T)
+    draws, in time order, where the steps flagged in the (B, T) bool array
+    ``barriers`` are applied by the caller, which may read any coordinate
+    of the row. ``lev`` holds the (w, B) levels of the tile's steps
+    [s0, s0 + w), and entry k of ``levels`` the oriented moves (p, q, lam')
+    of level k + 1 other than barriers, as ``pair_levels`` yields them;
+    a level that holds only barriers has empty arrays.
+
+    The levels are those of ``pair_levels``, except that a barrier's level
+    is 1 + the highest level given so far in its row's lane and every later
+    step of the row gets a higher one: a barrier is its row's only step at
+    its level, after all of the row's earlier steps and before all of its
+    later ones. Applying each level's moves and its barriers, in either
+    order, reads and writes what a per-step loop does, and a row that stops
+    at a barrier has all its later steps at higher levels.
+    """
+    # the generator itself, so that no frame in between holds a tile's
+    # levels while the next tile is built
+    return _tile_levels(a, b, lam, n, [a.shape[1]], barriers)
 
 
 def advance(kernel, batch: np.ndarray, a, b, lam, marks):
@@ -262,7 +334,8 @@ def advance(kernel, batch: np.ndarray, a, b, lam, marks):
     done = 0
     for mark in marks:
         while done < mark:
-            done, levels = next(tiles)
+            s0, lev, levels = next(tiles)
+            done = s0 + len(lev)
             for move in levels:
                 kernel(flat, *(stacked_moves(half, *move) if half else move))
             # the tile's arrays go before the next tile's are built (a tile

@@ -715,40 +715,78 @@ def test_nonmarkovian_deterministic():
     assert records[0] == records[1]
 
 
-@pytest.mark.parametrize("build", [
-    lambda: matrix_chain(8), lambda: simplex_chain(*build_cyclic(6, range(1, 6))),
-], ids=["matrix:8", "cyclic:6-complete"])
-def test_runner_makes_one_subset_call_per_marked_time(monkeypatch, build):
+_LEVELLED_RUNS = {
+    # chain, and the runner's arguments; T1 and T2 default to the chain's
+    # horizons, as in the desk couple-matrix config and perfbench's
+    # couple-matrix-n128
+    "matrix:8": (lambda: matrix_chain(8), dict(T1=20, T2=60, replicas=12, seed=5)),
+    "cyclic:6-complete": (lambda: simplex_chain(*build_cyclic(6, range(1, 6))),
+                          dict(T1=20, T2=60, replicas=12, seed=5)),
+    "matrix:8-desk": (lambda: matrix_chain(8), dict(replicas=300, seed=1)),
+    "matrix:128-bench": (lambda: matrix_chain(128), dict(replicas=125, seed=1)),
+}
+
+
+@pytest.mark.parametrize("case", list(_LEVELLED_RUNS))
+def test_runner_makes_one_subset_call_per_level_with_marks(monkeypatch, case):
     # the runner reads the scan and the step through the module globals, so
-    # these wrappers see every call; each subset call takes every replica
-    # marked at its time once. perfbench's partition metrics wrap the scan
-    # the same way, so the runner must scan each replica once and each scan
-    # must return its merges: n less the component count at T1
+    # these wrappers see every call. perfbench's partition metrics wrap the
+    # scan the same way, so the runner must scan each replica once and each
+    # scan must return its merges: n less the component count at T1. Phase 2
+    # is levelled with each merge a barrier of its replica, and each level
+    # that holds merges makes one subset call over them, sorted by |S1|
+    build, kwargs = _LEVELLED_RUNS[case]
     chain = build()
+    kwargs = dict(zip(("T1", "T2"), chain.horizons()), **kwargs)
+    T1, B = kwargs["T1"], kwargs["replicas"]
     build_process, subset = coupling.build_partition_process, coupling.subset_couple_batch
-    merges, calls, scans = [], [], []
+    scans, calls = [], []
 
     def built(*args):
         proc = build_process(*args)
-        merges.extend(proc.merges)
-        scans.append((args, len(proc.merges)))
+        scans.append((args, proc.merges))
         return proc
 
-    def counted(coeffs, X, Y, rows, *args):
-        calls.append(np.asarray(rows).tolist())
-        return subset(coeffs, X, Y, rows, *args)
+    def counted(coeffs, X, Y, rows, i, j, s1, *args):
+        members, start, size = s1
+        calls.append([(b, ii, jj, tuple(members[k:k + m]))
+                      for b, ii, jj, k, m in zip(*(np.asarray(v).tolist()
+                                                   for v in (rows, i, j, start, size)))])
+        return subset(coeffs, X, Y, rows, i, j, s1, *args)
 
     monkeypatch.setattr(coupling, "build_partition_process", built)
     monkeypatch.setattr(coupling, "subset_couple_batch", counted)
-    outcomes = run_nonmarkovian_coupling(chain, T1=20, T2=60, replicas=12, seed=5)
+    outcomes = run_nonmarkovian_coupling(chain, **kwargs)
     assert not any(o.failure_kind == "LargenessViolated" for o in outcomes)
-    assert len(scans) == 12
-    for (left, right, n, t0), count in scans:
-        assert (n, t0) == (chain.n, 20)
-        assert count == n - len(_suffix_components(np.stack([left, right], axis=1), 20, n, 20))
-    assert len(calls) == len({rec.t for rec in merges})
-    assert sum(len(rows) for rows in calls) == len(merges)
-    assert all(len(set(rows)) == len(rows) for rows in calls)
+    assert len(scans) == B
+    # each merge by (replica, i, j, S1): a block is S1 of at most one merge
+    mark_time = {}
+    for b, ((left, right, n, t0), merges) in enumerate(scans):
+        assert (n, t0) == (chain.n, T1)
+        if chain.n <= 8:
+            blocks = _suffix_components(np.stack([left, right], axis=1), T1, n, T1)
+            assert len(merges) == n - len(blocks)
+        for rec in merges:
+            mark_time[(b, rec.i, rec.j, tuple(rec.s1))] = rec.t
+    called = [key for rows in calls for key in rows]
+    # every merge of every replica is in exactly one call
+    assert sorted(called) == sorted(mark_time)
+    last = {}
+    for rows in calls:
+        # one row per replica, rows sorted by |S1|
+        assert len({b for b, *_ in rows}) == len(rows)
+        sizes = [len(s1) for *_, s1 in rows]
+        assert sizes == sorted(sizes)
+        # each replica's merges come in time order
+        for key in rows:
+            t = mark_time[key]
+            assert last.get(key[0], -1) < t
+            last[key[0]] = t
+    if case == "matrix:128-bench":
+        # one call per level: 204 here, where one call per marked time made
+        # 390. Not so at the desk config (n = 8, T2 = 75), where the
+        # replicas' marks fall on 29 distinct levels but 26 distinct times
+        assert len(calls) < len(set(mark_time.values()))
 
 
 @pytest.mark.parametrize("module, name", [
@@ -852,21 +890,59 @@ _TRACE_CHAINS = {
 @pytest.mark.parametrize("chain", sorted(_TRACE_CHAINS))
 def test_runner_matches_the_stepped_replay(chain, T1, replicas):
     # the replay steps every time, so it is the reference for the levelled
-    # phase 1, the levelled stretch before the earliest marked time and the
-    # batched subset steps after it
+    # phase 1 and for phase 2, levelled with the marked steps as barriers
+    # and batched per level
     built = _TRACE_CHAINS[chain]()
     T2 = math.ceil(4 * built.n * max(math.log(built.n), 1.0))
     runner, replay = _runner_and_replay(built, T1, T2, replicas, seed=3)
     assert runner == replay
 
 
-def test_runner_matches_the_replay_through_a_largeness_abort():
+@pytest.mark.parametrize("tile", [6, 512])
+def test_runner_matches_the_replay_through_a_largeness_abort(monkeypatch, tile):
     # from the default start half the matrix entries are 2, so a marked
-    # step soon after T1 = 0 can meet a pair of total 4 and abort
-    runner, replay = _runner_and_replay(matrix_chain(8), 0, 20, 7, seed=0)
-    assert runner == replay
+    # step soon after T1 = 0 can meet a pair of total 4 and abort. The abort
+    # falls inside a level tile: other replicas' merges share its subset
+    # call, and a free move of the aborted replica follows it in the same
+    # tile, at a later level. The runner's final X and Y (the batches its
+    # subset calls write) must be the replay's, row for row, so a runner
+    # that kept applying the aborted replica's rows, moving it past the
+    # replay's stop, fails here even where its outcome records agree
+    monkeypatch.setattr(pairops, "_LEVEL_TILE", tile)
+    levelled, subset = coupling.barrier_levels, coupling.subset_couple_batch
+    tiles, calls = [], []
+
+    def seen_levels(a, b, lam, n, barriers):
+        for s0, lev, levels in levelled(a, b, lam, n, barriers):
+            tiles.append((s0, lev.copy(), barriers[:, s0:s0 + len(lev)].T.copy()))
+            yield s0, lev, levels
+
+    def seen_subset(coeffs, X, Y, rows, *args):
+        result = subset(coeffs, X, Y, rows, *args)
+        calls.append((X, Y, np.asarray(rows).tolist(), result[0].tolist()))
+        return result
+
+    monkeypatch.setattr(coupling, "barrier_levels", seen_levels)
+    monkeypatch.setattr(coupling, "subset_couple_batch", seen_subset)
+    chain = matrix_chain(8)
+    runner = [asdict(o) for o in run_nonmarkovian_coupling(chain, T1=0, T2=20, replicas=7, seed=0)]
+    replayed, replays = _stepped_replay(chain, 0, 20, 7, 0)
+    assert runner == [asdict(o) for o in replayed]
+    X, Y = calls[0][:2]
+    for r, replay in enumerate(replays):
+        assert np.array_equal(X[r], replay.states[-1][0])
+        assert np.array_equal(Y[r], replay.states[-1][1])
     kinds = {o["failure_kind"] for o in runner}
     assert "LargenessViolated" in kinds and None in kinds
+
+    (b, t), = [(o["replica"], o["first_failure_time"]) for o in runner
+               if o["failure_kind"] == "LargenessViolated"]
+    rows, degenerate = next(c[2:] for c in calls if any(c[3]))
+    assert [r for r, d in zip(rows, degenerate) if d] == [b] and len(rows) > 1
+    s0, lev, barrier = next(tile for tile in tiles if tile[0] <= t < tile[0] + len(tile[1]))
+    later = np.arange(t - s0 + 1, len(lev))
+    free = later[~barrier[later, b]]
+    assert free.size and np.all(lev[free, b] > lev[t - s0, b])
 
 
 def test_runner_does_not_hold_the_phase1_lambdas(monkeypatch):
@@ -888,6 +964,38 @@ def test_runner_does_not_hold_the_phase1_lambdas(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < B * T1 * 8
+
+
+def test_runner_peak_on_the_benchmark_run(monkeypatch):
+    # on perfbench's couple-matrix-n128 run the traced peak was 11,201,122
+    # bytes when phase 2 levelled only up to its earliest marked time, set
+    # by phase 1's level scan. Levelling all of phase 2, with the merges as
+    # barriers, holds one scan of 6 tiles x 125 lanes and the barrier flags;
+    # that may add at most 0.25 MB. Phase 2 must peak below phase 1, which a
+    # runner that held one tile's moves while the next tile is built does
+    # not (there the process's peak RSS rose by 1.5 MB)
+    chain = matrix_chain(128)
+    T1, T2 = chain.horizons()
+    scan, phase1 = coupling.build_partition_process, []
+
+    def first_scan(*args):
+        if not phase1:
+            phase1.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+        return scan(*args)
+
+    monkeypatch.setattr(coupling, "build_partition_process", first_scan)
+    # a first run fills numpy's caches, which the traced run must not count
+    run_nonmarkovian_coupling(chain, T1=3, T2=30, replicas=2, seed=0)
+    phase1.clear()
+    tracemalloc.start()
+    try:
+        run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=125, seed=1)
+        phase2 = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(phase1[0], phase2) <= 11_201_122 + 250_000
+    assert phase2 < phase1[0]
 
 
 def test_runner_memory_estimate_is_its_two_stores(monkeypatch):

@@ -23,7 +23,9 @@ from gibbsmix import matrices, pairops
 from gibbsmix.coupling import run_nonmarkovian_coupling
 from gibbsmix.groups import build_cyclic
 from gibbsmix.matrices import matrix_chain, mstep_batch, pair_alpha_beta
-from gibbsmix.pairops import advance, flat_view, pair_levels, pair_moves, split_pair_float
+from gibbsmix.pairops import (
+    advance, barrier_levels, flat_view, pair_levels, pair_moves, split_pair_float,
+)
 from gibbsmix.seeding import LambdaStream, draw_moves, draw_pairs, empty_moves
 from gibbsmix.simplex import step_batch
 from pair_oracle import split_pair
@@ -220,6 +222,55 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed, data):
             assert all(map(np.array_equal, got, want))
 
 
+@pytest.mark.parametrize("tile", [1, 3, 7, 512])
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    B=st.integers(1, 6),
+    T=st.integers(1, 40),
+    density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    budget=st.sampled_from([1, 200, 1 << 21]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_barrier_levels_replay_the_per_step_loop(tile, n, B, T, density, budget, seed):
+    # a barrier is its row's only step at its level, above every earlier
+    # step of the row and below every later one; the other steps of each
+    # level are its moves, once each. Applying each level's moves, then its
+    # barriers one at a time, gives the per-step loop's bytes
+    rng = np.random.default_rng(seed)
+    a, b, lam = _draws(rng, B, T, n)
+    barriers = rng.random((B, T)) < density
+    # as in test_levels_replay_the_per_step_loop, each move's id r*T + t,
+    # plus one, rides in the lambda slot
+    ids = np.arange(1, B * T + 1, dtype=float).reshape(B, T)
+    x0 = rng.uniform(0.0, 2.0, (B, n))
+    want, got = x0.copy(), x0.copy()
+    _per_step(mstep_batch, want, a, b, lam)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairops, "_LEVEL_TILE", tile)
+        mp.setattr(pairops, "_LEVEL_BUDGET", budget)
+        done = 0
+        tiles = zip(barrier_levels(a, b, lam, n, barriers), barrier_levels(a, b, ids, n, barriers))
+        for (s0, lev, levels), (_, _, named) in tiles:
+            w = len(lev)
+            assert s0 == done and lev.shape == (w, B)
+            done += w
+            assert len(levels) == len(named) == lev.max()
+            held = barriers[:, s0:s0 + w].T
+            for level, ((p, q, pl), (_, _, moves)) in enumerate(zip(levels, named), 1):
+                at = lev == level
+                s, r = np.nonzero(at & ~held)
+                assert sorted((moves.astype(np.int64) - 1).tolist()) == sorted(r * T + s0 + s)
+                mstep_batch(flat_view(got), p, q, pl)
+                for s, r in zip(*np.nonzero(at & held)):
+                    assert at[:, r].sum() == 1
+                    assert np.all(lev[:s, r] < level) and np.all(lev[s + 1:, r] > level)
+                    t = s0 + s
+                    mstep_batch(*pair_moves(got, a[r, [t]], b[r, [t]], lam[r, [t]], [r]))
+        assert done == T
+    assert got.tobytes() == want.tobytes()
+
+
 def test_levels_of_strided_views():
     # the checkpointed callers pass column slices of (B, T) draws
     rng = np.random.default_rng(7)
@@ -271,12 +322,43 @@ def test_advance_is_the_per_step_loop_on_single_and_stacked_batches(kernel, data
                     assert lam.drawn == (marks[-1] if marks else 0)
 
 
+def test_scans_hold_at_most_a_megabyte_of_lane_table(monkeypatch):
+    # the scan gathers from and scatters into its table of each lane's last
+    # level per coordinate at every step, and past about 1 MB of it each
+    # lane-step costs more. lowerbound-simplex on cyclic:64 with 2000
+    # replicas observes every 4 steps: the lane-entry budget alone levels
+    # 15 windows per scan (1.9 MB of one-byte levels), the cap 8. The
+    # coupled runner's scans on couple-matrix-n128 stay whole: phase 1's
+    # 26 tiles (832 KB of two-byte levels) and phase 2's 6
+    original, scans = pairops._move_levels, []
+
+    def counted(a, b, n, tiles, barriers=None):
+        scans.append(len(tiles))
+        return original(a, b, n, tiles, barriers)
+
+    monkeypatch.setattr(pairops, "_move_levels", counted)
+    B, T, n = 2000, 64, 64
+    a = np.zeros((B, T), dtype=np.uint8)
+    for _ in advance(lambda *move: None, np.zeros((B, n)), a, a + 1, np.zeros((B, T)),
+                     range(4, T + 1, 4)):
+        pass
+    assert scans == [8, 8]
+    scans.clear()
+    chain = matrix_chain(128)
+    T1, T2 = chain.horizons()
+    run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=125, seed=1)
+    assert scans == [26, 6]
+
+
 def test_the_traced_kernel_sees_the_parents_calls_and_moves(monkeypatch):
     # perfbench wraps matrices.mstep_batch by name in every gibbsmix module
     # that holds it and counts len(args[3]) as the rows moved; the levelled
     # runner must still make each call through that name with the per-row
-    # lambdas as its fourth argument. The counts are those of the
-    # unoriented kernel on couple-matrix at n = 128, 125 replicas, seed 1
+    # lambdas as its fourth argument. The moves are those of the unoriented
+    # kernel on couple-matrix at n = 128, 125 replicas, seed 1; the calls
+    # are one per level of phase 1 and one per level of phase 2 with free
+    # moves (1,703 when phase 2 made one call per time after its earliest
+    # marked time)
     original, counts = matrices.mstep_batch, [0, 0]
 
     def wrapper(*args, **kwargs):
@@ -290,7 +372,7 @@ def test_the_traced_kernel_sees_the_parents_calls_and_moves(monkeypatch):
     chain = matrix_chain(128)
     T1, T2 = chain.horizons()
     run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=125, seed=1)
-    assert counts == [1703, 3_879_750]
+    assert counts == [1279, 3_879_750]
 
 
 def _orienting(node):
