@@ -14,7 +14,7 @@ Three layers:
   defines a backward partition process whose merge times are "marked", and
   the replay applies subset couplings exactly at marked times. Phase 2 runs
   in dependency levels with each replica's marked steps as barriers
-  (``pairops.barrier_levels``), one batched step (``subset_couple_batch``)
+  (``pairops.pair_levels``), one batched step (``subset_couple_batch``)
   per level over the replicas marked at it. If every subset coupling
   succeeds and the schedule connects, the chains meet.
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .pairops import (
-    Chain, advance, barrier_levels, flat_view, orient, pair_levels, put_pair, stacked_moves,
+    Chain, advance, flat_view, orient, pair_levels, put_pair, stacked_moves,
 )
 from .seeding import (
     LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_moves, empty_pairs,
@@ -291,7 +291,7 @@ def run_nonmarkovian_coupling(
     [X; Y] batch per level; each move reads the values it would read in a
     per-step loop, so the result is that loop's, bit for bit. Phase 2 is
     levelled the same way, in the same tiles, with each replica's marked
-    steps as barriers (``pairops.barrier_levels``): a marked step comes
+    steps as barriers (``pairops.pair_levels``): a marked step comes
     after all of its replica's earlier steps and before all of its later
     ones, alone at its level in its replica. Each level makes at most one
     kernel call on the stacked batch for its proportional moves and one
@@ -381,7 +381,7 @@ def run_nonmarkovian_coupling(
     # from then on its rows are dropped
     stopped = False
     hi = 0
-    for s0, lev, levels in barrier_levels(left, right, lam, n, barriers):
+    for s0, lev, levels in pair_levels(left, right, lam, n, barriers):
         lo, hi = hi, int(np.searchsorted(mark_s, s0 + len(lev)))
         # the tile's marks sorted by (level, |S1|), so each level's marks are
         # one span and their blocks run in size order
@@ -641,7 +641,11 @@ def largeness_experiment(
     (states,), (a, b, lam) = predraw(chain, replicas, window, seed, "largeness", before=1)
     minima = margin(states).min(axis=1)
     flat = flat_view(states)
-    for p, q, pl in pair_levels(a, b, lam, n):
-        chain.kernel(flat, p, q, pl)
-        np.minimum.at(minima, p // n, np.minimum(margin(flat[p]), margin(flat[q])))
+    for _, _, levels in pair_levels(a, b, lam, n):
+        for p, q, pl in levels:
+            chain.kernel(flat, p, q, pl)
+            np.minimum.at(minima, p // n, np.minimum(margin(flat[p]), margin(flat[q])))
+        # the tile's arrays go before the next tile's are built (a tile has
+        # at least one level)
+        del levels, p, q, pl
     return LargenessReport(minima=minima, threshold=threshold, target=target)

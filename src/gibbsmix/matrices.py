@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
-from .pairops import Chain, advance, put_pair, split_pair_float
-from .seeding import draw_moves, draw_pairs, predraw, replica_rng, skip_draws
+from .pairops import Chain, advance, flat_view, pair_levels, put_pair
+from .seeding import draw_pairs, predraw, replica_rng, skip_draws
+from .simplex import step_batch
 
 __all__ = [
     "MatrixState",
@@ -42,7 +43,6 @@ __all__ = [
     "monotone_couple_run",
     "coupon_collector_experiment",
     "pair_alpha_beta",
-    "pair_alpha_beta_float",
 ]
 
 # msample_stationary gives up after this many rejected draws
@@ -50,9 +50,6 @@ _REJECTION_BUDGET = 10**6
 # the rejection sampler's blocks of attempts take at most this many bytes
 # (one attempt at least)
 _REJECTION_BLOCK_BYTES = 1 << 20
-# monotone_couple_run draws its moves in chunks of this many (part of its
-# draw order)
-_MONOTONE_CHUNK = 100_000
 # monotone_couple_run tolerates a domination gap down to minus this
 _DOMINATION_TOL = 1e-12
 # mcontraction_experiment measures the one-step ratio at this many times
@@ -103,13 +100,6 @@ def pair_alpha_beta(ci, cj):
     alpha = np.minimum(s, 4.0 - s)
     beta = np.maximum(0.0, s - 2.0)
     return s, alpha, beta
-
-
-def pair_alpha_beta_float(ci: float, cj: float):
-    """``pair_alpha_beta`` for one pair on Python floats, with the same
-    operations in the same order."""
-    s = ci + cj
-    return s, min(s, 4.0 - s), max(0.0, s - 2.0)
 
 
 def mstep_batch(flat: np.ndarray, p: np.ndarray, q: np.ndarray, lam: np.ndarray) -> None:
@@ -314,69 +304,59 @@ def mcontraction_experiment(
 @dataclass
 class MonotoneReport:
     n: int
-    steps: int
-    min_domination_gap: float    # min over t, i of c[i] - s[i]
+    steps: int                   # per replica
+    replicas: int
+    min_domination_gap: float    # min over replicas, t, i of c[i] - s[i]
     min_entry_matrix: float
     max_entry_matrix: float
     min_entry_simplex: float
 
 
-def monotone_couple_run(n: int, T: int, seed: int) -> MonotoneReport:
+def monotone_couple_run(n: int, T: int, replicas: int, seed: int) -> MonotoneReport:
     """Shared-randomness coupling of the matrix chain with a simplex chain on
     the complete generating set; the matrix first column dominates the
     simplex entrywise.
 
-    The simplex chain starts at s = c / n, so domination holds at t = 0; each
-    shared (i, j, lam) move preserves it. Raises DominationViolated if the
-    gap ever drops below -1e-12. Also tracks entry extremes of both chains (the
-    distance-from-boundary diagnostic).
+    Each replica's simplex chain starts at s = c / n, so domination holds at
+    t = 0; each shared (i, j, lam) move preserves it. Raises
+    DominationViolated, naming a replica, if the gap ever drops below
+    -1e-12. Also tracks entry extremes of both chains (the
+    distance-from-boundary diagnostic). The moves run in dependency levels,
+    one ``mstep_batch`` and one ``step_batch`` call per level on the same
+    oriented moves, and each level folds only its moved entries into the
+    extremes. A row's level holds at most n / 2 moves, so a long run is
+    best split into replicas.
+
+    Per-replica draw order (``seeding.predraw``): stationary start, then the moves.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-    c = msample_stationary(n, rng).c.tolist()
-    s = [v / n for v in c]
-    min_gap = min(ci - si for ci, si in zip(c, s))
-    min_c = min(c)
-    max_c = max(c)
-    min_s = min(s)
-    done = 0
-    while done < T:
-        b = min(_MONOTONE_CHUNK, T - done)
-        i_arr, j_arr, lam_arr = draw_moves(rng, b, n)
-        for k, (i, j, lam) in enumerate(zip(i_arr.tolist(), j_arr.tolist(), lam_arr.tolist())):
-            ci, cj = split_pair_float(*pair_alpha_beta_float(c[i], c[j]), lam)
-            stot = s[i] + s[j]
-            si, sj = split_pair_float(stot, stot, 0.0, lam)
-            c[i] = ci
-            c[j] = cj
-            s[i] = si
-            s[j] = sj
-            gap = ci - si
-            gj = cj - sj
-            if gj < gap:
-                gap = gj
-            if gap < min_gap:
-                min_gap = gap
-                if min_gap < -_DOMINATION_TOL:
-                    raise DominationViolated(
-                        f"gap {min_gap:.3e} at step {done + k} (pair {i},{j})"
-                    )
-            lo = ci if ci < cj else cj
-            hi = ci if ci > cj else cj
-            if lo < min_c:
-                min_c = lo
-            if hi > max_c:
-                max_c = hi
-            slo = si if si < sj else sj
-            if slo < min_s:
-                min_s = slo
-        done += b
+    (c,), (a, b, lam) = predraw(matrix_chain(n), replicas, T, seed, "monotone", before=1)
+    s = c / n
+    gap = (c - s).min(axis=1)
+    min_c, max_c, min_s = c.min(axis=1), c.max(axis=1), s.min(axis=1)
+    fc, fs = flat_view(c), flat_view(s)
+    for _, _, levels in pair_levels(a, b, lam, n):
+        for p, q, pl in levels:
+            mstep_batch(fc, p, q, pl)
+            step_batch(fs, p, q, pl)
+            r, cp, cq, sp, sq = p // n, fc[p], fc[q], fs[p], fs[q]
+            np.minimum.at(gap, r, np.minimum(cp - sp, cq - sq))
+            np.minimum.at(min_c, r, np.minimum(cp, cq))
+            np.maximum.at(max_c, r, np.maximum(cp, cq))
+            np.minimum.at(min_s, r, np.minimum(sp, sq))
+        # the tile's arrays go before the next tile's are built (a tile has
+        # at least one level)
+        del levels, p, q, pl
+    bad = np.flatnonzero(gap < -_DOMINATION_TOL)
+    if bad.size:
+        raise DominationViolated(f"gap {gap[bad[0]]:.3e} in replica {bad[0]}")
     return MonotoneReport(
         n=n,
         steps=T,
-        min_domination_gap=min_gap,
-        min_entry_matrix=min_c,
-        max_entry_matrix=max_c,
-        min_entry_simplex=min_s,
+        replicas=replicas,
+        min_domination_gap=float(gap.min()),
+        min_entry_matrix=float(min_c.min()),
+        max_entry_matrix=float(max_c.max()),
+        min_entry_simplex=float(min_s.min()),
     )
 
 

@@ -21,20 +21,19 @@ p takes lam' alpha + beta. alpha, beta and the pair total are symmetric in
 the two coordinates, so the oriented move writes the bits of the unoriented
 one. The batch kernels ``step_batch``/``mstep_batch`` take oriented moves,
 ``kernel(flat, p, q, lam')``, and end in ``put_pair``, the one pair-move
-arithmetic; ``split_pair_float`` repeats its operations in the same order on
-Python floats. ``pair_moves`` orients arbitrary moves on a (B, n) batch, and
+arithmetic. ``pair_moves`` orients arbitrary moves on a (B, n) batch, and
 ``stacked_moves`` repeats oriented moves on the second half of a stacked
 [X; Y] batch, so that two chains that share draws move in one kernel call.
 
 ``Chain`` is the record of one of the two samplers that the code running on
 either chain reads. ``pair_levels`` groups the moves of a (B, T) block of
-draws into dependency levels, and ``advance`` applies the draws up to each
-of a caller's marks in turn, one kernel call per level instead of one per
-step, and hands back control at every mark. ``barrier_levels`` levels
-draws in which some steps are barriers that the caller applies itself (the
-coupled runner's subset-coupled steps): a barrier is its row's only step at
-its level, after all of the row's earlier steps and before all of its later
-ones. All three orient a level tile's moves once, when the tile is
+draws into dependency levels, one level tile at a time, optionally with
+barrier steps that the caller applies itself (the coupled runner's
+subset-coupled steps): a barrier is its row's only step at its level, after
+all of the row's earlier steps and before all of its later ones.
+``advance`` applies the draws up to each of a caller's marks in turn, one
+kernel call per level instead of one per step, and hands back control at
+every mark. Both orient a level tile's moves once, when the tile is
 levelled, and read the lambdas one tile at a time, from a stored (B, T)
 array or from a tile source that draws each tile when it is reached
 (``seeding.LambdaStream``), so a long stretch need not hold them.
@@ -50,8 +49,8 @@ import numpy as np
 from .errors import InvariantViolation
 
 __all__ = [
-    "Chain", "advance", "barrier_levels", "flat_view", "orient", "pair_levels", "pair_moves",
-    "put_pair", "split_pair_float", "stacked_moves",
+    "Chain", "advance", "flat_view", "orient", "pair_levels", "pair_moves", "put_pair",
+    "stacked_moves",
 ]
 
 # steps per level tile: each tile is levelled on its own, so its levels fit
@@ -92,15 +91,6 @@ class Chain:
     horizons: Callable            # horizons(): the coupling's default (T1, T2)
     connect_tail: Callable        # connect_tail(epsilon or C): (threshold, bound) or (None, None)
     largeness: Callable           # largeness(k or d): (threshold, target frequency or None)
-
-
-def split_pair_float(total: float, alpha: float, beta: float, lam: float):
-    """One move on Python floats, without numpy's per-call overhead: the
-    operations of ``orient`` and ``put_pair`` in the same order, so both give
-    identical IEEE results. Returns (new_i, new_j)."""
-    share = max(lam, 1.0 - lam) * alpha + beta
-    rest = total - share
-    return (share, rest) if lam >= 0.5 else (rest, share)
 
 
 def flat_view(batch: np.ndarray) -> np.ndarray:
@@ -209,15 +199,8 @@ def _move_levels(a, b, n: int, tiles, barriers=None) -> np.ndarray:
 
 
 def _tile_levels(a, b, lam, n: int, marks, barriers=None):
-    """Yield (s0, lev, levels) for each tile [s0, s0 + w) of the (B, T)
-    draws, in time order: ``lev`` the (w, B) levels of its steps
-    (``_move_levels``, with ``barriers``) and ``levels`` its oriented moves
-    (p, q, lam') on a (B, n) batch (``orient``), one entry per level from 1
-    to the tile's highest. A barrier step is in no entry, so a level that
-    holds only barriers has empty arrays. The tiles cut each window
-    [previous mark, mark) of the ascending ``marks`` into at most
-    _LEVEL_TILE steps; ``lam`` is read as in ``pair_levels``.
-    """
+    """The tiles of ``pair_levels``, each window [previous mark, mark) of the
+    ascending ``marks`` cut into tiles of at most _LEVEL_TILE steps."""
     B = a.shape[0]
     tile_lam = lam if callable(lam) else (lambda s0, s1: lam[:, s0:s1])
     scans, width = [], 0
@@ -264,17 +247,18 @@ def _oriented_levels(lev, a, b, lam, n: int, barrier=None) -> list:
     return [(p[lo:hi], q[lo:hi], lam[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
-def pair_levels(a, b, lam, n: int):
-    """Yield the oriented moves (p, q, lam') of a (B, n) batch (``orient``)
-    once per dependency level of the (B, T) draws, in order; row r moves
-    pair (a[r, t], b[r, t]) with lam[r, t] at step t, and p // n is the row
-    of a move.
+def pair_levels(a, b, lam, n: int, barriers=None):
+    """A generator of (s0, lev, levels) for each level tile [s0, s0 + w) of
+    the (B, T) draws, in time order; row r moves pair (a[r, t], b[r, t])
+    with lam[r, t] at step t. ``lev`` holds the (w, B) levels of the tile's
+    steps, and entry k of ``levels`` the oriented moves (p, q, lam') of
+    level k + 1 on a (B, n) batch (``orient``); p // n is the row of a move.
 
     ``lam`` is the (B, T) lambda array, or a tile source lam(s0, s1) giving
     the (B, s1 - s0) lambdas of steps [s0, s1). A source is called once per
-    tile, in time order, just before that tile's first level is yielded, and
-    the tiles cover [0, T); what it returns is copied before the next call,
-    so it may reuse one buffer.
+    tile, in time order, just before that tile is yielded, and the tiles
+    cover [0, T); what it returns is copied before the next call, so it may
+    reuse one buffer.
 
     The steps run in tiles of _LEVEL_TILE. Within a tile a move's level is
     1 + the larger of the levels of that row's earlier moves on its two
@@ -283,31 +267,21 @@ def pair_levels(a, b, lam, n: int):
     one kernel call each reads and writes exactly what a per-step loop does.
     Tiles are levelled in scans under _LEVEL_BUDGET lane entries and
     _LANE_TABLE_BYTES of lane table, and each tile's moves are oriented
-    once, before its first level.
+    once, before the tile is yielded.
+
+    ``barriers`` is None or a (B, T) bool array of steps that the caller
+    applies itself, reading any coordinate of the row. A barrier is its
+    row's only step at its level, after all of the row's earlier steps and
+    before all of its later ones, and is in no entry of ``levels`` (a level
+    that holds only barriers has empty arrays). Applying each level's moves
+    and its barriers, in either order, reads and writes what a per-step
+    loop does, and a row that stops at a barrier has all its later steps at
+    higher levels.
+
+    This returns the generator itself, and a tile's arrays are held only by
+    the yielded list, so a caller that drops its references to them before
+    the next tile frees them before the next tile's are built.
     """
-    for _, _, levels in _tile_levels(a, b, lam, n, [a.shape[1]]):
-        yield from levels
-
-
-def barrier_levels(a, b, lam, n: int, barriers):
-    """A generator of (s0, lev, levels) for each level tile of the (B, T)
-    draws, in time order, where the steps flagged in the (B, T) bool array
-    ``barriers`` are applied by the caller, which may read any coordinate
-    of the row. ``lev`` holds the (w, B) levels of the tile's steps
-    [s0, s0 + w), and entry k of ``levels`` the oriented moves (p, q, lam')
-    of level k + 1 other than barriers, as ``pair_levels`` yields them;
-    a level that holds only barriers has empty arrays.
-
-    The levels are those of ``pair_levels``, except that a barrier's level
-    is 1 + the highest level given so far in its row's lane and every later
-    step of the row gets a higher one: a barrier is its row's only step at
-    its level, after all of the row's earlier steps and before all of its
-    later ones. Applying each level's moves and its barriers, in either
-    order, reads and writes what a per-step loop does, and a row that stops
-    at a barrier has all its later steps at higher levels.
-    """
-    # the generator itself, so that no frame in between holds a tile's
-    # levels while the next tile is built
     return _tile_levels(a, b, lam, n, [a.shape[1]], barriers)
 
 

@@ -1,6 +1,6 @@
 """The unoriented pair split: the reference that the oriented moves
 (``pairops.orient`` then the kernels' ``pairops.put_pair``) reproduce bit
-for bit."""
+for bit, on arrays and on Python floats."""
 
 import numpy as np
 
@@ -19,3 +19,18 @@ def split_pair(total, alpha, beta, lam):
     a = np.where(hi, share, rest)
     b = np.where(hi, rest, share)
     return a, b
+
+
+def split_pair_float(total: float, alpha: float, beta: float, lam: float):
+    """``split_pair`` on Python floats, with the operations of ``orient``
+    and ``put_pair`` in the same order. Returns (new_i, new_j)."""
+    share = max(lam, 1.0 - lam) * alpha + beta
+    rest = total - share
+    return (share, rest) if lam >= 0.5 else (rest, share)
+
+
+def pair_alpha_beta_float(ci: float, cj: float):
+    """``matrices.pair_alpha_beta`` for one pair on Python floats, with the
+    same operations in the same order."""
+    s = ci + cj
+    return s, min(s, 4.0 - s), max(0.0, s - 2.0)

@@ -32,12 +32,11 @@ from gibbsmix.matrices import (
     msample_stationary_batch,
     mstep_batch,
     pair_alpha_beta,
-    pair_alpha_beta_float,
 )
-from gibbsmix.pairops import pair_moves, split_pair_float
+from gibbsmix.pairops import pair_moves
 from gibbsmix.seeding import draw_moves, draw_pairs, empty_moves, replica_rng
 from gibbsmix.simplex import sample_stationary, simplex_chain, step_batch
-from pair_oracle import split_pair
+from pair_oracle import pair_alpha_beta_float, split_pair, split_pair_float
 
 # each chain's pair coefficients, which depend on neither n nor the group
 _COEFFS = {
@@ -909,7 +908,7 @@ def test_runner_matches_the_replay_through_a_largeness_abort(monkeypatch, tile):
     # that kept applying the aborted replica's rows, moving it past the
     # replay's stop, fails here even where its outcome records agree
     monkeypatch.setattr(pairops, "_LEVEL_TILE", tile)
-    levelled, subset = coupling.barrier_levels, coupling.subset_couple_batch
+    levelled, subset = coupling.pair_levels, coupling.subset_couple_batch
     tiles, calls = [], []
 
     def seen_levels(a, b, lam, n, barriers):
@@ -922,7 +921,7 @@ def test_runner_matches_the_replay_through_a_largeness_abort(monkeypatch, tile):
         calls.append((X, Y, np.asarray(rows).tolist(), result[0].tolist()))
         return result
 
-    monkeypatch.setattr(coupling, "barrier_levels", seen_levels)
+    monkeypatch.setattr(coupling, "pair_levels", seen_levels)
     monkeypatch.setattr(coupling, "subset_couple_batch", seen_subset)
     chain = matrix_chain(8)
     runner = [asdict(o) for o in run_nonmarkovian_coupling(chain, T1=0, T2=20, replicas=7, seed=0)]
@@ -996,6 +995,25 @@ def test_runner_peak_on_the_benchmark_run(monkeypatch):
         tracemalloc.stop()
     assert max(phase1[0], phase2) <= 11_201_122 + 250_000
     assert phase2 < phase1[0]
+
+
+def test_largeness_frees_each_tile_before_the_next():
+    # matrix n = 64, 300 replicas, a 4,000-step window: the traced peak was
+    # 25.47 MB while the previous tile's levels stayed alive as the next
+    # tile was built, and is 21.76 MB with each tile freed first. The
+    # minima are the bytes they were before
+    chain = matrix_chain(64)
+    # a first run fills numpy's caches, which the traced run must not count
+    largeness_experiment(matrix_chain(8), window=5, replicas=3, seed=0)
+    tracemalloc.start()
+    try:
+        report = largeness_experiment(chain, window=4000, replicas=300, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22_500_000
+    assert hashlib.sha256(report.minima.tobytes()).hexdigest() == (
+        "1127c3530d86463cb94a33fefb5f115f596c5efb837ea9294b656c64f5814596")
 
 
 def test_runner_memory_estimate_is_its_two_stores(monkeypatch):

@@ -46,6 +46,16 @@ def test_the_scalar_subset_step_name_stays_retired():
         assert not hasattr(importlib.import_module(f"gibbsmix.{name}"), "subset_couple_arrays")
 
 
+def test_the_scalar_move_twins_and_the_second_levelling_entry_stay_retired():
+    # every pair move runs through the batch kernels, and pairops.pair_levels
+    # is the one levelling entry; the scalar twins live in tests/pair_oracle.py
+    retired = {"split_pair_float", "pair_alpha_beta_float", "barrier_levels", "_MONOTONE_CHUNK"}
+    assert sorted(
+        (name, attr) for name in _MODULES for attr in retired
+        if hasattr(importlib.import_module(f"gibbsmix.{name}"), attr)
+    ) == []
+
+
 def test_the_coupled_runner_has_one_path_and_no_trace():
     # the stepped trace of phase 2 lives in tests/test_coupling.py as the
     # replay the runner is compared with, not as a runner option

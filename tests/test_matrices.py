@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gibbsmix import matrices
-from gibbsmix.errors import InvariantViolation, RejectionBudgetExceeded
+from gibbsmix import matrices, pairops
+from gibbsmix.errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
 from gibbsmix.harness import exact_marginal_cdf
 from gibbsmix.matrices import (
     MatrixState,
     identity_residual_batch,
+    matrix_chain,
     mcontraction_experiment,
     monotone_couple_run,
     msample_stationary,
@@ -20,7 +21,7 @@ from gibbsmix.matrices import (
     pair_alpha_beta,
 )
 from gibbsmix.pairops import flat_view, pair_moves, stacked_moves
-from gibbsmix.seeding import draw_pairs
+from gibbsmix.seeding import draw_pairs, predraw
 from gibbsmix.simplex import step_batch
 from pair_oracle import split_pair
 
@@ -290,41 +291,66 @@ def test_contraction_experiment_quick():
 
 
 def test_monotone_domination_quick():
-    report = monotone_couple_run(n=10, T=20000, seed=4)
+    report = monotone_couple_run(n=10, T=20000, replicas=4, seed=4)
+    assert (report.steps, report.replicas) == (20000, 4)
     assert report.min_domination_gap >= -1e-12
     assert 0.0 <= report.min_entry_matrix <= report.max_entry_matrix <= 2.0
 
 
+@pytest.mark.parametrize("tile", [6, 512])
 @pytest.mark.parametrize(
-    "n, T, seed, chunk", [(10, 5000, 4, 1234), (3, 3000, 1, 700), (25, 4000, 8, 100_000)]
+    "n, T, replicas, seed", [(10, 3000, 4, 4), (3, 700, 1, 1), (25, 400, 7, 8), (5, 0, 3, 2)]
 )
-def test_monotone_run_matches_batch_kernel_replay(monkeypatch, n, T, seed, chunk):
-    # monotone_couple_run moves both chains in its own inline loop; replaying
-    # its draws through the batch kernels on (1, n) arrays must reproduce
-    # every tracked extreme exactly
-    monkeypatch.setattr(matrices, "_MONOTONE_CHUNK", chunk)
-    report = monotone_couple_run(n, T, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    c = msample_stationary(n, rng).c[None, :].copy()
+def test_monotone_run_matches_the_per_step_replay(monkeypatch, tile, n, T, replicas, seed):
+    # the run moves both chains in dependency levels and reads only the
+    # moved entries; one kernel call per step on every row of the store's
+    # draws, with a pass over all entries after each step, must give every
+    # tracked extreme exactly
+    monkeypatch.setattr(pairops, "_LEVEL_TILE", tile)
+    report = monotone_couple_run(n, T, replicas, seed)
+    (c,), (a, b, lam) = predraw(matrix_chain(n), replicas, T, seed, "monotone", before=1)
     s = c / n
     gaps, mins_c, maxs_c, mins_s = [(c - s).min()], [c.min()], [c.max()], [s.min()]
-    done = 0
-    while done < T:
-        b = min(chunk, T - done)
-        i, j = draw_pairs(rng, b, n)
-        lam = rng.random(b)
-        for k in range(b):
-            mstep_batch(*pair_moves(c, i[k : k + 1], j[k : k + 1], lam[k : k + 1]))
-            step_batch(*pair_moves(s, i[k : k + 1], j[k : k + 1], lam[k : k + 1]))
-            gaps.append((c - s).min())
-            mins_c.append(c.min())
-            maxs_c.append(c.max())
-            mins_s.append(s.min())
-        done += b
+    for t in range(T):
+        mstep_batch(*pair_moves(c, a[:, t], b[:, t], lam[:, t]))
+        step_batch(*pair_moves(s, a[:, t], b[:, t], lam[:, t]))
+        gaps.append((c - s).min())
+        mins_c.append(c.min())
+        maxs_c.append(c.max())
+        mins_s.append(s.min())
+    assert (report.steps, report.replicas) == (T, replicas)
     assert report.min_domination_gap == min(gaps)
     assert report.min_entry_matrix == min(mins_c)
     assert report.max_entry_matrix == max(maxs_c)
     assert report.min_entry_simplex == min(mins_s)
+
+
+@pytest.mark.parametrize("n, T, seed, want", [
+    (10, 20000, 4, (2.8680881468623465e-05, 3.1167643287588476e-05, 1.9999767234026964,
+                    2.196304295376539e-06)),
+    (25, 4000, 8, (0.0004249909568042852, 0.0004447859786939623, 1.999786900005487,
+                   1.9795021889677106e-05)),
+])
+def test_one_replica_monotone_run_keeps_the_single_run_report(n, T, seed, want):
+    # the single run on stream [seed, 0] that moved one chain pair on
+    # Python floats reported these; one replica draws the same stream
+    report = monotone_couple_run(n, T, 1, seed)
+    assert (report.min_domination_gap, report.min_entry_matrix, report.max_entry_matrix,
+            report.min_entry_simplex) == want
+
+
+def test_monotone_run_names_the_replica_that_loses_domination(monkeypatch):
+    # a simplex kernel that pushes replica 2's moved entries above 2, past
+    # every matrix entry, breaks the domination there
+    n = 6
+
+    def overshoot(flat, p, q, lam):
+        step_batch(flat, p, q, lam)
+        flat[p[p // n == 2]] = 3.0
+
+    monkeypatch.setattr(matrices, "step_batch", overshoot)
+    with pytest.raises(DominationViolated, match="in replica 2$"):
+        monotone_couple_run(n, 50, 4, seed=0)
 
 
 def test_batch_step_matches_scalar(rng):

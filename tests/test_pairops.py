@@ -23,12 +23,10 @@ from gibbsmix import matrices, pairops
 from gibbsmix.coupling import run_nonmarkovian_coupling
 from gibbsmix.groups import build_cyclic
 from gibbsmix.matrices import matrix_chain, mstep_batch, pair_alpha_beta
-from gibbsmix.pairops import (
-    advance, barrier_levels, flat_view, pair_levels, pair_moves, split_pair_float,
-)
+from gibbsmix.pairops import advance, flat_view, pair_levels, pair_moves
 from gibbsmix.seeding import LambdaStream, draw_moves, draw_pairs, empty_moves
 from gibbsmix.simplex import step_batch
-from pair_oracle import split_pair
+from pair_oracle import split_pair, split_pair_float
 
 
 def _draws(rng, B, T, n, group=None, gens=None):
@@ -49,8 +47,9 @@ def _per_step(kernel, x, a, b, lam):
 
 
 def _by_level(kernel, x, a, b, lam, n):
-    for move in pair_levels(a, b, lam, n):
-        kernel(flat_view(x), *move)
+    for _, _, levels in pair_levels(a, b, lam, n):
+        for move in levels:
+            kernel(flat_view(x), *move)
 
 
 # lambdas at and next to the orientation's switch, and at the ends
@@ -176,7 +175,8 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed, data):
         # yields name the moves they hold; a lambda of 1 or more is never
         # swapped by the orientation
         ids = np.arange(1, B * T + 1, dtype=float).reshape(B, T)
-        levels = [(p, q, pl.astype(np.int64) - 1) for p, q, pl in pair_levels(a, b, ids, n)]
+        levels = [(p, q, pl.astype(np.int64) - 1)
+                  for _, _, tile in pair_levels(a, b, ids, n) for p, q, pl in tile]
         seen = np.zeros(B * T, dtype=np.int64)
         last = np.full((B, n), -1)
         for p, q, move in levels:
@@ -250,7 +250,7 @@ def test_barrier_levels_replay_the_per_step_loop(tile, n, B, T, density, budget,
         mp.setattr(pairops, "_LEVEL_TILE", tile)
         mp.setattr(pairops, "_LEVEL_BUDGET", budget)
         done = 0
-        tiles = zip(barrier_levels(a, b, lam, n, barriers), barrier_levels(a, b, ids, n, barriers))
+        tiles = zip(pair_levels(a, b, lam, n, barriers), pair_levels(a, b, ids, n, barriers))
         for (s0, lev, levels), (_, _, named) in tiles:
             w = len(lev)
             assert s0 == done and lev.shape == (w, B)
@@ -393,9 +393,8 @@ def _orienting(node):
 
 
 def test_only_pairops_orients_a_move():
-    # every move is oriented by pairops.orient (and its scalar twin
-    # split_pair_float); a kernel or caller that picks the larger share
-    # itself fails here
+    # every move is oriented by pairops.orient; a kernel or caller that
+    # picks the larger share itself fails here
     package = Path(gibbsmix.__file__).parent
     found = {
         (path.stem, node.lineno)
