@@ -42,10 +42,7 @@ from .errors import InvariantViolation
 from .pairops import (
     Chain, advance, flat_view, orient, pair_levels, put_pair, stacked_moves,
 )
-from .seeding import (
-    LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_moves, empty_pairs,
-    move_bytes, predraw, replica_rng,
-)
+from .seeding import draw_pairs, empty_pairs, predraw, replica_rng
 
 __all__ = [
     "SUBSET_FAILED",
@@ -277,14 +274,12 @@ def run_nonmarkovian_coupling(
     role i, as the scan recorded it (``MergeRecord.i``) — and proportional
     coupling elsewhere.
 
-    Where each draw is made: before phase 1, every replica's stationary Y and
-    its (B, T1) phase-1 pair arrays. The phase-1 lambdas are never stored
-    whole: phase 1 reads them one level tile at a time from a
-    ``seeding.LambdaStream``, which fills one reused (B, tile) buffer just
-    before the tile runs. After phase 1 the pair arrays are released and the
-    phase-2 pair and lambda arrays are drawn into a (B, T2) store, indexed
-    at t - T1. The memory these stores would take is checked against the
-    memory available before the first draw (``seeding.check_draw_memory``).
+    Where each draw is made: each phase is one ``seeding.predraw`` on the
+    replicas' generators. Before phase 1, every replica's stationary Y and
+    its (B, T1) phase-1 pair arrays; phase 1 reads its lambdas from their
+    stream as the level tiles reach them, so they are never stored whole.
+    After phase 1 the phase-2 pair arrays are drawn into a (B, T2) store,
+    indexed at t - T1, and the phase-2 lambdas are read whole from theirs.
 
     Nothing is observed during phase 1, so its moves are applied in
     dependency levels (``pairops.advance``), one kernel call on the stacked
@@ -319,33 +314,23 @@ def run_nonmarkovian_coupling(
         raise InvariantViolation("arguments", "T2 must be >= 1")
 
     n, B = chain.n, replicas
-    check_draw_memory(
-        move_bytes(B, T1, n, lambdas=False) + move_bytes(B, T2, n),
-        f"the coupling of {B} replicas over T1 = {T1}, T2 = {T2} steps",
-    )
-    # X and Y are the two halves of one C-contiguous batch, so a draw shared
-    # by both chains moves them in one kernel call
-    XY = np.empty((2 * B, n))
-    X, Y = XY[:B], XY[B:]
-    X[:] = chain.start
     rngs = [replica_rng(seed, b) for b in range(B)]
-    left, right = empty_pairs(B, T1, n)
-    for b, rng in enumerate(rngs):
-        Y[b] = chain.stationary(rng, 1)[0]
-        left[b], right[b] = draw_pairs(rng, T1, n, chain.group, chain.gens)
+    (Y,), (left, right, lambdas) = predraw(chain, rngs, T1, "the coupling's phase 1", before=1)
+    # X and Y are the two halves of one C-contiguous batch, so a draw shared
+    # by both chains moves them in one kernel call; the drawn rows go with Y
+    XY = np.concatenate((np.broadcast_to(chain.start, Y.shape), Y))
+    X, Y = XY[:B], XY[B:]
 
     batch = chain.kernel
-    lambdas = LambdaStream(rngs, T1)
     for _ in advance(batch, XY, left, right, lambdas, [T1]):
         pass
     if lambdas.drawn != T1:
         raise InvariantViolation("draw-order", f"phase 1 drew {lambdas.drawn} of {T1} lambdas")
-    # the phase-1 pairs go before phase 2 on [T1, T1 + T2) is drawn, into a
-    # store indexed at t - T1
-    del left, right
-    left, right, lam = empty_moves(B, T2, n)
-    for b, rng in enumerate(rngs):
-        left[b], right[b], lam[b] = draw_moves(rng, T2, n, chain.group, chain.gens)
+    # phase 1's draws go before phase 2's are drawn. Its lambdas are read
+    # whole, since the subset couplings' remainder draws follow them
+    del left, right, lambdas
+    _, (left, right, lambdas) = predraw(chain, rngs, T2, "the coupling's phase 2")
+    lam = lambdas(0, T2)
     # outcomes read only tau and connectedness; each merge's fields and its
     # replica go straight into the columns of the mark table
     tau, connected = [math.inf] * B, [False] * B
@@ -638,7 +623,8 @@ def largeness_experiment(
     """
     n, margin = chain.n, chain.margin
     threshold, target = chain.largeness(threshold)
-    (states,), (a, b, lam) = predraw(chain, replicas, window, seed, "largeness", before=1)
+    rngs = [replica_rng(seed, r) for r in range(replicas)]
+    (states,), (a, b, lam) = predraw(chain, rngs, window, "largeness", before=1)
     minima = margin(states).min(axis=1)
     flat = flat_view(states)
     for _, _, levels in pair_levels(a, b, lam, n):

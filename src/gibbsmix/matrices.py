@@ -262,7 +262,8 @@ def mcontraction_experiment(
 
     Per-replica draw order (``seeding.predraw``): X, Y starts, then the moves.
     """
-    starts, moves = predraw(matrix_chain(n), replicas, T, seed, "contract-matrix", before=2)
+    rngs = [replica_rng(seed, r) for r in range(replicas)]
+    starts, moves = predraw(matrix_chain(n), rngs, T, "contract-matrix", before=2)
     # x and y are the halves of one stacked batch
     xy = starts.reshape(2 * replicas, n)
     x, y = xy[:replicas], xy[replicas:]
@@ -329,7 +330,8 @@ def monotone_couple_run(n: int, T: int, replicas: int, seed: int) -> MonotoneRep
 
     Per-replica draw order (``seeding.predraw``): stationary start, then the moves.
     """
-    (c,), (a, b, lam) = predraw(matrix_chain(n), replicas, T, seed, "monotone", before=1)
+    rngs = [replica_rng(seed, r) for r in range(replicas)]
+    (c,), (a, b, lam) = predraw(matrix_chain(n), rngs, T, "monotone", before=1)
     s = c / n
     gap = (c - s).min(axis=1)
     min_c, max_c, min_s = c.min(axis=1), c.max(axis=1), s.min(axis=1)

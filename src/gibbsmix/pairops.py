@@ -35,7 +35,7 @@ all of the row's earlier steps and before all of its later ones.
 kernel call per level instead of one per step, and hands back control at
 every mark. Both orient a level tile's moves once, when the tile is
 levelled, and read the lambdas one tile at a time, from a stored (B, T)
-array or from a tile source that draws each tile when it is reached
+array or from a tile source that draws them as the tiles reach them
 (``seeding.LambdaStream``), so a long stretch need not hold them.
 """
 
@@ -84,7 +84,7 @@ class Chain:
     kernel: Callable              # kernel(flat, p, q, lam'): the oriented batch move
     stationary: Callable          # stationary(rng, size): (size, n) stationary rows from rng
     start: np.ndarray             # the worst-case deterministic start (read-only)
-    group: Optional[object]       # the draw arguments of seeding.draw_moves,
+    group: Optional[object]       # the draw arguments of seeding.draw_pairs,
     gens: Optional[object]        # None on the matrix chain
     margin: Callable              # margin(v): distance of v's entries to the boundary
     coeffs: Callable              # coeffs(vi, vj): (total, alpha, beta) on arrays

@@ -4,13 +4,13 @@ Every experiment derives one independent stream per replica as
 Generator(SeedSequence([base_seed, replica_index])). Distinct replicas never
 share a stream, and a (seed, replica) pair always reproduces the same draws.
 Every sampler draws its update pairs through ``draw_pairs``, the one pair law,
-and every lockstep experiment its moves through ``draw_moves``, the one move
-law: the pair arrays, then the lambda array. ``predraw`` makes a lockstep
-experiment's draws into a (B, T) store, once ``check_draw_memory`` has found
-room for it. ``LambdaStream`` draws the lambda arrays of many replicas one
-level tile at a time, with the bits of one call per replica. ``skip_draws``
-moves a PCG64 stream past draws that are never read, without generating
-them; it is the one place that touches a generator's bit generator.
+and its moves by the one move law of ``draw_moves``: the pair arrays, then
+the lambda array. ``predraw`` draws the moves of the lockstep experiments and
+of both coupling phases: the pairs into a (B, T) store, once
+``check_draw_memory`` has found room for it, and the lambdas as a
+``LambdaStream``, which draws them in chunks as the level tiles reach them.
+``skip_draws`` moves a PCG64 stream past draws that are never read; it is the
+one place that touches a generator's bit generator.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .errors import ConfigError, InvariantViolation
 
 __all__ = [
     "LambdaStream", "available_memory", "check_draw_memory", "draw_moves", "draw_pairs",
-    "empty_moves", "empty_pairs", "move_bytes", "predraw", "replica_rng", "replica_seed_words",
-    "skip_draws",
+    "empty_pairs", "predraw", "replica_rng", "replica_seed_words", "skip_draws",
 ]
 
 
@@ -115,59 +114,83 @@ def draw_moves(rng: np.random.Generator, T: int, n: int, group=None, gens=None):
     return a, b, rng.random(T)
 
 
-def predraw(chain, B: int, T: int, seed: int, what: str, before: int = 0, after: int = 0):
-    """The draws of a lockstep experiment ``what`` over B replicas and T
-    steps of ``chain``: replica r draws ``before`` stationary rows, its T
-    moves (``draw_moves``), then ``after`` stationary rows, from
-    ``replica_rng(seed, r)``; each group of rows is one ``chain.stationary``
-    call, which leaves the stream of as many single draws. Returns (rows, (a, b, lam)), rows[k, r] the
-    k-th stationary row of replica r and (a, b, lam) the (B, T) store, whose
-    bytes ``check_draw_memory`` compares with the memory available first.
-    """
-    n = chain.n
-    check_draw_memory(move_bytes(B, T, n), f"{what} over {B} replicas and {T} steps")
-    rows = np.empty((before + after, B, n))
-    a, b, lam = empty_moves(B, T, n)
-    for r in range(B):
-        rng = replica_rng(seed, r)
-        rows[:before, r] = chain.stationary(rng, before)
-        a[r], b[r], lam[r] = draw_moves(rng, T, n, chain.group, chain.gens)
-        rows[before:, r] = chain.stationary(rng, after)
-    return rows, (a, b, lam)
+# steps a LambdaStream draws ahead per call of each generator: tiles shorter
+# than this share one call (lowerbound-simplex levels 4-step tiles)
+_LAMBDA_CHUNK = 512
+
+
+def predraw(chain, rngs, T: int, what: str, before: int = 0):
+    """The draws of a lockstep experiment ``what`` over T steps of ``chain``,
+    one replica per generator of ``rngs``: replica r draws ``before``
+    stationary rows (one ``chain.stationary`` call, which leaves the stream
+    of as many single draws), then its T moves (``draw_moves``), from
+    rngs[r]. Returns (rows, (a, b, lam)): rows[k, r] the k-th stationary row
+    of replica r, (a, b) the (B, T) pair store and lam the ``LambdaStream``
+    of the lambda arrays. ``check_draw_memory`` first compares the bytes of
+    the store and of the stream's (B, chunk) buffer with the memory
+    available."""
+    n, B = chain.n, len(rngs)
+    check_draw_memory(B * (T * 2 * np.min_scalar_type(n - 1).itemsize + min(T, _LAMBDA_CHUNK) * 8),
+                      f"{what} over {B} replicas and {T} steps")
+    rows = np.empty((before, B, n))
+    a, b = empty_pairs(B, T, n)
+    for r, rng in enumerate(rngs):
+        rows[:, r] = chain.stationary(rng, before)
+        a[r], b[r] = draw_pairs(rng, T, n, chain.group, chain.gens)
+    return rows, (a, b, LambdaStream(rngs, T))
 
 
 class LambdaStream:
     """The length-T lambda arrays of ``draw_moves``, one per generator of
     ``rngs``, as a tile source for ``pairops.pair_levels``: stream(s0, s1)
-    draws the lambdas of steps [s0, s1) of every replica, row b from
-    rngs[b], into one reused buffer, and returns that (B, s1 - s0) view.
+    returns the (B, s1 - s0) lambdas of steps [s0, s1) of every replica, row
+    b from rngs[b], as a view of one reused buffer that the next call may
+    overwrite.
 
-    Tiles must come in time order, from step 0 on; ``drawn`` is the number
-    of steps drawn so far. Consecutive ``random`` calls on a generator give
-    the bits of one call, so once ``drawn == T`` each replica's stream is
-    where ``rng.random(T)`` leaves it, and its lambdas were those bits.
+    Tiles must come in time order, from step 0 on. The stream draws ahead:
+    a tile that reaches past the ``drawn`` steps draws on to _LAMBDA_CHUNK
+    steps past its start (at least to its end, at most to T), with one
+    ``random`` call per replica, so short tiles share a call. Consecutive
+    ``random`` calls on a generator give the bits of one call, so the
+    lambdas are the bits of ``rng.random(T)``, and ``finish()`` leaves each
+    generator where that call does. A buffer wider than a chunk is checked
+    with ``check_draw_memory`` first.
     """
 
     def __init__(self, rngs, T: int):
-        self.rngs = rngs
-        self.T = T
-        self.drawn = 0
-        self._buf = np.empty((len(rngs), 0))
-        self._rows = []
+        self.rngs, self.T = rngs, T
+        # steps drawn and served so far, and the step of the buffer's column 0
+        self.drawn = self._served = self._start = 0
+        self._buf, self._rows = np.empty((len(rngs), 0)), []
 
     def __call__(self, s0: int, s1: int) -> np.ndarray:
-        if s0 != self.drawn or not s0 <= s1 <= self.T:
+        if s0 != self._served or not s0 <= s1 <= self.T:
             raise InvariantViolation(
-                "draw-order", f"lambda tile [{s0}, {s1}) after {self.drawn} of {self.T} steps"
+                "draw-order", f"lambda tile [{s0}, {s1}) after {self._served} of {self.T} steps"
             )
-        w = s1 - s0
-        if self._buf.shape[1] < w:
-            self._buf = np.empty((len(self.rngs), w))
-            self._rows = list(self._buf)
-        for rng, row in zip(self.rngs, self._rows):
-            rng.random(w, out=row[:w])
-        self.drawn = s1
-        return self._buf[:, :w]
+        self._served = s1
+        if s1 > self.drawn:
+            # the drawn steps not yet served move to the front, and the
+            # chunk's new steps follow them
+            keep, width = self.drawn - s0, min(self.T, max(s1, s0 + _LAMBDA_CHUNK)) - s0
+            kept = self._buf[:, s0 - self._start:self.drawn - self._start]
+            if self._buf.shape[1] < width:
+                B = len(self.rngs)
+                if width > _LAMBDA_CHUNK:
+                    check_draw_memory(B * width * 8, f"lambdas of {B} replicas over {width} steps")
+                self._buf = np.empty((B, width))
+                self._rows = list(self._buf)
+            self._buf[:, :keep] = kept
+            for rng, row in zip(self.rngs, self._rows):
+                rng.random(width - keep, out=row[keep:width])
+            self._start, self.drawn = s0, s0 + width
+        return self._buf[:, s0 - self._start:s1 - self._start]
+
+    def finish(self) -> None:
+        """Jump each generator over its T - ``drawn`` undrawn lambdas."""
+        for rng in self.rngs:
+            skip_draws(rng, self.T - self.drawn)
+        self.drawn = self._served = self.T
 
 
 def empty_pairs(B: int, T: int, n: int):
@@ -176,18 +199,6 @@ def empty_pairs(B: int, T: int, n: int):
     n = 256)."""
     a = np.empty((B, T), dtype=np.min_scalar_type(n - 1))
     return a, np.empty_like(a)
-
-
-def empty_moves(B: int, T: int, n: int):
-    """Uninitialised (B, T) store (a, b, lam) for B replicas' moves: the
-    pair arrays of ``empty_pairs`` and a float64 lambda array."""
-    return (*empty_pairs(B, T, n), np.empty((B, T)))
-
-
-def move_bytes(B: int, T: int, n: int, lambdas: bool = True) -> int:
-    """Bytes of an ``empty_moves`` (B, T) store, or with ``lambdas=False``
-    of its two pair arrays only."""
-    return B * T * (2 * np.min_scalar_type(n - 1).itemsize + 8 * lambdas)
 
 
 def available_memory() -> Optional[int]:

@@ -33,7 +33,7 @@ from .kernels import (
     symmetrization,
 )
 from .pairops import Chain, advance, pair_moves, put_pair
-from .seeding import draw_moves, predraw
+from .seeding import draw_moves, predraw, replica_rng
 
 __all__ = [
     "SimplexState",
@@ -305,14 +305,15 @@ def contraction_experiment(
     if not marks:
         raise ConfigError("T too small: no checkpoint is a multiple of ceil(8/gamma_hat)")
     chain = simplex_chain(group, gens)
-    (Y,), moves = predraw(chain, replicas, T, seed, "contract-simplex", before=1)
+    rngs = [replica_rng(seed, r) for r in range(replicas)]
+    (Y,), moves = predraw(chain, rngs, T, "contract-simplex", before=1)
     # X and Y are the halves of one stacked batch
     XY = np.concatenate((np.broadcast_to(chain.start, Y.shape), Y))
     X, Y = XY[:replicas], XY[replicas:]
 
     points = []
     sq_gaps = np.empty((len(marks), replicas))
-    # the steps after the last checkpoint are drawn but never observed
+    # the lambdas past the last checkpoint's chunk are never drawn
     for k, t in enumerate(advance(step_batch, XY, *moves, marks)):
         sq = ((X - Y) ** 2).sum(axis=1)
         sq_gaps[k] = sq
@@ -401,35 +402,34 @@ def lower_bound_experiment(
     if d is None:
         d = inner0 / 2.0
 
-    (stationary,), moves = predraw(simplex_chain(group, gens), replicas, T, seed,
-                                   "lowerbound-simplex", after=1)
+    chain = simplex_chain(group, gens)
+    rngs = [replica_rng(seed, r) for r in range(replicas)]
+    _, (a, b, lam) = predraw(chain, rngs, T, "lowerbound-simplex")
     x = np.broadcast_to(mu.x, (replicas, n)).copy()
-    stat_inner = stationary @ v
+    # each checkpoint keeps its scalars (t, mean, se, tail frequency)
+    marked = []
+    for t in advance(step_batch, x, a, b, lam, range(0, T + 1, _CHECKPOINT_STRIDE)):
+        inner = x @ v
+        se = float(inner.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else None
+        marked.append((t, float(inner.mean()), se, float(np.mean(inner > d))))
+    # the lambdas of the steps after the last checkpoint are jumped over,
+    # and each replica's stationary row follows its lambda array
+    lam.finish()
+    stat_inner = np.concatenate([chain.stationary(rng, 1) for rng in rngs]) @ v
     tail_stat = float(np.mean(stat_inner > d))
     m2_stat = float(np.mean(stat_inner**2))
-
-    points = []
-
-    def record(t: int) -> None:
-        inner = x @ v
-        mean = float(inner.mean())
-        se = float(inner.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else None
-        tail = float(np.mean(inner > d))
-        points.append(
-            LowerBoundPoint(
-                t=t,
-                mean_inner=mean,
-                se=se,
-                exact=(1.0 - gamma) ** t * inner0,
-                tail_empirical=tail,
-                tail_stationary=tail_stat,
-                tv_lower_bound=max(0.0, tail - tail_stat),
-            )
+    points = [
+        LowerBoundPoint(
+            t=t,
+            mean_inner=mean,
+            se=se,
+            exact=(1.0 - gamma) ** t * inner0,
+            tail_empirical=tail,
+            tail_stationary=tail_stat,
+            tv_lower_bound=max(0.0, tail - tail_stat),
         )
-
-    # the steps after the last checkpoint are drawn but never observed
-    for t in advance(step_batch, x, *moves, range(0, T + 1, _CHECKPOINT_STRIDE)):
-        record(t)
+        for t, mean, se, tail in marked
+    ]
 
     # a Monte Carlo mean below its noise can be <= 0 and has no logarithm
     fit = [p for p in points if p.mean_inner > 0.0]

@@ -34,7 +34,7 @@ from gibbsmix.matrices import (
     pair_alpha_beta,
 )
 from gibbsmix.pairops import pair_moves
-from gibbsmix.seeding import draw_moves, draw_pairs, empty_moves, replica_rng
+from gibbsmix.seeding import draw_moves, draw_pairs, empty_pairs, replica_rng
 from gibbsmix.simplex import sample_stationary, simplex_chain, step_batch
 from pair_oracle import pair_alpha_beta_float, split_pair, split_pair_float
 
@@ -198,7 +198,7 @@ def test_partition_invariants_random_schedules(data):
     entries = np.stack([i, raw + (raw >= i)], axis=1)
     proc = build_partition_process(entries[:, 0], entries[:, 1], n, 5)
     # the scan reads the narrow rows of a draw store as it reads int64 ones
-    left, right, _ = empty_moves(1, length, n)
+    left, right = empty_pairs(1, length, n)
     left[0], right[0] = entries[:, 0], entries[:, 1]
     assert left.dtype == np.uint8
     narrow = build_partition_process(left[0], right[0], n, 5)
@@ -1000,8 +1000,9 @@ def test_runner_peak_on_the_benchmark_run(monkeypatch):
 def test_largeness_frees_each_tile_before_the_next():
     # matrix n = 64, 300 replicas, a 4,000-step window: the traced peak was
     # 25.47 MB while the previous tile's levels stayed alive as the next
-    # tile was built, and is 21.76 MB with each tile freed first. The
-    # minima are the bytes they were before
+    # tile was built, 21.76 MB with each tile freed first and a stored
+    # (B, T) lambda array (9.6 MB), and is about 13.7 MB with the lambdas
+    # streamed. The minima are the bytes they were before
     chain = matrix_chain(64)
     # a first run fills numpy's caches, which the traced run must not count
     largeness_experiment(matrix_chain(8), window=5, replicas=3, seed=0)
@@ -1011,20 +1012,23 @@ def test_largeness_frees_each_tile_before_the_next():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 22_500_000
+    assert peak <= 15_000_000
     assert hashlib.sha256(report.minima.tobytes()).hexdigest() == (
         "1127c3530d86463cb94a33fefb5f115f596c5efb837ea9294b656c64f5814596")
 
 
 def test_runner_memory_estimate_is_its_two_stores(monkeypatch):
-    # the phase-1 pair arrays (one byte per coordinate at n = 8), then the
-    # phase-2 pair arrays and their float64 lambdas
+    # each phase's store is checked before it is drawn, phase 1's first:
+    # its pair arrays (one byte per coordinate at n = 8) and the buffer of
+    # its lambda stream (a float64 per step up to 512 steps)
     B, T1, T2, n = 3, 10, 20, 8
-    need = B * T1 * 2 + B * T2 * 10
     kwargs = dict(T1=T1, T2=T2, replicas=B, seed=1)
-    monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)
-    with pytest.raises(ConfigError, match=f"pre-draw {need:,} bytes"):
-        run_nonmarkovian_coupling(matrix_chain(n), **kwargs)
+    for phase, T in ((1, T1), (2, T2)):
+        need = B * T * 10
+        monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)
+        with pytest.raises(ConfigError, match=f"phase {phase} over {B} replicas and {T} steps "
+                                              f"would pre-draw {need:,} bytes"):
+            run_nonmarkovian_coupling(matrix_chain(n), **kwargs)
     monkeypatch.setattr(seeding, "available_memory", lambda: need)
     run_nonmarkovian_coupling(matrix_chain(n), **kwargs)
 

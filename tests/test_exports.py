@@ -103,11 +103,12 @@ def test_every_leaf_exception_class_is_raised_or_caught():
 
 
 def test_only_the_predraw_and_the_runner_fill_a_draw_store():
-    # a (B, T) move store is allocated and guarded in one place per path:
-    # seeding.predraw for the lockstep experiments and the coupled runner
-    # for its phase-2 store, so a new copy of the pre-draw that skips the
-    # memory guard fails here. identity-matrix guards its two stacks of
-    # stationary rows, and allocates no move store
+    # a (B, T) draw store is guarded in one place per path: seeding.predraw
+    # for the pair stores of the lockstep experiments and of both coupling
+    # phases, and the lambda stream for a buffer wider than its chunk, so a
+    # new copy of the pre-draw that skips the memory guard fails here.
+    # identity-matrix guards its two stacks of stationary rows. The old
+    # move-store helpers, which held the lambdas whole, exist nowhere
     package = Path(gibbsmix.__file__).parent
     callers = set()
     for path in sorted(package.glob("*.py")):
@@ -120,9 +121,12 @@ def test_only_the_predraw_and_the_runner_fill_a_draw_store():
                 for call in ast.walk(func) if isinstance(call, ast.Call)
                 and isinstance(call.func, (ast.Name, ast.Attribute))
             }
-            if called & {"empty_moves", "check_draw_memory"}:
+            if "check_draw_memory" in called:
                 callers.add((path.stem, func.name))
-    assert callers == {("seeding", "predraw"), ("coupling", "run_nonmarkovian_coupling"),
+        names = {node.name for node in functions} | {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not names & {"empty_moves", "move_bytes"}, path.stem
+    assert callers == {("seeding", "predraw"), ("seeding", "__call__"),
                        ("harness", "_run_identity_matrix")}
 
 

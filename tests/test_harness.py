@@ -412,9 +412,10 @@ def test_run_config_problem_exits_one(tmp_path):
 
 
 @pytest.mark.parametrize("data, need", [
-    # the phase-1 pair arrays (one byte per coordinate) and the phase-2
-    # pairs and lambdas (two bytes and a float64 per step)
-    ({"experiment": "couple-matrix", "n": 8, "T1": 10, "T2": 20}, 3 * 10 * 2 + 3 * 20 * 10),
+    # the largest store drawn: a pair store (one byte per coordinate, two
+    # per step) and its lambda stream's buffer (a float64 per step up to
+    # 512 steps), the lockstep experiment's or the coupling's phase-2 one
+    ({"experiment": "couple-matrix", "n": 8, "T1": 10, "T2": 20}, 3 * 20 * 10),
     ({"experiment": "couple-simplex", "group": {"family": "cyclic", "n": 6}, "T1": 0,
       "T2": 40}, 3 * 40 * 10),
     ({"experiment": "largeness", "n": 8, "T": 50}, 3 * 50 * 10),
@@ -819,7 +820,7 @@ def test_harness_binds_no_simulation_layer():
     # the harness turns a config into a call and the call's result into
     # tables; move kernels, levelled advances and draw laws stay with the
     # chains
-    layer = ("advance", "pair_levels", "draw_moves", "draw_pairs", "empty_moves",
+    layer = ("advance", "pair_levels", "draw_moves", "draw_pairs", "empty_pairs",
              "predraw", "step_batch", "mstep_batch", "msample_stationary")
     assert [name for name in layer if hasattr(harness, name)] == []
 

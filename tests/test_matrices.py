@@ -21,7 +21,7 @@ from gibbsmix.matrices import (
     pair_alpha_beta,
 )
 from gibbsmix.pairops import flat_view, pair_moves, stacked_moves
-from gibbsmix.seeding import draw_pairs, predraw
+from gibbsmix.seeding import draw_pairs, predraw, replica_rng
 from gibbsmix.simplex import step_batch
 from pair_oracle import split_pair
 
@@ -308,7 +308,9 @@ def test_monotone_run_matches_the_per_step_replay(monkeypatch, tile, n, T, repli
     # tracked extreme exactly
     monkeypatch.setattr(pairops, "_LEVEL_TILE", tile)
     report = monotone_couple_run(n, T, replicas, seed)
-    (c,), (a, b, lam) = predraw(matrix_chain(n), replicas, T, seed, "monotone", before=1)
+    rngs = [replica_rng(seed, r) for r in range(replicas)]
+    (c,), (a, b, lam) = predraw(matrix_chain(n), rngs, T, "monotone", before=1)
+    lam = lam(0, T)
     s = c / n
     gaps, mins_c, maxs_c, mins_s = [(c - s).min()], [c.min()], [c.max()], [s.min()]
     for t in range(T):

@@ -24,7 +24,7 @@ from gibbsmix.coupling import run_nonmarkovian_coupling
 from gibbsmix.groups import build_cyclic
 from gibbsmix.matrices import matrix_chain, mstep_batch, pair_alpha_beta
 from gibbsmix.pairops import advance, flat_view, pair_levels, pair_moves
-from gibbsmix.seeding import LambdaStream, draw_moves, draw_pairs, empty_moves
+from gibbsmix.seeding import _LAMBDA_CHUNK, LambdaStream, draw_moves, draw_pairs, empty_pairs
 from gibbsmix.simplex import step_batch
 from pair_oracle import split_pair, split_pair_float
 
@@ -295,7 +295,7 @@ def test_advance_is_the_per_step_loop_on_single_and_stacked_batches(kernel, data
     marks = [0, 1, 513, T] if data is None else _marks(data, T)
     group, gens = build_cyclic(n, range(1, n)) if kernel is step_batch else (None, None)
     rngs = [np.random.default_rng([11, r]) for r in range(B)]
-    moves = empty_moves(B, T, n)
+    moves = (*empty_pairs(B, T, n), np.empty((B, T)))
     for r, rng in enumerate(rngs):
         moves[0][r], moves[1][r], moves[2][r] = draw_moves(rng, T, n, group, gens)
     assert moves[0].dtype == np.uint8
@@ -319,7 +319,12 @@ def test_advance_is_the_per_step_loop_on_single_and_stacked_batches(kernel, data
                 assert len(got) == len(marks)
                 assert all(map(np.array_equal, got, want))
                 if isinstance(lam, LambdaStream):
-                    assert lam.drawn == (marks[-1] if marks else 0)
+                    # drawn ahead at most a chunk past the last tile's start
+                    last = marks[-1] if marks else 0
+                    assert last <= lam.drawn <= min(T, last + _LAMBDA_CHUNK)
+                    lam.finish()
+                    assert ([r.bit_generator.state for r in lam.rngs]
+                            == [r.bit_generator.state for r in rngs])
 
 
 def test_scans_hold_at_most_a_megabyte_of_lane_table(monkeypatch):

@@ -5,7 +5,7 @@ from gibbsmix import seeding
 from gibbsmix.errors import ConfigError, InvariantViolation
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
 from gibbsmix.seeding import (
-    LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_moves, move_bytes, skip_draws,
+    LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_pairs, skip_draws,
 )
 
 T = 600
@@ -153,11 +153,9 @@ def test_move_law_is_the_pair_arrays_then_the_lambda_array(cayley):
 
 @pytest.mark.parametrize("n, dtype", [(3, np.uint8), (256, np.uint8), (257, np.uint16), (4096, np.uint16)])
 def test_move_store_has_narrow_coordinates(n, dtype):
-    a, b, lam = empty_moves(5, 7, n)
-    assert a.shape == b.shape == lam.shape == (5, 7)
-    assert a.dtype == b.dtype == dtype and lam.dtype == np.float64
-    assert move_bytes(5, 7, n) == a.nbytes + b.nbytes + lam.nbytes
-    assert move_bytes(5, 7, n, lambdas=False) == a.nbytes + b.nbytes
+    a, b = empty_pairs(5, 7, n)
+    assert a.shape == b.shape == (5, 7)
+    assert a.dtype == b.dtype == dtype
 
 
 def _bits(x):
@@ -210,7 +208,71 @@ def test_lambda_stream_refuses_tiles_out_of_order():
     for s0, s1 in [(0, 4), (5, 8), (4, 11)]:
         with pytest.raises(InvariantViolation, match="draw-order"):
             stream(s0, s1)
-    assert stream.drawn == 4
+    # the first tile drew ahead to the end of its chunk, here T
+    assert stream.drawn == 10
+    stream.finish()
+    with pytest.raises(InvariantViolation, match="draw-order"):
+        stream(4, 5)
+
+
+class _Counted:
+    """A generator whose ``random`` calls are counted."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("width, calls", [(1, 3), (4, 3), (7, 3), (512, 3), (600, 2)])
+def test_lambda_stream_tiles_share_a_call_per_chunk(width, calls):
+    # 1,100 steps are three 512-step chunks (the last one short): tiles
+    # shorter than a chunk, also tiles that straddle two, share one random
+    # call per replica and chunk; a tile wider than a chunk is one call
+    B, T = 3, 1100
+    rngs = [_Counted(np.random.default_rng([8, b])) for b in range(B)]
+    stream = LambdaStream(rngs, T)
+    got = np.concatenate([stream(s0, min(T, s0 + width)).copy()
+                          for s0 in range(0, T, width)], axis=1)
+    assert [rng.calls for rng in rngs] == [calls] * B
+    refs = [np.random.default_rng([8, b]) for b in range(B)]
+    assert np.array_equal(_bits(got), _bits(np.stack([r.random(T) for r in refs])))
+
+
+@pytest.mark.parametrize("T, stop", [(0, 0), (1100, 0), (1100, 5), (1100, 600), (1100, 1100),
+                                     (5, 3)])
+def test_lambda_stream_finish_leaves_the_generators_after_the_whole_array(T, stop):
+    # stopped before any tile, mid-chunk or at T, finish() jumps each
+    # generator over the lambdas not drawn, to where rng.random(T) leaves it
+    B = 2
+    rngs = [np.random.default_rng([9, b]) for b in range(B)]
+    refs = [np.random.default_rng([9, b]) for b in range(B)]
+    stream = LambdaStream(rngs, T)
+    for s0 in range(0, stop, 4):
+        stream(s0, min(stop, s0 + 4))
+    assert stop <= stream.drawn <= T
+    stream.finish()
+    for rng, ref in zip(rngs, refs):
+        ref.random(T)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+
+
+def test_lambda_stream_guards_a_buffer_wider_than_a_chunk(monkeypatch):
+    # a tile of at most a chunk is drawn into a (B, chunk) buffer unchecked;
+    # a wider one (the coupled runner reads its phase-2 lambdas whole) is
+    # checked against the memory available before it is allocated
+    monkeypatch.setattr(seeding, "available_memory", lambda: 0)
+    rngs = [np.random.default_rng(b) for b in range(2)]
+    LambdaStream(rngs, 600)(0, 512)
+    monkeypatch.setattr(seeding, "available_memory", lambda: 2 * 600 * 8 - 1)
+    with pytest.raises(ConfigError, match="lambdas of 2 replicas over 600 steps would "
+                                          "pre-draw 9,600 bytes"):
+        LambdaStream(rngs, 600)(0, 600)
+    monkeypatch.setattr(seeding, "available_memory", lambda: 2 * 600 * 8)
+    assert LambdaStream(rngs, 600)(0, 600).shape == (2, 600)
 
 
 def test_draw_memory_guard_compares_the_estimate_with_the_probe(monkeypatch):
@@ -244,16 +306,22 @@ def test_predraw_draws_stationary_rows_as_single_draws(which):
         chain = simplex_chain(*build_cyclic(n, [1, n - 1]))
         single = lambda rng: sample_stationary(n, rng).x  # noqa: E731
     B, steps = 3, 25
-    rows, moves = seeding.predraw(chain, B, steps, 9, "a test", before=2, after=3)
-    assert rows.shape == (5, B, n)
+    rngs = [seeding.replica_rng(9, r) for r in range(B)]
+    rows, (a, b, lam) = seeding.predraw(chain, rngs, steps, "a test", before=2)
+    assert rows.shape == (2, B, n)
+    # the lambdas follow the pair arrays, and rows drawn after the stream's
+    # finish() follow the lambdas
+    moves = (a, b, lam(0, 10).copy())
+    lam.finish()
+    after = [chain.stationary(rng, 3) for rng in rngs]
     for r in range(B):
         rng = seeding.replica_rng(9, r)
         want = [single(rng) for _ in range(2)]
         drawn = draw_moves(rng, steps, n, chain.group, chain.gens)
-        want += [single(rng) for _ in range(3)]
         assert rows[:, r].tobytes() == np.stack(want).tobytes()
+        assert after[r].tobytes() == np.stack([single(rng) for _ in range(3)]).tobytes()
         for got, ref in zip(moves, drawn):
-            assert np.array_equal(got[r], ref)
+            assert np.array_equal(got[r], ref[:got.shape[1]])
     rng, ref = _twins(4)
     assert chain.stationary(rng, 0).shape == (0, n)
     assert chain.stationary(rng, 4).tobytes() == np.stack([single(ref) for _ in range(4)]).tobytes()

@@ -1,9 +1,14 @@
+import dataclasses
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from gibbsmix import seeding
 from gibbsmix.errors import InvariantViolation
 from gibbsmix.groups import build_cyclic
 from gibbsmix.kernels import edge_walk_kernel
@@ -223,3 +228,45 @@ def test_lower_bound_experiment_quick():
     assert report.stationary_second_moment <= report.stationary_bound
     for point in report.points:
         assert point.tv_lower_bound >= 0.0
+
+
+def _report_digest(report):
+    return hashlib.sha256(repr(dataclasses.astuple(report)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("chunk", [512, 4])
+@pytest.mark.parametrize("T, replicas, digest", [
+    # T a multiple of the checkpoint stride of 4, where nothing is jumped, or
+    # not: in 512-step chunks T = 513 leaves its last lambda undrawn, and
+    # 4-step chunks draw only up to the last checkpoint at every such T
+    (100, 50, "f26df804a12b44d6b553244aa497648b187729015d41d945df901da3ecbad93f"),
+    (101, 50, "26324e697ba4be35e690d1a4e62425caad1b98f4abbb36a9117aa64cdc5cb981"),
+    (513, 20, "5cfae590b7bf7c6c51868a4463f807a04f3d54c2e686da3ef13ece574311f705"),
+    (101, 1, "81fe9787eb4bb5936718a8de086334068c10628fce5709562b701ee3614f1481"),
+])
+def test_lower_bound_report_bytes_at_the_edge_sizes(monkeypatch, chunk, T, replicas, digest):
+    # pinned from the code that stored every lambda and drew the stationary
+    # rows after them: the unread lambdas are jumped over, not drawn, and
+    # each stationary row still follows its replica's whole lambda array
+    monkeypatch.setattr(seeding, "_LAMBDA_CHUNK", chunk)
+    report = lower_bound_experiment(*build_cyclic(8, [1, 7]), T=T, replicas=replicas, seed=3)
+    assert _report_digest(report) == digest
+
+
+def test_lower_bound_peak_is_below_a_stored_lambda_array():
+    # cyclic:16 +-1, 200 replicas, 10,001 steps: a (B, T) float64 lambda
+    # store alone is 16.0 MB, and the traced peak was about 25.2 MB with
+    # it. The streamed lambdas leave the pair store (4.0 MB) and the scans
+    B, T = 200, 10_001
+    group, gens = build_cyclic(16, [1, 15])
+    # a first run fills numpy's caches, which the traced run must not count
+    lower_bound_experiment(group, gens, T=10, replicas=3, seed=0)
+    tracemalloc.start()
+    try:
+        report = lower_bound_experiment(group, gens, T=T, replicas=B, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * B * T
+    assert _report_digest(report) == (
+        "b92a5cc43480dde1d865597a7d8f9429c5c09d3d29165ac6b4f116f438648dbf")
