@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "SUBSET_FAILED",
     "NOT_CONNECTED",
     "LARGENESS_VIOLATED",
-    "MergeRecord",
     "PartitionProcess",
     "CouplingOutcome",
     "ConnectReport",
@@ -73,20 +72,20 @@ _PAIR_MASS_FLOOR = 1e-300
 # schedules and partition processes
 
 
-class MergeRecord(NamedTuple):
-    """At time t the blocks S1 and S2 of P_{t+1} merge into one block of P_t,
-    S1 the smaller by (size, smallest member), its members s1 in ascending
-    order. (i, j) is the edge updated at t, with i in S1 and j in S2."""
-
-    t: int
-    i: int
-    j: int
-    s1: list
-
-
 @dataclass(eq=False)
 class PartitionProcess:
-    merges: list                  # MergeRecord, descending t
+    """The merges of a backward scan in descending time, one entry each in
+    ``merges`` (the time t), ``i``, ``j`` and ``size``: at t the blocks S1
+    and S2 of P_{t+1} merge into one block of P_t, S1 the smaller by (size,
+    smallest member), and (i, j) is the edge updated at t, with i in S1 and
+    j in S2. ``members`` holds each S1 in ascending order, concatenated in
+    merge order, so the S1 of merge k starts at sum(size[:k])."""
+
+    merges: list
+    i: list
+    j: list
+    size: list
+    members: list
     tau: float                    # T - (first single-block time), or inf
     connected: bool
 
@@ -96,14 +95,15 @@ def build_partition_process(left, right, n: int, t0: int = 0) -> PartitionProces
     (left[s], right[s]), two 1-D integer arrays with left != right, on block
     labels: owner[k] is the label of k's block, blocks[label] its members in
     no order and first[label] the smallest. A merge sorts S1, the block with
-    the smaller (size, first), in place, records its list (its label dies) and
-    the edge from S1 to S2, and moves S1 into S2; n - 1 merges end the scan."""
+    the smaller (size, first), in place, appends it and the edge from S1 to
+    S2 to the process's lists (its label dies), and moves S1 into S2; n - 1
+    merges end the scan."""
     if len(left) == 0:
         raise InvariantViolation("schedule-empty", "schedule must be nonempty")
     owner = list(range(n))
     blocks = [[k] for k in range(n)]
     first = list(range(n))
-    merges = []
+    merges, mi, mj, size, members = [], [], [], [], []
     times = range(t0 + len(left) - 1, t0 - 1, -1)
     for t, i, j in zip(times, reversed(memoryview(left)), reversed(memoryview(right))):
         a, b = owner[i], owner[j]
@@ -113,7 +113,11 @@ def build_partition_process(left, right, n: int, t0: int = 0) -> PartitionProces
             a, b, i, j = b, a, j, i
         s1 = blocks[a]
         s1.sort()
-        merges.append(MergeRecord(t, i, j, s1))
+        merges.append(t)
+        mi.append(i)
+        mj.append(j)
+        size.append(len(s1))
+        members += s1
         for k in s1:
             owner[k] = b
         blocks[b] += s1
@@ -122,8 +126,8 @@ def build_partition_process(left, right, n: int, t0: int = 0) -> PartitionProces
         if len(merges) == n - 1:
             break
     connected = len(merges) == n - 1
-    tau = float(t0 + len(left) - merges[-1].t) if connected else math.inf
-    return PartitionProcess(merges=merges, tau=tau, connected=connected)
+    tau = float(t0 + len(left) - merges[-1]) if connected else math.inf
+    return PartitionProcess(merges, mi, mj, size, members, tau, connected)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +150,34 @@ def _remainder_sample(lo: float, hi: float, q: float, rng: np.random.Generator) 
     return hi + (u - mid)
 
 
-def _size_runs(size: np.ndarray):
-    """(r0, r1, k) for each maximal run of rows r0..r1-1 of equal block size k."""
-    starts = np.flatnonzero(np.diff(size, prepend=-1)).tolist()
-    return [(r0, r1, int(size[r0])) for r0, r1 in zip(starts, [*starts[1:], len(size)])]
+def _size_runs(size: np.ndarray, offset: np.ndarray) -> list:
+    """(r0, r1, k, offset[r0]) for each maximal run of rows r0..r1-1 of
+    equal block size k."""
+    if not len(size):
+        return []
+    starts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist()]
+    return [(r0, r1, int(size[r0]), int(offset[r0]))
+            for r0, r1 in zip(starts, [*starts[1:], len(size)])]
+
+
+def _block_sums(fa, fb, index, runs, drop: int, rows: int) -> np.ndarray:
+    """The (2, rows) sums of fa and of fb over each row's span of the flat
+    ``index``: it holds the rows' blocks, each less ``drop`` entries, row
+    after row in the ``runs`` of ``_size_runs``. Both are gathered once,
+    into the two rows of one array, and each run's spans are one (2, rows,
+    k - drop) slice of it summed along its last axis, which gives each row
+    the bits of a 1-D ``.sum()`` of its span; an empty span sums to 0."""
+    values = np.empty((2, len(index)))
+    np.take(fa, index, out=values[0])
+    np.take(fb, index, out=values[1])
+    sums = np.zeros((2, rows))
+    for r0, r1, k, o in runs:
+        w = k - drop
+        if w > 0:
+            o -= drop * r0
+            np.add.reduce(values[:, o:o + (r1 - r0) * w].reshape(2, r1 - r0, w), axis=2,
+                          out=sums[:, r0:r1])
+    return sums
 
 
 def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i, j, s1, u, rngs):
@@ -171,12 +199,15 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
 
     A row whose pair mass (alpha) is at most 1e-300 on either side is
     degenerate: it is dropped before any further arithmetic and makes no
-    draw and no write. Block sums are taken over runs of rows with equal
-    |S1|, as C-contiguous (rows, |S1|) gathers summed along axis 1, which
-    gives each row the bits of a 1-D ``.sum()`` of its block; sort the rows
-    by |S1| to make each run one block size. Rows are independent, so one
-    call may hold steps of different times: the coupled runner passes the
-    marks of one dependency level, one per replica.
+    draw and no write. Each chain's values on every row's S1 are gathered
+    once, through one flat index over all the blocks, and the block sums
+    are taken over runs of rows with equal |S1|: a run's blocks are one
+    contiguous (rows, |S1|) slice of the gather, summed along its last
+    axis, which gives each row the bits of a 1-D ``.sum()`` of its block.
+    Sort the rows by |S1| to make each run one block size. Rows are
+    independent, so one call may hold steps of different times: the
+    coupled runner passes the marks of one dependency level, one per
+    replica.
 
     Returns (degenerate, ok, lam_x, lam_y), one entry per row; lam_x and
     lam_y are NaN on degenerate rows. On each row that succeeded the block
@@ -196,17 +227,15 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
             v[live] for v in (rows, base, i, j, ii, jj, u, start, size, sx, ax, bx, sy, ay, by)
         )
 
-    # the flat index of each run's blocks, and the sums over S1 less i
-    blocks = []
-    c = np.zeros(len(rows))
-    for r0, r1, k in _size_runs(size):
-        block = members[start[r0:r1, None] + np.arange(k)]
-        full = base[r0:r1, None] + block
-        blocks.append((r0, r1, full))
-        if k > 1:
-            others = full[block != i[r0:r1, None]].reshape(r1 - r0, k - 1)
-            c[r0:r1] = fy[others].sum(axis=1) - fx[others].sum(axis=1)
-    c = (by - bx) + c
+    # one flat index over every row's S1, row after row, and the same
+    # without each row's i; the sums over S1 less i
+    offset = np.cumsum(size) - size
+    runs = _size_runs(size, offset)
+    at, row_base, row_i = np.repeat((start - offset, base, i), size, axis=1)
+    block = members[at + np.arange(len(at))]
+    full = row_base + block
+    rest_y, rest_x = _block_sums(fy, fx, full[block != row_i], runs, 1, len(rows))
+    c = (by - bx) + (rest_y - rest_x)
 
     # a matrix pair-gap tie with delta_x < 0 < delta_y (delta = 2 - pair
     # total) lets the x side draw first; a simplex tie has sx == sy, since
@@ -230,13 +259,13 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     put_pair(fx, *orient(base, i, j, lam_x), sx, ax, bx)
     put_pair(fy, *orient(base, i, j, lam_y), sy, ay, by)
 
-    for r0, r1, full in blocks:
-        gap = np.abs(fx[full].sum(axis=1) - fy[full].sum(axis=1))
-        bad = ok[r0:r1] & (gap > _W_TOL)
-        if bad.any():
-            raise InvariantViolation(
-                "subset-w-equality", f"|w(X,S) - w(Y,S)| = {gap[bad].max():.3e}"
-            )
+    wx, wy = _block_sums(fx, fy, full, runs, 0, len(rows))
+    gap = np.abs(wx - wy)
+    bad = ok & (gap > _W_TOL)
+    if bad.any():
+        raise InvariantViolation(
+            "subset-w-equality", f"|w(X,S) - w(Y,S)| = {gap[bad].max():.3e}"
+        )
 
     if not degenerate.any():
         return degenerate, ok, lam_x, lam_y
@@ -271,8 +300,8 @@ def run_nonmarkovian_coupling(
     suffix graph of the replica's phase-2 coordinates is built, and the T2
     phase-2 steps are replayed with a subset coupling at each marked time —
     the updated coordinate lying in the smaller merged block S1 takes the
-    role i, as the scan recorded it (``MergeRecord.i``) — and proportional
-    coupling elsewhere.
+    role i, as the scan recorded it (``PartitionProcess.i``) — and
+    proportional coupling elsewhere.
 
     Where each draw is made: each phase is one ``seeding.predraw`` on the
     replicas' generators. Before phase 1, every replica's stationary Y and
@@ -280,6 +309,8 @@ def run_nonmarkovian_coupling(
     stream as the level tiles reach them, so they are never stored whole.
     After phase 1 the phase-2 pair arrays are drawn into a (B, T2) store,
     indexed at t - T1, and the phase-2 lambdas are read whole from theirs.
+    Both phases' stores are checked against the memory available before
+    phase 1 draws anything.
 
     Nothing is observed during phase 1, so its moves are applied in
     dependency levels (``pairops.advance``), one kernel call on the stacked
@@ -291,9 +322,10 @@ def run_nonmarkovian_coupling(
     ones, alone at its level in its replica. Each level makes at most one
     kernel call on the stacked batch for its proportional moves and one
     ``subset_couple_batch`` call for its marked steps, sorted by |S1|, read
-    from a mark table built once from every replica's merges. A replica
-    whose subset step meets a degenerate pair mass stops there: all of its
-    later steps sit at later levels, and from then on its rows are dropped.
+    from a mark table whose columns are the replicas' merge lists laid end
+    to end. A replica whose subset step meets a degenerate pair mass stops
+    there: all of its later steps sit at later levels, and from then on its
+    rows are dropped.
     A replay that steps every phase-2 time of one replica is the reference
     these outcomes match in the tests.
 
@@ -315,7 +347,11 @@ def run_nonmarkovian_coupling(
 
     n, B = chain.n, replicas
     rngs = [replica_rng(seed, b) for b in range(B)]
-    (Y,), (left, right, lambdas) = predraw(chain, rngs, T1, "the coupling's phase 1", before=1)
+    phase2 = "the coupling's phase 2"
+    # phase 2's store, its lambdas read whole, is checked before phase 1
+    # draws anything
+    (Y,), (left, right, lambdas) = predraw(chain, rngs, T1, "the coupling's phase 1",
+                                           before=1, then=(T2, phase2))
     # X and Y are the two halves of one C-contiguous batch, so a draw shared
     # by both chains moves them in one kernel call; the drawn rows go with Y
     XY = np.concatenate((np.broadcast_to(chain.start, Y.shape), Y))
@@ -329,26 +365,28 @@ def run_nonmarkovian_coupling(
     # phase 1's draws go before phase 2's are drawn. Its lambdas are read
     # whole, since the subset couplings' remainder draws follow them
     del left, right, lambdas
-    _, (left, right, lambdas) = predraw(chain, rngs, T2, "the coupling's phase 2")
+    _, (left, right, lambdas) = predraw(chain, rngs, T2, phase2)
     lam = lambdas(0, T2)
-    # outcomes read only tau and connectedness; each merge's fields and its
-    # replica go straight into the columns of the mark table
+    # outcomes read only tau and connectedness; each replica's merge lists
+    # extend the columns of the mark table
     tau, connected = [math.inf] * B, [False] * B
-    columns, members = [[] for _ in range(5)], []
+    mark_s, mark_i, mark_j, mark_size, members, count = [], [], [], [], [], []
     for b in range(B):
         proc = build_partition_process(left[b], right[b], n, T1)
         tau[b], connected[b] = proc.tau, proc.connected
-        ts, i, j, s1 = zip(*proc.merges)
-        for column, values in zip(columns, (ts, [b] * len(ts), i, j, map(len, s1))):
-            column += values
-        for block in s1:
-            members += block
+        mark_s += proc.merges
+        mark_i += proc.i
+        mark_j += proc.j
+        mark_size += proc.size
+        members += proc.members
+        count.append(len(proc.merges))
     # the mark table, one entry per merge, at step s = t - T1 of its
     # replica: the S1 of entry k is members[mark_start[k]:mark_start[k] +
     # mark_size[k]]. It is sorted by s, so each level tile's marks are one
     # span of it, and the marked steps are the barriers of the levelling
-    mark_s, mark_b, mark_i, mark_j, mark_size = np.array(columns, dtype=np.int64)
-    del columns
+    mark_s, mark_i, mark_j, mark_size = np.array((mark_s, mark_i, mark_j, mark_size),
+                                                 dtype=np.int64)
+    mark_b = np.repeat(np.arange(B), count)
     mark_s -= T1
     members = np.array(members, dtype=np.int64)
     mark_start = np.cumsum(mark_size) - mark_size

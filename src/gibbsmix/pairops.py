@@ -230,10 +230,10 @@ def _oriented_levels(lev, a, b, lam, n: int, barrier=None) -> list:
     level, given the (w, B) levels of its steps; the steps flagged in the
     (B, w) ``barrier`` are left out."""
     w = a.shape[1]
-    top = 0 if barrier is None else int(lev.max())
+    top = int(lev.max())
     # entry r * w + s is step s of row r, in a copy the caller's levels do
-    # not see; 8- and 16-bit keys sort by radix
-    lev = lev.T.flatten()
+    # not see; 8- and 16-bit keys sort by radix, 8-bit ones in one pass
+    lev = lev.T.astype(np.uint8 if top < 256 else lev.dtype, order="C").reshape(-1)
     if barrier is not None:
         # key 0 sorts first and is no level, so the barriers are dropped
         lev[barrier.ravel()] = 0

@@ -119,7 +119,7 @@ def draw_moves(rng: np.random.Generator, T: int, n: int, group=None, gens=None):
 _LAMBDA_CHUNK = 512
 
 
-def predraw(chain, rngs, T: int, what: str, before: int = 0):
+def predraw(chain, rngs, T: int, what: str, before: int = 0, then=None):
     """The draws of a lockstep experiment ``what`` over T steps of ``chain``,
     one replica per generator of ``rngs``: replica r draws ``before``
     stationary rows (one ``chain.stationary`` call, which leaves the stream
@@ -128,10 +128,18 @@ def predraw(chain, rngs, T: int, what: str, before: int = 0):
     of replica r, (a, b) the (B, T) pair store and lam the ``LambdaStream``
     of the lambda arrays. ``check_draw_memory`` first compares the bytes of
     the store and of the stream's (B, chunk) buffer with the memory
-    available."""
+    available. ``then = (T', what')`` names a later predraw on the same
+    generators whose lambdas are read whole, as one (B, T') array: its
+    store and that array are checked here too, before anything is drawn."""
     n, B = chain.n, len(rngs)
-    check_draw_memory(B * (T * 2 * np.min_scalar_type(n - 1).itemsize + min(T, _LAMBDA_CHUNK) * 8),
-                      f"{what} over {B} replicas and {T} steps")
+    # (steps, lambdas held, what) of each store
+    stores = [(T, min(T, _LAMBDA_CHUNK), what)]
+    if then is not None:
+        stores.append((then[0], then[0], then[1]))
+    pair_bytes = 2 * np.min_scalar_type(n - 1).itemsize
+    for steps, held, about in stores:
+        check_draw_memory(B * (steps * pair_bytes + held * 8),
+                          f"{about} over {B} replicas and {steps} steps")
     rows = np.empty((before, B, n))
     a, b = empty_pairs(B, T, n)
     for r, rng in enumerate(rngs):

@@ -1,4 +1,16 @@
+import sys
 import tempfile
+from pathlib import Path
+
+# the suite writes no bytecode into the checkout: none for the package and
+# the test modules, which are imported after this line, and none for this
+# file, whose assertion rewrite pytest cached before running it
+sys.dont_write_bytecode = True
+_CACHE = Path(__file__).parent / "__pycache__"
+for _cached in _CACHE.glob("conftest.*.pyc"):
+    _cached.unlink()
+if _CACHE.is_dir() and not any(_CACHE.iterdir()):
+    _CACHE.rmdir()
 
 import numpy as np
 import pytest

@@ -51,6 +51,19 @@ def _process(entries, n, t0=0):
     return build_partition_process(entries[:, 0], entries[:, 1], n, t0)
 
 
+_Merge = namedtuple("_Merge", "t i j s1")
+
+
+def _records(proc):
+    """A scan's merges as records (t, i, j, s1) in descending t, each s1 the
+    sorted list cut from ``proc.members`` by ``proc.size``."""
+    columns = (proc.merges, proc.i, proc.j, proc.size)
+    assert len({len(v) for v in columns}) == 1 and len(proc.members) == sum(proc.size)
+    ends = np.cumsum(proc.size, dtype=np.int64).tolist()
+    return [_Merge(t, i, j, proc.members[end - k:end])
+            for t, i, j, k, end in zip(*columns, ends)]
+
+
 def _suffix_components(entries, t0, n, t):
     """Brute-force P_t: connected components of the suffix edges {s >= t},
     by min-label propagation until nothing changes."""
@@ -106,7 +119,7 @@ def _reference_partition(left, right, n, t0):
 
 def _matches_reference(left, right, n, t0, proc):
     """Whether a scan's records, tau and connectedness equal the reference's."""
-    records = [tuple(rec) for rec in proc.merges]
+    records = [tuple(rec) for rec in _records(proc)]
     return (records, proc.tau, proc.connected) == _reference_partition(left, right, n, t0)
 
 
@@ -154,12 +167,12 @@ def test_partition_process_forced_example():
     entries = np.array([[0, 1], [1, 2]])
     proc = _process(entries, 3)
     assert proc.connected and proc.tau == 2
-    assert [rec.t for rec in proc.merges] == [1, 0]
-    assert [rec.s1 for rec in proc.merges] == [[1], [0]]
-    assert [_s2(entries, 0, 3, rec) for rec in proc.merges] == [(2,), (1, 2)]
+    records = _records(proc)
+    assert proc.merges == [1, 0]
+    assert [rec.s1 for rec in records] == [[1], [0]]
+    assert [_s2(entries, 0, 3, rec) for rec in records] == [(2,), (1, 2)]
     # each merge's marked edge, from S1 to S2
-    assert (proc.merges[0].i, proc.merges[0].j) == (1, 2)
-    assert (proc.merges[1].i, proc.merges[1].j) == (0, 1)
+    assert (proc.i, proc.j) == ([1, 0], [2, 1])
     assert _suffix_components(entries, 0, 3, 0) == [(0, 1, 2)]
     assert _suffix_components(entries, 0, 3, 1) == [(0,), (1, 2)]
     assert _suffix_components(entries, 0, 3, 2) == [(0,), (1,), (2,)]
@@ -181,9 +194,10 @@ def test_partition_single_pair():
     proc = _process([[1, 0]], 2)
     assert proc.connected and proc.tau == 1
     assert len(proc.merges) == 1
-    assert proc.merges[0].s1 == [0] and _s2(np.array([[1, 0]]), 0, 2, proc.merges[0]) == (1,)
+    rec, = _records(proc)
+    assert rec.s1 == [0] and _s2(np.array([[1, 0]]), 0, 2, rec) == (1,)
     # drawn as (1, 0), recorded from S1 to S2
-    assert (proc.merges[0].i, proc.merges[0].j) == (0, 1)
+    assert (rec.i, rec.j) == (0, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,10 +216,10 @@ def test_partition_invariants_random_schedules(data):
     left[0], right[0] = entries[:, 0], entries[:, 1]
     assert left.dtype == np.uint8
     narrow = build_partition_process(left[0], right[0], n, 5)
-    assert narrow.merges == proc.merges
+    assert _records(narrow) == _records(proc)
     assert narrow.tau == proc.tau and narrow.connected == proc.connected
 
-    merge_times = [rec.t for rec in proc.merges]
+    merge_times = proc.merges
     assert merge_times == sorted(merge_times, reverse=True)
     assert len(set(merge_times)) == len(merge_times)
 
@@ -228,7 +242,7 @@ def test_partition_invariants_random_schedules(data):
             assert len(part) == len(previous) + ((t - 1) in merge_times)
         previous = part
 
-    for rec in proc.merges:
+    for rec in _records(proc):
         s1, s2 = tuple(rec.s1), _s2(entries, 5, n, rec)
         assert len(s1) <= len(s2)
         if len(s1) == len(s2):
@@ -241,7 +255,7 @@ def test_partition_invariants_random_schedules(data):
         assert {rec.i, rec.j} == set(entries[rec.t - 5].tolist())
         assert rec.i in s1
     if proc.connected:
-        t_star = proc.merges[-1].t
+        t_star = proc.merges[-1]
         assert proc.tau == 5 + length - t_star
         assert len(partition_at(t_star)) == 1
         if t_star + 1 <= 5 + length:
@@ -541,6 +555,89 @@ def test_subset_batch_matches_the_scalar_oracle(kind, n, m, by_size, seed):
     assert batch_rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("kind", ["simplex", "matrix"])
+def test_subset_batch_matches_the_oracle_on_every_block_size_at_n128(kind):
+    # couple-matrix-n128 reaches |S1| = 64, past the property's n = 48: one
+    # call whose rows, sorted by |S1| as the runner sorts them, hold two
+    # blocks of every size from 1 to 64, on close pairs (which mostly
+    # succeed) and independent ones (which mostly fail)
+    n, sizes = 128, np.repeat(np.arange(1, 65), 2)
+    m = len(sizes)
+    rng = np.random.default_rng(128)
+    B = m + 5
+    if kind == "simplex":
+        X, Y = rng.dirichlet(np.ones(n), (2, B))
+    else:
+        X, Y = (msample_stationary_batch(n, rng, B) for _ in range(2))
+    rows = rng.permutation(B)[:m]
+    close = np.arange(m) % 2 == 0
+    Y[rows[close]] = X[rows[close]] + rng.uniform(-1e-9, 1e-9, (int(close.sum()), n))
+    blocks, i, j = [], [], []
+    for k in sizes.tolist():
+        perm = rng.permutation(n)
+        blocks.append(np.sort(perm[:k]))
+        i.append(int(perm[0]))
+        j.append(int(perm[k]))
+    u = rng.random(m)
+
+    want_x, want_y = X.copy(), Y.copy()
+    oracle_rng = np.random.default_rng(5)
+    want = [_subset_oracle(kind, want_x[r], want_y[r], blocks[k], i[k], j[k], oracle_rng, u[k])
+            for k, r in enumerate(rows)]
+    batch_rng = np.random.default_rng(5)
+    got = subset_couple_batch(
+        _COEFFS[kind], X, Y, rows, np.asarray(i), np.asarray(j),
+        (np.concatenate(blocks), np.cumsum(sizes) - sizes, sizes), u, [batch_rng] * B,
+    )
+    assert X.tobytes() == want_x.tobytes() and Y.tobytes() == want_y.tobytes()
+    assert not got[0].any()
+    assert [(bool(ok), float(lx), float(ly)) for ok, lx, ly in zip(*got[1:])] == want
+    # both branches ran, the failed rows' remainder draws in row order
+    assert 0 < sum(ok for ok, _, _ in want) < m
+    assert batch_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("where", ["succeeded", "failed"])
+def test_subset_w_equality_check_raises_on_a_perturbed_row(monkeypatch, where):
+    # one call over blocks of mixed sizes, on states equal in X and Y (so
+    # every such row succeeds) except row 5, built to fail (the failure
+    # branch example). The x write of one row is off by 1e-11 at its i: on
+    # a row that succeeded the check must raise, on the failed row it
+    # must not
+    n, sizes = 8, np.array([1, 1, 2, 3, 3, 3, 5, 7])
+    rng = np.random.default_rng(9)
+    X = rng.dirichlet(np.ones(n), len(sizes))
+    Y = X.copy()
+    X[5], Y[5] = [0.05, 0.05, 0.9, 0, 0, 0, 0, 0], [0.45, 0.45, 0.1, 0, 0, 0, 0, 0]
+    # row k updates (0, j[k]) with S1 = {0, ..., size - 1}, but row 5 the
+    # pair (0, 1) with S1 = {0, 2, 3}
+    blocks = [np.arange(k) for k in sizes]
+    i, j = np.zeros(len(sizes), dtype=np.int64), sizes.copy()
+    j[5], blocks[5] = 1, np.array([0, 2, 3])
+    row = {"succeeded": 4, "failed": 5}[where]
+    writes = []
+
+    def perturbed(flat, p, q, lam, *coeffs):
+        coupling_put(flat, p, q, lam, *coeffs)
+        if not writes:
+            flat[row * n + i[row]] += 1e-11
+        writes.append(len(p))
+
+    coupling_put = coupling.put_pair
+    monkeypatch.setattr(coupling, "put_pair", perturbed)
+    args = (_COEFFS["simplex"], X, Y, np.arange(len(sizes)), i, j,
+            (np.concatenate(blocks), np.cumsum(sizes) - sizes, sizes),
+            np.full(len(sizes), 0.5), [np.random.default_rng(0)] * len(sizes))
+    if where == "succeeded":
+        with pytest.raises(InvariantViolation) as err:
+            subset_couple_batch(*args)
+        assert err.value.axiom == "subset-w-equality"
+    else:
+        _, ok, _, _ = subset_couple_batch(*args)
+        assert ok.tolist() == [True] * 5 + [False] + [True] * 2
+    assert writes == [len(sizes), len(sizes)]
+
+
 def _split_row(kind, row, i, j, lam):
     """The pair split on one row's own two values, written into the row."""
     if kind == "simplex":
@@ -625,7 +722,7 @@ def _stepped_replay(chain, T1, T2, replicas, seed):
             chain.kernel(*pair_moves(xy, left[[t, t]], right[[t, t]], lam[[t, t]]))
         left, right, lam = draw_moves(rng, T2, n, chain.group, chain.gens)
         proc = build_partition_process(left, right, n, T1)
-        marks = {rec.t: rec for rec in proc.merges}
+        marks = {rec.t: rec for rec in _records(proc)}
         states, successes = [xy.copy()], []
         subset_fail = largeness_fail = None
         for t in range(T1, T1 + T2):
@@ -743,7 +840,7 @@ def test_runner_makes_one_subset_call_per_level_with_marks(monkeypatch, case):
 
     def built(*args):
         proc = build_process(*args)
-        scans.append((args, proc.merges))
+        scans.append((args, _records(proc)))
         return proc
 
     def counted(coeffs, X, Y, rows, i, j, s1, *args):
@@ -1018,19 +1115,35 @@ def test_largeness_frees_each_tile_before_the_next():
 
 
 def test_runner_memory_estimate_is_its_two_stores(monkeypatch):
-    # each phase's store is checked before it is drawn, phase 1's first:
-    # its pair arrays (one byte per coordinate at n = 8) and the buffer of
-    # its lambda stream (a float64 per step up to 512 steps)
-    B, T1, T2, n = 3, 10, 20, 8
+    # both phases' stores are checked before anything is drawn or moved,
+    # phase 1's first: its pair arrays (one byte per coordinate at n = 8)
+    # and the buffer of its lambda stream (a float64 per step up to 512
+    # steps); phase 2's pair arrays and its lambdas, read whole (600 steps,
+    # past one chunk of the stream)
+    B, T1, T2, n = 3, 10, 600, 8
     kwargs = dict(T1=T1, T2=T2, replicas=B, seed=1)
+    calls = []
+
+    def counted(name, layer):
+        def call(*args):
+            calls.append(name)
+            return layer(*args)
+        return call
+
+    plain = matrix_chain(n)
+    chain = replace(plain, kernel=counted("kernel", plain.kernel),
+                    stationary=counted("stationary", plain.stationary))
+    needs = {1: B * T1 * 10, 2: B * T2 * 10}
     for phase, T in ((1, T1), (2, T2)):
-        need = B * T * 10
+        need = needs[phase]
         monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)
         with pytest.raises(ConfigError, match=f"phase {phase} over {B} replicas and {T} steps "
                                               f"would pre-draw {need:,} bytes"):
-            run_nonmarkovian_coupling(matrix_chain(n), **kwargs)
-    monkeypatch.setattr(seeding, "available_memory", lambda: need)
-    run_nonmarkovian_coupling(matrix_chain(n), **kwargs)
+            run_nonmarkovian_coupling(chain, **kwargs)
+        assert calls == []
+    monkeypatch.setattr(seeding, "available_memory", lambda: needs[2])
+    run_nonmarkovian_coupling(chain, **kwargs)
+    assert {"stationary", "kernel"} <= set(calls)
 
 
 _PINNED_FAILURES = {

@@ -271,6 +271,33 @@ def test_barrier_levels_replay_the_per_step_loop(tile, n, B, T, density, budget,
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("density", [0.0, 0.05])
+def test_a_tile_above_level_255_replays_the_per_step_loop(density):
+    # row 0 moves the same pair at every step, so the first 512-step tile
+    # climbs to level 512 and sorts 16-bit keys, and the 88-step tile after
+    # it stays below 256 and sorts 8-bit ones; with barriers (applied after
+    # each level's moves) and without, both give the per-step loop's bytes
+    rng = np.random.default_rng(11)
+    n, B, T = 6, 3, 600
+    a, b, lam = _draws(rng, B, T, n)
+    a[0], b[0] = 0, 1
+    barriers = rng.random((B, T)) < density
+    x0 = rng.uniform(0.0, 2.0, (B, n))
+    want, got = x0.copy(), x0.copy()
+    _per_step(mstep_batch, want, a, b, lam)
+    tops = []
+    for s0, lev, levels in pair_levels(a, b, lam, n, barriers):
+        tops.append(int(lev.max()))
+        held = barriers[:, s0:s0 + len(lev)].T
+        for level, move in enumerate(levels, 1):
+            mstep_batch(flat_view(got), *move)
+            for s, r in zip(*np.nonzero((lev == level) & held)):
+                t = s0 + s
+                mstep_batch(*pair_moves(got, a[r, [t]], b[r, [t]], lam[r, [t]], [r]))
+    assert len(tops) == 2 and tops[0] >= 512 and tops[1] < 256
+    assert got.tobytes() == want.tobytes()
+
+
 def test_levels_of_strided_views():
     # the checkpointed callers pass column slices of (B, T) draws
     rng = np.random.default_rng(7)
