@@ -3,7 +3,8 @@
 Three layers:
 
 * proportional coupling: both chains share every (pair, lam) draw; the L2
-  difference contracts in expectation.
+  difference contracts in expectation. X and Y are two (B, n) batches, and
+  each oriented move moves both, one kernel call per batch.
 * subset coupling: at one update of the pair (i, j) with i inside a block S
   and j outside it, the two lambdas are drawn jointly so that the block
   weights w(X', S) and w(Y', S) coincide with high probability, while each
@@ -39,9 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvariantViolation
-from .pairops import (
-    Chain, advance, flat_view, orient, pair_levels, put_pair, stacked_moves,
-)
+from .pairops import Chain, advance, flat_view, orient, pair_levels, put_pair
 from .seeding import draw_pairs, empty_pairs, predraw, replica_rng
 
 __all__ = [
@@ -313,15 +312,14 @@ def run_nonmarkovian_coupling(
     phase 1 draws anything.
 
     Nothing is observed during phase 1, so its moves are applied in
-    dependency levels (``pairops.advance``), one kernel call on the stacked
-    [X; Y] batch per level; each move reads the values it would read in a
-    per-step loop, so the result is that loop's, bit for bit. Phase 2 is
-    levelled the same way, in the same tiles, with each replica's marked
-    steps as barriers (``pairops.pair_levels``): a marked step comes
-    after all of its replica's earlier steps and before all of its later
-    ones, alone at its level in its replica. Each level makes at most one
-    kernel call on the stacked batch for its proportional moves and one
-    ``subset_couple_batch`` call for its marked steps, sorted by |S1|, read
+    dependency levels (``pairops.advance``), one kernel call per level on X
+    and one on Y; each move reads the values it would read in a per-step
+    loop, so the result is that loop's, bit for bit. Phase 2 is levelled
+    the same way, in the same tiles, with each replica's marked steps as
+    barriers (``pairops.pair_levels``): a marked step comes after all of
+    its replica's earlier steps and before all of its later ones, alone at
+    its level in its replica. Each level makes at most one kernel call per
+    chain for its proportional moves and one ``subset_couple_batch`` call for its marked steps, sorted by |S1|, read
     from a mark table whose columns are the replicas' merge lists laid end
     to end. A replica whose subset step meets a degenerate pair mass stops
     there: all of its later steps sit at later levels, and from then on its
@@ -352,13 +350,10 @@ def run_nonmarkovian_coupling(
     # draws anything
     (Y,), (left, right, lambdas) = predraw(chain, rngs, T1, "the coupling's phase 1",
                                            before=1, then=(T2, phase2))
-    # X and Y are the two halves of one C-contiguous batch, so a draw shared
-    # by both chains moves them in one kernel call; the drawn rows go with Y
-    XY = np.concatenate((np.broadcast_to(chain.start, Y.shape), Y))
-    X, Y = XY[:B], XY[B:]
+    X = np.broadcast_to(chain.start, Y.shape).copy()
 
     batch = chain.kernel
-    for _ in advance(batch, XY, left, right, lambdas, [T1]):
+    for _ in advance(batch, (X, Y), left, right, lambdas, [T1]):
         pass
     if lambdas.drawn != T1:
         raise InvariantViolation("draw-order", f"phase 1 drew {lambdas.drawn} of {T1} lambdas")
@@ -397,7 +392,7 @@ def run_nonmarkovian_coupling(
     barriers = np.zeros((B, T2), dtype=bool)
     barriers[mark_b, mark_s] = True
 
-    flat = flat_view(XY)
+    flats = flat_view(X), flat_view(Y)
     subset_fail, largeness_fail = np.full((2, B), -1, dtype=np.int64)
     # a replica stops at its first degenerate pair mass, where its
     # largeness_fail is set; all of its later steps are at later levels, so
@@ -416,7 +411,8 @@ def run_nonmarkovian_coupling(
                 live = largeness_fail[p // n] < 0
                 p, q, pl = p[live], q[live], pl[live]
             if len(p):
-                batch(flat, *stacked_moves(B * n, p, q, pl))
+                for flat in flats:
+                    batch(flat, p, q, pl)
             sel = order[m0:m1]
             if stopped:
                 sel = sel[largeness_fail[mark_b[sel]] < 0]

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -292,11 +292,12 @@ class Table:
     """One tabular artifact; written as CSV or JSON lines per the config.
 
     fmt_override pins a table to one format regardless of the config
-    (coupling outcome records are always JSON lines)."""
+    (coupling outcome records are always JSON lines). ``rows`` is any
+    iterable of row tuples; ``write`` reads it once."""
 
     name: str
     header: list
-    rows: list
+    rows: Iterable
     fmt_override: Optional[str] = None
 
     @classmethod
@@ -507,16 +508,16 @@ def _run_identity_matrix(config: ExperimentConfig):
     """exact pairwise-gap identity on random matrix states"""
     n = _n(config)
     pairs = config.replicas or 10**4
-    # the two (pairs, n) stacks of stationary rows
-    check_draw_memory(2 * pairs * n * 8, f"identity-matrix over {pairs} pairs at n = {n}")
+    # the two (pairs, n) stacks of stationary rows and the residuals; the
+    # table is written from the residuals, row by row
+    check_draw_memory((2 * n + 1) * pairs * 8, f"identity-matrix over {pairs} pairs at n = {n}")
     rng = replica_rng(config.seed, 0)
     cx = msample_stationary_batch(n, rng, pairs)
     cy = msample_stationary_batch(n, rng, pairs)
     residuals = identity_residual_batch(cx, cy)
     worst = float(residuals.max())
-    rows = [(idx, float(residuals[idx])) for idx in range(pairs)]
     summary = {"n": n, "pairs": pairs, "max_residual": worst, "tolerance": _IDENTITY_TOL}
-    tables = [Table("residuals", ["pair", "residual"], rows)]
+    tables = [Table("residuals", ["pair", "residual"], enumerate(map(float, residuals)))]
     if worst > _IDENTITY_TOL:
         raise AssertionFailure(
             f"contraction identity residual {worst:.3e} exceeds {_IDENTITY_TOL} (n={n})"

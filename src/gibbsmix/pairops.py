@@ -21,9 +21,10 @@ p takes lam' alpha + beta. alpha, beta and the pair total are symmetric in
 the two coordinates, so the oriented move writes the bits of the unoriented
 one. The batch kernels ``step_batch``/``mstep_batch`` take oriented moves,
 ``kernel(flat, p, q, lam')``, and end in ``put_pair``, the one pair-move
-arithmetic. ``pair_moves`` orients arbitrary moves on a (B, n) batch, and
-``stacked_moves`` repeats oriented moves on the second half of a stacked
-[X; Y] batch, so that two chains that share draws move in one kernel call.
+arithmetic. ``pair_moves`` orients arbitrary moves on a (B, n) batch. The
+oriented moves name rows by flat offset, so they apply as they are to any
+(B, n) batch: two chains that share draws are two batches, each moved by
+its own call on the same (p, q, lam').
 
 ``Chain`` is the record of one of the two samplers that the code running on
 either chain reads. ``pair_levels`` groups the moves of a (B, T) block of
@@ -31,12 +32,13 @@ draws into dependency levels, one level tile at a time, optionally with
 barrier steps that the caller applies itself (the coupled runner's
 subset-coupled steps): a barrier is its row's only step at its level, after
 all of the row's earlier steps and before all of its later ones.
-``advance`` applies the draws up to each of a caller's marks in turn, one
-kernel call per level instead of one per step, and hands back control at
-every mark. Both orient a level tile's moves once, when the tile is
-levelled, and read the lambdas one tile at a time, from a stored (B, T)
-array or from a tile source that draws them as the tiles reach them
-(``seeding.LambdaStream``), so a long stretch need not hold them.
+``advance`` applies the draws to one or more batches up to each of a
+caller's marks in turn, one kernel call per level and batch instead of one
+per step, and hands back control at every mark. Both orient a level tile's
+moves once, when the tile is levelled, and read the lambdas one tile at a
+time, from a stored (B, T) array or from a tile source that draws them as
+the tiles reach them (``seeding.LambdaStream``), so a long stretch need
+not hold them.
 """
 
 from __future__ import annotations
@@ -48,10 +50,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 
-__all__ = [
-    "Chain", "advance", "flat_view", "orient", "pair_levels", "pair_moves", "put_pair",
-    "stacked_moves",
-]
+__all__ = ["Chain", "advance", "flat_view", "orient", "pair_levels", "pair_moves", "put_pair"]
 
 # steps per level tile: each tile is levelled on its own, so its levels fit
 # 16 bits, and the tiles of one scan are levelled side by side in one pass
@@ -134,13 +133,6 @@ def put_pair(flat, p, q, lam, total, alpha, beta) -> None:
     share += beta
     flat[p] = share
     flat[q] = total - share
-
-
-def stacked_moves(half: int, p, q, lam) -> tuple:
-    """Oriented moves (p, q, lam') on the first half of a stacked [X; Y]
-    batch, repeated on its second half, which starts at flat index
-    ``half``: one kernel call moves both chains that share these draws."""
-    return np.concatenate((p, p + half)), np.concatenate((q, q + half)), np.concatenate((lam, lam))
 
 
 def _move_levels(a, b, n: int, tiles, barriers=None) -> np.ndarray:
@@ -285,25 +277,28 @@ def pair_levels(a, b, lam, n: int, barriers=None):
     return _tile_levels(a, b, lam, n, [a.shape[1]], barriers)
 
 
-def advance(kernel, batch: np.ndarray, a, b, lam, marks):
-    """Apply the (B, T) draws (a, b, lam) to ``batch`` in place up to each
-    mark of the ascending sequence ``marks`` (0 <= mark <= T) in turn,
-    yielding the mark once steps [0, mark) are applied; a caller that
-    observes nothing passes one mark. ``lam`` is a stored array or a tile
-    source as in ``pair_levels``. The steps run one ``kernel(flat, p, q,
-    lam')`` call per dependency level, on ``flat_view(batch)``, in level
-    tiles that restart at every mark, so at each mark the batch is what a
-    per-step loop leaves.
+def advance(kernel, batches, a, b, lam, marks):
+    """Apply the (B, T) draws (a, b, lam) in place to each (B, n) batch of
+    the sequence ``batches`` up to each mark of the ascending sequence
+    ``marks`` (0 <= mark <= T) in turn, yielding the mark once steps [0,
+    mark) are applied; a caller that observes nothing passes one mark.
+    ``lam`` is a stored array or a tile source as in ``pair_levels``. The
+    steps run one ``kernel(flat, p, q, lam')`` call per dependency level and
+    batch, on ``flat_view(batch)``, in level tiles that restart at every
+    mark, so at each mark every batch is what a per-step loop leaves.
 
-    A batch of B rows is one chain per replica. A batch of 2B rows is the
-    stacked [X; Y] pair of two chains that share every draw, and both halves
-    move in the same call (``stacked_moves``). The kernel is passed in
+    Each batch is one chain per replica, and several batches are chains
+    that share every draw (the proportional coupling's X and Y); a batch
+    that is not (B, n) raises InvariantViolation. The kernel is passed in
     rather than imported, so a caller's own binding of
     ``step_batch``/``mstep_batch`` is the one run.
     """
-    B, n = a.shape[0], batch.shape[1]
-    flat = flat_view(batch)
-    half = B * n if batch.shape[0] == 2 * B else 0
+    B, n = a.shape[0], batches[0].shape[-1]
+    for batch in batches:
+        if batch.shape != (B, n):
+            raise InvariantViolation(
+                "batch-layout", f"a {batch.shape} batch for draws of {B} rows and n = {n}")
+    flats = [flat_view(batch) for batch in batches]
     tiles = _tile_levels(a, b, lam, n, marks)
     done = 0
     for mark in marks:
@@ -311,7 +306,8 @@ def advance(kernel, batch: np.ndarray, a, b, lam, marks):
             s0, lev, levels = next(tiles)
             done = s0 + len(lev)
             for move in levels:
-                kernel(flat, *(stacked_moves(half, *move) if half else move))
+                for flat in flats:
+                    kernel(flat, *move)
             # the tile's arrays go before the next tile's are built (a tile
             # has at least one level)
             del levels, move

@@ -307,14 +307,13 @@ def contraction_experiment(
     chain = simplex_chain(group, gens)
     rngs = [replica_rng(seed, r) for r in range(replicas)]
     (Y,), moves = predraw(chain, rngs, T, "contract-simplex", before=1)
-    # X and Y are the halves of one stacked batch
-    XY = np.concatenate((np.broadcast_to(chain.start, Y.shape), Y))
-    X, Y = XY[:replicas], XY[replicas:]
+    # X and Y share every draw: two batches, each moved per level
+    X = np.broadcast_to(chain.start, Y.shape).copy()
 
     points = []
     sq_gaps = np.empty((len(marks), replicas))
     # the lambdas past the last checkpoint's chunk are never drawn
-    for k, t in enumerate(advance(step_batch, XY, *moves, marks)):
+    for k, t in enumerate(advance(step_batch, (X, Y), *moves, marks)):
         sq = ((X - Y) ** 2).sum(axis=1)
         sq_gaps[k] = sq
         se = float(sq.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else None
@@ -408,7 +407,7 @@ def lower_bound_experiment(
     x = np.broadcast_to(mu.x, (replicas, n)).copy()
     # each checkpoint keeps its scalars (t, mean, se, tail frequency)
     marked = []
-    for t in advance(step_batch, x, a, b, lam, range(0, T + 1, _CHECKPOINT_STRIDE)):
+    for t in advance(step_batch, (x,), a, b, lam, range(0, T + 1, _CHECKPOINT_STRIDE)):
         inner = x @ v
         se = float(inner.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else None
         marked.append((t, float(inner.mean()), se, float(np.mean(inner > d))))

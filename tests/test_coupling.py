@@ -930,15 +930,15 @@ def test_phase1_matches_a_per_step_loop(monkeypatch, chain, T1, replicas):
     # the levelled phase 1 leaves X and Y where one kernel call per step
     # does, on draws rebuilt from each replica's stream in the documented
     # order: stationary Y, the phase-1 pair arrays, the phase-1 lambdas.
-    # The runner's first observation is the stacked [X; Y] batch at the
-    # end of phase 1
+    # The runner's first observation is the batches X and Y at the end of
+    # phase 1
     kind, n, build = _PHASE1_CHAINS[chain]
     group, gens = build() if build else (None, None)
     original, observed = coupling.advance, []
 
-    def spy(kernel, batch, *args):
-        for mark in original(kernel, batch, *args):
-            observed.append(batch.copy())
+    def spy(kernel, batches, *args):
+        for mark in original(kernel, batches, *args):
+            observed.append([x.copy() for x in batches])
             yield mark
 
     monkeypatch.setattr(coupling, "advance", spy)
@@ -946,7 +946,7 @@ def test_phase1_matches_a_per_step_loop(monkeypatch, chain, T1, replicas):
         simplex_chain(group, gens) if build else matrix_chain(n), T1=T1, T2=1,
         replicas=replicas, seed=17,
     )
-    after_phase1 = observed[0]
+    after_x, after_y = observed[0]
     for b in range(replicas):
         rng = replica_rng(17, b)
         if kind == "matrix":
@@ -967,8 +967,8 @@ def test_phase1_matches_a_per_step_loop(monkeypatch, chain, T1, replicas):
         xy = np.stack([x, y])
         for t in range(T1):
             batch(*pair_moves(xy, a[[t, t]], pair_b[[t, t]], lam[[t, t]]))
-        assert np.array_equal(after_phase1[b], xy[0])
-        assert np.array_equal(after_phase1[replicas + b], xy[1])
+        assert np.array_equal(after_x[b], xy[0])
+        assert np.array_equal(after_y[b], xy[1])
 
 
 _TRACE_CHAINS = {

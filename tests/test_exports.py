@@ -48,8 +48,10 @@ def test_the_scalar_subset_step_name_stays_retired():
 
 def test_the_scalar_move_twins_and_the_second_levelling_entry_stay_retired():
     # every pair move runs through the batch kernels, and pairops.pair_levels
-    # is the one levelling entry; the scalar twins live in tests/pair_oracle.py
-    retired = {"split_pair_float", "pair_alpha_beta_float", "barrier_levels", "_MONOTONE_CHUNK"}
+    # is the one levelling entry; the scalar twins live in tests/pair_oracle.py.
+    # Two chains that share draws are two batches, not one stacked [X; Y]
+    retired = {"split_pair_float", "pair_alpha_beta_float", "barrier_levels", "_MONOTONE_CHUNK",
+               "stacked_moves"}
     assert sorted(
         (name, attr) for name in _MODULES for attr in retired
         if hasattr(importlib.import_module(f"gibbsmix.{name}"), attr)

@@ -3,6 +3,7 @@ import ast
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -372,6 +373,31 @@ def test_run_identity_matrix_completes(tmp_path):
         assert (out / name).exists()
 
 
+@pytest.mark.parametrize("n", [3, 10])
+def test_identity_matrix_holds_no_more_than_its_guard_counts(tmp_path, monkeypatch, n):
+    # the guard counts the two (pairs, n) stacks of stationary rows and the
+    # residuals; the residual tiles and the rejection blocks add a few MB
+    # whatever the pair count. Per-pair row tuples or gap temporaries the
+    # size of a stack break the bound (at 60,000 pairs and n = 3 they took
+    # the peak to about four times the stacks)
+    guarded, check = [], harness.check_draw_memory
+
+    def spy(need, what):
+        guarded.append(need)
+        check(need, what)
+
+    monkeypatch.setattr(harness, "check_draw_memory", spy)
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "identity-matrix", "n": n, "replicas": 60_000, "seed": 1})
+    tracemalloc.start()
+    try:
+        assert run(cfg, out_dir=tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(guarded) == 1 and peak <= guarded[0] + (4 << 20)
+
+
 def test_run_is_deterministic_at_fixed_seed(tmp_path):
     contents = []
     for tag in ("a", "b"):
@@ -427,7 +453,8 @@ def test_run_config_problem_exits_one(tmp_path):
     ({"experiment": "lowerbound-simplex", "group": {"family": "cyclic", "n": 6}, "T": 60},
      3 * 60 * 10),
     # identity-matrix holds two (pairs, n) float64 stacks of stationary rows
-    ({"experiment": "identity-matrix", "n": 8}, 2 * 3 * 8 * 8),
+    # and the pairs' residuals
+    ({"experiment": "identity-matrix", "n": 8}, (2 * 8 + 1) * 3 * 8),
 ], ids=["couple-matrix", "couple-simplex", "largeness-matrix", "largeness-simplex",
         "contract-simplex", "contract-matrix", "lowerbound-simplex", "identity-matrix"])
 def test_a_store_larger_than_the_memory_available_exits_one(tmp_path, monkeypatch, data, need):

@@ -20,7 +20,7 @@ from gibbsmix.matrices import (
     mstep_batch,
     pair_alpha_beta,
 )
-from gibbsmix.pairops import flat_view, pair_moves, stacked_moves
+from gibbsmix.pairops import pair_moves
 from gibbsmix.seeding import draw_pairs, predraw, replica_rng
 from gibbsmix.simplex import step_batch
 from pair_oracle import split_pair
@@ -372,12 +372,10 @@ def test_batch_step_matches_scalar(rng):
 
 
 @pytest.mark.parametrize("with_rows", [False, True])
-def test_stacked_batch_matches_two_calls(rng, with_rows):
-    # one call on [X; Y] with doubled draws moves each half exactly as its
-    # own call does; lam 0, 1/2 and 1 are among the moved rows
+def test_a_rows_call_moves_only_those_rows(rng, with_rows):
+    # lam 0, 1/2 and 1 are among the moved rows
     n, B = 7, 40
     x = msample_stationary_batch(n, rng, B)
-    y = msample_stationary_batch(n, rng, B)
     i, j = draw_pairs(rng, B, n)
     lam = rng.random(B)
     lam[:3] = [0.0, 0.5, 1.0]
@@ -386,13 +384,8 @@ def test_stacked_batch_matches_two_calls(rng, with_rows):
         rows = np.concatenate(([0, 1, 2], np.sort(rng.choice(rows[3:], 20, replace=False))))
     draws = (i[rows], j[rows], lam[rows])
     rows_arg = (rows,) if with_rows else ()
-    xy = np.concatenate((x, y))
-    _, *moves = pair_moves(x, *draws, *rows_arg)
-    mstep_batch(flat_view(xy), *stacked_moves(B * n, *moves))
     before = x.copy()
     mstep_batch(*pair_moves(x, *draws, *rows_arg))
-    mstep_batch(*pair_moves(y, *draws, *rows_arg))
-    assert np.array_equal(xy, np.concatenate((x, y)))
     # a rows call equals a plain call on those rows; the other rows stay
     sub = before[rows]
     mstep_batch(*pair_moves(sub, *draws))

@@ -5,8 +5,8 @@ An oriented move writes the bits of the unoriented pair split. One kernel
 call conserves each moved pair's sum exactly and leaves every other entry
 alone. Levels cover every move once, never touch a (row, coordinate) twice,
 keep each (row, coordinate) in time order, and applying them level by level
-gives the per-step loop's bytes, on one chain per replica and on the stacked
-[X; Y] pair alike."""
+gives the per-step loop's bytes, on one batch and on two batches that share
+every draw alike."""
 
 import ast
 import sys
@@ -21,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 import gibbsmix
 from gibbsmix import matrices, pairops
 from gibbsmix.coupling import run_nonmarkovian_coupling
+from gibbsmix.errors import InvariantViolation
 from gibbsmix.groups import build_cyclic
 from gibbsmix.matrices import matrix_chain, mstep_batch, pair_alpha_beta
 from gibbsmix.pairops import advance, flat_view, pair_levels, pair_moves
@@ -138,9 +139,14 @@ def _marks(data, T):
     return sorted(inner + ends)
 
 
-def _observed(kernel, x, a, b, lam, marks):
-    """The batch at each mark of ``advance``, as copies."""
-    return [x.copy() for _ in advance(kernel, x, a, b, lam, marks)]
+def _observed(kernel, batches, a, b, lam, marks):
+    """Each of the batches at each mark of ``advance``, as copies: one list
+    of marks per batch."""
+    seen = [[] for _ in batches]
+    for _ in advance(kernel, batches, a, b, lam, marks):
+        for x, got in zip(batches, seen):
+            got.append(x.copy())
+    return seen
 
 
 def _per_step_at(kernel, x, a, b, lam, marks):
@@ -205,7 +211,7 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed, data):
         # windows between marks, with tiles restarting at each mark and
         # many small windows in one scan
         want = _per_step_at(mstep_batch, x0.copy(), a, b, lam, marks)
-        got = _observed(mstep_batch, x0.copy(), a, b, lam, marks)
+        (got,) = _observed(mstep_batch, (x0.copy(),), a, b, lam, marks)
         assert len(got) == len(marks)
         assert all(map(np.array_equal, got, want))
 
@@ -218,7 +224,7 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed, data):
             _by_level(step_batch, got, a, b, lam, n)
             assert np.array_equal(got, want)
             want = _per_step_at(step_batch, x0.copy(), a, b, lam, marks)
-            got = _observed(step_batch, x0.copy(), a, b, lam, marks)
+            (got,) = _observed(step_batch, (x0.copy(),), a, b, lam, marks)
             assert all(map(np.array_equal, got, want))
 
 
@@ -232,7 +238,7 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed, data):
     budget=st.sampled_from([1, 200, 1 << 21]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_barrier_levels_replay_the_per_step_loop(tile, n, B, T, density, budget, seed):
+def test_levels_with_barriers_replay_the_per_step_loop(tile, n, B, T, density, budget, seed):
     # a barrier is its row's only step at its level, above every earlier
     # step of the row and below every later one; the other steps of each
     # level are its moves, once each. Applying each level's moves, then its
@@ -315,7 +321,7 @@ def test_levels_of_strided_views():
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), budget=st.sampled_from([1, 3000, 1 << 21]))
 @example(data=None, budget=1 << 21)
-def test_advance_is_the_per_step_loop_on_single_and_stacked_batches(kernel, data, budget):
+def test_advance_is_the_per_step_loop_on_one_and_two_batches(kernel, data, budget):
     # T = 700 spans two 512-step tiles; a budget of 3000 lane entries levels
     # several short windows in one scan, but a 512-step tile alone
     n, B, T = 9, 5, 700
@@ -326,10 +332,8 @@ def test_advance_is_the_per_step_loop_on_single_and_stacked_batches(kernel, data
     for r, rng in enumerate(rngs):
         moves[0][r], moves[1][r], moves[2][r] = draw_moves(rng, T, n, group, gens)
     assert moves[0].dtype == np.uint8
-    x0 = np.random.default_rng(12).dirichlet(np.ones(n), 2 * B)
-    want_single = _per_step_at(kernel, x0[:B].copy(), *moves, marks)
-    want_stacked = [np.concatenate(halves) for halves in zip(
-        want_single, _per_step_at(kernel, x0[B:].copy(), *moves, marks))]
+    x0, y0 = np.random.default_rng(12).dirichlet(np.ones(n), (2, B))
+    want = [_per_step_at(kernel, x.copy(), *moves, marks) for x in (x0, y0)]
 
     def stream():
         # each replica's generator where draw_moves drew its lambdas
@@ -340,11 +344,13 @@ def test_advance_is_the_per_step_loop_on_single_and_stacked_batches(kernel, data
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pairops, "_LEVEL_BUDGET", budget)
-        for x, want in ((x0[:B], want_single), (x0, want_stacked)):
+        # X alone, and X with Y moved by the same draws
+        for batches in ((x0,), (x0, y0)):
             for lam in (moves[2], stream()):
-                got = _observed(kernel, x.copy(), *moves[:2], lam, marks)
-                assert len(got) == len(marks)
-                assert all(map(np.array_equal, got, want))
+                got = _observed(kernel, tuple(x.copy() for x in batches), *moves[:2], lam, marks)
+                for seen, wanted in zip(got, want):
+                    assert len(seen) == len(marks)
+                    assert all(map(np.array_equal, seen, wanted))
                 if isinstance(lam, LambdaStream):
                     # drawn ahead at most a chunk past the last tile's start
                     last = marks[-1] if marks else 0
@@ -352,6 +358,20 @@ def test_advance_is_the_per_step_loop_on_single_and_stacked_batches(kernel, data
                     lam.finish()
                     assert ([r.bit_generator.state for r in lam.rngs]
                             == [r.bit_generator.state for r in rngs])
+
+
+@pytest.mark.parametrize("rows", [4, 6, 10], ids=["B-1", "B+1", "2B"])
+def test_advance_refuses_a_batch_that_is_not_one_row_per_replica(rows):
+    # a batch with rows to spare would move only its first B; the retired
+    # stacked [X; Y] layout of 2B rows is refused too, whichever batch it is
+    B, n, T = 5, 4, 3
+    a = np.zeros((B, T), dtype=np.uint8)
+    good, bad = np.ones((B, n)), np.ones((rows, n))
+    for batches in ((bad,), (good, bad), (bad, good)):
+        before = [x.copy() for x in batches]
+        with pytest.raises(InvariantViolation, match="batch-layout"):
+            next(advance(mstep_batch, batches, a, a + 1, np.full((B, T), 0.25), [T]))
+        assert all(map(np.array_equal, batches, before))
 
 
 def test_scans_hold_at_most_a_megabyte_of_lane_table(monkeypatch):
@@ -371,7 +391,7 @@ def test_scans_hold_at_most_a_megabyte_of_lane_table(monkeypatch):
     monkeypatch.setattr(pairops, "_move_levels", counted)
     B, T, n = 2000, 64, 64
     a = np.zeros((B, T), dtype=np.uint8)
-    for _ in advance(lambda *move: None, np.zeros((B, n)), a, a + 1, np.zeros((B, T)),
+    for _ in advance(lambda *move: None, (np.zeros((B, n)),), a, a + 1, np.zeros((B, T)),
                      range(4, T + 1, 4)):
         pass
     assert scans == [8, 8]
@@ -388,9 +408,8 @@ def test_the_traced_kernel_sees_the_parents_calls_and_moves(monkeypatch):
     # runner must still make each call through that name with the per-row
     # lambdas as its fourth argument. The moves are those of the unoriented
     # kernel on couple-matrix at n = 128, 125 replicas, seed 1; the calls
-    # are one per level of phase 1 and one per level of phase 2 with free
-    # moves (1,703 when phase 2 made one call per time after its earliest
-    # marked time)
+    # are one on X and one on Y per level of phase 1 and per level of
+    # phase 2 with free moves (946 and 333 levels)
     original, counts = matrices.mstep_batch, [0, 0]
 
     def wrapper(*args, **kwargs):
@@ -404,7 +423,7 @@ def test_the_traced_kernel_sees_the_parents_calls_and_moves(monkeypatch):
     chain = matrix_chain(128)
     T1, T2 = chain.horizons()
     run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=125, seed=1)
-    assert counts == [1279, 3_879_750]
+    assert counts == [2558, 3_879_750]
 
 
 def _orienting(node):

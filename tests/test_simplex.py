@@ -12,7 +12,7 @@ from gibbsmix import seeding
 from gibbsmix.errors import InvariantViolation
 from gibbsmix.groups import build_cyclic
 from gibbsmix.kernels import edge_walk_kernel
-from gibbsmix.pairops import flat_view, pair_moves, stacked_moves
+from gibbsmix.pairops import pair_moves
 from gibbsmix.seeding import draw_pairs
 from gibbsmix.simplex import (
     SimplexState,
@@ -88,13 +88,11 @@ def test_batch_step_matches_scalar(z6, rng):
 
 
 @pytest.mark.parametrize("with_rows", [False, True])
-def test_stacked_batch_matches_two_calls(z6, rng, with_rows):
-    # one call on [X; Y] with doubled draws moves each half exactly as its
-    # own call does; lam 0, 1/2 and 1 are among the moved rows
+def test_a_rows_call_moves_only_those_rows(z6, rng, with_rows):
+    # lam 0, 1/2 and 1 are among the moved rows
     group, gens = z6
     n, B = group.n, 40
     x = rng.dirichlet(np.ones(n), B)
-    y = rng.dirichlet(np.ones(n), B)
     a, b = draw_pairs(rng, B, n, group, gens)
     lam = rng.random(B)
     lam[:3] = [0.0, 0.5, 1.0]
@@ -103,13 +101,8 @@ def test_stacked_batch_matches_two_calls(z6, rng, with_rows):
         rows = np.concatenate(([0, 1, 2], np.sort(rng.choice(rows[3:], 20, replace=False))))
     draws = (a[rows], b[rows], lam[rows])
     rows_arg = (rows,) if with_rows else ()
-    xy = np.concatenate((x, y))
-    _, *moves = pair_moves(x, *draws, *rows_arg)
-    step_batch(flat_view(xy), *stacked_moves(B * n, *moves))
     before = x.copy()
     step_batch(*pair_moves(x, *draws, *rows_arg))
-    step_batch(*pair_moves(y, *draws, *rows_arg))
-    assert np.array_equal(xy, np.concatenate((x, y)))
     # a rows call equals a plain call on those rows; the other rows stay
     sub = before[rows]
     step_batch(*pair_moves(sub, *draws))
