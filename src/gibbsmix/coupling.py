@@ -222,8 +222,8 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     degenerate = (ax <= _PAIR_MASS_FLOOR) | (ay <= _PAIR_MASS_FLOOR)
     if degenerate.any():
         live = np.flatnonzero(~degenerate)
-        rows, base, i, j, ii, jj, u, start, size, sx, ax, bx, sy, ay, by = (
-            v[live] for v in (rows, base, i, j, ii, jj, u, start, size, sx, ax, bx, sy, ay, by)
+        rows, base, i, j, u, start, size, sx, ax, bx, sy, ay, by = (
+            v[live] for v in (rows, base, i, j, u, start, size, sx, ax, bx, sy, ay, by)
         )
 
     # one flat index over every row's S1, row after row, and the same
@@ -377,18 +377,14 @@ def run_nonmarkovian_coupling(
         count.append(len(proc.merges))
     # the mark table, one entry per merge, at step s = t - T1 of its
     # replica: the S1 of entry k is members[mark_start[k]:mark_start[k] +
-    # mark_size[k]]. It is sorted by s, so each level tile's marks are one
-    # span of it, and the marked steps are the barriers of the levelling
+    # mark_size[k]]. It stays in replica order, as the scans wrote it, and
+    # the marked steps are the barriers of the levelling
     mark_s, mark_i, mark_j, mark_size = np.array((mark_s, mark_i, mark_j, mark_size),
                                                  dtype=np.int64)
     mark_b = np.repeat(np.arange(B), count)
     mark_s -= T1
     members = np.array(members, dtype=np.int64)
     mark_start = np.cumsum(mark_size) - mark_size
-    order = np.argsort(mark_s, kind="stable")
-    mark_s, mark_b, mark_i, mark_j, mark_size, mark_start = (
-        v[order] for v in (mark_s, mark_b, mark_i, mark_j, mark_size, mark_start)
-    )
     barriers = np.zeros((B, T2), dtype=bool)
     barriers[mark_b, mark_s] = True
 
@@ -398,13 +394,12 @@ def run_nonmarkovian_coupling(
     # largeness_fail is set; all of its later steps are at later levels, so
     # from then on its rows are dropped
     stopped = False
-    hi = 0
     for s0, lev, levels in pair_levels(left, right, lam, n, barriers):
-        lo, hi = hi, int(np.searchsorted(mark_s, s0 + len(lev)))
         # the tile's marks sorted by (level, |S1|), so each level's marks are
         # one span and their blocks run in size order
-        level = lev[mark_s[lo:hi] - s0, mark_b[lo:hi]]
-        order = lo + np.lexsort((mark_size[lo:hi], level))
+        tile = np.flatnonzero((mark_s >= s0) & (mark_s < s0 + len(lev)))
+        level = lev[mark_s[tile] - s0, mark_b[tile]]
+        order = tile[np.lexsort((mark_size[tile], level))]
         ends = np.cumsum(np.bincount(level, minlength=len(levels) + 1)).tolist()
         for (p, q, pl), m0, m1 in zip(levels, ends, ends[1:]):
             if stopped:
@@ -651,7 +646,8 @@ def largeness_experiment(
     and as d on the simplex chain.
     An entry's smallest margin over the window is the smallest of its start
     value's and of every value written to it, so the moves run in dependency
-    levels and only the moved entries are read.
+    levels through ``pairops.advance``, with a kernel that moves and then
+    folds only the entries it moved into the minima.
 
     Per-replica draw order (``seeding.predraw``): stationary start, then the moves.
     """
@@ -660,12 +656,11 @@ def largeness_experiment(
     rngs = [replica_rng(seed, r) for r in range(replicas)]
     (states,), (a, b, lam) = predraw(chain, rngs, window, "largeness", before=1)
     minima = margin(states).min(axis=1)
-    flat = flat_view(states)
-    for _, _, levels in pair_levels(a, b, lam, n):
-        for p, q, pl in levels:
-            chain.kernel(flat, p, q, pl)
-            np.minimum.at(minima, p // n, np.minimum(margin(flat[p]), margin(flat[q])))
-        # the tile's arrays go before the next tile's are built (a tile has
-        # at least one level)
-        del levels, p, q, pl
+
+    def move(flat, p, q, pl):
+        chain.kernel(flat, p, q, pl)
+        np.minimum.at(minima, p // n, np.minimum(margin(flat[p]), margin(flat[q])))
+
+    for _ in advance(move, (states,), a, b, lam, [window]):
+        pass
     return LargenessReport(minima=minima, threshold=threshold, target=target)

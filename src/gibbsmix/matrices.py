@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominationViolated, InvariantViolation, RejectionBudgetExceeded
-from .pairops import Chain, advance, flat_view, pair_levels, put_pair
+from .pairops import Chain, advance, flat_view, put_pair
 from .seeding import draw_pairs, predraw, replica_rng, skip_draws
 from .simplex import step_batch
 
@@ -324,11 +324,12 @@ def monotone_couple_run(n: int, T: int, replicas: int, seed: int) -> MonotoneRep
     t = 0; each shared (i, j, lam) move preserves it. Raises
     DominationViolated, naming a replica, if the gap ever drops below
     -1e-12. Also tracks entry extremes of both chains (the
-    distance-from-boundary diagnostic). The moves run in dependency levels,
-    one ``mstep_batch`` and one ``step_batch`` call per level on the same
-    oriented moves, and each level folds only its moved entries into the
-    extremes. A row's level holds at most n / 2 moves, so a long run is
-    best split into replicas.
+    distance-from-boundary diagnostic). The moves run in dependency levels
+    through ``pairops.advance`` on c, with a kernel that makes one
+    ``mstep_batch`` call on c and one ``step_batch`` call on s with the same
+    oriented moves, then folds only the moved entries into the extremes. A
+    row's level holds at most n / 2 moves, so a long run is best split into
+    replicas.
 
     Per-replica draw order (``seeding.predraw``): stationary start, then the moves.
     """
@@ -337,19 +338,19 @@ def monotone_couple_run(n: int, T: int, replicas: int, seed: int) -> MonotoneRep
     s = c / n
     gap = (c - s).min(axis=1)
     min_c, max_c, min_s = c.min(axis=1), c.max(axis=1), s.min(axis=1)
-    fc, fs = flat_view(c), flat_view(s)
-    for _, _, levels in pair_levels(a, b, lam, n):
-        for p, q, pl in levels:
-            mstep_batch(fc, p, q, pl)
-            step_batch(fs, p, q, pl)
-            r, cp, cq, sp, sq = p // n, fc[p], fc[q], fs[p], fs[q]
-            np.minimum.at(gap, r, np.minimum(cp - sp, cq - sq))
-            np.minimum.at(min_c, r, np.minimum(cp, cq))
-            np.maximum.at(max_c, r, np.maximum(cp, cq))
-            np.minimum.at(min_s, r, np.minimum(sp, sq))
-        # the tile's arrays go before the next tile's are built (a tile has
-        # at least one level)
-        del levels, p, q, pl
+    fs = flat_view(s)
+
+    def move(fc, p, q, pl):
+        mstep_batch(fc, p, q, pl)
+        step_batch(fs, p, q, pl)
+        r, cp, cq, sp, sq = p // n, fc[p], fc[q], fs[p], fs[q]
+        np.minimum.at(gap, r, np.minimum(cp - sp, cq - sq))
+        np.minimum.at(min_c, r, np.minimum(cp, cq))
+        np.maximum.at(max_c, r, np.maximum(cp, cq))
+        np.minimum.at(min_s, r, np.minimum(sp, sq))
+
+    for _ in advance(move, (c,), a, b, lam, [T]):
+        pass
     bad = np.flatnonzero(gap < -_DOMINATION_TOL)
     if bad.size:
         raise DominationViolated(f"gap {gap[bad[0]]:.3e} in replica {bad[0]}")

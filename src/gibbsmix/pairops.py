@@ -28,17 +28,16 @@ its own call on the same (p, q, lam').
 
 ``Chain`` is the record of one of the two samplers that the code running on
 either chain reads. ``pair_levels`` groups the moves of a (B, T) block of
-draws into dependency levels, one level tile at a time, optionally with
-barrier steps that the caller applies itself (the coupled runner's
-subset-coupled steps): a barrier is its row's only step at its level, after
-all of the row's earlier steps and before all of its later ones.
-``advance`` applies the draws to one or more batches up to each of a
-caller's marks in turn, one kernel call per level and batch instead of one
-per step, and hands back control at every mark. Both orient a level tile's
-moves once, when the tile is levelled, and read the lambdas one tile at a
-time, from a stored (B, T) array or from a tile source that draws them as
-the tiles reach them (``seeding.LambdaStream``), so a long stretch need
-not hold them.
+draws into dependency levels, one level tile at a time, by one rule: a
+step's level is 1 + the highest level on the coordinates of its row that it
+reads. A move reads its pair; a barrier, a step the caller applies itself
+(the coupled runner's subset-coupled steps), reads its whole row. ``advance``
+applies the draws to one or more batches up to each of a caller's marks in
+turn, one kernel call per level and batch instead of one per step. Both
+orient a level tile's moves once, when the tile is levelled, and read the
+lambdas one tile at a time, from a stored (B, T) array or from a tile
+source that draws them as the tiles reach them (``seeding.LambdaStream``),
+so a long stretch need not hold them.
 """
 
 from __future__ import annotations
@@ -143,48 +142,45 @@ def _move_levels(a, b, n: int, tiles, barriers=None) -> np.ndarray:
     pass of ``width`` steps; the padding after a tile's last step moves
     (0, 0).
 
-    ``barriers`` is None or a (B, T) bool array of barrier steps. A
-    barrier's level is 1 + the highest level given so far in its lane (the
-    lane's top), and every later step of the lane gets a higher level (the
-    lane's floor), so a barrier is its lane's only step at its level.
+    One rule: a step's level is 1 + the highest level on the coordinates it
+    reads, in its lane's row of the table of the last level per coordinate,
+    and it writes its level on each of them. A move reads its pair; a
+    barrier, a step flagged in the (B, T) bool array ``barriers``, reads its
+    whole row and so raises the whole row to its level: it is its lane's
+    only step at its level, above every earlier step of the lane and below
+    every later one.
     """
     B, K = a.shape[0], len(tiles)
     width = max(s1 - s0 for s0, s1 in tiles)
     lanes = K * B
     at, bt = np.zeros((2, width, lanes), dtype=np.min_scalar_type(n - 1))
-    flag = None if barriers is None else np.zeros((width, lanes), dtype=bool)
+    flag = np.zeros((width, 0 if barriers is None else lanes), dtype=bool)
     for k, (s0, s1) in enumerate(tiles):
         at[:s1 - s0, k * B:(k + 1) * B] = a[:, s0:s1].T
         bt[:s1 - s0, k * B:(k + 1) * B] = b[:, s0:s1].T
-        if flag is not None:
+        if barriers is not None:
             flag[:s1 - s0, k * B:(k + 1) * B] = barriers[:, s0:s1].T
     # a level is at most the tile's width
     last = np.zeros(lanes * n, dtype=np.min_scalar_type(width))
+    rows = last.reshape(lanes, n)
     base = np.arange(0, lanes * n, n)
     out = np.empty((width, lanes), dtype=last.dtype)
-    if flag is not None:
-        floor, top = np.zeros((2, lanes), dtype=last.dtype)
-        # the barrier lanes of step s are held[cuts[s]:cuts[s + 1]]: a few
-        # lanes each, cheaper to index than to mask
-        steps, held = np.nonzero(flag)
-        cuts = np.searchsorted(steps, np.arange(width + 1)).tolist()
-        del flag, steps
+    # the barrier lanes of step s are held[cuts[s]:cuts[s + 1]] (none without
+    # barriers): a few lanes each, cheaper to index than to mask
+    steps, held = np.nonzero(flag)
+    cuts = np.searchsorted(steps, np.arange(width + 1)).tolist()
+    del flag, steps
     for s in range(width):
         ia = base + at[s]
         ib = base + bt[s]
         lev = np.maximum(last[ia], last[ib], out=out[s])
-        if barriers is not None:
-            np.maximum(lev, floor, out=lev)
-            lev += 1
-            if cuts[s] < cuts[s + 1]:
-                lanes_s = held[cuts[s]:cuts[s + 1]]
-                level = top[lanes_s]
-                level += 1
-                lev[lanes_s] = level
-                floor[lanes_s] = level
-            np.maximum(top, lev, out=top)
-        else:
-            lev += 1
+        lev += 1
+        if cuts[s] < cuts[s + 1]:
+            lanes_s = held[cuts[s]:cuts[s + 1]]
+            level = rows[lanes_s].max(axis=1)
+            level += 1
+            lev[lanes_s] = level
+            rows[lanes_s] = level[:, None]
         last[ia] = lev
         last[ib] = lev
     return out.reshape(width, K, B)
@@ -281,7 +277,8 @@ def advance(kernel, batches, a, b, lam, marks):
     """Apply the (B, T) draws (a, b, lam) in place to each (B, n) batch of
     the sequence ``batches`` up to each mark of the ascending sequence
     ``marks`` (0 <= mark <= T) in turn, yielding the mark once steps [0,
-    mark) are applied; a caller that observes nothing passes one mark.
+    mark) are applied; a caller that observes nothing, or only the entries
+    each call moves (folded in by its kernel), passes one mark.
     ``lam`` is a stored array or a tile source as in ``pair_levels``. The
     steps run one ``kernel(flat, p, q, lam')`` call per dependency level and
     batch, on ``flat_view(batch)``, in level tiles that restart at every

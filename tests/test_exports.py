@@ -144,3 +144,29 @@ def test_only_seeding_touches_a_bit_generator():
                     or isinstance(node, ast.Constant) and node.value == "bit_generator"):
                 touching.add(path.stem)
     assert touching == {"seeding"}
+
+
+def test_advance_and_the_coupled_runner_are_the_only_tile_walkers():
+    # a caller that observes nothing, or folds the entries each call moves
+    # in its kernel (largeness, the monotone run), walks the levels through
+    # pairops.advance; only the coupled runner's phase 2, which applies its
+    # marked steps between levels, walks the level tiles itself. One
+    # levelling rule: a barrier raises its lane's whole row, so the scan
+    # keeps no per-lane floor or top
+    package = Path(gibbsmix.__file__).parent
+    walkers, importers = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if (isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and _names(func) & {"pair_levels", "_tile_levels"}):
+                walkers.add((path.stem, func.name))
+        importers |= {path.stem for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                      for alias in node.names if alias.name in ("pair_levels", "_tile_levels")}
+    assert {w for w in walkers if w[0] != "pairops"} == {("coupling", "run_nonmarkovian_coupling")}
+    assert importers == {"coupling"}
+    levels = next(node for node in ast.walk(ast.parse((package / "pairops.py").read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == "_move_levels")
+    bound = {node.id for node in ast.walk(levels)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert not bound & {"floor", "top"}

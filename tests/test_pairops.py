@@ -27,7 +27,7 @@ from gibbsmix.matrices import matrix_chain, mstep_batch, pair_alpha_beta
 from gibbsmix.pairops import advance, flat_view, pair_levels, pair_moves
 from gibbsmix.seeding import _LAMBDA_CHUNK, LambdaStream, draw_moves, draw_pairs, empty_pairs
 from gibbsmix.simplex import step_batch
-from pair_oracle import split_pair, split_pair_float
+from pair_oracle import rule_levels, split_pair, split_pair_float
 
 
 def _draws(rng, B, T, n, group=None, gens=None):
@@ -275,6 +275,38 @@ def test_levels_with_barriers_replay_the_per_step_loop(tile, n, B, T, density, b
                     mstep_batch(*pair_moves(got, a[r, [t]], b[r, [t]], lam[r, [t]], [r]))
         assert done == T
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 9),
+    B=st.integers(1, 5),
+    T=st.integers(1, 60),
+    tile=st.sampled_from([1, 4, 7, 512]),
+    budget=st.sampled_from([1, 100, 1 << 21]),
+    density=st.sampled_from([0.0, 0.1, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_levels_are_the_rules_exactly(data, n, B, T, tile, budget, density, seed):
+    # the levels set the number of kernel calls, so they are pinned, not
+    # only their properties: every tile's levels, however the windows are
+    # cut into tiles and the tiles into scans, are those of the rule applied
+    # one step at a time (density 0 is the path with no barriers)
+    rng = np.random.default_rng(seed)
+    a, b, lam = _draws(rng, B, T, n)
+    barriers = rng.random((B, T)) < density if density else None
+    marks = _marks(data, T)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairops, "_LEVEL_TILE", tile)
+        mp.setattr(pairops, "_LEVEL_BUDGET", budget)
+        done = 0
+        for s0, lev, _ in pairops._tile_levels(a, b, lam, n, marks, barriers):
+            w = len(lev)
+            assert s0 == done and not any(s0 < m < s0 + w for m in marks)
+            assert np.array_equal(lev, rule_levels(a, b, n, s0, s0 + w, barriers))
+            done += w
+    assert done == max(marks, default=0)
 
 
 @pytest.mark.parametrize("density", [0.0, 0.05])
