@@ -303,13 +303,14 @@ def run_nonmarkovian_coupling(
     proportional coupling elsewhere.
 
     Where each draw is made: each phase is one ``seeding.predraw`` on the
-    replicas' generators. Before phase 1, every replica's stationary Y and
-    its (B, T1) phase-1 pair arrays; phase 1 reads its lambdas from their
-    stream as the level tiles reach them, so they are never stored whole.
-    After phase 1 the phase-2 pair arrays are drawn into a (B, T2) store,
-    indexed at t - T1, and the phase-2 lambdas are read whole from theirs.
-    Both phases' stores are checked against the memory available before
-    phase 1 draws anything.
+    replicas' generators, which leaves each generator after that phase's
+    lambdas. Before phase 1, every replica's stationary Y and its (B, T1)
+    phase-1 pair arrays; after phase 1, the phase-2 pair arrays, into a
+    (B, T2) store indexed at t - T1. Each phase reads its lambdas from its
+    stream as the level tiles reach them, so they are never stored whole; a
+    marked step reads its lambda from the tile it is in. Both phases'
+    stores are checked against the memory available before phase 1 draws
+    anything.
 
     Nothing is observed during phase 1, so its moves are applied in
     dependency levels (``pairops.advance``), one kernel call per level on X
@@ -329,12 +330,13 @@ def run_nonmarkovian_coupling(
 
     Per-replica draw order (unchanged by the batching, the levelling and
     the streaming, since each replica draws only from its own generator,
-    its marked steps run at rising levels, and consecutive lambda tiles give
-    the bits of one call): stationary start; phase-1 element/pair array,
-    generator/partner array, lambda array; phase-2 coordinate arrays;
-    phase-2 lambda array; any subset-coupling remainder draws on demand, in
-    time order. At a marked time the phase-2 lambda of that step is
-    consumed as the first-drawn lambda of the subset coupling.
+    its marked steps run at rising levels, and its lambdas come from a copy
+    of that generator, whose consecutive tiles give the bits of one call):
+    stationary start; phase-1 element/pair array, generator/partner array,
+    lambda array; phase-2 coordinate arrays; phase-2 lambda array; any
+    subset-coupling remainder draws on demand, in time order. At a marked
+    time the phase-2 lambda of that step is consumed as the first-drawn
+    lambda of the subset coupling.
 
     failure_kind priority when several apply: LargenessViolated (the replay
     of the replica stopped at a marked step with a degenerate pair mass),
@@ -346,8 +348,7 @@ def run_nonmarkovian_coupling(
     n, B = chain.n, replicas
     rngs = [replica_rng(seed, b) for b in range(B)]
     phase2 = "the coupling's phase 2"
-    # phase 2's store, its lambdas read whole, is checked before phase 1
-    # draws anything
+    # phase 2's store is checked before phase 1 draws anything
     (Y,), (left, right, lambdas) = predraw(chain, rngs, T1, "the coupling's phase 1",
                                            before=1, then=(T2, phase2))
     X = np.broadcast_to(chain.start, Y.shape).copy()
@@ -355,13 +356,17 @@ def run_nonmarkovian_coupling(
     batch = chain.kernel
     for _ in advance(batch, (X, Y), left, right, lambdas, [T1]):
         pass
-    if lambdas.drawn != T1:
-        raise InvariantViolation("draw-order", f"phase 1 drew {lambdas.drawn} of {T1} lambdas")
-    # phase 1's draws go before phase 2's are drawn. Its lambdas are read
-    # whole, since the subset couplings' remainder draws follow them
+    # phase 1's draws go before phase 2's are drawn
     del left, right, lambdas
     _, (left, right, lambdas) = predraw(chain, rngs, T2, phase2)
-    lam = lambdas(0, T2)
+    held = None
+
+    def lam_tile(s0, s1):
+        # the tile's lambdas stay held while it is applied, for its marks
+        nonlocal held
+        held = lambdas(s0, s1)
+        return held
+
     # outcomes read only tau and connectedness; each replica's merge lists
     # extend the columns of the mark table
     tau, connected = [math.inf] * B, [False] * B
@@ -394,7 +399,7 @@ def run_nonmarkovian_coupling(
     # largeness_fail is set; all of its later steps are at later levels, so
     # from then on its rows are dropped
     stopped = False
-    for s0, lev, levels in pair_levels(left, right, lam, n, barriers):
+    for s0, lev, levels in pair_levels(left, right, lam_tile, n, barriers):
         # the tile's marks sorted by (level, |S1|), so each level's marks are
         # one span and their blocks run in size order
         tile = np.flatnonzero((mark_s >= s0) & (mark_s < s0 + len(lev)))
@@ -416,7 +421,7 @@ def run_nonmarkovian_coupling(
             rows, s = mark_b[sel], mark_s[sel]
             degenerate, ok, _, _ = subset_couple_batch(
                 chain.coeffs, X, Y, rows, mark_i[sel], mark_j[sel],
-                (members, mark_start[sel], mark_size[sel]), lam[rows, s], rngs,
+                (members, mark_start[sel], mark_size[sel]), held[rows, s - s0], rngs,
             )
             if degenerate.any():
                 largeness_fail[rows[degenerate]] = T1 + s[degenerate]

@@ -353,8 +353,8 @@ _MANIFEST_SEED_CAP = 20_000
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (each returns (summary, tables, uses_replica_streams);
-# the docstring is the CLI help)
+# experiment runners (each returns (summary, tables), the summary naming its
+# ``replicas`` where it draws a stream per replica; the docstring is CLI help)
 
 
 def _threshold(config: ExperimentConfig, default=None):
@@ -411,7 +411,7 @@ def _run_gap(config: ExperimentConfig):
         _eig_table("base_eigenvalues", sum_base),
         _eig_table("edge_eigenvalues", sum_edge),
     ]
-    return summary, tables, False
+    return summary, tables
 
 
 def _run_compare(config: ExperimentConfig):
@@ -434,7 +434,7 @@ def _run_compare(config: ExperimentConfig):
         _kernel_table("comparison_kernel", report.kernel),
         _eig_table("comparison_eigenvalues", report.spectrum),
     ]
-    return summary, tables, False
+    return summary, tables
 
 
 def _run_s_recursion(config: ExperimentConfig):
@@ -461,7 +461,7 @@ def _run_s_recursion(config: ExperimentConfig):
         "max_deviation_se": worst,
         "ok": None if worst is None else worst <= 4.0,
     }
-    return summary, [Table("srecursion", ["element", "target", "estimate", "se", "deviation_se"], rows)], False
+    return summary, [Table("srecursion", ["element", "target", "estimate", "se", "deviation_se"], rows)]
 
 
 def _run_contract_simplex(config: ExperimentConfig):
@@ -485,7 +485,7 @@ def _run_contract_simplex(config: ExperimentConfig):
         Table("trajectory", ["t", "replica", "statistic_name", "value"], trajectory),
         Table.of("means", ContractionPoint, report.points),
     ]
-    return summary, tables, True
+    return summary, tables
 
 
 def _run_contract_matrix(config: ExperimentConfig):
@@ -501,7 +501,7 @@ def _run_contract_matrix(config: ExperimentConfig):
         "identical_start_replicas": report.identical_start_replicas,
         "ok": report.ok,
     }
-    return summary, [Table.of("points", MContractionPoint, report.points)], True
+    return summary, [Table.of("points", MContractionPoint, report.points)]
 
 
 def _run_identity_matrix(config: ExperimentConfig):
@@ -522,7 +522,7 @@ def _run_identity_matrix(config: ExperimentConfig):
         raise AssertionFailure(
             f"contraction identity residual {worst:.3e} exceeds {_IDENTITY_TOL} (n={n})"
         )
-    return summary, tables, False
+    return summary, tables
 
 
 def _run_couple(config: ExperimentConfig, chain: Chain):
@@ -548,7 +548,7 @@ def _run_couple(config: ExperimentConfig, chain: Chain):
         "max_coupled_gap": max((o.max_final_gap for o in coupled), default=None),
         "mean_tau_connect": (sum(taus) / len(taus)) if taus else None,
     }
-    return summary, [Table.of("outcomes", CouplingOutcome, outcomes, fmt_override="jsonl")], True
+    return summary, [Table.of("outcomes", CouplingOutcome, outcomes, fmt_override="jsonl")]
 
 
 def _run_couple_simplex(config: ExperimentConfig):
@@ -580,7 +580,7 @@ def _run_connect(config: ExperimentConfig):
         if report.bound is not None
         else None,
     }
-    return summary, [Table("taus", ["replica", "tau"], rows)], True
+    return summary, [Table("taus", ["replica", "tau"], rows)]
 
 
 def _run_largeness(config: ExperimentConfig):
@@ -605,7 +605,7 @@ def _run_largeness(config: ExperimentConfig):
         "min_observed": float(minima.min()),
         "ok": (frequency >= target) if (frequency is not None and target is not None) else None,
     }
-    return summary, [Table("minima", ["replica", "min_boundary_margin"], rows)], True
+    return summary, [Table("minima", ["replica", "min_boundary_margin"], rows)]
 
 
 def _run_lowerbound_simplex(config: ExperimentConfig):
@@ -629,7 +629,7 @@ def _run_lowerbound_simplex(config: ExperimentConfig):
         and report.slope_rel_error <= 0.05
         and report.stationary_second_moment <= report.stationary_bound,
     }
-    return summary, [Table.of("points", LowerBoundPoint, report.points)], True
+    return summary, [Table.of("points", LowerBoundPoint, report.points)]
 
 
 def _run_lowerbound_matrix(config: ExperimentConfig):
@@ -648,7 +648,7 @@ def _run_lowerbound_matrix(config: ExperimentConfig):
         "abs_error": report.abs_error,
         "ok": report.abs_error <= 0.05,
     }
-    return summary, [], True
+    return summary, []
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +831,7 @@ def _run_oracle(config: ExperimentConfig):
     if config.suite is None:
         raise ConfigError("oracle requires a 'suite' field")
     values = oracle(config.suite)
-    return {"suite": config.suite, "values": values}, [], False
+    return {"suite": config.suite, "values": values}, []
 
 
 # ---------------------------------------------------------------------------
@@ -892,12 +892,11 @@ def run(config: ExperimentConfig, out_dir=None, fmt: Optional[str] = None) -> in
     manifest_path = directory / "manifest.json"
     manifest.write(manifest_path)
     try:
-        summary, tables, per_replica = _RUNNERS[config.experiment](config)
+        summary, tables = _RUNNERS[config.experiment](config)
         paths = [table.write(directory, fmt) for table in tables]
-        if per_replica:
-            count = summary.get("replicas", replicas) or 0
-            if count and count <= _MANIFEST_SEED_CAP:
-                manifest.replica_seeds = replica_seed_words(config.seed, count)
+        count = summary.get("replicas") or 0
+        if 0 < count <= _MANIFEST_SEED_CAP:
+            manifest.replica_seeds = replica_seed_words(config.seed, count)
         manifest.summary = summary
         manifest.artifacts = [p.name for p in paths]
         manifest.status = "complete"

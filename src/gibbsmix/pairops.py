@@ -35,9 +35,8 @@ reads. A move reads its pair; a barrier, a step the caller applies itself
 applies the draws to one or more batches up to each of a caller's marks in
 turn, one kernel call per level and batch instead of one per step. Both
 orient a level tile's moves once, when the tile is levelled, and read the
-lambdas one tile at a time, from a stored (B, T) array or from a tile
-source that draws them as the tiles reach them (``seeding.LambdaStream``),
-so a long stretch need not hold them.
+lambdas one tile at a time from a tile source that draws them as the tiles
+reach them (``seeding.LambdaStream``), so a long stretch need not hold them.
 """
 
 from __future__ import annotations
@@ -190,7 +189,6 @@ def _tile_levels(a, b, lam, n: int, marks, barriers=None):
     """The tiles of ``pair_levels``, each window [previous mark, mark) of the
     ascending ``marks`` cut into tiles of at most _LEVEL_TILE steps."""
     B = a.shape[0]
-    tile_lam = lam if callable(lam) else (lambda s0, s1: lam[:, s0:s1])
     scans, width = [], 0
     for m0, m in zip([0, *marks], marks):
         for s0 in range(m0, m, _LEVEL_TILE):
@@ -209,7 +207,7 @@ def _tile_levels(a, b, lam, n: int, marks, barriers=None):
             # the tile's arrays are held only by the yielded list, so they go
             # before the next tile's are built
             yield s0, lev, _oriented_levels(
-                lev, a[:, s0:s1], b[:, s0:s1], tile_lam(s0, s1), n,
+                lev, a[:, s0:s1], b[:, s0:s1], lam(s0, s1), n,
                 None if barriers is None else barriers[:, s0:s1])
 
 
@@ -238,15 +236,14 @@ def _oriented_levels(lev, a, b, lam, n: int, barrier=None) -> list:
 def pair_levels(a, b, lam, n: int, barriers=None):
     """A generator of (s0, lev, levels) for each level tile [s0, s0 + w) of
     the (B, T) draws, in time order; row r moves pair (a[r, t], b[r, t])
-    with lam[r, t] at step t. ``lev`` holds the (w, B) levels of the tile's
+    with the lambda of step t. ``lev`` holds the (w, B) levels of the tile's
     steps, and entry k of ``levels`` the oriented moves (p, q, lam') of
     level k + 1 on a (B, n) batch (``orient``); p // n is the row of a move.
 
-    ``lam`` is the (B, T) lambda array, or a tile source lam(s0, s1) giving
-    the (B, s1 - s0) lambdas of steps [s0, s1). A source is called once per
-    tile, in time order, just before that tile is yielded, and the tiles
-    cover [0, T); what it returns is copied before the next call, so it may
-    reuse one buffer.
+    ``lam`` is a tile source: lam(s0, s1) gives the (B, s1 - s0) lambdas of
+    steps [s0, s1). It is called once per tile, in time order, just before
+    that tile is yielded, and the tiles cover [0, T); what it returns is
+    copied before the next call, so it may reuse one buffer.
 
     The steps run in tiles of _LEVEL_TILE. Within a tile a move's level is
     1 + the larger of the levels of that row's earlier moves on its two
@@ -274,15 +271,15 @@ def pair_levels(a, b, lam, n: int, barriers=None):
 
 
 def advance(kernel, batches, a, b, lam, marks):
-    """Apply the (B, T) draws (a, b, lam) in place to each (B, n) batch of
-    the sequence ``batches`` up to each mark of the ascending sequence
-    ``marks`` (0 <= mark <= T) in turn, yielding the mark once steps [0,
-    mark) are applied; a caller that observes nothing, or only the entries
-    each call moves (folded in by its kernel), passes one mark.
-    ``lam`` is a stored array or a tile source as in ``pair_levels``. The
-    steps run one ``kernel(flat, p, q, lam')`` call per dependency level and
-    batch, on ``flat_view(batch)``, in level tiles that restart at every
-    mark, so at each mark every batch is what a per-step loop leaves.
+    """Apply the (B, T) draws (a, b) with the lambdas of the tile source
+    ``lam`` (as in ``pair_levels``) in place to each (B, n) batch of the
+    sequence ``batches`` up to each mark of the ascending sequence ``marks``
+    (0 <= mark <= T) in turn, yielding the mark once steps [0, mark) are
+    applied; a caller that observes nothing, or only the entries each call
+    moves (folded in by its kernel), passes one mark. The steps run one
+    ``kernel(flat, p, q, lam')`` call per dependency level and batch, on
+    ``flat_view(batch)``, in level tiles that restart at every mark, so at
+    each mark every batch is what a per-step loop leaves.
 
     Each batch is one chain per replica, and several batches are chains
     that share every draw (the proportional coupling's X and Y); a batch

@@ -8,9 +8,10 @@ and its moves by the one move law of ``draw_moves``: the pair arrays, then
 the lambda array. ``predraw`` draws the moves of the lockstep experiments and
 of both coupling phases: the pairs into a (B, T) store, once
 ``check_draw_memory`` has found room for it, and the lambdas as a
-``LambdaStream``, which draws them in chunks as the level tiles reach them.
-``skip_draws`` moves a PCG64 stream past draws that are never read; it is the
-one place that touches a generator's bit generator.
+``LambdaStream``, which draws them in chunks as the level tiles reach them,
+from its own copy of each generator: ``predraw`` leaves each generator where
+``draw_moves`` does, however far the stream is read. ``skip_draws`` moves a
+PCG64 stream past draws that are never read.
 """
 
 from __future__ import annotations
@@ -126,19 +127,15 @@ def predraw(chain, rngs, T: int, what: str, before: int = 0, then=None):
     of as many single draws), then its T moves (``draw_moves``), from
     rngs[r]. Returns (rows, (a, b, lam)): rows[k, r] the k-th stationary row
     of replica r, (a, b) the (B, T) pair store and lam the ``LambdaStream``
-    of the lambda arrays. ``check_draw_memory`` first compares the bytes of
-    the store and of the stream's (B, chunk) buffer with the memory
-    available. ``then = (T', what')`` names a later predraw on the same
-    generators whose lambdas are read whole, as one (B, T') array: its
-    store and that array are checked here too, before anything is drawn."""
+    of the lambda arrays; each generator then stands after its lambdas.
+    ``check_draw_memory`` first compares the bytes of the store and of the
+    stream's (B, chunk) buffer with the memory available. ``then = (T',
+    what')`` names a later predraw on the same generators: its store and
+    buffer are checked here too, before anything is drawn."""
     n, B = chain.n, len(rngs)
-    # (steps, lambdas held, what) of each store
-    stores = [(T, min(T, _LAMBDA_CHUNK), what)]
-    if then is not None:
-        stores.append((then[0], then[0], then[1]))
     pair_bytes = 2 * np.min_scalar_type(n - 1).itemsize
-    for steps, held, about in stores:
-        check_draw_memory(B * (steps * pair_bytes + held * 8),
+    for steps, about in [(T, what)] if then is None else [(T, what), then]:
+        check_draw_memory(B * (steps * pair_bytes + min(steps, _LAMBDA_CHUNK) * 8),
                           f"{about} over {B} replicas and {steps} steps")
     rows = np.empty((before, B, n))
     a, b = empty_pairs(B, T, n)
@@ -155,50 +152,53 @@ class LambdaStream:
     b from rngs[b], as a view of one reused buffer that the next call may
     overwrite.
 
-    Tiles must come in time order, from step 0 on. The stream draws ahead:
-    a tile that reaches past the ``drawn`` steps draws on to _LAMBDA_CHUNK
-    steps past its start (at least to its end, at most to T), with one
-    ``random`` call per replica, so short tiles share a call. Consecutive
-    ``random`` calls on a generator give the bits of one call, so the
-    lambdas are the bits of ``rng.random(T)``, and ``finish()`` leaves each
-    generator where that call does. A buffer wider than a chunk is checked
-    with ``check_draw_memory`` first.
+    The stream draws from its own copy of each generator, taken where that
+    replica's lambdas start, and moves the generator itself past its T
+    lambdas at once (``skip_draws``), as ``rng.random(T)`` would: what is
+    drawn from rngs after the stream is made follows the lambdas, however
+    far the stream is read.
+
+    Tiles must come in time order, from step 0 on, each at most
+    _LAMBDA_CHUNK steps wide. The stream draws ahead: a tile that reaches
+    past the steps drawn draws on to _LAMBDA_CHUNK steps past its start (at
+    most to T), with one ``random`` call per replica, so short tiles share
+    a call. Consecutive ``random`` calls on a generator give the bits of
+    one call, so the lambdas are the bits of ``rng.random(T)``.
     """
 
     def __init__(self, rngs, T: int):
-        self.rngs, self.T = rngs, T
-        # steps drawn and served so far, and the step of the buffer's column 0
-        self.drawn = self._served = self._start = 0
+        self.T = T
+        # the copies share one seed object, and their states are overwritten
+        seed, self._rngs = np.random.SeedSequence(0), []
+        for rng in rngs:
+            copy = np.random.PCG64(seed)
+            copy.state = rng.bit_generator.state
+            self._rngs.append(np.random.Generator(copy))
+            skip_draws(rng, T)
+        # steps drawn and served, and the step of the buffer's column 0; the
+        # buffer is made by the first tile that draws (at step 0, the widest)
+        self._drawn = self._served = self._start = 0
         self._buf, self._rows = np.empty((len(rngs), 0)), []
 
     def __call__(self, s0: int, s1: int) -> np.ndarray:
-        if s0 != self._served or not s0 <= s1 <= self.T:
+        if s0 != self._served or not s0 <= s1 <= min(self.T, s0 + _LAMBDA_CHUNK):
             raise InvariantViolation(
                 "draw-order", f"lambda tile [{s0}, {s1}) after {self._served} of {self.T} steps"
             )
         self._served = s1
-        if s1 > self.drawn:
+        if s1 > self._drawn:
             # the drawn steps not yet served move to the front, and the
             # chunk's new steps follow them
-            keep, width = self.drawn - s0, min(self.T, max(s1, s0 + _LAMBDA_CHUNK)) - s0
-            kept = self._buf[:, s0 - self._start:self.drawn - self._start]
-            if self._buf.shape[1] < width:
-                B = len(self.rngs)
-                if width > _LAMBDA_CHUNK:
-                    check_draw_memory(B * width * 8, f"lambdas of {B} replicas over {width} steps")
-                self._buf = np.empty((B, width))
+            keep, width = self._drawn - s0, min(self.T, s0 + _LAMBDA_CHUNK) - s0
+            kept = self._buf[:, s0 - self._start:self._drawn - self._start]
+            if not self._rows:
+                self._buf = np.empty((len(self._rngs), width))
                 self._rows = list(self._buf)
             self._buf[:, :keep] = kept
-            for rng, row in zip(self.rngs, self._rows):
+            for rng, row in zip(self._rngs, self._rows):
                 rng.random(width - keep, out=row[keep:width])
-            self._start, self.drawn = s0, s0 + width
+            self._start, self._drawn = s0, s0 + width
         return self._buf[:, s0 - self._start:s1 - self._start]
-
-    def finish(self) -> None:
-        """Jump each generator over its T - ``drawn`` undrawn lambdas."""
-        for rng in self.rngs:
-            skip_draws(rng, self.T - self.drawn)
-        self.drawn = self._served = self.T
 
 
 def empty_pairs(B: int, T: int, n: int):

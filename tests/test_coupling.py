@@ -1062,6 +1062,27 @@ def test_runner_does_not_hold_the_phase1_lambdas(monkeypatch):
     assert peak < B * T1 * 8
 
 
+def test_runner_does_not_hold_the_phase2_lambdas(monkeypatch):
+    # phase 2 reads its lambdas one level tile at a time too, and a marked
+    # step reads its lambda from the tile it is in, so the runner's traced
+    # peak stays below the B * T2 * 8 bytes of a stored phase-2 lambda
+    # array: about 7.2 MB against 9.6 MB here, and 16.4 MB for a runner
+    # that stores it. As in the phase-1 test, one tile per scan keeps the
+    # scan's workspace (about 3 MB) from hiding the store
+    monkeypatch.setattr(pairops, "_LEVEL_BUDGET", 1)
+    chain = matrix_chain(64)
+    B, T2 = 100, 12_000
+    # a first run fills numpy's caches, which the traced run must not count
+    run_nonmarkovian_coupling(chain, T1=3, T2=30, replicas=2, seed=0)
+    tracemalloc.start()
+    try:
+        run_nonmarkovian_coupling(chain, T1=30, T2=T2, replicas=B, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < B * T2 * 8
+
+
 def test_runner_peak_on_the_benchmark_run(monkeypatch):
     # on perfbench's couple-matrix-n128 run the traced peak was 11,201,122
     # bytes when phase 2 levelled only up to its earliest marked time, set
@@ -1116,10 +1137,9 @@ def test_largeness_frees_each_tile_before_the_next():
 
 def test_runner_memory_estimate_is_its_two_stores(monkeypatch):
     # both phases' stores are checked before anything is drawn or moved,
-    # phase 1's first: its pair arrays (one byte per coordinate at n = 8)
-    # and the buffer of its lambda stream (a float64 per step up to 512
-    # steps); phase 2's pair arrays and its lambdas, read whole (600 steps,
-    # past one chunk of the stream)
+    # phase 1's first: each phase's pair arrays (one byte per coordinate
+    # at n = 8) and the buffer of its lambda stream (a float64 per step up
+    # to one 512-step chunk: phase 2's 600 steps hold one chunk)
     B, T1, T2, n = 3, 10, 600, 8
     kwargs = dict(T1=T1, T2=T2, replicas=B, seed=1)
     calls = []
@@ -1133,7 +1153,7 @@ def test_runner_memory_estimate_is_its_two_stores(monkeypatch):
     plain = matrix_chain(n)
     chain = replace(plain, kernel=counted("kernel", plain.kernel),
                     stationary=counted("stationary", plain.stationary))
-    needs = {1: B * T1 * 10, 2: B * T2 * 10}
+    needs = {1: B * T1 * 10, 2: B * (T2 * 2 + 512 * 8)}
     for phase, T in ((1, T1), (2, T2)):
         need = needs[phase]
         monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)

@@ -8,9 +8,11 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gibbsmix
+from gibbsmix.seeding import LambdaStream
 
 _MODULES = sorted(info.name for info in pkgutil.iter_modules(gibbsmix.__path__))
 
@@ -105,12 +107,13 @@ def test_every_leaf_exception_class_is_raised_or_caught():
 
 
 def test_only_the_predraw_and_the_runner_fill_a_draw_store():
-    # a (B, T) draw store is guarded in one place per path: seeding.predraw
-    # for the pair stores of the lockstep experiments and of both coupling
-    # phases, and the lambda stream for a buffer wider than its chunk, so a
-    # new copy of the pre-draw that skips the memory guard fails here.
+    # a (B, T) draw store is guarded in one place: seeding.predraw, for the
+    # pair stores of the lockstep experiments and of both coupling phases,
+    # so a new copy of the pre-draw that skips the memory guard fails here.
+    # The lambda stream holds at most one chunk and checks nothing.
     # identity-matrix guards its two stacks of stationary rows. The old
-    # move-store helpers, which held the lambdas whole, exist nowhere
+    # move-store helpers, which held the lambdas whole, exist nowhere, and
+    # the stream keeps no protocol that its callers must finish
     package = Path(gibbsmix.__file__).parent
     callers = set()
     for path in sorted(package.glob("*.py")):
@@ -128,8 +131,9 @@ def test_only_the_predraw_and_the_runner_fill_a_draw_store():
         names = {node.name for node in functions} | {
             node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not names & {"empty_moves", "move_bytes"}, path.stem
-    assert callers == {("seeding", "predraw"), ("seeding", "__call__"),
-                       ("harness", "_run_identity_matrix")}
+    assert callers == {("seeding", "predraw"), ("harness", "_run_identity_matrix")}
+    stream = LambdaStream([np.random.default_rng(0)], 3)
+    assert not hasattr(stream, "finish") and not hasattr(stream, "drawn")
 
 
 def test_only_seeding_touches_a_bit_generator():

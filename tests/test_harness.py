@@ -747,7 +747,7 @@ def test_run_writes_running_manifest_before_results(tmp_path, monkeypatch):
 
     def probe(config):
         seen["manifest"] = _read_manifest(tmp_path / "res")
-        return {"ok": True}, [], False
+        return {"ok": True}, []
 
     monkeypatch.setitem(harness._RUNNERS, "connect", probe)
     cfg = ExperimentConfig.from_dict({"experiment": "connect", "n": 6})

@@ -21,7 +21,7 @@ from gibbsmix.matrices import (
     pair_alpha_beta,
 )
 from gibbsmix.pairops import pair_moves
-from gibbsmix.seeding import draw_pairs, predraw, replica_rng
+from gibbsmix.seeding import draw_moves, draw_pairs, predraw, replica_rng
 from gibbsmix.simplex import step_batch
 from pair_oracle import split_pair
 
@@ -309,8 +309,14 @@ def test_monotone_run_matches_the_per_step_replay(monkeypatch, tile, n, T, repli
     monkeypatch.setattr(pairops, "_LEVEL_TILE", tile)
     report = monotone_couple_run(n, T, replicas, seed)
     rngs = [replica_rng(seed, r) for r in range(replicas)]
-    (c,), (a, b, lam) = predraw(matrix_chain(n), rngs, T, "monotone", before=1)
-    lam = lam(0, T)
+    chain = matrix_chain(n)
+    (c,), (a, b, _) = predraw(chain, rngs, T, "monotone", before=1)
+    # the lambdas of the moves, drawn whole from fresh generators
+    lam = np.empty((replicas, T))
+    for r in range(replicas):
+        rng = replica_rng(seed, r)
+        chain.stationary(rng, 1)
+        lam[r] = draw_moves(rng, T, n)[2]
     s = c / n
     gaps, mins_c, maxs_c, mins_s = [(c - s).min()], [c.min()], [c.max()], [s.min()]
     for t in range(T):

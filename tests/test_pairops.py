@@ -25,7 +25,7 @@ from gibbsmix.errors import InvariantViolation
 from gibbsmix.groups import build_cyclic
 from gibbsmix.matrices import matrix_chain, mstep_batch, pair_alpha_beta
 from gibbsmix.pairops import advance, flat_view, pair_levels, pair_moves
-from gibbsmix.seeding import _LAMBDA_CHUNK, LambdaStream, draw_moves, draw_pairs, empty_pairs
+from gibbsmix.seeding import LambdaStream, draw_moves, draw_pairs, empty_pairs
 from gibbsmix.simplex import step_batch
 from pair_oracle import rule_levels, split_pair, split_pair_float
 
@@ -42,13 +42,18 @@ def _draws(rng, B, T, n, group=None, gens=None):
     return a, b, lam
 
 
+def _tiles(lam):
+    """A stored (B, T) lambda array as the tile source the levelling reads."""
+    return lambda s0, s1: lam[:, s0:s1]
+
+
 def _per_step(kernel, x, a, b, lam):
     for t in range(a.shape[1]):
         kernel(*pair_moves(x, a[:, t], b[:, t], lam[:, t]))
 
 
 def _by_level(kernel, x, a, b, lam, n):
-    for _, _, levels in pair_levels(a, b, lam, n):
+    for _, _, levels in pair_levels(a, b, _tiles(lam), n):
         for move in levels:
             kernel(flat_view(x), *move)
 
@@ -182,7 +187,7 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed, data):
         # swapped by the orientation
         ids = np.arange(1, B * T + 1, dtype=float).reshape(B, T)
         levels = [(p, q, pl.astype(np.int64) - 1)
-                  for _, _, tile in pair_levels(a, b, ids, n) for p, q, pl in tile]
+                  for _, _, tile in pair_levels(a, b, _tiles(ids), n) for p, q, pl in tile]
         seen = np.zeros(B * T, dtype=np.int64)
         last = np.full((B, n), -1)
         for p, q, move in levels:
@@ -211,7 +216,7 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed, data):
         # windows between marks, with tiles restarting at each mark and
         # many small windows in one scan
         want = _per_step_at(mstep_batch, x0.copy(), a, b, lam, marks)
-        (got,) = _observed(mstep_batch, (x0.copy(),), a, b, lam, marks)
+        (got,) = _observed(mstep_batch, (x0.copy(),), a, b, _tiles(lam), marks)
         assert len(got) == len(marks)
         assert all(map(np.array_equal, got, want))
 
@@ -224,7 +229,7 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed, data):
             _by_level(step_batch, got, a, b, lam, n)
             assert np.array_equal(got, want)
             want = _per_step_at(step_batch, x0.copy(), a, b, lam, marks)
-            (got,) = _observed(step_batch, (x0.copy(),), a, b, lam, marks)
+            (got,) = _observed(step_batch, (x0.copy(),), a, b, _tiles(lam), marks)
             assert all(map(np.array_equal, got, want))
 
 
@@ -256,7 +261,8 @@ def test_levels_with_barriers_replay_the_per_step_loop(tile, n, B, T, density, b
         mp.setattr(pairops, "_LEVEL_TILE", tile)
         mp.setattr(pairops, "_LEVEL_BUDGET", budget)
         done = 0
-        tiles = zip(pair_levels(a, b, lam, n, barriers), pair_levels(a, b, ids, n, barriers))
+        tiles = zip(pair_levels(a, b, _tiles(lam), n, barriers),
+                    pair_levels(a, b, _tiles(ids), n, barriers))
         for (s0, lev, levels), (_, _, named) in tiles:
             w = len(lev)
             assert s0 == done and lev.shape == (w, B)
@@ -301,7 +307,7 @@ def test_levels_are_the_rules_exactly(data, n, B, T, tile, budget, density, seed
         mp.setattr(pairops, "_LEVEL_TILE", tile)
         mp.setattr(pairops, "_LEVEL_BUDGET", budget)
         done = 0
-        for s0, lev, _ in pairops._tile_levels(a, b, lam, n, marks, barriers):
+        for s0, lev, _ in pairops._tile_levels(a, b, _tiles(lam), n, marks, barriers):
             w = len(lev)
             assert s0 == done and not any(s0 < m < s0 + w for m in marks)
             assert np.array_equal(lev, rule_levels(a, b, n, s0, s0 + w, barriers))
@@ -324,7 +330,7 @@ def test_a_tile_above_level_255_replays_the_per_step_loop(density):
     want, got = x0.copy(), x0.copy()
     _per_step(mstep_batch, want, a, b, lam)
     tops = []
-    for s0, lev, levels in pair_levels(a, b, lam, n, barriers):
+    for s0, lev, levels in pair_levels(a, b, _tiles(lam), n, barriers):
         tops.append(int(lev.max()))
         held = barriers[:, s0:s0 + len(lev)].T
         for level, move in enumerate(levels, 1):
@@ -368,28 +374,25 @@ def test_advance_is_the_per_step_loop_on_one_and_two_batches(kernel, data, budge
     want = [_per_step_at(kernel, x.copy(), *moves, marks) for x in (x0, y0)]
 
     def stream():
-        # each replica's generator where draw_moves drew its lambdas
+        # each replica's generator where draw_moves drew its lambdas; the
+        # stream moves it on to where draw_moves leaves it
         twins = [np.random.default_rng([11, r]) for r in range(B)]
         for rng in twins:
             draw_pairs(rng, T, n, group, gens)
-        return LambdaStream(twins, T)
+        lam = LambdaStream(twins, T)
+        assert ([r.bit_generator.state for r in twins]
+                == [r.bit_generator.state for r in rngs])
+        return lam
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pairops, "_LEVEL_BUDGET", budget)
         # X alone, and X with Y moved by the same draws
         for batches in ((x0,), (x0, y0)):
-            for lam in (moves[2], stream()):
+            for lam in (_tiles(moves[2]), stream()):
                 got = _observed(kernel, tuple(x.copy() for x in batches), *moves[:2], lam, marks)
                 for seen, wanted in zip(got, want):
                     assert len(seen) == len(marks)
                     assert all(map(np.array_equal, seen, wanted))
-                if isinstance(lam, LambdaStream):
-                    # drawn ahead at most a chunk past the last tile's start
-                    last = marks[-1] if marks else 0
-                    assert last <= lam.drawn <= min(T, last + _LAMBDA_CHUNK)
-                    lam.finish()
-                    assert ([r.bit_generator.state for r in lam.rngs]
-                            == [r.bit_generator.state for r in rngs])
 
 
 @pytest.mark.parametrize("rows", [4, 6, 10], ids=["B-1", "B+1", "2B"])
@@ -402,7 +405,7 @@ def test_advance_refuses_a_batch_that_is_not_one_row_per_replica(rows):
     for batches in ((bad,), (good, bad), (bad, good)):
         before = [x.copy() for x in batches]
         with pytest.raises(InvariantViolation, match="batch-layout"):
-            next(advance(mstep_batch, batches, a, a + 1, np.full((B, T), 0.25), [T]))
+            next(advance(mstep_batch, batches, a, a + 1, _tiles(np.full((B, T), 0.25)), [T]))
         assert all(map(np.array_equal, batches, before))
 
 
@@ -423,7 +426,7 @@ def test_scans_hold_at_most_a_megabyte_of_lane_table(monkeypatch):
     monkeypatch.setattr(pairops, "_move_levels", counted)
     B, T, n = 2000, 64, 64
     a = np.zeros((B, T), dtype=np.uint8)
-    for _ in advance(lambda *move: None, (np.zeros((B, n)),), a, a + 1, np.zeros((B, T)),
+    for _ in advance(lambda *move: None, (np.zeros((B, n)),), a, a + 1, _tiles(np.zeros((B, T))),
                      range(4, T + 1, 4)):
         pass
     assert scans == [8, 8]

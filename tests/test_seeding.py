@@ -5,7 +5,8 @@ from gibbsmix import seeding
 from gibbsmix.errors import ConfigError, InvariantViolation
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
 from gibbsmix.seeding import (
-    LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_pairs, skip_draws,
+    _LAMBDA_CHUNK, LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_pairs,
+    skip_draws,
 )
 
 T = 600
@@ -196,7 +197,6 @@ def test_lambda_stream_draws_each_replicas_lambda_array(T):
     refs = [np.random.default_rng([7, b]) for b in range(B)]
     stream = LambdaStream(rngs, T)
     tiles = [stream(s0, min(T, s0 + 512)).copy() for s0 in range(0, T, 512)]
-    assert stream.drawn == T
     got = np.concatenate(tiles, axis=1) if tiles else np.empty((B, 0))
     assert np.array_equal(_bits(got), _bits(np.stack([r.random(T) for r in refs])))
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in refs]
@@ -208,15 +208,27 @@ def test_lambda_stream_refuses_tiles_out_of_order():
     for s0, s1 in [(0, 4), (5, 8), (4, 11)]:
         with pytest.raises(InvariantViolation, match="draw-order"):
             stream(s0, s1)
-    # the first tile drew ahead to the end of its chunk, here T
-    assert stream.drawn == 10
-    stream.finish()
+    stream(4, 10)
     with pytest.raises(InvariantViolation, match="draw-order"):
-        stream(4, 5)
+        stream(10, 11)
+
+
+def test_lambda_stream_refuses_a_tile_wider_than_a_chunk(monkeypatch):
+    # a tile of at most a chunk is drawn into a (B, chunk) buffer, with no
+    # memory check; no tile may be wider
+    monkeypatch.setattr(seeding, "available_memory", lambda: 0)
+    rngs = [np.random.default_rng(b) for b in range(2)]
+    with pytest.raises(InvariantViolation, match="draw-order"):
+        LambdaStream(rngs, 1100)(0, _LAMBDA_CHUNK + 1)
+    stream = LambdaStream(rngs, 1100)
+    assert stream(0, _LAMBDA_CHUNK).shape == (2, _LAMBDA_CHUNK)
+    with pytest.raises(InvariantViolation, match="draw-order"):
+        stream(_LAMBDA_CHUNK, 2 * _LAMBDA_CHUNK + 1)
 
 
 class _Counted:
-    """A generator whose ``random`` calls are counted."""
+    """A generator whose ``random`` calls are counted: it wraps the stream's
+    copy of a generator, which makes the stream's draws."""
 
     def __init__(self, rng):
         self.rng, self.calls = rng, 0
@@ -226,53 +238,48 @@ class _Counted:
         return self.rng.random(*args, **kwargs)
 
 
-@pytest.mark.parametrize("width, calls", [(1, 3), (4, 3), (7, 3), (512, 3), (600, 2)])
+@pytest.mark.parametrize("width, calls", [(1, 3), (4, 3), (7, 3), (300, 3), (512, 3)])
 def test_lambda_stream_tiles_share_a_call_per_chunk(width, calls):
     # 1,100 steps are three 512-step chunks (the last one short): tiles
     # shorter than a chunk, also tiles that straddle two, share one random
-    # call per replica and chunk; a tile wider than a chunk is one call
+    # call per replica and chunk
     B, T = 3, 1100
-    rngs = [_Counted(np.random.default_rng([8, b])) for b in range(B)]
-    stream = LambdaStream(rngs, T)
+    stream = LambdaStream([np.random.default_rng([8, b]) for b in range(B)], T)
+    copies = stream._rngs = [_Counted(rng) for rng in stream._rngs]
     got = np.concatenate([stream(s0, min(T, s0 + width)).copy()
                           for s0 in range(0, T, width)], axis=1)
-    assert [rng.calls for rng in rngs] == [calls] * B
+    assert [rng.calls for rng in copies] == [calls] * B
     refs = [np.random.default_rng([8, b]) for b in range(B)]
     assert np.array_equal(_bits(got), _bits(np.stack([r.random(T) for r in refs])))
 
 
-@pytest.mark.parametrize("T, stop", [(0, 0), (1100, 0), (1100, 5), (1100, 600), (1100, 1100),
-                                     (5, 3)])
-def test_lambda_stream_finish_leaves_the_generators_after_the_whole_array(T, stop):
-    # stopped before any tile, mid-chunk or at T, finish() jumps each
-    # generator over the lambdas not drawn, to where rng.random(T) leaves it
-    B = 2
-    rngs = [np.random.default_rng([9, b]) for b in range(B)]
-    refs = [np.random.default_rng([9, b]) for b in range(B)]
-    stream = LambdaStream(rngs, T)
-    for s0 in range(0, stop, 4):
-        stream(s0, min(stop, s0 + 4))
-    assert stop <= stream.drawn <= T
-    stream.finish()
+@pytest.mark.parametrize("read", ["none", "part", "all"])
+@pytest.mark.parametrize("T", [0, 5, 600, 1100])
+@pytest.mark.parametrize("via", ["stream", "predraw"])
+def test_generators_stand_after_their_lambdas_however_far_the_stream_is_read(via, T, read):
+    # as soon as predraw returns (or a stream is made), each generator
+    # stands where draw_moves leaves it; reading the stream, not at all, up
+    # to mid-chunk or to T, draws from its copies and moves it no further
+    from gibbsmix.matrices import matrix_chain
+
+    B, n = 2, 5
+    rngs = [seeding.replica_rng(9, b) for b in range(B)]
+    refs = [seeding.replica_rng(9, b) for b in range(B)]
+    if via == "predraw":
+        _, (_, _, stream) = seeding.predraw(matrix_chain(n), rngs, T, "a test")
+        want = np.stack([draw_moves(ref, T, n)[2] for ref in refs])
+    else:
+        stream = LambdaStream(rngs, T)
+        want = np.stack([ref.random(T) for ref in refs])
+    states = [ref.bit_generator.state for ref in refs]
+    assert [rng.bit_generator.state for rng in rngs] == states
+    stop = {"none": 0, "part": (T + 1) // 2, "all": T}[read]
+    tiles = [stream(s0, min(stop, s0 + 4)).copy() for s0 in range(0, stop, 4)]
+    got = np.concatenate(tiles, axis=1) if tiles else np.empty((B, 0))
+    assert np.array_equal(_bits(got), _bits(want[:, :stop]))
+    assert [rng.bit_generator.state for rng in rngs] == states
     for rng, ref in zip(rngs, refs):
-        ref.random(T)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.random() == ref.random()
-
-
-def test_lambda_stream_guards_a_buffer_wider_than_a_chunk(monkeypatch):
-    # a tile of at most a chunk is drawn into a (B, chunk) buffer unchecked;
-    # a wider one (the coupled runner reads its phase-2 lambdas whole) is
-    # checked against the memory available before it is allocated
-    monkeypatch.setattr(seeding, "available_memory", lambda: 0)
-    rngs = [np.random.default_rng(b) for b in range(2)]
-    LambdaStream(rngs, 600)(0, 512)
-    monkeypatch.setattr(seeding, "available_memory", lambda: 2 * 600 * 8 - 1)
-    with pytest.raises(ConfigError, match="lambdas of 2 replicas over 600 steps would "
-                                          "pre-draw 9,600 bytes"):
-        LambdaStream(rngs, 600)(0, 600)
-    monkeypatch.setattr(seeding, "available_memory", lambda: 2 * 600 * 8)
-    assert LambdaStream(rngs, 600)(0, 600).shape == (2, 600)
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()
 
 
 def test_draw_memory_guard_compares_the_estimate_with_the_probe(monkeypatch):
@@ -309,10 +316,9 @@ def test_predraw_draws_stationary_rows_as_single_draws(which):
     rngs = [seeding.replica_rng(9, r) for r in range(B)]
     rows, (a, b, lam) = seeding.predraw(chain, rngs, steps, "a test", before=2)
     assert rows.shape == (2, B, n)
-    # the lambdas follow the pair arrays, and rows drawn after the stream's
-    # finish() follow the lambdas
+    # the lambdas follow the pair arrays, and rows drawn after predraw
+    # follow the lambdas, however far the stream is read
     moves = (a, b, lam(0, 10).copy())
-    lam.finish()
     after = [chain.stationary(rng, 3) for rng in rngs]
     for r in range(B):
         rng = seeding.replica_rng(9, r)
