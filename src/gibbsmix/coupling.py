@@ -306,11 +306,11 @@ def run_nonmarkovian_coupling(
     replicas' generators, which leaves each generator after that phase's
     lambdas. Before phase 1, every replica's stationary Y and its (B, T1)
     phase-1 pair arrays; after phase 1, the phase-2 pair arrays, into a
-    (B, T2) store indexed at t - T1. Each phase reads its lambdas from its
-    stream as the level tiles reach them, so they are never stored whole; a
-    marked step reads its lambda from the tile it is in. Both phases'
-    stores are checked against the memory available before phase 1 draws
-    anything.
+    (B, T2) store indexed at t - T1. Each phase's stream draws its lambdas
+    one grid chunk at a time, as the level tiles reach it, so they are
+    never stored whole; ``pair_levels`` yields each tile with its lambdas,
+    and a marked step reads its lambda there. Both phases' stores are
+    checked against the memory available before phase 1 draws anything.
 
     Nothing is observed during phase 1, so its moves are applied in
     dependency levels (``pairops.advance``), one kernel call per level on X
@@ -359,13 +359,6 @@ def run_nonmarkovian_coupling(
     # phase 1's draws go before phase 2's are drawn
     del left, right, lambdas
     _, (left, right, lambdas) = predraw(chain, rngs, T2, phase2)
-    held = None
-
-    def lam_tile(s0, s1):
-        # the tile's lambdas stay held while it is applied, for its marks
-        nonlocal held
-        held = lambdas(s0, s1)
-        return held
 
     # outcomes read only tau and connectedness; each replica's merge lists
     # extend the columns of the mark table
@@ -399,7 +392,7 @@ def run_nonmarkovian_coupling(
     # largeness_fail is set; all of its later steps are at later levels, so
     # from then on its rows are dropped
     stopped = False
-    for s0, lev, levels in pair_levels(left, right, lam_tile, n, barriers):
+    for s0, lev, lam, levels in pair_levels(left, right, lambdas, n, [T2], barriers):
         # the tile's marks sorted by (level, |S1|), so each level's marks are
         # one span and their blocks run in size order
         tile = np.flatnonzero((mark_s >= s0) & (mark_s < s0 + len(lev)))
@@ -421,7 +414,7 @@ def run_nonmarkovian_coupling(
             rows, s = mark_b[sel], mark_s[sel]
             degenerate, ok, _, _ = subset_couple_batch(
                 chain.coeffs, X, Y, rows, mark_i[sel], mark_j[sel],
-                (members, mark_start[sel], mark_size[sel]), held[rows, s - s0], rngs,
+                (members, mark_start[sel], mark_size[sel]), lam[rows, s - s0], rngs,
             )
             if degenerate.any():
                 largeness_fail[rows[degenerate]] = T1 + s[degenerate]

@@ -27,16 +27,18 @@ oriented moves name rows by flat offset, so they apply as they are to any
 its own call on the same (p, q, lam').
 
 ``Chain`` is the record of one of the two samplers that the code running on
-either chain reads. ``pair_levels`` groups the moves of a (B, T) block of
-draws into dependency levels, one level tile at a time, by one rule: a
-step's level is 1 + the highest level on the coordinates of its row that it
-reads. A move reads its pair; a barrier, a step the caller applies itself
-(the coupled runner's subset-coupled steps), reads its whole row. ``advance``
-applies the draws to one or more batches up to each of a caller's marks in
-turn, one kernel call per level and batch instead of one per step. Both
-orient a level tile's moves once, when the tile is levelled, and read the
-lambdas one tile at a time from a tile source that draws them as the tiles
-reach them (``seeding.LambdaStream``), so a long stretch need not hold them.
+either chain reads. ``pair_levels``, the one tile walk, groups the moves of
+a (B, T) block of draws into dependency levels, one level tile at a time,
+by one rule: a step's level is 1 + the highest level on the coordinates of
+its row that it reads. A move reads its pair; a barrier, a step the caller
+applies itself (the coupled runner's subset-coupled steps), reads its whole
+row. The tiles are cut at each of the caller's marks and at each multiple
+of _LEVEL_TILE, the one grid. Each tile's moves are oriented once, when it
+is levelled, and its lambdas come from a tile source that draws them one
+grid chunk at a time (``seeding.LambdaStream``), so a long stretch need not
+hold them; the tile is yielded with them. ``advance`` walks those tiles to
+apply the draws to one or more batches up to each mark in turn, one kernel
+call per level and batch instead of one per step.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ from .errors import InvariantViolation
 
 __all__ = ["Chain", "advance", "flat_view", "orient", "pair_levels", "pair_moves", "put_pair"]
 
-# steps per level tile: each tile is levelled on its own, so its levels fit
-# 16 bits, and the tiles of one scan are levelled side by side in one pass
+# the grid of level tiles and lambda chunks: no tile crosses a multiple of
+# it, each tile is levelled on its own, so its levels fit 16 bits, and the
+# tiles of one scan are levelled side by side in one pass
 _LEVEL_TILE = 512
 # lane entries (coordinates plus steps of each tile-replica lane) one scan
 # may hold; a single tile is always allowed
@@ -185,32 +188,6 @@ def _move_levels(a, b, n: int, tiles, barriers=None) -> np.ndarray:
     return out.reshape(width, K, B)
 
 
-def _tile_levels(a, b, lam, n: int, marks, barriers=None):
-    """The tiles of ``pair_levels``, each window [previous mark, mark) of the
-    ascending ``marks`` cut into tiles of at most _LEVEL_TILE steps."""
-    B = a.shape[0]
-    scans, width = [], 0
-    for m0, m in zip([0, *marks], marks):
-        for s0 in range(m0, m, _LEVEL_TILE):
-            s1 = min(m, s0 + _LEVEL_TILE)
-            width = max(width, s1 - s0)
-            lanes = (len(scans[-1]) + 1) * B if scans else 0
-            if (not scans or lanes * (n + width) > _LEVEL_BUDGET
-                    or lanes * n * np.min_scalar_type(width).itemsize > _LANE_TABLE_BYTES):
-                scans.append([])
-                width = s1 - s0
-            scans[-1].append((s0, s1))
-    for scan in scans:
-        levels = _move_levels(a, b, n, scan, barriers)
-        for k, (s0, s1) in enumerate(scan):
-            lev = levels[:s1 - s0, k]
-            # the tile's arrays are held only by the yielded list, so they go
-            # before the next tile's are built
-            yield s0, lev, _oriented_levels(
-                lev, a[:, s0:s1], b[:, s0:s1], lam(s0, s1), n,
-                None if barriers is None else barriers[:, s0:s1])
-
-
 def _oriented_levels(lev, a, b, lam, n: int, barrier=None) -> list:
     """The oriented moves (p, q, lam') of a tile's (B, w) draws one per
     level, given the (w, B) levels of its steps; the steps flagged in the
@@ -233,24 +210,28 @@ def _oriented_levels(lev, a, b, lam, n: int, barrier=None) -> list:
     return [(p[lo:hi], q[lo:hi], lam[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
-def pair_levels(a, b, lam, n: int, barriers=None):
-    """A generator of (s0, lev, levels) for each level tile [s0, s0 + w) of
-    the (B, T) draws, in time order; row r moves pair (a[r, t], b[r, t])
-    with the lambda of step t. ``lev`` holds the (w, B) levels of the tile's
-    steps, and entry k of ``levels`` the oriented moves (p, q, lam') of
-    level k + 1 on a (B, n) batch (``orient``); p // n is the row of a move.
+def pair_levels(a, b, lam, n: int, marks, barriers=None):
+    """Yield (s0, lev, lam, levels) for each level tile [s0, s0 + w) of the
+    (B, T) draws up to the last of the ascending ``marks`` (0 <= mark <=
+    T), in time order; row r moves pair (a[r, t], b[r, t]) with the lambda
+    of step t. ``lev`` holds the (w, B) levels of the tile's steps,
+    ``lam`` their (B, w) lambdas, and entry k of ``levels`` the oriented
+    moves (p, q, lam') of level k + 1 on a (B, n) batch (``orient``); p // n
+    is the row of a move.
 
-    ``lam`` is a tile source: lam(s0, s1) gives the (B, s1 - s0) lambdas of
-    steps [s0, s1). It is called once per tile, in time order, just before
-    that tile is yielded, and the tiles cover [0, T); what it returns is
-    copied before the next call, so it may reuse one buffer.
+    The tiles are cut at every mark and at every multiple of _LEVEL_TILE,
+    so none crosses either. The ``lam`` passed in is a tile source:
+    lam(s0, s1) gives the (B, s1 - s0) lambdas of steps [s0, s1); it is
+    called once per tile, in time order, just before that tile is yielded
+    with what it returned, so it may reuse one buffer
+    (``seeding.LambdaStream``).
 
-    The steps run in tiles of _LEVEL_TILE. Within a tile a move's level is
-    1 + the larger of the levels of that row's earlier moves on its two
-    coordinates, so one level never touches a (row, coordinate) twice and
-    each (row, coordinate) sees its moves in time order: applying the levels
-    one kernel call each reads and writes exactly what a per-step loop does.
-    Tiles are levelled in scans under _LEVEL_BUDGET lane entries and
+    Within a tile a move's level is 1 + the larger of the levels of that
+    row's earlier moves on its two coordinates, so one level never touches
+    a (row, coordinate) twice and each (row, coordinate) sees its moves in
+    time order: applying the levels one kernel call each reads and writes
+    exactly what a per-step loop does, however the steps are tiled. Tiles
+    are levelled in scans under _LEVEL_BUDGET lane entries and
     _LANE_TABLE_BYTES of lane table, and each tile's moves are oriented
     once, before the tile is yielded.
 
@@ -263,11 +244,28 @@ def pair_levels(a, b, lam, n: int, barriers=None):
     loop does, and a row that stops at a barrier has all its later steps at
     higher levels.
 
-    This returns the generator itself, and a tile's arrays are held only by
-    the yielded list, so a caller that drops its references to them before
-    the next tile frees them before the next tile's are built.
+    This is a generator function, and a tile's arrays are held only by what
+    it yields, so a caller that drops its references to them before the
+    next tile frees them before the next tile's are built.
     """
-    return _tile_levels(a, b, lam, n, [a.shape[1]], barriers)
+    B, top = a.shape[0], max(marks, default=0)
+    ends = sorted({*marks, *range(_LEVEL_TILE, top, _LEVEL_TILE)} - {0})
+    scans, width = [], 0
+    for s0, s1 in zip([0, *ends], ends):
+        width = max(width, s1 - s0)
+        lanes = (len(scans[-1]) + 1) * B if scans else 0
+        if (not scans or lanes * (n + width) > _LEVEL_BUDGET
+                or lanes * n * np.min_scalar_type(width).itemsize > _LANE_TABLE_BYTES):
+            scans.append([])
+            width = s1 - s0
+        scans[-1].append((s0, s1))
+    for scan in scans:
+        levels = _move_levels(a, b, n, scan, barriers)
+        for k, (s0, s1) in enumerate(scan):
+            lev, tile = levels[:s1 - s0, k], lam(s0, s1)
+            yield s0, lev, tile, _oriented_levels(
+                lev, a[:, s0:s1], b[:, s0:s1], tile, n,
+                None if barriers is None else barriers[:, s0:s1])
 
 
 def advance(kernel, batches, a, b, lam, marks):
@@ -293,11 +291,11 @@ def advance(kernel, batches, a, b, lam, marks):
             raise InvariantViolation(
                 "batch-layout", f"a {batch.shape} batch for draws of {B} rows and n = {n}")
     flats = [flat_view(batch) for batch in batches]
-    tiles = _tile_levels(a, b, lam, n, marks)
+    tiles = pair_levels(a, b, lam, n, marks)
     done = 0
     for mark in marks:
         while done < mark:
-            s0, lev, levels = next(tiles)
+            s0, lev, _, levels = next(tiles)
             done = s0 + len(lev)
             for move in levels:
                 for flat in flats:

@@ -8,10 +8,11 @@ and its moves by the one move law of ``draw_moves``: the pair arrays, then
 the lambda array. ``predraw`` draws the moves of the lockstep experiments and
 of both coupling phases: the pairs into a (B, T) store, once
 ``check_draw_memory`` has found room for it, and the lambdas as a
-``LambdaStream``, which draws them in chunks as the level tiles reach them,
-from its own copy of each generator: ``predraw`` leaves each generator where
-``draw_moves`` does, however far the stream is read. ``skip_draws`` moves a
-PCG64 stream past draws that are never read.
+``LambdaStream``, which draws them one chunk of the level-tile grid at a
+time, as the level tiles reach it, from its own copy of each generator:
+``predraw`` leaves each generator where ``draw_moves`` does, however far the
+stream is read. ``skip_draws`` moves a PCG64 stream past draws that are
+never read.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import pairops
 from .errors import ConfigError, InvariantViolation
 
 __all__ = [
@@ -115,11 +117,6 @@ def draw_moves(rng: np.random.Generator, T: int, n: int, group=None, gens=None):
     return a, b, rng.random(T)
 
 
-# steps a LambdaStream draws ahead per call of each generator: tiles shorter
-# than this share one call (lowerbound-simplex levels 4-step tiles)
-_LAMBDA_CHUNK = 512
-
-
 def predraw(chain, rngs, T: int, what: str, before: int = 0, then=None):
     """The draws of a lockstep experiment ``what`` over T steps of ``chain``,
     one replica per generator of ``rngs``: replica r draws ``before``
@@ -129,13 +126,15 @@ def predraw(chain, rngs, T: int, what: str, before: int = 0, then=None):
     of replica r, (a, b) the (B, T) pair store and lam the ``LambdaStream``
     of the lambda arrays; each generator then stands after its lambdas.
     ``check_draw_memory`` first compares the bytes of the store and of the
-    stream's (B, chunk) buffer with the memory available. ``then = (T',
-    what')`` names a later predraw on the same generators: its store and
-    buffer are checked here too, before anything is drawn."""
+    stream's buffer with the memory available: one (B, _LEVEL_TILE) chunk
+    of the level-tile grid, since the stream draws nothing past the chunk
+    its tile is in. ``then = (T', what')`` names a later predraw on the
+    same generators: its store and buffer are checked here too, before
+    anything is drawn."""
     n, B = chain.n, len(rngs)
     pair_bytes = 2 * np.min_scalar_type(n - 1).itemsize
     for steps, about in [(T, what)] if then is None else [(T, what), then]:
-        check_draw_memory(B * (steps * pair_bytes + min(steps, _LAMBDA_CHUNK) * 8),
+        check_draw_memory(B * (steps * pair_bytes + min(steps, pairops._LEVEL_TILE) * 8),
                           f"{about} over {B} replicas and {steps} steps")
     rows = np.empty((before, B, n))
     a, b = empty_pairs(B, T, n)
@@ -158,12 +157,13 @@ class LambdaStream:
     drawn from rngs after the stream is made follows the lambdas, however
     far the stream is read.
 
-    Tiles must come in time order, from step 0 on, each at most
-    _LAMBDA_CHUNK steps wide. The stream draws ahead: a tile that reaches
-    past the steps drawn draws on to _LAMBDA_CHUNK steps past its start (at
-    most to T), with one ``random`` call per replica, so short tiles share
-    a call. Consecutive ``random`` calls on a generator give the bits of
-    one call, so the lambdas are the bits of ``rng.random(T)``.
+    Tiles must come in time order, from step 0 on, and none may cross a
+    multiple of ``pairops._LEVEL_TILE``, read when the stream is called:
+    the grid cuts the steps into chunks. The first tile of a chunk draws
+    the whole chunk (at most to T), with one ``random`` call per replica,
+    so the chunk's tiles share a call and nothing is drawn past it.
+    Consecutive ``random`` calls on a generator give the bits of one call,
+    so the lambdas are the bits of ``rng.random(T)``.
     """
 
     def __init__(self, rngs, T: int):
@@ -175,30 +175,29 @@ class LambdaStream:
             copy.state = rng.bit_generator.state
             self._rngs.append(np.random.Generator(copy))
             skip_draws(rng, T)
-        # steps drawn and served, and the step of the buffer's column 0; the
-        # buffer is made by the first tile that draws (at step 0, the widest)
-        self._drawn = self._served = self._start = 0
+        # steps drawn and served; the buffer is made by the first tile that
+        # draws (the first chunk's, the widest)
+        self._drawn = self._served = 0
         self._buf, self._rows = np.empty((len(rngs), 0)), []
 
     def __call__(self, s0: int, s1: int) -> np.ndarray:
-        if s0 != self._served or not s0 <= s1 <= min(self.T, s0 + _LAMBDA_CHUNK):
+        grid = pairops._LEVEL_TILE
+        at = s0 % grid
+        if s0 != self._served or not s0 <= s1 <= min(self.T, s0 - at + grid):
             raise InvariantViolation(
                 "draw-order", f"lambda tile [{s0}, {s1}) after {self._served} of {self.T} steps"
             )
         self._served = s1
         if s1 > self._drawn:
-            # the drawn steps not yet served move to the front, and the
-            # chunk's new steps follow them
-            keep, width = self._drawn - s0, min(self.T, s0 + _LAMBDA_CHUNK) - s0
-            kept = self._buf[:, s0 - self._start:self._drawn - self._start]
+            # a tile past the steps drawn starts its chunk and draws it whole
+            width = min(self.T - s0, grid)
             if not self._rows:
                 self._buf = np.empty((len(self._rngs), width))
                 self._rows = list(self._buf)
-            self._buf[:, :keep] = kept
             for rng, row in zip(self._rngs, self._rows):
-                rng.random(width - keep, out=row[keep:width])
-            self._start, self._drawn = s0, s0 + width
-        return self._buf[:, s0 - self._start:s1 - self._start]
+                rng.random(width, out=row[:width])
+            self._drawn = s0 + width
+        return self._buf[:, at:at + s1 - s0]
 
 
 def empty_pairs(B: int, T: int, n: int):

@@ -1008,10 +1008,10 @@ def test_runner_matches_the_replay_through_a_largeness_abort(monkeypatch, tile):
     levelled, subset = coupling.pair_levels, coupling.subset_couple_batch
     tiles, calls = [], []
 
-    def seen_levels(a, b, lam, n, barriers):
-        for s0, lev, levels in levelled(a, b, lam, n, barriers):
+    def seen_levels(a, b, lam, n, marks, barriers):
+        for s0, lev, tile, levels in levelled(a, b, lam, n, marks, barriers):
             tiles.append((s0, lev.copy(), barriers[:, s0:s0 + len(lev)].T.copy()))
-            yield s0, lev, levels
+            yield s0, lev, tile, levels
 
     def seen_subset(coeffs, X, Y, rows, *args):
         result = subset(coeffs, X, Y, rows, *args)

@@ -50,10 +50,11 @@ def test_the_scalar_subset_step_name_stays_retired():
 
 def test_the_scalar_move_twins_and_the_second_levelling_entry_stay_retired():
     # every pair move runs through the batch kernels, and pairops.pair_levels
-    # is the one levelling entry; the scalar twins live in tests/pair_oracle.py.
+    # is the one levelling entry and the one tile walk, on the one grid of
+    # pairops._LEVEL_TILE; the scalar twins live in tests/pair_oracle.py.
     # Two chains that share draws are two batches, not one stacked [X; Y]
     retired = {"split_pair_float", "pair_alpha_beta_float", "barrier_levels", "_MONOTONE_CHUNK",
-               "stacked_moves"}
+               "stacked_moves", "_tile_levels", "_LAMBDA_CHUNK"}
     assert sorted(
         (name, attr) for name in _MODULES for attr in retired
         if hasattr(importlib.import_module(f"gibbsmix.{name}"), attr)
@@ -154,21 +155,26 @@ def test_advance_and_the_coupled_runner_are_the_only_tile_walkers():
     # a caller that observes nothing, or folds the entries each call moves
     # in its kernel (largeness, the monotone run), walks the levels through
     # pairops.advance; only the coupled runner's phase 2, which applies its
-    # marked steps between levels, walks the level tiles itself. One
-    # levelling rule: a barrier raises its lane's whole row, so the scan
-    # keeps no per-lane floor or top
+    # marked steps between levels, walks the level tiles itself, and it
+    # reads each tile's lambdas from what pair_levels yields, with no
+    # closure around the stream. One levelling rule: a barrier raises its
+    # lane's whole row, so the scan keeps no per-lane floor or top
     package = Path(gibbsmix.__file__).parent
     walkers, importers = set(), set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         for func in ast.walk(tree):
             if (isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and _names(func) & {"pair_levels", "_tile_levels"}):
+                    and "pair_levels" in _names(func)):
                 walkers.add((path.stem, func.name))
         importers |= {path.stem for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                      for alias in node.names if alias.name in ("pair_levels", "_tile_levels")}
+                      for alias in node.names if alias.name == "pair_levels"}
     assert {w for w in walkers if w[0] != "pairops"} == {("coupling", "run_nonmarkovian_coupling")}
     assert importers == {"coupling"}
+    runner = next(node for node in ast.walk(ast.parse((package / "coupling.py").read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == "run_nonmarkovian_coupling")
+    assert not [node for node in ast.walk(runner) if node is not runner and isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.Nonlocal))]
     levels = next(node for node in ast.walk(ast.parse((package / "pairops.py").read_text()))
                   if isinstance(node, ast.FunctionDef) and node.name == "_move_levels")
     bound = {node.id for node in ast.walk(levels)

@@ -53,7 +53,7 @@ def _per_step(kernel, x, a, b, lam):
 
 
 def _by_level(kernel, x, a, b, lam, n):
-    for _, _, levels in pair_levels(a, b, _tiles(lam), n):
+    for *_, levels in pair_levels(a, b, _tiles(lam), n, [a.shape[1]]):
         for move in levels:
             kernel(flat_view(x), *move)
 
@@ -187,7 +187,7 @@ def test_levels_replay_the_per_step_loop(tile, n, B, tiles, budget, seed, data):
         # swapped by the orientation
         ids = np.arange(1, B * T + 1, dtype=float).reshape(B, T)
         levels = [(p, q, pl.astype(np.int64) - 1)
-                  for _, _, tile in pair_levels(a, b, _tiles(ids), n) for p, q, pl in tile]
+                  for *_, tile in pair_levels(a, b, _tiles(ids), n, [T]) for p, q, pl in tile]
         seen = np.zeros(B * T, dtype=np.int64)
         last = np.full((B, n), -1)
         for p, q, move in levels:
@@ -261,9 +261,9 @@ def test_levels_with_barriers_replay_the_per_step_loop(tile, n, B, T, density, b
         mp.setattr(pairops, "_LEVEL_TILE", tile)
         mp.setattr(pairops, "_LEVEL_BUDGET", budget)
         done = 0
-        tiles = zip(pair_levels(a, b, _tiles(lam), n, barriers),
-                    pair_levels(a, b, _tiles(ids), n, barriers))
-        for (s0, lev, levels), (_, _, named) in tiles:
+        tiles = zip(pair_levels(a, b, _tiles(lam), n, [T], barriers),
+                    pair_levels(a, b, _tiles(ids), n, [T], barriers))
+        for (s0, lev, _, levels), (*_, named) in tiles:
             w = len(lev)
             assert s0 == done and lev.shape == (w, B)
             done += w
@@ -307,12 +307,35 @@ def test_levels_are_the_rules_exactly(data, n, B, T, tile, budget, density, seed
         mp.setattr(pairops, "_LEVEL_TILE", tile)
         mp.setattr(pairops, "_LEVEL_BUDGET", budget)
         done = 0
-        for s0, lev, _ in pairops._tile_levels(a, b, _tiles(lam), n, marks, barriers):
+        for s0, lev, _, _ in pair_levels(a, b, _tiles(lam), n, marks, barriers):
             w = len(lev)
             assert s0 == done and not any(s0 < m < s0 + w for m in marks)
+            assert s0 // tile == (s0 + w - 1) // tile
             assert np.array_equal(lev, rule_levels(a, b, n, s0, s0 + w, barriers))
             done += w
     assert done == max(marks, default=0)
+
+
+@pytest.mark.parametrize("tile", [1, 7, 512])
+@pytest.mark.parametrize("marks", [[1100], [0, 5, 5, 300, 515, 1000], range(0, 1100, 4)],
+                         ids=["one", "uneven", "stride"])
+def test_each_tile_is_yielded_with_the_lambdas_of_its_steps(monkeypatch, tile, marks):
+    # a marked step of the coupled runner reads its lambda from the tile it
+    # is in: the tile's lambdas, as the stream serves them one grid chunk at
+    # a time, are the draw_moves lambdas of the tile's steps, bit for bit
+    monkeypatch.setattr(pairops, "_LEVEL_TILE", tile)
+    B, T, n = 3, 1100, 6
+    moves = [draw_moves(np.random.default_rng([5, r]), T, n) for r in range(B)]
+    a, b, want = (np.stack(v) for v in zip(*moves))
+    rngs = [np.random.default_rng([5, r]) for r in range(B)]
+    for rng in rngs:
+        draw_pairs(rng, T, n)
+    done = 0
+    for s0, lev, lam, _ in pair_levels(a, b, LambdaStream(rngs, T), n, marks):
+        assert s0 == done and lam.shape == (B, len(lev))
+        assert lam.tobytes() == want[:, s0:s0 + len(lev)].tobytes()
+        done += len(lev)
+    assert done == max(marks)
 
 
 @pytest.mark.parametrize("density", [0.0, 0.05])
@@ -330,7 +353,7 @@ def test_a_tile_above_level_255_replays_the_per_step_loop(density):
     want, got = x0.copy(), x0.copy()
     _per_step(mstep_batch, want, a, b, lam)
     tops = []
-    for s0, lev, levels in pair_levels(a, b, _tiles(lam), n, barriers):
+    for s0, lev, _, levels in pair_levels(a, b, _tiles(lam), n, [T], barriers):
         tops.append(int(lev.max()))
         held = barriers[:, s0:s0 + len(lev)].T
         for level, move in enumerate(levels, 1):

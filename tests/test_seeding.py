@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from gibbsmix import seeding
+from gibbsmix import pairops, seeding
 from gibbsmix.errors import ConfigError, InvariantViolation
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
 from gibbsmix.seeding import (
-    _LAMBDA_CHUNK, LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_pairs,
-    skip_draws,
+    LambdaStream, check_draw_memory, draw_moves, draw_pairs, empty_pairs, skip_draws,
 )
 
 T = 600
@@ -218,12 +217,26 @@ def test_lambda_stream_refuses_a_tile_wider_than_a_chunk(monkeypatch):
     # memory check; no tile may be wider
     monkeypatch.setattr(seeding, "available_memory", lambda: 0)
     rngs = [np.random.default_rng(b) for b in range(2)]
+    chunk = pairops._LEVEL_TILE
     with pytest.raises(InvariantViolation, match="draw-order"):
-        LambdaStream(rngs, 1100)(0, _LAMBDA_CHUNK + 1)
+        LambdaStream(rngs, 1100)(0, chunk + 1)
     stream = LambdaStream(rngs, 1100)
-    assert stream(0, _LAMBDA_CHUNK).shape == (2, _LAMBDA_CHUNK)
+    assert stream(0, chunk).shape == (2, chunk)
     with pytest.raises(InvariantViolation, match="draw-order"):
-        stream(_LAMBDA_CHUNK, 2 * _LAMBDA_CHUNK + 1)
+        stream(chunk, 2 * chunk + 1)
+
+
+@pytest.mark.parametrize("grid, cut", [(7, 2), (512, 500)])
+def test_lambda_stream_refuses_a_tile_that_crosses_a_grid_line(monkeypatch, grid, cut):
+    # a chunk is drawn whole by its first tile, so a tile that reaches past
+    # the next multiple of pairops._LEVEL_TILE, read at call time, is
+    # refused, however narrow; a tile that ends on the line is served
+    monkeypatch.setattr(pairops, "_LEVEL_TILE", grid)
+    stream = LambdaStream([np.random.default_rng(b) for b in range(2)], 1100)
+    stream(0, cut)
+    with pytest.raises(InvariantViolation, match="draw-order"):
+        stream(cut, grid + 8)
+    assert stream(cut, grid).shape == (2, grid - cut)
 
 
 class _Counted:
@@ -241,13 +254,13 @@ class _Counted:
 @pytest.mark.parametrize("width, calls", [(1, 3), (4, 3), (7, 3), (300, 3), (512, 3)])
 def test_lambda_stream_tiles_share_a_call_per_chunk(width, calls):
     # 1,100 steps are three 512-step chunks (the last one short): tiles
-    # shorter than a chunk, also tiles that straddle two, share one random
-    # call per replica and chunk
+    # shorter than a chunk, cut at the chunk lines as the level tiles are,
+    # share one random call per replica and chunk
     B, T = 3, 1100
     stream = LambdaStream([np.random.default_rng([8, b]) for b in range(B)], T)
     copies = stream._rngs = [_Counted(rng) for rng in stream._rngs]
-    got = np.concatenate([stream(s0, min(T, s0 + width)).copy()
-                          for s0 in range(0, T, width)], axis=1)
+    ends = sorted({*range(width, T, width), *range(512, T, 512), T})
+    got = np.concatenate([stream(s0, s1).copy() for s0, s1 in zip([0, *ends], ends)], axis=1)
     assert [rng.calls for rng in copies] == [calls] * B
     refs = [np.random.default_rng([8, b]) for b in range(B)]
     assert np.array_equal(_bits(got), _bits(np.stack([r.random(T) for r in refs])))

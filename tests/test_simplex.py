@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gibbsmix import seeding
+from gibbsmix import pairops
 from gibbsmix.errors import InvariantViolation
 from gibbsmix.groups import build_cyclic
 from gibbsmix.kernels import edge_walk_kernel
@@ -241,7 +241,7 @@ def test_lower_bound_report_bytes_at_the_edge_sizes(monkeypatch, chunk, T, repli
     # pinned from the code that stored every lambda and drew the stationary
     # rows after them: the unread lambdas are jumped over, not drawn, and
     # each stationary row still follows its replica's whole lambda array
-    monkeypatch.setattr(seeding, "_LAMBDA_CHUNK", chunk)
+    monkeypatch.setattr(pairops, "_LEVEL_TILE", chunk)
     report = lower_bound_experiment(*build_cyclic(8, [1, 7]), T=T, replicas=replicas, seed=3)
     assert _report_digest(report) == digest
 
