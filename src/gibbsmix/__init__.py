@@ -41,8 +41,6 @@ from .kernels import (
     TransitionKernel,
     base_walk_kernel,
     comparison_kernel,
-    complete_set_gap,
-    cycle_gap,
     edge_walk_kernel,
     spectral_summary,
     verify_comparison,

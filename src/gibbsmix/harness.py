@@ -14,6 +14,7 @@ or any other exception.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import json
 import math
@@ -21,10 +22,10 @@ import sys
 import time
 import traceback
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -259,26 +260,22 @@ def resolve_group(spec: Optional[dict]):
 # artifact writing
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+# cell formatters by dtype kind, else str (bool and numpy's bool are kind "b")
+_CELLS = {"f": float.__repr__, "i": str, "u": str, "b": lambda v: "true" if v else "false"}
+_CHUNK_CELLS = 1 << 16  # the values a write holds as Python objects at once
+
+
+def _formatter(column):
+    """One column's cell formatter, chosen once from its dtype: an array's,
+    or a list's first value's that is not None. A None is an empty cell."""
+    if isinstance(column, np.ndarray):
+        return _CELLS.get(column.dtype.kind, str)
+    cell = _CELLS.get(np.dtype(type(next((v for v in column if v is not None), ""))).kind, str)
+    return (lambda v: "" if v is None else cell(v)) if None in column else cell
 
 
 def _json_default(value):
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.generic, np.ndarray)):
         return value.tolist()
     raise TypeError(f"not JSON serializable: {type(value)}")
 
@@ -289,15 +286,14 @@ def _dumps(obj) -> str:
 
 @dataclass
 class Table:
-    """One tabular artifact; written as CSV or JSON lines per the config.
-
-    fmt_override pins a table to one format regardless of the config
-    (coupling outcome records are always JSON lines). ``rows`` is any
-    iterable of row tuples; ``write`` reads it once."""
+    """One tabular artifact: a header and its columns (numpy arrays, lists or
+    ranges of one length), written as CSV or JSON lines ``_CHUNK_CELLS``
+    values at a time, in the config's format or in fmt_override (coupling
+    outcome records are always JSON lines)."""
 
     name: str
     header: list
-    rows: Iterable
+    columns: list
     fmt_override: Optional[str] = None
 
     @classmethod
@@ -305,23 +301,24 @@ class Table:
         """Table of dataclass records: one column per field of record_type,
         so a table without records still has its header."""
         header = [f.name for f in fields(record_type)]
-        return cls(name, header, [astuple(r) for r in records], fmt_override)
+        return cls(name, header, [[getattr(r, h) for r in records] for h in header], fmt_override)
 
     def write(self, directory: Path, fmt: str) -> Path:
-        if self.fmt_override is not None:
-            fmt = self.fmt_override
-        if fmt == "jsonl":
-            path = directory / f"{self.name}.jsonl"
-            with open(path, "w") as fh:
-                for row in self.rows:
-                    record = dict(zip(self.header, row))
-                    fh.write(_dumps(record) + "\n")
-        else:
-            path = directory / f"{self.name}.csv"
-            with open(path, "w") as fh:
+        fmt = self.fmt_override or fmt
+        path = directory / f"{self.name}.{fmt}"
+        cells = [_formatter(column) for column in self.columns] if fmt == "csv" else None
+        step = max(1, _CHUNK_CELLS // len(self.columns))
+        with open(path, "w") as fh:
+            if fmt == "csv":
                 fh.write(",".join(self.header) + "\n")
-                for row in self.rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for lo in range(0, len(self.columns[0]), step):
+                chunk = [column[lo:lo + step] for column in self.columns]
+                chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+                if fmt == "csv":
+                    rows = zip(*map(map, cells, chunk))
+                    fh.writelines(",".join(row) + "\n" for row in rows)
+                else:
+                    fh.writelines(_dumps(dict(zip(self.header, row))) + "\n" for row in zip(*chunk))
         return path
 
 
@@ -380,17 +377,13 @@ def _chain(config: ExperimentConfig) -> Chain:
 
 
 def _eig_table(name: str, summary_kernel) -> Table:
-    rows = [(idx, float(v)) for idx, v in enumerate(summary_kernel.eigenvalues)]
-    return Table(name, ["index", "eigenvalue"], rows)
+    values = summary_kernel.eigenvalues
+    return Table(name, ["index", "eigenvalue"], [range(len(values)), values])
 
 
 def _kernel_table(name: str, kernel) -> Table:
-    rows = [
-        tuple([i] + [float(v) for v in kernel.p[i]])
-        for i in range(kernel.p.shape[0])
-    ]
     header = ["row"] + [f"to_{j}" for j in range(kernel.p.shape[1])]
-    return Table(name, header, rows)
+    return Table(name, header, [range(len(kernel.p)), *kernel.p.T])
 
 
 def _run_gap(config: ExperimentConfig):
@@ -447,12 +440,8 @@ def _run_s_recursion(config: ExperimentConfig):
     report = check_s_recursion(x, y, group, gens, samples=samples, seed=config.seed)
     # se and deviation_se are None with one sample
     blank = [None] * group.n
-    se = blank if report.se is None else report.se.tolist()
-    units = blank if report.deviation_se is None else report.deviation_se.tolist()
-    rows = [
-        (h, float(report.targets[h]), float(report.estimates[h]), se[h], units[h])
-        for h in range(group.n)
-    ]
+    se = blank if report.se is None else report.se
+    units = blank if report.deviation_se is None else report.deviation_se
     worst = report.max_deviation_se
     summary = {
         "n": group.n,
@@ -461,7 +450,8 @@ def _run_s_recursion(config: ExperimentConfig):
         "max_deviation_se": worst,
         "ok": None if worst is None else worst <= 4.0,
     }
-    return summary, [Table("srecursion", ["element", "target", "estimate", "se", "deviation_se"], rows)]
+    return summary, [Table("srecursion", ["element", "target", "estimate", "se", "deviation_se"],
+                           [range(group.n), report.targets, report.estimates, se, units])]
 
 
 def _run_contract_simplex(config: ExperimentConfig):
@@ -469,11 +459,11 @@ def _run_contract_simplex(config: ExperimentConfig):
     group, gens = resolve_group(config.group)
     replicas = config.replicas or 1000
     report = contraction_experiment(group, gens, config.T, replicas, config.seed)
-    trajectory = [
-        (p.t, r, "sq_l2_gap", float(v))
-        for p, sq in zip(report.points, report.sq_gaps)
-        for r, v in enumerate(sq)
-    ]
+    # one row per checkpoint and replica
+    values = report.sq_gaps.ravel()
+    trajectory = [np.repeat([p.t for p in report.points], replicas),
+                  np.tile(np.arange(replicas), len(report.points)),
+                  ["sq_l2_gap"] * len(values), values]
     summary = {
         "n": group.n,
         "replicas": replicas,
@@ -517,7 +507,7 @@ def _run_identity_matrix(config: ExperimentConfig):
     residuals = identity_residual_batch(cx, cy)
     worst = float(residuals.max())
     summary = {"n": n, "pairs": pairs, "max_residual": worst, "tolerance": _IDENTITY_TOL}
-    tables = [Table("residuals", ["pair", "residual"], enumerate(map(float, residuals)))]
+    tables = [Table("residuals", ["pair", "residual"], [range(pairs), residuals])]
     if worst > _IDENTITY_TOL:
         raise AssertionFailure(
             f"contraction identity residual {worst:.3e} exceeds {_IDENTITY_TOL} (n={n})"
@@ -567,7 +557,6 @@ def _run_connect(config: ExperimentConfig):
     report = connectedness_experiment(
         _chain(config), replicas=replicas, seed=config.seed, threshold=_threshold(config)
     )
-    rows = [(idx, int(report.taus[idx])) for idx in range(replicas)]
     summary = {
         "kind": report.kind,
         "n": report.n,
@@ -580,7 +569,7 @@ def _run_connect(config: ExperimentConfig):
         if report.bound is not None
         else None,
     }
-    return summary, [Table("taus", ["replica", "tau"], rows)]
+    return summary, [Table("taus", ["replica", "tau"], [range(replicas), report.taus])]
 
 
 def _run_largeness(config: ExperimentConfig):
@@ -592,7 +581,6 @@ def _run_largeness(config: ExperimentConfig):
         chain, window=window, replicas=replicas, seed=config.seed, threshold=_threshold(config)
     )
     minima, threshold, target = report.minima, report.threshold, report.target
-    rows = [(r, float(minima[r])) for r in range(replicas)]
     frequency = float(np.mean(minima >= threshold)) if threshold is not None else None
     summary = {
         "kind": chain.kind,
@@ -605,7 +593,7 @@ def _run_largeness(config: ExperimentConfig):
         "min_observed": float(minima.min()),
         "ok": (frequency >= target) if (frequency is not None and target is not None) else None,
     }
-    return summary, [Table("minima", ["replica", "min_boundary_margin"], rows)]
+    return summary, [Table("minima", ["replica", "min_boundary_margin"], [range(replicas), minima])]
 
 
 def _run_lowerbound_simplex(config: ExperimentConfig):
@@ -838,6 +826,16 @@ def _run_oracle(config: ExperimentConfig):
 # dispatch
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS, if any, on one thread for the rest of the process: its
+    threaded kernels split sums by thread count, moving eigenvalues' last bits at n = 256."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        set_threads = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
 _RUNNERS = {
     "gap": _run_gap,
     "compare": _run_compare,
@@ -892,6 +890,7 @@ def run(config: ExperimentConfig, out_dir=None, fmt: Optional[str] = None) -> in
     manifest_path = directory / "manifest.json"
     manifest.write(manifest_path)
     try:
+        _one_blas_thread()
         summary, tables = _RUNNERS[config.experiment](config)
         paths = [table.write(directory, fmt) for table in tables]
         count = summary.get("replicas") or 0

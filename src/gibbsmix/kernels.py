@@ -24,7 +24,6 @@ detailed balance as a matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -46,8 +45,6 @@ __all__ = [
     "spectral_summary",
     "dirichlet_form_matrix",
     "verify_comparison",
-    "cycle_gap",
-    "complete_set_gap",
 ]
 
 _ROW_TOL = 1e-12
@@ -253,13 +250,3 @@ def verify_comparison(
         kernel=comp,
         spectrum=spectrum,
     )
-
-
-def cycle_gap(n: int) -> float:
-    """Base-walk gap on the n-cycle with generators {+1, -1}."""
-    return (2.0 / n) * (1.0 - math.cos(2.0 * math.pi / n))
-
-
-def complete_set_gap(n: int) -> float:
-    """Base-walk gap on Z_n with the full non-identity generator set."""
-    return 2.0 / (n - 1)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import pairops
 from .errors import ConfigError, InvariantViolation
@@ -144,6 +145,14 @@ def predraw(chain, rngs, T: int, what: str, before: int = 0, then=None):
     return rows, (a, b, LambdaStream(rngs, T))
 
 
+class _Unseeded(ISeedSequence):
+    """A seed of zero words, for a generator whose state is set at once: a
+    ``SeedSequence`` would hash its entropy for nothing."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype)
+
+
 class LambdaStream:
     """The length-T lambda arrays of ``draw_moves``, one per generator of
     ``rngs``, as a tile source for ``pairops.pair_levels``: stream(s0, s1)
@@ -168,8 +177,7 @@ class LambdaStream:
 
     def __init__(self, rngs, T: int):
         self.T = T
-        # the copies share one seed object, and their states are overwritten
-        seed, self._rngs = np.random.SeedSequence(0), []
+        seed, self._rngs = _Unseeded(), []
         for rng in rngs:
             copy = np.random.PCG64(seed)
             copy.state = rng.bit_generator.state

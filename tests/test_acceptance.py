@@ -19,7 +19,6 @@ from gibbsmix.harness import ExperimentConfig, run
 from gibbsmix.kernels import (
     base_walk_kernel,
     comparison_kernel,
-    cycle_gap,
     spectral_summary,
     verify_comparison,
 )
@@ -37,6 +36,8 @@ from gibbsmix.simplex import (
     sample_stationary,
     simplex_chain,
 )
+
+from test_kernels import cycle_gap
 
 
 def _group_suite():

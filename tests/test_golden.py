@@ -3,7 +3,9 @@
 The frozen draw order is part of the output contract, so any refactor of the
 samplers must leave these digests unchanged (or explain why the bytes moved).
 Manifests are hashed after removing their two timing fields, which keeps
-summary-only experiments such as lowerbound-matrix covered.
+summary-only experiments such as lowerbound-matrix covered. ``GOLDEN`` pins
+the configs as they are (CSV tables), ``GOLDEN_JSONL`` the same configs run
+with format jsonl.
 """
 
 import hashlib
@@ -48,6 +50,37 @@ GOLDEN = {
     "s-recursion/srecursion.csv": "81d144f806713dd4887169041055dc6f50ab4a23ce65fba895198a173f44791d",
 }
 
+GOLDEN_JSONL = {
+    "compare/comparison_eigenvalues.jsonl": "99132671cc82b266f4a6d667aeda747ac433b94ec6fcb348f3dade5500629a8a",
+    "compare/comparison_kernel.jsonl": "0a7c09fed6c969e533a285182a86319735825339d9c5c119ad7ffa68f255cfa7",
+    "compare/manifest.json": "684e81b037cfb5491aeadb5b69c503a0ba95b0ec0945d36cbde84977ae3f4ec6",
+    "connect/manifest.json": "fdb0d78d71f2187b82a21668269457fb080c46f54600650723bebd98d65edb5f",
+    "connect/taus.jsonl": "18443336ca7a72a640b00eb9e577fd0631516142da5848829c8ddaa140401d91",
+    "contract-matrix/manifest.json": "967d92997b3eac7009d85494d0d8beb4aed8a627a201d6f49411f9f7c005ad87",
+    "contract-matrix/points.jsonl": "f72dc74493a30021280ccdcd520075115dc65b4b0b54647900c3821f9e456b14",
+    "contract-simplex/manifest.json": "577ea6653ff3385b3cdfd0a298cf60cd0a694043760264251ff1a4512061527e",
+    "contract-simplex/means.jsonl": "0bd58ff48cf76b225325e9362355e8fd297c56a73a36e53a059a46347f792e76",
+    "contract-simplex/trajectory.jsonl": "7fb6fff13a96049abcf8b19ed471f4927de54b03a06142197ab42d5dd9d5bfdd",
+    "couple-matrix/manifest.json": "ee6500e0156c3407c901896397a5ccc3d1b27a12c87ddbce87327e18548a56a6",
+    "couple-matrix/outcomes.jsonl": "a7fbcdb8076b5aa3538f57d17ea28caace9dafd5a51b739f29abdb04a3608a5c",
+    "couple-simplex/manifest.json": "1af441568364d47dd51ed2bda9a5bdbf4c0233f646b77a1219ab3ea365d387ba",
+    "couple-simplex/outcomes.jsonl": "476ed833157fe95733b218b0ff05e835d8779f0b8b35b25ecdf7dcab5f68d763",
+    "gap/base_eigenvalues.jsonl": "c0a94768b924f5abb2bf737df770c89f23345a2878360fd2a7842344f8c80a59",
+    "gap/base_kernel.jsonl": "e4facd1161031d129b4184eb65d3363884fd165142c849235e4a17e4b624a8f1",
+    "gap/edge_eigenvalues.jsonl": "df4c9925c975315341562c5c84a57905999820c932916aa32ac1e6dfd4bd3184",
+    "gap/manifest.json": "b11bd7c6ecf81d6d6c1348bf14834b80d4f1d5ef7f02b124e3a72f484cbb4cab",
+    "identity-matrix/manifest.json": "4142588e997e60f7a700b10deb7e0ef084d2d15b3900fb3a60cd93d65528c9e3",
+    "identity-matrix/residuals.jsonl": "838a060674b8a77eb7e0a589989aa88b895284258f5faae70eec4ebb22a5bf01",
+    "largeness/manifest.json": "da707de0ffa48865c4b3017df443c309889bf3d8877c233456d94d82acc5c3b0",
+    "largeness/minima.jsonl": "74a1fa406281fe44054eccc5fecbc5912325f982197e5e17a050da028105d398",
+    "lowerbound-matrix/manifest.json": "38008393dcd1d36e867e0fb7a24e54101566779985fa2382dc8093e9431ecfc6",
+    "lowerbound-simplex/manifest.json": "11e5cdaad889a993944e358c03ab810ac0485b9aa79bd060e66b522e9ec76893",
+    "lowerbound-simplex/points.jsonl": "2052aa223cd8e0c3094aa15d9e608518f5f3d199c22c4fb47f8dc5bb26eccda0",
+    "oracle/manifest.json": "2af6e34b1a9da05554fb33f628e02882cb03f7a203bec46af09c95b1dddb52d8",
+    "s-recursion/manifest.json": "f08b975331ca95323f3d0f9ba70ee2040280ef1c332b268f782d72e4d498fc57",
+    "s-recursion/srecursion.jsonl": "900999809eab1d14f7fcd1ff1269a1bc5e5be364905e875f84b707105f98cd5b",
+}
+
 
 def _digest(path: Path) -> str:
     data = path.read_bytes()
@@ -67,4 +100,15 @@ def test_desk_config_digests(config_path, tmp_path, capsys):
     capsys.readouterr()
     got = {f"{config.experiment}/{p.name}": _digest(p) for p in sorted(out.iterdir())}
     want = {k: v for k, v in GOLDEN.items() if k.startswith(config.experiment + "/")}
+    assert got == want
+
+
+@pytest.mark.parametrize("config_path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_desk_config_jsonl_digests(config_path, tmp_path, capsys):
+    config = ExperimentConfig.from_json_file(config_path)
+    out = tmp_path / config.experiment
+    assert run(config, out_dir=out, fmt="jsonl") == 0
+    capsys.readouterr()
+    got = {f"{config.experiment}/{p.name}": _digest(p) for p in sorted(out.iterdir())}
+    want = {k: v for k, v in GOLDEN_JSONL.items() if k.startswith(config.experiment + "/")}
     assert got == want

@@ -2,7 +2,10 @@ import argparse
 import ast
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -592,6 +595,62 @@ def test_record_table_without_records_keeps_its_header(tmp_path, capsys):
                      "--out", str(out)]) == 0
     assert (out / "points.csv").read_text() == "t,mean_sq_before,mean_sq_after,ratio,se,bound\n"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 24, harness._CHUNK_CELLS])
+def test_table_writes_every_cell_kind(tmp_path, monkeypatch, chunk):
+    # one column per cell kind; None is an empty cell (null in JSON), and
+    # bool and numpy's bool are both true/false, not the integers 1/0. The
+    # bytes do not depend on how many rows a write formats at once (here 1,
+    # 2, 3 or all 4 of them)
+    monkeypatch.setattr(harness, "_CHUNK_CELLS", chunk)
+    header = ["optional", "flag", "np_flag", "count", "np_count", "value", "np_value", "label"]
+    columns = [
+        [None, np.float64(0.5), None, 1e-300],
+        [True, False, True, False],
+        np.array([True, False, False, True]),
+        [0, -3, 2**64, 7],
+        np.array([7, -1, 2**62, 0], dtype=np.int64),
+        [0.1, -0.0, math.inf, 1 / 3],
+        np.array([1 / 3, 2.0, -np.inf, 1e16]),
+        ["a", "sq_l2_gap", "", "x y"],
+    ]
+    table = harness.Table("cells", header, columns)
+    assert table.write(tmp_path, "csv").read_text() == (
+        "optional,flag,np_flag,count,np_count,value,np_value,label\n"
+        ",true,true,0,7,0.1,0.3333333333333333,a\n"
+        "0.5,false,false,-3,-1,-0.0,2.0,sq_l2_gap\n"
+        ",true,false,18446744073709551616,4611686018427387904,inf,-inf,\n"
+        "1e-300,false,true,7,0,0.3333333333333333,1e+16,x y\n"
+    )
+    assert table.write(tmp_path, "jsonl").read_text() == (
+        '{"count": 0, "flag": true, "label": "a", "np_count": 7, "np_flag": true, '
+        '"np_value": 0.3333333333333333, "optional": null, "value": 0.1}\n'
+        '{"count": -3, "flag": false, "label": "sq_l2_gap", "np_count": -1, "np_flag": false, '
+        '"np_value": 2.0, "optional": 0.5, "value": -0.0}\n'
+        '{"count": 18446744073709551616, "flag": true, "label": "", "np_count": '
+        '4611686018427387904, "np_flag": false, "np_value": -Infinity, "optional": null, '
+        '"value": Infinity}\n'
+        '{"count": 7, "flag": false, "label": "x y", "np_count": 0, "np_flag": true, '
+        '"np_value": 1e+16, "optional": 1e-300, "value": 0.3333333333333333}\n'
+    )
+
+
+def test_eigenvalue_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n = 256 OpenBLAS splits the eigensolver's work by its thread count,
+    # which moves the last bits unless a run pins one thread itself
+    src, written = Path(harness.__file__).resolve().parents[1], []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "gibbsmix.cli", "gap", "--group", "cyclic:256",
+                        "--seed", "1", "--out", str(out)], env=env, check=True,
+                       capture_output=True, timeout=120)
+        written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert sorted(written[0]) == ["base_eigenvalues.csv", "base_kernel.csv",
+                                  "edge_eigenvalues.csv"]
+    assert written[0] == written[1]
 
 
 def test_contract_matrix_exact_coupling_writes_null_ratios(tmp_path, capsys):

@@ -12,8 +12,6 @@ from gibbsmix.kernels import (
     TransitionKernel,
     base_walk_kernel,
     comparison_kernel,
-    complete_set_gap,
-    cycle_gap,
     dirichlet_form_matrix,
     edge_walk_kernel,
     spectral_summary,
@@ -49,6 +47,16 @@ def test_base_walk_is_half_lazy_from_four_elements():
         eigs = spectral_summary(base_walk_kernel(group, gens)).eigenvalues
         assert eigs.min() >= 1.0 - 4.0 / n - 1e-12
         assert eigs.min() >= -1e-12
+
+
+def cycle_gap(n: int) -> float:
+    """Base-walk gap on the n-cycle with generators {+1, -1}."""
+    return (2.0 / n) * (1.0 - math.cos(2.0 * math.pi / n))
+
+
+def complete_set_gap(n: int) -> float:
+    """Base-walk gap on Z_n with the full non-identity generator set."""
+    return 2.0 / (n - 1)
 
 
 def test_cycle_gap_closed_form_small():
