@@ -73,6 +73,7 @@ from .coupling import (
     connectedness_experiment,
     largeness_experiment,
     run_nonmarkovian_coupling,
+    s1_index,
     subset_couple_batch,
 )
 from .pairops import Chain

@@ -52,6 +52,7 @@ __all__ = [
     "ConnectReport",
     "LargenessReport",
     "build_partition_process",
+    "s1_index",
     "subset_couple_batch",
     "run_nonmarkovian_coupling",
     "connectedness_experiment",
@@ -149,14 +150,31 @@ def _remainder_sample(lo: float, hi: float, q: float, rng: np.random.Generator) 
     return hi + (u - mid)
 
 
-def _size_runs(size: np.ndarray, offset: np.ndarray) -> list:
-    """(r0, r1, k, offset[r0]) for each maximal run of rows r0..r1-1 of
-    equal block size k."""
+def s1_index(n: int, rows, i, members, start, size):
+    """(index, rest): the flat S1 index of a batched subset step on (B, n)
+    batches, and its mask without i. The S1 of row k is ``members[start[k]:
+    start[k] + size[k]]`` in batch row rows[k]; ``index`` holds rows[k] * n
+    + member for each, row after row, and ``rest`` is False exactly where
+    the member is i[k]."""
+    offset = np.cumsum(size) - size
+    at, base, row_i = np.repeat((start - offset, rows * n, i), size, axis=1)
+    at += np.arange(len(at))
+    block = members[at]
+    base += block
+    return base, block != row_i
+
+
+def _size_runs(size) -> list:
+    """(r0, r1, k, o) for each maximal run of rows r0..r1-1 of equal block
+    size k, whose blocks start at o = sum(size[:r0])."""
     if not len(size):
         return []
-    starts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist()]
-    return [(r0, r1, int(size[r0]), int(offset[r0]))
-            for r0, r1 in zip(starts, [*starts[1:], len(size)])]
+    starts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), len(size)]
+    runs, o = [], 0
+    for r0, r1, k in zip(starts, starts[1:], size[starts[:-1]].tolist()):
+        runs.append((r0, r1, k, o))
+        o += (r1 - r0) * k
+    return runs
 
 
 def _block_sums(fa, fb, index, runs, drop: int, rows: int) -> np.ndarray:
@@ -183,9 +201,10 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     """One subset-coupled update per row, in place: batch row rows[k] of X
     and of Y updates the pair (i[k], j[k]), with i[k] in the block S1 of
     that row and j[k] outside it. X and Y are C-contiguous (B, n) batches
-    and each row appears at most once. ``s1 = (members, start, size)``: the
-    S1 of row k is ``members[start[k]:start[k] + size[k]]``. ``coeffs(vi,
-    vj)`` is the chain's (total, alpha, beta) of a pair move on arrays
+    and each row appears at most once. ``s1 = (index, rest, size)``: the
+    rows' S1 as ``s1_index`` gives them, flat indices row after row with
+    the mask without i, and size[k] = |S1| of row k. ``coeffs(vi, vj)`` is
+    the chain's (total, alpha, beta) of a pair move on arrays
     (``Chain.coeffs``), u[k] the lambda that row k draws first, and
     ``rngs[rows[k]]`` the generator of its remainder draw.
 
@@ -197,11 +216,11 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     in row order, before any write.
 
     A row whose pair mass (alpha) is at most 1e-300 on either side is
-    degenerate: it is dropped before any further arithmetic and makes no
-    draw and no write. Each chain's values on every row's S1 are gathered
-    once, through one flat index over all the blocks, and the block sums
-    are taken over runs of rows with equal |S1|: a run's blocks are one
-    contiguous (rows, |S1|) slice of the gather, summed along its last
+    degenerate: it is dropped, with its span of the index, before any
+    further arithmetic and makes no draw and no write. Each chain's values
+    on every row's S1 are gathered once through the index, and the block
+    sums are taken over runs of rows with equal |S1|: a run's blocks are
+    one contiguous (rows, |S1|) slice of the gather, summed along its last
     axis, which gives each row the bits of a 1-D ``.sum()`` of its block.
     Sort the rows by |S1| to make each run one block size. Rows are
     independent, so one call may hold steps of different times: the
@@ -212,8 +231,8 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     lam_y are NaN on degenerate rows. On each row that succeeded the block
     weights w(X, S1) and w(Y, S1) agree within 1e-12 (checked).
     """
-    members, start, size = s1
-    rows, i, j, u, start, size = (np.asarray(v) for v in (rows, i, j, u, start, size))
+    index, rest, size = s1
+    rows, i, j, u, size = (np.asarray(v) for v in (rows, i, j, u, size))
     fx, fy = flat_view(X), flat_view(Y)
     base = rows * X.shape[1]
     ii, jj = base + i, base + j
@@ -221,19 +240,16 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     sy, ay, by = coeffs(fy[ii], fy[jj])
     degenerate = (ax <= _PAIR_MASS_FLOOR) | (ay <= _PAIR_MASS_FLOOR)
     if degenerate.any():
-        live = np.flatnonzero(~degenerate)
-        rows, base, i, j, u, start, size, sx, ax, bx, sy, ay, by = (
-            v[live] for v in (rows, base, i, j, u, start, size, sx, ax, bx, sy, ay, by)
+        live = ~degenerate
+        keep = np.repeat(live, size)
+        index, rest = index[keep], rest[keep]
+        rows, base, i, j, u, size, sx, ax, bx, sy, ay, by = (
+            v[live] for v in (rows, base, i, j, u, size, sx, ax, bx, sy, ay, by)
         )
 
-    # one flat index over every row's S1, row after row, and the same
-    # without each row's i; the sums over S1 less i
-    offset = np.cumsum(size) - size
-    runs = _size_runs(size, offset)
-    at, row_base, row_i = np.repeat((start - offset, base, i), size, axis=1)
-    block = members[at + np.arange(len(at))]
-    full = row_base + block
-    rest_y, rest_x = _block_sums(fy, fx, full[block != row_i], runs, 1, len(rows))
+    # the sums over S1 less i
+    runs = _size_runs(size)
+    rest_y, rest_x = _block_sums(fy, fx, index[rest], runs, 1, len(rows))
     c = (by - bx) + (rest_y - rest_x)
 
     # a matrix pair-gap tie with delta_x < 0 < delta_y (delta = 2 - pair
@@ -258,7 +274,7 @@ def subset_couple_batch(coeffs: Callable, X: np.ndarray, Y: np.ndarray, rows, i,
     put_pair(fx, *orient(base, i, j, lam_x), sx, ax, bx)
     put_pair(fy, *orient(base, i, j, lam_y), sy, ay, by)
 
-    wx, wy = _block_sums(fx, fy, full, runs, 0, len(rows))
+    wx, wy = _block_sums(fx, fy, index, runs, 0, len(rows))
     gap = np.abs(wx - wy)
     bad = ok & (gap > _W_TOL)
     if bad.any():
@@ -320,9 +336,12 @@ def run_nonmarkovian_coupling(
     barriers (``pairops.pair_levels``): a marked step comes after all of
     its replica's earlier steps and before all of its later ones, alone at
     its level in its replica. Each level makes at most one kernel call per
-    chain for its proportional moves and one ``subset_couple_batch`` call for its marked steps, sorted by |S1|, read
-    from a mark table whose columns are the replicas' merge lists laid end
-    to end. A replica whose subset step meets a degenerate pair mass stops
+    chain for its proportional moves and one ``subset_couple_batch`` call
+    for its marked steps, sorted by |S1|. The marks come from a table whose
+    columns are the replicas' merge lists laid end to end: when a tile is
+    reached, its marks' columns, first lambdas and S1 index (``s1_index``)
+    are gathered once, in (level, |S1|) order, and each level reads its
+    span of them. A replica whose subset step meets a degenerate pair mass stops
     there: all of its later steps sit at later levels, and from then on its
     rows are dropped.
     A replay that steps every phase-2 time of one replica is the reference
@@ -373,16 +392,17 @@ def run_nonmarkovian_coupling(
         mark_size += proc.size
         members += proc.members
         count.append(len(proc.merges))
-    # the mark table, one entry per merge, at step s = t - T1 of its
-    # replica: the S1 of entry k is members[mark_start[k]:mark_start[k] +
-    # mark_size[k]]. It stays in replica order, as the scans wrote it, and
-    # the marked steps are the barriers of the levelling
-    mark_s, mark_i, mark_j, mark_size = np.array((mark_s, mark_i, mark_j, mark_size),
-                                                 dtype=np.int64)
-    mark_b = np.repeat(np.arange(B), count)
+    # the mark table, one column per merge, at step s = t - T1 of its
+    # replica: rows replica, s, i, j, |S1| and the start of its S1 in
+    # members. It stays in replica order, as the scans wrote it, and the
+    # marked steps are the barriers of the levelling
+    marks = np.empty((6, len(mark_s)), dtype=np.int64)
+    marks[:5] = np.repeat(np.arange(B), count), mark_s, mark_i, mark_j, mark_size
+    mark_b, mark_s, mark_size, mark_start = marks[0], marks[1], marks[4], marks[5]
     mark_s -= T1
+    np.cumsum(mark_size, out=mark_start)
+    mark_start -= mark_size
     members = np.array(members, dtype=np.int64)
-    mark_start = np.cumsum(mark_size) - mark_size
     barriers = np.zeros((B, T2), dtype=bool)
     barriers[mark_b, mark_s] = True
 
@@ -393,29 +413,43 @@ def run_nonmarkovian_coupling(
     # from then on its rows are dropped
     stopped = False
     for s0, lev, lam, levels in pair_levels(left, right, lambdas, n, [T2], barriers):
-        # the tile's marks sorted by (level, |S1|), so each level's marks are
-        # one span and their blocks run in size order
+        # the tile's marks, gathered once and sorted by (level, |S1|), so
+        # each level's marks are one span of the columns and of the S1
+        # index, and their blocks run in size order
         tile = np.flatnonzero((mark_s >= s0) & (mark_s < s0 + len(lev)))
         level = lev[mark_s[tile] - s0, mark_b[tile]]
-        order = tile[np.lexsort((mark_size[tile], level))]
-        ends = np.cumsum(np.bincount(level, minlength=len(levels) + 1)).tolist()
-        for (p, q, pl), m0, m1 in zip(levels, ends, ends[1:]):
+        tile_b, tile_s, tile_i, tile_j, tile_size, tile_start = marks[
+            :, tile[np.lexsort((mark_size[tile], level))]]
+        tile_u = lam[tile_b, tile_s - s0]
+        index, rest = s1_index(n, tile_b, tile_i, members, tile_start, tile_size)
+        ends = np.cumsum(np.bincount(level, minlength=len(levels) + 1))
+        cuts = np.zeros(len(tile) + 1, dtype=np.int64)
+        np.cumsum(tile_size, out=cuts[1:])
+        cuts = cuts[ends].tolist()
+        for (p, q, pl), m0, m1, e0, e1 in zip(levels, ends.tolist(), ends[1:].tolist(),
+                                              cuts, cuts[1:]):
             if stopped:
                 live = largeness_fail[p // n] < 0
                 p, q, pl = p[live], q[live], pl[live]
             if len(p):
                 for flat in flats:
                     batch(flat, p, q, pl)
-            sel = order[m0:m1]
-            if stopped:
-                sel = sel[largeness_fail[mark_b[sel]] < 0]
-            if not len(sel):
+            if m0 == m1:
                 continue
-            rows, s = mark_b[sel], mark_s[sel]
-            degenerate, ok, _, _ = subset_couple_batch(
-                chain.coeffs, X, Y, rows, mark_i[sel], mark_j[sel],
-                (members, mark_start[sel], mark_size[sel]), lam[rows, s - s0], rngs,
-            )
+            rows, s, i, j, size, u = (v[m0:m1] for v in
+                                      (tile_b, tile_s, tile_i, tile_j, tile_size, tile_u))
+            s1 = index[e0:e1], rest[e0:e1], size
+            if stopped:
+                live = largeness_fail[rows] < 0
+                keep = np.repeat(live, size)
+                rows, s, i, j, size, u = (v[live] for v in (rows, s, i, j, size, u))
+                s1 = s1[0][keep], s1[1][keep], size
+                if not len(rows):
+                    continue
+            degenerate, ok, _, _ = subset_couple_batch(chain.coeffs, X, Y, rows, i, j, s1, u, rngs)
+            # ok is False on a degenerate row too
+            if ok.all():
+                continue
             if degenerate.any():
                 largeness_fail[rows[degenerate]] = T1 + s[degenerate]
                 stopped = True
@@ -423,7 +457,7 @@ def run_nonmarkovian_coupling(
             subset_fail[rows[failed]] = T1 + s[failed]
         # the tile's arrays go before the next tile's are built (a tile has
         # at least one level)
-        del levels, p, q, pl
+        del levels, p, q, pl, index, rest
 
     gaps = np.abs(X - Y).max(axis=1)
     outcomes = []

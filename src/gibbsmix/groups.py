@@ -117,19 +117,17 @@ def verify_generator_set(g: GroupTable, gens: Sequence[int]) -> GeneratorSet:
     for r in elems:
         if int(g.inv[r]) not in elems:
             raise NotSymmetric(f"generator {r} lacks its inverse {int(g.inv[r])}")
-    # generation == connectivity of the Cayley graph; BFS from identity
+    # generation == connectivity of the Cayley graph; BFS from identity, one
+    # gather of every frontier element times every generator per step
     seen = np.zeros(g.n, dtype=bool)
     seen[g.identity] = True
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for r in elems:
-                b = int(g.mul[a, r])
-                if not seen[b]:
-                    seen[b] = True
-                    nxt.append(b)
-        frontier = nxt
+    frontier = np.array([g.identity])
+    gens_index = np.array(elems)
+    while frontier.size:
+        reached = g.mul[frontier[:, None], gens_index].ravel()
+        reached = reached[~seen[reached]]
+        seen[reached] = True
+        frontier = np.unique(reached)
     if not seen.all():
         raise NotGenerating(f"generators reach only {int(seen.sum())} of {g.n} elements")
     return GeneratorSet(elements=elems)

@@ -108,8 +108,16 @@ def pair_alpha_beta(ci, cj):
 def mstep_batch(flat: np.ndarray, p: np.ndarray, q: np.ndarray, lam: np.ndarray) -> None:
     """In-place lockstep move on the flat view of a C-contiguous (B, n)
     batch: each oriented move (``pairops.orient``) sets flat[p[k]] to
-    lam[k] alpha + beta and flat[q[k]] to the rest of the pair total."""
-    s, alpha, beta = pair_alpha_beta(flat[p], flat[q])
+    lam[k] alpha + beta and flat[q[k]] to the rest of the pair total.
+    The pair total, alpha and beta are ``pair_alpha_beta``'s, computed in
+    place: the total on p's gather, alpha on q's."""
+    alpha = flat.take(q)
+    s = flat.take(p)
+    s += alpha
+    np.subtract(4.0, s, out=alpha)
+    np.minimum(s, alpha, out=alpha)
+    beta = np.subtract(s, 2.0)
+    np.maximum(0.0, beta, out=beta)
     put_pair(flat, p, q, lam, s, alpha, beta)
 
 

@@ -133,7 +133,8 @@ def put_pair(flat, p, q, lam, total, alpha, beta) -> None:
     share = lam * alpha
     share += beta
     flat[p] = share
-    flat[q] = total - share
+    np.subtract(total, share, out=share)
+    flat[q] = share
 
 
 def _move_levels(a, b, n: int, tiles, barriers=None) -> np.ndarray:
@@ -192,7 +193,6 @@ def _oriented_levels(lev, a, b, lam, n: int, barrier=None) -> list:
     """The oriented moves (p, q, lam') of a tile's (B, w) draws one per
     level, given the (w, B) levels of its steps; the steps flagged in the
     (B, w) ``barrier`` are left out."""
-    w = a.shape[1]
     top = int(lev.max())
     # entry r * w + s is step s of row r, in a copy the caller's levels do
     # not see; 8- and 16-bit keys sort by radix, 8-bit ones in one pass
@@ -201,13 +201,15 @@ def _oriented_levels(lev, a, b, lam, n: int, barrier=None) -> list:
         # key 0 sorts first and is no level, so the barriers are dropped
         lev[barrier.ravel()] = 0
     order = np.argsort(lev, kind="stable")
-    a, b, lam = (np.take(v, order) for v in (a, b, lam))
-    # the rows' flat offsets, in place of the order
-    order //= w
-    order *= n
-    p, q, lam = orient(order, a, b, lam)
-    ends = np.cumsum(np.bincount(lev, minlength=top + 1))
-    return [(p[lo:hi], q[lo:hi], lam[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
+    # the tile is oriented where it lies, each row on its flat offset, and
+    # then gathered by level, one array at a time so that each unsorted one
+    # is freed before the next is gathered
+    p, q, lam = orient(np.arange(0, a.shape[0] * n, n)[:, None], a, b, lam)
+    p = p.take(order)
+    q = q.take(order)
+    lam = lam.take(order)
+    ends = np.cumsum(np.bincount(lev, minlength=top + 1)).tolist()
+    return [(p[lo:hi], q[lo:hi], lam[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
 def pair_levels(a, b, lam, n: int, marks, barriers=None):

@@ -61,6 +61,9 @@ _CHECKPOINT_STRIDE = 4
 # check_s_recursion draws its moves in chunks of this many (part of its draw
 # order)
 _S_RECURSION_CHUNK = 50_000
+# bytes of the (rows, n, n) gather of D[g r] that check_s_recursion einsums at
+# once; a tile holds at least one row
+_S_RECURSION_TILE_BYTES = 4 << 20
 
 
 @dataclass(eq=False)
@@ -110,7 +113,8 @@ def step_batch(flat: np.ndarray, p: np.ndarray, q: np.ndarray, lam: np.ndarray) 
     batch: each oriented move (``pairops.orient``) sets flat[p[k]] to
     lam[k] times the pair total and flat[q[k]] to the rest. The share is
     lam total + 0.0, which turns a -0.0 share of a zero total into +0.0."""
-    total = flat[p] + flat[q]
+    total = flat.take(p)
+    total += flat.take(q)
     put_pair(flat, p, q, lam, total, total, 0.0)
 
 
@@ -234,14 +238,29 @@ def check_s_recursion(
     acc_sq = np.zeros(n)
     lam_acc = 0.0
     done = 0
+    tile = max(1, _S_RECURSION_TILE_BYTES // (8 * n * n))
+    # one chunk's moved difference vectors, reused by every chunk
+    chunk = np.empty((min(_S_RECURSION_CHUNK, samples), n))
     while done < samples:
         b = min(_S_RECURSION_CHUNK, samples - done)
         a, partner, lam = draw_moves(rng, b, n, group, gens)
-        d = np.broadcast_to(d0, (b, n)).copy()
+        d = chunk[:b]
+        d[:] = d0
         step_batch(*pair_moves(d, a, partner, lam))
-        sprime = np.einsum("bg,bgh->bh", d, d[:, mul])
-        acc += sprime.sum(axis=0)
-        acc_sq += (sprime**2).sum(axis=0)
+        # row 0 holds the chunk's sums over its rows so far, and the next
+        # tile's S' rows and squares follow it: numpy sums axis 0 row by
+        # row, so the chunk's sums are those of one (b, n) sum, which is
+        # then added to acc once
+        sprime, sq = np.empty((2, min(tile, b) + 1, n))
+        for r0 in range(0, b, tile):
+            k = min(tile, b - r0)
+            np.einsum("bg,bgh->bh", d[r0:r0 + k], d[r0:r0 + k, mul], out=sprime[1:k + 1])
+            np.square(sprime[1:k + 1], out=sq[1:k + 1])
+            first = 1 if r0 == 0 else 0
+            sprime[0] = sprime[first:k + 1].sum(axis=0)
+            sq[0] = sq[first:k + 1].sum(axis=0)
+        acc += sprime[0]
+        acc_sq += sq[0]
         lam_acc += lam.sum()
         done += b
 

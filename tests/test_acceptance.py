@@ -12,6 +12,7 @@ import gibbsmix.harness as harness
 from gibbsmix.coupling import (
     connectedness_experiment,
     run_nonmarkovian_coupling,
+    s1_index,
     subset_couple_batch,
 )
 from gibbsmix.groups import build_cyclic, build_dihedral, build_hypercube
@@ -149,7 +150,9 @@ def _subset_by_size(coeffs, X, Y, perms, sizes, rng):
     rngs = [rng] * len(X)
     for k in range(1, X.shape[1]):
         rows = np.flatnonzero(sizes == k)
-        s1 = (perms[rows, :k].ravel(), np.arange(len(rows)) * k, np.full(len(rows), k))
+        size = np.full(len(rows), k)
+        s1 = (*s1_index(X.shape[1], rows, perms[rows, 0], perms[rows, :k].ravel(),
+                        np.arange(len(rows)) * k, size), size)
         degenerate, ok, lam_x[rows], lam_y[rows] = subset_couple_batch(
             coeffs, X, Y, rows, perms[rows, 0], perms[rows, k], s1, rng.random(len(rows)), rngs,
         )

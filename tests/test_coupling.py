@@ -21,6 +21,7 @@ from gibbsmix.coupling import (
     largeness_experiment,
     run_nonmarkovian_coupling,
     _remainder_sample,
+    s1_index,
     subset_couple_batch,
 )
 from gibbsmix.errors import ConfigError, DegeneratePairMass, InvariantViolation
@@ -300,15 +301,24 @@ def _subset_oracle(kind, x, y, subset, i, j, rng, lam_first=None):
     return succeeded, lam_x, lam_y
 
 
+def _s1(X, rows, i, members, size):
+    """The s1 argument of ``subset_couple_batch`` for the blocks laid end
+    to end in ``members``, block k of size[k] in batch row rows[k]."""
+    size = np.asarray(size, dtype=np.int64)
+    return (*s1_index(X.shape[1], np.asarray(rows), np.asarray(i), np.asarray(members),
+                      np.cumsum(size) - size, size), size)
+
+
 def _subset_rows(kind, X, Y, blocks, i, j, u, rng):
     """The batched step on rows 0.. of X and Y, row k with the S1 block
     blocks[k], all remainder draws on ``rng``."""
     size = np.array([len(s) for s in blocks], dtype=np.int64)
     members = np.concatenate([np.asarray(s, dtype=np.int64) for s in blocks])
     rows = np.arange(len(blocks))
+    s1 = _s1(X, rows, i, members, size)
     return subset_couple_batch(
-        _COEFFS[kind], X, Y, rows, np.asarray(i), np.asarray(j),
-        (members, np.cumsum(size) - size, size), np.asarray(u, dtype=float), [rng] * len(X),
+        _COEFFS[kind], X, Y, rows, np.asarray(i), np.asarray(j), s1,
+        np.asarray(u, dtype=float), [rng] * len(X),
     )
 
 
@@ -318,6 +328,34 @@ def _subset_one(kind, x, y, subset, i, j, rng, lam_first=None):
     u = rng.random() if lam_first is None else lam_first
     out = _subset_rows(kind, x[None], y[None], [subset], [i], [j], [u], rng)
     return tuple(v[0] for v in out)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_s1_index_matches_a_per_row_reference(seed):
+    # a random mark table: blocks laid out in members in another order than
+    # the rows, sizes in runs of equal values with size-1 blocks among them
+    # (and n - 1 where n = 2); seed 0 has no rows
+    rng = np.random.default_rng(seed)
+    n, B = int(rng.integers(2, 40)), int(rng.integers(1, 30))
+    m = 0 if seed == 0 else int(rng.integers(1, B + 1))
+    rows = rng.permutation(B)[:m]
+    size = np.sort(rng.choice([1, 1, 2, int(rng.integers(1, n))], m)).astype(np.int64)
+    blocks = [np.sort(rng.permutation(n)[:k]) for k in size.tolist()]
+    i = np.array([rng.choice(block) for block in blocks], dtype=np.int64)
+    layout = rng.permutation(m)
+    members = np.concatenate([np.zeros(0, dtype=np.int64), *(blocks[k] for k in layout)])
+    start = np.empty(m, dtype=np.int64)
+    start[layout] = np.cumsum(size[layout]) - size[layout]
+
+    index, rest = s1_index(n, rows, i, members, start, size)
+    spans = [members[start[k]:start[k] + size[k]] for k in range(m)]
+    assert index.tolist() == [rows[k] * n + v for k in range(m) for v in spans[k].tolist()]
+    assert rest.tolist() == [v != i[k] for k in range(m) for v in spans[k].tolist()]
+    # a degenerate row's span drops out as subset_couple_batch drops it
+    live = rng.random(m) < 0.6
+    keep = np.repeat(live, size)
+    sub = s1_index(n, rows[live], i[live], members, start[live], size[live])
+    assert index[keep].tolist() == sub[0].tolist() and rest[keep].tolist() == sub[1].tolist()
 
 
 def test_subset_worked_example():
@@ -543,7 +581,7 @@ def test_subset_batch_matches_the_scalar_oracle(kind, n, m, by_size, seed):
     size = np.array([len(s) for s in blocks], dtype=np.int64)
     got = subset_couple_batch(
         _COEFFS[kind], X, Y, rows, np.asarray(i), np.asarray(j),
-        (np.concatenate(blocks), np.cumsum(size) - size, size), u, [batch_rng] * B,
+        _s1(X, rows, i, np.concatenate(blocks), size), u, [batch_rng] * B,
     )
     assert np.array_equal(X, want_x) and np.array_equal(Y, want_y)
     assert got[0].tolist() == [w is None for w in want]
@@ -587,7 +625,7 @@ def test_subset_batch_matches_the_oracle_on_every_block_size_at_n128(kind):
     batch_rng = np.random.default_rng(5)
     got = subset_couple_batch(
         _COEFFS[kind], X, Y, rows, np.asarray(i), np.asarray(j),
-        (np.concatenate(blocks), np.cumsum(sizes) - sizes, sizes), u, [batch_rng] * B,
+        _s1(X, rows, i, np.concatenate(blocks), sizes), u, [batch_rng] * B,
     )
     assert X.tobytes() == want_x.tobytes() and Y.tobytes() == want_y.tobytes()
     assert not got[0].any()
@@ -625,8 +663,8 @@ def test_subset_w_equality_check_raises_on_a_perturbed_row(monkeypatch, where):
 
     coupling_put = coupling.put_pair
     monkeypatch.setattr(coupling, "put_pair", perturbed)
-    args = (_COEFFS["simplex"], X, Y, np.arange(len(sizes)), i, j,
-            (np.concatenate(blocks), np.cumsum(sizes) - sizes, sizes),
+    rows = np.arange(len(sizes))
+    args = (_COEFFS["simplex"], X, Y, rows, i, j, _s1(X, rows, i, np.concatenate(blocks), sizes),
             np.full(len(sizes), 0.5), [np.random.default_rng(0)] * len(sizes))
     if where == "succeeded":
         with pytest.raises(InvariantViolation) as err:
@@ -844,8 +882,9 @@ def test_runner_makes_one_subset_call_per_level_with_marks(monkeypatch, case):
         return proc
 
     def counted(coeffs, X, Y, rows, i, j, s1, *args):
-        members, start, size = s1
-        calls.append([(b, ii, jj, tuple(members[k:k + m]))
+        index, _, size = s1
+        start = np.cumsum(size) - size
+        calls.append([(b, ii, jj, tuple((index[k:k + m] - b * chain.n).tolist()))
                       for b, ii, jj, k, m in zip(*(np.asarray(v).tolist()
                                                    for v in (rows, i, j, start, size)))])
         return subset(coeffs, X, Y, rows, i, j, s1, *args)

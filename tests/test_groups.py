@@ -77,6 +77,42 @@ def test_generator_set_must_generate():
         verify_generator_set(group, [2, 4])
 
 
+def test_a_large_non_generating_set_reaches_its_subgroup():
+    # {2, -2} generates the even residues only: the breadth-first search
+    # walks 256 frontiers of two elements before it stops
+    with pytest.raises(NotGenerating, match="generators reach only 512 of 1024 elements"):
+        build_cyclic(1024, [2, 1022])
+    group, _ = build_cyclic(1024, [1, 1023])
+    assert verify_generator_set(group, [1023, 2, 1, 1022]).elements == (1, 2, 1022, 1023)
+
+
+def _reach(group, gens):
+    """Elements reached from the identity, one element and one generator
+    at a time."""
+    seen, frontier = {group.identity}, [group.identity]
+    while frontier:
+        frontier = [b for a in frontier for b in (int(group.mul[a, r]) for r in gens)
+                    if b not in seen and not seen.add(b)]
+    return len(seen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generation_check_matches_an_element_by_element_search(data):
+    # dihedral groups are not abelian, so right multiplication by a
+    # generator is what the search must follow
+    k = data.draw(st.integers(3, 12))
+    group, _ = build_dihedral(k)
+    picks = data.draw(st.sets(st.integers(1, group.n - 1), min_size=1, max_size=4))
+    gens = sorted({int(r) for p in picks for r in (p, group.inv[p])})
+    reach = _reach(group, gens)
+    if reach == group.n:
+        assert verify_generator_set(group, gens).elements == tuple(gens)
+    else:
+        with pytest.raises(NotGenerating, match=f"reach only {reach} of {group.n} elements"):
+            verify_generator_set(group, gens)
+
+
 def test_size_cap():
     with pytest.raises(SizeLimitExceeded):
         build_cyclic(5000, [1, 4999])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gibbsmix
-from gibbsmix import matrices, pairops
+from gibbsmix import coupling, matrices, pairops
 from gibbsmix.coupling import run_nonmarkovian_coupling
 from gibbsmix.errors import InvariantViolation
 from gibbsmix.groups import build_cyclic
@@ -482,6 +482,24 @@ def test_the_traced_kernel_sees_the_parents_calls_and_moves(monkeypatch):
     T1, T2 = chain.horizons()
     run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=125, seed=1)
     assert counts == [2558, 3_879_750]
+
+
+def test_the_subset_step_keeps_its_batching_on_the_benchmark_run(monkeypatch):
+    # the same run makes one subset_couple_batch call per phase-2 level that
+    # holds merges, over the 15,875 merges of its 125 partition scans; the
+    # runner looks the step up by name, as perfbench's subset layer would
+    original, counts = coupling.subset_couple_batch, [0, 0]
+
+    def wrapper(*args):
+        counts[0] += 1
+        counts[1] += len(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(coupling, "subset_couple_batch", wrapper)
+    chain = matrix_chain(128)
+    T1, T2 = chain.horizons()
+    run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=125, seed=1)
+    assert counts == [204, 15_875]
 
 
 def _orienting(node):

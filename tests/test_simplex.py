@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gibbsmix import pairops
+from gibbsmix import pairops, simplex
 from gibbsmix.errors import InvariantViolation
 from gibbsmix.groups import build_cyclic
 from gibbsmix.kernels import edge_walk_kernel
@@ -203,6 +203,57 @@ def test_s_recursion_monte_carlo(z6, rng):
     report = check_s_recursion(x, y, group, gens, samples=200_000, seed=3)
     assert report.max_deviation_se <= 4.0
     assert abs(report.mean_lambda - 0.5) <= 4.0 * 0.3 / np.sqrt(report.samples)
+
+
+def _cyclic64_pair():
+    group, gens = build_cyclic(64, range(1, 64))
+    rng = np.random.default_rng(64)
+    return sample_stationary(64, rng), sample_stationary(64, rng), group, gens
+
+
+@pytest.mark.parametrize("tile_bytes", [1, 3 * 8 * 64 * 64, 1 << 40])
+def test_s_recursion_bytes_do_not_depend_on_the_row_tiles(monkeypatch, tile_bytes):
+    # one-row tiles, three-row tiles and one tile per chunk (the whole
+    # chunk's (b, n, n) gather einsummed at once) give the bytes of the
+    # default 128-row tiles; 1,250 samples are 2 chunks of 1,000 and 250
+    x, y, group, gens = _cyclic64_pair()
+    monkeypatch.setattr(simplex, "_S_RECURSION_CHUNK", 1000)
+    want = check_s_recursion(x, y, group, gens, samples=1250, seed=5)
+    monkeypatch.setattr(simplex, "_S_RECURSION_TILE_BYTES", tile_bytes)
+    got = check_s_recursion(x, y, group, gens, samples=1250, seed=5)
+    assert got.estimates.tobytes() == want.estimates.tobytes()
+    assert got.se.tobytes() == want.se.tobytes()
+
+
+def test_s_recursion_peak_stays_within_a_few_tiles():
+    # cyclic:64 complete, one chunk of 10,000 samples: gathered whole, D[g r]
+    # was a (10,000, 64, 64) float64 array of 328 MB. In row tiles the
+    # traced peak is the chunk's D (5.1 MB), one tile's gather (4 MB) and the
+    # chunk's moves, about 9.7 MB
+    x, y, group, gens = _cyclic64_pair()
+    # a first run fills numpy's caches, which the traced run must not count
+    check_s_recursion(x, y, group, gens, samples=10, seed=0)
+    tracemalloc.start()
+    try:
+        check_s_recursion(x, y, group, gens, samples=10_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * simplex._S_RECURSION_TILE_BYTES
+
+
+def test_numpy_sums_axis_zero_row_by_row():
+    # check_s_recursion folds each row tile into its chunk's sums through an
+    # axis-0 sum over [partial; tile], which gives the bits of one sum over
+    # the chunk only if numpy adds the rows one after another, in order
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((300, 64)) * 10.0 ** rng.integers(-12, 12, (300, 64))
+    acc = rows[0].copy()
+    for row in rows[1:]:
+        acc += row
+    assert rows.sum(axis=0).tobytes() == acc.tobytes()
+    # the rows are order-sensitive: summed in reverse they give other bits
+    assert rows[::-1].sum(axis=0).tobytes() != acc.tobytes()
 
 
 def test_lower_bound_init_sign_rule(z6):
