@@ -389,12 +389,16 @@ def _kernel_table(name: str, kernel) -> Table:
 def _run_gap(config: ExperimentConfig):
     """spectrum and gap of the pair-walk kernels on a Cayley graph"""
     group, gens = resolve_group(config.group)
+    n = group.n
+    # at its peak: the two kernels, the group table and the (n, n)
+    # temporaries of a spectral summary (traced at 5.5 of these)
+    check_draw_memory(6 * 8 * n * n, f"gap at n = {n}")
     base = base_walk_kernel(group, gens)
     edge = edge_walk_kernel(group, gens)
     sum_base = spectral_summary(base)
     sum_edge = spectral_summary(edge)
     summary = {
-        "n": group.n,
+        "n": n,
         "m": gens.m,
         "gap_base": sum_base.gap,
         "gap_edge": sum_edge.gap,
@@ -410,10 +414,15 @@ def _run_gap(config: ExperimentConfig):
 def _run_compare(config: ExperimentConfig):
     """detailed balance and Dirichlet-form comparison of the rescaled kernel"""
     group, gens = resolve_group(config.group)
-    trials = config.replicas or 1000
+    n, trials = group.n, config.replicas or 1000
+    # at its peak: both kernels, both Dirichlet-form matrices, the group
+    # table and their (n, n) temporaries (traced at 7.5 of these), and the
+    # (trials, n) test functions. The recursion's terms, built and gone
+    # before these, peak at 6 of them with the complete set
+    check_draw_memory(8 * (8 * n * n + trials * n), f"compare over {trials} trials at n = {n}")
     report = verify_comparison(group, gens, trials=trials, seed=config.seed)
     summary = {
-        "n": group.n,
+        "n": n,
         "m": gens.m,
         "trials": trials,
         "db_residual": detailed_balance_residual(report.kernel),
@@ -434,7 +443,9 @@ def _run_s_recursion(config: ExperimentConfig):
     """Monte Carlo check of the one-step autocorrelation-vector recursion"""
     group, gens = resolve_group(config.group)
     samples = config.replicas or 10**6
-    rng = replica_rng(config.seed, 0)
+    # X and Y come from replica 1's stream: check_s_recursion draws its moves
+    # from default_rng(seed), which is replica 0's
+    rng = replica_rng(config.seed, 1)
     x = sample_stationary(group.n, rng)
     y = sample_stationary(group.n, rng)
     report = check_s_recursion(x, y, group, gens, samples=samples, seed=config.seed)

@@ -13,19 +13,20 @@ Three kernels are built from a group and a symmetric generator set R (|R| = m,
   cross-correlation statistics of two proportionally coupled simplex chains
   (see simplex.s_vector). Stationary measure (2, 1, ..., 1)/(n+1), reversible.
 
-The recursion is written once, as the coefficient terms of
-``s_recursion_terms``: ``simplex.s_recursion_targets`` applies them to a
-vector, and ``comparison_kernel`` rescales them into its rows and
-inversion-symmetrizes them: each off-diagonal coefficient is split half onto
-w and half onto w^{-1}. Cross-correlation vectors are inversion-symmetric, so
-the action is unchanged, and only the symmetrized representative satisfies
-detailed balance as a matrix.
+The recursion is written once, as the ordered array terms of
+``s_recursion_terms`` (at most m + 4 of them, each on many rows at once), and
+both readers walk those terms and their entries, never the rows:
+``simplex.s_recursion_targets`` applies them to a vector, and
+``comparison_kernel`` rescales them into its rows and inversion-symmetrizes
+them: each off-diagonal coefficient is split half onto w and half onto
+w^{-1}. Cross-correlation vectors are inversion-symmetric, so the action is
+unchanged, and only the symmetrized representative satisfies detailed
+balance as a matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -109,69 +110,62 @@ def edge_walk_kernel(group: GroupTable, gens: GeneratorSet) -> TransitionKernel:
     return _walk_kernel(group, gens, 1.0 / (group.n * gens.m))
 
 
-def s_recursion_terms(group: GroupTable, gens: GeneratorSet) -> Iterator[list]:
+def s_recursion_terms(group: GroupTable, gens: GeneratorSet) -> list:
     """The exact one-step recursion of the cross-correlation vector S of two
     proportionally coupled simplex chains (g, r, lam all uniform; see
-    simplex.s_vector), as terms: for each row h in order, the list of
-    (coef, ws) with E[S'[h]] = sum of coef * (s[ws[0]] + s[ws[1]] + ...),
-    h's own term (coef, (h,)) first.
+    simplex.s_vector), as an ordered list of array terms (rows, coef, ws):
+    row rows[k] gets coef[k] * (s[ws[0][k]] + s[ws[1][k]] + ...), each row
+    adds its terms in list order, and no row appears twice in one term.
 
-    Three cases: the identity row; generator rows, where an involution h has
-    no h*h term (h*h is the identity, whose coefficient takes it in); and all
-    remaining rows. A four-element term never contains the identity.
+    In order: every row's own term; the identity row's generators; each
+    generator row's identity term, then its h*h term (an involution h has
+    none: h*h is the identity, whose coefficient takes it in); then one
+    four-element term per generator r, on every row but the identity, r and
+    r^{-1}. A four-element term never contains the identity.
     """
-    n, m, e = group.n, gens.m, group.identity
-    mul, inv = group.mul.tolist(), group.inv.tolist()
-    gset = set(gens.elements)
-    four = 1.0 / (2 * m * n)
-    for h in range(n):
-        if h == e:
-            yield [(1.0 - 2.0 / (3 * n), (e,)), (4.0 / (3 * m * n), tuple(gens.elements))]
-            continue
-        hi = inv[h]
-        if h in gset:
-            terms = [(1.0 - 2.0 / n + 2.0 / (3 * m * n), (h,)), (2.0 / (3 * m * n), (e,))]
-            if hi != h:
-                terms.append((2.0 / (m * n), (mul[h][h],)))
-            skip = (h, hi)
-        else:
-            terms = [(1.0 - 2.0 / n, (h,))]
-            skip = ()
-        for r in gens.elements:
-            if r not in skip:
-                ri = inv[r]
-                terms.append((four, (mul[r][h], mul[r][hi], mul[ri][h], mul[ri][hi])))
-        yield terms
+    n, m, e, mul, inv = group.n, gens.m, group.identity, group.mul, group.inv
+    every, g = np.arange(n), np.array(gens.elements)
+    own = np.full(n, 1.0 - 2.0 / n)
+    own[g] = 1.0 - 2.0 / n + 2.0 / (3 * m * n)
+    own[e] = 1.0 - 2.0 / (3 * n)
+    squares = g[inv[g] != g]
+    terms = [
+        (every, own, (every,)),
+        (np.array([e]), np.full(1, 4.0 / (3 * m * n)), tuple(g[:, None])),
+        (g, np.full(m, 2.0 / (3 * m * n)), (np.full(m, e),)),
+        (squares, np.full(squares.size, 2.0 / (m * n)), (mul[squares, squares],)),
+    ]
+    # the four-element terms are cut from whole arrays over (generator, row),
+    # so that they are freed as a few large blocks, not thousands of small ones
+    on = (every != e) & (every != g[:, None]) & (every != inv[g][:, None])
+    counts, rows = on.sum(axis=1), np.flatnonzero(on) % n
+    r, ri = np.repeat(g, counts), np.repeat(inv[g], counts)
+    whole = (rows, np.full(rows.size, 1.0 / (2 * m * n)),
+             mul[r, rows], mul[r, inv[rows]], mul[ri, rows], mul[ri, inv[rows]])
+    pieces = zip(*(np.split(a, np.cumsum(counts)[:-1]) for a in whole))
+    return terms + [(h, coef, tuple(ws)) for h, coef, *ws in pieces]
 
 
 def comparison_kernel(group: GroupTable, gens: GeneratorSet) -> TransitionKernel:
     """Kernel of the rescaled cross-correlation recursion, reversible wrt
-    (2, 1, ..., 1)/(n+1): with c = 2 at the identity and 1 elsewhere, row h
-    holds the own coefficient of ``s_recursion_terms`` on the diagonal and
-    every other coefficient times c[w] / c[h], split half onto w and half
-    onto w^{-1}."""
-    n, e = group.n, group.identity
-    inv = group.inv.tolist()
-    c = [1.0] * n
-    c[e] = 2.0
+    pi = c / (n+1): with c = 2 at the identity and 1 elsewhere, row h holds
+    the own coefficient of ``s_recursion_terms`` on the diagonal and every
+    other coefficient times c[w] / c[h], in term and entry order, split half
+    onto w and then half onto w^{-1}."""
+    n = group.n
+    c = 1.0 + (np.arange(n) == group.identity)
+    (rows, own, _), *rest = s_recursion_terms(group, gens)
     p = np.zeros((n, n))
-    for h, ((own, _), *rest) in enumerate(s_recursion_terms(group, gens)):
-        row = [0.0] * n
-        row[h] += own
-        for coef, ws in rest:
-            for w in ws:
-                x = coef * c[w] / c[h]
-                wi = inv[w]
-                if w == wi:
-                    row[w] += x
-                else:
-                    row[w] += 0.5 * x
-                    row[wi] += 0.5 * x
-        p[h] = row
-
-    pi = np.full(n, 1.0 / (n + 1))
-    pi[e] = 2.0 / (n + 1)
-    return TransitionKernel(n=n, p=p, pi=pi)
+    p[rows, rows] = own
+    for rows, coef, ws in rest:
+        for w in ws:
+            x = coef * c[w] / c[rows]
+            wi = group.inv[w]
+            split = wi != w
+            x[split] *= 0.5
+            p[rows, w] += x
+            p[rows[split], wi[split]] += x[split]
+    return TransitionKernel(n=n, p=p, pi=c / (n + 1))
 
 
 def detailed_balance_residual(kernel: TransitionKernel) -> float:

@@ -33,7 +33,7 @@ from .kernels import (
     symmetrization,
 )
 from .pairops import Chain, advance, pair_moves, put_pair
-from .seeding import draw_moves, predraw, replica_rng
+from .seeding import check_draw_memory, draw_moves, predraw, replica_rng
 
 __all__ = [
     "SimplexState",
@@ -185,13 +185,14 @@ def s_vector(x: SimplexState, y: SimplexState, group: GroupTable) -> SVector:
 def s_recursion_targets(s: np.ndarray, group: GroupTable, gens: GeneratorSet) -> np.ndarray:
     """Exact conditional expectation of the next S vector under one
     proportionally coupled move (g, r, lam all uniform): the terms of
-    ``kernels.s_recursion_terms`` applied to s, each term's entries summed
-    left to right from its first."""
-    s = np.asarray(s, dtype=float).tolist()
-    return np.array([
-        reduce(add, [coef * reduce(add, [s[w] for w in ws]) for coef, ws in terms])
-        for terms in s_recursion_terms(group, gens)
-    ])
+    ``kernels.s_recursion_terms`` applied to s in order, each term's entries
+    summed left to right from its first."""
+    s = np.asarray(s, dtype=float)
+    (_, own, (h,)), *rest = s_recursion_terms(group, gens)
+    out = own * s[h]
+    for rows, coef, ws in rest:
+        out[rows] += coef * reduce(add, [s[w] for w in ws])
+    return out
 
 
 @dataclass
@@ -225,10 +226,20 @@ def check_s_recursion(
 
     The difference vector D = x - y evolves autonomously under proportional
     coupling (D'[g] = lam * (D[g] + D[gr]) etc.), so the simulation runs on D
-    directly.
+    directly. Before anything is computed, ``check_draw_memory`` compares the
+    bytes the check holds at once with the memory available.
     """
     n = group.n
     mul = group.mul
+    chunk_rows = min(_S_RECURSION_CHUNK, samples)
+    tile = max(1, min(chunk_rows, _S_RECURSION_TILE_BYTES // (8 * n * n)))
+    # one chunk's difference vectors and moves (at most 80 bytes a move: its
+    # draws and oriented flat indices), a tile's gather with its partial sums
+    # and squares, and the recursion's terms (48 bytes per row of a
+    # generator's term while they are built)
+    check_draw_memory(chunk_rows * (8 * n + 80) + 8 * n * (tile * n + 2 * tile + 2)
+                      + 48 * (gens.m + 1) * n,
+                      f"s-recursion in chunks of {chunk_rows} moves at n = {n}")
     d0 = x.x - y.x
     s0 = s_vector(x, y, group).s
     targets = s_recursion_targets(s0, group, gens)
@@ -238,9 +249,8 @@ def check_s_recursion(
     acc_sq = np.zeros(n)
     lam_acc = 0.0
     done = 0
-    tile = max(1, _S_RECURSION_TILE_BYTES // (8 * n * n))
     # one chunk's moved difference vectors, reused by every chunk
-    chunk = np.empty((min(_S_RECURSION_CHUNK, samples), n))
+    chunk = np.empty((chunk_rows, n))
     while done < samples:
         b = min(_S_RECURSION_CHUNK, samples - done)
         a, partner, lam = draw_moves(rng, b, n, group, gens)

@@ -112,7 +112,9 @@ def test_only_the_predraw_and_the_runner_fill_a_draw_store():
     # pair stores of the lockstep experiments and of both coupling phases,
     # so a new copy of the pre-draw that skips the memory guard fails here.
     # The lambda stream holds at most one chunk and checks nothing.
-    # identity-matrix guards its two stacks of stationary rows. The old
+    # identity-matrix guards its two stacks of stationary rows, gap and
+    # compare their dense (n, n) arrays, and check_s_recursion its chunk of
+    # difference vectors. The old
     # move-store helpers, which held the lambdas whole, exist nowhere, and
     # the stream keeps no protocol that its callers must finish
     package = Path(gibbsmix.__file__).parent
@@ -132,7 +134,9 @@ def test_only_the_predraw_and_the_runner_fill_a_draw_store():
         names = {node.name for node in functions} | {
             node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not names & {"empty_moves", "move_bytes"}, path.stem
-    assert callers == {("seeding", "predraw"), ("harness", "_run_identity_matrix")}
+    assert callers == {("seeding", "predraw"), ("harness", "_run_identity_matrix"),
+                       ("harness", "_run_gap"), ("harness", "_run_compare"),
+                       ("simplex", "check_s_recursion")}
     stream = LambdaStream([np.random.default_rng(0)], 3)
     assert not hasattr(stream, "finish") and not hasattr(stream, "drawn")
 

@@ -46,8 +46,8 @@ GOLDEN = {
     "lowerbound-simplex/manifest.json": "1c930b159dc73eab475c3fe2dd687b2b442affa6a928ba18dfa383d1d3b80a27",
     "lowerbound-simplex/points.csv": "5c0d75f9350464bd60a007efeb04a00f5a91fa7ceb7af06b91a2ea6042d60b9f",
     "oracle/manifest.json": "2af6e34b1a9da05554fb33f628e02882cb03f7a203bec46af09c95b1dddb52d8",
-    "s-recursion/manifest.json": "1688765dac4bcbe7d4c833c1aa7c534f8dd305f55641aab1ac316d9a9df9fe38",
-    "s-recursion/srecursion.csv": "81d144f806713dd4887169041055dc6f50ab4a23ce65fba895198a173f44791d",
+    "s-recursion/manifest.json": "348bb147136b0510757ddf0b39468d58bbabe83e452e1933c6d819f432ed272f",
+    "s-recursion/srecursion.csv": "cda5910d57cd6fabccb4265b52ff7cdcd7f115cee0856e4b50d54590098b46e1",
 }
 
 GOLDEN_JSONL = {
@@ -77,8 +77,8 @@ GOLDEN_JSONL = {
     "lowerbound-simplex/manifest.json": "11e5cdaad889a993944e358c03ab810ac0485b9aa79bd060e66b522e9ec76893",
     "lowerbound-simplex/points.jsonl": "2052aa223cd8e0c3094aa15d9e608518f5f3d199c22c4fb47f8dc5bb26eccda0",
     "oracle/manifest.json": "2af6e34b1a9da05554fb33f628e02882cb03f7a203bec46af09c95b1dddb52d8",
-    "s-recursion/manifest.json": "f08b975331ca95323f3d0f9ba70ee2040280ef1c332b268f782d72e4d498fc57",
-    "s-recursion/srecursion.jsonl": "900999809eab1d14f7fcd1ff1269a1bc5e5be364905e875f84b707105f98cd5b",
+    "s-recursion/manifest.json": "22865caa165d332ca87fa8b57088bb3f98f3005a615f1600749b3097694dbe00",
+    "s-recursion/srecursion.jsonl": "c4b04e10b4a85c21bda652c5e67ae2b081669eb35a300a36e716450593b80556",
 }
 
 

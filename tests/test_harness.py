@@ -1,5 +1,6 @@
 import argparse
 import ast
+import copy
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import gibbsmix.errors as errors
 import gibbsmix.harness as harness
 import gibbsmix.kernels as kernels
 import gibbsmix.seeding as seeding
+import gibbsmix.simplex as simplex
 from gibbsmix.cli import build_parser, parse_group_shorthand
 from gibbsmix.cli import main as cli_main
 from gibbsmix.errors import ConfigError, InvariantViolation
@@ -401,6 +403,87 @@ def test_identity_matrix_holds_no_more_than_its_guard_counts(tmp_path, monkeypat
     assert len(guarded) == 1 and peak <= guarded[0] + (4 << 20)
 
 
+# a config and its guard's estimate: gap holds 6 and compare 8 (n, n)
+# float64 arrays, and compare its (1000, n) test functions; s-recursion a
+# (50,000, n) chunk, 80 bytes per move, a 128-row tile's gather, partial sums
+# and squares, and the terms of m = 2 generators
+_DENSE_RUNS = {
+    "gap": ({"experiment": "gap", "group": {"family": "cyclic", "n": 512, "gens": "complete"}},
+            6 * 8 * 512 * 512),
+    "compare": ({"experiment": "compare",
+                 "group": {"family": "cyclic", "n": 512, "gens": "complete"}},
+                8 * (8 * 512 * 512 + 1000 * 512)),
+    "s-recursion": ({"experiment": "s-recursion", "group": {"family": "cyclic", "n": 64},
+                     "replicas": 60_000},
+                    50_000 * (8 * 64 + 80) + 8 * 64 * (128 * 64 + 2 * 128 + 2) + 48 * 3 * 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_RUNS))
+def test_a_dense_run_holds_no_more_than_its_guard_counts(tmp_path, monkeypatch, name):
+    # gap and compare count their (n, n) float64 arrays (traced at 5.5 and
+    # 7.5 of them) and compare its (trials, n) test functions; s-recursion
+    # its (50,000, n) chunk, the chunk's moves, a tile's buffers and the
+    # recursion's terms. The group check's sampled triples and the writer's
+    # chunk add a few MB whatever the size
+    guarded = []
+    for module in (harness, simplex):
+        def spy(need, what, check=module.check_draw_memory):
+            guarded.append(need)
+            check(need, what)
+
+        monkeypatch.setattr(module, "check_draw_memory", spy)
+    cfg = ExperimentConfig.from_dict({**_DENSE_RUNS[name][0], "seed": 1})
+    tracemalloc.start()
+    try:
+        assert run(cfg, out_dir=tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert guarded == [_DENSE_RUNS[name][1]] and peak <= guarded[0] + (4 << 20)
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_RUNS))
+def test_a_refused_dense_run_builds_nothing(tmp_path, monkeypatch, name):
+    # the guard comes before the first kernel, S vector or move
+    data, need = _DENSE_RUNS[name]
+    built = []
+    for module, builder in [(harness, "base_walk_kernel"), (harness, "edge_walk_kernel"),
+                            (kernels, "base_walk_kernel"), (kernels, "comparison_kernel"),
+                            (simplex, "s_vector"), (simplex, "s_recursion_terms"),
+                            (simplex, "draw_moves")]:
+        monkeypatch.setattr(module, builder, lambda *args, b=builder: built.append(b))
+    monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)
+    assert run(ExperimentConfig.from_dict({**data, "seed": 1}), out_dir=tmp_path) == 1
+    error = _read_manifest(tmp_path)["error"]
+    assert error.startswith("ConfigError: ") and f"pre-draw {need:,} bytes" in error
+    assert built == []
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63])
+def test_s_recursion_draws_its_start_and_its_moves_from_two_streams(tmp_path, monkeypatch, seed):
+    # X and Y come from one stream and the moves from another, so the moves
+    # never re-read the outputs that made the start
+    streams = {}
+    real_sample, real_draw = harness.sample_stationary, simplex.draw_moves
+
+    def sample(n, rng):
+        streams.setdefault("start", copy.deepcopy(rng))
+        return real_sample(n, rng)
+
+    def draw(rng, *args):
+        streams.setdefault("moves", copy.deepcopy(rng))
+        return real_draw(rng, *args)
+
+    monkeypatch.setattr(harness, "sample_stationary", sample)
+    monkeypatch.setattr(simplex, "draw_moves", draw)
+    cfg = ExperimentConfig.from_dict({"experiment": "s-recursion",
+                                      "group": {"family": "cyclic", "n": 5},
+                                      "replicas": 10, "seed": seed})
+    assert run(cfg, out_dir=tmp_path) == 0
+    assert streams["start"].random(4).tolist() != streams["moves"].random(4).tolist()
+
+
 def test_run_is_deterministic_at_fixed_seed(tmp_path):
     contents = []
     for tag in ("a", "b"):
@@ -458,8 +541,17 @@ def test_run_config_problem_exits_one(tmp_path):
     # identity-matrix holds two (pairs, n) float64 stacks of stationary rows
     # and the pairs' residuals
     ({"experiment": "identity-matrix", "n": 8}, (2 * 8 + 1) * 3 * 8),
+    # compare holds 8 (n, n) float64 arrays and its (trials, n) test
+    # functions
+    ({"experiment": "compare", "group": {"family": "cyclic", "n": 6}}, 8 * (8 * 6 * 6 + 3 * 6)),
+    # s-recursion: a chunk of 3 difference vectors and 3 moves of at most 80
+    # bytes, a 3-row tile's gather, partial sums and squares, and the terms
+    # of m = 2 generators
+    ({"experiment": "s-recursion", "group": {"family": "cyclic", "n": 6}},
+     3 * (8 * 6 + 80) + 8 * 6 * (3 * 6 + 2 * 3 + 2) + 48 * 3 * 6),
 ], ids=["couple-matrix", "couple-simplex", "largeness-matrix", "largeness-simplex",
-        "contract-simplex", "contract-matrix", "lowerbound-simplex", "identity-matrix"])
+        "contract-simplex", "contract-matrix", "lowerbound-simplex", "identity-matrix",
+        "compare", "s-recursion"])
 def test_a_store_larger_than_the_memory_available_exits_one(tmp_path, monkeypatch, data, need):
     # the guard reads the estimate against a patched probe; nothing large
     # is allocated

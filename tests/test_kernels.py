@@ -1,5 +1,6 @@
 import hashlib
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gibbsmix.kernels import (
     verify_comparison,
 )
 from gibbsmix.simplex import sample_stationary, s_recursion_targets, s_vector
+from recursion_oracle import comparison_matrix, recursion_targets
 
 
 def test_base_walk_row_cyclic4(z4):
@@ -196,3 +198,41 @@ def test_s_recursion_bits_are_pinned(name):
         for v in (comparison_kernel(group, gens).p, s_recursion_targets(s, group, gens))
     )
     assert digests == _RECURSION_BITS[name]
+
+
+def _same_bits_as_the_row_loops(group, gens, seed):
+    # the comparison kernel, and the targets of an S vector and of a vector
+    # with no symmetry, against the recursion written one row at a time
+    assert comparison_kernel(group, gens).p.tobytes() == comparison_matrix(group, gens).tobytes()
+    rng = np.random.default_rng(seed)
+    s = s_vector(sample_stationary(group.n, rng), sample_stationary(group.n, rng), group).s
+    for v in (s, rng.standard_normal(group.n)):
+        assert s_recursion_targets(v, group, gens).tobytes() == \
+            recursion_targets(v, group, gens).tobytes()
+
+
+@st.composite
+def _recursion_groups(draw):
+    family = draw(st.sampled_from(["cyclic", "dihedral", "hypercube"]))
+    if family == "dihedral":
+        return build_dihedral(draw(st.integers(3, 12)))
+    if family == "hypercube":
+        return build_hypercube(draw(st.integers(1, 5)))
+    n = draw(st.integers(3, 40))
+    gens = set(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=n - 1)))
+    gens |= {n - g for g in gens}
+    if reduce(math.gcd, gens, n) != 1:
+        gens |= {1, n - 1}
+    return build_cyclic(n, sorted(gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups=_recursion_groups(), seed=st.integers(0, 2**32 - 1))
+def test_the_array_terms_keep_the_row_loops_bits(groups, seed):
+    _same_bits_as_the_row_loops(*groups, seed)
+
+
+@pytest.mark.parametrize("n, gens", [(256, range(1, 256)), (64, [1, 63])],
+                         ids=["cyclic:256-complete", "cyclic:64-pm1"])
+def test_the_array_terms_keep_the_row_loops_bits_on_larger_cycles(n, gens):
+    _same_bits_as_the_row_loops(*build_cyclic(n, gens), seed=n)
