@@ -3,8 +3,8 @@
 Configuration can come from a strict JSON document (--config) with flags
 overriding individual fields, or entirely from flags for simple runs. The
 subcommand is authoritative: a config whose "experiment" field disagrees is
-rejected. Exit codes: 0 success, 1 configuration error, 2 violated
-invariant.
+rejected. Exit codes are those of ``harness.run``: 0 success, 1 a
+configuration error, 2 any other failure.
 """
 
 from __future__ import annotations

@@ -2,6 +2,9 @@
 
 Every failure mode that callers are expected to catch has a named class here;
 generic ValueError/RuntimeError is reserved for actual programming errors.
+A run reports a failure by its family: the ConfigError and GroupError
+families are configuration errors (exit 1), and every other GibbsmixError
+is an invariant failure (exit 2, no traceback).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ class ConfigError(GibbsmixError):
 
 
 class AssertionFailure(GibbsmixError):
-    """A runtime numerical assertion failed (CLI exit code 2)."""
+    """A runtime numerical assertion failed."""
 
 
 # -- group construction / validation ----------------------------------------

@@ -10,6 +10,7 @@ desk-scale, and a dense int32 table at the cap is ~64 MB.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
@@ -109,20 +110,22 @@ def verify_generator_set(g: GroupTable, gens: Sequence[int]) -> GeneratorSet:
     elems = tuple(sorted(set(int(x) for x in gens)))
     if len(elems) == 0:
         raise NotGenerating("empty generator set")
-    for r in elems:
-        if r < 0 or r >= g.n:
-            raise InvariantViolation("generator-range", f"generator {r} out of range")
+    # sorted: the generators are in range if the first and the last are
+    if elems[0] < 0 or elems[-1] >= g.n:
+        r = elems[0] if elems[0] < 0 else elems[bisect_left(elems, g.n)]
+        raise InvariantViolation("generator-range", f"generator {r} out of range")
     if g.identity in elems:
         raise ContainsIdentity(f"identity {g.identity} in generator set")
-    for r in elems:
-        if int(g.inv[r]) not in elems:
-            raise NotSymmetric(f"generator {r} lacks its inverse {int(g.inv[r])}")
+    gens_index = np.array(elems)
+    lacking = np.flatnonzero(~np.isin(g.inv[gens_index], gens_index))
+    if lacking.size:
+        r = elems[lacking[0]]
+        raise NotSymmetric(f"generator {r} lacks its inverse {int(g.inv[r])}")
     # generation == connectivity of the Cayley graph; BFS from identity, one
     # gather of every frontier element times every generator per step
     seen = np.zeros(g.n, dtype=bool)
     seen[g.identity] = True
     frontier = np.array([g.identity])
-    gens_index = np.array(elems)
     while frontier.size:
         reached = g.mul[frontier[:, None], gens_index].ravel()
         reached = reached[~seen[reached]]
@@ -220,20 +223,18 @@ def load_group(path: str) -> Tuple[GroupTable, GeneratorSet]:
         gens = [int(tok) for tok in lines[n + 1].split()]
     except ValueError as exc:
         raise ParseError(f"bad generator line: {lines[n + 1]!r}") from exc
-    # locate identity by its row
-    target = np.arange(n)
-    id_candidates = [a for a in range(n) if np.array_equal(mul[a], target)]
-    if not id_candidates:
+    # the identity is the first row that reads 0..n-1, and a's inverse the
+    # one b with ab = e, where ba = e too
+    every = np.arange(n)
+    ids = np.flatnonzero((mul == every).all(axis=1))
+    if not ids.size:
         raise InvariantViolation("identity", "no row equals 0..n-1")
-    e = id_candidates[0]
-    # inverses from the table
-    inv = np.full(n, -1, dtype=np.int32)
+    e = int(ids[0])
     eq = mul == e
-    for a in range(n):
-        hits = np.nonzero(eq[a])[0]
-        if len(hits) != 1 or mul[hits[0], a] != e:
-            raise InvariantViolation("inverse", f"element {a} lacks a two-sided inverse")
-        inv[a] = hits[0]
+    inv = eq.argmax(axis=1)
+    lacking = np.flatnonzero((eq.sum(axis=1) != 1) | (mul[inv, every] != e))
+    if lacking.size:
+        raise InvariantViolation("inverse", f"element {lacking[0]} lacks a two-sided inverse")
     g = GroupTable(n=n, mul=mul, inv=inv, identity=e)
     gs = verify_generator_set(g, gens)
     return g, gs

@@ -8,8 +8,8 @@ runs leave a detectable partial marker. All randomness flows through
 per-replica streams derived as SeedSequence([seed, replica]); identical
 config + seed reproduces identical artifact bytes.
 
-Exit codes: 0 success, 1 configuration error, 2 invariant/assertion failure
-or any other exception.
+Exit codes by error family (errors.py): 0 success, 1 a ``ConfigError`` or
+``GroupError``, 2 any other package error or any other exception.
 """
 
 from __future__ import annotations
@@ -30,15 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AssertionFailure,
-    ConfigError,
-    DominationViolated,
-    GroupError,
-    InvariantViolation,
-    KernelError,
-    RejectionBudgetExceeded,
-)
+from .errors import AssertionFailure, ConfigError, GibbsmixError, GroupError
 from .coupling import (
     CouplingOutcome,
     connectedness_experiment,
@@ -443,8 +435,7 @@ def _run_s_recursion(config: ExperimentConfig):
     """Monte Carlo check of the one-step autocorrelation-vector recursion"""
     group, gens = resolve_group(config.group)
     samples = config.replicas or 10**6
-    # X and Y come from replica 1's stream: check_s_recursion draws its moves
-    # from default_rng(seed), which is replica 0's
+    # X and Y come from replica 1's stream, the moves from replica 0's
     rng = replica_rng(config.seed, 1)
     x = sample_stationary(group.n, rng)
     y = sample_stationary(group.n, rng)
@@ -870,11 +861,12 @@ def run(config: ExperimentConfig, out_dir=None, fmt: Optional[str] = None) -> in
 
     Writes <out>/manifest.json with status "running" before any result file,
     then the artifacts, then the final manifest with status "complete" (or
-    "failed" with the error and exit code 1 for configuration problems, 2
-    for violated invariants and any other exception, MemoryError included,
-    whose traceback goes to stderr). A failure's one-line message goes to
-    stderr, like the command line's own config errors; the summary lines of
-    a completed run go to stdout."""
+    "failed" with the error and exit code 1 for the ``ConfigError`` and
+    ``GroupError`` families, 2 for any other package error ("invariant
+    failure") and for any other exception, MemoryError included ("unexpected
+    failure", whose traceback goes to stderr). A failure's one-line message
+    goes to stderr, like the command line's own config errors; the summary
+    lines of a completed run go to stdout."""
     try:
         output = config.output or {}
         directory = Path(out_dir or output.get("path") or f"gibbsmix-results/{config.experiment}")
@@ -915,8 +907,7 @@ def run(config: ExperimentConfig, out_dir=None, fmt: Optional[str] = None) -> in
     except Exception as exc:
         if isinstance(exc, (ConfigError, GroupError)):
             code, what = 1, "config error"
-        elif isinstance(exc, (AssertionFailure, InvariantViolation, KernelError,
-                              DominationViolated, RejectionBudgetExceeded)):
+        elif isinstance(exc, GibbsmixError):
             code, what = 2, "invariant failure"
         else:
             # a defect, or a resource the run ran out of (MemoryError)

@@ -130,12 +130,13 @@ def predraw(chain, rngs, T: int, what: str, before: int = 0, then=None):
     stream's buffer with the memory available: one (B, _LEVEL_TILE) chunk
     of the level-tile grid, since the stream draws nothing past the chunk
     its tile is in. ``then = (T', what')`` names a later predraw on the
-    same generators: its store and buffer are checked here too, before
-    anything is drawn."""
+    same generators, the coupled runner's phase 2 (its only caller): that
+    store and buffer, and the runner's (B, T') bool barrier flags, one byte
+    a step, are checked here too, before anything is drawn."""
     n, B = chain.n, len(rngs)
     pair_bytes = 2 * np.min_scalar_type(n - 1).itemsize
-    for steps, about in [(T, what)] if then is None else [(T, what), then]:
-        check_draw_memory(B * (steps * pair_bytes + min(steps, pairops._LEVEL_TILE) * 8),
+    for steps, about, flag in [(T, what, 0)] + ([] if then is None else [(*then, 1)]):
+        check_draw_memory(B * (steps * (pair_bytes + flag) + min(steps, pairops._LEVEL_TILE) * 8),
                           f"{about} over {B} replicas and {steps} steps")
     rows = np.empty((before, B, n))
     a, b = empty_pairs(B, T, n)
@@ -231,13 +232,13 @@ def available_memory() -> Optional[int]:
 
 
 def check_draw_memory(nbytes: int, what: str) -> None:
-    """Raise ConfigError if ``what`` would pre-draw more than the available
-    memory: a store that large would be granted and then, as it fills, get
-    the process killed, with no failed manifest. Nothing is checked where
-    the available memory is not reported."""
+    """Raise ConfigError if ``what`` would hold more than the available
+    memory at once: arrays that large would be granted and then, as they
+    fill, get the process killed, with no failed manifest. Nothing is
+    checked where the available memory is not reported."""
     available = available_memory()
     if available is not None and nbytes > available:
         raise ConfigError(
-            f"{what} would pre-draw {nbytes:,} bytes, more than the "
+            f"{what} would hold {nbytes:,} bytes at once, more than the "
             f"{available:,} bytes of memory available"
         )

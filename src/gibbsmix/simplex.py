@@ -226,8 +226,9 @@ def check_s_recursion(
 
     The difference vector D = x - y evolves autonomously under proportional
     coupling (D'[g] = lam * (D[g] + D[gr]) etc.), so the simulation runs on D
-    directly. Before anything is computed, ``check_draw_memory`` compares the
-    bytes the check holds at once with the memory available.
+    directly, with moves from replica 0's stream of ``seed``. Before anything
+    is computed, ``check_draw_memory`` compares the bytes the check holds at
+    once with the memory available.
     """
     n = group.n
     mul = group.mul
@@ -244,7 +245,7 @@ def check_s_recursion(
     s0 = s_vector(x, y, group).s
     targets = s_recursion_targets(s0, group, gens)
 
-    rng = np.random.default_rng(seed)
+    rng = replica_rng(seed, 0)
     acc = np.zeros(n)
     acc_sq = np.zeros(n)
     lam_acc = 0.0

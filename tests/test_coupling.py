@@ -1174,35 +1174,58 @@ def test_largeness_frees_each_tile_before_the_next():
         "1127c3530d86463cb94a33fefb5f115f596c5efb837ea9294b656c64f5814596")
 
 
+def _counted(calls, name, layer):
+    """``layer``, noting ``name`` in ``calls`` at each call."""
+    def call(*args):
+        calls.append(name)
+        return layer(*args)
+    return call
+
+
 def test_runner_memory_estimate_is_its_two_stores(monkeypatch):
     # both phases' stores are checked before anything is drawn or moved,
     # phase 1's first: each phase's pair arrays (one byte per coordinate
     # at n = 8) and the buffer of its lambda stream (a float64 per step up
-    # to one 512-step chunk: phase 2's 600 steps hold one chunk)
+    # to one 512-step chunk: phase 2's 600 steps hold one chunk), and phase
+    # 2's barrier flags (one byte per step)
     B, T1, T2, n = 3, 10, 600, 8
     kwargs = dict(T1=T1, T2=T2, replicas=B, seed=1)
     calls = []
-
-    def counted(name, layer):
-        def call(*args):
-            calls.append(name)
-            return layer(*args)
-        return call
-
     plain = matrix_chain(n)
-    chain = replace(plain, kernel=counted("kernel", plain.kernel),
-                    stationary=counted("stationary", plain.stationary))
-    needs = {1: B * T1 * 10, 2: B * (T2 * 2 + 512 * 8)}
+    chain = replace(plain, kernel=_counted(calls, "kernel", plain.kernel),
+                    stationary=_counted(calls, "stationary", plain.stationary))
+    needs = {1: B * T1 * 10, 2: B * (T2 * 3 + 512 * 8)}
     for phase, T in ((1, T1), (2, T2)):
         need = needs[phase]
         monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)
         with pytest.raises(ConfigError, match=f"phase {phase} over {B} replicas and {T} steps "
-                                              f"would pre-draw {need:,} bytes"):
+                                              f"would hold {need:,} bytes at once"):
             run_nonmarkovian_coupling(chain, **kwargs)
         assert calls == []
     monkeypatch.setattr(seeding, "available_memory", lambda: needs[2])
     run_nonmarkovian_coupling(chain, **kwargs)
     assert {"stationary", "kernel"} <= set(calls)
+
+
+def test_phase_two_is_refused_for_its_barrier_flags(monkeypatch):
+    # phase 2 holds its (B, T2) bool barrier flags beside its pair store and
+    # lambda chunk: at n <= 256 the flags are half the pair store again, so
+    # with one byte too few for the three the run draws and moves nothing
+    B, T1, T2, n = 4, 5, 1000, 16
+    store, chunk, flags = B * T2 * 2, B * 512 * 8, B * T2
+    drawn = []
+    plain = matrix_chain(n)
+    chain = replace(plain, kernel=_counted(drawn, "kernel", plain.kernel),
+                    stationary=_counted(drawn, "stationary", plain.stationary))
+    monkeypatch.setattr(seeding, "draw_pairs", _counted(drawn, "pairs", draw_pairs))
+    monkeypatch.setattr(seeding, "available_memory", lambda: store + chunk + flags - 1)
+    with pytest.raises(ConfigError, match=f"phase 2 over {B} replicas and {T2} steps would "
+                                          f"hold {store + chunk + flags:,} bytes at once"):
+        run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=B, seed=3)
+    assert drawn == []
+    monkeypatch.setattr(seeding, "available_memory", lambda: store + chunk + flags)
+    run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=B, seed=3)
+    assert {"stationary", "pairs", "kernel"} <= set(drawn)
 
 
 _PINNED_FAILURES = {

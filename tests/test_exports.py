@@ -155,6 +155,42 @@ def test_only_seeding_touches_a_bit_generator():
     assert touching == {"seeding"}
 
 
+_GENERATOR_MAKERS = {"default_rng", "Generator", "RandomState", "SeedSequence", "seed",
+                     "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"}
+
+
+def test_every_generator_of_a_run_comes_from_replica_rng():
+    # one documented draw order per replica: every stream a run draws from is
+    # seeding.replica_rng(seed, r), so no other module builds a generator,
+    # a bit generator or a seed sequence. default_rng(seed) would be an
+    # unnamed alias of replica 0's stream (SeedSequence(s) and
+    # SeedSequence([s, 0]) give one state), and two such aliases once made
+    # the s-recursion's moves re-read the draws that made X and Y. The one
+    # exception is the fixed associativity sample of
+    # groups.verify_group_axioms, which is seeded by its own constant
+    package = Path(gibbsmix.__file__).parent
+    assoc = [ast.dump(ast.Name("_ASSOC_SEED", ast.Load()))]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    builders = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "seeding":
+            continue
+        tree = ast.parse(path.read_text())
+        # each function, and the module's own statements outside them
+        scopes = [(node.name, node) for node in ast.walk(tree) if isinstance(node, functions)]
+        scopes += [("<module>", node) for node in tree.body
+                   if not isinstance(node, (*functions, ast.ClassDef))]
+        for name, scope in scopes:
+            for call in ast.walk(scope):
+                if (isinstance(call, ast.Call)
+                        and getattr(call.func, "attr", getattr(call.func, "id", None))
+                        in _GENERATOR_MAKERS
+                        and not (path.stem == "groups"
+                                 and [ast.dump(a) for a in call.args] == assoc)):
+                    builders.add(f"{path.stem}.{name}")
+    assert sorted(builders) == []
+
+
 def test_advance_and_the_coupled_runner_are_the_only_tile_walkers():
     # a caller that observes nothing, or folds the entries each call moves
     # in its kernel (largeness, the monotone run), walks the levels through

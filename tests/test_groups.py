@@ -144,6 +144,31 @@ def test_group_file_parse_error(tmp_path):
         load_group(str(path))
 
 
+@pytest.mark.parametrize("text, error, message", [
+    # no row reads 0 1 2
+    ("3\n1 2 0\n2 0 1\n1 0 2\n1\n", InvariantViolation, "identity: no row equals 0..n-1"),
+    # rows 2 and 3 hold no identity: the first is named
+    ("4\n0 1 2 3\n1 0 3 2\n2 3 2 2\n3 2 2 2\n1\n", InvariantViolation,
+     "inverse: element 2 lacks a two-sided inverse"),
+    # 1 * 2 is the identity, but 2 * 1 is not
+    ("3\n0 1 2\n1 2 0\n2 1 1\n1\n", InvariantViolation,
+     "inverse: element 1 lacks a two-sided inverse"),
+    # row 1 holds the identity twice
+    ("3\n0 1 2\n1 0 0\n2 0 1\n1\n", InvariantViolation,
+     "inverse: element 1 lacks a two-sided inverse"),
+    ("3\n0 1 2\n1 2 3\n2 0 1\n1 2\n", ParseError, "table entry out of range"),
+    ("3\n0 1 2\n1 2 -1\n2 0 1\n1 2\n", ParseError, "table entry out of range"),
+    ("3\n0 1 2\n1 2\n2 0 1\n1 2\n", ParseError, "row has 2 entries, expected 3"),
+], ids=["no-identity", "no-inverse", "one-sided-inverse", "two-inverses", "entry-too-large",
+        "negative-entry", "short-row"])
+def test_group_file_errors(tmp_path, text, error, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        load_group(str(path))
+    assert type(info.value) is error and str(info.value) == message
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(3, 24), data=st.data())
 def test_cyclic_axioms_and_inverse_laws(n, data):

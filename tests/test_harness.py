@@ -456,7 +456,7 @@ def test_a_refused_dense_run_builds_nothing(tmp_path, monkeypatch, name):
     monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)
     assert run(ExperimentConfig.from_dict({**data, "seed": 1}), out_dir=tmp_path) == 1
     error = _read_manifest(tmp_path)["error"]
-    assert error.startswith("ConfigError: ") and f"pre-draw {need:,} bytes" in error
+    assert error.startswith("ConfigError: ") and f"hold {need:,} bytes at once" in error
     assert built == []
 
 
@@ -526,10 +526,11 @@ def test_run_config_problem_exits_one(tmp_path):
 @pytest.mark.parametrize("data, need", [
     # the largest store drawn: a pair store (one byte per coordinate, two
     # per step) and its lambda stream's buffer (a float64 per step up to
-    # 512 steps), the lockstep experiment's or the coupling's phase-2 one
-    ({"experiment": "couple-matrix", "n": 8, "T1": 10, "T2": 20}, 3 * 20 * 10),
+    # 512 steps), the lockstep experiment's or the coupling's phase-2 one,
+    # which also holds one barrier flag per step
+    ({"experiment": "couple-matrix", "n": 8, "T1": 10, "T2": 20}, 3 * 20 * 11),
     ({"experiment": "couple-simplex", "group": {"family": "cyclic", "n": 6}, "T1": 0,
-      "T2": 40}, 3 * 40 * 10),
+      "T2": 40}, 3 * 40 * 11),
     ({"experiment": "largeness", "n": 8, "T": 50}, 3 * 50 * 10),
     ({"experiment": "largeness", "group": {"family": "cyclic", "n": 6}, "T": 70}, 3 * 70 * 10),
     # contract-simplex needs T >= ceil(8 / gamma_hat), 49 on cyclic:6
@@ -562,7 +563,7 @@ def test_a_store_larger_than_the_memory_available_exits_one(tmp_path, monkeypatc
     manifest = _read_manifest(out)
     assert manifest["status"] == "failed" and manifest["replica_seeds"] == []
     assert manifest["error"].startswith("ConfigError: ")
-    assert f"pre-draw {need:,} bytes" in manifest["error"]
+    assert f"hold {need:,} bytes at once" in manifest["error"]
     assert f"the {need - 1:,} bytes of memory available" in manifest["error"]
     monkeypatch.setattr(seeding, "available_memory", lambda: need)
     assert run(cfg, out_dir=tmp_path / "enough") == 0
@@ -619,6 +620,43 @@ def test_failure_lines_go_to_stderr(tmp_path, monkeypatch, capsys):
         assert run(cfg, out_dir=tmp_path / what) == code
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines()[-1] == f"{what}: {error}"
+
+
+_LEAF_ERRORS = sorted((cls for cls in vars(errors).values() if isinstance(cls, type)
+                       and issubclass(cls, errors.GibbsmixError) and not cls.__subclasses__()),
+                      key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("error", _LEAF_ERRORS + [KeyError, MemoryError],
+                         ids=lambda cls: cls.__name__)
+def test_a_failure_is_reported_by_its_error_family(tmp_path, monkeypatch, capsys, error):
+    # run maps a failure by its family in errors.py, not by a list of
+    # classes: the ConfigError and GroupError families are config errors
+    # (exit 1), every other package error an invariant failure (exit 2),
+    # neither with a traceback; anything else is unexpected (exit 2) and
+    # prints its traceback
+    assert len(_LEAF_ERRORS) > 10 and errors.DegeneratePairMass in _LEAF_ERRORS
+    exc = error("synthetic runner failure")
+
+    def boom(config):
+        raise exc
+
+    monkeypatch.setitem(harness._RUNNERS, "connect", boom)
+    cfg = ExperimentConfig.from_dict({"experiment": "connect", "n": 6})
+    out = tmp_path / "res"
+    if issubclass(error, (errors.ConfigError, errors.GroupError)):
+        code, what = 1, "config error"
+    elif issubclass(error, errors.GibbsmixError):
+        code, what = 2, "invariant failure"
+    else:
+        code, what = 2, "unexpected failure"
+    assert run(cfg, out_dir=out) == code
+    manifest = _read_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == f"{error.__name__}: {exc}"
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.splitlines()[-1] == f"{what}: {exc}"
+    assert ("Traceback (most recent call last)" in stderr) == (what == "unexpected failure")
 
 
 @pytest.mark.parametrize("experiment, fields", [

@@ -298,7 +298,7 @@ def test_generators_stand_after_their_lambdas_however_far_the_stream_is_read(via
 def test_draw_memory_guard_compares_the_estimate_with_the_probe(monkeypatch):
     monkeypatch.setattr(seeding, "available_memory", lambda: 1000)
     check_draw_memory(1000, "a store")
-    with pytest.raises(ConfigError, match="a store would pre-draw 1,001 bytes, more than the 1,000"):
+    with pytest.raises(ConfigError, match="a store would hold 1,001 bytes at once, more than the 1,000"):
         check_draw_memory(1001, "a store")
     # where the memory available is not reported nothing is checked
     monkeypatch.setattr(seeding, "available_memory", lambda: None)
