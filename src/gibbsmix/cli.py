@@ -4,7 +4,8 @@ Configuration can come from a strict JSON document (--config) with flags
 overriding individual fields, or entirely from flags for simple runs. The
 subcommand is authoritative: a config whose "experiment" field disagrees is
 rejected. Exit codes are those of ``harness.run``: 0 success, 1 a
-configuration error, 2 any other failure.
+configuration error, 2 any other failure. Every subcommand is listed, but
+only the one a command line names gets its options built.
 """
 
 from __future__ import annotations
@@ -65,12 +66,17 @@ def _threshold_help(experiment: str) -> str:
     return f"lemma constant; {experiment} reads {' or '.join(reads) or 'none'}; repeatable"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
+    """The parser, with each subcommand's help its runner's docstring. Only
+    the subcommand argv names (its first argument not an option) gets its
+    options; with argv None, or naming none, every subcommand gets them."""
     parser = _Parser(prog="gibbsmix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="EXPERIMENT")
-    # each subcommand's help is its runner's one-line docstring
+    named = next((arg for arg in argv or () if not arg.startswith("-")), None)
     for name, runner in _RUNNERS.items():
         sp = sub.add_parser(name, help=runner.__doc__)
+        if named in _RUNNERS and name != named:
+            continue
         sp.add_argument("--config", help="path to a strict JSON config")
         sp.add_argument("--seed", type=int, help="base seed (64-bit)")
         sp.add_argument("--out", help="output directory")
@@ -121,7 +127,8 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         config = _build_config(args)

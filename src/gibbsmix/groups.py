@@ -191,10 +191,15 @@ def load_group(path: str) -> Tuple[GroupTable, GeneratorSet]:
 
     Format: first line n; then n whitespace-separated rows of the
     multiplication table; final line the generator indices. The identity is
-    the index whose table row reads 0..n-1.
+    the index whose table row reads 0..n-1. A file that cannot be opened or
+    is not UTF-8 is a ``ParseError`` that names the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot read group file {path!r}: {reason}") from exc
     if not lines:
         raise ParseError("empty group file")
     try:

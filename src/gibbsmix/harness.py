@@ -9,7 +9,9 @@ per-replica streams derived as SeedSequence([seed, replica]); identical
 config + seed reproduces identical artifact bytes.
 
 Exit codes by error family (errors.py): 0 success, 1 a ``ConfigError`` or
-``GroupError``, 2 any other package error or any other exception.
+``GroupError``, 2 any other package error or any other exception. The group
+and kernel builders and the oracles' ``fractions`` are imported by the
+functions that call them, so a matrix-chain run never loads them.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ import json
 import math
 import sys
 import time
-import traceback
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -36,14 +36,6 @@ from .coupling import (
     connectedness_experiment,
     largeness_experiment,
     run_nonmarkovian_coupling,
-)
-from .groups import build_cyclic, build_dihedral, build_hypercube, load_group
-from .kernels import (
-    base_walk_kernel,
-    detailed_balance_residual,
-    edge_walk_kernel,
-    spectral_summary,
-    verify_comparison,
 )
 from .matrices import (
     MContractionPoint,
@@ -224,6 +216,8 @@ class ExperimentConfig:
 
 def resolve_group(spec: Optional[dict]):
     """Build (GroupTable, GeneratorSet) from a config group object."""
+    from .groups import build_cyclic, build_dihedral, build_hypercube, load_group
+
     if spec is None:
         raise ConfigError("this experiment requires a 'group' object")
     family = spec.get("family")
@@ -380,6 +374,8 @@ def _kernel_table(name: str, kernel) -> Table:
 
 def _run_gap(config: ExperimentConfig):
     """spectrum and gap of the pair-walk kernels on a Cayley graph"""
+    from .kernels import base_walk_kernel, edge_walk_kernel, spectral_summary
+
     group, gens = resolve_group(config.group)
     n = group.n
     # at its peak: the two kernels, the group table and the (n, n)
@@ -405,6 +401,8 @@ def _run_gap(config: ExperimentConfig):
 
 def _run_compare(config: ExperimentConfig):
     """detailed balance and Dirichlet-form comparison of the rescaled kernel"""
+    from .kernels import detailed_balance_residual, verify_comparison
+
     group, gens = resolve_group(config.group)
     n, trials = group.n, config.replicas or 1000
     # at its peak: both kernels, both Dirichlet-form matrices, the group
@@ -684,6 +682,10 @@ def _oracle_kernel_enumeration() -> dict:
     """Rebuild small base/edge kernels from first principles (exact rational
     row masses via direct enumeration of (element, generator) draws) and
     compare against the kernel builders."""
+    from fractions import Fraction
+
+    from .kernels import base_walk_kernel, edge_walk_kernel, spectral_summary
+
     out = {}
     cases = {
         "cyclic-4-pm1": (4, [1, 3]),
@@ -735,6 +737,8 @@ def _oracle_acceptance_rate() -> dict:
 def _oracle_schedule_enumeration() -> dict:
     """Exact law of the connection time for n = 3 by enumerating every
     ordered pair sequence of length <= 6."""
+    from fractions import Fraction
+
     n = 3
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     out = {}
@@ -912,6 +916,8 @@ def run(config: ExperimentConfig, out_dir=None, fmt: Optional[str] = None) -> in
         else:
             # a defect, or a resource the run ran out of (MemoryError)
             code, what = 2, "unexpected failure"
+            import traceback
+
             traceback.print_exc()
         manifest.status = "failed"
         manifest.error = f"{type(exc).__name__}: {exc}"

@@ -22,18 +22,17 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateEigenvector, InvariantViolation
-from .groups import GeneratorSet, GroupTable
-from .kernels import (
-    TransitionKernel, base_walk_kernel, edge_walk_kernel, s_recursion_terms, spectral_summary,
-    symmetrization,
-)
 from .pairops import Chain, advance, pair_moves, put_pair
 from .seeding import check_draw_memory, draw_moves, predraw, replica_rng
+
+if TYPE_CHECKING:
+    from .groups import GeneratorSet, GroupTable
+    from .kernels import TransitionKernel
 
 __all__ = [
     "SimplexState",
@@ -126,6 +125,8 @@ def sample_stationary(n: int, rng: np.random.Generator) -> SimplexState:
 
 def base_gap(group: GroupTable, gens: GeneratorSet) -> float:
     """gamma_hat: the spectral gap of the base pair walk."""
+    from .kernels import base_walk_kernel, spectral_summary
+
     return spectral_summary(base_walk_kernel(group, gens)).gap
 
 
@@ -187,6 +188,8 @@ def s_recursion_targets(s: np.ndarray, group: GroupTable, gens: GeneratorSet) ->
     proportionally coupled move (g, r, lam all uniform): the terms of
     ``kernels.s_recursion_terms`` applied to s in order, each term's entries
     summed left to right from its first."""
+    from .kernels import s_recursion_terms
+
     s = np.asarray(s, dtype=float)
     (_, own, (h,)), *rest = s_recursion_terms(group, gens)
     out = own * s[h]
@@ -360,6 +363,8 @@ def lower_bound_init(kernel: TransitionKernel):
     squared norm; mu is the normalized positive part of v, a simplex point
     concentrated where v is positive.
     """
+    from .kernels import symmetrization
+
     sym, d = symmetrization(kernel)
     vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(vals)[::-1]
@@ -422,6 +427,8 @@ def lower_bound_experiment(
 
     Per-replica draw order (``seeding.predraw``): moves, then a stationary row.
     """
+    from .kernels import edge_walk_kernel, spectral_summary
+
     n = group.n
     kernel = edge_walk_kernel(group, gens)
     v, mu = lower_bound_init(kernel)

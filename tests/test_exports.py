@@ -1,11 +1,14 @@
 """Every exported name resolves: each module's ``__all__`` entry, and each
-name the package imports into ``gibbsmix`` itself. A deletion that leaves an
+name the package resolves on first access into ``gibbsmix`` itself. A deletion that leaves an
 export behind fails here rather than at a user's import."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,18 +28,34 @@ def test_module_all_entries_resolve(name):
     assert len(set(exported)) == len(exported)
 
 
-def test_package_imports_resolve():
-    tree = ast.parse(Path(gibbsmix.__file__).read_text())
-    imported = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert len(imported) > 50
-    for module, name in imported:
-        assert hasattr(importlib.import_module(f"gibbsmix.{module}"), name), (module, name)
-        assert hasattr(gibbsmix, name), name
+def test_package_exports_are_their_modules_objects():
+    # the package resolves each public name on first access from the module
+    # that defines it, so gibbsmix.X is that module's X
+    assert len(gibbsmix.__all__) > 50 and len(set(gibbsmix.__all__)) == len(gibbsmix.__all__)
+    for name in gibbsmix.__all__:
+        value = getattr(gibbsmix, name)
+        assert value.__module__.startswith("gibbsmix."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert set(gibbsmix.__all__) <= set(dir(gibbsmix))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from gibbsmix import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(gibbsmix.__all__)
+    assert namespace["step_batch"] is importlib.import_module("gibbsmix.simplex").step_batch
+
+
+def test_a_submodule_resolves_without_an_import_and_an_unknown_name_raises():
+    # run in a fresh interpreter, where nothing has imported gibbsmix.kernels
+    code = ("import sys, gibbsmix; assert 'gibbsmix.kernels' not in sys.modules; "
+            "assert gibbsmix.kernels is sys.modules['gibbsmix.kernels']; "
+            "assert gibbsmix.kernels.base_walk_kernel is gibbsmix.base_walk_kernel")
+    env = dict(os.environ, PYTHONPATH=str(Path(gibbsmix.__file__).parents[1]))
+    subprocess.run([sys.executable, "-B", "-c", code], env=env, check=True)
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        gibbsmix.nosuch  # noqa: B018
+    assert not hasattr(gibbsmix, "_run_gap")
 
 
 def test_the_scalar_subset_step_name_stays_retired():

@@ -448,10 +448,11 @@ def test_a_refused_dense_run_builds_nothing(tmp_path, monkeypatch, name):
     # the guard comes before the first kernel, S vector or move
     data, need = _DENSE_RUNS[name]
     built = []
-    for module, builder in [(harness, "base_walk_kernel"), (harness, "edge_walk_kernel"),
-                            (kernels, "base_walk_kernel"), (kernels, "comparison_kernel"),
-                            (simplex, "s_vector"), (simplex, "s_recursion_terms"),
-                            (simplex, "draw_moves")]:
+    # the runners import the kernel builders when they run, so the builders
+    # are patched where they are defined
+    for module, builder in [(kernels, "base_walk_kernel"), (kernels, "edge_walk_kernel"),
+                            (kernels, "comparison_kernel"), (kernels, "s_recursion_terms"),
+                            (simplex, "s_vector"), (simplex, "draw_moves")]:
         monkeypatch.setattr(module, builder, lambda *args, b=builder: built.append(b))
     monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)
     assert run(ExperimentConfig.from_dict({**data, "seed": 1}), out_dir=tmp_path) == 1
@@ -774,7 +775,7 @@ def test_eigenvalue_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         out = tmp_path / threads
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        subprocess.run([sys.executable, "-m", "gibbsmix.cli", "gap", "--group", "cyclic:256",
+        subprocess.run([sys.executable, "-B", "-m", "gibbsmix.cli", "gap", "--group", "cyclic:256",
                         "--seed", "1", "--out", str(out)], env=env, check=True,
                        capture_output=True, timeout=120)
         written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
@@ -1022,10 +1023,7 @@ def test_compare_builds_and_solves_its_kernel_once(monkeypatch, tmp_path):
         return wrapper
 
     for name in ("comparison_kernel", "spectral_summary"):
-        wrapper = counted(name, getattr(kernels, name))
-        for module in (kernels, harness):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
     data = {"experiment": "compare", "group": _CYCLIC6, "replicas": 10}
     assert run(ExperimentConfig.from_dict(data), out_dir=tmp_path) == 0
     # one comparison kernel; the spectra of it and of the base walk
@@ -1063,12 +1061,82 @@ def test_parse_group_shorthand_cases():
             parse_group_shorthand(bad)
 
 
-def test_every_subcommand_has_help():
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+_OPTIONS = ["-h", "--help", "--config", "--seed", "--out", "--format", "--replicas", "--group",
+            "--n", "--T", "--T1", "--T2", "--suite", "--threshold"]
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_every_subcommand_has_help(capsys):
+    sub = _subparsers(build_parser())
     helps = {a.dest: a.help for a in sub._choices_actions}
     assert list(helps) == list(EXPERIMENTS)
     assert all(text and text.strip() for text in helps.values()), helps
+    # --help lists every subcommand with its runner's docstring, and each
+    # subcommand's --help shows the options that every subcommand has
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["--help"])
+    assert exit_.value.code == 0
+    listing = " ".join(capsys.readouterr().out.split())
+    assert [name for name in EXPERIMENTS if f"{name} {helps[name]}" not in listing] == []
+    for name in EXPERIMENTS:
+        assert [o for a in sub.choices[name]._actions for o in a.option_strings] == _OPTIONS
+        with pytest.raises(SystemExit) as exit_:
+            cli_main([name, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == sub.choices[name].format_help()
+    # a command line that names a subcommand builds only that one's options
+    named = _subparsers(build_parser(["couple-matrix", "--n", "8"])).choices
+    assert list(named) == list(EXPERIMENTS)
+    assert {name for name, sp in named.items() if len(sp._actions) > 1} == {"couple-matrix"}
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_an_unreadable_group_file_is_a_config_error(tmp_path, capsys, case):
+    # a group file that cannot be read is bad input, like a malformed one
+    # (ParseError, a GroupError): exit 1 and a failed manifest, no traceback
+    groups = tmp_path / "groups"
+    groups.mkdir()
+    (groups / "bom.txt").write_bytes(b"\xff\xfe3\n0 1 2\n1 2 0\n2 0 1\n1 2\n")
+    path = {"missing": groups / "none" / "g.txt", "directory": groups,
+            "not-utf8": groups / "bom.txt"}[case]
+    out = tmp_path / "res"
+    assert cli_main(["gap", "--group", f"file:{path}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err and "Traceback" not in err
+    manifest = _read_manifest(out)
+    assert manifest["status"] == "failed" and manifest["error"].startswith("ParseError: ")
+
+
+def test_a_matrix_run_loads_no_kernels_groups_or_exact_arithmetic(tmp_path):
+    # connect and couple-matrix on the matrix chain build no group or kernel
+    # and run no oracle, so their runs never import groups, kernels or
+    # fractions. perfbench/child.py's trace mode looks up the simplex,
+    # matrices, coupling, seeding and harness modules in sys.modules right
+    # after `from gibbsmix import cli`, to wrap their layers, so that import
+    # must keep loading those five
+    repo = Path(harness.__file__).resolve().parents[2]
+    script = (
+        "import json, sys\n"
+        "from gibbsmix import cli\n"
+        "traced = sorted(m for m in sys.modules if m in {'gibbsmix.simplex', 'gibbsmix.matrices',"
+        " 'gibbsmix.coupling', 'gibbsmix.seeding', 'gibbsmix.harness'})\n"
+        "codes = [cli.main([name, '--config', f'{sys.argv[1]}/{name}.json', '--out',"
+        " f'{sys.argv[2]}/{name}']) for name in ('connect', 'couple-matrix')]\n"
+        "unused = ['gibbsmix.kernels', 'gibbsmix.groups', 'fractions']\n"
+        "print(json.dumps([traced, codes, [m for m in unused if m in sys.modules]]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(repo / "src"),
+                                                         os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-B", "-c", script, str(repo / "scripts" / "configs"),
+                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    traced, codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert traced == ["gibbsmix.coupling", "gibbsmix.harness", "gibbsmix.matrices",
+                      "gibbsmix.seeding", "gibbsmix.simplex"]
+    assert codes == [0, 0] and loaded == []
 
 
 def test_cli_runs_gap_experiment(tmp_path, capsys):
@@ -1109,6 +1177,7 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     assert cli_main(["connect", "--n", "8", "--threshold", "epsilon"]) == 1
     assert cli_main(["gap", "--group", "cyclic:6", "--threshold", "a=3"]) == 1
     assert cli_main(["gap", "--group", "klein:4"]) == 1
+    assert cli_main(["nosuch"]) == 1
     # thresholds that the experiment does not read
     assert cli_main(["gap", "--group", "cyclic:6", "--threshold", "epsilon=1"]) == 1
     assert cli_main(["couple-matrix", "--n", "5", "--threshold", "k=3"]) == 1
