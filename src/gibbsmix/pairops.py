@@ -33,12 +33,16 @@ by one rule: a step's level is 1 + the highest level on the coordinates of
 its row that it reads. A move reads its pair; a barrier, a step the caller
 applies itself (the coupled runner's subset-coupled steps), reads its whole
 row. The tiles are cut at each of the caller's marks and at each multiple
-of _LEVEL_TILE, the one grid. Each tile's moves are oriented once, when it
-is levelled, and its lambdas come from a tile source that draws them one
-grid chunk at a time (``seeding.LambdaStream``), so a long stretch need not
-hold them; the tile is yielded with them. ``advance`` walks those tiles to
-apply the draws to one or more batches up to each mark in turn, one kernel
-call per level and batch instead of one per step.
+of _LEVEL_TILE, the one grid. A scan levels several tiles side by side in
+one array, a row of coordinate pairs per step that the step's levels
+overwrite once it is read, and hands each tile on as a sort key of its
+levels in the narrowest type that holds them. Each tile's moves are
+oriented once, when it is levelled, and its lambdas come from a tile
+source that draws them one grid chunk at a time (``seeding.LambdaStream``),
+so a long stretch need not hold them; the tile is yielded with them.
+``advance`` walks those tiles to apply the draws to one or more batches up
+to each mark in turn, one kernel call per level and batch instead of one
+per step.
 """
 
 from __future__ import annotations
@@ -57,7 +61,11 @@ __all__ = ["Chain", "advance", "flat_view", "orient", "pair_levels", "pair_moves
 # tiles of one scan are levelled side by side in one pass
 _LEVEL_TILE = 512
 # lane entries (coordinates plus steps of each tile-replica lane) one scan
-# may hold; a single tile is always allowed
+# may hold; a single tile is always allowed. A coordinate entry is one
+# level of the lane table (one byte, two on 512-step tiles), and a step two
+# coordinates (two bytes up to n = 256), which its level overwrites, and
+# then one byte of its tile's sort key (two where the tile's levels pass
+# 255)
 _LEVEL_BUDGET = 1 << 21
 # bytes of the scan's table of each lane's last level per coordinate, which
 # it gathers from and scatters into at every step; past about 1 MB each
@@ -137,13 +145,20 @@ def put_pair(flat, p, q, lam, total, alpha, beta) -> None:
     flat[q] = share
 
 
-def _move_levels(a, b, n: int, tiles, barriers=None) -> np.ndarray:
-    """Level of each move of the (B, T) draws in the K step ranges
-    [s0, s1) of ``tiles``, restarting at each: (width, K, B) levels for the
-    widest tile's width, [s, k, r] that of step s0 + s of row r in tile k.
-    Each (tile, row) pair is one lane, and all lanes run side by side in one
-    pass of ``width`` steps; the padding after a tile's last step moves
-    (0, 0).
+def _move_levels(a, b, n: int, tiles, barriers=None) -> list:
+    """Levels of the moves of the (B, T) draws in the K step ranges [s0, s1)
+    of ``tiles``, restarting at each: one C-contiguous (B, s1 - s0) sort key
+    per tile, [r, s] the level of step s0 + s of row r, in the narrowest
+    unsigned dtype that holds the tile's highest level. Each (tile, row)
+    pair is one lane, and all lanes run side by side in one pass of
+    ``width`` steps, the widest tile's width; the padding after a tile's
+    last step moves (0, 0).
+
+    Each step of the pass is one row of its lanes' a coordinates and then
+    their b coordinates, two coordinates a lane; once the step's pairs are
+    read, its levels overwrite the start of the row, so the pass holds the
+    rows and the lane table and no other array a step long. The keys are
+    taken out of the rows once the pass ends, and the rows are freed.
 
     One rule: a step's level is 1 + the highest level on the coordinates it
     reads, in its lane's row of the table of the last level per coordinate,
@@ -156,27 +171,33 @@ def _move_levels(a, b, n: int, tiles, barriers=None) -> np.ndarray:
     B, K = a.shape[0], len(tiles)
     width = max(s1 - s0 for s0, s1 in tiles)
     lanes = K * B
-    at, bt = np.zeros((2, width, lanes), dtype=np.min_scalar_type(n - 1))
+    pairs = np.zeros((width, 2, lanes), dtype=np.min_scalar_type(n - 1))
     flag = np.zeros((width, 0 if barriers is None else lanes), dtype=bool)
     for k, (s0, s1) in enumerate(tiles):
-        at[:s1 - s0, k * B:(k + 1) * B] = a[:, s0:s1].T
-        bt[:s1 - s0, k * B:(k + 1) * B] = b[:, s0:s1].T
+        pairs[:s1 - s0, 0, k * B:(k + 1) * B] = a[:, s0:s1].T
+        pairs[:s1 - s0, 1, k * B:(k + 1) * B] = b[:, s0:s1].T
         if barriers is not None:
             flag[:s1 - s0, k * B:(k + 1) * B] = barriers[:, s0:s1].T
     # a level is at most the tile's width
     last = np.zeros(lanes * n, dtype=np.min_scalar_type(width))
     rows = last.reshape(lanes, n)
     base = np.arange(0, lanes * n, n)
-    out = np.empty((width, lanes), dtype=last.dtype)
+    # a level takes at most two coordinates' bytes, and it is written in the
+    # lane table's own dtype, so the ufunc that writes it never casts; each
+    # array a step reads or writes is contiguous (with each lane's pair side
+    # by side in one word, the 4-step scans of lowerbound-simplex took about
+    # 1.5 times as long)
+    levels = pairs.reshape(width, -1).view(last.dtype)[:, :lanes]
     # the barrier lanes of step s are held[cuts[s]:cuts[s + 1]] (none without
     # barriers): a few lanes each, cheaper to index than to mask
     steps, held = np.nonzero(flag)
     cuts = np.searchsorted(steps, np.arange(width + 1)).tolist()
     del flag, steps
     for s in range(width):
-        ia = base + at[s]
-        ib = base + bt[s]
-        lev = np.maximum(last[ia], last[ib], out=out[s])
+        # the step's pairs are read before its levels overwrite them
+        ia = base + pairs[s, 0]
+        ib = base + pairs[s, 1]
+        lev = np.maximum(last[ia], last[ib], out=levels[s])
         lev += 1
         if cuts[s] < cuts[s + 1]:
             lanes_s = held[cuts[s]:cuts[s + 1]]
@@ -186,21 +207,43 @@ def _move_levels(a, b, n: int, tiles, barriers=None) -> np.ndarray:
             rows[lanes_s] = level[:, None]
         last[ia] = lev
         last[ib] = lev
-    return out.reshape(width, K, B)
+    # the lane table goes before the keys are built
+    del last, rows
+    keys = []
+    for k, (s0, s1) in enumerate(tiles):
+        tile = levels[:s1 - s0, k * B:(k + 1) * B]
+        # 8- and 16-bit keys sort by radix, 8-bit ones in one pass
+        keys.append(tile.T.astype(np.min_scalar_type(tile.max()), order="C"))
+    return keys
 
 
-def _oriented_levels(lev, a, b, lam, n: int, barrier=None) -> list:
+def _level_step_bytes(n: int, width: int) -> int:
+    """Bytes per replica-step of a tile of ``width`` steps on n coordinates
+    as it is levelled and walked, the memory guard's count: the scan's two
+    coordinates (``_move_levels``) and the tile's sort key, and the walk's
+    sort order, p, q and lam' and one sorted copy of them
+    (``_oriented_levels``), eight bytes each."""
+    return 2 * np.min_scalar_type(n - 1).itemsize + np.min_scalar_type(width).itemsize + 5 * 8
+
+
+def _oriented_levels(key, a, b, lam, n: int, barrier=None) -> list:
     """The oriented moves (p, q, lam') of a tile's (B, w) draws one per
-    level, given the (w, B) levels of its steps; the steps flagged in the
-    (B, w) ``barrier`` are left out."""
-    top = int(lev.max())
-    # entry r * w + s is step s of row r, in a copy the caller's levels do
-    # not see; 8- and 16-bit keys sort by radix, 8-bit ones in one pass
-    lev = lev.T.astype(np.uint8 if top < 256 else lev.dtype, order="C").reshape(-1)
+    level, given the (B, w) sort key of its steps' levels (``_move_levels``);
+    the steps flagged in the (B, w) ``barrier`` are left out. The key is
+    not written to."""
+    # one count per level: without barriers the key's highest entry is the
+    # highest level
+    counts = 0
     if barrier is not None:
-        # key 0 sorts first and is no level, so the barriers are dropped
-        lev[barrier.ravel()] = 0
-    order = np.argsort(lev, kind="stable")
+        # key 0 sorts first and is no level, so the barriers are dropped; in
+        # a copy, since the caller reads the barriers' levels. A level that
+        # holds only barriers keeps its (empty) count
+        counts = int(key.max()) + 1
+        key = key.copy()
+        key[barrier] = 0
+    # entry r * w + s is step s of row r
+    key = key.reshape(-1)
+    order = np.argsort(key, kind="stable")
     # the tile is oriented where it lies, each row on its flat offset, and
     # then gathered by level, one array at a time so that each unsorted one
     # is freed before the next is gathered
@@ -208,7 +251,7 @@ def _oriented_levels(lev, a, b, lam, n: int, barrier=None) -> list:
     p = p.take(order)
     q = q.take(order)
     lam = lam.take(order)
-    ends = np.cumsum(np.bincount(lev, minlength=top + 1)).tolist()
+    ends = np.cumsum(np.bincount(key, minlength=counts)).tolist()
     return [(p[lo:hi], q[lo:hi], lam[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
@@ -216,10 +259,11 @@ def pair_levels(a, b, lam, n: int, marks, barriers=None):
     """Yield (s0, lev, lam, levels) for each level tile [s0, s0 + w) of the
     (B, T) draws up to the last of the ascending ``marks`` (0 <= mark <=
     T), in time order; row r moves pair (a[r, t], b[r, t]) with the lambda
-    of step t. ``lev`` holds the (w, B) levels of the tile's steps,
-    ``lam`` their (B, w) lambdas, and entry k of ``levels`` the oriented
-    moves (p, q, lam') of level k + 1 on a (B, n) batch (``orient``); p // n
-    is the row of a move.
+    of step t. ``lev`` holds the (w, B) levels of the tile's steps (the
+    transpose of its sort key, in the narrowest unsigned type that holds
+    them), ``lam`` their (B, w) lambdas, and entry k of ``levels`` the
+    oriented moves (p, q, lam') of level k + 1 on a (B, n) batch
+    (``orient``); p // n is the row of a move.
 
     The tiles are cut at every mark and at every multiple of _LEVEL_TILE,
     so none crosses either. The ``lam`` passed in is a tile source:
@@ -262,11 +306,13 @@ def pair_levels(a, b, lam, n: int, marks, barriers=None):
             width = s1 - s0
         scans[-1].append((s0, s1))
     for scan in scans:
-        levels = _move_levels(a, b, n, scan, barriers)
-        for k, (s0, s1) in enumerate(scan):
-            lev, tile = levels[:s1 - s0, k], lam(s0, s1)
-            yield s0, lev, tile, _oriented_levels(
-                lev, a[:, s0:s1], b[:, s0:s1], tile, n,
+        # the scan's keys, last tile first, so that the list lets go of
+        # each key as its tile is reached
+        keys = _move_levels(a, b, n, scan, barriers)[::-1]
+        for s0, s1 in scan:
+            key, tile = keys.pop(), lam(s0, s1)
+            yield s0, key.T, tile, _oriented_levels(
+                key, a[:, s0:s1], b[:, s0:s1], tile, n,
                 None if barriers is None else barriers[:, s0:s1])
 
 

@@ -122,26 +122,33 @@ def predraw(chain, rngs, T: int, what: str, before: int = 0, then=None):
     """The draws of a lockstep experiment ``what`` over T steps of ``chain``,
     one replica per generator of ``rngs``: replica r draws ``before``
     stationary rows (one ``chain.stationary`` call, which leaves the stream
-    of as many single draws), then its T moves (``draw_moves``), from
-    rngs[r]. Returns (rows, (a, b, lam)): rows[k, r] the k-th stationary row
-    of replica r, (a, b) the (B, T) pair store and lam the ``LambdaStream``
-    of the lambda arrays; each generator then stands after its lambdas.
-    ``check_draw_memory`` first compares the bytes of the store and of the
-    stream's buffer with the memory available: one (B, _LEVEL_TILE) chunk
-    of the level-tile grid, since the stream draws nothing past the chunk
-    its tile is in. ``then = (T', what')`` names a later predraw on the
-    same generators, the coupled runner's phase 2 (its only caller): that
-    store and buffer, and the runner's (B, T') bool barrier flags, one byte
-    a step, are checked here too, before anything is drawn."""
+    of as many single draws, and none for ``before = 0``), then its T moves
+    (``draw_moves``), from rngs[r]. Returns (rows, (a, b, lam)): rows[k, r]
+    the k-th stationary row of replica r, (a, b) the (B, T) pair store and
+    lam the ``LambdaStream`` of the lambda arrays; each generator then
+    stands after its lambdas.
+    ``check_draw_memory`` first compares the bytes of the store, of the
+    stream's buffer and of the levelling of one tile with the memory
+    available: the buffer is one (B, _LEVEL_TILE) chunk of the level-tile
+    grid, since the stream draws nothing past the chunk its tile is in, and
+    every store is levelled, one tile of at most a chunk at a time
+    (``pairops._level_step_bytes``). ``then = (T', what')`` names a later
+    predraw on the same generators, the coupled runner's phase 2 (its only
+    caller): that store, buffer and levelling, and the runner's (B, T')
+    bool barrier flags, one byte a step, are checked here too, before
+    anything is drawn."""
     n, B = chain.n, len(rngs)
     pair_bytes = 2 * np.min_scalar_type(n - 1).itemsize
     for steps, about, flag in [(T, what, 0)] + ([] if then is None else [(*then, 1)]):
-        check_draw_memory(B * (steps * (pair_bytes + flag) + min(steps, pairops._LEVEL_TILE) * 8),
-                          f"{about} over {B} replicas and {steps} steps")
+        width = min(steps, pairops._LEVEL_TILE)
+        check_draw_memory(
+            B * (steps * (pair_bytes + flag) + width * (8 + pairops._level_step_bytes(n, width))),
+            f"{about} over {B} replicas and {steps} steps")
     rows = np.empty((before, B, n))
     a, b = empty_pairs(B, T, n)
     for r, rng in enumerate(rngs):
-        rows[:, r] = chain.stationary(rng, before)
+        if before:
+            rows[:, r] = chain.stationary(rng, before)
         a[r], b[r] = draw_pairs(rng, T, n, chain.group, chain.gens)
     return rows, (a, b, LambdaStream(rngs, T))
 

@@ -1123,15 +1123,23 @@ def test_runner_does_not_hold_the_phase2_lambdas(monkeypatch):
 
 
 def test_runner_peak_on_the_benchmark_run(monkeypatch):
-    # on perfbench's couple-matrix-n128 run the traced peak was 11,201,122
-    # bytes when phase 2 levelled only up to its earliest marked time, set
-    # by phase 1's level scan. Levelling all of phase 2, with the merges as
-    # barriers, holds one scan of 6 tiles x 125 lanes and the barrier flags;
-    # that may add at most 0.25 MB. Phase 2 must peak below phase 1, which a
-    # runner that held one tile's moves while the next tile is built does
-    # not (there the process's peak RSS rose by 1.5 MB)
+    # on perfbench's couple-matrix-n128 run phase 1 levels its 26 tiles in
+    # one scan of 26 x 125 lanes of 512 steps, which sets the runner's
+    # peak. Beside the (B, T1) pair store of two bytes a step, the scan
+    # holds two one-byte coordinates per lane-step, which the levels
+    # overwrite, and then each tile's one-byte sort key; one byte more per
+    # lane-step covers the lane table, both chains and the lambda chunk
+    # (1.6 MB together). A scan with separate (a, b) copies and two-byte
+    # levels kept through the walk peaked at 11.3 MB, 1.4 MB above this
+    # bound. Levelling all of phase 2, with the merges as barriers, holds
+    # one scan of 6 tiles x 125 lanes and the barrier flags. Phase 2 must
+    # peak below phase 1, which a runner that held one tile's moves while
+    # the next tile is built does not (there the process's peak RSS rose
+    # by 1.5 MB)
     chain = matrix_chain(128)
     T1, T2 = chain.horizons()
+    B, tile = 125, pairops._LEVEL_TILE
+    lane_steps = -(-T1 // tile) * B * tile
     scan, phase1 = coupling.build_partition_process, []
 
     def first_scan(*args):
@@ -1146,11 +1154,11 @@ def test_runner_peak_on_the_benchmark_run(monkeypatch):
     phase1.clear()
     tracemalloc.start()
     try:
-        run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=125, seed=1)
+        run_nonmarkovian_coupling(chain, T1=T1, T2=T2, replicas=B, seed=1)
         phase2 = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(phase1[0], phase2) <= 11_201_122 + 250_000
+    assert max(phase1[0], phase2) <= B * T1 * 2 + lane_steps * (2 + 1 + 1)
     assert phase2 < phase1[0]
 
 
@@ -1185,16 +1193,18 @@ def _counted(calls, name, layer):
 def test_runner_memory_estimate_is_its_two_stores(monkeypatch):
     # both phases' stores are checked before anything is drawn or moved,
     # phase 1's first: each phase's pair arrays (one byte per coordinate
-    # at n = 8) and the buffer of its lambda stream (a float64 per step up
-    # to one 512-step chunk: phase 2's 600 steps hold one chunk), and phase
-    # 2's barrier flags (one byte per step)
+    # at n = 8), the buffer of its lambda stream (a float64 per step up
+    # to one 512-step chunk: phase 2's 600 steps hold one chunk) and the
+    # levelling of one tile of at most a chunk (two coordinates, a key of
+    # one byte below 256 steps and two at 512, and 40 bytes of walk per
+    # step), and phase 2's barrier flags (one byte per step)
     B, T1, T2, n = 3, 10, 600, 8
     kwargs = dict(T1=T1, T2=T2, replicas=B, seed=1)
     calls = []
     plain = matrix_chain(n)
     chain = replace(plain, kernel=_counted(calls, "kernel", plain.kernel),
                     stationary=_counted(calls, "stationary", plain.stationary))
-    needs = {1: B * T1 * 10, 2: B * (T2 * 3 + 512 * 8)}
+    needs = {1: B * T1 * (10 + 43), 2: B * (T2 * 3 + 512 * (8 + 44))}
     for phase, T in ((1, T1), (2, T2)):
         need = needs[phase]
         monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)
@@ -1208,11 +1218,12 @@ def test_runner_memory_estimate_is_its_two_stores(monkeypatch):
 
 
 def test_phase_two_is_refused_for_its_barrier_flags(monkeypatch):
-    # phase 2 holds its (B, T2) bool barrier flags beside its pair store and
-    # lambda chunk: at n <= 256 the flags are half the pair store again, so
-    # with one byte too few for the three the run draws and moves nothing
+    # phase 2 holds its (B, T2) bool barrier flags beside its pair store,
+    # lambda chunk and the levelling of a 512-step tile: at n <= 256 the
+    # flags are half the pair store again, so with one byte too few for
+    # the four the run draws and moves nothing
     B, T1, T2, n = 4, 5, 1000, 16
-    store, chunk, flags = B * T2 * 2, B * 512 * 8, B * T2
+    store, chunk, flags = B * T2 * 2, B * 512 * (8 + 44), B * T2
     drawn = []
     plain = matrix_chain(n)
     chain = replace(plain, kernel=_counted(drawn, "kernel", plain.kernel),

@@ -40,7 +40,7 @@ from gibbsmix.matrices import (
     mstep_batch,
 )
 from gibbsmix.pairops import pair_moves
-from gibbsmix.seeding import draw_moves, replica_rng
+from gibbsmix.seeding import draw_moves, draw_pairs, replica_rng
 from gibbsmix.simplex import sample_stationary, simplex_chain, step_batch
 
 
@@ -526,20 +526,22 @@ def test_run_config_problem_exits_one(tmp_path):
 
 @pytest.mark.parametrize("data, need", [
     # the largest store drawn: a pair store (one byte per coordinate, two
-    # per step) and its lambda stream's buffer (a float64 per step up to
-    # 512 steps), the lockstep experiment's or the coupling's phase-2 one,
-    # which also holds one barrier flag per step
-    ({"experiment": "couple-matrix", "n": 8, "T1": 10, "T2": 20}, 3 * 20 * 11),
+    # per step), its lambda stream's buffer (a float64 per step up to 512
+    # steps) and its levelling (under 256 steps two coordinates, a one-byte
+    # key and 40 bytes of walk per step), the lockstep experiment's or the
+    # coupling's phase-2 one, which also holds one barrier flag per step
+    ({"experiment": "couple-matrix", "n": 8, "T1": 10, "T2": 20}, 3 * 20 * (11 + 43)),
     ({"experiment": "couple-simplex", "group": {"family": "cyclic", "n": 6}, "T1": 0,
-      "T2": 40}, 3 * 40 * 11),
-    ({"experiment": "largeness", "n": 8, "T": 50}, 3 * 50 * 10),
-    ({"experiment": "largeness", "group": {"family": "cyclic", "n": 6}, "T": 70}, 3 * 70 * 10),
+      "T2": 40}, 3 * 40 * (11 + 43)),
+    ({"experiment": "largeness", "n": 8, "T": 50}, 3 * 50 * (10 + 43)),
+    ({"experiment": "largeness", "group": {"family": "cyclic", "n": 6}, "T": 70},
+     3 * 70 * (10 + 43)),
     # contract-simplex needs T >= ceil(8 / gamma_hat), 49 on cyclic:6
     ({"experiment": "contract-simplex", "group": {"family": "cyclic", "n": 6}, "T": 49},
-     3 * 49 * 10),
-    ({"experiment": "contract-matrix", "n": 8, "T": 30}, 3 * 30 * 10),
+     3 * 49 * (10 + 43)),
+    ({"experiment": "contract-matrix", "n": 8, "T": 30}, 3 * 30 * (10 + 43)),
     ({"experiment": "lowerbound-simplex", "group": {"family": "cyclic", "n": 6}, "T": 60},
-     3 * 60 * 10),
+     3 * 60 * (10 + 43)),
     # identity-matrix holds two (pairs, n) float64 stacks of stationary rows
     # and the pairs' residuals
     ({"experiment": "identity-matrix", "n": 8}, (2 * 8 + 1) * 3 * 8),
@@ -568,6 +570,27 @@ def test_a_store_larger_than_the_memory_available_exits_one(tmp_path, monkeypatc
     assert f"the {need - 1:,} bytes of memory available" in manifest["error"]
     monkeypatch.setattr(seeding, "available_memory", lambda: need)
     assert run(cfg, out_dir=tmp_path / "enough") == 0
+
+
+def test_a_run_is_refused_for_its_levelling(tmp_path, monkeypatch):
+    # largeness at n = 3 over 512 steps: the pair store and lambda chunk
+    # alone are 10 bytes a replica-step, and levelling the 512-step tile
+    # holds 44 more (two coordinates, a two-byte key, and the walk's sort
+    # order, p, q, lambda' and one sorted copy). With memory for the first
+    # and not the second the run is refused before anything is drawn
+    B, T = 2000, 512
+    store, need = B * T * 10, B * T * (10 + 44)
+    drawn = []
+    monkeypatch.setattr(seeding, "draw_pairs",
+                        lambda *args, **kw: drawn.append("pairs") or draw_pairs(*args, **kw))
+    monkeypatch.setattr(seeding, "available_memory", lambda: need - 1)
+    assert store < need - 1
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "largeness", "n": 3, "T": T, "replicas": B, "seed": 1})
+    assert run(cfg, out_dir=tmp_path) == 1
+    error = _read_manifest(tmp_path)["error"]
+    assert error.startswith("ConfigError: ") and f"hold {need:,} bytes at once" in error
+    assert drawn == []
 
 
 def test_run_invariant_failure_exits_two(tmp_path, monkeypatch):

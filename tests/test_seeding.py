@@ -310,6 +310,28 @@ def test_available_memory_is_a_byte_count_or_none():
     assert available is None or (isinstance(available, int) and available > 0)
 
 
+def test_predraw_makes_no_stationary_call_for_no_rows():
+    # a size-0 stationary draw takes no values, so with before = 0 the call
+    # is skipped: no empty stack is built and checked per replica, and the
+    # draws are those of draw_moves from the start of each stream
+    from dataclasses import replace
+
+    from gibbsmix.matrices import matrix_chain
+
+    calls = []
+    plain = matrix_chain(5)
+    chain = replace(plain, stationary=lambda rng, size: calls.append(size))
+    B, steps = 4, 30
+    rows, (a, b, lam) = seeding.predraw(chain, [seeding.replica_rng(3, r) for r in range(B)],
+                                        steps, "a test")
+    assert calls == [] and rows.shape == (0, B, 5)
+    moves = (a, b, lam(0, steps))
+    for r in range(B):
+        want = draw_moves(seeding.replica_rng(3, r), steps, 5)
+        for got, ref in zip(moves, want):
+            assert got[r].tobytes() == ref.astype(got.dtype).tobytes()
+
+
 @pytest.mark.parametrize("which", ["matrix:3", "matrix:40", "cyclic:6"])
 def test_predraw_draws_stationary_rows_as_single_draws(which):
     # each group of a replica's stationary rows is one chain.stationary call;
